@@ -22,11 +22,12 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .equiaffine import TransversalField, structure_from_field
-from .errors import (DegenerateBasis, DivisionByZeroValue, DomainError,
-                     Indeterminate, InsufficientJetOrder, KVanishes,
-                     NotExtendable, NotTransversal, SingularIIOmega)
+from .errors import (UNUSABLE_SAMPLE, DegenerateBasis, DivisionByZeroValue,
+                     DomainError, Indeterminate, InsufficientJetOrder,
+                     KVanishes, NotExtendable, NotTransversal,
+                     SingularIIOmega)
 from .frame import FrameBundle, Frontal, frame_bundle
-from .jets import Jet, inv2_jet
+from .jets import Jet, det2_jet, inv2_jet
 from . import expr as expr_mod
 
 
@@ -149,10 +150,7 @@ def probe_limits(fn, targets, domain, config: Config = DEFAULT,
 
 
 def _lam_det_values(f: Frontal, u1, u2, order=0):
-    from .jets import det2_jet
-    lam = f.lam(u1, u2, order)
-    det = det2_jet(lam)
-    return np.broadcast_to(np.asarray(det.value, dtype=float), np.shape(u1))
+    return det2_jet(f.lam(u1, u2, order)).value_on(np.shape(u1))
 
 
 # --- extended Gauss curvature --------------------------------------------------------
@@ -172,10 +170,8 @@ def _gauss_ratio_fn(f: Frontal, config: Config):
             b = frame_bundle(f, u1, u2, order=2, config=config)
         except DegenerateBasis:
             return np.full((1,) + np.shape(u1), np.nan)
-        lam = np.broadcast_to(np.asarray(b.lam_det.value, dtype=float),
-                              np.shape(u1)).copy()
-        K = np.broadcast_to(np.asarray(b.K_omega.value, dtype=float),
-                            np.shape(u1))
+        lam = b.lam_det.value_on(np.shape(u1)).copy()
+        K = b.K_omega.value_on(np.shape(u1))
         lam[np.abs(lam) <= config.eps_sing] = np.nan
         return (K / lam)[None, :]
     return fn
@@ -205,9 +201,8 @@ def gauss_extension(f: Frontal, point, config: Config = None):
 def gauss_at_singular(f: Frontal, targets, config: Config):
     """Extended curvature at a batch of singular points, one probe pass."""
     if f.gauss is not None:
-        vals = f.gauss(targets[:, 0], targets[:, 1], 0).value
-        return np.broadcast_to(np.asarray(vals, dtype=float),
-                               (targets.shape[0],)).copy()
+        return f.gauss(targets[:, 0], targets[:, 1], 0).value_on(
+            (targets.shape[0],)).copy()
     results = probe_limits(_gauss_ratio_fn(f, config), targets, f.domain,
                            config)
     return np.asarray([float(r.require("extended Gauss curvature")[0])
@@ -292,19 +287,15 @@ class BlaschkeField:
 
     def nudged_points(self, u1, u2, shift=1e-7):
         """Move points off the singular set along the gradient of det Lambda."""
-        from .jets import det2_jet
         u1 = np.array(u1, dtype=float, copy=True)
         u2 = np.array(u2, dtype=float, copy=True)
         lam_det = det2_jet(self.frontal.lam(u1, u2, 1))
-        lam = np.broadcast_to(np.asarray(lam_det.value, dtype=float),
-                              u1.shape)
+        lam = lam_det.value_on(u1.shape)
         near = np.abs(lam) <= 10.0 * self.config.eps_sing
         if not np.any(near):
             return u1, u2
-        g1 = np.broadcast_to(np.asarray(lam_det.partial(1, 0), dtype=float),
-                             u1.shape)
-        g2 = np.broadcast_to(np.asarray(lam_det.partial(0, 1), dtype=float),
-                             u1.shape)
+        g1 = lam_det.deriv(0).value_on(u1.shape)
+        g2 = lam_det.deriv(1).value_on(u1.shape)
         norm = np.hypot(g1, g2)
         bad = near & (norm <= 1e-12)
         if np.any(bad):
@@ -329,32 +320,8 @@ class BlaschkeField:
             out[regular] = xi.values_stacked()
         if np.any(~regular):
             targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-            out[~regular] = self._xi_singular(targets)
+            out[~regular] = _singular_field(self.frontal, targets, cfg)[0]
         return out.reshape(shape + (3,))
-
-    def _xi_singular(self, targets):
-        cfg = self.config
-        results = probe_limits(self._ab_fn(), targets, self.frontal.domain,
-                               cfg, m_components=2)
-        K_vals = gauss_at_singular(self.frontal, targets, cfg)
-        if np.any(np.abs(K_vals) <= cfg.eps_k):
-            raise KVanishes("extended curvature vanishes at a singular "
-                            "point")
-        out = np.empty((len(results), 3), dtype=float)
-        for k, res in enumerate(results):
-            ab = res.require("affine-normal tangential part")
-            q1 = np.asarray([targets[k, 0]])
-            q2 = np.asarray([targets[k, 1]])
-            b = frame_bundle(self.frontal, q1, q2, config=cfg)
-            phi = abs(K_vals[k]) ** 0.25
-            xi = (b.n.values_stacked() * phi
-                  + b.w1.values_stacked() * ab[0]
-                  + b.w2.values_stacked() * ab[1])
-            out[k] = np.asarray(xi, dtype=float).reshape(-1, 3)[0]
-        return out
-
-    def _ab_fn(self):
-        return _tangent_value_fn(self.frontal, self.config)
 
     def as_transversal(self):
         """View as a TransversalField over the regular part (jets)."""
@@ -384,16 +351,52 @@ def _tangent_value_fn(f: Frontal, cfg: Config):
                 b = frame_bundle(f, u1[ok], u2[ok], config=cfg)
                 phi, _, _ = _phi_jet(f, b, u1[ok], u2[ok], cfg)
                 av, bv = _tangent_coeff_jets(b, phi, cfg)
-            except (KVanishes, SingularIIOmega, DomainError,
-                    DivisionByZeroValue, DegenerateBasis):
+            except UNUSABLE_SAMPLE:
                 return out
-            tgt = u1[ok].shape
-            out[0][ok] = np.broadcast_to(np.asarray(av.value, dtype=float),
-                                         tgt)
-            out[1][ok] = np.broadcast_to(np.asarray(bv.value, dtype=float),
-                                         tgt)
+            out[0][ok] = av.value_on(u1[ok].shape)
+            out[1][ok] = bv.value_on(u1[ok].shape)
         return out
     return fn
+
+
+def _singular_field(f: Frontal, targets, cfg: Config):
+    """Affine normal at singular points, with its parts.
+
+    The tangential coefficients (a, b) are probed limits, phi is
+    |K|^(1/4) of the extended curvature, and the frame is evaluated at
+    the points themselves.  Returns (xi (n, 3), phi (n,), ab (n, 2),
+    K (n,), probe results); a failed certificate raises.
+    """
+    results = probe_limits(_tangent_value_fn(f, cfg), targets, f.domain,
+                           cfg, m_components=2)
+    K_vals = gauss_at_singular(f, targets, cfg)
+    if np.any(np.abs(K_vals) <= cfg.eps_k):
+        raise KVanishes("extended curvature vanishes on the singular set")
+    n_sing = targets.shape[0]
+    bq = frame_bundle(f, targets[:, 0], targets[:, 1], config=cfg)
+    n_at = np.broadcast_to(bq.n.values_stacked(), (n_sing, 3))
+    w1_at = np.broadcast_to(bq.w1.values_stacked(), (n_sing, 3))
+    w2_at = np.broadcast_to(bq.w2.values_stacked(), (n_sing, 3))
+    xis = np.empty((n_sing, 3))
+    phis = np.empty(n_sing)
+    abv = np.empty((n_sing, 2))
+    for k, res in enumerate(results):
+        ab = res.require("affine-normal tangential part")
+        phis[k] = abs(K_vals[k]) ** 0.25
+        abv[k] = ab
+        xis[k] = n_at[k] * phis[k] + w1_at[k] * ab[0] + w2_at[k] * ab[1]
+    return xis, phis, abv, K_vals, results
+
+
+def _tau_volume(f: Frontal, bf, u1, u2, lam, cfg: Config):
+    """(max |tau|, max volume-match residual) of the field's induced
+    structure at regular points u1, u2, where det Lambda takes the
+    values `lam`."""
+    s = structure_from_field(f, bf.as_transversal(), u1, u2, config=cfg)
+    det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
+    vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
+    return (float(np.max(np.abs(s.tau))),
+            float(np.max(np.abs(vol_ratio - 1.0))))
 
 
 def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
@@ -408,8 +411,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     cfg = config or f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
     bundle = frame_bundle(f, u1, u2, config=cfg)
-    lam = np.broadcast_to(np.asarray(bundle.lam_det.value, dtype=float),
-                          u1.shape)
+    lam = bundle.lam_det.value_on(u1.shape)
     regular = np.abs(lam) > cfg.eps_sing
 
     phi_g = np.empty(u1.shape)
@@ -424,9 +426,9 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
         av, bv = _tangent_coeff_jets(br, phi, cfg)
         xi = br.n.scale(phi) + br.w1.scale(av) + br.w2.scale(bv)
         tgt = u1[regular].shape
-        phi_g[regular] = np.broadcast_to(np.asarray(phi.value), tgt)
-        a_g[regular] = np.broadcast_to(np.asarray(av.value), tgt)
-        b_g[regular] = np.broadcast_to(np.asarray(bv.value), tgt)
+        phi_g[regular] = phi.value_on(tgt)
+        a_g[regular] = av.value_on(tgt)
+        b_g[regular] = bv.value_on(tgt)
         xi_g[regular] = np.broadcast_to(xi.values_stacked(), tgt + (3,))
         sign_g[regular] = np.broadcast_to(sign, tgt)
 
@@ -434,30 +436,12 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     n_sing = int(np.sum(~regular))
     if n_sing:
         targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-        results = probe_limits(_tangent_value_fn(f, cfg), targets, f.domain,
-                               cfg, m_components=2)
-        K_vals = gauss_at_singular(f, targets, cfg)
-        if np.any(np.abs(K_vals) <= cfg.eps_k):
-            raise KVanishes("extended curvature vanishes on the singular set")
-        bq = frame_bundle(f, targets[:, 0], targets[:, 1], config=cfg)
-        n_at = np.broadcast_to(bq.n.values_stacked(), (n_sing, 3))
-        w1_at = np.broadcast_to(bq.w1.values_stacked(), (n_sing, 3))
-        w2_at = np.broadcast_to(bq.w2.values_stacked(), (n_sing, 3))
-        xis = np.empty((n_sing, 3))
-        phis = np.empty(n_sing)
-        abv = np.empty((n_sing, 2))
-        for k, res in enumerate(results):
-            ab = res.require("affine-normal tangential part")
-            phis[k] = abs(K_vals[k]) ** 0.25
-            abv[k] = ab
-            xis[k] = (n_at[k] * phis[k] + w1_at[k] * ab[0]
-                      + w2_at[k] * ab[1])
-            probe_report.append({
-                "point": [float(targets[k, 0]), float(targets[k, 1])],
-                "spread": res.spread,
-                "directions": res.n_directions,
-                "tolerance": cfg.tol_limit,
-            })
+        xis, phis, abv, K_vals, results = _singular_field(f, targets, cfg)
+        probe_report = [{"point": [float(t[0]), float(t[1])],
+                         "spread": res.spread,
+                         "directions": res.n_directions,
+                         "tolerance": cfg.tol_limit}
+                        for t, res in zip(targets, results)]
         phi_g[~regular] = phis
         a_g[~regular] = abv[:, 0]
         b_g[~regular] = abv[:, 1]
@@ -475,15 +459,8 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     diag = {"n_singular": n_sing, "probes": probe_report}
     if np.any(regular):
         try:
-            s = structure_from_field(
-                f, bf.as_transversal(), u1[regular], u2[regular], config=cfg)
-            lam_reg = lam[regular]
-            det_h = (s.h[..., 0, 0] * s.h[..., 1, 1]
-                     - s.h[..., 0, 1] * s.h[..., 1, 0])
-            vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam_reg)
-                                / np.abs(det_h))
-            diag["max_tau"] = float(np.max(np.abs(s.tau)))
-            diag["volume_residual"] = float(np.max(np.abs(vol_ratio - 1.0)))
+            diag["max_tau"], diag["volume_residual"] = _tau_volume(
+                f, bf, u1[regular], u2[regular], lam[regular], cfg)
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -510,16 +487,14 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
     cfg = config or f.config
     u1, u2 = f.interior_grid(shape, margin=0.005)
     b = frame_bundle(f, u1, u2, config=cfg)
-    lam = np.broadcast_to(np.asarray(b.lam_det.value, dtype=float), u1.shape)
+    lam = b.lam_det.value_on(u1.shape)
     regular = np.abs(lam) > cfg.eps_sing
-    s = structure_from_field(f, bf.as_transversal(), u1[regular], u2[regular],
-                             config=cfg)
-    det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
-    vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam[regular]) / np.abs(det_h))
+    max_tau, volume_residual = _tau_volume(f, bf, u1[regular], u2[regular],
+                                           lam[regular], cfg)
     return {
-        "max_tau": float(np.max(np.abs(s.tau))),
+        "max_tau": max_tau,
         "tau_tolerance": 1e-6,
-        "volume_residual": float(np.max(np.abs(vol_ratio - 1.0))),
+        "volume_residual": volume_residual,
         "volume_tolerance": 1e-6,
         "points_checked": int(np.sum(regular)),
     }
@@ -555,11 +530,9 @@ def membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which, config):
                (F.deriv(1) - G.deriv(0))
         big_g = row_I_row(row1_d, row2) - row_I_row(row1, row2_d) + skew
         lam_det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-        lam_v = np.broadcast_to(np.asarray(lam_det.value, dtype=float),
-                                np.shape(u1)).copy()
+        lam_v = lam_det.value_on(np.shape(u1)).copy()
         lam_v[np.abs(lam_v) <= config.eps_sing] = np.nan
-        g_v = np.broadcast_to(np.asarray(big_g.value, dtype=float),
-                              np.shape(u1))
+        g_v = big_g.value_on(np.shape(u1))
         return (g_v / lam_v)[None, :]
     return fn
 
@@ -681,8 +654,7 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     for i in range(2):
         for j in range(2):
             w = (b.w1, b.w2)[j]
-            got = np.broadcast_to(
-                np.asarray(nu_u[i].dot(w).value, dtype=float), shape)
+            got = nu_u[i].dot(w).value_on(shape)
             worst = max(worst, float(np.max(np.abs(got + s.h[..., j, i]))))
     rep["derivative_w"] = worst
 

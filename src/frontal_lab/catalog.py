@@ -15,6 +15,7 @@ machine precision before being frozen here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,12 +215,14 @@ _register(CatalogEntry(
 # --- representation-formula generators --------------------------------------------
 
 
-def _jet_env(u1, u2, order):
-    return {"u1": Jet.variable(u1, 0, order), "u2": Jet.variable(u2, 1, order)}
+def _integral(cfg: Config, integrand, upper, var, order):
+    """integral_0^upper integrand(t) dt at the configured quadrature sizes."""
+    return integrate_jet(integrand, 0.0, upper, var=var, order=order,
+                         nodes=cfg.quad_nodes, max_nodes=cfg.quad_max_nodes)
 
 
-def gen_rank1_wavefront(h="u1^2 - u2^2", c="1", domain=(-1.0, 1.0, -1.0, 1.0),
-                        config: Config = DEFAULT) -> CatalogEntry:
+def gen_rank1_wavefront(h="u1^2 - u2^2", c="1",
+                        domain=(-1.0, 1.0, -1.0, 1.0)) -> CatalogEntry:
     """Rank-1 wave front built from a potential h(u1, u2).
 
     y = (u1, -h_u2, int_0^{u1}(h_u1(t,u2) - u2 h_u2u1(t,u2)) dt
@@ -237,10 +240,9 @@ def gen_rank1_wavefront(h="u1^2 - u2^2", c="1", domain=(-1.0, 1.0, -1.0, 1.0),
     h_u2u2 = diff(h_u2, "u2")
 
     s = expr_mod.to_source
-    x_srcs = None  # third component is an integral; built as a callable
 
-    def x_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
+    def x_fn(cfg, u1, u2, order):
+        env = expr_mod._jet_env(u1, u2, order)
         comp1 = env["u1"]
         comp2 = -expr_mod.eval_jet(h_u2, env)
 
@@ -254,12 +256,8 @@ def gen_rank1_wavefront(h="u1^2 - u2^2", c="1", domain=(-1.0, 1.0, -1.0, 1.0),
                                         order), "u2": t}
             return t * expr_mod.eval_jet(h_u2u2, local)
 
-        first = integrate_jet(moving, 0.0, env["u1"], var=0, order=order,
-                              nodes=config.quad_nodes,
-                              max_nodes=config.quad_max_nodes)
-        second = integrate_jet(fixed_u1, 0.0, env["u2"], var=1, order=order,
-                               nodes=config.quad_nodes,
-                               max_nodes=config.quad_max_nodes)
+        first = _integral(cfg, moving, env["u1"], 0, order)
+        second = _integral(cfg, fixed_u1, env["u2"], 1, order)
         return JetVec3(comp1, comp2, first - second)
 
     omega_srcs = (["1", "0", s(h_u1)], ["0", "1", "u2"])
@@ -287,36 +285,16 @@ def Unary_neg(node):
 
 
 def _build_generated(entry: CatalogEntry, config: Config, x_fn) -> Frontal:
-    om_ast = [[expr_mod.parse(srz) for srz in col] for col in entry.omega]
-    lam_ast = [expr_mod.parse(srz) for srz in entry.lam] if entry.lam else None
-    gauss_ast = (expr_mod.parse(entry.known["K"])
-                 if entry.known.get("K") else None)
-
-    def omega_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
-        w1 = JetVec3(*(expr_mod.eval_jet(a, env) for a in om_ast[0]))
-        w2 = JetVec3(*(expr_mod.eval_jet(a, env) for a in om_ast[1]))
-        return w1, w2
-
-    lam_fn = None
-    if lam_ast is not None:
-        def lam_fn(u1, u2, order):
-            env = _jet_env(u1, u2, order)
-            vals = [expr_mod.eval_jet(a, env) for a in lam_ast]
-            return [[vals[0], vals[1]], [vals[2], vals[3]]]
-
-    gauss_fn = None
-    if gauss_ast is not None:
-        def gauss_fn(u1, u2, order):
-            return expr_mod.eval_jet(gauss_ast, _jet_env(u1, u2, order))
-
-    return Frontal(entry.name, x_fn, omega_fn, entry.domain, lam=lam_fn,
-                   gauss=gauss_fn, source="generator", config=config)
+    """Expression-backed basis, factor and curvature around the integral
+    parametrization x_fn(config, u1, u2, order)."""
+    return frontal_from_expressions(
+        entry.name, functools.partial(x_fn, config), entry.omega,
+        entry.domain, lam_srcs=entry.lam, gauss_src=entry.known.get("K"),
+        source="generator", config=config, validate=False)
 
 
 def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
-                      domain=(-1.0, 1.0, -1.0, 1.0),
-                      config: Config = DEFAULT) -> CatalogEntry:
+                      domain=(-1.0, 1.0, -1.0, 1.0)) -> CatalogEntry:
     """Frontal with extendable normal curvature from profile data.
 
     y = (u1, b(u1,u2), C) where C stacks four iterated integrals of the
@@ -330,15 +308,15 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     l_ast = expr_mod.parse(l)
     r_ast = expr_mod.parse(r)
     for ast in (l_ast, r_ast):
-        names = set()
-        _collect_vars(ast, names)
+        names = {n.name for n in expr_mod._nodes(ast)
+                 if isinstance(n, expr_mod.Var)}
         if "u2" in names or "t" in names:
             raise InputError("profile functions l and r must depend on u1 only")
     b_u1 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u1"))
     b_u2 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u2"))
     s = expr_mod.to_source
 
-    def big_g(env, order):
+    def big_g(cfg, env, order):
         # G(u1, u2) = int_0^{u2} h(u1,t) b_u2(u1,t) dt + int_0^{u1} l(t) dt
         def hb(t):
             local = {"u1": env["u1"], "u2": t}
@@ -348,15 +326,11 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         def ell(t):
             return expr_mod.eval_jet(l_ast, {"u1": t})
 
-        term_a = integrate_jet(hb, 0.0, env["u2"], var=1, order=order,
-                               nodes=config.quad_nodes,
-                               max_nodes=config.quad_max_nodes)
-        term_b = integrate_jet(ell, 0.0, env["u1"], var=0, order=order,
-                               nodes=config.quad_nodes,
-                               max_nodes=config.quad_max_nodes)
+        term_a = _integral(cfg, hb, env["u2"], 1, order)
+        term_b = _integral(cfg, ell, env["u1"], 0, order)
         return term_a + term_b
 
-    def third_component(env, order):
+    def third_component(cfg, env, order):
         # C = int_0^{u2} G(u1, t2)|_{l-part fixed} b_u2(u1,t2) dt2  (terms 1+2)
         #   + int_0^{u1} (int_0^{t2} l) b_u1(t2, 0) dt2 + int_0^{u1} int_0^{t2} r
         def outer_u2(t2):
@@ -370,13 +344,8 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
             def ell(t1):
                 return expr_mod.eval_jet(l_ast, {"u1": t1})
 
-            inner_a = integrate_jet(hb, 0.0, t2, var=1, order=t2.order,
-                                    nodes=config.quad_nodes,
-                                    max_nodes=config.quad_max_nodes)
-            inner_b = integrate_jet(ell, 0.0, env["u1"], var=0,
-                                    order=t2.order,
-                                    nodes=config.quad_nodes,
-                                    max_nodes=config.quad_max_nodes)
+            inner_a = _integral(cfg, hb, t2, 1, t2.order)
+            inner_b = _integral(cfg, ell, env["u1"], 0, t2.order)
             return (inner_a + inner_b) * expr_mod.eval_jet(b_u2, local)
 
         def outer_u1(t2):
@@ -386,43 +355,35 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
             def arr(t1):
                 return expr_mod.eval_jet(r_ast, {"u1": t1})
 
-            inner_l = integrate_jet(ell, 0.0, t2, var=0, order=t2.order,
-                                    nodes=config.quad_nodes,
-                                    max_nodes=config.quad_max_nodes)
-            inner_r = integrate_jet(arr, 0.0, t2, var=0, order=t2.order,
-                                    nodes=config.quad_nodes,
-                                    max_nodes=config.quad_max_nodes)
+            inner_l = _integral(cfg, ell, t2, 0, t2.order)
+            inner_r = _integral(cfg, arr, t2, 0, t2.order)
             zero2 = Jet.constant(np.zeros(np.shape(np.asarray(t2.value))),
                                  t2.order)
             local0 = {"u1": t2, "u2": zero2}
             return inner_l * expr_mod.eval_jet(b_u1, local0) + inner_r
 
-        t12 = integrate_jet(outer_u2, 0.0, env["u2"], var=1, order=order,
-                            nodes=config.quad_nodes,
-                            max_nodes=config.quad_max_nodes)
-        t34 = integrate_jet(outer_u1, 0.0, env["u1"], var=0, order=order,
-                            nodes=config.quad_nodes,
-                            max_nodes=config.quad_max_nodes)
+        t12 = _integral(cfg, outer_u2, env["u2"], 1, order)
+        t34 = _integral(cfg, outer_u1, env["u1"], 0, order)
         return t12 + t34
 
-    def x_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
+    def x_fn(cfg, u1, u2, order):
+        env = expr_mod._jet_env(u1, u2, order)
         return JetVec3(env["u1"], expr_mod.eval_jet(b_ast, env),
-                       third_component(env, order))
+                       third_component(cfg, env, order))
 
-    def omega_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
+    def omega_fn(cfg, u1, u2, order):
+        env = expr_mod._jet_env(u1, u2, order)
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        g2 = big_g(env, order)
-        c3 = third_component(env, order)
+        g2 = big_g(cfg, env, order)
+        c3 = third_component(cfg, env, order)
         g1 = c3.deriv(0) - expr_mod.eval_jet(b_u1, env) * g2
         w1 = JetVec3(one, zero, g1)
         w2 = JetVec3(zero, one, g2)
         return w1, w2
 
     def lam_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
+        env = expr_mod._jet_env(u1, u2, order)
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
         return [[one, expr_mod.eval_jet(b_u1, env)],
@@ -437,15 +398,16 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         lam=None,
         known={"lambda_det": s(b_u2), "b": b, "h": h, "l": l, "r": r},
         params={"b": b, "h": h, "l": l, "r": r},
-        builder=lambda entry, cfg: Frontal(entry.name, x_fn, omega_fn,
-                                           entry.domain, lam=lam_fn,
-                                           source="generator", config=cfg),
+        builder=lambda entry, cfg: Frontal(
+            entry.name, functools.partial(x_fn, cfg),
+            functools.partial(omega_fn, cfg), entry.domain, lam=lam_fn,
+            source="generator", config=cfg),
     )
     return entry
 
 
-def gen_nonparabolic(a="u1", b="u2", domain=(-1.0, 1.0, -1.0, 1.0),
-                     config: Config = DEFAULT) -> CatalogEntry:
+def gen_nonparabolic(a="u1", b="u2",
+                     domain=(-1.0, 1.0, -1.0, 1.0)) -> CatalogEntry:
     """Non-parabolic normal form from a pair (a, b) with a_u2 = b_u1.
 
     y = (a, b, int_0^{u1}(t a_u1(t,u2) + u2 b_u1(t,u2)) dt
@@ -471,8 +433,8 @@ def gen_nonparabolic(a="u1", b="u2", domain=(-1.0, 1.0, -1.0, 1.0),
     if gap > 1e-9:
         raise InputError(f"profiles violate a_u2 = b_u1 (gap {gap:.2e})")
 
-    def x_fn(u1, u2, order):
-        env = _jet_env(u1, u2, order)
+    def x_fn(cfg, u1, u2, order):
+        env = expr_mod._jet_env(u1, u2, order)
 
         def first(t):
             local = {"u1": t, "u2": env["u2"]}
@@ -484,12 +446,8 @@ def gen_nonparabolic(a="u1", b="u2", domain=(-1.0, 1.0, -1.0, 1.0),
                                  t.order)
             return t * expr_mod.eval_jet(b_u2, {"u1": zero1, "u2": t})
 
-        c3 = (integrate_jet(first, 0.0, env["u1"], var=0, order=order,
-                            nodes=config.quad_nodes,
-                            max_nodes=config.quad_max_nodes)
-              + integrate_jet(second, 0.0, env["u2"], var=1, order=order,
-                              nodes=config.quad_nodes,
-                              max_nodes=config.quad_max_nodes))
+        c3 = (_integral(cfg, first, env["u1"], 0, order)
+              + _integral(cfg, second, env["u2"], 1, order))
         return JetVec3(expr_mod.eval_jet(a_ast, env),
                        expr_mod.eval_jet(b_ast, env), c3)
 
@@ -510,18 +468,6 @@ def gen_nonparabolic(a="u1", b="u2", domain=(-1.0, 1.0, -1.0, 1.0),
         builder=lambda entry, cfg: _build_generated(entry, cfg, x_fn),
     )
     return entry
-
-
-def _collect_vars(node, out):
-    if isinstance(node, expr_mod.Var):
-        out.add(node.name)
-    elif isinstance(node, expr_mod.Bin):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    elif isinstance(node, expr_mod.Unary):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, expr_mod.Pow):
-        _collect_vars(node.base, out)
 
 
 GENERATORS = {

@@ -9,14 +9,12 @@
 
 Exit codes: 0 success, 2 input error, 3 mathematical precondition failed,
 4 verification failed.  All tolerances accept overrides through --config
-FILE (key = value lines) and repeated --set key=value flags; grid sweeps
-split across threads when threads > 1 (capped by FRONTAL_LAB_THREADS).
+FILE (key = value lines) and repeated --set key=value flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
@@ -66,39 +64,26 @@ def _build_config(args) -> Config:
     return load_config(args.config, overrides)
 
 
+_GENERATOR_PARAMS = ("h", "c", "b", "l", "r", "a")
+
+
+def _catalog_entry(args, name):
+    """Catalog entry by name, with the generator parameters and --domain
+    given on the command line."""
+    params = {key: getattr(args, f"p_{key}") for key in _GENERATOR_PARAMS
+              if getattr(args, f"p_{key}") is not None}
+    if args.domain:
+        params["domain"] = _parse_domain(args.domain)
+    return catalog_mod.get_entry(name, params or None)
+
+
 def _load_frontal(args, config):
     if args.entry:
-        params = {}
-        for key in ("h", "c", "b", "l", "r", "a"):
-            val = getattr(args, f"p_{key}", None)
-            if val is not None:
-                params[key] = val
-        if args.domain:
-            params["domain"] = _parse_domain(args.domain)
-        entry = catalog_mod.get_entry(args.entry, params or None)
+        entry = _catalog_entry(args, args.entry)
         return entry.build(config), entry
     if args.input:
         return structio.read_frontal_file(args.input, config), None
     raise InputError("provide --entry NAME or --input FILE")
-
-
-def _chunked_frame_data(f, u1, u2, config):
-    """Frame data over a grid, split across threads when configured."""
-    threads = max(1, config.threads)
-    if threads == 1 or u1.shape[0] < 2 * threads:
-        return frame_data(f, u1, u2, config=config)
-    blocks = np.array_split(np.arange(u1.shape[0]), threads)
-    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        parts = list(pool.map(
-            lambda ix: frame_data(f, u1[ix], u2[ix], config=config), blocks))
-    merged = {}
-    for name in ("I_omega", "II_omega", "mu", "T1", "T2", "lam", "lam_det",
-                 "K_omega", "n", "I_classical", "II_classical",
-                 "rank_deficient"):
-        merged[name] = np.concatenate([getattr(p, name) for p in parts],
-                                      axis=0)
-    from .frame import FrameData
-    return FrameData(**merged)
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -107,14 +92,7 @@ def _chunked_frame_data(f, u1, u2, config):
 def cmd_catalog(args):
     config = _build_config(args)
     if args.name:
-        params = {}
-        for key in ("h", "c", "b", "l", "r", "a"):
-            val = getattr(args, f"p_{key}", None)
-            if val is not None:
-                params[key] = val
-        if args.domain:
-            params["domain"] = _parse_domain(args.domain)
-        entry = catalog_mod.get_entry(args.name, params or None)
+        entry = _catalog_entry(args, args.name)
         entry.build(config)   # load-time validation
         payload = entry.summary()
         if args.save:
@@ -151,7 +129,7 @@ def cmd_analyze(args):
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
-    data = _chunked_frame_data(f, u1, u2, config)
+    data = frame_data(f, u1, u2, config=config)
     scan = singular_scan(f, shape, config=config)
     wf, witnesses = wavefront_test(f, shape, config=config)
     nonpar = nonparabolic_test(f, shape, config=config)
@@ -270,11 +248,9 @@ def cmd_reconstruct(args):
         sd = extract_structure(f, field, config=config)
 
     step = args.step or config.rk4_step
-    g1, g2 = np.meshgrid(*lattice_nodes(sd, shape), indexing="ij")
-    lam_det = sd.lam_det_values(g1.ravel(), g2.ravel())
-    reg = np.abs(lam_det) > config.eps_sing
-    compat = compat_residual(sd, g1.ravel()[reg], g2.ravel()[reg])
-    sym, row = integrability_residual(sd, g1.ravel()[reg], g2.ravel()[reg])
+    u1r, u2r, _ = sd.regular_sample(*lattice_nodes(sd, shape), config)
+    compat = compat_residual(sd, u1r, u2r)
+    sym, row = integrability_residual(sd, u1r, u2r)
 
     ff = integrate_frame(sd, shape, step=step, config=config)
     x = integrate_position(ff, sd, config=config)
@@ -406,8 +382,8 @@ def run_property_suite(f, shape, config):
 
     const = TransversalField.constant((0.0, 0.0, 1.0))
     br = frame_bundle(f, u1r, u2r, config=config)
-    theta = np.abs(np.broadcast_to(np.asarray(triple_product_jet(
-        br.w1, br.w2, const.jets(f, u1r, u2r, 1)).value), u1r.shape))
+    theta = np.abs(triple_product_jet(
+        br.w1, br.w2, const.jets(f, u1r, u2r, 1)).value_on(u1r.shape))
     tv = theta > 0.1
     if np.any(tv):
         u1t, u2t = u1r[tv], u2r[tv]
@@ -483,17 +459,23 @@ def cmd_export(args):
 # --- argument plumbing ---------------------------------------------------------------
 
 
+def _add_settings(sp):
+    """Flags every subcommand shares: config, JSON output, generator
+    parameters."""
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--config")
+    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
+    sp.add_argument("--domain")
+    for key in _GENERATOR_PARAMS:
+        sp.add_argument(f"--{key}", dest=f"p_{key}")
+
+
 def _add_common(sp, grid_default="101x101"):
     sp.add_argument("--entry")
     sp.add_argument("--input")
     sp.add_argument("--grid", default=grid_default)
     sp.add_argument("--out")
-    sp.add_argument("--config")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sp.add_argument("--domain")
-    for key in ("h", "c", "b", "l", "r", "a"):
-        sp.add_argument(f"--{key}", dest=f"p_{key}")
+    _add_settings(sp)
 
 
 def build_parser():
@@ -505,13 +487,8 @@ def build_parser():
 
     sp = sub.add_parser("catalog", help="list entries or build a generator")
     sp.add_argument("name", nargs="?")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("--save")
-    sp.add_argument("--config")
-    sp.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sp.add_argument("--domain")
-    for key in ("h", "c", "b", "l", "r", "a"):
-        sp.add_argument(f"--{key}", dest=f"p_{key}")
+    _add_settings(sp)
     sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("analyze", help="frame data, singular scan, verdicts")

@@ -8,7 +8,6 @@ report judges against lives here so runs are reproducible.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 
 @dataclasses.dataclass
@@ -32,20 +31,13 @@ class Config:
     tol_path: float = 1e-4        # path-independence audit gate
     rk4_step: float = 1e-3
 
-    # jets / quadrature / finite differences
+    # jets / quadrature
     jet_order: int = 3
     quad_nodes: int = 32
     quad_max_nodes: int = 512
-    fd_step: float = 1e-3
-
-    # parallelism (grid sweeps chunked across threads when > 1)
-    threads: int = 1
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
@@ -82,11 +74,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
-    cfg = Config(**values)
-    cap = os.environ.get("FRONTAL_LAB_THREADS")
-    if cap is not None:
-        cfg.threads = max(1, min(cfg.threads, int(cap)))
-    return cfg
+    return Config(**values)
 
 
 DEFAULT = Config()

@@ -25,8 +25,9 @@ import numpy as np
 
 from .config import Config
 from .errors import NotTransversal, SingularPoint, VerificationError
-from .frame import FrameBundle, Frontal, frame_bundle, mat2_values
-from .jets import Jet, JetVec3, inv2_jet, triple_product_jet
+from .frame import FrameBundle, Frontal, frame_bundle, ii_omega_normal_route
+from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
+                   triple_product_jet)
 
 
 class TransversalField:
@@ -55,13 +56,10 @@ class TransversalField:
     @staticmethod
     def from_expressions(sources, label=None):
         from . import expr as expr_mod
-        asts = [expr_mod.parse(s) for s in sources]
-
-        def fn(f, u1, u2, order):
-            env = {"u1": Jet.variable(u1, 0, order),
-                   "u2": Jet.variable(u2, 1, order)}
-            return JetVec3(*(expr_mod.eval_jet(a, env) for a in asts))
-        return TransversalField(fn, label or "expr(" + ", ".join(sources) + ")")
+        fn = expr_mod._jets_fn([expr_mod.parse(s) for s in sources],
+                               expr_mod._vec3)
+        return TransversalField.from_callable(
+            fn, label or "expr(" + ", ".join(sources) + ")")
 
     @staticmethod
     def unit_normal(label="unit normal"):
@@ -151,10 +149,8 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
                  axis=-2)
     S = np.stack([-sol[..., :2, 4], -sol[..., :2, 5]], axis=-2)
     tau = np.stack([sol[..., 2, 4], sol[..., 2, 5]], axis=-1)
-    theta = np.broadcast_to(
-        np.asarray(triple_product_jet(b.w1, b.w2, xj).value, dtype=float),
-        shape)
-    phi = np.broadcast_to(np.asarray(xj.dot(b.n).value, dtype=float), shape)
+    theta = triple_product_jet(b.w1, b.w2, xj).value_on(shape)
+    phi = xj.dot(b.n).value_on(shape)
     return EquiaffineStructure(h=h, D1=D1, D2=D2, S=S, tau=tau,
                                theta=theta, phi=phi)
 
@@ -180,26 +176,19 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b)
 
     shape = np.shape(np.asarray(u1, dtype=float))
-    phi = np.broadcast_to(np.asarray(phi_fn(u1, u2, b.order).value,
-                                     dtype=float), shape)
+    phi = phi_fn(u1, u2, b.order).value_on(shape)
     if np.any(phi == 0.0):
         raise NotTransversal("phi vanishes; split field not transversal")
-    a_val = np.broadcast_to(np.asarray(a_fn(u1, u2, b.order).value,
-                                       dtype=float), shape)
-    b_val = np.broadcast_to(np.asarray(b_fn(u1, u2, b.order).value,
-                                       dtype=float), shape)
+    a_val = a_fn(u1, u2, b.order).value_on(shape)
+    b_val = b_fn(u1, u2, b.order).value_on(shape)
 
     # p_ij = <w_i,uj , n>, arranged like the second-form matrix
-    w_u = [[b.w1.deriv(0), b.w1.deriv(1)], [b.w2.deriv(0), b.w2.deriv(1)]]
-    p = np.stack([np.stack([np.broadcast_to(
-        np.asarray(w_u[i][j].dot(b.n).value, dtype=float), shape)
-        for j in range(2)], axis=-1) for i in range(2)], axis=-2)
+    p = _mat_values(ii_omega_normal_route(b), shape)
 
     h_resid = float(np.max(np.abs(s.h - p / phi[..., None, None])))
 
     phi_j = phi_fn(u1, u2, b.order)
-    dphi = [np.broadcast_to(np.asarray(phi_j.deriv(k).value, dtype=float),
-                            shape) for k in range(2)]
+    dphi = [phi_j.deriv(k).value_on(shape) for k in range(2)]
     # p(Z, w_i) = a p_1i + b p_2i
     tau_pred = np.stack(
         [(a_val * p[..., 0, i] + b_val * p[..., 1, i] + dphi[i]) / phi
@@ -226,10 +215,9 @@ def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
     theta_j = triple_product_jet(b.w1, b.w2, xj)
     resid = 0.0
-    theta = np.broadcast_to(np.asarray(theta_j.value, dtype=float), shape)
+    theta = theta_j.value_on(shape)
     for k in range(2):
-        dtheta = np.broadcast_to(np.asarray(theta_j.deriv(k).value,
-                                            dtype=float), shape)
+        dtheta = theta_j.deriv(k).value_on(shape)
         trek = s.D1 if k == 0 else s.D2
         trace = trek[..., 0, 0] + trek[..., 1, 1]
         resid = max(resid, float(np.max(np.abs(
@@ -251,7 +239,6 @@ def _gamma_jets(I):
         A = [[skew * 0.0, -skew], [skew, skew * 0.0]]
         half = [[(I_k[i][j] + A[i][j]) * 0.5 for j in range(2)]
                 for i in range(2)]
-        from .jets import mat2_mul_jet
         out.append(mat2_mul_jet(half, I_inv))
     return out
 
@@ -278,9 +265,7 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
         raise SingularPoint("classical symbols need the regular part")
 
     x1, x2 = bnd.x_u
-    I_cl = [[x1.dot(x1), x1.dot(x2)], [x2.dot(x1), x2.dot(x2)]]
-    gam = _gamma_jets(I_cl)
-    gamma = [np.broadcast_to(mat2_values(g), shape + (2, 2)) for g in gam]
+    gamma = [_mat_values(g, shape) for g in _gamma_jets(bnd.classical_I())]
 
     xj = xi.jets(f, u1, u2, bnd.order)
     M = _stack3((x1, x2, bnd.n), shape)
@@ -290,10 +275,7 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
     if np.any(phi == 0.0):
         raise NotTransversal("<xi, n> vanishes on the sample")
 
-    n_u = [bnd.n.deriv(0), bnd.n.deriv(1)]
-    II_cl = np.stack([np.stack([np.broadcast_to(
-        np.asarray((-(bnd.x_u[i].dot(n_u[j]))).value, dtype=float), shape)
-        for j in range(2)], axis=-1) for i in range(2)], axis=-2)
+    II_cl = _mat_values(bnd.classical_II(), shape)
     e, fq, g = II_cl[..., 0, 0], II_cl[..., 0, 1], II_cl[..., 1, 1]
 
     c = II_cl / phi[..., None, None]
@@ -326,12 +308,10 @@ def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,
     shape = np.shape(np.asarray(u1, dtype=float))
     sym = classical_symbols(f, xi, u1, u2, config=cfg)
     lam_j = f.lam(u1, u2, cfg.jet_order)
-    lam = np.broadcast_to(mat2_values(lam_j), shape + (2, 2))
+    lam = _mat_values(lam_j, shape)
     lam_inv = np.linalg.inv(lam)
     out = []
     for k, gt in ((0, sym.gamma1_t), (1, sym.gamma2_t)):
-        lam_uk = np.broadcast_to(mat2_values(
-            [[lam_j[i][j].deriv(k) for j in range(2)] for i in range(2)]),
-            shape + (2, 2))
+        lam_uk = _mat_values(lam_j, shape, k)
         out.append(lam_inv @ (gt @ lam - lam_uk))
     return out[0], out[1]

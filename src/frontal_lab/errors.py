@@ -100,6 +100,12 @@ class RankDeficient(FrontalLabError):
     """Least-squares alignment has no unique solution (coplanar data)."""
 
 
+# Errors that make one sample of a limit probe unusable (the probe drops
+# it, as it drops samples on the singular set); anything else is a fault.
+UNUSABLE_SAMPLE = (KVanishes, SingularIIOmega, DomainError,
+                   DivisionByZeroValue, DegenerateBasis)
+
+
 # --- verification failures (CLI exit code 4) ----------------------------
 
 class VerificationError(FrontalLabError):

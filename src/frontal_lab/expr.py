@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from .jets import Jet
+from .jets import Jet, JetVec3
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 _VARIABLES = ("u1", "u2", "t")
@@ -354,11 +354,34 @@ def eval_num(node, env):
 
 def eval_point(node, point, order):
     """Jet of the expression at a parameter point (u1, u2)."""
-    env = {
-        "u1": Jet.variable(point[0], 0, order),
-        "u2": Jet.variable(point[1], 1, order),
-    }
-    return eval_jet(node, env)
+    return eval_jet(node, _jet_env(point[0], point[1], order))
+
+
+def _jet_env(u1, u2, order):
+    """Coordinate jets of u1 and u2 at the base points, as eval_jet reads them."""
+    return {"u1": Jet.variable(u1, 0, order), "u2": Jet.variable(u2, 1, order)}
+
+
+def _vec3(jets):
+    return JetVec3(*jets)
+
+
+def _mat2(jets):
+    """Row-major list of four jets as a 2x2 jet matrix."""
+    return [[jets[0], jets[1]], [jets[2], jets[3]]]
+
+
+def _scalar(jets):
+    return jets[0]
+
+
+def _jets_fn(asts, pack):
+    """Callable (u1, u2, order) -> pack(jets of the ASTs), all evaluated
+    in one coordinate environment."""
+    def fn(u1, u2, order):
+        env = _jet_env(u1, u2, order)
+        return pack([eval_jet(a, env) for a in asts])
+    return fn
 
 
 # --- symbolic derivative (used by the representation-formula generators) ---------
@@ -472,16 +495,20 @@ def simplify(node):
 # --- load-time domain validation ---------------------------------------------------
 
 
-def _collect(node, kind, out):
+def _nodes(node):
+    """Every node of an AST, each before its children."""
+    yield node
     if isinstance(node, Unary):
-        if node.op == kind:
-            out.append(node.arg)
-        _collect(node.arg, kind, out)
+        yield from _nodes(node.arg)
     elif isinstance(node, Bin):
-        _collect(node.left, kind, out)
-        _collect(node.right, kind, out)
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
     elif isinstance(node, Pow):
-        _collect(node.base, kind, out)
+        yield from _nodes(node.base)
+
+
+def _args_of(node, op):
+    return [n.arg for n in _nodes(node) if isinstance(n, Unary) and n.op == op]
 
 
 def validate_on_domain(node, domain, samples=16):
@@ -495,9 +522,7 @@ def validate_on_domain(node, domain, samples=16):
     u1, u2 = np.meshgrid(np.linspace(a1, b1, samples),
                          np.linspace(a2, b2, samples), indexing="ij")
     env = {"u1": u1, "u2": u2, "t": u1}
-    abs_args = []
-    _collect(node, "abs", abs_args)
-    for arg in abs_args:
+    for arg in _args_of(node, "abs"):
         vals = np.asarray(eval_num(arg, env))
         if np.any(vals > 0) and np.any(vals < 0):
             raise DomainError(
@@ -505,9 +530,7 @@ def validate_on_domain(node, domain, samples=16):
         if np.any(vals == 0):
             raise DomainError(
                 f"abs argument {to_source(arg)!r} hits zero on the sample grid")
-    sqrt_args = []
-    _collect(node, "sqrt", sqrt_args)
-    for arg in sqrt_args:
+    for arg in _args_of(node, "sqrt"):
         vals = np.asarray(eval_num(arg, env))
         if np.any(vals < 0):
             raise DomainError(

@@ -29,23 +29,14 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
-from .jets import (Jet, JetVec3, det2_jet, inv2_jet, mat2_mul_jet,
-                   triple_product_jet)
+from .jets import (Jet, JetVec3, _mat_values, det2_jet, inv2_jet,
+                   mat2_mul_jet, triple_product_jet)
 from . import expr as expr_mod
-
-
-def _as_jet_env(u1, u2, order):
-    return {"u1": Jet.variable(u1, 0, order), "u2": Jet.variable(u2, 1, order)}
 
 
 def mat2_values(m):
     """(..., 2, 2) value array of a 2x2 jet matrix."""
-    rows = [[np.asarray(m[i][j].value, dtype=float) for j in range(2)]
-            for i in range(2)]
-    shape = np.broadcast_shapes(*(r.shape for row in rows for r in row))
-    return np.stack([np.stack([np.broadcast_to(rows[i][j], shape)
-                               for j in range(2)], axis=-1)
-                     for i in range(2)], axis=-2)
+    return _mat_values(m)
 
 
 def vec3_values_on(v: "JetVec3", shape):
@@ -131,51 +122,35 @@ def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
     """Build a Frontal from component expression strings.
 
     omega_srcs is a pair of 3-component lists (the two basis columns);
-    lam_srcs, when given, is a row-major list of 4 strings.  All
-    expressions are sign-probed on the domain at load time.
+    lam_srcs, when given, is a row-major list of 4 strings.  x_srcs may
+    instead be a callable (u1, u2, order) -> JetVec3, for surfaces whose
+    parametrization is not an expression.  With `validate`, every
+    expression is sign-probed on the domain at load time.
     """
-    x_ast = [expr_mod.parse(s) for s in x_srcs]
-    om_ast = [[expr_mod.parse(s) for s in col] for col in omega_srcs]
-    lam_ast = [expr_mod.parse(s) for s in lam_srcs] if lam_srcs else None
-    gauss_ast = expr_mod.parse(gauss_src) if gauss_src else None
-    bl_ast = [expr_mod.parse(s) for s in blaschke_srcs] if blaschke_srcs else None
+    def parse_all(srcs):
+        return [expr_mod.parse(s) for s in srcs] if srcs else []
+
+    x_ast = [] if callable(x_srcs) else parse_all(x_srcs)
+    om_ast = parse_all(omega_srcs[0]) + parse_all(omega_srcs[1])
+    lam_ast = parse_all(lam_srcs)
+    gauss_ast = parse_all([gauss_src] if gauss_src else None)
+    bl_ast = parse_all(blaschke_srcs)
     if validate:
-        for ast in (x_ast + om_ast[0] + om_ast[1] + (lam_ast or [])
-                    + ([gauss_ast] if gauss_ast else [])
-                    + (bl_ast or [])):
+        for ast in x_ast + om_ast + lam_ast + gauss_ast + bl_ast:
             expr_mod.validate_on_domain(ast, domain)
 
-    def x_fn(u1, u2, order):
-        env = _as_jet_env(u1, u2, order)
-        return JetVec3(*(expr_mod.eval_jet(a, env) for a in x_ast))
+    def jets_fn(asts, pack):
+        return expr_mod._jets_fn(asts, pack) if asts else None
 
-    def omega_fn(u1, u2, order):
-        env = _as_jet_env(u1, u2, order)
-        w1 = JetVec3(*(expr_mod.eval_jet(a, env) for a in om_ast[0]))
-        w2 = JetVec3(*(expr_mod.eval_jet(a, env) for a in om_ast[1]))
-        return w1, w2
+    x_fn = x_srcs if callable(x_srcs) else jets_fn(x_ast, expr_mod._vec3)
+    def columns(jets):
+        return JetVec3(*jets[:3]), JetVec3(*jets[3:])
 
-    lam_fn = None
-    if lam_ast is not None:
-        def lam_fn(u1, u2, order):
-            env = _as_jet_env(u1, u2, order)
-            vals = [expr_mod.eval_jet(a, env) for a in lam_ast]
-            return [[vals[0], vals[1]], [vals[2], vals[3]]]
-
-    gauss_fn = None
-    if gauss_ast is not None:
-        def gauss_fn(u1, u2, order):
-            return expr_mod.eval_jet(gauss_ast, _as_jet_env(u1, u2, order))
-
-    bl_fn = None
-    if bl_ast is not None:
-        def bl_fn(u1, u2, order):
-            env = _as_jet_env(u1, u2, order)
-            return JetVec3(*(expr_mod.eval_jet(a, env) for a in bl_ast))
-
-    return Frontal(name, x_fn, omega_fn, domain, lam=lam_fn, gauss=gauss_fn,
-                   blaschke_known=bl_fn, source=source, config=config,
-                   open_domain=open_domain)
+    return Frontal(name, x_fn, jets_fn(om_ast, columns), domain,
+                   lam=jets_fn(lam_ast, expr_mod._mat2),
+                   gauss=jets_fn(gauss_ast, expr_mod._scalar),
+                   blaschke_known=jets_fn(bl_ast, expr_mod._vec3),
+                   source=source, config=config, open_domain=open_domain)
 
 
 def affine_image(f: Frontal, A, b, name=None):
@@ -283,6 +258,17 @@ class FrameBundle:
     mu: list             # 2x2 jets
     K_omega: Jet
 
+    def classical_I(self):
+        """First fundamental form <x_ui, x_uj> as 2x2 jets."""
+        dx = self.x_u
+        return [[dx[i].dot(dx[j]) for j in range(2)] for i in range(2)]
+
+    def classical_II(self):
+        """Second fundamental form -<x_ui, n_uj> as 2x2 jets."""
+        n_u = [self.n.deriv(0), self.n.deriv(1)]
+        return [[-(self.x_u[i].dot(n_u[j])) for j in range(2)]
+                for i in range(2)]
+
 
 def frame_bundle(f: Frontal, u1, u2, order=None, config: Config = None) -> FrameBundle:
     cfg = config or f.config
@@ -350,31 +336,19 @@ def frame_data(f: Frontal, u1, u2, config: Config = None) -> FrameData:
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
     b = frame_bundle(f, u1, u2, config=cfg)
-    lam_det = np.broadcast_to(np.asarray(b.lam_det.value, dtype=float), shape)
-
-    def m22(m):
-        return np.broadcast_to(mat2_values(m), shape + (2, 2))
-
-    dx = [b.x_u[0], b.x_u[1]]
-    I_cl = np.stack([np.stack([np.broadcast_to(
-        np.asarray(dx[i].dot(dx[j]).value, dtype=float), shape)
-        for j in range(2)], axis=-1) for i in range(2)], axis=-2)
-    n_u = [b.n.deriv(0), b.n.deriv(1)]
-    II_cl = np.stack([np.stack([np.broadcast_to(
-        np.asarray((-(dx[i].dot(n_u[j]))).value, dtype=float), shape)
-        for j in range(2)], axis=-1) for i in range(2)], axis=-2)
+    lam_det = b.lam_det.value_on(shape)
     return FrameData(
-        I_omega=m22(b.I),
-        II_omega=m22(b.II),
-        mu=m22(b.mu),
-        T1=m22(b.T[0]),
-        T2=m22(b.T[1]),
-        lam=m22(b.lam),
+        I_omega=_mat_values(b.I, shape),
+        II_omega=_mat_values(b.II, shape),
+        mu=_mat_values(b.mu, shape),
+        T1=_mat_values(b.T[0], shape),
+        T2=_mat_values(b.T[1], shape),
+        lam=_mat_values(b.lam, shape),
         lam_det=lam_det,
-        K_omega=np.broadcast_to(np.asarray(b.K_omega.value, dtype=float), shape),
+        K_omega=b.K_omega.value_on(shape),
         n=np.broadcast_to(b.n.values_stacked(), shape + (3,)),
-        I_classical=I_cl,
-        II_classical=II_cl,
+        I_classical=_mat_values(b.classical_I(), shape),
+        II_classical=_mat_values(b.classical_II(), shape),
         rank_deficient=np.abs(lam_det) <= cfg.eps_sing,
     )
 

@@ -108,6 +108,10 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
+    def value_on(self, shape):
+        """Float value array broadcast to `shape` (a read-only view)."""
+        return np.broadcast_to(np.asarray(self.value, dtype=float), shape)
+
     def partial(self, i, j):
         if i + j > self.order:
             raise InsufficientJetOrder(
@@ -507,6 +511,18 @@ def integrate_jet(integrand, lower, upper, var=None, order=3,
 
 
 # --- small helpers used across modules ---------------------------------------
+
+
+def _mat_values(m, shape=None, var=None):
+    """(..., k, k) float values of a k x k jet matrix, or of its entries'
+    u_var-derivatives; `shape` defaults to the entries' broadcast shape."""
+    if var is not None:
+        m = [[c.deriv(var) for c in row] for row in m]
+    if shape is None:
+        shape = np.broadcast_shapes(*(np.shape(c.value) for row in m
+                                      for c in row))
+    return np.stack([np.stack([c.value_on(shape) for c in row], axis=-1)
+                     for row in m], axis=-2)
 
 
 def det2_jet(m):

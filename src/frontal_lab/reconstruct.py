@@ -29,36 +29,41 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from . import expr as expr_mod
-from .blaschke import BlaschkeField, probe_limits
+from .blaschke import (BlaschkeField, membership_certificate_fn,
+                       probe_limits)
 from .config import DEFAULT, Config
-from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
-                     FrameDegenerate, InputError, IntegrabilityViolated,
-                     RankDeficient)
+from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
+                     DegenerateMetric, FrameDegenerate, InputError,
+                     IntegrabilityViolated, RankDeficient, SingularPoint)
 from .frame import Frontal, frame_bundle
-from .jets import Jet, JetVec3, mat2_mul_jet, triple_product_jet
+from .jets import Jet, JetVec3, _mat_values, mat2_mul_jet, triple_product_jet
 
 
 # --- field backends ---------------------------------------------------------------
 
 
-class ExprField:
+class FuncField:
+    """Field backed by a callable (u1, u2, order) -> jet(s)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def jet(self, u1, u2, order):
+        return self.fn(u1, u2, order)
+
+
+class ExprField(FuncField):
     """Scalar or 2x2-matrix field backed by expression ASTs."""
 
     def __init__(self, sources):
         if isinstance(sources, str):
             sources = [sources]
         self.sources = list(sources)
-        self.asts = [expr_mod.parse(s) for s in self.sources]
-        if len(self.asts) not in (1, 4):
+        asts = [expr_mod.parse(s) for s in self.sources]
+        if len(asts) not in (1, 4):
             raise InputError("expression field needs 1 or 4 components")
-
-    def jet(self, u1, u2, order):
-        env = {"u1": Jet.variable(u1, 0, order),
-               "u2": Jet.variable(u2, 1, order)}
-        vals = [expr_mod.eval_jet(a, env) for a in self.asts]
-        if len(vals) == 1:
-            return vals[0]
-        return [[vals[0], vals[1]], [vals[2], vals[3]]]
+        super().__init__(expr_mod._jets_fn(
+            asts, expr_mod._scalar if len(asts) == 1 else expr_mod._mat2))
 
 
 class GridField:
@@ -88,16 +93,6 @@ class GridField:
         if not self.matrix:
             return vals[0]
         return [[vals[0], vals[1]], [vals[2], vals[3]]]
-
-
-class FuncField:
-    """Field backed by a callable (u1, u2, order) -> jet(s)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def jet(self, u1, u2, order):
-        return self.fn(u1, u2, order)
 
 
 @dataclass
@@ -143,19 +138,31 @@ class StructureData:
         shape = np.shape(np.asarray(u1, dtype=float))
         d1aug, d2aug = self.aug_jets(u1, u2, 0)
         lam = self.lam.jet(u1, u2, 0)
-
-        def vals(m, k):
-            return np.stack([np.stack(
-                [np.broadcast_to(np.asarray(m[i][j].value, dtype=float), shape)
-                 for j in range(k)], axis=-1) for i in range(k)], axis=-2)
-
-        return vals(d1aug, 3), vals(d2aug, 3), vals(lam, 2)
+        return (_mat_values(d1aug, shape), _mat_values(d2aug, shape),
+                _mat_values(lam, shape))
 
     def lam_det_values(self, u1, u2):
         shape = np.shape(np.asarray(u1, dtype=float))
         lam = self.lam.jet(u1, u2, 0)
         det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-        return np.broadcast_to(np.asarray(det.value, dtype=float), shape)
+        return det.value_on(shape)
+
+    def regular_sample(self, u1_nodes, u2_nodes, config: Config):
+        """Regular points (u1, u2) of the node lattice, and det Lambda on
+        the whole lattice, flattened.
+
+        Raises SingularPoint when no node is regular: reconstruction
+        assumes the regular set is dense.
+        """
+        g1, g2 = np.meshgrid(u1_nodes, u2_nodes, indexing="ij")
+        g1, g2 = g1.ravel(), g2.ravel()
+        lam_det = self.lam_det_values(g1, g2)
+        reg = np.abs(lam_det) > config.eps_sing
+        if not np.any(reg):
+            raise SingularPoint(
+                "det Lambda vanishes at every sampled node; the structure "
+                "data violate the hypothesis that the regular set is dense")
+        return g1[reg], g2[reg], lam_det
 
 
 # --- extraction from a frontal + transversal field -----------------------------------
@@ -276,19 +283,6 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
 # --- compatibility and integrability residuals -----------------------------------------
 
 
-def _mat3_vals(m, shape):
-    return np.stack([np.stack(
-        [np.broadcast_to(np.asarray(m[i][j].value, dtype=float), shape)
-         for j in range(3)], axis=-1) for i in range(3)], axis=-2)
-
-
-def _mat3_deriv_vals(m, var, shape):
-    return np.stack([np.stack(
-        [np.broadcast_to(np.asarray(m[i][j].deriv(var).value, dtype=float),
-                         shape) for j in range(3)], axis=-1)
-        for i in range(3)], axis=-2)
-
-
 def compat_residual(sd: StructureData, u1, u2):
     """Max Frobenius norm of the frame-system flatness defect.
 
@@ -298,9 +292,9 @@ def compat_residual(sd: StructureData, u1, u2):
     """
     shape = np.shape(np.asarray(u1, dtype=float))
     d1aug, d2aug = sd.aug_jets(u1, u2, 1)
-    D1 = _mat3_vals(d1aug, shape)
-    D2 = _mat3_vals(d2aug, shape)
-    R = (_mat3_deriv_vals(d1aug, 1, shape) - _mat3_deriv_vals(d2aug, 0, shape)
+    D1 = _mat_values(d1aug, shape)
+    D2 = _mat_values(d2aug, shape)
+    R = (_mat_values(d1aug, shape, 1) - _mat_values(d2aug, shape, 0)
          + D1 @ D2 - D2 @ D1)
     fro = np.sqrt(np.sum(R * R, axis=(-2, -1)))
     return float(np.max(fro))
@@ -314,12 +308,10 @@ def integrability_residual(sd: StructureData, u1, u2):
     d1_j = sd.d1.jet(u1, u2, 0)
     d2_j = sd.d2.jet(u1, u2, 0)
 
-    def v(jet):
-        return np.broadcast_to(np.asarray(jet.value, dtype=float), shape)
-
     lam_h_01 = lam_j[0][0] * h_j[0][1] + lam_j[0][1] * h_j[1][1]
     lam_h_10 = lam_j[1][0] * h_j[0][0] + lam_j[1][1] * h_j[1][0]
-    sym = float(np.max(np.abs(v(lam_h_01) - v(lam_h_10))))
+    sym = float(np.max(np.abs(lam_h_01.value_on(shape)
+                              - lam_h_10.value_on(shape))))
 
     row = 0.0
     for col in range(2):
@@ -327,7 +319,8 @@ def integrability_residual(sd: StructureData, u1, u2):
                 + lam_j[1][col].deriv(0))
         right = (lam_j[0][0] * d2_j[0][col] + lam_j[0][1] * d2_j[1][col]
                  + lam_j[0][col].deriv(1))
-        row = max(row, float(np.max(np.abs(v(left) - v(right)))))
+        row = max(row, float(np.max(np.abs(left.value_on(shape)
+                                           - right.value_on(shape)))))
     return sym, row
 
 
@@ -345,32 +338,10 @@ def _efg_jets(sd, u1, u2, order):
 
 def membership_scalar_fn(sd: StructureData, which, config: Config):
     """Certificate ratio G_k / det Lambda as a masked value function."""
-    k = 0 if which == 1 else 1
-
-    def fn(u1, u2):
-        shape = np.shape(np.asarray(u1, dtype=float))
-        lam = sd.lam.jet(u1, u2, 1)
-        io = sd.i_omega.jet(u1, u2, 1)
-        E, F, G = _efg_jets(sd, u1, u2, 1)
-        row1 = [lam[0][0], lam[0][1]]
-        row2 = [lam[1][0], lam[1][1]]
-        row1_d = [c.deriv(k) for c in row1]
-        row2_d = [c.deriv(k) for c in row2]
-
-        def rIr(r, s):
-            return (r[0] * (io[0][0] * s[0] + io[0][1] * s[1])
-                    + r[1] * (io[1][0] * s[0] + io[1][1] * s[1]))
-
-        skew = (E.deriv(1) - F.deriv(0)) if which == 1 \
-            else (F.deriv(1) - G.deriv(0))
-        big_g = rIr(row1_d, row2) - rIr(row1, row2_d) + skew
-        det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-        lam_v = np.broadcast_to(np.asarray(det.value, dtype=float),
-                                shape).copy()
-        lam_v[np.abs(lam_v) <= config.eps_sing] = np.nan
-        g_v = np.broadcast_to(np.asarray(big_g.value, dtype=float), shape)
-        return (g_v / lam_v)[None, ...]
-    return fn
+    return membership_certificate_fn(
+        lambda u1, u2: sd.lam.jet(u1, u2, 1),
+        lambda u1, u2: sd.i_omega.jet(u1, u2, 1),
+        lambda u1, u2: _efg_jets(sd, u1, u2, 1), which, config)
 
 
 def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
@@ -398,7 +369,7 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
         phi_j = sd.phi.jet(uu1, uu2, 1)
 
         def v(jet):
-            return np.broadcast_to(np.asarray(jet.value, dtype=float), sshape)
+            return jet.value_on(sshape)
 
         # tangential coefficients from the transposed relative form:
         # (phi h)^T (a, b)^T = -grad phi
@@ -435,7 +406,7 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
             if np.any(ok):
                 try:
                     c_ent, om = ingredients(p1[ok], p2[ok])
-                except Exception:
+                except UNUSABLE_SAMPLE + (np.linalg.LinAlgError,):
                     return vals
                 for k in range(4):
                     vals[k][ok] = c_ent[k]
@@ -463,16 +434,8 @@ def _assemble_extension(sd, which, u1, u2, c_entries, omega):
     shape = np.shape(u1)
     k = 0 if which == 1 else 1
     io_j = sd.i_omega.jet(u1, u2, 1)
-
-    def v(jet):
-        return np.broadcast_to(np.asarray(jet.value, dtype=float), shape)
-
-    I = np.stack([np.stack([v(io_j[0][0]), v(io_j[0][1])], axis=-1),
-                  np.stack([v(io_j[1][0]), v(io_j[1][1])], axis=-1)], axis=-2)
-    I_k = np.stack([np.stack([v(io_j[0][0].deriv(k)), v(io_j[0][1].deriv(k))],
-                             axis=-1),
-                    np.stack([v(io_j[1][0].deriv(k)), v(io_j[1][1].deriv(k))],
-                             axis=-1)], axis=-2)
+    I = _mat_values(io_j, shape)
+    I_k = _mat_values(io_j, shape, k)
     C = np.stack([np.stack([c_entries[0], c_entries[1]], axis=-1),
                   np.stack([c_entries[2], c_entries[3]], axis=-1)], axis=-2)
     skew = np.zeros(shape + (2, 2))
@@ -497,7 +460,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     h_j = sd.h.jet(u1, u2, 1)
     c_j = mat2_mul_jet(lam_j, h_j)
     det_c = c_j[0][0] * c_j[1][1] - c_j[0][1] * c_j[1][0]
-    det_v = np.broadcast_to(np.asarray(det_c.value, dtype=float), shape)
+    det_v = det_c.value_on(shape)
     if np.any(np.abs(det_v) <= 1e-14):
         raise DegenerateMetric("det of the affine fundamental form vanishes "
                                "on the sample")
@@ -507,26 +470,17 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     lam_det = sd.lam_det_values(u1, u2)
     if np.any(np.abs(lam_det) <= config.eps_sing):
         raise DegenerateMetric("apolarity sampled on the singular set")
-    lam_v = np.stack([np.stack(
-        [np.broadcast_to(np.asarray(lam_j[i][j].value, dtype=float), shape)
-         for j in range(2)], axis=-1) for i in range(2)], axis=-2)
+    lam_v = _mat_values(lam_j, shape)
     lam_inv = np.linalg.inv(lam_v)
 
     worst = 0.0
     for k, dk in ((0, sd.d1), (1, sd.d2)):
-        d_j = dk.jet(u1, u2, 0)
-        d_v = np.stack([np.stack(
-            [np.broadcast_to(np.asarray(d_j[i][j].value, dtype=float), shape)
-             for j in range(2)], axis=-1) for i in range(2)], axis=-2)
-        lam_uk = np.stack([np.stack(
-            [np.broadcast_to(np.asarray(lam_j[i][j].deriv(k).value,
-                                        dtype=float), shape)
-             for j in range(2)], axis=-1) for i in range(2)], axis=-2)
+        d_v = _mat_values(dk.jet(u1, u2, 0), shape)
+        lam_uk = _mat_values(lam_j, shape, k)
         gamma = (lam_uk + lam_v @ d_v) @ lam_inv
         trace = gamma[..., 0, 0] + gamma[..., 1, 1]
-        ds = np.broadcast_to(np.asarray(s_j.deriv(k).value, dtype=float),
-                             shape)
-        s_v = np.broadcast_to(np.asarray(s_j.value, dtype=float), shape)
+        ds = s_j.deriv(k).value_on(shape)
+        s_v = s_j.value_on(shape)
         worst = max(worst, float(np.max(np.abs(ds - trace * s_v))))
     return worst
 
@@ -645,18 +599,15 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     step = step or config.rk4_step
     u1_nodes, u2_nodes = lattice_nodes(sd, shape)
     if check_compat:
-        g1, g2 = np.meshgrid(u1_nodes[::4], u2_nodes[::4], indexing="ij")
-        lam_det = sd.lam_det_values(g1.ravel(), g2.ravel())
-        reg = np.abs(lam_det) > config.eps_sing
-        if np.any(reg):
-            resid = compat_residual(sd, g1.ravel()[reg], g2.ravel()[reg])
-            d1aug, d2aug, _ = sd.aug_values(g1.ravel()[reg], g2.ravel()[reg])
-            scale = max(1.0, float(np.max(np.abs(d1aug))),
-                        float(np.max(np.abs(d2aug))))
-            if resid > config.tol_compat * scale:
-                raise CompatibilityViolated(
-                    f"compatibility residual {resid:.2e} exceeds "
-                    f"{config.tol_compat * scale:.2e} before integration")
+        u1r, u2r, _ = sd.regular_sample(u1_nodes[::4], u2_nodes[::4], config)
+        resid = compat_residual(sd, u1r, u2r)
+        d1aug, d2aug, _ = sd.aug_values(u1r, u2r)
+        scale = max(1.0, float(np.max(np.abs(d1aug))),
+                    float(np.max(np.abs(d2aug))))
+        if resid > config.tol_compat * scale:
+            raise CompatibilityViolated(
+                f"compatibility residual {resid:.2e} exceeds "
+                f"{config.tol_compat * scale:.2e} before integration")
 
     Y_rows = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=1)
     Y_cols = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=0)
@@ -683,11 +634,9 @@ def integrate_position(frame_field: FrameField, sd: StructureData = None,
     returns the grid.  Raises IntegrabilityViolated on a gate failure.
     """
     sd = sd or frame_field.sd
-    u1_nodes, u2_nodes = frame_field.u1_nodes, frame_field.u2_nodes
-    g1, g2 = np.meshgrid(u1_nodes[::4], u2_nodes[::4], indexing="ij")
-    lam_det = sd.lam_det_values(g1.ravel(), g2.ravel())
-    reg = np.abs(lam_det) > config.eps_sing
-    sym, row = integrability_residual(sd, g1.ravel()[reg], g2.ravel()[reg])
+    u1r, u2r, lam_det = sd.regular_sample(frame_field.u1_nodes[::4],
+                                          frame_field.u2_nodes[::4], config)
+    sym, row = integrability_residual(sd, u1r, u2r)
     scale = max(1.0, float(np.max(np.abs(lam_det))))
     if max(sym, row) > 10.0 * config.tol_compat * scale:
         raise IntegrabilityViolated(

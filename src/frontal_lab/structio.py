@@ -98,13 +98,10 @@ def structure_to_grids(sd: StructureData, shape=(33, 33)):
     for name in _MATRIX_ENTRIES:
         fld = getattr(sd, _FIELD_BY_ENTRY[name])
         m = fld.jet(flat1, flat2, 0)
-        comps = [np.broadcast_to(np.asarray(m[i][j].value, dtype=float),
-                                 flat1.shape).reshape(shape)
-                 for i in range(2) for j in range(2)]
-        out[name] = np.stack(comps)
-    phi = sd.phi.jet(flat1, flat2, 0)
-    out["phi"] = np.broadcast_to(np.asarray(phi.value, dtype=float),
-                                 flat1.shape).reshape(shape)
+        out[name] = np.stack([c.value_on(flat1.shape).reshape(shape)
+                              for row in m for c in row])
+    out["phi"] = sd.phi.jet(flat1, flat2, 0).value_on(
+        flat1.shape).reshape(shape)
     return out
 
 

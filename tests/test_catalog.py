@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from frontal_lab import expr
-from frontal_lab.catalog import ENTRIES, get_entry, list_entries
-from frontal_lab.errors import InputError
+from frontal_lab.catalog import ENTRIES, GENERATORS, get_entry, list_entries
+from frontal_lab.config import Config
+from frontal_lab.errors import InputError, QuadratureNonConvergent
 from frontal_lab.frame import frame_data
 
 
@@ -31,6 +32,13 @@ class TestEntries:
     def test_unknown_entry(self):
         with pytest.raises(InputError):
             get_entry("no-such-entry")
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_quadrature_follows_build_config(self, name):
+        # 64 nodes with a 64-node cap leaves no doubling to converge on
+        cfg = Config(quad_nodes=64, quad_max_nodes=64)
+        with pytest.raises(QuadratureNonConvergent):
+            get_entry(name).build(cfg)
 
     def test_factor_determinant_matches_expression(self, ex58):
         u1, u2 = ex58.interior_grid((9, 9), margin=0.02)

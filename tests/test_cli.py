@@ -165,6 +165,32 @@ class TestReconstructCommand:
         assert run(["reconstruct", "--input", "/no/such/file.json",
                     "--grid", "9x9"]) == cli.EXIT_INPUT
 
+    def test_no_regular_point_is_precondition(self, tmp_path, capsys):
+        # det Lambda vanishes identically, so the lattice has no regular
+        # point and the dense-regular-set hypothesis fails
+        doc = {
+            "schema_version": 1,
+            "domain": [0.0, 1.0, 0.0, 1.0],
+            "basepoint": [0.0, 0.0],
+            "W0": np.eye(3).tolist(),
+            "p": [0.0, 0.0, 0.0],
+            "entries": {
+                "Lambda": {"expr": ["u2^2", "0", "0", "0"]},
+                "I_Omega": {"expr": ["1", "0", "0", "1"]},
+                "h": {"expr": ["0", "0", "0", "0"]},
+                "D1": {"expr": ["0", "0", "0", "0"]},
+                "D2": {"expr": ["0", "0", "0", "0"]},
+                "S": {"expr": ["0", "0", "0", "0"]},
+                "phi": {"expr": ["1"]},
+            },
+        }
+        path = tmp_path / "degenerate.json"
+        write_report(path, doc)
+        assert run(["reconstruct", "--input", str(path), "--grid", "9x9",
+                    "--step", "0.01"]) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "SingularPoint" in err and "dense" in err
+
 
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
@@ -271,15 +297,3 @@ class TestExport:
             outs.append((out / "analyze.json").read_bytes())
         assert outs[0] == outs[1]
 
-
-class TestThreadedSweep:
-    def test_analyze_with_threads(self, capsys):
-        code = run(["analyze", "--entry", "ex-5.9", "--grid", "31x31",
-                    "--set", "threads=2", "--json"])
-        assert code == 0
-        threaded = json.loads(capsys.readouterr().out)
-        code = run(["analyze", "--entry", "ex-5.9", "--grid", "31x31",
-                    "--json"])
-        assert code == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert threaded == serial

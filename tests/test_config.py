@@ -1,4 +1,4 @@
-"""Config file parsing, overrides, and the thread cap."""
+"""Config file parsing and overrides."""
 
 import pytest
 
@@ -25,10 +25,3 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             load_config(str(path))
 
-    def test_thread_cap_from_environment(self, tmp_path, monkeypatch):
-        path = tmp_path / "t.cfg"
-        path.write_text("threads = 8\n")
-        monkeypatch.setenv("FRONTAL_LAB_THREADS", "2")
-        assert load_config(str(path)).threads == 2
-        monkeypatch.setenv("FRONTAL_LAB_THREADS", "16")
-        assert load_config(str(path)).threads == 8

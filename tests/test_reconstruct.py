@@ -9,9 +9,10 @@ from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
                                 RankDeficient)
-from frontal_lab.reconstruct import (ExprField, StructureData, affine_align,
-                                     apolarity_check, compat_residual,
-                                     extend_D, extract_structure,
+from frontal_lab.reconstruct import (ExprField, FuncField, StructureData,
+                                     affine_align, apolarity_check,
+                                     compat_residual, extend_D,
+                                     extract_structure,
                                      integrability_residual, integrate_frame,
                                      integrate_position, lattice_nodes)
 
@@ -112,6 +113,18 @@ class TestExtendD:
                           i_omega=["2 + u2", "0", "0", "1"],
                           h=["1", "0", "0", "1"], phi="1")
         with pytest.raises(ConditionFailed):
+            extend_D(sd, 1, np.array([0.3]), np.array([0.0]), config)
+
+    def test_fault_in_a_field_propagates(self, config):
+        # a programming error inside a field is not an unusable probe
+        # sample: it must surface instead of becoming a failed certificate
+        def broken(u1, u2, order):
+            raise TypeError("broken field")
+
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4, lam=["1", "0", "0", "u2"],
+                          h=["1", "0", "0", "1"])
+        sd.phi = FuncField(broken)
+        with pytest.raises(TypeError, match="broken field"):
             extend_D(sd, 1, np.array([0.3]), np.array([0.0]), config)
 
 
