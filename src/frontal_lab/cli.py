@@ -478,6 +478,31 @@ def _add_common(sp, grid_default="101x101"):
     _add_settings(sp)
 
 
+# Flags whose values may start with '-': a domain, a field vector, an
+# expression.  argparse reads "--domain -0.8,0.8,..." as two flags, so main
+# joins such a pair into "--domain=-0.8,0.8,..." before parsing.
+_DASH_VALUE_FLAGS = frozenset(
+    ["--domain", "--field"] + [f"--{key}" for key in _GENERATOR_PARAMS])
+
+
+def _join_dash_values(argv):
+    out = []
+    i = 0
+    while i < len(argv):
+        flag = argv[i]
+        if flag == "--":
+            return out + argv[i:]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (flag in _DASH_VALUE_FLAGS and value.startswith("-")
+                and not value.startswith("--")):
+            out.append(f"{flag}={value}")
+            i += 2
+        else:
+            out.append(flag)
+            i += 1
+    return out
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="frontal-lab",
@@ -520,7 +545,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_dash_values(argv))
     try:
         return args.fn(args)
     except VerificationError as err:

@@ -413,17 +413,46 @@ def _gauss_legendre(n):
     return _GL_CACHE[n]
 
 
+# Lanes (nodes x base points) per batched integrand call in _quad_fixed:
+# small grids get many nodes per call, grids of LANES points or more get one,
+# so peak memory does not grow with the node count.
+LANES = 1 << 14
+
+
 def _quad_fixed(integrand, lower, upper_value, order, nodes):
-    """Sum w_k * integrand(t_k) over [lower, upper_value]; upper may be an array."""
+    """Sum w_k * integrand(t_k) over [lower, upper_value]; upper may be an array.
+
+    Node 0 is evaluated alone to learn the integrand's output base shape;
+    the other nodes go in batches on a leading node axis, up to LANES
+    lanes per call.  Terms are added in node order, so the result equals
+    a node-by-node loop bit for bit.
+    """
     xs, ws = _gauss_legendre(nodes)
     upper_value = np.asarray(upper_value, dtype=float)
     half = (upper_value - lower) / 2.0
     mid = (upper_value + lower) / 2.0
-    total = None
-    for xk, wk in zip(xs, ws):
-        t = Jet.constant(mid + half * xk, order)
-        term = integrand(t) * (wk * half)
-        total = term if total is None else total + term
+    total = integrand(Jet.constant(mid + half * xs[0], order)) * (ws[0] * half)
+    # Closures may carry more axes than the interval (a fixed scalar range
+    # over grid jets, or an outer node axis), so the node axis goes in
+    # front of the output shape, not of upper_value's.
+    shape = np.broadcast_shapes(half.shape, *(np.shape(c) for c in total.coeffs))
+    half = np.broadcast_to(half, shape)
+    mid = np.broadcast_to(mid, shape)
+    # A 0-d integrand stays node by node: numpy computes powers of scalars
+    # with libm's pow and powers of arrays with its own loops, whose low
+    # bits differ.  One node per call gets no node axis either, since a
+    # length-one axis would only make every jet operation broadcast.
+    batch = max(1, LANES // math.prod(shape)) if shape else 1
+    node_axis = (-1,) + (1,) * len(shape) if batch > 1 else ()
+    for start in range(1, nodes, batch):
+        x = xs[start:start + batch].reshape(node_axis)
+        w = ws[start:start + batch].reshape(node_axis)
+        terms = integrand(Jet.constant(mid + half * x, order)) * (w * half)
+        if batch == 1:
+            total = total + terms
+            continue
+        for k in range(len(x)):
+            total = total + Jet(terms.order, [c[k] for c in terms.coeffs])
     return total
 
 
@@ -452,6 +481,10 @@ def integrate_jet(integrand, lower, upper, var=None, order=3,
     integrand: callable taking a Jet `t` (constant at quadrature nodes, a
         coordinate jet at the moving endpoint) and returning a Jet in the
         base-point variables; close over any parameter jets you need.
+        At quadrature nodes `t` may arrive with a leading node axis in
+        front of the base shape, one entry per node.  The integrand must
+        therefore be elementwise over its base shape: it may broadcast,
+        but must not reduce over that shape or branch on it.
     upper: float/array for a fixed interval, or a coordinate Jet in
         variable `var` for a moving endpoint.
 

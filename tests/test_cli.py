@@ -40,6 +40,25 @@ class TestCatalogCommand:
         assert run(["catalog", "nope"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (["catalog", "gen-rank1-wavefront", "--domain", "-0.8,0.8,-0.8,0.8",
+      "--h", "-u1*u2", "--c", "-1"],
+     ["catalog", "gen-rank1-wavefront", "--domain=-0.8,0.8,-0.8,0.8",
+      "--h=-u1*u2", "--c=-1"]),
+    (["export", "--entry", "ex-5.10", "--what", "structure", "--field",
+      "-0.1,0,1", "--grid", "5x5", "--out", "{tmp}/s.json"],
+     ["export", "--entry", "ex-5.10", "--what", "structure",
+      "--field=-0.1,0,1", "--grid", "5x5", "--out", "{tmp}/s.json"]),
+])
+def test_dash_values_parse_spaced_or_joined(spaced, joined, tmp_path, capsys):
+    def fill(argv):
+        return [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(fill(joined)) == 0
+    want = capsys.readouterr().out
+    assert run(fill(spaced)) == 0
+    assert capsys.readouterr().out == want
+
+
 class TestAnalyze:
     def test_quintic_edge_report(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -1,5 +1,7 @@
 """Jet arithmetic against hand values and the finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from frontal_lab import expr
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 InsufficientJetOrder, QuadratureNonConvergent)
-from frontal_lab.jets import (INDICES, Jet, JetVec3, fd_jet, integrate_jet,
-                              jets_allclose)
+from frontal_lab.jets import (INDICES, LANES, Jet, JetVec3, _quad_fixed,
+                              fd_jet, integrate_jet, jets_allclose)
 
 
 def jet_at(source, point, order):
@@ -229,3 +231,82 @@ class TestIntegrateJet:
         u1 = Jet.variable(0.5, 0, 2)
         with pytest.raises(ValueError):
             integrate_jet(lambda t: u1, 0.0, Jet.variable(0.5, 0, 2), var=0)
+
+
+def quad_by_node(integrand, lower, upper_value, order, nodes):
+    """Reference Gauss-Legendre sum: one integrand call per node."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    upper_value = np.asarray(upper_value, dtype=float)
+    half = (upper_value - lower) / 2.0
+    mid = (upper_value + lower) / 2.0
+    total = None
+    for xk, wk in zip(xs, ws):
+        term = integrand(Jet.constant(mid + half * xk, order)) * (wk * half)
+        total = term if total is None else total + term
+    return total
+
+
+def assert_bitwise_equal(a, b):
+    assert a.order == b.order
+    for x, y in zip(a.coeffs, b.coeffs):
+        assert np.array_equal(x, y)
+
+
+class TestBatchedQuadrature:
+    """_quad_fixed batches nodes on an array axis; the sums must not move."""
+
+    @pytest.mark.parametrize("uppers", [
+        np.linspace(0.2, 1.9, 20).reshape(4, 5), 1.3])
+    def test_endpoints(self, uppers):
+        # The parameter jet gives the terms nonzero derivative coefficients.
+        u2 = Jet.variable(np.full(np.shape(uppers), 0.7), 1, 3)
+
+        def integrand(t):
+            s = t * u2
+            return (s * s + 1.0).sqrt() * s.cos() / (s.exp() + 2.0)
+
+        for nodes in (8, 32, 64):
+            assert_bitwise_equal(_quad_fixed(integrand, 0.1, uppers, 3, nodes),
+                                 quad_by_node(integrand, 0.1, uppers, 3, nodes))
+
+    def test_fixed_scalar_interval_over_grid_jets(self):
+        # The node axis must go in front of the closure's (3, 32) shape, not
+        # in front of the scalar interval's ().
+        rng = np.random.default_rng(3)
+        u2 = Jet.variable(rng.uniform(0.1, 2.0, (3, 32)), 1, 3)
+
+        def integrand(t):
+            return (t * u2).sin()
+
+        assert_bitwise_equal(_quad_fixed(integrand, 0.0, 1.0, 3, 32),
+                             quad_by_node(integrand, 0.0, 1.0, 3, 32))
+
+    def test_nested_inner_captures_outer_nodes(self):
+        # The inner integrand closes over the outer node jet t2, which is
+        # node-batched, while the inner upper limit has no node axis.
+        u1 = Jet.variable(np.linspace(0.1, 0.9, 6).reshape(2, 3), 0, 3)
+
+        def nested(quad):
+            def outer(t2):
+                return quad(lambda t1: (t1 * t2).sin() * u1, 0.0, u1.value,
+                            3, 16)
+            return quad(outer, 0.0, u1.value, 3, 32)
+
+        assert_bitwise_equal(nested(_quad_fixed), nested(quad_by_node))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (LANES,)])
+    def test_integrand_calls_per_rule(self, shape):
+        upper = np.linspace(0.1, 1.0, math.prod(shape)).reshape(shape)
+        nodes_per_call = []
+
+        def integrand(t):
+            extra = np.ndim(t.value) - len(shape)
+            nodes_per_call.append(np.shape(t.value)[0] if extra else 1)
+            return t * t
+
+        integrate_jet(integrand, 0.0, upper, nodes=32)
+        # A quadratic converges at the first doubling: rules of 32 and 64.
+        assert sum(nodes_per_call) == 32 + 64
+        batch = max(1, LANES // upper.size)
+        assert len(nodes_per_call) == sum(1 + math.ceil((n - 1) / batch)
+                                          for n in (32, 64))
