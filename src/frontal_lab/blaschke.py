@@ -25,8 +25,8 @@ from .equiaffine import TransversalField, structure_from_field
 from .errors import (UNUSABLE_SAMPLE, DegenerateBasis, DivisionByZeroValue,
                      DomainError, Indeterminate, InsufficientJetOrder,
                      KVanishes, NotExtendable, NotTransversal,
-                     SingularIIOmega)
-from .frame import FrameBundle, Frontal, frame_bundle
+                     SingularIIOmega, SingularPoint)
+from .frame import FrameBundle, Frontal, frame_bundle, vec3_values_on
 from .jets import Jet, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -244,6 +244,21 @@ def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet, config: Config):
     return a, b
 
 
+def _regular_field(f: Frontal, u1, u2, cfg: Config, order=None):
+    """Affine normal xi = phi n + a w1 + b w2 at regular points, as jets
+    (bundle, phi, sign of K, a, b, xi); DivisionByZeroValue on the
+    singular set."""
+    b = frame_bundle(f, u1, u2, order=order, config=cfg)
+    lam = np.asarray(b.lam_det.value, dtype=float)
+    if np.any(np.abs(lam) <= cfg.eps_sing):
+        raise DivisionByZeroValue(
+            "affine-normal jets requested on the singular set")
+    phi, _, sign = _phi_jet(f, b, u1, u2, cfg)
+    av, bv = _tangent_coeff_jets(b, phi, cfg)
+    xi = b.n.scale(phi) + b.w1.scale(av) + b.w2.scale(bv)
+    return b, phi, sign, av, bv, xi
+
+
 class BlaschkeField:
     """Affine-normal field of a frontal, with evaluation machinery.
 
@@ -271,19 +286,17 @@ class BlaschkeField:
 
     def components_jet(self, u1, u2, order=None):
         """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
-        cfg = self.config
-        b = frame_bundle(self.frontal, u1, u2, order=order, config=cfg)
-        lam = np.asarray(b.lam_det.value, dtype=float)
-        if np.any(np.abs(lam) <= cfg.eps_sing):
-            raise DivisionByZeroValue(
-                "affine-normal jets requested on the singular set")
-        phi, _, _ = _phi_jet(self.frontal, b, u1, u2, cfg)
-        av, bv = _tangent_coeff_jets(b, phi, cfg)
+        b, phi, _, av, bv, _ = _regular_field(self.frontal, u1, u2,
+                                              self.config, order)
         return b, phi, av, bv
 
+    def frame_and_xi(self, u1, u2, order=None):
+        """(bundle, xi jets) at regular points, from one frame bundle."""
+        b, *_, xi = _regular_field(self.frontal, u1, u2, self.config, order)
+        return b, xi
+
     def xi_jet(self, u1, u2, order=None):
-        b, phi, av, bv = self.components_jet(u1, u2, order)
-        return b.n.scale(phi) + b.w1.scale(av) + b.w2.scale(bv)
+        return self.frame_and_xi(u1, u2, order)[1]
 
     def nudged_points(self, u1, u2, shift=1e-7):
         """Move points off the singular set along the gradient of det Lambda."""
@@ -388,11 +401,12 @@ def _singular_field(f: Frontal, targets, cfg: Config):
     return xis, phis, abv, K_vals, results
 
 
-def _tau_volume(f: Frontal, bf, u1, u2, lam, cfg: Config):
+def _tau_volume(f: Frontal, bf, bundle, xi, u1, u2, lam, cfg: Config):
     """(max |tau|, max volume-match residual) of the field's induced
-    structure at regular points u1, u2, where det Lambda takes the
-    values `lam`."""
-    s = structure_from_field(f, bf.as_transversal(), u1, u2, config=cfg)
+    structure at regular points u1, u2, where the field has the frame
+    bundle `bundle` and jets `xi` and det Lambda takes the values `lam`."""
+    s = structure_from_field(f, bf.as_transversal(), u1, u2, config=cfg,
+                             bundle=bundle, xi_jets=xi)
     det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
     vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
     return (float(np.max(np.abs(s.tau))),
@@ -410,8 +424,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     """
     cfg = config or f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
-    bundle = frame_bundle(f, u1, u2, config=cfg)
-    lam = bundle.lam_det.value_on(u1.shape)
+    lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
 
     phi_g = np.empty(u1.shape)
@@ -421,10 +434,8 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     sign_g = np.zeros(u1.shape)
 
     if np.any(regular):
-        br = frame_bundle(f, u1[regular], u2[regular], config=cfg)
-        phi, K, sign = _phi_jet(f, br, u1[regular], u2[regular], cfg)
-        av, bv = _tangent_coeff_jets(br, phi, cfg)
-        xi = br.n.scale(phi) + br.w1.scale(av) + br.w2.scale(bv)
+        br, phi, sign, av, bv, xi = _regular_field(f, u1[regular],
+                                                   u2[regular], cfg)
         tgt = u1[regular].shape
         phi_g[regular] = phi.value_on(tgt)
         a_g[regular] = av.value_on(tgt)
@@ -460,7 +471,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     if np.any(regular):
         try:
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
-                f, bf, u1[regular], u2[regular], lam[regular], cfg)
+                f, bf, br, xi, u1[regular], u2[regular], lam[regular], cfg)
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -482,14 +493,19 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
     (i) equiaffinity: max |tau| of the induced structure;
     (ii) volume match: theta(w1,w2)^2 |lambda| must equal |det h|, i.e.
     the induced volume agrees with the volume of the relative form.
-    Returns a report dict; nothing raises here.
+    Returns a report dict; SingularPoint when no grid point is regular.
     """
     cfg = config or f.config
     u1, u2 = f.interior_grid(shape, margin=0.005)
-    b = frame_bundle(f, u1, u2, config=cfg)
-    lam = b.lam_det.value_on(u1.shape)
+    lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
-    max_tau, volume_residual = _tau_volume(f, bf, u1[regular], u2[regular],
+    if not np.any(regular):
+        raise SingularPoint(
+            "det Lambda vanishes at every verification point; the frontal "
+            "violates the hypothesis that the regular set is dense")
+    u1r, u2r = u1[regular], u2[regular]
+    b, xi = bf.frame_and_xi(u1r, u2r)
+    max_tau, volume_residual = _tau_volume(f, bf, b, xi, u1r, u2r,
                                            lam[regular], cfg)
     return {
         "max_tau": max_tau,
@@ -658,7 +674,6 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
             worst = max(worst, float(np.max(np.abs(got + s.h[..., j, i]))))
     rep["derivative_w"] = worst
 
-    from .frame import vec3_values_on
     cols = [np.moveaxis(vec3_values_on(nu_u[k], shape), 0, -1)
             for k in range(2)]
     J = np.stack(cols, axis=-1)

@@ -4,7 +4,7 @@
     frontal-lab analyze     --entry NAME | --input FILE [--grid NxM] [--out DIR]
     frontal-lab blaschke    --entry NAME | --input FILE [--grid NxM] [--out DIR]
     frontal-lab reconstruct --entry NAME | --input structure.json [--out DIR]
-    frontal-lab check       --entry NAME [--grid NxM]
+    frontal-lab check       --entry NAME
     frontal-lab export      --entry NAME --what surface|field|structure --out PATH
 
 Exit codes: 0 success, 2 input error, 3 mathematical precondition failed,
@@ -27,8 +27,8 @@ from .config import Config, load_config
 from .equiaffine import TransversalField, structure_from_field
 from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
                      InputError, UnknownIdentifier, VerificationError)
-from .frame import (frame_data, nonparabolic_test, singular_scan,
-                    wavefront_test)
+from .frame import (frame_bundle, frame_data, mat2_values,
+                    nonparabolic_test, singular_scan, wavefront_test)
 from .reconstruct import (affine_align, compat_residual, extract_structure,
                           integrability_residual, integrate_frame,
                           integrate_position, lattice_nodes)
@@ -42,9 +42,12 @@ EXIT_VERIFICATION = 4
 def _parse_grid(text):
     try:
         nx, ny = text.lower().split("x")
-        return int(nx), int(ny)
+        shape = int(nx), int(ny)
     except ValueError:
         raise InputError(f"bad grid spec {text!r}; expected NxM")
+    if min(shape) < 1:
+        raise InputError(f"bad grid spec {text!r}; sizes must be at least 1")
+    return shape
 
 
 def _parse_domain(text):
@@ -129,10 +132,11 @@ def cmd_analyze(args):
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
-    data = frame_data(f, u1, u2, config=config)
-    scan = singular_scan(f, shape, config=config)
-    wf, witnesses = wavefront_test(f, shape, config=config)
-    nonpar = nonparabolic_test(f, shape, config=config)
+    b = frame_bundle(f, u1, u2, config=config)
+    scan = singular_scan(b, (u1, u2), config=config)
+    wf, witnesses = wavefront_test(b, (u1, u2), config=config)
+    nonpar = nonparabolic_test(b, (u1, u2), config=config)
+    K_omega = b.K_omega.value_on(shape)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "analyze",
@@ -149,24 +153,24 @@ def cmd_analyze(args):
             "regular_dense": bool(scan.regular_dense),
             "tolerance": config.eps_sing,
         },
-        "lambda_det": {"min_abs": float(np.min(np.abs(data.lam_det))),
-                       "max_abs": float(np.max(np.abs(data.lam_det)))},
-        "K_omega": {"min": float(np.min(data.K_omega)),
-                    "max": float(np.max(data.K_omega))},
+        "lambda_det": {"min_abs": float(np.min(np.abs(scan.lam_det))),
+                       "max_abs": float(np.max(np.abs(scan.lam_det)))},
+        "K_omega": {"min": float(np.min(K_omega)),
+                    "max": float(np.max(K_omega))},
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "analyze.json"), report)
+        I = mat2_values(b.I, shape)
+        II = mat2_values(b.II, shape)
+        n = np.broadcast_to(b.n.values_stacked(), shape + (3,))
         cols = {
-            "lam_det": data.lam_det, "K_omega": data.K_omega,
-            "E_omega": data.I_omega[..., 0, 0],
-            "F_omega": data.I_omega[..., 0, 1],
-            "G_omega": data.I_omega[..., 1, 1],
-            "e_omega": data.II_omega[..., 0, 0],
-            "f1_omega": data.II_omega[..., 0, 1],
-            "f2_omega": data.II_omega[..., 1, 0],
-            "g_omega": data.II_omega[..., 1, 1],
-            "n1": data.n[..., 0], "n2": data.n[..., 1], "n3": data.n[..., 2],
+            "lam_det": scan.lam_det, "K_omega": K_omega,
+            "E_omega": I[..., 0, 0], "F_omega": I[..., 0, 1],
+            "G_omega": I[..., 1, 1],
+            "e_omega": II[..., 0, 0], "f1_omega": II[..., 0, 1],
+            "f2_omega": II[..., 1, 0], "g_omega": II[..., 1, 1],
+            "n1": n[..., 0], "n2": n[..., 1], "n3": n[..., 2],
         }
         structio.export_frame_csv(os.path.join(args.out, "frame.csv"),
                                   u1, u2, cols)
@@ -288,8 +292,7 @@ def cmd_reconstruct(args):
 def cmd_check(args):
     config = _build_config(args)
     f, entry = _load_frontal(args, config)
-    shape = _parse_grid(args.grid)
-    checks = run_property_suite(f, shape, config)
+    checks = run_property_suite(f, config)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "check",
@@ -312,7 +315,7 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def run_property_suite(f, shape, config):
+def run_property_suite(f, config):
     """Cross-path invariants on one frontal; returns a list of named checks.
 
     Everything here re-derives a quantity along two independent routes or
@@ -331,8 +334,7 @@ def run_property_suite(f, shape, config):
     from .equiaffine import (check_tau_formula, d_from_gamma,
                              parallel_volume_check)
     from .errors import KVanishes
-    from .frame import affine_image, frame_bundle, ii_omega_normal_route, \
-        mat2_values
+    from .frame import affine_image, ii_omega_normal_route
     from .jets import Jet, triple_product_jet
     rng = np.random.default_rng(20240814)
     a1, b1, a2, b2 = f.domain
@@ -473,7 +475,8 @@ def _add_settings(sp):
 def _add_common(sp, grid_default="101x101"):
     sp.add_argument("--entry")
     sp.add_argument("--input")
-    sp.add_argument("--grid", default=grid_default)
+    if grid_default is not None:
+        sp.add_argument("--grid", default=grid_default)
     sp.add_argument("--out")
     _add_settings(sp)
 
@@ -532,7 +535,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("check", help="property suite on one entry")
-    _add_common(sp, grid_default="41x41")
+    _add_common(sp, grid_default=None)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("export", help="OBJ surface, CSV field, or structure")

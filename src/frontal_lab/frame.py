@@ -30,13 +30,14 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
 from .jets import (Jet, JetVec3, _mat_values, det2_jet, inv2_jet,
-                   mat2_mul_jet, triple_product_jet)
+                   mat2_mul_jet)
 from . import expr as expr_mod
 
 
-def mat2_values(m):
-    """(..., 2, 2) value array of a 2x2 jet matrix."""
-    return _mat_values(m)
+def mat2_values(m, shape=None):
+    """(..., 2, 2) value array of a 2x2 jet matrix, broadcast to `shape`
+    when given."""
+    return _mat_values(m, shape)
 
 
 def vec3_values_on(v: "JetVec3", shape):
@@ -325,12 +326,6 @@ class FrameData:
     II_classical: np.ndarray
     rank_deficient: np.ndarray
 
-    def gauss_regular(self):
-        """K_omega / lam_det, nan where rank-deficient."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.K_omega / self.lam_det
-        return np.where(self.rank_deficient, np.nan, out)
-
 
 def frame_data(f: Frontal, u1, u2, config: Config = None) -> FrameData:
     cfg = config or f.config
@@ -368,67 +363,57 @@ class SingularScan:
         return not self.cells
 
 
-def singular_scan(f: Frontal, shape=(101, 101), config: Config = None) -> SingularScan:
+def singular_scan(bundle: FrameBundle, grid, config: Config = DEFAULT) -> SingularScan:
     """Conservative cell cover of the zero set of det Lambda on a grid.
 
-    A cell enters the cover when det Lambda changes sign across its
-    corners or some corner is below eps_sing in magnitude.  The scan also
-    reports whether the regular set is dense at grid resolution (no cell
-    has all four corners singular).
+    `bundle` is the frame bundle evaluated on `grid` = (u1, u2).  A cell
+    enters the cover when det Lambda changes sign across its corners or
+    some corner is below eps_sing in magnitude; cells are listed in
+    row-major order.  The scan also reports whether the regular set is
+    dense at grid resolution (no cell has all four corners singular).
     """
-    cfg = config or f.config
-    u1, u2 = f.grid(shape)
-    lam = frame_data(f, u1, u2, config=cfg).lam_det
-    small = np.abs(lam) <= cfg.eps_sing
-    cells = []
-    dense = True
-    sgn = np.sign(lam)
-    for i in range(shape[0] - 1):
-        for j in range(shape[1] - 1):
-            corner_sgn = sgn[i:i + 2, j:j + 2]
-            corner_small = small[i:i + 2, j:j + 2]
-            if corner_small.all():
-                dense = False
-            if corner_small.any() or corner_sgn.max() != corner_sgn.min():
-                cells.append((i, j))
+    u1, u2 = grid
+    lam = bundle.lam_det.value_on(u1.shape)
+    small = np.abs(lam) <= config.eps_sing
+
+    def corners(a):          # (4, nx - 1, ny - 1), one slice per corner
+        return np.stack([a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]])
+
+    small4, sgn4 = corners(small), corners(np.sign(lam))
+    hit = small4.any(axis=0) | (sgn4.max(axis=0) != sgn4.min(axis=0))
+    cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
     pts = [(float(u1[i, j]), float(u2[i, j]))
            for i, j in zip(*np.nonzero(small))]
-    return SingularScan(cells=cells, regular_dense=dense, lam_det=lam,
-                        singular_points=pts)
+    return SingularScan(cells=cells,
+                        regular_dense=not np.any(small4.all(axis=0)),
+                        lam_det=lam, singular_points=pts)
 
 
-def wavefront_test(f: Frontal, shape=(51, 51), config: Config = None):
-    """True iff (x, n) is an immersion at every grid point.
+def wavefront_test(bundle: FrameBundle, grid, config: Config = DEFAULT):
+    """True iff (x, n) is an immersion at every point of `grid` = (u1, u2),
+    the grid `bundle` was evaluated on.
 
     Checks the second singular value of the stacked 6x2 Jacobian
     [Dx; Dn] against eps_rank (scaled by the largest singular value).
     Returns (verdict, witness points where the rank drops).
     """
-    cfg = config or f.config
-    u1, u2 = f.grid(shape)
-    b = frame_bundle(f, u1, u2, config=cfg)
-    n_u = [b.n.deriv(0), b.n.deriv(1)]
+    u1, u2 = grid
+    n_u = [bundle.n.deriv(0), bundle.n.deriv(1)]
     cols = []
     for k in range(2):
-        col = np.concatenate([vec3_values_on(b.x_u[k], u1.shape),
+        col = np.concatenate([vec3_values_on(bundle.x_u[k], u1.shape),
                               vec3_values_on(n_u[k], u1.shape)], axis=0)
         cols.append(np.moveaxis(col, 0, -1))
     J = np.stack(cols, axis=-1)          # (..., 6, 2)
     s = np.linalg.svd(J, compute_uv=False)
-    ok = s[..., 1] > cfg.eps_rank * np.maximum(1.0, s[..., 0])
+    ok = s[..., 1] > config.eps_rank * np.maximum(1.0, s[..., 0])
     witnesses = [(float(u1[idx]), float(u2[idx]))
                  for idx in zip(*np.nonzero(~ok))]
     return bool(np.all(ok)), witnesses
 
 
-def nonparabolic_test(f: Frontal, shape=(51, 51), config: Config = None):
-    """True iff |K_omega| stays above eps_k on the whole grid."""
-    cfg = config or f.config
-    u1, u2 = f.grid(shape)
-    K = frame_data(f, u1, u2, config=cfg).K_omega
-    return bool(np.all(np.abs(K) > cfg.eps_k))
-
-
-def theta_jet(bundle: FrameBundle, xi: JetVec3) -> Jet:
-    """Induced volume det(w1 w2 xi) as a jet."""
-    return triple_product_jet(bundle.w1, bundle.w2, xi)
+def nonparabolic_test(bundle: FrameBundle, grid, config: Config = DEFAULT):
+    """True iff |K_omega| stays above eps_k on `grid` = (u1, u2), the grid
+    `bundle` was evaluated on."""
+    K = bundle.K_omega.value_on(np.shape(grid[0]))
+    return bool(np.all(np.abs(K) > config.eps_k))

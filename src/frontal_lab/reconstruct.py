@@ -35,7 +35,7 @@ from .config import DEFAULT, Config
 from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
                      DegenerateMetric, FrameDegenerate, InputError,
                      IntegrabilityViolated, RankDeficient, SingularPoint)
-from .frame import Frontal, frame_bundle
+from .frame import Frontal, frame_bundle, vec3_values_on
 from .jets import Jet, JetVec3, _mat_values, mat2_mul_jet, triple_product_jet
 
 
@@ -201,17 +201,19 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
 
     is_blaschke = isinstance(xi_field, BlaschkeField)
 
-    def xi_jets_at(u1, u2, order):
+    def frame_and_xi(u1, u2):
+        """Frame bundle and field jets at the evaluation points; the
+        Blaschke field evaluates both at the nudged points."""
         if is_blaschke:
-            u1n, u2n = xi_field.nudged_points(u1, u2)
-            return (u1n, u2n), xi_field.xi_jet(u1n, u2n, order)
-        return (u1, u2), xi_field.jets(f, u1, u2, order)
+            return xi_field.frame_and_xi(*xi_field.nudged_points(u1, u2),
+                                         cfg.jet_order)
+        xj = xi_field.jets(f, u1, u2, cfg.jet_order)
+        return frame_bundle(f, u1, u2, config=cfg), xj
 
     def structure_jets(u1, u2, order):
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
-        (u1e, u2e), xj = xi_jets_at(u1, u2, cfg.jet_order)
-        b = frame_bundle(f, u1e, u2e, config=cfg)
+        b, xj = frame_and_xi(u1, u2)
         w_u = [[b.w1.deriv(0), b.w1.deriv(1)],
                [b.w2.deriv(0), b.w2.deriv(1)]]
         d1 = [[None, None], [None, None]]
@@ -251,22 +253,13 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
 
         def fn(u1, u2, order):
             b, xj, d1, d2, h, s = cached(u1, u2, order)
-            if which == "h":
-                return h
-            if which == "d1":
-                return d1
-            if which == "d2":
-                return d2
-            if which == "s":
-                return s
-            return xj.dot(b.n)          # phi
+            parts = {"d1": d1, "d2": d2, "h": h, "s": s}
+            return parts[which] if which in parts else xj.dot(b.n)  # phi
         return FuncField(fn)
 
-    from .frame import vec3_values_on
     q1 = np.asarray([basepoint[0]])
     q2 = np.asarray([basepoint[1]])
-    b0 = frame_bundle(f, q1, q2, config=cfg)
-    (q1e, q2e), xj0 = xi_jets_at(q1, q2, 1)
+    b0, xj0 = frame_and_xi(q1, q2)
     W0 = np.stack([vec3_values_on(b0.w1, (1,))[:, 0],
                    vec3_values_on(b0.w2, (1,))[:, 0],
                    vec3_values_on(xj0, (1,))[:, 0]], axis=-1)

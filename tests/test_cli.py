@@ -211,11 +211,40 @@ class TestReconstructCommand:
         assert "SingularPoint" in err and "dense" in err
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--entry", "ex-5.10", "--field", "0,0,1",
+         "--grid", "0x0"],
+        ["analyze", "--entry", "ex-5.8", "--grid", "0x5"],
+        ["blaschke", "--entry", "paraboloid", "--grid", "3x-1"],
+    ])
+    def test_sizes_below_one_are_input_errors(self, argv, capsys):
+        assert run(argv) == cli.EXIT_INPUT
+        assert f"bad grid spec {argv[-1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--entry", "ex-5.8", "--grid", "1x1"],
+        ["blaschke", "--entry", "paraboloid", "--grid", "1x1"],
+        ["export", "--entry", "ex-5.8", "--what", "field", "--grid", "1x1",
+         "--out", "{tmp}/f.csv"],
+    ])
+    def test_single_point_grid_accepted(self, argv, tmp_path, capsys):
+        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+
+    def test_no_regular_verification_point_is_precondition(self, capsys):
+        # on a 2x2 grid every verification point of ex-5.10 lies on the
+        # singular set |u1| = |u2|
+        assert run(["blaschke", "--entry", "ex-5.10", "--grid", "2x2"]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "SingularPoint" in err and "dense" in err
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
                                        "ex-5.9", "ex-5.10"])
     def test_property_suite_passes(self, entry, capsys):
-        code = run(["check", "--entry", entry, "--grid", "21x21", "--json"])
+        code = run(["check", "--entry", entry, "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"]

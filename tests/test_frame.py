@@ -1,21 +1,32 @@
 """Frontal kernel: factorization, normals, invariants, classification."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import regular_points
-from frontal_lab import expr
+from frontal_lab import cli, expr
+from frontal_lab.blaschke import blaschke_field
 from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
                                frame_bundle, frame_data,
+                               frontal_from_expressions,
                                ii_omega_normal_route, mat2_values,
                                nonparabolic_test, singular_scan, unit_normal,
                                wavefront_test)
+from frontal_lab.reconstruct import extract_structure
 from frontal_lab.jets import Jet, JetVec3
 
 
 def lam_values(lam, shape=()):
     return mat2_values(lam)
+
+
+def sweep(test, f, shape):
+    """Run a grid sweep on the frame bundle of f's default grid."""
+    grid = f.grid(shape)
+    return test(frame_bundle(f, *grid), grid, f.config)
 
 
 class TestFactorLambda:
@@ -156,7 +167,7 @@ class TestBasisChange:
 
 class TestClassification:
     def test_singular_scan_quintic_edge(self, ex59):
-        scan = singular_scan(ex59, (21, 21))
+        scan = sweep(singular_scan, ex59, (21, 21))
         assert not scan.empty
         assert scan.regular_dense
         # every singular sample sits on the u2 = 0 line
@@ -164,18 +175,18 @@ class TestClassification:
             assert abs(p2) < 1e-12
 
     def test_singular_scan_diagonals(self, ex510):
-        scan = singular_scan(ex510, (21, 21))
+        scan = sweep(singular_scan, ex510, (21, 21))
         for (p1, p2) in scan.singular_points:
             assert abs(abs(p1) - abs(p2)) < 1e-12
 
     def test_singular_scan_immersion_empty(self, paraboloid):
-        assert singular_scan(paraboloid, (15, 15)).empty
+        assert sweep(singular_scan, paraboloid, (15, 15)).empty
 
     def test_wavefront_verdicts(self, ex510, plane, ex59):
-        assert wavefront_test(ex510, (21, 21))[0]
-        assert wavefront_test(plane, (9, 9))[0]
+        assert sweep(wavefront_test, ex510, (21, 21))[0]
+        assert sweep(wavefront_test, plane, (9, 9))[0]
         # extendable normal curvature excludes the wave-front property
-        assert not wavefront_test(ex59, (21, 21))[0]
+        assert not sweep(wavefront_test, ex59, (21, 21))[0]
 
     def test_degenerate_map_not_wavefront(self):
         def x_fn(u1, u2, order):
@@ -190,17 +201,113 @@ class TestClassification:
             return (JetVec3(one, zero, zero), JetVec3(zero, one, zero))
 
         squashed = Frontal("squashed", x_fn, omega_fn, (-1, 1, -1, 1))
-        ok, witnesses = wavefront_test(squashed, (5, 5))
+        ok, witnesses = sweep(wavefront_test, squashed, (5, 5))
         assert not ok and witnesses
 
     def test_nonparabolic(self, plane, ex59, ex510):
-        assert not nonparabolic_test(plane, (9, 9))
-        assert not nonparabolic_test(ex59, (15, 15))     # crosses u2 = 0
-        assert not nonparabolic_test(ex510, (15, 15))
+        assert not sweep(nonparabolic_test, plane, (9, 9))
+        assert not sweep(nonparabolic_test, ex59, (15, 15))  # crosses u2 = 0
+        assert not sweep(nonparabolic_test, ex510, (15, 15))
 
         off_line = Frontal("ex59-band", ex59._x, ex59._omega,
                            (-1, 1, 0.1, 1.0), lam=ex59._lam)
-        assert nonparabolic_test(off_line, (15, 15))
+        assert sweep(nonparabolic_test, off_line, (15, 15))
+
+
+def scan_reference(lam, u1, u2, eps_sing):
+    """The cell-by-cell loop over the grid that singular_scan vectorizes:
+    (cells, regular_dense, singular_points)."""
+    small = np.abs(lam) <= eps_sing
+    cells = []
+    dense = True
+    sgn = np.sign(lam)
+    for i in range(lam.shape[0] - 1):
+        for j in range(lam.shape[1] - 1):
+            corner_sgn = sgn[i:i + 2, j:j + 2]
+            corner_small = small[i:i + 2, j:j + 2]
+            if corner_small.all():
+                dense = False
+            if corner_small.any() or corner_sgn.max() != corner_sgn.min():
+                cells.append((i, j))
+    pts = [(float(u1[i, j]), float(u2[i, j]))
+           for i, j in zip(*np.nonzero(small))]
+    return cells, dense, pts
+
+
+def flat_frontal(det):
+    """The plane with factor diag(det, 1), so det Lambda is `det`."""
+    return frontal_from_expressions(
+        f"plane[det={det}]", ["u1", "u2", "0"],
+        (["1", "0", "0"], ["0", "1", "0"]), (-1.0, 1.0, -1.0, 1.0),
+        lam_srcs=[det, "0", "0", "1"], validate=False)
+
+
+class TestSingularScanMatchesLoop:
+    @pytest.mark.parametrize("det, shape, exercised", [
+        # sign changes inside cells
+        ("u1*u2 - 0.1*sin(3*u1)", (23, 17),
+         lambda lam: np.any(lam > 0) and np.any(lam < 0)),
+        # exact zeros along the grid row u2 = 0
+        ("u2*(u1 + 2)", (19, 21), lambda lam: np.any(lam[:, 10] == 0.0)),
+        # corners on both sides of eps_sing, no sign change
+        ("1e-9*(1 + 0.002*sin(5*u1 + 3*u2))", (17, 19),
+         lambda lam: np.any(lam <= 1e-9) and np.any(lam > 1e-9)),
+        # det Lambda vanishes on the half-plane u1 < 0
+        ("u1 + abs(u1)", (16, 15), lambda lam: np.mean(lam == 0.0) == 0.5),
+        # single-row and single-column grids have no cells
+        ("u2 - 0.3", (1, 12), lambda lam: np.any(lam > 0) and np.any(lam < 0)),
+        ("u1 + 0.2", (12, 1), lambda lam: np.any(lam > 0) and np.any(lam < 0)),
+    ])
+    def test_same_cover_as_loop(self, det, shape, exercised, config):
+        f = flat_frontal(det)
+        grid = f.grid(shape)
+        scan = singular_scan(frame_bundle(f, *grid), grid, config)
+        assert exercised(scan.lam_det)
+        cells, dense, pts = scan_reference(scan.lam_det, *grid,
+                                           config.eps_sing)
+        assert scan.cells == cells
+        assert all(type(i) is int and type(j) is int for i, j in scan.cells)
+        assert scan.regular_dense == dense
+        assert scan.singular_points == pts
+        if det == "u1 + abs(u1)":
+            assert not dense
+
+
+@pytest.fixture
+def bundle_sizes(monkeypatch):
+    """Point counts of the frame bundles built while a test runs, recorded
+    through every module that imports frame_bundle."""
+    sizes = []
+
+    def counted(f, u1, u2, *args, **kwargs):
+        sizes.append(int(np.size(u1)))
+        return frame_bundle(f, u1, u2, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("frontal_lab")
+                and getattr(mod, "frame_bundle", None) is frame_bundle):
+            monkeypatch.setattr(mod, "frame_bundle", counted)
+    return sizes
+
+
+class TestBundleCounts:
+    def test_analyze_builds_one_bundle(self, bundle_sizes, tmp_path, capsys):
+        assert cli.main(["analyze", "--entry", "ex-5.9", "--grid", "11x13",
+                         "--out", str(tmp_path)]) == 0
+        assert bundle_sizes == [11 * 13]
+
+    def test_blaschke_field_builds_one_bundle(self, bundle_sizes,
+                                              paraboloid):
+        blaschke_field(paraboloid, (9, 9))
+        assert bundle_sizes == [81]
+
+    def test_blaschke_extraction_builds_one_bundle(self, bundle_sizes,
+                                                   paraboloid):
+        sd = extract_structure(paraboloid, blaschke_field(paraboloid, (9, 9)))
+        bundle_sizes.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert bundle_sizes == [5]
 
 
 class TestAffineImage:
