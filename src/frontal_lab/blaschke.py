@@ -26,7 +26,7 @@ from .errors import (UNUSABLE_SAMPLE, DegenerateBasis, DivisionByZeroValue,
                      DomainError, Indeterminate, InsufficientJetOrder,
                      KVanishes, NotExtendable, NotTransversal,
                      SingularIIOmega, SingularPoint)
-from .frame import FrameBundle, Frontal, frame_bundle, vec3_values_on
+from .frame import FrameBundle, Frontal, frame_bundle
 from .jets import Jet, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -244,11 +244,10 @@ def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet, config: Config):
     return a, b
 
 
-def _regular_field(f: Frontal, u1, u2, cfg: Config, order=None):
-    """Affine normal xi = phi n + a w1 + b w2 at regular points, as jets
-    (bundle, phi, sign of K, a, b, xi); DivisionByZeroValue on the
-    singular set."""
-    b = frame_bundle(f, u1, u2, order=order, config=cfg)
+def _regular_field(f: Frontal, b: FrameBundle, u1, u2, cfg: Config):
+    """Affine normal xi = phi n + a w1 + b w2 at regular points u1, u2
+    with frame bundle `b`, as jets (phi, sign of K, a, b, xi);
+    DivisionByZeroValue on the singular set."""
     lam = np.asarray(b.lam_det.value, dtype=float)
     if np.any(np.abs(lam) <= cfg.eps_sing):
         raise DivisionByZeroValue(
@@ -256,7 +255,7 @@ def _regular_field(f: Frontal, u1, u2, cfg: Config, order=None):
     phi, _, sign = _phi_jet(f, b, u1, u2, cfg)
     av, bv = _tangent_coeff_jets(b, phi, cfg)
     xi = b.n.scale(phi) + b.w1.scale(av) + b.w2.scale(bv)
-    return b, phi, sign, av, bv, xi
+    return phi, sign, av, bv, xi
 
 
 class BlaschkeField:
@@ -286,17 +285,11 @@ class BlaschkeField:
 
     def components_jet(self, u1, u2, order=None):
         """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
-        b, phi, _, av, bv, _ = _regular_field(self.frontal, u1, u2,
-                                              self.config, order)
+        b = frame_bundle(self.frontal, u1, u2, order=order,
+                         config=self.config)
+        phi, _, av, bv, _ = _regular_field(self.frontal, b, u1, u2,
+                                           self.config)
         return b, phi, av, bv
-
-    def frame_and_xi(self, u1, u2, order=None):
-        """(bundle, xi jets) at regular points, from one frame bundle."""
-        b, *_, xi = _regular_field(self.frontal, u1, u2, self.config, order)
-        return b, xi
-
-    def xi_jet(self, u1, u2, order=None):
-        return self.frame_and_xi(u1, u2, order)[1]
 
     def nudged_points(self, u1, u2, shift=1e-7):
         """Move points off the singular set along the gradient of det Lambda."""
@@ -329,7 +322,9 @@ class BlaschkeField:
         out = np.empty(shape + (3,), dtype=float)
         regular = np.abs(lam) > cfg.eps_sing
         if np.any(regular):
-            xi = self.xi_jet(u1[regular], u2[regular])
+            u1r, u2r = u1[regular], u2[regular]
+            b = frame_bundle(self.frontal, u1r, u2r, config=cfg)
+            xi = self.as_transversal().jets(b, u1r, u2r)
             out[regular] = xi.values_stacked()
         if np.any(~regular):
             targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
@@ -339,7 +334,8 @@ class BlaschkeField:
     def as_transversal(self):
         """View as a TransversalField over the regular part (jets)."""
         return TransversalField(
-            lambda f, u1, u2, order: self.xi_jet(u1, u2, order),
+            lambda b, u1, u2: _regular_field(self.frontal, b, u1, u2,
+                                             self.config)[-1],
             label="affine normal")
 
 
@@ -387,9 +383,9 @@ def _singular_field(f: Frontal, targets, cfg: Config):
         raise KVanishes("extended curvature vanishes on the singular set")
     n_sing = targets.shape[0]
     bq = frame_bundle(f, targets[:, 0], targets[:, 1], config=cfg)
-    n_at = np.broadcast_to(bq.n.values_stacked(), (n_sing, 3))
-    w1_at = np.broadcast_to(bq.w1.values_stacked(), (n_sing, 3))
-    w2_at = np.broadcast_to(bq.w2.values_stacked(), (n_sing, 3))
+    n_at = bq.n.values_on((n_sing,))
+    w1_at = bq.w1.values_on((n_sing,))
+    w2_at = bq.w2.values_on((n_sing,))
     xis = np.empty((n_sing, 3))
     phis = np.empty(n_sing)
     abv = np.empty((n_sing, 2))
@@ -434,13 +430,14 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     sign_g = np.zeros(u1.shape)
 
     if np.any(regular):
-        br, phi, sign, av, bv, xi = _regular_field(f, u1[regular],
-                                                   u2[regular], cfg)
-        tgt = u1[regular].shape
+        u1r, u2r = u1[regular], u2[regular]
+        br = frame_bundle(f, u1r, u2r, config=cfg)
+        phi, sign, av, bv, xi = _regular_field(f, br, u1r, u2r, cfg)
+        tgt = u1r.shape
         phi_g[regular] = phi.value_on(tgt)
         a_g[regular] = av.value_on(tgt)
         b_g[regular] = bv.value_on(tgt)
-        xi_g[regular] = np.broadcast_to(xi.values_stacked(), tgt + (3,))
+        xi_g[regular] = xi.values_on(tgt)
         sign_g[regular] = np.broadcast_to(sign, tgt)
 
     probe_report = []
@@ -471,7 +468,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     if np.any(regular):
         try:
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
-                f, bf, br, xi, u1[regular], u2[regular], lam[regular], cfg)
+                f, bf, br, xi, u1r, u2r, lam[regular], cfg)
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -504,9 +501,10 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
             "det Lambda vanishes at every verification point; the frontal "
             "violates the hypothesis that the regular set is dense")
     u1r, u2r = u1[regular], u2[regular]
-    b, xi = bf.frame_and_xi(u1r, u2r)
-    max_tau, volume_residual = _tau_volume(f, bf, b, xi, u1r, u2r,
-                                           lam[regular], cfg)
+    b = frame_bundle(f, u1r, u2r, config=cfg)
+    max_tau, volume_residual = _tau_volume(
+        f, bf, b, bf.as_transversal().jets(b, u1r, u2r), u1r, u2r,
+        lam[regular], cfg)
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,
@@ -630,16 +628,20 @@ def rank1_closed_form(h_src, c_src, point):
 # --- conormal field ----------------------------------------------------------------
 
 
+def _conormal_jets(b: FrameBundle, xj):
+    """nu = n / <n, xi> from the frame bundle and the field's jets."""
+    denom = b.n.dot(xj)
+    if np.any(np.asarray(denom.value) == 0.0):
+        raise NotTransversal("<n, xi> vanishes; conormal undefined")
+    return b.n.scale(1.0 / denom)
+
+
 def conormal(f: Frontal, xi: TransversalField, u1, u2, config: Config = None):
     """nu = n / <n, xi>: the unique covector with <nu, xi> = 1 that kills
     the limiting tangent planes; one jet order lower than its inputs."""
     cfg = config or f.config
     b = frame_bundle(f, u1, u2, config=cfg)
-    xj = xi.jets(f, u1, u2, b.order)
-    denom = b.n.dot(xj)
-    if np.any(np.asarray(denom.value) == 0.0):
-        raise NotTransversal("<n, xi> vanishes; conormal undefined")
-    return b.n.scale(1.0 / denom)
+    return _conormal_jets(b, xi.jets(b, u1, u2))
 
 
 def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
@@ -653,9 +655,9 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
     b = frame_bundle(f, u1, u2, config=cfg)
-    xj = xi.jets(f, u1, u2, b.order)
+    xj = xi.jets(b, u1, u2)
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
-    nu = conormal(f, xi, u1, u2, config=cfg)
+    nu = _conormal_jets(b, xj)
 
     def mx(jet):
         return float(np.max(np.abs(np.asarray(jet.value, dtype=float))))
@@ -674,9 +676,7 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
             worst = max(worst, float(np.max(np.abs(got + s.h[..., j, i]))))
     rep["derivative_w"] = worst
 
-    cols = [np.moveaxis(vec3_values_on(nu_u[k], shape), 0, -1)
-            for k in range(2)]
-    J = np.stack(cols, axis=-1)
+    J = np.stack([nu_u[k].values_on(shape) for k in range(2)], axis=-1)
     sv = np.linalg.svd(J, compute_uv=False)
     rep["rank2_everywhere"] = bool(
         np.all(sv[..., 1] > cfg.eps_rank * np.maximum(1.0, sv[..., 0])))

@@ -27,8 +27,9 @@ from .config import Config, load_config
 from .equiaffine import TransversalField, structure_from_field
 from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
                      InputError, UnknownIdentifier, VerificationError)
-from .frame import (frame_bundle, frame_data, mat2_values,
-                    nonparabolic_test, singular_scan, wavefront_test)
+from .frame import (frame_bundle, nonparabolic_test, singular_scan,
+                    wavefront_test)
+from .jets import Jet, _mat_values, triple_product_jet
 from .reconstruct import (affine_align, compat_residual, extract_structure,
                           integrability_residual, integrate_frame,
                           integrate_position, lattice_nodes)
@@ -161,9 +162,9 @@ def cmd_analyze(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "analyze.json"), report)
-        I = mat2_values(b.I, shape)
-        II = mat2_values(b.II, shape)
-        n = np.broadcast_to(b.n.values_stacked(), shape + (3,))
+        I = _mat_values(b.I, shape)
+        II = _mat_values(b.II, shape)
+        n = b.n.values_on(shape)
         cols = {
             "lam_det": scan.lam_det, "K_omega": K_omega,
             "E_omega": I[..., 0, 0], "F_omega": I[..., 0, 1],
@@ -208,8 +209,7 @@ def cmd_blaschke(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "blaschke.json"), report)
-        x = f.x(bf.u1, bf.u2, 0).values_stacked()
-        x = np.broadcast_to(x, bf.u1.shape + (3,))
+        x = f.x(bf.u1, bf.u2, 0).values_on(bf.u1.shape)
         structio.export_obj(os.path.join(args.out, "surface.obj"), x)
         structio.export_field_csv(os.path.join(args.out, "field.csv"),
                                   bf.u1, bf.u2, x, bf.xi)
@@ -234,6 +234,8 @@ def _clean(obj):
 
 def cmd_reconstruct(args):
     config = _build_config(args)
+    if args.step is not None and not args.step > 0:
+        raise InputError(f"--step must be > 0, got {args.step}")
     shape = _parse_grid(args.grid)
     align = None
     if args.input:
@@ -251,7 +253,7 @@ def cmd_reconstruct(args):
                 tuple(float(v) for v in args.field.split(",")))
         sd = extract_structure(f, field, config=config)
 
-    step = args.step or config.rk4_step
+    step = config.rk4_step if args.step is None else args.step
     u1r, u2r, _ = sd.regular_sample(*lattice_nodes(sd, shape), config)
     compat = compat_residual(sd, u1r, u2r)
     sym, row = integrability_residual(sd, u1r, u2r)
@@ -272,8 +274,7 @@ def cmd_reconstruct(args):
     }
     if f is not None:
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
-        x_true = np.broadcast_to(f.x(U1, U2, 0).values_stacked(),
-                                 U1.shape + (3,))
+        x_true = f.x(U1, U2, 0).values_on(U1.shape)
         L, a, sup = affine_align(x, x_true)
         report["alignment"] = {"sup_error": sup, "tolerance": 1e-4,
                                "L": L.tolist(), "a": a.tolist()}
@@ -335,38 +336,41 @@ def run_property_suite(f, config):
                              parallel_volume_check)
     from .errors import KVanishes
     from .frame import affine_image, ii_omega_normal_route
-    from .jets import Jet, triple_product_jet
     rng = np.random.default_rng(20240814)
     a1, b1, a2, b2 = f.domain
     u1 = rng.uniform(a1 + 0.05 * (b1 - a1), b1 - 0.05 * (b1 - a1), 120)
     u2 = rng.uniform(a2 + 0.05 * (b2 - a2), b2 - 0.05 * (b2 - a2), 120)
-    data = frame_data(f, u1, u2, config=config)
-    scale_lam = max(1e-3, 0.01 * float(np.max(np.abs(data.lam_det))))
-    reg = ~data.rank_deficient & (np.abs(data.lam_det) > scale_lam)
+    b = frame_bundle(f, u1, u2, config=config)
+    lam_det = b.lam_det.value_on(u1.shape)
+    K_omega = b.K_omega.value_on(u1.shape)
+    lam = _mat_values(b.lam, u1.shape)
+    I_omega = _mat_values(b.I, u1.shape)
+    II_omega = _mat_values(b.II, u1.shape)
+    I_cl = _mat_values(b.classical_I(), u1.shape)
+    II_cl = _mat_values(b.classical_II(), u1.shape)
+    scale_lam = max(1e-3, 0.01 * float(np.max(np.abs(lam_det))))
+    reg = np.abs(lam_det) > max(config.eps_sing, scale_lam)
     u1r, u2r = u1[reg], u2[reg]
 
-    lam = data.lam
-    I_pred = lam @ data.I_omega @ np.swapaxes(lam, -1, -2)
-    add("first-form factorization", np.max(np.abs(I_pred - data.I_classical)),
-        1e-9 * max(1.0, float(np.max(np.abs(data.I_classical)))))
-    II_pred = lam @ data.II_omega
-    add("second-form factorization",
-        np.max(np.abs(II_pred - data.II_classical)),
-        1e-9 * max(1.0, float(np.max(np.abs(data.II_classical)))))
+    I_pred = lam @ I_omega @ np.swapaxes(lam, -1, -2)
+    add("first-form factorization", np.max(np.abs(I_pred - I_cl)),
+        1e-9 * max(1.0, float(np.max(np.abs(I_cl)))))
+    II_pred = lam @ II_omega
+    add("second-form factorization", np.max(np.abs(II_pred - II_cl)),
+        1e-9 * max(1.0, float(np.max(np.abs(II_cl)))))
 
-    b = frame_bundle(f, u1, u2, config=config)
     alt = ii_omega_normal_route(b)
     add("second-form route agreement",
-        np.max(np.abs(mat2_values(alt) - data.II_omega)), 1e-10)
+        np.max(np.abs(_mat_values(alt) - II_omega)), 1e-10)
 
     ortho = max(float(np.max(np.abs(np.asarray(b.w1.dot(b.n).value)))),
                 float(np.max(np.abs(np.asarray(b.w2.dot(b.n).value)))))
     add("normal orthogonality", ortho, 1e-12)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_ratio = data.K_omega[reg] / data.lam_det[reg]
-        det_ii = np.linalg.det(data.II_classical[reg])
-        det_i = np.linalg.det(data.I_classical[reg])
+        k_ratio = K_omega[reg] / lam_det[reg]
+        det_ii = np.linalg.det(II_cl[reg])
+        det_i = np.linalg.det(I_cl[reg])
         add("curvature ratio vs classical",
             np.max(np.abs(k_ratio - det_ii / det_i))
             / max(1.0, float(np.max(np.abs(k_ratio)))), 1e-8)
@@ -383,17 +387,18 @@ def run_property_suite(f, config):
     add("split-field connection identity", tau_res, 1e-9)
 
     const = TransversalField.constant((0.0, 0.0, 1.0))
-    br = frame_bundle(f, u1r, u2r, config=config)
     theta = np.abs(triple_product_jet(
-        br.w1, br.w2, const.jets(f, u1r, u2r, 1)).value_on(u1r.shape))
+        b.w1, b.w2, const.jets(b, u1, u2)).value_on(u1.shape))[reg]
     tv = theta > 0.1
     if np.any(tv):
         u1t, u2t = u1r[tv], u2r[tv]
-        s1 = structure_from_field(f, const, u1t, u2t, config=config)
+        bt = frame_bundle(f, u1t, u2t, config=config)
+        s1 = structure_from_field(f, const, u1t, u2t, config=config,
+                                  bundle=bt)
         add("constant field equiaffine", np.max(np.abs(s1.tau)), 1e-9)
         s2 = structure_from_field(
             f, TransversalField.constant((0.0, 0.0, 2.0)), u1t, u2t,
-            config=config)
+            config=config, bundle=bt)
         add("relative-form scaling", np.max(np.abs(s2.h - s1.h / 2.0)),
             1e-12 * max(1.0, float(np.max(np.abs(s1.h)))))
 
@@ -435,12 +440,11 @@ def cmd_export(args):
     shape = _parse_grid(args.grid)
     if args.what == "surface":
         u1, u2 = f.grid(shape)
-        x = np.broadcast_to(f.x(u1, u2, 0).values_stacked(), u1.shape + (3,))
+        x = f.x(u1, u2, 0).values_on(u1.shape)
         structio.export_obj(args.out, x)
     elif args.what == "field":
         bf = blaschke_field(f, shape, config=config)
-        x = np.broadcast_to(f.x(bf.u1, bf.u2, 0).values_stacked(),
-                            bf.u1.shape + (3,))
+        x = f.x(bf.u1, bf.u2, 0).values_on(bf.u1.shape)
         structio.export_field_csv(args.out, bf.u1, bf.u2, x, bf.xi)
     elif args.what == "structure":
         if args.field == "blaschke":

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 
+from .errors import InputError
+from .jets import MAX_ORDER
+
 
 @dataclasses.dataclass
 class Config:
@@ -42,6 +45,15 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
+# Settings outside these ranges fail deep inside a run (a jet order the
+# arithmetic has no tables for, a zero or negative RK4 step, a probe with
+# too few radii for its tail test), so they are refused on entry.
+_RANGES = {
+    "jet_order": (lambda v: 0 <= v <= MAX_ORDER, f"0..{MAX_ORDER}"),
+    "rk4_step": (lambda v: v > 0, "> 0"),
+    "probe_levels": (lambda v: v >= 3, ">= 3"),
+}
+
 
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
@@ -74,6 +86,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
+    for key, (ok, allowed) in _RANGES.items():
+        if key in values and not ok(values[key]):
+            raise InputError(f"config key {key} = {values[key]!r} is out of "
+                             f"range; expected {allowed}")
     return Config(**values)
 
 

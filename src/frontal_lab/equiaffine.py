@@ -32,24 +32,28 @@ from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
 
 class TransversalField:
     """A candidate transversal field, as component expressions, a callable,
-    or the split phi*n + a*w1 + b*w2 against a frontal's own frame."""
+    or the split phi*n + a*w1 + b*w2 against a frontal's own frame.
+
+    A field is evaluated against the frame bundle of its points, at the
+    bundle's jet order, so fields built from the frame read it instead of
+    evaluating it again.
+    """
 
     def __init__(self, fn, label="field"):
-        self._fn = fn          # (frontal, u1, u2, order) -> JetVec3
+        self._fn = fn          # (bundle, u1, u2) -> JetVec3 at bundle.order
         self.label = label
 
     @staticmethod
     def from_callable(fn, label="field"):
-        return TransversalField(lambda f, u1, u2, order: fn(u1, u2, order),
-                                label)
+        return TransversalField(lambda b, u1, u2: fn(u1, u2, b.order), label)
 
     @staticmethod
     def constant(vec, label=None):
         vec = tuple(float(v) for v in vec)
 
-        def fn(f, u1, u2, order):
+        def fn(b, u1, u2):
             shape = np.shape(np.asarray(u1, dtype=float))
-            return JetVec3(*(Jet.constant(np.full(shape, v), order)
+            return JetVec3(*(Jet.constant(np.full(shape, v), b.order)
                              for v in vec))
         return TransversalField(fn, label or f"constant{vec}")
 
@@ -63,23 +67,21 @@ class TransversalField:
 
     @staticmethod
     def unit_normal(label="unit normal"):
-        def fn(f, u1, u2, order):
-            return frame_bundle(f, u1, u2, order=order).n
-        return TransversalField(fn, label)
+        return TransversalField(lambda b, u1, u2: b.n, label)
 
     @staticmethod
     def from_split(phi_fn, a_fn, b_fn, label="split field"):
         """phi, a, b: callables (u1, u2, order) -> Jet; field against the
         frontal's own moving basis and unit normal."""
-        def fn(f, u1, u2, order):
-            b = frame_bundle(f, u1, u2, order=order)
-            return (b.n.scale(phi_fn(u1, u2, order))
-                    + b.w1.scale(a_fn(u1, u2, order))
-                    + b.w2.scale(b_fn(u1, u2, order)))
+        def fn(b, u1, u2):
+            return (b.n.scale(phi_fn(u1, u2, b.order))
+                    + b.w1.scale(a_fn(u1, u2, b.order))
+                    + b.w2.scale(b_fn(u1, u2, b.order)))
         return TransversalField(fn, label)
 
-    def jets(self, f: Frontal, u1, u2, order) -> JetVec3:
-        return self._fn(f, u1, u2, order)
+    def jets(self, bundle: FrameBundle, u1, u2) -> JetVec3:
+        """Field jets at u1, u2, whose frame bundle is `bundle`."""
+        return self._fn(bundle, u1, u2)
 
 
 @dataclass
@@ -98,8 +100,7 @@ class EquiaffineStructure:
 
 
 def _stack3(vecs, shape):
-    return np.stack([np.broadcast_to(v.values_stacked(), shape + (3,))
-                     for v in vecs], axis=-1)
+    return np.stack([v.values_on(shape) for v in vecs], axis=-1)
 
 
 def check_transversal(bundle: FrameBundle, xi: JetVec3, eps_rank):
@@ -118,20 +119,13 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
     """Solve the six 3x3 frame systems for (h, D1, D2, S, tau) pointwise."""
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
-    xj = xi_jets if xi_jets is not None else xi.jets(f, u1, u2, b.order)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
+    xj = xi_jets if xi_jets is not None else xi.jets(b, u1, u2)
     check_transversal(b, xj, cfg.eps_rank)
 
     M = _stack3((b.w1, b.w2, xj), shape)
-    w_u = [[b.w1.deriv(0), b.w1.deriv(1)], [b.w2.deriv(0), b.w2.deriv(1)]]
-    rhs = np.stack(
-        [np.broadcast_to(w_u[0][0].values_stacked(), shape + (3,)),
-         np.broadcast_to(w_u[1][0].values_stacked(), shape + (3,)),
-         np.broadcast_to(w_u[0][1].values_stacked(), shape + (3,)),
-         np.broadcast_to(w_u[1][1].values_stacked(), shape + (3,)),
-         np.broadcast_to(xj.deriv(0).values_stacked(), shape + (3,)),
-         np.broadcast_to(xj.deriv(1).values_stacked(), shape + (3,))],
-        axis=-1)
+    rhs = _stack3((b.w1.deriv(0), b.w2.deriv(0), b.w1.deriv(1),
+                   b.w2.deriv(1), xj.deriv(0), xj.deriv(1)), shape)
     sol = np.linalg.solve(M, rhs)          # (..., 3, 6)
 
     resid = M @ sol - rhs
@@ -171,7 +165,7 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
     max |tau - predicted|); both vanish for exact data.
     """
     cfg = config or f.config
-    b = frame_bundle(f, u1, u2)
+    b = frame_bundle(f, u1, u2, config=cfg)
     xi = TransversalField.from_split(phi_fn, a_fn, b_fn)
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b)
 
@@ -208,10 +202,10 @@ def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
     """
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    b = frame_bundle(f, u1, u2)
+    b = frame_bundle(f, u1, u2, config=cfg)
     if np.any(np.abs(np.asarray(b.lam_det.value)) <= cfg.eps_sing):
         raise SingularPoint("volume check sampled on the singular set")
-    xj = xi.jets(f, u1, u2, b.order)
+    xj = xi.jets(b, u1, u2)
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
     theta_j = triple_product_jet(b.w1, b.w2, xj)
     resid = 0.0
@@ -259,7 +253,7 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
     """Regular-part symbols in the basis (x_u1, x_u2, n or xi)."""
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    bnd = frame_bundle(f, u1, u2)
+    bnd = frame_bundle(f, u1, u2, config=cfg)
     lam_det = np.asarray(bnd.lam_det.value)
     if np.any(np.abs(lam_det) <= cfg.eps_sing):
         raise SingularPoint("classical symbols need the regular part")
@@ -267,10 +261,9 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
     x1, x2 = bnd.x_u
     gamma = [_mat_values(g, shape) for g in _gamma_jets(bnd.classical_I())]
 
-    xj = xi.jets(f, u1, u2, bnd.order)
+    xj = xi.jets(bnd, u1, u2)
     M = _stack3((x1, x2, bnd.n), shape)
-    rhs = np.broadcast_to(xj.values_stacked(), shape + (3,))
-    abphi = np.linalg.solve(M, rhs[..., None])[..., 0]
+    abphi = np.linalg.solve(M, xj.values_on(shape)[..., None])[..., 0]
     a_v, b_v, phi = abphi[..., 0], abphi[..., 1], abphi[..., 2]
     if np.any(phi == 0.0):
         raise NotTransversal("<xi, n> vanishes on the sample")
@@ -287,10 +280,7 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
     gamma2_t = gamma[1] - corr2 / phi[..., None, None]
 
     # xi_ui = -b_i^1 x_u1 - b_i^2 x_u2 (+ tau xi); coefficients by solve
-    rhs_b = np.stack([np.broadcast_to(xj.deriv(k).values_stacked(),
-                                      shape + (3,)) for k in range(2)],
-                     axis=-1)
-    sol = np.linalg.solve(M, rhs_b)
+    sol = np.linalg.solve(M, _stack3((xj.deriv(0), xj.deriv(1)), shape))
     b_shape = np.stack([-sol[..., :2, 0], -sol[..., :2, 1]], axis=-2)
     return ClassicalSymbols(gamma1=gamma[0], gamma2=gamma[1],
                             gamma1_t=gamma1_t, gamma2_t=gamma2_t, c=c,

@@ -29,24 +29,8 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
-from .jets import (Jet, JetVec3, _mat_values, det2_jet, inv2_jet,
-                   mat2_mul_jet)
+from .jets import Jet, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
-
-
-def mat2_values(m, shape=None):
-    """(..., 2, 2) value array of a 2x2 jet matrix, broadcast to `shape`
-    when given."""
-    return _mat_values(m, shape)
-
-
-def vec3_values_on(v: "JetVec3", shape):
-    """(3,) + shape value array of a jet 3-vector, padding base dims."""
-    val = v.value()
-    missing = len(shape) - (val.ndim - 1)
-    if missing > 0:
-        val = val.reshape(val.shape[:1] + (1,) * missing + val.shape[1:])
-    return np.broadcast_to(val, (3,) + tuple(shape))
 
 
 class Frontal:
@@ -90,10 +74,6 @@ class Frontal:
         if self._lam is not None:
             return self._lam(u1, u2, order)
         return factor_lambda(self, u1, u2, order, config=self.config)
-
-    def lam_order(self, order):
-        """Order actually carried by lam() when asked for `order`."""
-        return order if self._lam is not None else order - 1
 
     def grid(self, shape):
         """Default evaluation grid; open domains are inset slightly so the
@@ -305,49 +285,6 @@ def ii_omega_normal_route(bundle: FrameBundle):
     return [[w_u[i][j].dot(bundle.n) for j in range(2)] for i in range(2)]
 
 
-@dataclass
-class FrameData:
-    """Per-point values of all first-layer invariants.
-
-    Classical I and II are always filled; at singular points they are
-    rank-deficient and `rank_deficient` flags exactly those points, so
-    downstream consumers must consult it before inverting anything.
-    """
-    I_omega: np.ndarray       # (..., 2, 2)
-    II_omega: np.ndarray
-    mu: np.ndarray
-    T1: np.ndarray
-    T2: np.ndarray
-    lam: np.ndarray
-    lam_det: np.ndarray
-    K_omega: np.ndarray
-    n: np.ndarray             # (..., 3)
-    I_classical: np.ndarray
-    II_classical: np.ndarray
-    rank_deficient: np.ndarray
-
-
-def frame_data(f: Frontal, u1, u2, config: Config = None) -> FrameData:
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    b = frame_bundle(f, u1, u2, config=cfg)
-    lam_det = b.lam_det.value_on(shape)
-    return FrameData(
-        I_omega=_mat_values(b.I, shape),
-        II_omega=_mat_values(b.II, shape),
-        mu=_mat_values(b.mu, shape),
-        T1=_mat_values(b.T[0], shape),
-        T2=_mat_values(b.T[1], shape),
-        lam=_mat_values(b.lam, shape),
-        lam_det=lam_det,
-        K_omega=b.K_omega.value_on(shape),
-        n=np.broadcast_to(b.n.values_stacked(), shape + (3,)),
-        I_classical=_mat_values(b.classical_I(), shape),
-        II_classical=_mat_values(b.classical_II(), shape),
-        rank_deficient=np.abs(lam_det) <= cfg.eps_sing,
-    )
-
-
 # --- grid classification ----------------------------------------------------------
 
 
@@ -401,9 +338,8 @@ def wavefront_test(bundle: FrameBundle, grid, config: Config = DEFAULT):
     n_u = [bundle.n.deriv(0), bundle.n.deriv(1)]
     cols = []
     for k in range(2):
-        col = np.concatenate([vec3_values_on(bundle.x_u[k], u1.shape),
-                              vec3_values_on(n_u[k], u1.shape)], axis=0)
-        cols.append(np.moveaxis(col, 0, -1))
+        cols.append(np.concatenate([bundle.x_u[k].values_on(u1.shape),
+                                    n_u[k].values_on(u1.shape)], axis=-1))
     J = np.stack(cols, axis=-1)          # (..., 6, 2)
     s = np.linalg.svd(J, compute_uv=False)
     ok = s[..., 1] > config.eps_rank * np.maximum(1.0, s[..., 0])

@@ -9,7 +9,8 @@ Coefficients are numpy arrays of a shared broadcastable shape, so one
 Jet can carry a whole grid of base points at once; every operation in
 this module is elementwise over that shape.  All values are immutable
 by convention (nothing here writes into a coefficient array it did not
-allocate), which keeps grid sweeps safe to parallelize.
+allocate), so one frame bundle can be shared by every consumer of a
+point set.
 
 Binary operations truncate to the smaller operand order; requesting a
 partial beyond the carried order raises InsufficientJetOrder.
@@ -343,6 +344,11 @@ class JetVec3:
     def values_stacked(self):
         """(..., 3) array of component values (base shape leading)."""
         return np.moveaxis(self.value(), 0, -1)
+
+    def values_on(self, shape):
+        """(..., 3) component values broadcast to `shape` + (3,) (a
+        read-only view)."""
+        return np.broadcast_to(self.values_stacked(), tuple(shape) + (3,))
 
 
 def _broadcast_jets(jets):

@@ -35,7 +35,7 @@ from .config import DEFAULT, Config
 from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
                      DegenerateMetric, FrameDegenerate, InputError,
                      IntegrabilityViolated, RankDeficient, SingularPoint)
-from .frame import Frontal, frame_bundle, vec3_values_on
+from .frame import Frontal, frame_bundle
 from .jets import Jet, JetVec3, _mat_values, mat2_mul_jet, triple_product_jet
 
 
@@ -200,15 +200,15 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
         basepoint = (lo1, lo2)
 
     is_blaschke = isinstance(xi_field, BlaschkeField)
+    xi = xi_field.as_transversal() if is_blaschke else xi_field
 
     def frame_and_xi(u1, u2):
         """Frame bundle and field jets at the evaluation points; the
         Blaschke field evaluates both at the nudged points."""
         if is_blaschke:
-            return xi_field.frame_and_xi(*xi_field.nudged_points(u1, u2),
-                                         cfg.jet_order)
-        xj = xi_field.jets(f, u1, u2, cfg.jet_order)
-        return frame_bundle(f, u1, u2, config=cfg), xj
+            u1, u2 = xi_field.nudged_points(u1, u2)
+        b = frame_bundle(f, u1, u2, config=cfg)
+        return b, xi.jets(b, u1, u2)
 
     def structure_jets(u1, u2, order):
         u1 = np.asarray(u1, dtype=float)
@@ -260,10 +260,9 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
     q1 = np.asarray([basepoint[0]])
     q2 = np.asarray([basepoint[1]])
     b0, xj0 = frame_and_xi(q1, q2)
-    W0 = np.stack([vec3_values_on(b0.w1, (1,))[:, 0],
-                   vec3_values_on(b0.w2, (1,))[:, 0],
-                   vec3_values_on(xj0, (1,))[:, 0]], axis=-1)
-    p0 = vec3_values_on(f.x(q1, q2, 0), (1,))[:, 0]
+    W0 = np.stack([b0.w1.values_on((1,))[0], b0.w2.values_on((1,))[0],
+                   xj0.values_on((1,))[0]], axis=-1)
+    p0 = f.x(q1, q2, 0).values_on((1,))[0]
 
     return StructureData(
         domain=(lo1, hi1, lo2, hi2), basepoint=tuple(map(float, basepoint)),

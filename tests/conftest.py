@@ -37,7 +37,7 @@ def ex510():
 
 def regular_points(f, n, seed=0, margin=0.05, min_lam=1e-2):
     """Random interior points away from the singular set."""
-    from frontal_lab.frame import frame_data
+    from frontal_lab.frame import frame_bundle
     rng = np.random.default_rng(seed)
     a1, b1, a2, b2 = f.domain
     out1, out2 = [], []
@@ -46,7 +46,7 @@ def regular_points(f, n, seed=0, margin=0.05, min_lam=1e-2):
                          4 * n)
         u2 = rng.uniform(a2 + margin * (b2 - a2), b2 - margin * (b2 - a2),
                          4 * n)
-        lam = frame_data(f, u1, u2).lam_det
+        lam = frame_bundle(f, u1, u2).lam_det.value_on(u1.shape)
         keep = np.abs(lam) > min_lam
         out1.extend(u1[keep][: n - len(out1)])
         out2.extend(u2[keep][: n - len(out2)])

@@ -29,7 +29,7 @@ from frontal_lab.equiaffine import (TransversalField, d_from_gamma,
 from frontal_lab.errors import (CompatibilityViolated, KVanishes,
                                 NotExtendable)
 from frontal_lab.frame import (Frontal, affine_image, frame_bundle,
-                               frame_data, singular_scan)
+                               singular_scan)
 from frontal_lab.jets import INDICES, Jet, fd_jet
 from frontal_lab.reconstruct import (ExprField, StructureData, affine_align,
                                      extract_structure, integrate_frame,
@@ -85,8 +85,8 @@ class TestCriterion3:
         u2 = rng.uniform(-0.95, 0.95, 200)
         keep = np.abs(u2) > 0.02
         u1, u2 = u1[keep], u2[keep]
-        data = frame_data(numeric, u1, u2)
-        K = data.K_omega / data.lam_det
+        b = frame_bundle(numeric, u1, u2)
+        K = b.K_omega.value_on(u1.shape) / b.lam_det.value_on(u1.shape)
         ref_mag = expr.eval_num(mag_ast, {"u1": u1, "u2": u2})
         ref_signed = expr.eval_num(signed_ast, {"u1": u1, "u2": u2})
         reg_err = float(np.max(np.abs(np.abs(K) - ref_mag)
@@ -110,7 +110,7 @@ class TestCriterion4:
         exact = entry.known["lambda_det"] == "2*u2"
         u1, u2 = ex58.interior_grid((15, 15), margin=0.02)
         lam_err = float(np.max(np.abs(
-            frame_data(ex58, u1, u2).lam_det
+            frame_bundle(ex58, u1, u2).lam_det.value_on(u1.shape)
             - expr.eval_num(expr.parse("2*u2"), {"u1": u1, "u2": u2}))))
 
         rng = np.random.default_rng(58)
@@ -286,7 +286,7 @@ class TestCriterion9:
             b = frame_bundle(f, u1, u2)
             from frontal_lab.jets import triple_product_jet
             theta = np.abs(np.asarray(triple_product_jet(
-                b.w1, b.w2, VERTICAL.jets(f, u1, u2, 1)).value))
+                b.w1, b.w2, VERTICAL.jets(b, u1, u2)).value))
             keep = np.broadcast_to(theta, u1.shape) > 0.1
             u1, u2 = u1[keep], u2[keep]
             s = structure_from_field(f, VERTICAL, u1, u2)
@@ -346,11 +346,12 @@ class TestCriterion11:
             flat_refused = True
 
         bf = blaschke_field(ex510, shape=(15, 15))
+        xi = bf.as_transversal()
         doubled = TransversalField(
-            lambda f, u1, u2, order: bf.xi_jet(u1, u2, order).scale(2.0))
+            lambda b, u1, u2: xi.jets(b, u1, u2).scale(2.0))
         u1, u2 = regular_points(ex510, 20, seed=11)
         s = structure_from_field(ex510, doubled, u1, u2)
-        lam = frame_data(ex510, u1, u2).lam_det
+        lam = frame_bundle(ex510, u1, u2).lam_det.value_on(u1.shape)
         det_h = (s.h[..., 0, 0] * s.h[..., 1, 1]
                  - s.h[..., 0, 1] * s.h[..., 1, 0])
         vol = float(np.min(np.abs(

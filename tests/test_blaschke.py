@@ -13,7 +13,7 @@ from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField, structure_from_field
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 FrontalLabError, KVanishes, NotExtendable)
-from frontal_lab.frame import Frontal, frame_bundle, frame_data
+from frontal_lab.frame import Frontal, frame_bundle
 from frontal_lab.jets import Jet
 
 
@@ -117,12 +117,13 @@ class TestBlaschkeVerify:
 
     def test_scaled_field_fails_volume_match(self, ex510):
         bf = blaschke_field(ex510, shape=(15, 15))
+        xi = bf.as_transversal()
         doubled = TransversalField(
-            lambda f, u1, u2, order: bf.xi_jet(u1, u2, order).scale(2.0),
+            lambda b, u1, u2: xi.jets(b, u1, u2).scale(2.0),
             label="2x affine normal")
         u1, u2 = regular_points(ex510, 25, seed=1)
         s = structure_from_field(ex510, doubled, u1, u2)
-        lam = frame_data(ex510, u1, u2).lam_det
+        lam = frame_bundle(ex510, u1, u2).lam_det.value_on(u1.shape)
         det_h = (s.h[..., 0, 0] * s.h[..., 1, 1]
                  - s.h[..., 0, 1] * s.h[..., 1, 0])
         ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
@@ -240,9 +241,7 @@ class TestConormal:
     def test_doubled_normal_halves(self, paraboloid):
         u1, u2 = regular_points(paraboloid, 10, seed=3)
         b = frame_bundle(paraboloid, u1, u2)
-        doubled = TransversalField(
-            lambda f, a, c, order: frame_bundle(f, a, c, order=order).n
-            .scale(2.0))
+        doubled = TransversalField(lambda bundle, a, c: bundle.n.scale(2.0))
         nu = conormal(paraboloid, doubled, u1, u2)
         assert np.max(np.abs(nu.values_stacked()
                              - b.n.values_stacked() / 2.0)) < 1e-12

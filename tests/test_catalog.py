@@ -7,7 +7,8 @@ from frontal_lab import expr
 from frontal_lab.catalog import ENTRIES, GENERATORS, get_entry, list_entries
 from frontal_lab.config import Config
 from frontal_lab.errors import InputError, QuadratureNonConvergent
-from frontal_lab.frame import frame_data
+from frontal_lab.frame import frame_bundle
+from frontal_lab.jets import _mat_values
 
 
 class TestEntries:
@@ -42,9 +43,9 @@ class TestEntries:
 
     def test_factor_determinant_matches_expression(self, ex58):
         u1, u2 = ex58.interior_grid((9, 9), margin=0.02)
-        data = frame_data(ex58, u1, u2)
+        lam_det = frame_bundle(ex58, u1, u2).lam_det.value_on(u1.shape)
         ref = expr.eval_num(expr.parse("2*u2"), {"u1": u1, "u2": u2})
-        np.testing.assert_allclose(data.lam_det, ref, atol=1e-12)
+        np.testing.assert_allclose(lam_det, ref, atol=1e-12)
 
 
 class TestRank1Generator:
@@ -65,8 +66,8 @@ class TestRank1Generator:
                            "domain": (-1.0, 1.0, 0.25, 1.0)})
         f = entry.build()
         u1, u2 = f.grid((9, 9))
-        data = frame_data(f, u1, u2)
-        np.testing.assert_allclose(data.lam_det, 12 * u2 ** 2, atol=1e-9)
+        lam_det = frame_bundle(f, u1, u2).lam_det.value_on(u1.shape)
+        np.testing.assert_allclose(lam_det, 12 * u2 ** 2, atol=1e-9)
 
     def test_reproduces_rank1_catalog_entry(self, ex510):
         # the quartic potential regenerates the catalog wave front exactly
@@ -154,12 +155,12 @@ class TestNonparabolicGenerator:
                            "domain": (0.25, 1.0, 0.25, 1.0)})
         f = entry.build()
         u1, u2 = f.grid((7, 7))
-        data = frame_data(f, u1, u2)
+        lam = _mat_values(frame_bundle(f, u1, u2).lam, u1.shape)
         # factor is the Jacobian of (a, b)
-        np.testing.assert_allclose(data.lam[..., 0, 0], 1.0, atol=1e-9)
-        np.testing.assert_allclose(data.lam[..., 0, 1], u2, atol=1e-9)
-        np.testing.assert_allclose(data.lam[..., 1, 0], u2, atol=1e-9)
-        np.testing.assert_allclose(data.lam[..., 1, 1], u1, atol=1e-9)
+        np.testing.assert_allclose(lam[..., 0, 0], 1.0, atol=1e-9)
+        np.testing.assert_allclose(lam[..., 0, 1], u2, atol=1e-9)
+        np.testing.assert_allclose(lam[..., 1, 0], u2, atol=1e-9)
+        np.testing.assert_allclose(lam[..., 1, 1], u1, atol=1e-9)
 
     def test_bad_generator_params_rejected(self):
         with pytest.raises(InputError):

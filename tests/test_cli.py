@@ -240,6 +240,30 @@ class TestGridSpec:
         assert "SingularPoint" in err and "dense" in err
 
 
+_RECONSTRUCT_PARA = ["reconstruct", "--entry", "paraboloid", "--field",
+                     "0,0,1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_RECONSTRUCT_PARA + ["--set", "rk4_step=0"], "rk4_step = 0.0"),
+    (_RECONSTRUCT_PARA + ["--set", "rk4_step=-0.001"], "rk4_step = -0.001"),
+    (_RECONSTRUCT_PARA + ["--step", "-0.5"], "--step must be > 0"),
+    (_RECONSTRUCT_PARA + ["--step", "0"], "--step must be > 0"),
+    (["analyze", "--entry", "ex-5.9", "--set", "jet_order=5"],
+     "jet_order = 5 is out of range; expected 0..3"),
+    (["analyze", "--entry", "ex-5.9", "--set", "jet_order=-1"],
+     "jet_order = -1 is out of range; expected 0..3"),
+    (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "probe_levels=2"],
+     "probe_levels = 2 is out of range; expected >= 3"),
+], ids=["rk4_step=0", "rk4_step<0", "step<0", "step=0", "jet_order=5",
+        "jet_order=-1", "probe_levels=2"])
+def test_out_of_range_settings_are_input_errors(argv, message, capsys):
+    assert run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
                                        "ex-5.9", "ex-5.10"])

@@ -197,9 +197,9 @@ class TestStructureProperties:
         # transversal field induces a nondegenerate relative form
         rng = np.random.default_rng(15)
         u1, u2 = regular_points(ex510, 30, seed=15)
-        from frontal_lab.frame import frame_data
-        data = frame_data(ex510, u1, u2)
-        strong = np.abs(data.K_omega) > 1e-4
+        from frontal_lab.frame import frame_bundle
+        K_omega = frame_bundle(ex510, u1, u2).K_omega.value_on(u1.shape)
+        strong = np.abs(K_omega) > 1e-4
         field = TransversalField.from_expressions(
             ["1/10", "u1/7", "1 + u2^2/3"])
         s = structure_from_field(ex510, field, u1[strong], u2[strong])

@@ -7,20 +7,19 @@ import pytest
 
 from conftest import regular_points
 from frontal_lab import cli, expr
-from frontal_lab.blaschke import blaschke_field
+from frontal_lab.blaschke import blaschke_field, conormal_verify
+from frontal_lab.equiaffine import TransversalField, check_tau_formula
 from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
-                               frame_bundle, frame_data,
-                               frontal_from_expressions,
-                               ii_omega_normal_route, mat2_values,
-                               nonparabolic_test, singular_scan, unit_normal,
-                               wavefront_test)
+                               frame_bundle, frontal_from_expressions,
+                               ii_omega_normal_route, nonparabolic_test,
+                               singular_scan, unit_normal, wavefront_test)
 from frontal_lab.reconstruct import extract_structure
-from frontal_lab.jets import Jet, JetVec3
+from frontal_lab.jets import Jet, JetVec3, _mat_values
 
 
 def lam_values(lam, shape=()):
-    return mat2_values(lam)
+    return _mat_values(lam)
 
 
 def sweep(test, f, shape):
@@ -85,22 +84,25 @@ class TestUnitNormal:
 class TestFrameData:
     def test_quintic_edge_lambda_det(self, ex59):
         u1, u2 = regular_points(ex59, 20, seed=1)
-        data = frame_data(ex59, u1, u2)
-        np.testing.assert_allclose(data.lam_det, 2 * u2, atol=1e-12)
+        b = frame_bundle(ex59, u1, u2)
+        np.testing.assert_allclose(b.lam_det.value_on(u1.shape), 2 * u2,
+                                   atol=1e-12)
 
     def test_rank1_wavefront_lambda_at_point(self, ex510):
         # det Lambda of the printed factor diag(1, 12 u1^2 - 12 u2^2);
         # the catalog keeps the factor itself, so the determinant at
         # (1, 0) is +12.
-        data = frame_data(ex510, np.array([1.0]), np.array([0.0]))
-        assert data.lam_det[0] == pytest.approx(12.0, abs=1e-12)
+        b = frame_bundle(ex510, np.array([1.0]), np.array([0.0]))
+        assert b.lam_det.value_on((1,))[0] == pytest.approx(12.0, abs=1e-12)
 
     def test_plane_is_flat(self, plane):
         u1, u2 = plane.grid((7, 7))
-        data = frame_data(plane, u1, u2)
-        np.testing.assert_allclose(data.II_omega, 0.0, atol=1e-14)
-        np.testing.assert_allclose(data.K_omega, 0.0, atol=1e-14)
-        np.testing.assert_allclose(data.I_omega,
+        b = frame_bundle(plane, u1, u2)
+        np.testing.assert_allclose(_mat_values(b.II, u1.shape), 0.0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(b.K_omega.value_on(u1.shape), 0.0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(_mat_values(b.I, u1.shape),
                                    np.broadcast_to(np.eye(2),
                                                    u1.shape + (2, 2)),
                                    atol=1e-14)
@@ -115,27 +117,30 @@ class TestFrameData:
 
     def test_form_factorizations(self, ex59):
         u1, u2 = regular_points(ex59, 40, seed=3)
-        data = frame_data(ex59, u1, u2)
-        I_pred = data.lam @ data.I_omega @ np.swapaxes(data.lam, -1, -2)
-        scale = max(1.0, float(np.max(np.abs(data.I_classical))))
-        assert np.max(np.abs(I_pred - data.I_classical)) < 1e-9 * scale
-        II_pred = data.lam @ data.II_omega
-        scale = max(1.0, float(np.max(np.abs(data.II_classical))))
-        assert np.max(np.abs(II_pred - data.II_classical)) < 1e-9 * scale
+        b = frame_bundle(ex59, u1, u2)
+        lam = _mat_values(b.lam, u1.shape)
+        I_cl = _mat_values(b.classical_I(), u1.shape)
+        II_cl = _mat_values(b.classical_II(), u1.shape)
+        I_pred = lam @ _mat_values(b.I, u1.shape) @ np.swapaxes(lam, -1, -2)
+        scale = max(1.0, float(np.max(np.abs(I_cl))))
+        assert np.max(np.abs(I_pred - I_cl)) < 1e-9 * scale
+        II_pred = lam @ _mat_values(b.II, u1.shape)
+        scale = max(1.0, float(np.max(np.abs(II_cl))))
+        assert np.max(np.abs(II_pred - II_cl)) < 1e-9 * scale
 
     def test_second_form_two_routes(self, ex58):
         u1, u2 = regular_points(ex58, 30, seed=4)
         b = frame_bundle(ex58, u1, u2)
-        alt = mat2_values(ii_omega_normal_route(b))
-        got = mat2_values(b.II)
+        alt = _mat_values(ii_omega_normal_route(b))
+        got = _mat_values(b.II)
         assert np.max(np.abs(alt - got)) < 1e-10
 
     def test_gauss_vs_classical(self, ex510):
         u1, u2 = regular_points(ex510, 40, seed=5)
-        data = frame_data(ex510, u1, u2)
-        k1 = data.K_omega / data.lam_det
-        k2 = (np.linalg.det(data.II_classical)
-              / np.linalg.det(data.I_classical))
+        b = frame_bundle(ex510, u1, u2)
+        k1 = b.K_omega.value_on(u1.shape) / b.lam_det.value_on(u1.shape)
+        k2 = (np.linalg.det(_mat_values(b.classical_II(), u1.shape))
+              / np.linalg.det(_mat_values(b.classical_I(), u1.shape)))
         assert np.max(np.abs(k1 - k2)) < 1e-8 * max(1.0, np.max(np.abs(k1)))
 
 
@@ -158,11 +163,12 @@ class TestBasisChange:
         alt = Frontal("ex59-tmb2", ex59._x, omega2, ex59.domain, lam=lam2,
                       open_domain=True)
         u1, u2 = ex59.grid((21, 21))
-        d0 = frame_data(ex59, u1, u2)
-        d1 = frame_data(alt, u1, u2)
-        np.testing.assert_array_equal(np.sign(d0.lam_det),
-                                      np.sign(d1.lam_det))
-        assert np.max(np.abs(np.sign(d0.K_omega) - np.sign(d1.K_omega))) == 0
+        b0 = frame_bundle(ex59, u1, u2)
+        b1 = frame_bundle(alt, u1, u2)
+        np.testing.assert_array_equal(np.sign(b0.lam_det.value_on(u1.shape)),
+                                      np.sign(b1.lam_det.value_on(u1.shape)))
+        assert np.max(np.abs(np.sign(b0.K_omega.value_on(u1.shape))
+                             - np.sign(b1.K_omega.value_on(u1.shape)))) == 0
 
 
 class TestClassification:
@@ -308,6 +314,37 @@ class TestBundleCounts:
         u1 = np.linspace(-0.5, 0.5, 5)
         sd.aug_values(u1, 0.3 * u1 + 0.1)
         assert bundle_sizes == [5]
+
+    def test_normal_extraction_builds_one_bundle(self, bundle_sizes,
+                                                 paraboloid):
+        sd = extract_structure(paraboloid, TransversalField.unit_normal())
+        bundle_sizes.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert bundle_sizes == [5]
+
+    def test_conormal_verify_builds_one_bundle(self, bundle_sizes,
+                                               paraboloid):
+        u1 = np.linspace(-0.5, 0.5, 7)
+        conormal_verify(paraboloid, TransversalField.constant((0, 0, 1)),
+                        u1, 0.3 * u1 + 0.1)
+        assert bundle_sizes == [7]
+
+    def test_tau_formula_builds_one_bundle(self, bundle_sizes, paraboloid):
+        def const(v):
+            return lambda a, b, order: Jet.constant(np.full(np.shape(a), v),
+                                                    order)
+
+        u1 = np.linspace(-0.5, 0.5, 7)
+        check_tau_formula(paraboloid, const(1.0), const(0.0), const(0.0),
+                          u1, 0.3 * u1 + 0.1)
+        assert bundle_sizes == [7]
+
+    def test_check_bundle_count(self, bundle_sizes, capsys):
+        # 1 on the 120 suite points, 5 on their regular part and 7 inside
+        # the two affine-normal fields of the equivariance check
+        assert cli.main(["check", "--entry", "ex-5.10"]) == 0
+        assert len(bundle_sizes) == 13
 
 
 class TestAffineImage:

@@ -175,11 +175,10 @@ class TestIntegrateFrame:
         sd = extract_structure(ex510, VERTICAL)
         ff = integrate_frame(sd, shape=(11, 11), step=2e-3)
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
-        from frontal_lab.frame import frame_bundle, vec3_values_on
+        from frontal_lab.frame import frame_bundle
         b = frame_bundle(ex510, U1, U2)
         W_true = np.stack([
-            np.moveaxis(vec3_values_on(b.w1, U1.shape), 0, -1),
-            np.moveaxis(vec3_values_on(b.w2, U1.shape), 0, -1),
+            b.w1.values_on(U1.shape), b.w2.values_on(U1.shape),
             np.broadcast_to([0.0, 0.0, 1.0], U1.shape + (3,))], axis=-1)
         assert np.max(np.abs(ff.W - W_true)) < 1e-5
 

@@ -1,0 +1,111 @@
+"""Digest the outputs of a fixed list of frontal-lab commands.
+
+    python3 tools/report_digests.py SRC OUTDIR
+
+Imports frontal_lab from SRC (the `src/` directory of a checkout), runs
+each command of the list in-process through `cli.main`, and prints one
+line per command: the sha256 of its exit code, stdout, stderr and every
+file it wrote, then the exit code and the command.  OUTDIR must be empty
+or absent; each command writes under OUTDIR/<group>, so a report that
+prints a path prints the same path on every checkout.
+
+Run it on two checkouts with the same OUTDIR (emptied in between) and
+diff the two outputs: equal lines mean byte-identical reports and files.
+
+The list: the seed-0 jobs of the three benchmark workloads (read from
+bench/workloads.py next to this file), `check` on every fixed catalog
+entry, structure export with the unit-normal, constant and Blaschke
+fields, reconstruction with the unit normal, and `blaschke` on a
+frontal file written by `catalog --save`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXED_ENTRIES = ("plane", "paraboloid", "ex-5.8", "ex-5.9", "ex-5.10")
+
+
+def command_list():
+    """(group, argv) pairs; "{out}" in argv is the group's output dir."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import WORKLOADS
+    cmds = [(name, job.argv) for name in WORKLOADS
+            for job in WORKLOADS[name](0)]
+    cmds += [(f"check-{entry}", ["check", "--entry", entry])
+             for entry in FIXED_ENTRIES
+             if ["check", "--entry", entry] not in [c[1] for c in cmds]]
+    for field in ("normal", "0,0,1", "blaschke"):
+        cmds.append((f"structure-{field}",
+                     ["export", "--entry", "ex-5.9", "--what", "structure",
+                      f"--field={field}", "--grid", "17x17",
+                      "--out", "{out}/s.json"]))
+    cmds.append(("reconstruct-normal",
+                 ["reconstruct", "--entry", "ex-5.9", "--field", "normal",
+                  "--out", "{out}"]))
+    cmds.append(("frontal-file",
+                 ["catalog", "paraboloid", "--save", "{out}/para.json"]))
+    cmds.append(("frontal-file",
+                 ["blaschke", "--input", "{out}/para.json", "--grid", "9x9",
+                  "--out", "{out}/bl"]))
+    return cmds
+
+
+def _files(root):
+    """{relative path: (mtime_ns, sha256)} of every file under root."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out[os.path.relpath(path, root)] = (os.stat(path).st_mtime_ns,
+                                                digest)
+    return out
+
+
+def run(cli, argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; an escaping
+    exception is reported by its type and message, not its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # noqa: BLE001 - the digest records it
+            rc = f"raised {type(exc).__name__}: {exc}"
+    return rc, out.getvalue(), err.getvalue()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        sys.exit("usage: python3 tools/report_digests.py SRC OUTDIR")
+    src, outdir = (os.path.abspath(a) for a in argv)
+    if os.path.isdir(outdir) and os.listdir(outdir):
+        sys.exit(f"{outdir} is not empty")
+    sys.path.insert(0, src)
+    from frontal_lab import cli
+    for group, template in command_list():
+        out = os.path.join(outdir, group)
+        os.makedirs(out, exist_ok=True)
+        before = _files(outdir)
+        rc, stdout, stderr = run(
+            cli, [a.replace("{out}", out) for a in template])
+        after = _files(outdir)
+        h = hashlib.sha256(repr(rc).encode())
+        for text in (stdout, stderr):
+            h.update(hashlib.sha256(text.encode()).digest())
+        for path in sorted(p for p in after if after[p] != before.get(p)):
+            h.update(path.encode() + after[path][1].encode())
+        print(f"{h.hexdigest()}  {rc}  {' '.join(template)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
