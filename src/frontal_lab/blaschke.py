@@ -27,7 +27,7 @@ from .errors import (UNUSABLE_SAMPLE, DegenerateBasis, DivisionByZeroValue,
                      KVanishes, NotExtendable, NotTransversal,
                      SingularIIOmega, SingularPoint)
 from .frame import FrameBundle, Frontal, frame_bundle
-from .jets import Jet, det2_jet, inv2_jet
+from .jets import MAX_ORDER, Jet, det2_jet, inv2_jet
 from . import expr as expr_mod
 
 
@@ -283,7 +283,7 @@ class BlaschkeField:
 
     # -- evaluation --------------------------------------------------------
 
-    def components_jet(self, u1, u2, order=None):
+    def components_jet(self, u1, u2, order=MAX_ORDER):
         """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
         b = frame_bundle(self.frontal, u1, u2, order=order,
                          config=self.config)
@@ -502,9 +502,14 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
             "violates the hypothesis that the regular set is dense")
     u1r, u2r = u1[regular], u2[regular]
     b = frame_bundle(f, u1r, u2r, config=cfg)
-    max_tau, volume_residual = _tau_volume(
-        f, bf, b, bf.as_transversal().jets(b, u1r, u2r), u1r, u2r,
-        lam[regular], cfg)
+    xi = bf.as_transversal().jets(b, u1r, u2r)
+    if xi.order < 1:
+        raise InsufficientJetOrder(
+            f"tau needs order-1 affine-normal jets, but on {f.name} the field "
+            f"carries order {xi.order} from order-{b.order} frame jets"
+            + ("" if f.gauss else " (no closed-form Gauss curvature)"))
+    max_tau, volume_residual = _tau_volume(f, bf, b, xi, u1r, u2r,
+                                           lam[regular], cfg)
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,
@@ -566,22 +571,20 @@ def extension_condition(f: Frontal, which, point, config: Config = None):
     the constructive extension consumes.
     """
     cfg = config or f.config
-    order = cfg.jet_order
 
-    def lam_fn(u1, u2):
-        return f.lam(u1, u2, order)
-
+    # the certificate reads first derivatives of Lambda, I_Omega and E, F, G
     def i_omega_fn(u1, u2):
-        w1, w2 = f.omega(u1, u2, order)
+        w1, w2 = f.omega(u1, u2, 1)
         return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
 
     def efg_fn(u1, u2):
-        xj = f.x(u1, u2, order)
+        xj = f.x(u1, u2, 2)
         xu = [xj.deriv(0), xj.deriv(1)]
         return xu[0].dot(xu[0]), xu[0].dot(xu[1]), xu[1].dot(xu[1])
 
-    return extension_condition_fields(lam_fn, i_omega_fn, efg_fn, which,
-                                      point, f.domain, cfg)
+    return extension_condition_fields(lambda u1, u2: f.lam(u1, u2, 1),
+                                      i_omega_fn, efg_fn, which, point,
+                                      f.domain, cfg)
 
 
 # --- closed form for the rank-1 wave-front class --------------------------------------
@@ -645,7 +648,7 @@ def conormal(f: Frontal, xi: TransversalField, u1, u2, config: Config = None):
 
 
 def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
-                    config: Config = None):
+                    config: Config = None, bundle: FrameBundle = None):
     """Residuals of the defining and derivative identities of the conormal.
 
     Checks <nu, xi> = 1, <nu, w_i> = 0, <nu_ui, xi> = 0 and the pairing
@@ -654,7 +657,7 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     """
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    b = frame_bundle(f, u1, u2, config=cfg)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
     xj = xi.jets(b, u1, u2)
     s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
     nu = _conormal_jets(b, xj)

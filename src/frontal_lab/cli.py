@@ -402,16 +402,18 @@ def run_property_suite(f, config):
         add("relative-form scaling", np.max(np.abs(s2.h - s1.h / 2.0)),
             1e-12 * max(1.0, float(np.max(np.abs(s1.h)))))
 
-        vol_res, _ = parallel_volume_check(f, const, u1t, u2t, config=config)
+        vol_res, _ = parallel_volume_check(f, const, u1t, u2t, config=config,
+                                           bundle=bt)
         add("parallel volume identity", vol_res,
             1e-8 * max(1.0, float(np.max(theta[tv]))))
 
-        D1g, D2g = d_from_gamma(f, const, u1t, u2t, config=config)
+        D1g, D2g = d_from_gamma(f, const, u1t, u2t, config=config,
+                                bundle=bt)
         route = max(float(np.max(np.abs(D1g - s1.D1))),
                     float(np.max(np.abs(D2g - s1.D2))))
         add("connection-block route agreement", route, 1e-8)
 
-        rep = conormal_verify(f, const, u1t, u2t, config=config)
+        rep = conormal_verify(f, const, u1t, u2t, config=config, bundle=bt)
         add("conormal identities",
             max(rep["pairing_xi"], rep["pairing_w"], rep["derivative_xi"],
                 rep["derivative_w"]), 1e-8)

@@ -1,8 +1,8 @@
 """Tolerances and numerical knobs, overridable from a key=value file.
 
-Defaults reflect double precision driven through order-3 jets, which
-loses roughly six digits in the worst chains; every gate that a test or
-report judges against lives here so runs are reproducible.
+Defaults reflect double precision, which loses roughly six digits in the
+worst chains; every gate that a test or report judges against lives here
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import InputError
-from .jets import MAX_ORDER
 
 
 @dataclasses.dataclass
@@ -34,8 +33,7 @@ class Config:
     tol_path: float = 1e-4        # path-independence audit gate
     rk4_step: float = 1e-3
 
-    # jets / quadrature
-    jet_order: int = 3
+    # quadrature
     quad_nodes: int = 32
     quad_max_nodes: int = 512
 
@@ -45,13 +43,20 @@ class Config:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
-# Settings outside these ranges fail deep inside a run (a jet order the
-# arithmetic has no tables for, a zero or negative RK4 step, a probe with
-# too few radii for its tail test), so they are refused on entry.
+# Settings outside these ranges fail deep inside a run or make it report a
+# mathematical failure it never tested (a zero or negative RK4 step, a
+# quadrature rule without nodes, a probe with no directions, too few radii
+# for its tail test or radii that do not shrink, a negative gate), so they
+# are refused on entry.
 _RANGES = {
-    "jet_order": (lambda v: 0 <= v <= MAX_ORDER, f"0..{MAX_ORDER}"),
     "rk4_step": (lambda v: v > 0, "> 0"),
+    "quad_nodes": (lambda v: v >= 1, ">= 1"),
+    "probe_directions": (lambda v: v >= 1, ">= 1"),
     "probe_levels": (lambda v: v >= 3, ">= 3"),
+    "probe_r0": (lambda v: v > 0, "> 0"),
+    "probe_ratio": (lambda v: 0 < v < 1, "strictly between 0 and 1"),
+    **{name: (lambda v: v >= 0, ">= 0") for name in _FIELD_TYPES
+       if name.startswith(("eps_", "tol_"))},
 }
 
 
@@ -86,11 +91,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
+    cfg = Config(**values)
     for key, (ok, allowed) in _RANGES.items():
-        if key in values and not ok(values[key]):
-            raise InputError(f"config key {key} = {values[key]!r} is out of "
-                             f"range; expected {allowed}")
-    return Config(**values)
+        if not ok(getattr(cfg, key)):
+            raise InputError(f"config key {key} = {getattr(cfg, key)!r} is "
+                             f"out of range; expected {allowed}")
+    # integrate_jet doubles quad_nodes until it passes quad_max_nodes
+    if not cfg.quad_max_nodes > cfg.quad_nodes:
+        raise InputError(f"config key quad_max_nodes = {cfg.quad_max_nodes!r} "
+                         f"must exceed quad_nodes = {cfg.quad_nodes!r}")
+    return cfg
 
 
 DEFAULT = Config()

@@ -192,7 +192,7 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
 
 
 def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
-                          config: Config = None):
+                          config: Config = None, bundle: FrameBundle = None):
     """Residual of the derivative identity for the induced volume.
 
     d/du_k theta(w1, w2) always equals (trace D_k + tau_k) theta; the
@@ -202,7 +202,7 @@ def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
     """
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    b = frame_bundle(f, u1, u2, config=cfg)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
     if np.any(np.abs(np.asarray(b.lam_det.value)) <= cfg.eps_sing):
         raise SingularPoint("volume check sampled on the singular set")
     xj = xi.jets(b, u1, u2)
@@ -249,11 +249,12 @@ class ClassicalSymbols:
 
 
 def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
-                      config: Config = None) -> ClassicalSymbols:
+                      config: Config = None,
+                      bundle: FrameBundle = None) -> ClassicalSymbols:
     """Regular-part symbols in the basis (x_u1, x_u2, n or xi)."""
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    bnd = frame_bundle(f, u1, u2, config=cfg)
+    bnd = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
     lam_det = np.asarray(bnd.lam_det.value)
     if np.any(np.abs(lam_det) <= cfg.eps_sing):
         raise SingularPoint("classical symbols need the regular part")
@@ -288,7 +289,7 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
 
 
 def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,
-                 config: Config = None):
+                 config: Config = None, bundle: FrameBundle = None):
     """(D1, D2) via the factor-conjugated classical route, regular part only.
 
     D_k = Lambda^{-1} (Gamma~_k Lambda - Lambda_uk); must agree with the
@@ -296,12 +297,12 @@ def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,
     """
     cfg = config or f.config
     shape = np.shape(np.asarray(u1, dtype=float))
-    sym = classical_symbols(f, xi, u1, u2, config=cfg)
-    lam_j = f.lam(u1, u2, cfg.jet_order)
-    lam = _mat_values(lam_j, shape)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
+    sym = classical_symbols(f, xi, u1, u2, config=cfg, bundle=b)
+    lam = _mat_values(b.lam, shape)
     lam_inv = np.linalg.inv(lam)
     out = []
     for k, gt in ((0, sym.gamma1_t), (1, sym.gamma2_t)):
-        lam_uk = _mat_values(lam_j, shape, k)
+        lam_uk = _mat_values(b.lam, shape, k)
         out.append(lam_inv @ (gt @ lam - lam_uk))
     return out[0], out[1]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
-from .jets import Jet, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
+from .jets import MAX_ORDER, Jet, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
 
 
@@ -251,9 +251,9 @@ class FrameBundle:
                 for i in range(2)]
 
 
-def frame_bundle(f: Frontal, u1, u2, order=None, config: Config = None) -> FrameBundle:
+def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER,
+                 config: Config = None) -> FrameBundle:
     cfg = config or f.config
-    order = cfg.jet_order if order is None else order
     w1, w2 = f.omega(u1, u2, order)
     n = unit_normal(w1, w2, cfg.eps_rank)
     xj = f.x(u1, u2, order)

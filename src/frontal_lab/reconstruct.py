@@ -34,9 +34,11 @@ from .blaschke import (BlaschkeField, membership_certificate_fn,
 from .config import DEFAULT, Config
 from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
                      DegenerateMetric, FrameDegenerate, InputError,
-                     IntegrabilityViolated, RankDeficient, SingularPoint)
+                     InsufficientJetOrder, IntegrabilityViolated,
+                     RankDeficient, SingularPoint)
 from .frame import Frontal, frame_bundle
-from .jets import Jet, JetVec3, _mat_values, mat2_mul_jet, triple_product_jet
+from .jets import (MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet,
+                   triple_product_jet)
 
 
 # --- field backends ---------------------------------------------------------------
@@ -186,7 +188,9 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
     the structure symbols themselves extend smoothly, so a 1e-7 nudge
     perturbs them by the same order).  The default basepoint is the
     domain's lower-left corner shifted by an irrational multiple of the
-    step so integration lattices avoid exact singular hits.
+    step so integration lattices avoid exact singular hits.  Symbols of
+    order k come from a frame bundle of order k + the orders they lose;
+    beyond jets.MAX_ORDER the request raises InsufficientJetOrder.
     """
     cfg = config or f.config
     a1, b1, a2, b2 = f.domain
@@ -202,40 +206,43 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
     is_blaschke = isinstance(xi_field, BlaschkeField)
     xi = xi_field.as_transversal() if is_blaschke else xi_field
 
-    def frame_and_xi(u1, u2):
-        """Frame bundle and field jets at the evaluation points; the
-        Blaschke field evaluates both at the nudged points."""
+    def frame_and_xi(u1, u2, order):
+        """Frame bundle at `order` and field jets at the evaluation points;
+        the Blaschke field evaluates both at the nudged points."""
         if is_blaschke:
             u1, u2 = xi_field.nudged_points(u1, u2)
-        b = frame_bundle(f, u1, u2, config=cfg)
+        b = frame_bundle(f, u1, u2, order=order, config=cfg)
         return b, xi.jets(b, u1, u2)
 
+    q1 = np.asarray([basepoint[0]])
+    q2 = np.asarray([basepoint[1]])
+    b0, xj0 = frame_and_xi(q1, q2, MAX_ORDER)
+    # Orders the symbols lose against the bundle: whatever the field loses,
+    # plus one for the derivatives of w1, w2 and xi they solve for.
+    loss = 1 + b0.order - xj0.order
+
     def structure_jets(u1, u2, order):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        b, xj = frame_and_xi(u1, u2)
-        w_u = [[b.w1.deriv(0), b.w1.deriv(1)],
-               [b.w2.deriv(0), b.w2.deriv(1)]]
-        d1 = [[None, None], [None, None]]
-        d2 = [[None, None], [None, None]]
-        h = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                y1, y2, y3 = solve3_jet(b.w1, b.w2, xj, w_u[i][j])
-                (d1 if j == 0 else d2)[i][0] = y1
-                (d1 if j == 0 else d2)[i][1] = y2
-                h[i][j] = y3
-        s = [[None, None], [None, None]]
-        for i in range(2):
-            y1, y2, _ = solve3_jet(b.w1, b.w2, xj, xj.deriv(i))
-            s[i][0] = -y1
-            s[i][1] = -y2
+        if order + loss > MAX_ORDER:
+            raise InsufficientJetOrder(
+                f"order-{order} structure jets need order-{order + loss} "
+                f"frame jets, beyond the jet budget of order {MAX_ORDER}: "
+                f"the {xi.label} field loses {loss} orders on {f.name}")
+        b, xj = frame_and_xi(np.asarray(u1, dtype=float),
+                             np.asarray(u2, dtype=float), order + loss)
+        # coefficients of w_i,uj and xi_ui in the frame (w1, w2, xi)
+        w = [[solve3_jet(b.w1, b.w2, xj, wi.deriv(j)) for j in range(2)]
+             for wi in (b.w1, b.w2)]
+        d1, d2 = [[[w[i][j][0], w[i][j][1]] for i in range(2)]
+                  for j in range(2)]
+        h = [[w[i][j][2] for j in range(2)] for i in range(2)]
+        s = [[-y for y in solve3_jet(b.w1, b.w2, xj, xj.deriv(i))[:2]]
+             for i in range(2)]
         return b, xj, d1, d2, h, s
 
     cache = {}
 
     def cached(u1, u2, order):
-        key = (np.asarray(u1).tobytes(), np.asarray(u2).tobytes())
+        key = (order, np.asarray(u1).tobytes(), np.asarray(u2).tobytes())
         if key not in cache:
             if len(cache) > 8:
                 cache.clear()
@@ -257,9 +264,6 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
             return parts[which] if which in parts else xj.dot(b.n)  # phi
         return FuncField(fn)
 
-    q1 = np.asarray([basepoint[0]])
-    q2 = np.asarray([basepoint[1]])
-    b0, xj0 = frame_and_xi(q1, q2)
     W0 = np.stack([b0.w1.values_on((1,))[0], b0.w2.values_on((1,))[0],
                    xj0.values_on((1,))[0]], axis=-1)
     p0 = f.x(q1, q2, 0).values_on((1,))[0]

@@ -249,19 +249,59 @@ _RECONSTRUCT_PARA = ["reconstruct", "--entry", "paraboloid", "--field",
     (_RECONSTRUCT_PARA + ["--set", "rk4_step=-0.001"], "rk4_step = -0.001"),
     (_RECONSTRUCT_PARA + ["--step", "-0.5"], "--step must be > 0"),
     (_RECONSTRUCT_PARA + ["--step", "0"], "--step must be > 0"),
-    (["analyze", "--entry", "ex-5.9", "--set", "jet_order=5"],
-     "jet_order = 5 is out of range; expected 0..3"),
-    (["analyze", "--entry", "ex-5.9", "--set", "jet_order=-1"],
-     "jet_order = -1 is out of range; expected 0..3"),
     (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
       "--set", "probe_levels=2"],
      "probe_levels = 2 is out of range; expected >= 3"),
-], ids=["rk4_step=0", "rk4_step<0", "step<0", "step=0", "jet_order=5",
-        "jet_order=-1", "probe_levels=2"])
+    (["analyze", "--entry", "gen-nonparabolic", "--grid", "5x5",
+      "--set", "quad_nodes=0"],
+     "quad_nodes = 0 is out of range; expected >= 1"),
+    (["analyze", "--entry", "gen-nonparabolic", "--grid", "5x5",
+      "--set", "quad_max_nodes=32"],
+     "quad_max_nodes = 32 must exceed quad_nodes = 32"),
+    (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "probe_directions=0"],
+     "probe_directions = 0 is out of range; expected >= 1"),
+    (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "probe_r0=0"],
+     "probe_r0 = 0.0 is out of range; expected > 0"),
+    (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "probe_ratio=1"],
+     "probe_ratio = 1.0 is out of range; expected strictly between 0 and 1"),
+    (["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "probe_ratio=0"],
+     "probe_ratio = 0.0 is out of range; expected strictly between 0 and 1"),
+    (["analyze", "--entry", "ex-5.9", "--grid", "5x5",
+      "--set", "eps_sing=-1e-9"],
+     "eps_sing = -1e-09 is out of range; expected >= 0"),
+    (_RECONSTRUCT_PARA + ["--set", "tol_path=-1"],
+     "tol_path = -1.0 is out of range; expected >= 0"),
+], ids=["rk4_step=0", "rk4_step<0", "step<0", "step=0", "probe_levels=2",
+        "quad_nodes=0", "quad_max_nodes=quad_nodes", "probe_directions=0",
+        "probe_r0=0", "probe_ratio=1", "probe_ratio=0", "eps_sing<0",
+        "tol_path<0"])
 def test_out_of_range_settings_are_input_errors(argv, message, capsys):
     assert run(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
+
+
+def test_jet_order_is_not_a_setting(capsys):
+    # each consumer asks for the jet order it reads
+    assert run(["analyze", "--entry", "ex-5.9", "--grid", "5x5",
+                "--set", "jet_order=2"]) == cli.EXIT_INPUT
+    assert "unknown config key 'jet_order'" in capsys.readouterr().err
+
+
+def test_blaschke_check_beyond_field_order_names_orders(capsys):
+    # without closed-form K the quadrature-backed field carries order 0,
+    # and tau needs its first derivatives
+    assert run(["blaschke", "--entry", "gen-extendable-nc",
+                "--domain=-0.8,0.8,-0.8,0.8", "--grid", "3x3"]) \
+        == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "InsufficientJetOrder" in err
+    assert "tau needs order-1 affine-normal jets" in err
+    assert "carries order 0" in err
 
 
 class TestCheckCommand:

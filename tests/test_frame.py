@@ -279,21 +279,34 @@ class TestSingularScanMatchesLoop:
             assert not dense
 
 
-@pytest.fixture
-def bundle_sizes(monkeypatch):
-    """Point counts of the frame bundles built while a test runs, recorded
-    through every module that imports frame_bundle."""
-    sizes = []
-
+def _record_bundles(monkeypatch, record):
+    """Call record(bundle, u1) for each frame bundle built while a test
+    runs, through every module that imports frame_bundle."""
     def counted(f, u1, u2, *args, **kwargs):
-        sizes.append(int(np.size(u1)))
-        return frame_bundle(f, u1, u2, *args, **kwargs)
+        b = frame_bundle(f, u1, u2, *args, **kwargs)
+        record(b, u1)
+        return b
 
     for name, mod in list(sys.modules.items()):
         if (name.startswith("frontal_lab")
                 and getattr(mod, "frame_bundle", None) is frame_bundle):
             monkeypatch.setattr(mod, "frame_bundle", counted)
+
+
+@pytest.fixture
+def bundle_sizes(monkeypatch):
+    """Point counts of the frame bundles built while a test runs."""
+    sizes = []
+    _record_bundles(monkeypatch, lambda b, u1: sizes.append(int(np.size(u1))))
     return sizes
+
+
+@pytest.fixture
+def bundle_orders(monkeypatch):
+    """Jet orders of the frame bundles built while a test runs."""
+    orders = []
+    _record_bundles(monkeypatch, lambda b, u1: orders.append(b.order))
+    return orders
 
 
 class TestBundleCounts:
@@ -341,10 +354,27 @@ class TestBundleCounts:
         assert bundle_sizes == [7]
 
     def test_check_bundle_count(self, bundle_sizes, capsys):
-        # 1 on the 120 suite points, 5 on their regular part and 7 inside
-        # the two affine-normal fields of the equivariance check
+        # 1 on the 120 suite points, 2 on their regular part (the tau
+        # formula's and the constant fields') and 7 inside the two
+        # affine-normal fields of the equivariance check
         assert cli.main(["check", "--entry", "ex-5.10"]) == 0
-        assert len(bundle_sizes) == 13
+        assert len(bundle_sizes) == 10
+
+    # aug_values reads values only, so the symbols are asked for at order
+    # 0 and the bundle is built at the order the field loses on top
+    def test_normal_values_build_order_1(self, bundle_orders, paraboloid):
+        sd = extract_structure(paraboloid, TransversalField.unit_normal())
+        bundle_orders.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert bundle_orders == [1]
+
+    def test_blaschke_values_build_order_2(self, bundle_orders, ex59):
+        sd = extract_structure(ex59, blaschke_field(ex59, (9, 9)))
+        bundle_orders.clear()
+        u1 = np.linspace(0.1, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert bundle_orders == [2]
 
 
 class TestAffineImage:

@@ -8,7 +8,7 @@ from conftest import random_unimodular, regular_points
 from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
-                                RankDeficient)
+                                InsufficientJetOrder, RankDeficient)
 from frontal_lab.reconstruct import (ExprField, FuncField, StructureData,
                                      affine_align, apolarity_check,
                                      compat_residual, extend_D,
@@ -186,6 +186,20 @@ class TestIntegrateFrame:
         sd = synthetic_sd(["3*u2", "0", "0", "0"], ["0"] * 4)
         with pytest.raises(CompatibilityViolated):
             integrate_frame(sd, shape=(7, 7), step=1e-2)
+
+    def test_compat_check_beyond_jet_budget_named(self, ex59, monkeypatch):
+        # without closed-form K the affine normal loses three orders, so
+        # the order-1 symbols of the compatibility check need order-4 jets
+        numeric = ex59.stripped()
+        sd = extract_structure(numeric, blaschke_field(numeric, (9, 9)))
+        calls = []
+        monkeypatch.setattr(StructureData, "aug_values",
+                            lambda self, u1, u2: calls.append(u1))
+        with pytest.raises(InsufficientJetOrder, match="jet budget") as exc:
+            integrate_frame(sd, shape=(9, 9), check_compat=True)
+        assert "order-1 structure jets need order-4" in str(exc.value)
+        assert "loses 3 orders" in str(exc.value)
+        assert calls == []
 
 
 class TestRoundTrips:

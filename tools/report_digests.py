@@ -15,8 +15,11 @@ diff the two outputs: equal lines mean byte-identical reports and files.
 The list: the seed-0 jobs of the three benchmark workloads (read from
 bench/workloads.py next to this file), `check` on every fixed catalog
 entry, structure export with the unit-normal, constant and Blaschke
-fields, reconstruction with the unit normal, and `blaschke` on a
-frontal file written by `catalog --save`.
+fields, reconstruction with the unit normal, `blaschke` on a frontal
+file written by `catalog --save`, structure export from a frontal file
+without Lambda, and commands that must fail with a typed error: unknown
+or unusable settings, a Blaschke check beyond the surface's jet orders,
+and the ex-5.10 reconstruction with the default field.
 """
 
 from __future__ import annotations
@@ -24,11 +27,21 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXED_ENTRIES = ("plane", "paraboloid", "ex-5.8", "ex-5.9", "ex-5.10")
+
+# The paraboloid as a frontal file without "lambda" or "K", written to
+# OUTDIR/para-nolam.json ("{nolam}" in argv) before the commands run: its
+# reader factors Lambda out of x and Omega, and its Blaschke field has no
+# closed-form curvature.
+NO_LAMBDA_FRONTAL = {"name": "paraboloid-file",
+                     "domain": [-1.0, 1.0, -1.0, 1.0],
+                     "x": ["u1", "u2", "(u1^2 + u2^2)/2"],
+                     "omega": [["1", "0", "u1"], ["0", "1", "u2"]]}
 
 
 def command_list():
@@ -53,6 +66,22 @@ def command_list():
     cmds.append(("frontal-file",
                  ["blaschke", "--input", "{out}/para.json", "--grid", "9x9",
                   "--out", "{out}/bl"]))
+    for field in ("normal", "blaschke"):
+        cmds.append((f"nolam-structure-{field}",
+                     ["export", "--input", "{nolam}",
+                      "--what", "structure", f"--field={field}",
+                      "--grid", "9x9", "--out", "{out}/s.json"]))
+    cmds += [("typed-failure", argv) for argv in (
+        ["analyze", "--entry", "ex-5.9", "--grid", "5x5",
+         "--set", "jet_order=2"],
+        ["analyze", "--entry", "gen-nonparabolic", "--grid", "5x5",
+         "--set", "quad_nodes=0"],
+        ["blaschke", "--entry", "ex-5.9", "--grid", "5x5",
+         "--set", "probe_ratio=1"],
+        ["blaschke", "--entry", "gen-extendable-nc",
+         "--domain=-0.8,0.8,-0.8,0.8", "--grid", "3x3"],
+        ["reconstruct", "--entry", "ex-5.10"],
+    )]
     return cmds
 
 
@@ -92,12 +121,17 @@ def main(argv=None):
         sys.exit(f"{outdir} is not empty")
     sys.path.insert(0, src)
     from frontal_lab import cli
+    nolam = os.path.join(outdir, "para-nolam.json")
+    os.makedirs(outdir, exist_ok=True)
+    with open(nolam, "w", encoding="utf-8") as fh:
+        json.dump(NO_LAMBDA_FRONTAL, fh)
     for group, template in command_list():
         out = os.path.join(outdir, group)
         os.makedirs(out, exist_ok=True)
         before = _files(outdir)
         rc, stdout, stderr = run(
-            cli, [a.replace("{out}", out) for a in template])
+            cli, [a.replace("{out}", out).replace("{nolam}", nolam)
+                  for a in template])
         after = _files(outdir)
         h = hashlib.sha256(repr(rc).encode())
         for text in (stdout, stderr):
