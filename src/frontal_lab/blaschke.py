@@ -156,7 +156,7 @@ def _lam_det_values(f: Frontal, u1, u2, order=0):
 # --- extended Gauss curvature --------------------------------------------------------
 
 
-def _gauss_ratio_fn(f: Frontal, config: Config):
+def _gauss_ratio_fn(f: Frontal):
     """Pointwise K_omega/lambda on the regular set, nan elsewhere.
 
     Samples are evaluated in extended precision where the platform has
@@ -167,17 +167,17 @@ def _gauss_ratio_fn(f: Frontal, config: Config):
         u1 = np.asarray(u1, dtype=np.longdouble)
         u2 = np.asarray(u2, dtype=np.longdouble)
         try:
-            b = frame_bundle(f, u1, u2, order=2, config=config)
+            b = frame_bundle(f, u1, u2, order=2)
         except DegenerateBasis:
             return np.full((1,) + np.shape(u1), np.nan)
-        lam = b.lam_det.value_on(np.shape(u1)).copy()
-        K = b.K_omega.value_on(np.shape(u1))
-        lam[np.abs(lam) <= config.eps_sing] = np.nan
+        lam = b.lam_det.value_on(b.shape).copy()
+        K = b.K_omega.value_on(b.shape)
+        lam[np.abs(lam) <= f.config.eps_sing] = np.nan
         return (K / lam)[None, :]
     return fn
 
 
-def gauss_extension(f: Frontal, point, config: Config = None):
+def gauss_extension(f: Frontal, point):
     """Extended Gauss curvature at one point.
 
     Regular points evaluate K_omega/det Lambda directly (through the
@@ -185,26 +185,23 @@ def gauss_extension(f: Frontal, point, config: Config = None):
     go through the limit probe and raise NotExtendable/Indeterminate when
     the certificate fails.
     """
-    cfg = config or f.config
     u1 = np.asarray([point[0]], dtype=float)
     u2 = np.asarray([point[1]], dtype=float)
     lam = float(np.max(_lam_det_values(f, u1, u2)))
-    if abs(lam) > cfg.eps_sing:
+    if abs(lam) > f.config.eps_sing:
         if f.gauss is not None:
             return float(np.asarray(f.gauss(u1, u2, 0).value).ravel()[0])
-        b = frame_bundle(f, u1, u2, order=2, config=cfg)
+        b = frame_bundle(f, u1, u2, order=2)
         return float(np.asarray(b.K_omega.value).ravel()[0]) / lam
-    return float(gauss_at_singular(f, np.asarray([point], dtype=float),
-                                   cfg)[0])
+    return float(gauss_at_singular(f, np.asarray([point], dtype=float))[0])
 
 
-def gauss_at_singular(f: Frontal, targets, config: Config):
+def gauss_at_singular(f: Frontal, targets):
     """Extended curvature at a batch of singular points, one probe pass."""
     if f.gauss is not None:
         return f.gauss(targets[:, 0], targets[:, 1], 0).value_on(
             (targets.shape[0],)).copy()
-    results = probe_limits(_gauss_ratio_fn(f, config), targets, f.domain,
-                           config)
+    results = probe_limits(_gauss_ratio_fn(f), targets, f.domain, f.config)
     return np.asarray([float(r.require("extended Gauss curvature")[0])
                        for r in results])
 
@@ -212,21 +209,22 @@ def gauss_at_singular(f: Frontal, targets, config: Config):
 # --- the affine-normal construction ---------------------------------------------------
 
 
-def _phi_jet(f: Frontal, bundle: FrameBundle, u1, u2, config: Config):
+def _phi_jet(bundle: FrameBundle):
     """|K|^(1/4) as a jet on the regular part, and the signed K jet."""
+    f = bundle.f
     if f.gauss is not None:
-        K = f.gauss(u1, u2, bundle.order)
+        K = f.gauss(bundle.u1, bundle.u2, bundle.order)
     else:
         K = bundle.K_omega / bundle.lam_det
     K_val = np.asarray(K.value, dtype=float)
-    if np.any(np.abs(K_val) <= config.eps_k):
+    if np.any(np.abs(K_val) <= bundle.config.eps_k):
         raise KVanishes("extended Gauss curvature vanishes on the sample; "
                         "no affine normal exists")
     sign = np.sign(K_val)
     return (K * sign).powf(0.25), K, sign
 
 
-def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet, config: Config):
+def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet):
     """Solve the transposed second-form system for the tangential part."""
     e, f1 = bundle.II[0][0], bundle.II[0][1]
     f2, g = bundle.II[1][0], bundle.II[1][1]
@@ -244,16 +242,16 @@ def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet, config: Config):
     return a, b
 
 
-def _regular_field(f: Frontal, b: FrameBundle, u1, u2, cfg: Config):
-    """Affine normal xi = phi n + a w1 + b w2 at regular points u1, u2
-    with frame bundle `b`, as jets (phi, sign of K, a, b, xi);
-    DivisionByZeroValue on the singular set."""
+def _regular_field(b: FrameBundle):
+    """Affine normal xi = phi n + a w1 + b w2 at the points of the frame
+    bundle `b`, as jets (phi, sign of K, a, b, xi); DivisionByZeroValue
+    on the singular set."""
     lam = np.asarray(b.lam_det.value, dtype=float)
-    if np.any(np.abs(lam) <= cfg.eps_sing):
+    if np.any(np.abs(lam) <= b.config.eps_sing):
         raise DivisionByZeroValue(
             "affine-normal jets requested on the singular set")
-    phi, _, sign = _phi_jet(f, b, u1, u2, cfg)
-    av, bv = _tangent_coeff_jets(b, phi, cfg)
+    phi, _, sign = _phi_jet(b)
+    av, bv = _tangent_coeff_jets(b, phi)
     xi = b.n.scale(phi) + b.w1.scale(av) + b.w2.scale(bv)
     return phi, sign, av, bv, xi
 
@@ -268,9 +266,8 @@ class BlaschkeField:
     by ~1e-7, which perturbs the smooth field by the same order.
     """
 
-    def __init__(self, frontal: Frontal, config: Config, grids, diagnostics):
+    def __init__(self, frontal: Frontal, grids, diagnostics):
         self.frontal = frontal
-        self.config = config
         self.u1 = grids["u1"]
         self.u2 = grids["u2"]
         self.phi = grids["phi"]
@@ -285,10 +282,8 @@ class BlaschkeField:
 
     def components_jet(self, u1, u2, order=MAX_ORDER):
         """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
-        b = frame_bundle(self.frontal, u1, u2, order=order,
-                         config=self.config)
-        phi, _, av, bv, _ = _regular_field(self.frontal, b, u1, u2,
-                                           self.config)
+        b = frame_bundle(self.frontal, u1, u2, order=order)
+        phi, _, av, bv, _ = _regular_field(b)
         return b, phi, av, bv
 
     def nudged_points(self, u1, u2, shift=1e-7):
@@ -297,7 +292,7 @@ class BlaschkeField:
         u2 = np.array(u2, dtype=float, copy=True)
         lam_det = det2_jet(self.frontal.lam(u1, u2, 1))
         lam = lam_det.value_on(u1.shape)
-        near = np.abs(lam) <= 10.0 * self.config.eps_sing
+        near = np.abs(lam) <= 10.0 * self.frontal.config.eps_sing
         if not np.any(near):
             return u1, u2
         g1 = lam_det.deriv(0).value_on(u1.shape)
@@ -314,32 +309,27 @@ class BlaschkeField:
     def xi_value(self, u1, u2):
         """Field values anywhere: direct on the regular set, probed on
         the singular set."""
-        cfg = self.config
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
         u2 = np.atleast_1d(np.asarray(u2, dtype=float))
         shape = u1.shape
         lam = _lam_det_values(self.frontal, u1, u2)
         out = np.empty(shape + (3,), dtype=float)
-        regular = np.abs(lam) > cfg.eps_sing
+        regular = np.abs(lam) > self.frontal.config.eps_sing
         if np.any(regular):
-            u1r, u2r = u1[regular], u2[regular]
-            b = frame_bundle(self.frontal, u1r, u2r, config=cfg)
-            xi = self.as_transversal().jets(b, u1r, u2r)
-            out[regular] = xi.values_stacked()
+            b = frame_bundle(self.frontal, u1[regular], u2[regular])
+            out[regular] = self.as_transversal().jets(b).values_stacked()
         if np.any(~regular):
             targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-            out[~regular] = _singular_field(self.frontal, targets, cfg)[0]
+            out[~regular] = _singular_field(self.frontal, targets)[0]
         return out.reshape(shape + (3,))
 
     def as_transversal(self):
         """View as a TransversalField over the regular part (jets)."""
-        return TransversalField(
-            lambda b, u1, u2: _regular_field(self.frontal, b, u1, u2,
-                                             self.config)[-1],
-            label="affine normal")
+        return TransversalField(lambda b: _regular_field(b)[-1],
+                                label="affine normal")
 
 
-def _tangent_value_fn(f: Frontal, cfg: Config):
+def _tangent_value_fn(f: Frontal):
     """(a, b) values on the regular set, nan at singular samples.
 
     Evaluated in extended precision: near the singular set these values
@@ -354,21 +344,21 @@ def _tangent_value_fn(f: Frontal, cfg: Config):
             lam = _lam_det_values(f, u1, u2)
         except DegenerateBasis:
             return out
-        ok = np.abs(lam) > cfg.eps_sing
+        ok = np.abs(lam) > f.config.eps_sing
         if np.any(ok):
             try:
-                b = frame_bundle(f, u1[ok], u2[ok], config=cfg)
-                phi, _, _ = _phi_jet(f, b, u1[ok], u2[ok], cfg)
-                av, bv = _tangent_coeff_jets(b, phi, cfg)
+                b = frame_bundle(f, u1[ok], u2[ok])
+                phi, _, _ = _phi_jet(b)
+                av, bv = _tangent_coeff_jets(b, phi)
             except UNUSABLE_SAMPLE:
                 return out
-            out[0][ok] = av.value_on(u1[ok].shape)
-            out[1][ok] = bv.value_on(u1[ok].shape)
+            out[0][ok] = av.value_on(b.shape)
+            out[1][ok] = bv.value_on(b.shape)
         return out
     return fn
 
 
-def _singular_field(f: Frontal, targets, cfg: Config):
+def _singular_field(f: Frontal, targets):
     """Affine normal at singular points, with its parts.
 
     The tangential coefficients (a, b) are probed limits, phi is
@@ -376,13 +366,13 @@ def _singular_field(f: Frontal, targets, cfg: Config):
     the points themselves.  Returns (xi (n, 3), phi (n,), ab (n, 2),
     K (n,), probe results); a failed certificate raises.
     """
-    results = probe_limits(_tangent_value_fn(f, cfg), targets, f.domain,
-                           cfg, m_components=2)
-    K_vals = gauss_at_singular(f, targets, cfg)
-    if np.any(np.abs(K_vals) <= cfg.eps_k):
+    results = probe_limits(_tangent_value_fn(f), targets, f.domain,
+                           f.config, m_components=2)
+    K_vals = gauss_at_singular(f, targets)
+    if np.any(np.abs(K_vals) <= f.config.eps_k):
         raise KVanishes("extended curvature vanishes on the singular set")
     n_sing = targets.shape[0]
-    bq = frame_bundle(f, targets[:, 0], targets[:, 1], config=cfg)
+    bq = frame_bundle(f, targets[:, 0], targets[:, 1])
     n_at = bq.n.values_on((n_sing,))
     w1_at = bq.w1.values_on((n_sing,))
     w2_at = bq.w2.values_on((n_sing,))
@@ -397,20 +387,19 @@ def _singular_field(f: Frontal, targets, cfg: Config):
     return xis, phis, abv, K_vals, results
 
 
-def _tau_volume(f: Frontal, bf, bundle, xi, u1, u2, lam, cfg: Config):
+def _tau_volume(bf, bundle, xi, lam):
     """(max |tau|, max volume-match residual) of the field's induced
-    structure at regular points u1, u2, where the field has the frame
-    bundle `bundle` and jets `xi` and det Lambda takes the values `lam`."""
-    s = structure_from_field(f, bf.as_transversal(), u1, u2, config=cfg,
-                             bundle=bundle, xi_jets=xi)
+    structure at the regular points of the frame bundle `bundle`, where
+    the field has jets `xi` and det Lambda takes the values `lam`."""
+    s = structure_from_field(bundle.f, bf.as_transversal(), bundle.u1,
+                             bundle.u2, bundle=bundle, xi_jets=xi)
     det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
     vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
     return (float(np.max(np.abs(s.tau))),
             float(np.max(np.abs(vol_ratio - 1.0))))
 
 
-def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
-                   grid=None) -> BlaschkeField:
+def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     """Construct the affine-normal field over a grid.
 
     Raises KVanishes when |K| drops below the parabolicity gate anywhere,
@@ -418,7 +407,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     fails (the field then does not exist in the sense of the existence
     characterization), SingularIIOmega on inconsistent regular data.
     """
-    cfg = config or f.config
+    cfg = f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
     lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
@@ -431,8 +420,8 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
 
     if np.any(regular):
         u1r, u2r = u1[regular], u2[regular]
-        br = frame_bundle(f, u1r, u2r, config=cfg)
-        phi, sign, av, bv, xi = _regular_field(f, br, u1r, u2r, cfg)
+        br = frame_bundle(f, u1r, u2r)
+        phi, sign, av, bv, xi = _regular_field(br)
         tgt = u1r.shape
         phi_g[regular] = phi.value_on(tgt)
         a_g[regular] = av.value_on(tgt)
@@ -444,7 +433,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     n_sing = int(np.sum(~regular))
     if n_sing:
         targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-        xis, phis, abv, K_vals, results = _singular_field(f, targets, cfg)
+        xis, phis, abv, K_vals, results = _singular_field(f, targets)
         probe_report = [{"point": [float(t[0]), float(t[1])],
                          "spread": res.spread,
                          "directions": res.n_directions,
@@ -458,7 +447,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
 
     grids = {"u1": u1, "u2": u2, "phi": phi_g, "a": a_g, "b": b_g,
              "xi": xi_g, "regular": regular, "k_sign": sign_g}
-    bf = BlaschkeField(f, cfg, grids, {})
+    bf = BlaschkeField(f, grids, {})
 
     # diagnostics on the regular part: equiaffinity and volume match.
     # Quadrature-backed surfaces carry one jet order less than closed-form
@@ -468,7 +457,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     if np.any(regular):
         try:
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
-                f, bf, br, xi, u1r, u2r, lam[regular], cfg)
+                bf, br, xi, lam[regular])
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -483,8 +472,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), config: Config = None,
     return bf
 
 
-def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
-                    config: Config = None):
+def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41)):
     """Check the two defining conditions on the regular part of a grid.
 
     (i) equiaffinity: max |tau| of the induced structure;
@@ -492,24 +480,21 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41),
     the induced volume agrees with the volume of the relative form.
     Returns a report dict; SingularPoint when no grid point is regular.
     """
-    cfg = config or f.config
     u1, u2 = f.interior_grid(shape, margin=0.005)
     lam = _lam_det_values(f, u1, u2)
-    regular = np.abs(lam) > cfg.eps_sing
+    regular = np.abs(lam) > f.config.eps_sing
     if not np.any(regular):
         raise SingularPoint(
             "det Lambda vanishes at every verification point; the frontal "
             "violates the hypothesis that the regular set is dense")
-    u1r, u2r = u1[regular], u2[regular]
-    b = frame_bundle(f, u1r, u2r, config=cfg)
-    xi = bf.as_transversal().jets(b, u1r, u2r)
+    b = frame_bundle(f, u1[regular], u2[regular])
+    xi = bf.as_transversal().jets(b)
     if xi.order < 1:
         raise InsufficientJetOrder(
             f"tau needs order-1 affine-normal jets, but on {f.name} the field "
             f"carries order {xi.order} from order-{b.order} frame jets"
             + ("" if f.gauss else " (no closed-form Gauss curvature)"))
-    max_tau, volume_residual = _tau_volume(f, bf, b, xi, u1r, u2r,
-                                           lam[regular], cfg)
+    max_tau, volume_residual = _tau_volume(bf, b, xi, lam[regular])
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,
@@ -563,15 +548,13 @@ def extension_condition_fields(lam_fn, i_omega_fn, efg_fn, which, point,
     return probe_limits(fn, [point], domain, config)[0]
 
 
-def extension_condition(f: Frontal, which, point, config: Config = None):
+def extension_condition(f: Frontal, which, point):
     """Extension criterion of the factor-conjugated connection blocks.
 
     which = 1 probes the u1-block certificate, which = 2 the u2-block.
     Returns the ProbeResult; the certified limit is the skew scalar that
     the constructive extension consumes.
     """
-    cfg = config or f.config
-
     # the certificate reads first derivatives of Lambda, I_Omega and E, F, G
     def i_omega_fn(u1, u2):
         w1, w2 = f.omega(u1, u2, 1)
@@ -584,7 +567,7 @@ def extension_condition(f: Frontal, which, point, config: Config = None):
 
     return extension_condition_fields(lambda u1, u2: f.lam(u1, u2, 1),
                                       i_omega_fn, efg_fn, which, point,
-                                      f.domain, cfg)
+                                      f.domain, f.config)
 
 
 # --- closed form for the rank-1 wave-front class --------------------------------------
@@ -639,27 +622,25 @@ def _conormal_jets(b: FrameBundle, xj):
     return b.n.scale(1.0 / denom)
 
 
-def conormal(f: Frontal, xi: TransversalField, u1, u2, config: Config = None):
+def conormal(f: Frontal, xi: TransversalField, u1, u2):
     """nu = n / <n, xi>: the unique covector with <nu, xi> = 1 that kills
     the limiting tangent planes; one jet order lower than its inputs."""
-    cfg = config or f.config
-    b = frame_bundle(f, u1, u2, config=cfg)
-    return _conormal_jets(b, xi.jets(b, u1, u2))
+    b = frame_bundle(f, u1, u2)
+    return _conormal_jets(b, xi.jets(b))
 
 
 def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
-                    config: Config = None, bundle: FrameBundle = None):
+                    bundle: FrameBundle = None):
     """Residuals of the defining and derivative identities of the conormal.
 
     Checks <nu, xi> = 1, <nu, w_i> = 0, <nu_ui, xi> = 0 and the pairing
     <nu_ui, w_j> = -h_ji on the sampled regular points, and reports
     whether D nu has rank 2 everywhere (true on non-parabolic samples).
     """
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
-    xj = xi.jets(b, u1, u2)
-    s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
+    shape = b.shape
+    xj = xi.jets(b)
+    s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
     nu = _conormal_jets(b, xj)
 
     def mx(jet):
@@ -682,6 +663,6 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     J = np.stack([nu_u[k].values_on(shape) for k in range(2)], axis=-1)
     sv = np.linalg.svd(J, compute_uv=False)
     rep["rank2_everywhere"] = bool(
-        np.all(sv[..., 1] > cfg.eps_rank * np.maximum(1.0, sv[..., 0])))
+        np.all(sv[..., 1] > f.config.eps_rank * np.maximum(1.0, sv[..., 0])))
     rep["tolerance"] = 1e-8
     return rep

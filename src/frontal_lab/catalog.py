@@ -67,7 +67,7 @@ class CatalogEntry:
                 blaschke_srcs=self.known.get("xi"),
                 source="catalog", config=config,
                 open_domain=self.open_domain)
-        validate_entry(f, self, config)
+        validate_entry(f, self)
         return f
 
     def summary(self):
@@ -91,7 +91,7 @@ class CatalogEntry:
         return out
 
 
-def validate_entry(f: Frontal, entry: CatalogEntry, config: Config):
+def validate_entry(f: Frontal, entry: CatalogEntry):
     """Load-time checks: basis rank, decomposition residual, known answers."""
     u1, u2 = f.interior_grid((9, 9), margin=0.02 if entry.open_domain else 0.0)
     xj = f.x(u1, u2, 2)
@@ -103,7 +103,7 @@ def validate_entry(f: Frontal, entry: CatalogEntry, config: Config):
         rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
         resid = max(resid, float(np.max(np.abs((xu - rec).value()))))
         scale = max(scale, float(np.max(np.abs(xu.value()))))
-    if resid > config.eps_dec * scale * 10.0:
+    if resid > f.config.eps_dec * scale * 10.0:
         raise NotAFrontal(
             f"catalog entry {entry.name}: decomposition residual {resid:.2e}")
     if "lambda_det" in entry.known:
@@ -376,7 +376,9 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
         g2 = big_g(cfg, env, order)
-        c3 = third_component(cfg, env, order)
+        # g1 reads one derivative of C, so order 0 integrates C at order 1
+        c_env = env if order else expr_mod._jet_env(u1, u2, 1)
+        c3 = third_component(cfg, c_env, max(order, 1))
         g1 = c3.deriv(0) - expr_mod.eval_jet(b_u1, env) * g2
         w1 = JetVec3(one, zero, g1)
         w2 = JetVec3(zero, one, g2)

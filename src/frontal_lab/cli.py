@@ -81,6 +81,24 @@ def _catalog_entry(args, name):
     return catalog_mod.get_entry(name, params or None)
 
 
+def _transversal_field(f, text):
+    """The --field value: `blaschke` (the affine normal of f), `normal`
+    (the unit normal) or three finite numbers cx,cy,cz (a constant
+    field)."""
+    if text == "blaschke":
+        return blaschke_field(f, (33, 33))
+    if text == "normal":
+        return TransversalField.unit_normal()
+    try:
+        vec = [float(v) for v in text.split(",")]
+    except ValueError:
+        vec = []
+    if len(vec) != 3 or not np.all(np.isfinite(vec)):
+        raise InputError(f"bad --field {text!r}; expected blaschke, normal "
+                         f"or three finite numbers cx,cy,cz")
+    return TransversalField.constant(vec)
+
+
 def _load_frontal(args, config):
     if args.entry:
         entry = _catalog_entry(args, args.entry)
@@ -133,10 +151,10 @@ def cmd_analyze(args):
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
-    b = frame_bundle(f, u1, u2, config=config)
-    scan = singular_scan(b, (u1, u2), config=config)
-    wf, witnesses = wavefront_test(b, (u1, u2), config=config)
-    nonpar = nonparabolic_test(b, (u1, u2), config=config)
+    b = frame_bundle(f, u1, u2)
+    scan = singular_scan(b)
+    wf, witnesses = wavefront_test(b)
+    nonpar = nonparabolic_test(b)
     K_omega = b.K_omega.value_on(shape)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
@@ -186,9 +204,9 @@ def cmd_blaschke(args):
     config = _build_config(args)
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
-    bf = blaschke_field(f, shape, config=config)
+    bf = blaschke_field(f, shape)
     verify = blaschke_verify(f, bf, shape=(min(41, shape[0]),
-                                           min(41, shape[1])), config=config)
+                                           min(41, shape[1])))
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "blaschke",
@@ -239,19 +257,11 @@ def cmd_reconstruct(args):
     shape = _parse_grid(args.grid)
     align = None
     if args.input:
-        sd = structio.read_structure_file(args.input, config)
+        sd = structio.read_structure_file(args.input)
         f = None
     else:
         f, entry = _load_frontal(args, config)
-        if args.field == "blaschke":
-            bf = blaschke_field(f, (33, 33), config=config)
-            field = bf
-        elif args.field == "normal":
-            field = TransversalField.unit_normal()
-        else:
-            field = TransversalField.constant(
-                tuple(float(v) for v in args.field.split(",")))
-        sd = extract_structure(f, field, config=config)
+        sd = extract_structure(f, _transversal_field(f, args.field))
 
     step = config.rk4_step if args.step is None else args.step
     u1r, u2r, _ = sd.regular_sample(*lattice_nodes(sd, shape), config)
@@ -293,7 +303,7 @@ def cmd_reconstruct(args):
 def cmd_check(args):
     config = _build_config(args)
     f, entry = _load_frontal(args, config)
-    checks = run_property_suite(f, config)
+    checks = run_property_suite(f)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "check",
@@ -316,7 +326,7 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def run_property_suite(f, config):
+def run_property_suite(f):
     """Cross-path invariants on one frontal; returns a list of named checks.
 
     Everything here re-derives a quantity along two independent routes or
@@ -324,6 +334,7 @@ def run_property_suite(f, config):
     surface does not meet (a transversal constant field, non-vanishing
     curvature) are skipped rather than failed.
     """
+    config = f.config
     checks = []
 
     def add(name, residual, tol):
@@ -340,7 +351,7 @@ def run_property_suite(f, config):
     a1, b1, a2, b2 = f.domain
     u1 = rng.uniform(a1 + 0.05 * (b1 - a1), b1 - 0.05 * (b1 - a1), 120)
     u2 = rng.uniform(a2 + 0.05 * (b2 - a2), b2 - 0.05 * (b2 - a2), 120)
-    b = frame_bundle(f, u1, u2, config=config)
+    b = frame_bundle(f, u1, u2)
     lam_det = b.lam_det.value_on(u1.shape)
     K_omega = b.K_omega.value_on(u1.shape)
     lam = _mat_values(b.lam, u1.shape)
@@ -381,39 +392,35 @@ def run_property_suite(f, config):
             np.full(np.shape(np.asarray(a, dtype=float)), val), order)
 
     h_res, tau_res = check_tau_formula(f, const_jet(1.0), const_jet(0.0),
-                                       const_jet(0.0), u1r, u2r,
-                                       config=config)
+                                       const_jet(0.0), u1r, u2r)
     add("split-field form identity", h_res, 1e-9)
     add("split-field connection identity", tau_res, 1e-9)
 
     const = TransversalField.constant((0.0, 0.0, 1.0))
     theta = np.abs(triple_product_jet(
-        b.w1, b.w2, const.jets(b, u1, u2)).value_on(u1.shape))[reg]
+        b.w1, b.w2, const.jets(b)).value_on(u1.shape))[reg]
     tv = theta > 0.1
     if np.any(tv):
         u1t, u2t = u1r[tv], u2r[tv]
-        bt = frame_bundle(f, u1t, u2t, config=config)
-        s1 = structure_from_field(f, const, u1t, u2t, config=config,
-                                  bundle=bt)
+        bt = frame_bundle(f, u1t, u2t)
+        s1 = structure_from_field(f, const, u1t, u2t, bundle=bt)
         add("constant field equiaffine", np.max(np.abs(s1.tau)), 1e-9)
         s2 = structure_from_field(
             f, TransversalField.constant((0.0, 0.0, 2.0)), u1t, u2t,
-            config=config, bundle=bt)
+            bundle=bt)
         add("relative-form scaling", np.max(np.abs(s2.h - s1.h / 2.0)),
             1e-12 * max(1.0, float(np.max(np.abs(s1.h)))))
 
-        vol_res, _ = parallel_volume_check(f, const, u1t, u2t, config=config,
-                                           bundle=bt)
+        vol_res, _ = parallel_volume_check(f, const, u1t, u2t, bundle=bt)
         add("parallel volume identity", vol_res,
             1e-8 * max(1.0, float(np.max(theta[tv]))))
 
-        D1g, D2g = d_from_gamma(f, const, u1t, u2t, config=config,
-                                bundle=bt)
+        D1g, D2g = d_from_gamma(f, const, u1t, u2t, bundle=bt)
         route = max(float(np.max(np.abs(D1g - s1.D1))),
                     float(np.max(np.abs(D2g - s1.D2))))
         add("connection-block route agreement", route, 1e-8)
 
-        rep = conormal_verify(f, const, u1t, u2t, config=config, bundle=bt)
+        rep = conormal_verify(f, const, u1t, u2t, bundle=bt)
         add("conormal identities",
             max(rep["pairing_xi"], rep["pairing_w"], rep["derivative_xi"],
                 rep["derivative_w"]), 1e-8)
@@ -421,14 +428,14 @@ def run_property_suite(f, config):
     # affine equivariance of the normal field, one random unimodular map
     try:
         grid = f.interior_grid((9, 9), margin=0.05)
-        base = blaschke_field(f, grid=grid, config=config)
+        base = blaschke_field(f, grid=grid)
         A = rng.uniform(-1.0, 1.0, (3, 3))
         while abs(np.linalg.det(A)) < 0.2:
             A = rng.uniform(-1.0, 1.0, (3, 3))
         A = A * np.sign(np.linalg.det(A))
         A /= abs(np.linalg.det(A)) ** (1.0 / 3.0)
         image = affine_image(f, A, rng.uniform(-0.5, 0.5, 3))
-        bf = blaschke_field(image, grid=grid, config=config)
+        bf = blaschke_field(image, grid=grid)
         add("affine-normal equivariance",
             np.max(np.abs(bf.xi - base.xi @ A.T)), 1e-6)
     except KVanishes:
@@ -445,18 +452,11 @@ def cmd_export(args):
         x = f.x(u1, u2, 0).values_on(u1.shape)
         structio.export_obj(args.out, x)
     elif args.what == "field":
-        bf = blaschke_field(f, shape, config=config)
+        bf = blaschke_field(f, shape)
         x = f.x(bf.u1, bf.u2, 0).values_on(bf.u1.shape)
         structio.export_field_csv(args.out, bf.u1, bf.u2, x, bf.xi)
     elif args.what == "structure":
-        if args.field == "blaschke":
-            field = blaschke_field(f, (33, 33), config=config)
-        elif args.field == "normal":
-            field = TransversalField.unit_normal()
-        else:
-            field = TransversalField.constant(
-                tuple(float(v) for v in args.field.split(",")))
-        sd = extract_structure(f, field, config=config)
+        sd = extract_structure(f, _transversal_field(f, args.field))
         structio.write_structure_file(args.out, sd, shape=shape)
     else:
         raise InputError(f"unknown export kind {args.what!r}")

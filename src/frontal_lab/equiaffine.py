@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
 from .errors import NotTransversal, SingularPoint, VerificationError
 from .frame import FrameBundle, Frontal, frame_bundle, ii_omega_normal_route
 from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
@@ -35,25 +34,24 @@ class TransversalField:
     or the split phi*n + a*w1 + b*w2 against a frontal's own frame.
 
     A field is evaluated against the frame bundle of its points, at the
-    bundle's jet order, so fields built from the frame read it instead of
-    evaluating it again.
+    bundle's points and jet order, so fields built from the frame read it
+    instead of evaluating it again.
     """
 
     def __init__(self, fn, label="field"):
-        self._fn = fn          # (bundle, u1, u2) -> JetVec3 at bundle.order
+        self._fn = fn          # bundle -> JetVec3 at bundle.order
         self.label = label
 
     @staticmethod
     def from_callable(fn, label="field"):
-        return TransversalField(lambda b, u1, u2: fn(u1, u2, b.order), label)
+        return TransversalField(lambda b: fn(b.u1, b.u2, b.order), label)
 
     @staticmethod
     def constant(vec, label=None):
         vec = tuple(float(v) for v in vec)
 
-        def fn(b, u1, u2):
-            shape = np.shape(np.asarray(u1, dtype=float))
-            return JetVec3(*(Jet.constant(np.full(shape, v), b.order)
+        def fn(b):
+            return JetVec3(*(Jet.constant(np.full(b.shape, v), b.order)
                              for v in vec))
         return TransversalField(fn, label or f"constant{vec}")
 
@@ -67,21 +65,21 @@ class TransversalField:
 
     @staticmethod
     def unit_normal(label="unit normal"):
-        return TransversalField(lambda b, u1, u2: b.n, label)
+        return TransversalField(lambda b: b.n, label)
 
     @staticmethod
     def from_split(phi_fn, a_fn, b_fn, label="split field"):
         """phi, a, b: callables (u1, u2, order) -> Jet; field against the
         frontal's own moving basis and unit normal."""
-        def fn(b, u1, u2):
-            return (b.n.scale(phi_fn(u1, u2, b.order))
-                    + b.w1.scale(a_fn(u1, u2, b.order))
-                    + b.w2.scale(b_fn(u1, u2, b.order)))
+        def fn(b):
+            return (b.n.scale(phi_fn(b.u1, b.u2, b.order))
+                    + b.w1.scale(a_fn(b.u1, b.u2, b.order))
+                    + b.w2.scale(b_fn(b.u1, b.u2, b.order)))
         return TransversalField(fn, label)
 
-    def jets(self, bundle: FrameBundle, u1, u2) -> JetVec3:
-        """Field jets at u1, u2, whose frame bundle is `bundle`."""
-        return self._fn(bundle, u1, u2)
+    def jets(self, bundle: FrameBundle) -> JetVec3:
+        """Field jets at the points of `bundle`."""
+        return self._fn(bundle)
 
 
 @dataclass
@@ -113,15 +111,13 @@ def check_transversal(bundle: FrameBundle, xi: JetVec3, eps_rank):
 
 
 def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
-                         config: Config = None,
                          bundle: FrameBundle = None,
                          xi_jets: JetVec3 = None) -> EquiaffineStructure:
     """Solve the six 3x3 frame systems for (h, D1, D2, S, tau) pointwise."""
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
-    xj = xi_jets if xi_jets is not None else xi.jets(b, u1, u2)
-    check_transversal(b, xj, cfg.eps_rank)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
+    shape = b.shape
+    xj = xi_jets if xi_jets is not None else xi.jets(b)
+    check_transversal(b, xj, f.config.eps_rank)
 
     M = _stack3((b.w1, b.w2, xj), shape)
     rhs = _stack3((b.w1.deriv(0), b.w2.deriv(0), b.w1.deriv(1),
@@ -155,8 +151,7 @@ def is_equiaffine(structure: EquiaffineStructure, tol=1e-6):
     return worst <= tol, worst
 
 
-def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
-                      config: Config = None):
+def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2):
     """Residuals of the split-field identities for h and tau.
 
     For xi = phi*n + Z with Z = a*w1 + b*w2 and p the normal-component
@@ -164,12 +159,11 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
     tau_i = (p(Z, w_i) + phi_ui)/phi.  Returns (max |h - p/phi|,
     max |tau - predicted|); both vanish for exact data.
     """
-    cfg = config or f.config
-    b = frame_bundle(f, u1, u2, config=cfg)
+    b = frame_bundle(f, u1, u2)
     xi = TransversalField.from_split(phi_fn, a_fn, b_fn)
-    s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b)
+    s = structure_from_field(f, xi, u1, u2, bundle=b)
 
-    shape = np.shape(np.asarray(u1, dtype=float))
+    shape = b.shape
     phi = phi_fn(u1, u2, b.order).value_on(shape)
     if np.any(phi == 0.0):
         raise NotTransversal("phi vanishes; split field not transversal")
@@ -192,7 +186,7 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2,
 
 
 def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
-                          config: Config = None, bundle: FrameBundle = None):
+                          bundle: FrameBundle = None):
     """Residual of the derivative identity for the induced volume.
 
     d/du_k theta(w1, w2) always equals (trace D_k + tau_k) theta; the
@@ -200,13 +194,12 @@ def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
     the whole derivative.  Returns (max residual, max |tau|) so callers
     can see the identity holding while tau decides parallelism.
     """
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
-    if np.any(np.abs(np.asarray(b.lam_det.value)) <= cfg.eps_sing):
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
+    shape = b.shape
+    if np.any(np.abs(np.asarray(b.lam_det.value)) <= f.config.eps_sing):
         raise SingularPoint("volume check sampled on the singular set")
-    xj = xi.jets(b, u1, u2)
-    s = structure_from_field(f, xi, u1, u2, config=cfg, bundle=b, xi_jets=xj)
+    xj = xi.jets(b)
+    s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
     theta_j = triple_product_jet(b.w1, b.w2, xj)
     resid = 0.0
     theta = theta_j.value_on(shape)
@@ -249,20 +242,18 @@ class ClassicalSymbols:
 
 
 def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
-                      config: Config = None,
                       bundle: FrameBundle = None) -> ClassicalSymbols:
     """Regular-part symbols in the basis (x_u1, x_u2, n or xi)."""
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    bnd = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
+    bnd = bundle if bundle is not None else frame_bundle(f, u1, u2)
+    shape = bnd.shape
     lam_det = np.asarray(bnd.lam_det.value)
-    if np.any(np.abs(lam_det) <= cfg.eps_sing):
+    if np.any(np.abs(lam_det) <= f.config.eps_sing):
         raise SingularPoint("classical symbols need the regular part")
 
     x1, x2 = bnd.x_u
     gamma = [_mat_values(g, shape) for g in _gamma_jets(bnd.classical_I())]
 
-    xj = xi.jets(bnd, u1, u2)
+    xj = xi.jets(bnd)
     M = _stack3((x1, x2, bnd.n), shape)
     abphi = np.linalg.solve(M, xj.values_on(shape)[..., None])[..., 0]
     a_v, b_v, phi = abphi[..., 0], abphi[..., 1], abphi[..., 2]
@@ -289,16 +280,15 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
 
 
 def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,
-                 config: Config = None, bundle: FrameBundle = None):
+                 bundle: FrameBundle = None):
     """(D1, D2) via the factor-conjugated classical route, regular part only.
 
     D_k = Lambda^{-1} (Gamma~_k Lambda - Lambda_uk); must agree with the
     direct frame solve wherever both are defined.
     """
-    cfg = config or f.config
-    shape = np.shape(np.asarray(u1, dtype=float))
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2, config=cfg)
-    sym = classical_symbols(f, xi, u1, u2, config=cfg, bundle=b)
+    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
+    shape = b.shape
+    sym = classical_symbols(f, xi, u1, u2, bundle=b)
     lam = _mat_values(b.lam, shape)
     lam_inv = np.linalg.inv(lam)
     out = []

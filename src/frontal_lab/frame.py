@@ -16,7 +16,6 @@ decompositions and are exercised by the cross-checks in the tests):
     I  = [[E, F], [F, G]],          entries <w_i, w_j>
     II = [[e, f1], [f2, g]],        entries -<w_i, n_uj>  (not symmetric)
     mu = -II^T I^{-1},              rows give n_ui in the basis (w1, w2)
-    T_k = (Omega_uk^T Omega) I^{-1} rows give tangential part of w_i,uk
     relative curvature K = det(mu); classical Gauss curvature K/det(Lambda)
     on the regular part.
 """
@@ -24,12 +23,13 @@ decompositions and are exercised by the cross-checks in the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
-from .jets import MAX_ORDER, Jet, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
+from .jets import MAX_ORDER, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
 
 
@@ -73,7 +73,7 @@ class Frontal:
         """2x2 jet matrix Lambda; analytic when supplied, factored otherwise."""
         if self._lam is not None:
             return self._lam(u1, u2, order)
-        return factor_lambda(self, u1, u2, order, config=self.config)
+        return factor_lambda(self, u1, u2, order)
 
     def grid(self, shape):
         """Default evaluation grid; open domains are inset slightly so the
@@ -191,13 +191,14 @@ def unit_normal(w1: JetVec3, w2: JetVec3, eps_rank=1e-9) -> JetVec3:
     return cr.scale(1.0 / cr.norm())
 
 
-def factor_lambda(f: Frontal, u1, u2, order, config: Config = DEFAULT):
+def factor_lambda(f: Frontal, u1, u2, order):
     """Solve Dx = Omega Lambda^T for Lambda as a 2x2 jet matrix.
 
     Lambda^T = (Omega^T Omega)^{-1} Omega^T Dx; the residual of the
     reconstruction is checked at value level and NotAFrontal is raised
     when the basis fails to factor the differential.
     """
+    config = f.config
     xj = f.x(u1, u2, order + 1) if order + 1 <= 3 else f.x(u1, u2, order)
     w1, w2 = f.omega(u1, u2, order)
     check_basis_rank(w1, w2, config.eps_rank)
@@ -223,21 +224,62 @@ def factor_lambda(f: Frontal, u1, u2, order, config: Config = DEFAULT):
     return lam
 
 
-@dataclass
 class FrameBundle:
-    """Jets of every first-layer quantity at a (possibly array) point."""
-    order: int
-    w1: JetVec3
-    w2: JetVec3
-    n: JetVec3
-    x_u: list            # [x_u1, x_u2] as JetVec3
-    lam: list            # 2x2 jets
-    lam_det: Jet
-    I: list              # 2x2 jets [[E, F], [F, G]]
-    II: list             # 2x2 jets [[e, f1], [f2, g]]
-    T: list              # [T1, T2], 2x2 jets each
-    mu: list             # 2x2 jets
-    K_omega: Jet
+    """Jets of the first-layer quantities of a frontal at a (possibly
+    array) point set, with the points, jet order and config they belong to.
+
+    The moving basis and the unit normal (with its rank guard) are
+    evaluated at construction; every form built on them is evaluated on
+    first read, so a consumer pays only for what it reads.
+    """
+
+    def __init__(self, f: Frontal, u1, u2, order=MAX_ORDER):
+        self.f = f
+        self.u1 = u1
+        self.u2 = u2
+        self.order = order
+        self.config = f.config
+        self.shape = np.shape(u1)
+        self.w1, self.w2 = f.omega(u1, u2, order)
+        self.n = unit_normal(self.w1, self.w2, self.config.eps_rank)
+
+    @cached_property
+    def x_u(self):
+        """[x_u1, x_u2] as JetVec3."""
+        xj = self.f.x(self.u1, self.u2, self.order)
+        return [xj.deriv(0), xj.deriv(1)]
+
+    @cached_property
+    def lam(self):
+        """Lambda as 2x2 jets; NotAFrontal surfaces here when the basis
+        does not factor Dx."""
+        return self.f.lam(self.u1, self.u2, self.order)
+
+    @cached_property
+    def lam_det(self):
+        return det2_jet(self.lam)
+
+    @cached_property
+    def I(self):
+        """[[E, F], [F, G]] = <w_i, w_j>."""
+        w1, w2 = self.w1, self.w2
+        return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+
+    @cached_property
+    def II(self):
+        """[[e, f1], [f2, g]] = -<w_i, n_uj>."""
+        n_u = [self.n.deriv(0), self.n.deriv(1)]
+        return [[-(w.dot(n_u[0])), -(w.dot(n_u[1]))]
+                for w in (self.w1, self.w2)]
+
+    @cached_property
+    def K_omega(self):
+        """Relative curvature det(mu), mu = -II^T I^{-1}."""
+        II = self.II
+        II_t = [[II[0][0], II[1][0]], [II[0][1], II[1][1]]]
+        mu = [[-x for x in row]
+              for row in mat2_mul_jet(II_t, inv2_jet(self.I))]
+        return det2_jet(mu)
 
     def classical_I(self):
         """First fundamental form <x_ui, x_uj> as 2x2 jets."""
@@ -251,31 +293,8 @@ class FrameBundle:
                 for i in range(2)]
 
 
-def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER,
-                 config: Config = None) -> FrameBundle:
-    cfg = config or f.config
-    w1, w2 = f.omega(u1, u2, order)
-    n = unit_normal(w1, w2, cfg.eps_rank)
-    xj = f.x(u1, u2, order)
-    x_u = [xj.deriv(0), xj.deriv(1)]
-    lam = f.lam(u1, u2, order)
-    lam_det = det2_jet(lam)
-
-    I = [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
-    n_u = [n.deriv(0), n.deriv(1)]
-    II = [[-(w1.dot(n_u[0])), -(w1.dot(n_u[1]))],
-          [-(w2.dot(n_u[0])), -(w2.dot(n_u[1]))]]
-    I_inv = inv2_jet(I)
-    T = []
-    for k in range(2):
-        wk = [w1.deriv(k), w2.deriv(k)]
-        M = [[wk[0].dot(w1), wk[0].dot(w2)], [wk[1].dot(w1), wk[1].dot(w2)]]
-        T.append(mat2_mul_jet(M, I_inv))
-    II_t = [[II[0][0], II[1][0]], [II[0][1], II[1][1]]]
-    mu = [[-x for x in row] for row in mat2_mul_jet(II_t, I_inv)]
-    K_omega = det2_jet(mu)
-    return FrameBundle(order, w1, w2, n, x_u, lam, lam_det, I, II, T, mu,
-                       K_omega)
+def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER) -> FrameBundle:
+    return FrameBundle(f, u1, u2, order)
 
 
 def ii_omega_normal_route(bundle: FrameBundle):
@@ -300,18 +319,19 @@ class SingularScan:
         return not self.cells
 
 
-def singular_scan(bundle: FrameBundle, grid, config: Config = DEFAULT) -> SingularScan:
-    """Conservative cell cover of the zero set of det Lambda on a grid.
+def singular_scan(bundle: FrameBundle) -> SingularScan:
+    """Conservative cell cover of the zero set of det Lambda on the grid
+    (u1, u2) the bundle was evaluated on.
 
-    `bundle` is the frame bundle evaluated on `grid` = (u1, u2).  A cell
-    enters the cover when det Lambda changes sign across its corners or
-    some corner is below eps_sing in magnitude; cells are listed in
-    row-major order.  The scan also reports whether the regular set is
-    dense at grid resolution (no cell has all four corners singular).
+    A cell enters the cover when det Lambda changes sign across its
+    corners or some corner is below eps_sing in magnitude; cells are
+    listed in row-major order.  The scan also reports whether the regular
+    set is dense at grid resolution (no cell has all four corners
+    singular).
     """
-    u1, u2 = grid
-    lam = bundle.lam_det.value_on(u1.shape)
-    small = np.abs(lam) <= config.eps_sing
+    u1, u2 = bundle.u1, bundle.u2
+    lam = bundle.lam_det.value_on(bundle.shape)
+    small = np.abs(lam) <= bundle.config.eps_sing
 
     def corners(a):          # (4, nx - 1, ny - 1), one slice per corner
         return np.stack([a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]])
@@ -326,30 +346,30 @@ def singular_scan(bundle: FrameBundle, grid, config: Config = DEFAULT) -> Singul
                         lam_det=lam, singular_points=pts)
 
 
-def wavefront_test(bundle: FrameBundle, grid, config: Config = DEFAULT):
-    """True iff (x, n) is an immersion at every point of `grid` = (u1, u2),
-    the grid `bundle` was evaluated on.
+def wavefront_test(bundle: FrameBundle):
+    """True iff (x, n) is an immersion at every point the bundle was
+    evaluated on.
 
     Checks the second singular value of the stacked 6x2 Jacobian
     [Dx; Dn] against eps_rank (scaled by the largest singular value).
     Returns (verdict, witness points where the rank drops).
     """
-    u1, u2 = grid
+    u1, u2, shape = bundle.u1, bundle.u2, bundle.shape
     n_u = [bundle.n.deriv(0), bundle.n.deriv(1)]
     cols = []
     for k in range(2):
-        cols.append(np.concatenate([bundle.x_u[k].values_on(u1.shape),
-                                    n_u[k].values_on(u1.shape)], axis=-1))
+        cols.append(np.concatenate([bundle.x_u[k].values_on(shape),
+                                    n_u[k].values_on(shape)], axis=-1))
     J = np.stack(cols, axis=-1)          # (..., 6, 2)
     s = np.linalg.svd(J, compute_uv=False)
-    ok = s[..., 1] > config.eps_rank * np.maximum(1.0, s[..., 0])
+    ok = s[..., 1] > bundle.config.eps_rank * np.maximum(1.0, s[..., 0])
     witnesses = [(float(u1[idx]), float(u2[idx]))
                  for idx in zip(*np.nonzero(~ok))]
     return bool(np.all(ok)), witnesses
 
 
-def nonparabolic_test(bundle: FrameBundle, grid, config: Config = DEFAULT):
-    """True iff |K_omega| stays above eps_k on `grid` = (u1, u2), the grid
-    `bundle` was evaluated on."""
-    K = bundle.K_omega.value_on(np.shape(grid[0]))
-    return bool(np.all(np.abs(K) > config.eps_k))
+def nonparabolic_test(bundle: FrameBundle):
+    """True iff |K_omega| stays above eps_k at every point the bundle was
+    evaluated on."""
+    K = bundle.K_omega.value_on(bundle.shape)
+    return bool(np.all(np.abs(K) > bundle.config.eps_k))

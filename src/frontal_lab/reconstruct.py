@@ -179,8 +179,8 @@ def solve3_jet(c1: JetVec3, c2: JetVec3, c3: JetVec3, rhs: JetVec3):
     return y1, y2, y3
 
 
-def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
-                      config: Config = None, offset=None) -> StructureData:
+def extract_structure(f: Frontal, xi_field, basepoint=None,
+                      offset=None) -> StructureData:
     """Sample-free structure data: every field evaluates jets on demand.
 
     xi_field: a TransversalField, or a BlaschkeField (whose evaluation is
@@ -192,7 +192,6 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
     order k come from a frame bundle of order k + the orders they lose;
     beyond jets.MAX_ORDER the request raises InsufficientJetOrder.
     """
-    cfg = config or f.config
     a1, b1, a2, b2 = f.domain
     if offset is None:
         offset = (b1 - a1) * 1e-4 * math.sqrt(2.0)
@@ -211,8 +210,8 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
         the Blaschke field evaluates both at the nudged points."""
         if is_blaschke:
             u1, u2 = xi_field.nudged_points(u1, u2)
-        b = frame_bundle(f, u1, u2, order=order, config=cfg)
-        return b, xi.jets(b, u1, u2)
+        b = frame_bundle(f, u1, u2, order=order)
+        return b, xi.jets(b)
 
     q1 = np.asarray([basepoint[0]])
     q2 = np.asarray([basepoint[1]])
@@ -279,13 +278,9 @@ def extract_structure(f: Frontal, xi_field, shape=(21, 21), basepoint=None,
 # --- compatibility and integrability residuals -----------------------------------------
 
 
-def compat_residual(sd: StructureData, u1, u2):
-    """Max Frobenius norm of the frame-system flatness defect.
-
-    D1_u2 - D2_u1 + [D1, D2] over the sampled points, with the augmented
-    3x3 blocks.  Points on the singular set are included in the report;
-    gating on the regular part is the caller's choice.
-    """
+def _flatness(sd: StructureData, u1, u2):
+    """(max Frobenius norm of the flatness defect, D1aug values, D2aug
+    values) from one order-1 evaluation of the augmented blocks."""
     shape = np.shape(np.asarray(u1, dtype=float))
     d1aug, d2aug = sd.aug_jets(u1, u2, 1)
     D1 = _mat_values(d1aug, shape)
@@ -293,7 +288,17 @@ def compat_residual(sd: StructureData, u1, u2):
     R = (_mat_values(d1aug, shape, 1) - _mat_values(d2aug, shape, 0)
          + D1 @ D2 - D2 @ D1)
     fro = np.sqrt(np.sum(R * R, axis=(-2, -1)))
-    return float(np.max(fro))
+    return float(np.max(fro)), D1, D2
+
+
+def compat_residual(sd: StructureData, u1, u2):
+    """Max Frobenius norm of the frame-system flatness defect.
+
+    D1_u2 - D2_u1 + [D1, D2] over the sampled points, with the augmented
+    3x3 blocks.  Points on the singular set are included in the report;
+    gating on the regular part is the caller's choice.
+    """
+    return _flatness(sd, u1, u2)[0]
 
 
 def integrability_residual(sd: StructureData, u1, u2):
@@ -360,7 +365,6 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
     def ingredients(uu1, uu2):
         """(C_k entries (4), omega_k) as value arrays on regular points."""
         sshape = np.shape(uu1)
-        io_j = sd.i_omega.jet(uu1, uu2, 1)
         h_j = sd.h.jet(uu1, uu2, 0)
         phi_j = sd.phi.jet(uu1, uu2, 1)
 
@@ -596,8 +600,7 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     u1_nodes, u2_nodes = lattice_nodes(sd, shape)
     if check_compat:
         u1r, u2r, _ = sd.regular_sample(u1_nodes[::4], u2_nodes[::4], config)
-        resid = compat_residual(sd, u1r, u2r)
-        d1aug, d2aug, _ = sd.aug_values(u1r, u2r)
+        resid, d1aug, d2aug = _flatness(sd, u1r, u2r)
         scale = max(1.0, float(np.max(np.abs(d1aug))),
                     float(np.max(np.abs(d2aug))))
         if resid > config.tol_compat * scale:

@@ -44,7 +44,7 @@ _FIELD_BY_ENTRY = {
 }
 
 
-def read_structure_file(path, config: Config = DEFAULT) -> StructureData:
+def read_structure_file(path) -> StructureData:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:

@@ -286,7 +286,7 @@ class TestCriterion9:
             b = frame_bundle(f, u1, u2)
             from frontal_lab.jets import triple_product_jet
             theta = np.abs(np.asarray(triple_product_jet(
-                b.w1, b.w2, VERTICAL.jets(b, u1, u2)).value))
+                b.w1, b.w2, VERTICAL.jets(b)).value))
             keep = np.broadcast_to(theta, u1.shape) > 0.1
             u1, u2 = u1[keep], u2[keep]
             s = structure_from_field(f, VERTICAL, u1, u2)
@@ -347,8 +347,7 @@ class TestCriterion11:
 
         bf = blaschke_field(ex510, shape=(15, 15))
         xi = bf.as_transversal()
-        doubled = TransversalField(
-            lambda b, u1, u2: xi.jets(b, u1, u2).scale(2.0))
+        doubled = TransversalField(lambda b: xi.jets(b).scale(2.0))
         u1, u2 = regular_points(ex510, 20, seed=11)
         s = structure_from_field(ex510, doubled, u1, u2)
         lam = frame_bundle(ex510, u1, u2).lam_det.value_on(u1.shape)

@@ -119,7 +119,7 @@ class TestBlaschkeVerify:
         bf = blaschke_field(ex510, shape=(15, 15))
         xi = bf.as_transversal()
         doubled = TransversalField(
-            lambda b, u1, u2: xi.jets(b, u1, u2).scale(2.0),
+            lambda b: xi.jets(b).scale(2.0),
             label="2x affine normal")
         u1, u2 = regular_points(ex510, 25, seed=1)
         s = structure_from_field(ex510, doubled, u1, u2)
@@ -241,7 +241,7 @@ class TestConormal:
     def test_doubled_normal_halves(self, paraboloid):
         u1, u2 = regular_points(paraboloid, 10, seed=3)
         b = frame_bundle(paraboloid, u1, u2)
-        doubled = TransversalField(lambda bundle, a, c: bundle.n.scale(2.0))
+        doubled = TransversalField(lambda bundle: bundle.n.scale(2.0))
         nu = conormal(paraboloid, doubled, u1, u2)
         assert np.max(np.abs(nu.values_stacked()
                              - b.n.values_stacked() / 2.0)) < 1e-12

@@ -100,6 +100,24 @@ class TestExtendableNcGenerator:
         np.testing.assert_allclose(x[..., 1], u2 ** 2, atol=1e-9)
         np.testing.assert_allclose(x[..., 2], u1 * u2 ** 2, atol=1e-9)
 
+    def test_omega_serves_order_0(self):
+        # the first column reads one derivative of C, so an order-0
+        # request integrates C at order 1; y = (u1, u2^2, u1 u2^2) has
+        # w1 = (1, 0, u2^2) and w2 = (0, 1, u1)
+        f = get_entry("gen-extendable-nc",
+                      {"b": "u2^2", "h": "0", "l": "1", "r": "0"}).build()
+        u1, u2 = f.grid((5, 5))
+        w1, w2 = f.omega(u1, u2, 0)
+        assert w1.order == w2.order == 0
+        np.testing.assert_allclose(
+            w1.values_on(u1.shape),
+            np.stack([np.ones_like(u1), np.zeros_like(u1), u2 ** 2], axis=-1),
+            atol=1e-9)
+        np.testing.assert_allclose(
+            w2.values_on(u1.shape),
+            np.stack([np.zeros_like(u1), np.ones_like(u1), u1], axis=-1),
+            atol=1e-9)
+
     def test_quintic_profile_with_potential(self):
         # nonzero h exercises the nested quadrature; the decomposition
         # residual check at build is the oracle
@@ -122,7 +140,7 @@ class TestExtendableNcGenerator:
         u1 = np.linspace(-0.5, 0.5, 3)
         u2 = np.linspace(-0.5, 0.5, 3)
         U1, U2 = np.meshgrid(u1, u2, indexing="ij")
-        bf = blaschke_field(f, grid=(U1, U2), config=cfg)
+        bf = blaschke_field(f, grid=(U1, U2))
         assert bf.diagnostics["n_singular"] == 3
         assert all(p["spread"] < 1e-4 for p in bf.diagnostics["probes"])
         # this surface matches the quintic-edge family at its base slice,

@@ -304,6 +304,20 @@ def test_blaschke_check_beyond_field_order_names_orders(capsys):
     assert "carries order 0" in err
 
 
+@pytest.mark.parametrize("field", ["0,1", "nan,0,1"])
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--entry", "paraboloid", "--grid", "5x5"],
+    ["export", "--entry", "paraboloid", "--what", "structure",
+     "--grid", "5x5", "--out", "{tmp}/s.json"],
+], ids=["reconstruct", "export"])
+def test_field_is_blaschke_normal_or_three_finite_numbers(command, field,
+                                                           tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+    assert run(argv + [f"--field={field}"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "--field" in err
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
                                        "ex-5.9", "ex-5.10"])
@@ -333,6 +347,25 @@ class TestFrontalFileInput:
         assert rep["entry"] == "tilted-paraboloid"
         assert rep["wavefront"]["verdict"] is True
         assert rep["singular"]["n_cells"] == 0
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--grid", "9x9"],
+        ["export", "--what", "structure", "--field", "normal",
+         "--grid", "9x9", "--out", "{tmp}/s.json"],
+    ], ids=["analyze", "export"])
+    def test_non_frontal_is_precondition(self, command, tmp_path, capsys):
+        # Omega spans the horizontal plane, which is tangent to the
+        # paraboloid only at the origin, so it does not factor Dx
+        path = tmp_path / "nonfrontal.json"
+        write_report(path, {
+            "name": "not-a-frontal",
+            "domain": [-1.0, 1.0, -1.0, 1.0],
+            "x": ["u1", "u2", "(u1^2 + u2^2)/2"],
+            "omega": [["1", "0", "0"], ["0", "1", "0"]],
+        })
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+        assert run(argv + ["--input", str(path)]) == cli.EXIT_PRECONDITION
+        assert "NotAFrontal" in capsys.readouterr().err
 
     def test_config_file_flows_through(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

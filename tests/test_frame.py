@@ -14,7 +14,8 @@ from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
                                frame_bundle, frontal_from_expressions,
                                ii_omega_normal_route, nonparabolic_test,
                                singular_scan, unit_normal, wavefront_test)
-from frontal_lab.reconstruct import extract_structure
+from frontal_lab.catalog import get_entry
+from frontal_lab.reconstruct import extract_structure, integrate_frame
 from frontal_lab.jets import Jet, JetVec3, _mat_values
 
 
@@ -25,7 +26,7 @@ def lam_values(lam, shape=()):
 def sweep(test, f, shape):
     """Run a grid sweep on the frame bundle of f's default grid."""
     grid = f.grid(shape)
-    return test(frame_bundle(f, *grid), grid, f.config)
+    return test(frame_bundle(f, *grid))
 
 
 class TestFactorLambda:
@@ -267,7 +268,7 @@ class TestSingularScanMatchesLoop:
     def test_same_cover_as_loop(self, det, shape, exercised, config):
         f = flat_frontal(det)
         grid = f.grid(shape)
-        scan = singular_scan(frame_bundle(f, *grid), grid, config)
+        scan = singular_scan(frame_bundle(f, *grid))
         assert exercised(scan.lam_det)
         cells, dense, pts = scan_reference(scan.lam_det, *grid,
                                            config.eps_sing)
@@ -359,6 +360,32 @@ class TestBundleCounts:
         # affine-normal fields of the equivariance check
         assert cli.main(["check", "--entry", "ex-5.10"]) == 0
         assert len(bundle_sizes) == 10
+
+    def test_compat_check_builds_one_bundle(self, bundle_sizes,
+                                            paraboloid):
+        # a 1x1 lattice integrates nothing, so only the compatibility
+        # check on the regular sample builds a bundle: residual and scale
+        # come from one order-1 evaluation
+        sd = extract_structure(paraboloid, TransversalField.unit_normal())
+        bundle_sizes.clear()
+        integrate_frame(sd, (1, 1))
+        assert bundle_sizes == [1]
+
+    def test_normal_values_read_neither_x_nor_lambda(self, monkeypatch):
+        # the unit-normal symbols need only w1, w2 and n; the one Lambda
+        # read is aug_values' own order-0 block
+        f = get_entry("paraboloid").build()
+        calls = []
+        for name in ("x", "lam"):
+            def counted(u1, u2, order, _fn=getattr(f, name), _name=name):
+                calls.append((_name, order))
+                return _fn(u1, u2, order)
+            monkeypatch.setattr(f, name, counted)
+        sd = extract_structure(f, TransversalField.unit_normal())
+        calls.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert calls == [("lam", 0)]
 
     # aug_values reads values only, so the symbols are asked for at order
     # 0 and the bundle is built at the order the field loses on top

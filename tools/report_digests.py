@@ -17,9 +17,12 @@ bench/workloads.py next to this file), `check` on every fixed catalog
 entry, structure export with the unit-normal, constant and Blaschke
 fields, reconstruction with the unit normal, `blaschke` on a frontal
 file written by `catalog --save`, structure export from a frontal file
-without Lambda, and commands that must fail with a typed error: unknown
-or unusable settings, a Blaschke check beyond the surface's jet orders,
-and the ex-5.10 reconstruction with the default field.
+without Lambda and from the gen-extendable-nc generator, and commands
+that must fail with a typed error: unknown or unusable settings, a
+Blaschke check beyond the surface's jet orders, the ex-5.10
+reconstruction with the default field, a `--field` that is not three
+numbers, and structure export from a file whose Omega does not factor
+Dx.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ NO_LAMBDA_FRONTAL = {"name": "paraboloid-file",
                      "domain": [-1.0, 1.0, -1.0, 1.0],
                      "x": ["u1", "u2", "(u1^2 + u2^2)/2"],
                      "omega": [["1", "0", "u1"], ["0", "1", "u2"]]}
+# The same surface with a horizontal Omega, which does not factor Dx;
+# written to OUTDIR/nonfrontal.json ("{nonfrontal}" in argv).
+NON_FRONTAL = dict(NO_LAMBDA_FRONTAL, name="not-a-frontal",
+                   omega=[["1", "0", "0"], ["0", "1", "0"]])
 
 
 def command_list():
@@ -71,6 +78,10 @@ def command_list():
                      ["export", "--input", "{nolam}",
                       "--what", "structure", f"--field={field}",
                       "--grid", "9x9", "--out", "{out}/s.json"]))
+    cmds.append(("nc-structure-normal",
+                 ["export", "--entry", "gen-extendable-nc", "--what",
+                  "structure", "--field=normal", "--grid", "9x9",
+                  "--out", "{out}/s.json"]))
     cmds += [("typed-failure", argv) for argv in (
         ["analyze", "--entry", "ex-5.9", "--grid", "5x5",
          "--set", "jet_order=2"],
@@ -81,6 +92,9 @@ def command_list():
         ["blaschke", "--entry", "gen-extendable-nc",
          "--domain=-0.8,0.8,-0.8,0.8", "--grid", "3x3"],
         ["reconstruct", "--entry", "ex-5.10"],
+        ["reconstruct", "--entry", "paraboloid", "--field", "0,1"],
+        ["export", "--input", "{nonfrontal}", "--what", "structure",
+         "--field=normal", "--grid", "9x9", "--out", "{out}/nf.json"],
     )]
     return cmds
 
@@ -121,17 +135,21 @@ def main(argv=None):
         sys.exit(f"{outdir} is not empty")
     sys.path.insert(0, src)
     from frontal_lab import cli
-    nolam = os.path.join(outdir, "para-nolam.json")
     os.makedirs(outdir, exist_ok=True)
-    with open(nolam, "w", encoding="utf-8") as fh:
-        json.dump(NO_LAMBDA_FRONTAL, fh)
+    files = {}
+    for key, name, doc in (("{nolam}", "para-nolam.json", NO_LAMBDA_FRONTAL),
+                           ("{nonfrontal}", "nonfrontal.json", NON_FRONTAL)):
+        files[key] = os.path.join(outdir, name)
+        with open(files[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
     for group, template in command_list():
         out = os.path.join(outdir, group)
         os.makedirs(out, exist_ok=True)
         before = _files(outdir)
-        rc, stdout, stderr = run(
-            cli, [a.replace("{out}", out).replace("{nolam}", nolam)
-                  for a in template])
+        argv = [a.replace("{out}", out) for a in template]
+        for key, path in files.items():
+            argv = [a.replace(key, path) for a in argv]
+        rc, stdout, stderr = run(cli, argv)
         after = _files(outdir)
         h = hashlib.sha256(repr(rc).encode())
         for text in (stdout, stderr):
