@@ -153,6 +153,14 @@ def _lam_det_values(f: Frontal, u1, u2, order=0):
     return det2_jet(f.lam(u1, u2, order)).value_on(np.shape(u1))
 
 
+def _field_order(f: Frontal, xi_order):
+    """Frame-bundle order at which the affine normal carries `xi_order`
+    orders.  Its tangential part solves the second form (built on n_u)
+    against grad phi, one order below the basis, and loses one more when
+    K is the quotient K_omega / det Lambda rather than a closed form."""
+    return f.bundle_order(xi_order + (1 if f.gauss is not None else 2))
+
+
 # --- extended Gauss curvature --------------------------------------------------------
 
 
@@ -167,7 +175,7 @@ def _gauss_ratio_fn(f: Frontal):
         u1 = np.asarray(u1, dtype=np.longdouble)
         u2 = np.asarray(u2, dtype=np.longdouble)
         try:
-            b = frame_bundle(f, u1, u2, order=2)
+            b = frame_bundle(f, u1, u2, f.bundle_order(1))
         except DegenerateBasis:
             return np.full((1,) + np.shape(u1), np.nan)
         lam = b.lam_det.value_on(b.shape).copy()
@@ -191,7 +199,7 @@ def gauss_extension(f: Frontal, point):
     if abs(lam) > f.config.eps_sing:
         if f.gauss is not None:
             return float(np.asarray(f.gauss(u1, u2, 0).value).ravel()[0])
-        b = frame_bundle(f, u1, u2, order=2)
+        b = frame_bundle(f, u1, u2, f.bundle_order(1))
         return float(np.asarray(b.K_omega.value).ravel()[0]) / lam
     return float(gauss_at_singular(f, np.asarray([point], dtype=float))[0])
 
@@ -287,23 +295,36 @@ class BlaschkeField:
         return b, phi, av, bv
 
     def nudged_points(self, u1, u2, shift=1e-7):
-        """Move points off the singular set along the gradient of det Lambda."""
+        """Move points off the singular set along the gradient of det Lambda.
+
+        SingularPoint when a point is left on the singular set: where the
+        gradient (nearly) vanishes the shift cannot clear eps_sing.
+        """
+        f = self.frontal
         u1 = np.array(u1, dtype=float, copy=True)
         u2 = np.array(u2, dtype=float, copy=True)
-        lam_det = det2_jet(self.frontal.lam(u1, u2, 1))
+        lam_det = det2_jet(f.lam(u1, u2, 1))
         lam = lam_det.value_on(u1.shape)
-        near = np.abs(lam) <= 10.0 * self.frontal.config.eps_sing
+        near = np.abs(lam) <= 10.0 * f.config.eps_sing
         if not np.any(near):
             return u1, u2
-        g1 = lam_det.deriv(0).value_on(u1.shape)
-        g2 = lam_det.deriv(1).value_on(u1.shape)
+        g1 = lam_det.deriv(0).value_on(u1.shape)[near]
+        g2 = lam_det.deriv(1).value_on(u1.shape)[near]
         norm = np.hypot(g1, g2)
-        bad = near & (norm <= 1e-12)
-        if np.any(bad):
-            raise DivisionByZeroValue(
-                "singular point with vanishing gradient; cannot nudge")
-        u1[near] = u1[near] + shift * g1[near] / norm[near]
-        u2[near] = u2[near] + shift * g2[near] / norm[near]
+        p1, p2 = u1[near], u2[near]
+        stuck = norm <= 1e-12
+        if not np.any(stuck):
+            u1[near] = p1 + shift * g1 / norm
+            u2[near] = p2 + shift * g2 / norm
+            stuck = (np.abs(_lam_det_values(f, u1[near], u2[near]))
+                     <= f.config.eps_sing)
+        if np.any(stuck):
+            k = int(np.flatnonzero(stuck)[0])
+            raise SingularPoint(
+                f"node ({p1[k]:.6g}, {p2[k]:.6g}) stays on the singular "
+                f"set after a {shift:g} shift along grad det Lambda: "
+                f"|grad det Lambda| = {norm[k]:.3e} there; the affine "
+                f"normal is not evaluated on the singular set")
         return u1, u2
 
     def xi_value(self, u1, u2):
@@ -316,7 +337,8 @@ class BlaschkeField:
         out = np.empty(shape + (3,), dtype=float)
         regular = np.abs(lam) > self.frontal.config.eps_sing
         if np.any(regular):
-            b = frame_bundle(self.frontal, u1[regular], u2[regular])
+            b = frame_bundle(self.frontal, u1[regular], u2[regular],
+                             _field_order(self.frontal, 0))
             out[regular] = self.as_transversal().jets(b).values_stacked()
         if np.any(~regular):
             targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
@@ -347,7 +369,7 @@ def _tangent_value_fn(f: Frontal):
         ok = np.abs(lam) > f.config.eps_sing
         if np.any(ok):
             try:
-                b = frame_bundle(f, u1[ok], u2[ok])
+                b = frame_bundle(f, u1[ok], u2[ok], _field_order(f, 0))
                 phi, _, _ = _phi_jet(b)
                 av, bv = _tangent_coeff_jets(b, phi)
             except UNUSABLE_SAMPLE:
@@ -372,7 +394,7 @@ def _singular_field(f: Frontal, targets):
     if np.any(np.abs(K_vals) <= f.config.eps_k):
         raise KVanishes("extended curvature vanishes on the singular set")
     n_sing = targets.shape[0]
-    bq = frame_bundle(f, targets[:, 0], targets[:, 1])
+    bq = frame_bundle(f, targets[:, 0], targets[:, 1], f.bundle_order(0))
     n_at = bq.n.values_on((n_sing,))
     w1_at = bq.w1.values_on((n_sing,))
     w2_at = bq.w2.values_on((n_sing,))
@@ -420,7 +442,8 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
 
     if np.any(regular):
         u1r, u2r = u1[regular], u2[regular]
-        br = frame_bundle(f, u1r, u2r)
+        # tau and the volume match read first derivatives of xi
+        br = frame_bundle(f, u1r, u2r, _field_order(f, 1))
         phi, sign, av, bv, xi = _regular_field(br)
         tgt = u1r.shape
         phi_g[regular] = phi.value_on(tgt)
@@ -487,7 +510,7 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41)):
         raise SingularPoint(
             "det Lambda vanishes at every verification point; the frontal "
             "violates the hypothesis that the regular set is dense")
-    b = frame_bundle(f, u1[regular], u2[regular])
+    b = frame_bundle(f, u1[regular], u2[regular], _field_order(f, 1))
     xi = bf.as_transversal().jets(b)
     if xi.order < 1:
         raise InsufficientJetOrder(

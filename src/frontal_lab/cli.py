@@ -151,7 +151,8 @@ def cmd_analyze(args):
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
-    b = frame_bundle(f, u1, u2)
+    # every quantity below is read as a value or a first derivative
+    b = frame_bundle(f, u1, u2, f.bundle_order(1))
     scan = singular_scan(b)
     wf, witnesses = wavefront_test(b)
     nonpar = nonparabolic_test(b)

@@ -69,6 +69,23 @@ class Frontal:
     def omega(self, u1, u2, order):
         return self._omega(u1, u2, order)
 
+    @cached_property
+    def omega_loss(self):
+        """Jet orders the moving basis carries below the order it is asked
+        for, read once at the centre of the domain: 1 where Omega is the
+        derivative of an integral evaluated at the requested order
+        (gen-extendable-nc), 0 otherwise."""
+        a1, b1, a2, b2 = self.domain
+        w1, w2 = self.omega(np.asarray([0.5 * (a1 + b1)]),
+                            np.asarray([0.5 * (a2 + b2)]), MAX_ORDER)
+        return MAX_ORDER - min(w1.order, w2.order)
+
+    def bundle_order(self, need):
+        """Order of the frame bundle whose moving basis carries `need`
+        orders: need plus the Omega loss, capped at jets.MAX_ORDER (past
+        the cap a consumer meets InsufficientJetOrder where it reads)."""
+        return min(need + self.omega_loss, MAX_ORDER)
+
     def lam(self, u1, u2, order):
         """2x2 jet matrix Lambda; analytic when supplied, factored otherwise."""
         if self._lam is not None:

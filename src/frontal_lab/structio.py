@@ -181,29 +181,29 @@ def export_obj(path, x_grid):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path, header, columns):
+    """CSV with one row per grid point (row-major) and one column per
+    array in `columns`, each value written as repr of a Python float."""
+    table = np.stack([np.asarray(c, dtype=float).ravel() for c in columns],
+                     axis=-1).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
+
+
 def export_field_csv(path, u1, u2, x_grid, xi_grid):
     """CSV columns u1,u2,x,y,z,xi1,xi2,xi3 in row-major grid order."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    x = np.asarray(x_grid, dtype=float).reshape(u1.size, 3)
-    xi = np.asarray(xi_grid, dtype=float).reshape(u1.size, 3)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u1,u2,x,y,z,xi1,xi2,xi3\n")
-        for k in range(u1.size):
-            row = [u1.ravel()[k], u2.ravel()[k], *x[k], *xi[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    n = np.size(u1)
+    x = np.asarray(x_grid, dtype=float).reshape(n, 3)
+    xi = np.asarray(xi_grid, dtype=float).reshape(n, 3)
+    _write_csv(path, ["u1", "u2", "x", "y", "z", "xi1", "xi2", "xi3"],
+               [u1, u2, *x.T, *xi.T])
 
 
 def export_frame_csv(path, u1, u2, data):
     """Frame-data table; data maps column name -> grid of values."""
     cols = sorted(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u1,u2," + ",".join(cols) + "\n")
-        flat = {c: np.asarray(data[c], dtype=float).ravel() for c in cols}
-        for k in range(np.asarray(u1).size):
-            row = [np.asarray(u1).ravel()[k], np.asarray(u2).ravel()[k]]
-            row += [flat[c][k] for c in cols]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, ["u1", "u2", *cols], [u1, u2, *(data[c] for c in cols)])
 
 
 def write_report(path, payload):

@@ -102,6 +102,21 @@ class TestBlaschkeField:
         assert np.max(np.abs(bf.xi - A[:, 2])) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["ex-5.8", "ex-5.9", "ex-5.10"])
+def test_closed_form_parity(name):
+    # the closed-form curvature and the K_omega / det Lambda quotient build
+    # the field at different jet orders; both must give the same field,
+    # on the regular part and through the singular-point probes
+    f = get_entry(name).build()
+    grid = f.interior_grid((9, 9), margin=0.05)
+    closed = blaschke_field(f, grid=grid)
+    numeric = blaschke_field(f.stripped(), grid=grid)
+    assert closed.diagnostics["n_singular"] > 0
+    assert numeric.diagnostics["n_singular"] == closed.diagnostics["n_singular"]
+    scale = max(1.0, float(np.max(np.abs(closed.xi))))
+    assert np.max(np.abs(numeric.xi - closed.xi)) <= f.config.tol_limit * scale
+
+
 class TestBlaschkeVerify:
     def test_rank1_wavefront(self, ex510):
         bf = blaschke_field(ex510, shape=(21, 21))

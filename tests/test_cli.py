@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from frontal_lab import cli
-from frontal_lab.structio import (read_structure_file, write_report,
+from frontal_lab.structio import (export_field_csv, export_frame_csv,
+                                  read_structure_file, write_report,
                                   write_structure_file)
 
 
@@ -211,6 +212,17 @@ class TestReconstructCommand:
         assert "SingularPoint" in err and "dense" in err
 
 
+    def test_nudge_left_on_singular_set_is_singular_point(self, capsys):
+        # the default base point sits on the singular line u2 = u1 next to
+        # the origin, where grad det Lambda is too small for the nudge
+        assert run(["reconstruct", "--entry", "ex-5.10"]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "SingularPoint" in err
+        assert "node (0.000141421, 0.000141421)" in err
+        assert "|grad det Lambda| = 4.800e-03" in err
+
+
 class TestGridSpec:
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--entry", "ex-5.10", "--field", "0,0,1",
@@ -367,6 +379,18 @@ class TestFrontalFileInput:
         assert run(argv + ["--input", str(path)]) == cli.EXIT_PRECONDITION
         assert "NotAFrontal" in capsys.readouterr().err
 
+    def test_blaschke_structure_without_closed_form_curvature(
+            self, tmp_path, capsys):
+        # a saved catalog frontal carries no "K": the Blaschke extraction
+        # runs on the K_omega / det Lambda quotient
+        para = tmp_path / "para.json"
+        assert run(["catalog", "paraboloid", "--save", str(para)]) == 0
+        assert "K" not in json.loads(para.read_text())
+        assert run(["export", "--input", str(para), "--what", "structure",
+                    "--field", "blaschke", "--grid", "9x9",
+                    "--out", str(tmp_path / "s.json")]) == 0
+        assert read_structure_file(tmp_path / "s.json").W0.shape == (3, 3)
+
     def test_config_file_flows_through(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("eps_sing = 1e-6\n")
@@ -442,3 +466,31 @@ class TestExport:
             outs.append((out / "analyze.json").read_bytes())
         assert outs[0] == outs[1]
 
+
+def _csv_reference(header, columns):
+    """The row-by-row writer the table writer replaced."""
+    flat = [np.asarray(c, dtype=float).ravel() for c in columns]
+    lines = [",".join(header) + "\n"]
+    for k in range(flat[0].size):
+        lines.append(",".join(repr(float(c[k])) for c in flat) + "\n")
+    return "".join(lines)
+
+
+def test_csv_exports_match_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    u1, u2 = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(0, 1, 3),
+                         indexing="ij")
+    x = rng.normal(size=(4, 3, 3))
+    xi = rng.normal(size=(4, 3, 3)) * 1e-300
+    x[1, 2] = [np.nan, -0.0, np.inf]
+    field = tmp_path / "field.csv"
+    export_field_csv(field, u1, u2, x, xi)
+    cols = [u1, u2, *np.moveaxis(x, -1, 0), *np.moveaxis(xi, -1, 0)]
+    assert field.read_text() == _csv_reference(
+        ["u1", "u2", "x", "y", "z", "xi1", "xi2", "xi3"], cols)
+
+    data = {"b": x[..., 0], "a": xi[..., 1]}
+    frame = tmp_path / "frame.csv"
+    export_frame_csv(frame, u1, u2, data)
+    assert frame.read_text() == _csv_reference(
+        ["u1", "u2", "a", "b"], [u1, u2, data["a"], data["b"]])

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import regular_points
 from frontal_lab import cli, expr
-from frontal_lab.blaschke import blaschke_field, conormal_verify
+from frontal_lab.blaschke import (_tangent_value_fn, blaschke_field,
+                                  conormal_verify)
 from frontal_lab.equiaffine import TransversalField, check_tau_formula
 from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
@@ -402,6 +403,38 @@ class TestBundleCounts:
         u1 = np.linspace(0.1, 0.5, 5)
         sd.aug_values(u1, 0.3 * u1 + 0.1)
         assert bundle_orders == [2]
+
+    # analyze reads values and first derivatives; gen-extendable-nc's
+    # Omega carries one order less than asked for, so it needs one more
+    def test_analyze_builds_order_1(self, bundle_orders, tmp_path, capsys):
+        assert cli.main(["analyze", "--entry", "ex-5.9", "--grid", "5x5",
+                         "--out", str(tmp_path)]) == 0
+        assert bundle_orders == [1]
+
+    def test_analyze_adds_the_omega_loss(self, bundle_orders, capsys):
+        assert get_entry("gen-extendable-nc").build().omega_loss == 1
+        assert cli.main(["analyze", "--entry", "gen-extendable-nc",
+                         "--grid", "5x5"]) == 0
+        assert bundle_orders == [2]
+
+    # the (a, b) probe samples read values: one order under the second
+    # form with closed-form K, two when K is K_omega / det Lambda
+    @pytest.mark.parametrize("strip, order", [(False, 1), (True, 2)],
+                             ids=["closed-form", "stripped"])
+    def test_probe_samples_read_values(self, bundle_orders, ex59, strip,
+                                       order):
+        f = ex59.stripped() if strip else ex59
+        _tangent_value_fn(f)(np.array([0.2, 0.3]), np.array([0.1, -0.2]))
+        assert bundle_orders == [order]
+
+    def test_blaschke_field_orders(self, bundle_orders, ex59):
+        # regular part (tau reads xi_u), probe samples, then the frame at
+        # the singular points, whose values alone are read
+        bf = blaschke_field(ex59, (5, 5))
+        assert bf.diagnostics["n_singular"] == 5
+        assert bundle_orders[0] == 2
+        assert set(bundle_orders[1:-1]) == {1}
+        assert bundle_orders[-1] == 0
 
 
 class TestAffineImage:

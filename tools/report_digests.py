@@ -16,8 +16,11 @@ The list: the seed-0 jobs of the three benchmark workloads (read from
 bench/workloads.py next to this file), `check` on every fixed catalog
 entry, structure export with the unit-normal, constant and Blaschke
 fields, reconstruction with the unit normal, `blaschke` on a frontal
-file written by `catalog --save`, structure export from a frontal file
-without Lambda and from the gen-extendable-nc generator, and commands
+file written by `catalog --save` and on a singular frontal file without
+a closed-form curvature, `analyze --out` on a frontal file without
+Lambda and on the gen-extendable-nc generator (whose Omega carries one
+jet order less), structure export from a frontal file without Lambda
+and from the gen-extendable-nc generator, and commands
 that must fail with a typed error: unknown or unusable settings, a
 Blaschke check beyond the surface's jet orders, the ex-5.10
 reconstruction with the default field, a `--field` that is not three
@@ -49,6 +52,13 @@ NO_LAMBDA_FRONTAL = {"name": "paraboloid-file",
 # written to OUTDIR/nonfrontal.json ("{nonfrontal}" in argv).
 NON_FRONTAL = dict(NO_LAMBDA_FRONTAL, name="not-a-frontal",
                    omega=[["1", "0", "0"], ["0", "1", "0"]])
+# ex-5.9 (singular along u2 = 0) as a frontal file with only x and Omega,
+# written to OUTDIR/ex59-nok.json ("{nok}" in argv): its Blaschke probes
+# run without a closed-form curvature.
+SINGULAR_NO_K = {"name": "ex-5.9-file", "domain": [-1.0, 1.0, -1.0, 1.0],
+                 "open_domain": True,
+                 "x": ["u1", "2/5*u2^5 + u2^2", "u1*u2^2"],
+                 "omega": [["1", "0", "u2^2"], ["0", "u2^3 + 1", "u1"]]}
 
 
 def command_list():
@@ -73,6 +83,15 @@ def command_list():
     cmds.append(("frontal-file",
                  ["blaschke", "--input", "{out}/para.json", "--grid", "9x9",
                   "--out", "{out}/bl"]))
+    cmds.append(("nok-blaschke",
+                 ["blaschke", "--input", "{nok}", "--grid", "9x9",
+                  "--out", "{out}"]))
+    cmds.append(("nolam-analyze",
+                 ["analyze", "--input", "{nolam}", "--grid", "9x9",
+                  "--out", "{out}"]))
+    cmds.append(("nc-analyze",
+                 ["analyze", "--entry", "gen-extendable-nc", "--grid", "9x9",
+                  "--out", "{out}"]))
     for field in ("normal", "blaschke"):
         cmds.append((f"nolam-structure-{field}",
                      ["export", "--input", "{nolam}",
@@ -138,7 +157,8 @@ def main(argv=None):
     os.makedirs(outdir, exist_ok=True)
     files = {}
     for key, name, doc in (("{nolam}", "para-nolam.json", NO_LAMBDA_FRONTAL),
-                           ("{nonfrontal}", "nonfrontal.json", NON_FRONTAL)):
+                           ("{nonfrontal}", "nonfrontal.json", NON_FRONTAL),
+                           ("{nok}", "ex59-nok.json", SINGULAR_NO_K)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
