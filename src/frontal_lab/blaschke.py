@@ -264,6 +264,11 @@ def _regular_field(b: FrameBundle):
     return phi, sign, av, bv, xi
 
 
+# Distance a sweep point within 10 eps_sing of the singular set is moved
+# along grad det Lambda before the affine normal is evaluated there.
+NUDGE = 1e-7
+
+
 class BlaschkeField:
     """Affine-normal field of a frontal, with evaluation machinery.
 
@@ -271,7 +276,7 @@ class BlaschkeField:
     jets at arbitrary regular points (for structure extraction) and
     values at singular points (via probes).  Near-singular evaluations
     inside smooth-field sweeps are nudged off the zero set transversally
-    by ~1e-7, which perturbs the smooth field by the same order.
+    by NUDGE, which perturbs the smooth field by the same order.
     """
 
     def __init__(self, frontal: Frontal, grids, diagnostics):
@@ -294,7 +299,7 @@ class BlaschkeField:
         phi, _, av, bv, _ = _regular_field(b)
         return b, phi, av, bv
 
-    def nudged_points(self, u1, u2, shift=1e-7):
+    def nudged_points(self, u1, u2):
         """Move points off the singular set along the gradient of det Lambda.
 
         SingularPoint when a point is left on the singular set: where the
@@ -314,15 +319,15 @@ class BlaschkeField:
         p1, p2 = u1[near], u2[near]
         stuck = norm <= 1e-12
         if not np.any(stuck):
-            u1[near] = p1 + shift * g1 / norm
-            u2[near] = p2 + shift * g2 / norm
+            u1[near] = p1 + NUDGE * g1 / norm
+            u2[near] = p2 + NUDGE * g2 / norm
             stuck = (np.abs(_lam_det_values(f, u1[near], u2[near]))
                      <= f.config.eps_sing)
         if np.any(stuck):
             k = int(np.flatnonzero(stuck)[0])
             raise SingularPoint(
                 f"node ({p1[k]:.6g}, {p2[k]:.6g}) stays on the singular "
-                f"set after a {shift:g} shift along grad det Lambda: "
+                f"set after a {NUDGE:g} shift along grad det Lambda: "
                 f"|grad det Lambda| = {norm[k]:.3e} there; the affine "
                 f"normal is not evaluated on the singular set")
         return u1, u2

@@ -316,15 +316,15 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     b_u2 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u2"))
     s = expr_mod.to_source
 
+    def ell(t):
+        return expr_mod.eval_jet(l_ast, {"u1": t})
+
     def big_g(cfg, env, order):
         # G(u1, u2) = int_0^{u2} h(u1,t) b_u2(u1,t) dt + int_0^{u1} l(t) dt
         def hb(t):
             local = {"u1": env["u1"], "u2": t}
             return (expr_mod.eval_jet(h_ast, local)
                     * expr_mod.eval_jet(b_u2, local))
-
-        def ell(t):
-            return expr_mod.eval_jet(l_ast, {"u1": t})
 
         term_a = _integral(cfg, hb, env["u2"], 1, order)
         term_b = _integral(cfg, ell, env["u1"], 0, order)
@@ -335,23 +335,10 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         #   + int_0^{u1} (int_0^{t2} l) b_u1(t2, 0) dt2 + int_0^{u1} int_0^{t2} r
         def outer_u2(t2):
             local = {"u1": env["u1"], "u2": t2}
-
-            def hb(t1):
-                inner = {"u1": env["u1"], "u2": t1}
-                return (expr_mod.eval_jet(h_ast, inner)
-                        * expr_mod.eval_jet(b_u2, inner))
-
-            def ell(t1):
-                return expr_mod.eval_jet(l_ast, {"u1": t1})
-
-            inner_a = _integral(cfg, hb, t2, 1, t2.order)
-            inner_b = _integral(cfg, ell, env["u1"], 0, t2.order)
-            return (inner_a + inner_b) * expr_mod.eval_jet(b_u2, local)
+            return (big_g(cfg, local, t2.order)
+                    * expr_mod.eval_jet(b_u2, local))
 
         def outer_u1(t2):
-            def ell(t1):
-                return expr_mod.eval_jet(l_ast, {"u1": t1})
-
             def arr(t1):
                 return expr_mod.eval_jet(r_ast, {"u1": t1})
 

@@ -56,10 +56,11 @@ class Frontal:
         self.config = config
         self.open_domain = open_domain
 
-    def stripped(self, keep_lam=True):
-        """Copy without analytic shortcuts, forcing the numeric routes."""
+    def stripped(self):
+        """Copy without the closed-form curvature and reference field,
+        forcing the numeric routes."""
         return Frontal(self.name + "~numeric", self._x, self._omega,
-                       self.domain, lam=self._lam if keep_lam else None,
+                       self.domain, lam=self._lam,
                        gauss=None, blaschke_known=None, source=self.source,
                        config=self.config, open_domain=self.open_domain)
 
@@ -102,15 +103,13 @@ class Frontal:
         return np.meshgrid(np.linspace(a1, b1, nx), np.linspace(a2, b2, ny),
                            indexing="ij")
 
-    def interior_grid(self, shape, margin=0.0, offset=(0.0, 0.0)):
+    def interior_grid(self, shape, margin=0.0):
         a1, b1, a2, b2 = self.domain
         m1 = margin * (b1 - a1)
         m2 = margin * (b2 - a2)
         nx, ny = shape
-        return np.meshgrid(
-            np.linspace(a1 + m1, b1 - m1, nx) + offset[0],
-            np.linspace(a2 + m2, b2 - m2, ny) + offset[1],
-            indexing="ij")
+        return np.meshgrid(np.linspace(a1 + m1, b1 - m1, nx),
+                           np.linspace(a2 + m2, b2 - m2, ny), indexing="ij")
 
 
 def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,

@@ -14,10 +14,13 @@ frame block, so this is frame-then-position in one sweep), first down a
 spine and then along rows; the opposite sweep order is always run as a
 path-independence audit, which turns compatibility into a measurable.
 
-Structure entries may be expression-backed (evaluated exactly through
-jets), grid-backed (bicubic interpolation), or callable-backed (the
-extraction route, which closes over a frontal and a transversal field
-and solves the frame systems in jet arithmetic at any requested point).
+Every structure entry is a callable (u1, u2, order) -> jets: a 2x2 jet
+matrix, or a jet for phi.  Entries are expression-backed (evaluated
+exactly through jets), grid-backed (bicubic interpolation), or extracted
+(closures over a frontal and a transversal field that solve the frame
+systems in jet arithmetic at any requested point).  The four connection
+blocks (D1, D2, h, S) come from one callable, `StructureData.blocks`,
+because every consumer reads them together at one point set.
 """
 
 from __future__ import annotations
@@ -37,39 +40,25 @@ from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
                      InsufficientJetOrder, IntegrabilityViolated,
                      RankDeficient, SingularPoint)
 from .frame import Frontal, frame_bundle
-from .jets import (MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet,
-                   triple_product_jet)
+from .jets import INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet
 
 
-# --- field backends ---------------------------------------------------------------
+# --- structure entries -------------------------------------------------------------
 
 
-class FuncField:
-    """Field backed by a callable (u1, u2, order) -> jet(s)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def jet(self, u1, u2, order):
-        return self.fn(u1, u2, order)
-
-
-class ExprField(FuncField):
-    """Scalar or 2x2-matrix field backed by expression ASTs."""
-
-    def __init__(self, sources):
-        if isinstance(sources, str):
-            sources = [sources]
-        self.sources = list(sources)
-        asts = [expr_mod.parse(s) for s in self.sources]
-        if len(asts) not in (1, 4):
-            raise InputError("expression field needs 1 or 4 components")
-        super().__init__(expr_mod._jets_fn(
-            asts, expr_mod._scalar if len(asts) == 1 else expr_mod._mat2))
+def expr_entry(sources):
+    """Entry evaluating 1 expression (a scalar) or 4 (a row-major 2x2)."""
+    if isinstance(sources, str):
+        sources = [sources]
+    asts = [expr_mod.parse(s) for s in sources]
+    if len(asts) not in (1, 4):
+        raise InputError("expression field needs 1 or 4 components")
+    return expr_mod._jets_fn(
+        asts, expr_mod._scalar if len(asts) == 1 else expr_mod._mat2)
 
 
 class GridField:
-    """Field sampled on a rectangular grid, interpolated bicubically."""
+    """Entry sampled on a rectangular grid, interpolated bicubically."""
 
     def __init__(self, domain, values):
         # values: (nx, ny) or (4, nx, ny) row-major component grids
@@ -83,49 +72,50 @@ class GridField:
         self.splines = [RectBivariateSpline(xs, ys, c, kx=3, ky=3)
                         for c in comps]
 
-    def _jet_one(self, sp, u1, u2, order):
-        from .jets import INDICES
+    def __call__(self, u1, u2, order):
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
-        coeffs = [sp.ev(u1, u2, dx=i, dy=j) for (i, j) in INDICES[order]]
-        return Jet(order, [np.asarray(c) for c in coeffs])
-
-    def jet(self, u1, u2, order):
-        vals = [self._jet_one(sp, u1, u2, order) for sp in self.splines]
+        vals = [Jet(order, [np.asarray(sp.ev(u1, u2, dx=i, dy=j))
+                            for (i, j) in INDICES[order]])
+                for sp in self.splines]
         if not self.matrix:
             return vals[0]
         return [[vals[0], vals[1]], [vals[2], vals[3]]]
+
+
+def stack_blocks(d1, d2, h, s):
+    """The `blocks` callable of four entries stored one by one."""
+    def blocks(u1, u2, order):
+        return (d1(u1, u2, order), d2(u1, u2, order), h(u1, u2, order),
+                s(u1, u2, order))
+    return blocks
 
 
 @dataclass
 class StructureData:
     """Everything the frame and position systems consume.
 
-    The proper hypothesis (regular set dense) and symmetry of I_Omega are
-    the caller's responsibility for grid data; extracted and expression
-    data satisfy them by construction.
+    lam, i_omega and phi are entries; blocks(u1, u2, order) returns the
+    jets of (D1, D2, h, S), S in rows S_i^j.  The proper hypothesis
+    (regular set dense) and symmetry of I_Omega are the caller's
+    responsibility for grid data; extracted and expression data satisfy
+    them by construction.
     """
     domain: tuple
     basepoint: tuple
     W0: np.ndarray            # (3, 3), columns (v1 v2 v3)
     p: np.ndarray             # (3,)
-    lam: object               # 2x2 field
+    lam: object
     i_omega: object
-    h: object
-    d1: object
-    d2: object
-    s_op: object              # rows S_i^j
-    phi: object               # scalar field
+    blocks: object
+    phi: object
     meta: dict = field(default_factory=dict)
 
     # -- evaluation helpers -------------------------------------------------
 
     def aug_jets(self, u1, u2, order):
         """3x3 augmented blocks (D1aug, D2aug) as jet matrices."""
-        d1 = self.d1.jet(u1, u2, order)
-        d2 = self.d2.jet(u1, u2, order)
-        h = self.h.jet(u1, u2, order)
-        s = self.s_op.jet(u1, u2, order)
+        d1, d2, h, s = self.blocks(u1, u2, order)
         zero = h[0][0] * 0.0
         d1aug = [[d1[0][0], d1[0][1], h[0][0]],
                  [d1[1][0], d1[1][1], h[1][0]],
@@ -139,13 +129,13 @@ class StructureData:
         """(..., 3, 3) value arrays of both augmented blocks, plus Lambda."""
         shape = np.shape(np.asarray(u1, dtype=float))
         d1aug, d2aug = self.aug_jets(u1, u2, 0)
-        lam = self.lam.jet(u1, u2, 0)
+        lam = self.lam(u1, u2, 0)
         return (_mat_values(d1aug, shape), _mat_values(d2aug, shape),
                 _mat_values(lam, shape))
 
     def lam_det_values(self, u1, u2):
         shape = np.shape(np.asarray(u1, dtype=float))
-        lam = self.lam.jet(u1, u2, 0)
+        lam = self.lam(u1, u2, 0)
         det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
         return det.value_on(shape)
 
@@ -170,37 +160,37 @@ class StructureData:
 # --- extraction from a frontal + transversal field -----------------------------------
 
 
-def solve3_jet(c1: JetVec3, c2: JetVec3, c3: JetVec3, rhs: JetVec3):
-    """Cramer solve of (c1 c2 c3) y = rhs in jet arithmetic."""
-    det = triple_product_jet(c1, c2, c3)
-    y1 = triple_product_jet(rhs, c2, c3) / det
-    y2 = triple_product_jet(c1, rhs, c3) / det
-    y3 = triple_product_jet(c1, c2, rhs) / det
-    return y1, y2, y3
+def solver3_jet(c1: JetVec3, c2: JetVec3, c3: JetVec3):
+    """Cramer solver rhs -> y of (c1 c2 c3) y = rhs in jet arithmetic;
+    c1 x c2 and the determinant are formed once for every rhs."""
+    c12 = c1.cross(c2)
+    det = c12.dot(c3)
+
+    def solve(rhs: JetVec3):
+        return (rhs.cross(c2).dot(c3) / det, c1.cross(rhs).dot(c3) / det,
+                c12.dot(rhs) / det)
+    return solve
 
 
-def extract_structure(f: Frontal, xi_field, basepoint=None,
-                      offset=None) -> StructureData:
-    """Sample-free structure data: every field evaluates jets on demand.
+def extract_structure(f: Frontal, xi_field) -> StructureData:
+    """Sample-free structure data: every entry evaluates jets on demand.
 
     xi_field: a TransversalField, or a BlaschkeField (whose evaluation is
     nudged transversally off the singular set when a sweep lands on it;
     the structure symbols themselves extend smoothly, so a 1e-7 nudge
-    perturbs them by the same order).  The default basepoint is the
-    domain's lower-left corner shifted by an irrational multiple of the
-    step so integration lattices avoid exact singular hits.  Symbols of
-    order k come from a frame bundle of order k + the orders they lose;
-    beyond jets.MAX_ORDER the request raises InsufficientJetOrder.
+    perturbs them by the same order).  The basepoint is the domain's
+    lower-left corner, inset by 2 %, shifted by an irrational multiple of
+    the domain width so integration lattices avoid exact singular hits.
+    Symbols of order k come from a frame bundle of order k + the orders
+    they lose; beyond jets.MAX_ORDER the request raises
+    InsufficientJetOrder.
     """
     a1, b1, a2, b2 = f.domain
-    if offset is None:
-        offset = (b1 - a1) * 1e-4 * math.sqrt(2.0)
+    offset = (b1 - a1) * 1e-4 * math.sqrt(2.0)
     margin1 = 0.02 * (b1 - a1)
     margin2 = 0.02 * (b2 - a2)
     lo1, hi1 = a1 + margin1 + offset, b1 - margin1
     lo2, hi2 = a2 + margin2 + offset, b2 - margin2
-    if basepoint is None:
-        basepoint = (lo1, lo2)
 
     is_blaschke = isinstance(xi_field, BlaschkeField)
     xi = xi_field.as_transversal() if is_blaschke else xi_field
@@ -210,68 +200,57 @@ def extract_structure(f: Frontal, xi_field, basepoint=None,
         the Blaschke field evaluates both at the nudged points."""
         if is_blaschke:
             u1, u2 = xi_field.nudged_points(u1, u2)
-        b = frame_bundle(f, u1, u2, order=order)
+        b = frame_bundle(f, u1, u2, order)
         return b, xi.jets(b)
 
-    q1 = np.asarray([basepoint[0]])
-    q2 = np.asarray([basepoint[1]])
+    q1 = np.asarray([lo1])
+    q2 = np.asarray([lo2])
     b0, xj0 = frame_and_xi(q1, q2, MAX_ORDER)
-    # Orders the symbols lose against the bundle: whatever the field loses,
-    # plus one for the derivatives of w1, w2 and xi they solve for.
-    loss = 1 + b0.order - xj0.order
+    # Orders the symbols lose against the bundle: whatever the moving basis
+    # or the field loses, plus one for the derivatives of w1, w2 and xi
+    # they solve for.
+    carried = min(b0.w1.order, b0.w2.order, xj0.order)
+    loss = 1 + b0.order - carried
 
-    def structure_jets(u1, u2, order):
+    def bundle_for(u1, u2, order):
+        """Frame bundle and field jets that carry order-`order` symbols."""
         if order + loss > MAX_ORDER:
             raise InsufficientJetOrder(
                 f"order-{order} structure jets need order-{order + loss} "
                 f"frame jets, beyond the jet budget of order {MAX_ORDER}: "
-                f"the {xi.label} field loses {loss} orders on {f.name}")
-        b, xj = frame_and_xi(np.asarray(u1, dtype=float),
-                             np.asarray(u2, dtype=float), order + loss)
+                f"on {f.name} with the {xi.label} field each symbol loses "
+                f"{loss} orders (the moving basis and the field carry "
+                f"order {carried} of {b0.order}, and the solve for their "
+                f"derivatives takes one more)")
+        return frame_and_xi(np.asarray(u1, dtype=float),
+                            np.asarray(u2, dtype=float), order + loss)
+
+    def blocks(u1, u2, order):
+        b, xj = bundle_for(u1, u2, order)
+        solve = solver3_jet(b.w1, b.w2, xj)
         # coefficients of w_i,uj and xi_ui in the frame (w1, w2, xi)
-        w = [[solve3_jet(b.w1, b.w2, xj, wi.deriv(j)) for j in range(2)]
-             for wi in (b.w1, b.w2)]
+        w = [[solve(wi.deriv(j)) for j in range(2)] for wi in (b.w1, b.w2)]
         d1, d2 = [[[w[i][j][0], w[i][j][1]] for i in range(2)]
                   for j in range(2)]
         h = [[w[i][j][2] for j in range(2)] for i in range(2)]
-        s = [[-y for y in solve3_jet(b.w1, b.w2, xj, xj.deriv(i))[:2]]
-             for i in range(2)]
-        return b, xj, d1, d2, h, s
+        s = [[-y for y in solve(xj.deriv(i))[:2]] for i in range(2)]
+        return d1, d2, h, s
 
-    cache = {}
+    def phi(u1, u2, order):
+        b, xj = bundle_for(u1, u2, order)
+        return xj.dot(b.n)
 
-    def cached(u1, u2, order):
-        key = (order, np.asarray(u1).tobytes(), np.asarray(u2).tobytes())
-        if key not in cache:
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = structure_jets(u1, u2, order)
-        return cache[key]
-
-    def mk(which):
-        if which == "lam":
-            return FuncField(lambda u1, u2, order: f.lam(u1, u2, order))
-        if which == "i_omega":
-            def io_fn(u1, u2, order):
-                w1, w2 = f.omega(u1, u2, order)
-                return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
-            return FuncField(io_fn)
-
-        def fn(u1, u2, order):
-            b, xj, d1, d2, h, s = cached(u1, u2, order)
-            parts = {"d1": d1, "d2": d2, "h": h, "s": s}
-            return parts[which] if which in parts else xj.dot(b.n)  # phi
-        return FuncField(fn)
+    def i_omega(u1, u2, order):
+        w1, w2 = f.omega(u1, u2, order)
+        return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
 
     W0 = np.stack([b0.w1.values_on((1,))[0], b0.w2.values_on((1,))[0],
                    xj0.values_on((1,))[0]], axis=-1)
     p0 = f.x(q1, q2, 0).values_on((1,))[0]
 
     return StructureData(
-        domain=(lo1, hi1, lo2, hi2), basepoint=tuple(map(float, basepoint)),
-        W0=W0, p=p0,
-        lam=mk("lam"), i_omega=mk("i_omega"), h=mk("h"), d1=mk("d1"),
-        d2=mk("d2"), s_op=mk("s"), phi=mk("phi"),
+        domain=(lo1, hi1, lo2, hi2), basepoint=(lo1, lo2),
+        W0=W0, p=p0, lam=f.lam, i_omega=i_omega, blocks=blocks, phi=phi,
         meta={"frontal": f.name, "field": getattr(xi_field, "label", "field")})
 
 
@@ -304,10 +283,8 @@ def compat_residual(sd: StructureData, u1, u2):
 def integrability_residual(sd: StructureData, u1, u2):
     """(symmetry residual, row-identity residual) of the position system."""
     shape = np.shape(np.asarray(u1, dtype=float))
-    lam_j = sd.lam.jet(u1, u2, 1)
-    h_j = sd.h.jet(u1, u2, 0)
-    d1_j = sd.d1.jet(u1, u2, 0)
-    d2_j = sd.d2.jet(u1, u2, 0)
+    lam_j = sd.lam(u1, u2, 1)
+    d1_j, d2_j, h_j, _ = sd.blocks(u1, u2, 0)
 
     lam_h_01 = lam_j[0][0] * h_j[0][1] + lam_j[0][1] * h_j[1][1]
     lam_h_10 = lam_j[1][0] * h_j[0][0] + lam_j[1][1] * h_j[1][0]
@@ -329,8 +306,8 @@ def integrability_residual(sd: StructureData, u1, u2):
 
 
 def _efg_jets(sd, u1, u2, order):
-    lam = sd.lam.jet(u1, u2, order)
-    io = sd.i_omega.jet(u1, u2, order)
+    lam = sd.lam(u1, u2, order)
+    io = sd.i_omega(u1, u2, order)
     lio = mat2_mul_jet(lam, io)
     lam_t = [[lam[0][0], lam[1][0]], [lam[0][1], lam[1][1]]]
     I_cl = mat2_mul_jet(lio, lam_t)
@@ -340,8 +317,8 @@ def _efg_jets(sd, u1, u2, order):
 def membership_scalar_fn(sd: StructureData, which, config: Config):
     """Certificate ratio G_k / det Lambda as a masked value function."""
     return membership_certificate_fn(
-        lambda u1, u2: sd.lam.jet(u1, u2, 1),
-        lambda u1, u2: sd.i_omega.jet(u1, u2, 1),
+        lambda u1, u2: sd.lam(u1, u2, 1),
+        lambda u1, u2: sd.i_omega(u1, u2, 1),
         lambda u1, u2: _efg_jets(sd, u1, u2, 1), which, config)
 
 
@@ -365,8 +342,8 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
     def ingredients(uu1, uu2):
         """(C_k entries (4), omega_k) as value arrays on regular points."""
         sshape = np.shape(uu1)
-        h_j = sd.h.jet(uu1, uu2, 0)
-        phi_j = sd.phi.jet(uu1, uu2, 1)
+        h_j = sd.blocks(uu1, uu2, 0)[2]
+        phi_j = sd.phi(uu1, uu2, 1)
 
         def v(jet):
             return jet.value_on(sshape)
@@ -433,7 +410,7 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
 def _assemble_extension(sd, which, u1, u2, c_entries, omega):
     shape = np.shape(u1)
     k = 0 if which == 1 else 1
-    io_j = sd.i_omega.jet(u1, u2, 1)
+    io_j = sd.i_omega(u1, u2, 1)
     I = _mat_values(io_j, shape)
     I_k = _mat_values(io_j, shape, k)
     C = np.stack([np.stack([c_entries[0], c_entries[1]], axis=-1),
@@ -456,8 +433,8 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     sampled on regular points only.
     """
     shape = np.shape(np.asarray(u1, dtype=float))
-    lam_j = sd.lam.jet(u1, u2, 1)
-    h_j = sd.h.jet(u1, u2, 1)
+    lam_j = sd.lam(u1, u2, 1)
+    h_j = sd.blocks(u1, u2, 1)[2]
     c_j = mat2_mul_jet(lam_j, h_j)
     det_c = c_j[0][0] * c_j[1][1] - c_j[0][1] * c_j[1][0]
     det_v = det_c.value_on(shape)
@@ -474,8 +451,8 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     lam_inv = np.linalg.inv(lam_v)
 
     worst = 0.0
-    for k, dk in ((0, sd.d1), (1, sd.d2)):
-        d_v = _mat_values(dk.jet(u1, u2, 0), shape)
+    for k, dk in enumerate(sd.blocks(u1, u2, 0)[:2]):
+        d_v = _mat_values(dk, shape)
         lam_uk = _mat_values(lam_j, shape, k)
         gamma = (lam_uk + lam_v @ d_v) @ lam_inv
         trace = gamma[..., 0, 0] + gamma[..., 1, 1]
@@ -546,39 +523,24 @@ def _integrate_lattice(sd: StructureData, u1_nodes, u2_nodes, step,
                        spine_axis):
     """Spine along `spine_axis` from the basepoint node, then sweeps of
     the whole family of lanes along the other axis, both directions."""
-    q1, q2 = sd.basepoint
-    i0 = int(np.argmin(np.abs(u1_nodes - q1)))
-    j0 = int(np.argmin(np.abs(u2_nodes - q2)))
+    nodes = (u1_nodes, u2_nodes)
+    base = [int(np.argmin(np.abs(t - q))) for t, q in zip(nodes, sd.basepoint)]
     state0 = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
 
-    n1, n2 = u1_nodes.size, u2_nodes.size
-    Y = np.empty((n1, n2, 3, 4))
-    if spine_axis == 1:
-        # spine along u2 at u1 = node i0, then rows along u1
-        up = _rk4_sweep(sd, state0, np.asarray([u1_nodes[i0]]),
-                        u2_nodes[j0:], 1, step)
-        down = _rk4_sweep(sd, state0, np.asarray([u1_nodes[i0]]),
-                          u2_nodes[j0::-1], 1, step)
-        spine = np.empty((n2, 3, 4))
-        spine[j0:] = up[:, 0]
-        spine[j0::-1] = down[:, 0]
-        right = _rk4_sweep(sd, spine, u2_nodes, u1_nodes[i0:], 0, step)
-        left = _rk4_sweep(sd, spine, u2_nodes, u1_nodes[i0::-1], 0, step)
-        Y[i0:, :] = right
-        Y[i0::-1, :] = left
-    else:
-        up = _rk4_sweep(sd, state0, np.asarray([u2_nodes[j0]]),
-                        u1_nodes[i0:], 0, step)
-        down = _rk4_sweep(sd, state0, np.asarray([u2_nodes[j0]]),
-                          u1_nodes[i0::-1], 0, step)
-        spine = np.empty((n1, 3, 4))
-        spine[i0:] = up[:, 0]
-        spine[i0::-1] = down[:, 0]
-        upcols = _rk4_sweep(sd, spine, u1_nodes, u2_nodes[j0:], 1, step)
-        dncols = _rk4_sweep(sd, spine, u1_nodes, u2_nodes[j0::-1], 1, step)
-        Y[:, j0:] = np.moveaxis(upcols, 0, 1)
-        Y[:, j0::-1] = np.moveaxis(dncols, 0, 1)
-    return Y
+    def both_ways(state, fixed, axis):
+        """States at every node of `axis`, marched up and down from the
+        base node: (n_axis, m, 3, 4)."""
+        k, t = base[axis], nodes[axis]
+        out = np.empty((t.size,) + state.shape)
+        out[k:] = _rk4_sweep(sd, state, fixed, t[k:], axis, step)
+        out[k::-1] = _rk4_sweep(sd, state, fixed, t[k::-1], axis, step)
+        return out
+
+    other = 1 - spine_axis
+    spine = both_ways(state0, nodes[other][base[other]:base[other] + 1],
+                      spine_axis)[:, 0]
+    Y = both_ways(spine, nodes[spine_axis], other)
+    return Y if other == 0 else np.moveaxis(Y, 0, 1)
 
 
 def lattice_nodes(sd: StructureData, shape=(21, 21)):

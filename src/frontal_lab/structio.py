@@ -33,15 +33,11 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import InputError
 from .frame import Frontal, frontal_from_expressions
-from .reconstruct import ExprField, GridField, StructureData
+from .reconstruct import GridField, StructureData, expr_entry, stack_blocks
 
 SCHEMA_VERSION = 1
 
 _MATRIX_ENTRIES = ("Lambda", "I_Omega", "h", "D1", "D2", "S")
-_FIELD_BY_ENTRY = {
-    "Lambda": "lam", "I_Omega": "i_omega", "h": "h",
-    "D1": "d1", "D2": "d2", "S": "s_op", "phi": "phi",
-}
 
 
 def read_structure_file(path) -> StructureData:
@@ -71,8 +67,7 @@ def read_structure_file(path) -> StructureData:
             sources = spec["expr"]
             if len(sources) != want:
                 raise InputError(f"{name}: expected {want} expressions")
-            fields[_FIELD_BY_ENTRY[name]] = ExprField(
-                sources if want == 4 else sources[0])
+            fields[name] = expr_entry(sources)
         elif "grid" in spec:
             g = spec["grid"]
             nx, ny = int(g["nx"]), int(g["ny"])
@@ -81,11 +76,15 @@ def read_structure_file(path) -> StructureData:
                 values = values.reshape(4, nx, ny)
             else:
                 values = values.reshape(nx, ny)
-            fields[_FIELD_BY_ENTRY[name]] = GridField(domain, values)
+            fields[name] = GridField(domain, values)
         else:
             raise InputError(f"{name}: entry needs 'expr' or 'grid'")
-    return StructureData(domain=domain, basepoint=basepoint, W0=W0, p=p,
-                         meta={"path": str(path)}, **fields)
+    return StructureData(
+        domain=domain, basepoint=basepoint, W0=W0, p=p,
+        lam=fields["Lambda"], i_omega=fields["I_Omega"],
+        blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
+                            fields["S"]),
+        phi=fields["phi"], meta={"path": str(path)})
 
 
 def structure_to_grids(sd: StructureData, shape=(33, 33)):
@@ -94,42 +93,24 @@ def structure_to_grids(sd: StructureData, shape=(33, 33)):
     u1, u2 = np.meshgrid(np.linspace(a1, b1, shape[0]),
                          np.linspace(a2, b2, shape[1]), indexing="ij")
     flat1, flat2 = u1.ravel(), u2.ravel()
-    out = {}
-    for name in _MATRIX_ENTRIES:
-        fld = getattr(sd, _FIELD_BY_ENTRY[name])
-        m = fld.jet(flat1, flat2, 0)
-        out[name] = np.stack([c.value_on(flat1.shape).reshape(shape)
-                              for row in m for c in row])
-    out["phi"] = sd.phi.jet(flat1, flat2, 0).value_on(
-        flat1.shape).reshape(shape)
+    d1, d2, h, s = sd.blocks(flat1, flat2, 0)
+    matrices = {"Lambda": sd.lam(flat1, flat2, 0),
+                "I_Omega": sd.i_omega(flat1, flat2, 0),
+                "h": h, "D1": d1, "D2": d2, "S": s}
+    out = {name: np.stack([c.value_on(flat1.shape).reshape(shape)
+                           for row in m for c in row])
+           for name, m in matrices.items()}
+    out["phi"] = sd.phi(flat1, flat2, 0).value_on(flat1.shape).reshape(shape)
     return out
 
 
-def write_structure_file(path, sd: StructureData, shape=(33, 33),
-                         expressions=None):
-    """Serialize a StructureData; callable-backed entries are sampled.
-
-    expressions: optional dict name -> list of sources to store exact
-    text instead of grids for selected entries.
-    """
-    expressions = expressions or {}
-    entries = {}
-    sampled = None
-    for name in (*_MATRIX_ENTRIES, "phi"):
-        fld = getattr(sd, _FIELD_BY_ENTRY[name])
-        if name in expressions:
-            entries[name] = {"expr": list(expressions[name])}
-        elif isinstance(fld, ExprField):
-            entries[name] = {"expr": list(fld.sources)}
-        else:
-            if sampled is None:
-                sampled = structure_to_grids(sd, shape)
-            values = sampled[name]
-            entries[name] = {"grid": {
-                "nx": int(shape[0]), "ny": int(shape[1]),
-                "values": (values.reshape(4, -1).tolist()
-                           if name != "phi" else values.ravel().tolist()),
-            }}
+def write_structure_file(path, sd: StructureData, shape=(33, 33)):
+    """Serialize a StructureData with every entry sampled on a grid."""
+    entries = {name: {"grid": {
+        "nx": int(shape[0]), "ny": int(shape[1]),
+        "values": (values.reshape(4, -1).tolist()
+                   if name != "phi" else values.ravel().tolist()),
+    }} for name, values in structure_to_grids(sd, shape).items()}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "domain": [float(v) for v in sd.domain],

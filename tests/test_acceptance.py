@@ -31,9 +31,9 @@ from frontal_lab.errors import (CompatibilityViolated, KVanishes,
 from frontal_lab.frame import (Frontal, affine_image, frame_bundle,
                                singular_scan)
 from frontal_lab.jets import INDICES, Jet, fd_jet
-from frontal_lab.reconstruct import (ExprField, StructureData, affine_align,
+from frontal_lab.reconstruct import (StructureData, affine_align, expr_entry,
                                      extract_structure, integrate_frame,
-                                     integrate_position)
+                                     integrate_position, stack_blocks)
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -360,12 +360,12 @@ class TestCriterion11:
         incompatible = StructureData(
             domain=(0.0, 1.0, 0.0, 1.0), basepoint=(0.0, 0.0),
             W0=np.eye(3), p=np.zeros(3),
-            lam=ExprField(["1", "0", "0", "1"]),
-            i_omega=ExprField(["1", "0", "0", "1"]),
-            h=ExprField(["0"] * 4),
-            d1=ExprField(["3*u2", "0", "0", "0"]),
-            d2=ExprField(["0"] * 4),
-            s_op=ExprField(["0"] * 4), phi=ExprField("1"))
+            lam=expr_entry(["1", "0", "0", "1"]),
+            i_omega=expr_entry(["1", "0", "0", "1"]),
+            blocks=stack_blocks(expr_entry(["3*u2", "0", "0", "0"]),
+                                expr_entry(["0"] * 4), expr_entry(["0"] * 4),
+                                expr_entry(["0"] * 4)),
+            phi=expr_entry("1"))
         incompat_refused = False
         try:
             integrate_frame(incompatible, shape=(7, 7), step=1e-2)

@@ -421,6 +421,14 @@ class TestExport:
         rep = json.loads(capsys.readouterr().out)
         assert rep["path_audit"]["frame"] < 1e-4
 
+    def test_constant_field_structure_on_generator(self, tmp_path):
+        # the symbols lose the order gen-extendable-nc's Omega lacks,
+        # although the constant field itself loses none
+        assert run(["export", "--entry", "gen-extendable-nc", "--what",
+                    "structure", "--field=0,0,1", "--grid", "5x5",
+                    "--out", str(tmp_path / "s.json")]) == 0
+        assert read_structure_file(tmp_path / "s.json").W0.shape == (3, 3)
+
     def test_deterministic_structure_file(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         for p in (p1, p2):

@@ -16,7 +16,8 @@ from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
                                ii_omega_normal_route, nonparabolic_test,
                                singular_scan, unit_normal, wavefront_test)
 from frontal_lab.catalog import get_entry
-from frontal_lab.reconstruct import extract_structure, integrate_frame
+from frontal_lab.reconstruct import (apolarity_check, extract_structure,
+                                     integrability_residual, integrate_frame)
 from frontal_lab.jets import Jet, JetVec3, _mat_values
 
 
@@ -372,6 +373,25 @@ class TestBundleCounts:
         integrate_frame(sd, (1, 1))
         assert bundle_sizes == [1]
 
+    # the connection blocks come from one callable, so a consumer that
+    # reads several of them at one point set builds one bundle per order
+    def test_integrability_residual_builds_one_bundle(self, bundle_sizes,
+                                                      paraboloid):
+        sd = extract_structure(paraboloid, TransversalField.unit_normal())
+        bundle_sizes.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        integrability_residual(sd, u1, 0.3 * u1 + 0.1)
+        assert bundle_sizes == [5]
+
+    def test_apolarity_builds_one_bundle_per_order(self, bundle_orders,
+                                                   paraboloid):
+        # h at order 1, D1 and D2 at order 0; the unit normal loses one
+        sd = extract_structure(paraboloid, TransversalField.unit_normal())
+        bundle_orders.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        apolarity_check(sd, u1, 0.3 * u1 + 0.1)
+        assert bundle_orders == [2, 1]
+
     def test_normal_values_read_neither_x_nor_lambda(self, monkeypatch):
         # the unit-normal symbols need only w1, w2 and n; the one Lambda
         # read is aug_values' own order-0 block
@@ -396,6 +416,17 @@ class TestBundleCounts:
         u1 = np.linspace(-0.5, 0.5, 5)
         sd.aug_values(u1, 0.3 * u1 + 0.1)
         assert bundle_orders == [1]
+
+    # a constant field keeps every order, but gen-extendable-nc's Omega
+    # carries one less, so the symbols lose two: one to Omega and one to
+    # the derivatives they solve for
+    def test_constant_field_values_add_the_omega_loss(self, bundle_orders):
+        f = get_entry("gen-extendable-nc").build()
+        sd = extract_structure(f, TransversalField.constant((0, 0, 1)))
+        bundle_orders.clear()
+        u1 = np.linspace(-0.5, 0.5, 5)
+        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        assert bundle_orders == [2]
 
     def test_blaschke_values_build_order_2(self, bundle_orders, ex59):
         sd = extract_structure(ex59, blaschke_field(ex59, (9, 9)))

@@ -9,12 +9,12 @@ from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
                                 InsufficientJetOrder, RankDeficient)
-from frontal_lab.reconstruct import (ExprField, FuncField, StructureData,
-                                     affine_align, apolarity_check,
-                                     compat_residual, extend_D,
-                                     extract_structure,
+from frontal_lab.reconstruct import (StructureData, affine_align,
+                                     apolarity_check, compat_residual,
+                                     expr_entry, extend_D, extract_structure,
                                      integrability_residual, integrate_frame,
-                                     integrate_position, lattice_nodes)
+                                     integrate_position, lattice_nodes,
+                                     stack_blocks)
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -25,12 +25,12 @@ def synthetic_sd(d1, d2, h=None, s=None, lam=None, i_omega=None, phi=None,
         domain=domain, basepoint=(domain[0], domain[2]),
         W0=np.eye(3) if W0 is None else np.asarray(W0, dtype=float),
         p=np.asarray(p, dtype=float),
-        lam=ExprField(lam or ["1", "0", "0", "1"]),
-        i_omega=ExprField(i_omega or ["1", "0", "0", "1"]),
-        h=ExprField(h or ["0", "0", "0", "0"]),
-        d1=ExprField(d1), d2=ExprField(d2),
-        s_op=ExprField(s or ["0", "0", "0", "0"]),
-        phi=ExprField(phi or "1"))
+        lam=expr_entry(lam or ["1", "0", "0", "1"]),
+        i_omega=expr_entry(i_omega or ["1", "0", "0", "1"]),
+        blocks=stack_blocks(expr_entry(d1), expr_entry(d2),
+                            expr_entry(h or ["0", "0", "0", "0"]),
+                            expr_entry(s or ["0", "0", "0", "0"])),
+        phi=expr_entry(phi or "1"))
 
 
 class TestCompatResidual:
@@ -89,9 +89,9 @@ class TestExtendD:
         # includes points on the singular diagonals
         u1 = np.array([0.5, 0.3, 0.3, -0.4])
         u2 = np.array([0.1, 0.3, -0.3, 0.1])
-        for which, fld in ((1, sd.d1), (2, sd.d2)):
+        for which in (1, 2):
             D, omega = extend_D(sd, which, u1, u2)
-            ref = fld.jet(u1, u2, 0)
+            ref = sd.blocks(u1, u2, 0)[which - 1]
             ref_v = np.stack([np.stack(
                 [np.broadcast_to(np.asarray(ref[i][j].value, dtype=float),
                                  u1.shape) for j in range(2)], axis=-1)
@@ -123,7 +123,7 @@ class TestExtendD:
 
         sd = synthetic_sd(["0"] * 4, ["0"] * 4, lam=["1", "0", "0", "u2"],
                           h=["1", "0", "0", "1"])
-        sd.phi = FuncField(broken)
+        sd.phi = broken
         with pytest.raises(TypeError, match="broken field"):
             extend_D(sd, 1, np.array([0.3]), np.array([0.0]), config)
 
@@ -259,8 +259,8 @@ class TestRoundTrips:
         h = 1e-5
 
         def gamma(k, uu1, uu2):
-            lam_j = sd.lam.jet(uu1, uu2, 1)
-            d_j = (sd.d1 if k == 0 else sd.d2).jet(uu1, uu2, 0)
+            lam_j = sd.lam(uu1, uu2, 1)
+            d_j = sd.blocks(uu1, uu2, 0)[k]
             shape = np.shape(uu1)
 
             def v(m):

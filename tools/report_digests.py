@@ -20,9 +20,10 @@ file written by `catalog --save` and on a singular frontal file without
 a closed-form curvature, `analyze --out` on a frontal file without
 Lambda and on the gen-extendable-nc generator (whose Omega carries one
 jet order less), structure export from a frontal file without Lambda
-and from the gen-extendable-nc generator, and commands
-that must fail with a typed error: unknown or unusable settings, a
-Blaschke check beyond the surface's jet orders, the ex-5.10
+and from the gen-extendable-nc generator (with the unit normal, and
+with a constant field, which loses fewer orders than that Omega), and
+commands that must fail with a typed error: unknown or unusable
+settings, a Blaschke check beyond the surface's jet orders, the ex-5.10
 reconstruction with the default field, a `--field` that is not three
 numbers, and structure export from a file whose Omega does not factor
 Dx.
@@ -100,6 +101,10 @@ def command_list():
     cmds.append(("nc-structure-normal",
                  ["export", "--entry", "gen-extendable-nc", "--what",
                   "structure", "--field=normal", "--grid", "9x9",
+                  "--out", "{out}/s.json"]))
+    cmds.append(("nc-structure-0,0,1",
+                 ["export", "--entry", "gen-extendable-nc", "--what",
+                  "structure", "--field=0,0,1", "--grid", "5x5",
                   "--out", "{out}/s.json"]))
     cmds += [("typed-failure", argv) for argv in (
         ["analyze", "--entry", "ex-5.9", "--grid", "5x5",
