@@ -69,14 +69,8 @@ def read_structure_file(path) -> StructureData:
                 raise InputError(f"{name}: expected {want} expressions")
             fields[name] = expr_entry(sources)
         elif "grid" in spec:
-            g = spec["grid"]
-            nx, ny = int(g["nx"]), int(g["ny"])
-            values = np.asarray(g["values"], dtype=float)
-            if want == 4:
-                values = values.reshape(4, nx, ny)
-            else:
-                values = values.reshape(nx, ny)
-            fields[name] = GridField(domain, values)
+            fields[name] = GridField(domain, _grid_values(name, spec["grid"],
+                                                          want))
         else:
             raise InputError(f"{name}: entry needs 'expr' or 'grid'")
     return StructureData(
@@ -85,6 +79,28 @@ def read_structure_file(path) -> StructureData:
         blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
                             fields["S"]),
         phi=fields["phi"], meta={"path": str(path)})
+
+
+def _grid_values(name, grid, want):
+    """(want, nx, ny) values of a grid entry, or (nx, ny) when want is 1;
+    raises InputError naming the entry unless the grid holds at least the
+    4 x 4 samples a bicubic spline needs, all finite."""
+    try:
+        nx, ny = int(grid["nx"]), int(grid["ny"])
+        values = np.asarray(grid["values"], dtype=float)
+    except KeyError as missing:
+        raise InputError(f"{name}: grid entry missing {missing}")
+    except (TypeError, ValueError) as err:
+        raise InputError(f"{name}: unreadable grid entry ({err})")
+    if nx < 4 or ny < 4:
+        raise InputError(f"{name}: grid of {nx}x{ny} samples is below the "
+                         f"4x4 a bicubic spline needs")
+    if values.size != want * nx * ny:
+        raise InputError(f"{name}: expected {want}x{nx}x{ny} grid values, "
+                         f"got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{name}: grid values must be finite")
+    return values.reshape((want, nx, ny) if want == 4 else (nx, ny))
 
 
 def structure_to_grids(sd: StructureData, shape=(33, 33)):

@@ -181,6 +181,41 @@ class TestReconstructCommand:
         assert run(["reconstruct", "--input", str(path), "--grid", "9x9",
                     "--step", "0.01"]) == cli.EXIT_VERIFICATION
 
+    # a D1 grid the reader must refuse, naming the entry, before FITPACK
+    # sees it: below the bicubic minimum of 4x4, incomplete, or not finite
+    @pytest.mark.parametrize("grid, message", [
+        ({"nx": 3, "ny": 3, "values": [[0.0] * 9] * 4}, "3x3 samples"),
+        ({"nx": 1, "ny": 5, "values": [[0.0] * 5] * 4}, "1x5 samples"),
+        ({"nx": 0, "ny": 0, "values": [[]] * 4}, "0x0 samples"),
+        ({"nx": 4, "values": [[0.0] * 16] * 4}, "missing 'ny'"),
+        ({"nx": 4, "ny": 4, "values": [[float("nan")] + [0.0] * 15]
+          + [[0.0] * 16] * 3}, "must be finite"),
+    ], ids=["3x3", "1x5", "0x0", "no-ny", "nan"])
+    def test_malformed_grid_is_input_error(self, grid, message, tmp_path,
+                                           capsys):
+        doc = {
+            "schema_version": 1,
+            "domain": [0.0, 1.0, 0.0, 1.0],
+            "basepoint": [0.0, 0.0],
+            "W0": np.eye(3).tolist(),
+            "p": [0.0, 0.0, 0.0],
+            "entries": {
+                "Lambda": {"expr": ["1", "0", "0", "1"]},
+                "I_Omega": {"expr": ["1", "0", "0", "1"]},
+                "h": {"expr": ["0", "0", "0", "0"]},
+                "D1": {"grid": grid},
+                "D2": {"expr": ["0", "0", "0", "0"]},
+                "S": {"expr": ["0", "0", "0", "0"]},
+                "phi": {"expr": ["1"]},
+            },
+        }
+        path = tmp_path / "malformed.json"
+        write_report(path, doc)
+        assert run(["reconstruct", "--input", str(path), "--grid", "5x5",
+                    "--step", "0.01"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: D1:" in err and message in err
+
     def test_missing_file_is_input_error(self):
         assert run(["reconstruct", "--input", "/no/such/file.json",
                     "--grid", "9x9"]) == cli.EXIT_INPUT

@@ -1,20 +1,26 @@
 """Structure data: residuals, constructive extension, integration, alignment."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import random_unimodular, regular_points
+from frontal_lab import reconstruct
 from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
-                                InsufficientJetOrder, RankDeficient)
-from frontal_lab.reconstruct import (StructureData, affine_align,
+                                FrameDegenerate, InsufficientJetOrder,
+                                IntegrabilityViolated, RankDeficient)
+from frontal_lab.jets import Jet
+from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
                                      apolarity_check, compat_residual,
                                      expr_entry, extend_D, extract_structure,
                                      integrability_residual, integrate_frame,
                                      integrate_position, lattice_nodes,
                                      stack_blocks)
+from frontal_lab.structio import read_structure_file, write_structure_file
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -282,6 +288,198 @@ class TestRoundTrips:
         g2 = gamma(1, u1, u2)
         resid = g1_u2 - g2_u1 + g1 @ g2 - g2 @ g1
         assert np.max(np.abs(resid)) < 1e-6
+
+
+# --- open-mesh evaluation and the batched sweep -----------------------------
+
+
+def _full(u1, u2):
+    """The points of an open mesh, materialised."""
+    return tuple(np.array(a) for a in np.broadcast_arrays(u1, u2))
+
+
+def _coeff_arrays(jets, shape):
+    """Every coefficient of a jet or 2x2 jet matrix, broadcast to shape."""
+    rows = jets if isinstance(jets, list) else [[jets]]
+    return [np.broadcast_to(c, shape) for row in rows for jet in row
+            for c in jet.coeffs]
+
+
+def _assert_equal_on_mesh(entry, mesh, order):
+    shape = np.broadcast_shapes(*(np.shape(a) for a in mesh))
+    got = _coeff_arrays(entry(*mesh, order), shape)
+    want = _coeff_arrays(entry(*_full(*mesh), order), shape)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+ABSCISSAE = {
+    "ascending": np.linspace(-0.9, 0.8, 7),
+    "descending": np.linspace(0.8, -0.9, 7),
+    # segment ends can repeat, and the down sweeps descend
+    "repeated": np.array([0.3, -0.2, 0.3, 0.3, 0.55, -0.2, -0.9]),
+}
+
+
+def _mesh(ts, lanes, transposed):
+    """Open mesh of sweep abscissae ts by fixed lanes: ts along u1, or
+    along u2 when transposed."""
+    mesh = (ts[:, None], lanes[None, :])
+    return mesh[::-1] if transposed else mesh
+
+
+class TestOpenMesh:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(ABSCISSAE))
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["along-u1", "along-u2"])
+    def test_grid_entry_matches_pointwise(self, order, kind, transposed):
+        rng = np.random.default_rng(11)
+        entry = GridField((-1.0, 1.0, -1.0, 1.0), rng.normal(size=(4, 9, 7)))
+        lanes = np.array([-0.7, 0.1, 0.6, 0.95])
+        _assert_equal_on_mesh(
+            entry, _mesh(ABSCISSAE[kind], lanes, transposed), order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["along-u1", "along-u2"])
+    def test_expression_entry_matches_pointwise(self, order, transposed):
+        entry = expr_entry(["sin(u1*u2) + u1", "exp(u2)/(2 + u1^2)",
+                            "sqrt(3 + u1 - u2)", "u1/(3 + u2)"])
+        lanes = np.array([-0.7, 0.1, 0.6])
+        for ts in ABSCISSAE.values():
+            _assert_equal_on_mesh(entry, _mesh(ts, lanes, transposed), order)
+
+    def test_grid_entry_order_3_names_the_spline_limit(self):
+        entry = GridField((-1.0, 1.0, -1.0, 1.0), np.zeros((5, 5)))
+        u = np.array([0.1, 0.2])
+        with pytest.raises(InsufficientJetOrder,
+                           match="order-3 .* limit of order 2"):
+            entry(u, u, 3)
+
+
+def per_segment_sweep(sd, state, fixed, moving_nodes, axis, step):
+    """Reference RK4 sweep: one coefficient evaluation per segment, on
+    flattened points.  The batched sweep must match it bit for bit."""
+    m = state.shape[0]
+    n = moving_nodes.size
+    out = np.empty((n,) + state.shape)
+    out[0] = state
+    if n == 1:
+        return out
+    delta = moving_nodes[1] - moving_nodes[0]
+    nsub = max(1, int(math.ceil(abs(delta) / step)))
+    h = delta / nsub
+    for seg in range(n - 1):
+        ts = moving_nodes[seg] + 0.5 * h * np.arange(2 * nsub + 1)
+        if axis == 0:
+            uu1, uu2 = np.repeat(ts, m), np.tile(fixed, ts.size)
+        else:
+            uu1, uu2 = np.tile(fixed, ts.size), np.repeat(ts, m)
+        d1aug, d2aug, lam = sd.aug_values(uu1, uu2)
+        daug = d1aug if axis == 0 else d2aug
+        A = np.zeros(uu1.shape + (4, 4))
+        A[..., :3, :3] = np.swapaxes(daug, -1, -2)
+        A[..., 0, 3] = lam[..., axis, 0]
+        A[..., 1, 3] = lam[..., axis, 1]
+        A = A.reshape(ts.size, m, 4, 4)
+        y = out[seg]
+        for i in range(nsub):
+            a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
+            k1 = y @ a0
+            k2 = (y + 0.5 * h * k1) @ a1
+            k3 = (y + 0.5 * h * k2) @ a1
+            k4 = (y + h * k3) @ a2
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[seg + 1] = y
+    return out
+
+
+@pytest.fixture(scope="module")
+def file_backed_sd(ex510, tmp_path_factory):
+    path = tmp_path_factory.mktemp("structure") / "s.json"
+    write_structure_file(path, extract_structure(ex510, VERTICAL), (17, 17))
+    return read_structure_file(path)
+
+
+def _nan_where(mask):
+    """2x2 entry that is NaN where mask(u1, u2) holds and 0 elsewhere."""
+    def entry(u1, u2, order):
+        u1, u2 = np.broadcast_arrays(u1, u2)
+        jet = Jet.constant(np.where(mask(u1, u2), np.nan, 0.0), order)
+        return [[jet, jet], [jet, jet]]
+    return entry
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
+    def test_matches_per_segment_sweep(self, source, ex59, file_backed_sd,
+                                       monkeypatch):
+        if source == "file":
+            sd = file_backed_sd
+        else:
+            sd = extract_structure(ex59, blaschke_field(ex59, (21, 21)))
+
+        def run():
+            return integrate_frame(sd, shape=(9, 9), step=1e-2,
+                                   check_compat=False, audit_gate=False)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruct, "_rk4_sweep", per_segment_sweep)
+            ref = run()
+        # one segment per call, several, and the module's lane bound
+        for lanes in (1, 1000, reconstruct.SWEEP_LANES):
+            monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
+            ff = run()
+            assert np.array_equal(ff.W, ref.W)
+            assert np.array_equal(ff.x, ref.x)
+            assert ff.discrepancy == ref.discrepancy
+            assert ff.x_discrepancy == ref.x_discrepancy
+            assert ff.min_det == ref.min_det
+
+    def test_sweeps_sample_whole_segments(self, monkeypatch):
+        # 21x21 lattice, 193 abscissae per segment: each family segment
+        # (21 lanes, 4,053 points) is one call and each spine (20
+        # segments, 3,860 points) one call, 42 in all where one call per
+        # segment made 80; the points sampled stay the same
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4, domain=(0.0, 1.91, 0.0, 1.91))
+        sizes = []
+        aug_values = StructureData.aug_values
+
+        def counted(self, u1, u2):
+            sizes.append(np.broadcast(u1, u2).size)
+            return aug_values(self, u1, u2)
+
+        monkeypatch.setattr(StructureData, "aug_values", counted)
+        integrate_frame(sd, (21, 21), step=1e-3)
+        assert len(sizes) == 42
+        assert sum(sizes) == 2 * 20 * (193 + 193 * 21)
+
+    # every gate is written so that a NaN fails it; D2 is NaN for u1 > 0,
+    # which the column sweeps read but the row sweeps do not
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_fails_every_gate(self):
+        zero = expr_entry(["0"] * 4)
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4)
+        sd.blocks = stack_blocks(zero, _nan_where(lambda u1, u2: u1 > 0.0),
+                                 zero, zero)
+        with pytest.raises(CompatibilityViolated, match="residual nan"):
+            integrate_frame(sd, (7, 7), step=1e-2)
+        with pytest.raises(CompatibilityViolated, match="audit nan"):
+            integrate_frame(sd, (7, 7), step=1e-2, check_compat=False)
+        ff = integrate_frame(sd, (7, 7), step=1e-2, check_compat=False,
+                             audit_gate=False)
+        clean = synthetic_sd(["0"] * 4, ["0"] * 4)
+        with pytest.raises(IntegrabilityViolated, match="position path"):
+            integrate_position(ff, clean)
+        clean_ff = integrate_frame(clean, (7, 7), step=1e-2)
+        with pytest.raises(IntegrabilityViolated, match="residuals"):
+            integrate_position(clean_ff, sd)
+        sd.blocks = stack_blocks(_nan_where(lambda u1, u2: True), zero, zero,
+                                 zero)
+        with pytest.raises(FrameDegenerate):
+            integrate_frame(sd, (7, 7), step=1e-2, check_compat=False)
 
 
 class TestAffineAlign:

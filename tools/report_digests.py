@@ -25,8 +25,9 @@ with a constant field, which loses fewer orders than that Omega), and
 commands that must fail with a typed error: unknown or unusable
 settings, a Blaschke check beyond the surface's jet orders, the ex-5.10
 reconstruction with the default field, a `--field` that is not three
-numbers, and structure export from a file whose Omega does not factor
-Dx.
+numbers, structure export from a file whose Omega does not factor Dx,
+and reconstruction from structure files whose D1 grid is below the
+bicubic 4 x 4 minimum or holds a NaN.
 """
 
 from __future__ import annotations
@@ -60,6 +61,28 @@ SINGULAR_NO_K = {"name": "ex-5.9-file", "domain": [-1.0, 1.0, -1.0, 1.0],
                  "open_domain": True,
                  "x": ["u1", "2/5*u2^5 + u2^2", "u1*u2^2"],
                  "omega": [["1", "0", "u2^2"], ["0", "u2^3 + 1", "u1"]]}
+
+
+# Flat structure data whose D1 is a grid entry the reader must refuse:
+# 3 x 3 samples, below the bicubic minimum, written to OUTDIR/grid3.json
+# ("{grid3}" in argv), and 4 x 4 samples with a NaN, written to
+# OUTDIR/grid-nan.json ("{gridnan}" in argv).
+def _flat_structure(d1_grid):
+    zero = {"expr": ["0", "0", "0", "0"]}
+    return {"schema_version": 1, "domain": [0.0, 1.0, 0.0, 1.0],
+            "basepoint": [0.0, 0.0],
+            "W0": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "p": [0.0, 0.0, 0.0],
+            "entries": {"Lambda": {"expr": ["1", "0", "0", "1"]},
+                        "I_Omega": {"expr": ["1", "0", "0", "1"]},
+                        "h": zero, "D1": {"grid": d1_grid}, "D2": zero,
+                        "S": zero, "phi": {"expr": ["1"]}}}
+
+
+GRID_3X3 = _flat_structure({"nx": 3, "ny": 3, "values": [[0.0] * 9] * 4})
+GRID_NAN = _flat_structure({"nx": 4, "ny": 4,
+                            "values": [[float("nan")] + [0.0] * 15]
+                            + [[0.0] * 16] * 3})
 
 
 def command_list():
@@ -119,6 +142,8 @@ def command_list():
         ["reconstruct", "--entry", "paraboloid", "--field", "0,1"],
         ["export", "--input", "{nonfrontal}", "--what", "structure",
          "--field=normal", "--grid", "9x9", "--out", "{out}/nf.json"],
+        ["reconstruct", "--input", "{grid3}", "--grid", "5x5"],
+        ["reconstruct", "--input", "{gridnan}", "--grid", "5x5"],
     )]
     return cmds
 
@@ -163,7 +188,9 @@ def main(argv=None):
     files = {}
     for key, name, doc in (("{nolam}", "para-nolam.json", NO_LAMBDA_FRONTAL),
                            ("{nonfrontal}", "nonfrontal.json", NON_FRONTAL),
-                           ("{nok}", "ex59-nok.json", SINGULAR_NO_K)):
+                           ("{nok}", "ex59-nok.json", SINGULAR_NO_K),
+                           ("{grid3}", "grid3.json", GRID_3X3),
+                           ("{gridnan}", "grid-nan.json", GRID_NAN)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
