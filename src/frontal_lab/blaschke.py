@@ -16,7 +16,7 @@ forms are checked against it, not the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ProbeResult:
     settled: bool                # every usable direction Cauchy
     diverging: bool
     n_directions: int
-    detail: dict = field(default_factory=dict)
+    starved: bool = False        # too few usable directions for a verdict
 
     def require(self, what="limit"):
         if self.ok:
@@ -56,7 +56,7 @@ class ProbeResult:
             f"{what} at {self.target}: probe sequences did not settle")
 
 
-def _probe_once(fn, targets, domain, config, m_components, ndir):
+def _probe_once(fn, targets, domain, config, ndir):
     npts = targets.shape[0]
     nrad = config.probe_levels
     angles = 2.0 * np.pi * np.arange(ndir) / ndir
@@ -72,7 +72,7 @@ def _probe_once(fn, targets, domain, config, m_components, ndir):
     flat = pts.reshape(-1, 2)
     with np.errstate(all="ignore"):
         vals = np.asarray(fn(flat[:, 0], flat[:, 1]), dtype=float)
-    vals = vals.reshape(m_components, npts, ndir, nrad)
+    vals = vals.reshape(-1, npts, ndir, nrad)        # (m, npts, ndir, nrad)
     usable = inside[None, ...] & np.isfinite(vals)
     dir_ok = usable.all(axis=(0, 3))                 # (npts, ndir)
 
@@ -105,9 +105,9 @@ def _probe_once(fn, targets, domain, config, m_components, ndir):
         n_ok = int(sel.sum())
         if n_ok < 3:
             results.append(ProbeResult(tuple(targets[p]), False,
-                                       np.full(m_components, np.nan),
+                                       np.full(vals.shape[0], np.nan),
                                        np.inf, False, False, n_ok,
-                                       detail={"starved": True}))
+                                       starved=True))
             continue
         lim = limit[:, p, sel]                        # (m, n_ok)
         scale = np.maximum(1.0, np.abs(lim).max())
@@ -116,13 +116,11 @@ def _probe_once(fn, targets, domain, config, m_components, ndir):
         spread = float(np.max(lim.max(axis=1) - lim.min(axis=1)) / scale)
         ok = settled and spread <= config.tol_limit
         results.append(ProbeResult(tuple(targets[p]), ok, lim.mean(axis=1),
-                                   spread, settled, diverging, n_ok,
-                                   detail={"scale": float(scale)}))
+                                   spread, settled, diverging, n_ok))
     return results
 
 
-def probe_limits(fn, targets, domain, config: Config = DEFAULT,
-                 m_components=1):
+def probe_limits(fn, targets, domain, config: Config = DEFAULT):
     """Directional Richardson limits of a (possibly vector) function.
 
     fn(u1_flat, u2_flat) -> (m, N) array with nan marking unusable
@@ -135,22 +133,21 @@ def probe_limits(fn, targets, domain, config: Config = DEFAULT,
     verdict is given up on.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    results = _probe_once(fn, targets, domain, config, m_components,
+    results = _probe_once(fn, targets, domain, config,
                           config.probe_directions)
     for factor in (3, 6):
-        starved = [k for k, r in enumerate(results)
-                   if r.detail.get("starved")]
+        starved = [k for k, r in enumerate(results) if r.starved]
         if not starved:
             break
         retry = _probe_once(fn, targets[starved], domain, config,
-                            m_components, config.probe_directions * factor)
+                            config.probe_directions * factor)
         for k, res in zip(starved, retry):
             results[k] = res
     return results
 
 
-def _lam_det_values(f: Frontal, u1, u2, order=0):
-    return det2_jet(f.lam(u1, u2, order)).value_on(np.shape(u1))
+def _lam_det_values(f: Frontal, u1, u2):
+    return det2_jet(f.lam(u1, u2, 0)).value_on(np.shape(u1))
 
 
 def _field_order(f: Frontal, xi_order):
@@ -218,7 +215,7 @@ def gauss_at_singular(f: Frontal, targets):
 
 
 def _phi_jet(bundle: FrameBundle):
-    """|K|^(1/4) as a jet on the regular part, and the signed K jet."""
+    """|K|^(1/4) as a jet on the regular part."""
     f = bundle.f
     if f.gauss is not None:
         K = f.gauss(bundle.u1, bundle.u2, bundle.order)
@@ -228,8 +225,7 @@ def _phi_jet(bundle: FrameBundle):
     if np.any(np.abs(K_val) <= bundle.config.eps_k):
         raise KVanishes("extended Gauss curvature vanishes on the sample; "
                         "no affine normal exists")
-    sign = np.sign(K_val)
-    return (K * sign).powf(0.25), K, sign
+    return (K * np.sign(K_val)).powf(0.25)
 
 
 def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet):
@@ -252,16 +248,21 @@ def _tangent_coeff_jets(bundle: FrameBundle, phi: Jet):
 
 def _regular_field(b: FrameBundle):
     """Affine normal xi = phi n + a w1 + b w2 at the points of the frame
-    bundle `b`, as jets (phi, sign of K, a, b, xi); DivisionByZeroValue
-    on the singular set."""
+    bundle `b`, as jets (phi, a, b, xi); DivisionByZeroValue on the
+    singular set."""
     lam = np.asarray(b.lam_det.value, dtype=float)
     if np.any(np.abs(lam) <= b.config.eps_sing):
         raise DivisionByZeroValue(
             "affine-normal jets requested on the singular set")
-    phi, _, sign = _phi_jet(b)
+    phi = _phi_jet(b)
     av, bv = _tangent_coeff_jets(b, phi)
     xi = b.n.scale(phi) + b.w1.scale(av) + b.w2.scale(bv)
-    return phi, sign, av, bv, xi
+    return phi, av, bv, xi
+
+
+# The affine normal as a transversal field: jets over the regular part.
+AFFINE_NORMAL = TransversalField(lambda b: _regular_field(b)[-1],
+                                 label="affine normal")
 
 
 # Distance a sweep point within 10 eps_sing of the singular set is moved
@@ -272,23 +273,19 @@ NUDGE = 1e-7
 class BlaschkeField:
     """Affine-normal field of a frontal, with evaluation machinery.
 
-    Carries the grids it was built on plus diagnostics, and can evaluate
-    jets at arbitrary regular points (for structure extraction) and
-    values at singular points (via probes).  Near-singular evaluations
-    inside smooth-field sweeps are nudged off the zero set transversally
-    by NUDGE, which perturbs the smooth field by the same order.
+    Carries the grid (u1, u2) it was built on, the field values xi there
+    and the construction diagnostics, and can evaluate jets at arbitrary
+    regular points (for structure extraction) and values at singular
+    points (via probes).  Near-singular evaluations inside smooth-field
+    sweeps are nudged off the zero set transversally by NUDGE, which
+    perturbs the smooth field by the same order.
     """
 
-    def __init__(self, frontal: Frontal, grids, diagnostics):
+    def __init__(self, frontal: Frontal, u1, u2, xi, diagnostics):
         self.frontal = frontal
-        self.u1 = grids["u1"]
-        self.u2 = grids["u2"]
-        self.phi = grids["phi"]
-        self.a = grids["a"]
-        self.b = grids["b"]
-        self.xi = grids["xi"]                 # (..., 3)
-        self.regular = grids["regular"]
-        self.k_sign = grids["k_sign"]
+        self.u1 = u1
+        self.u2 = u2
+        self.xi = xi                          # (..., 3)
         self.diagnostics = diagnostics
 
     # -- evaluation --------------------------------------------------------
@@ -296,7 +293,7 @@ class BlaschkeField:
     def components_jet(self, u1, u2, order=MAX_ORDER):
         """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
         b = frame_bundle(self.frontal, u1, u2, order=order)
-        phi, _, av, bv, _ = _regular_field(b)
+        phi, av, bv, _ = _regular_field(b)
         return b, phi, av, bv
 
     def nudged_points(self, u1, u2):
@@ -344,7 +341,7 @@ class BlaschkeField:
         if np.any(regular):
             b = frame_bundle(self.frontal, u1[regular], u2[regular],
                              _field_order(self.frontal, 0))
-            out[regular] = self.as_transversal().jets(b).values_stacked()
+            out[regular] = AFFINE_NORMAL.jets(b).values_stacked()
         if np.any(~regular):
             targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
             out[~regular] = _singular_field(self.frontal, targets)[0]
@@ -352,8 +349,7 @@ class BlaschkeField:
 
     def as_transversal(self):
         """View as a TransversalField over the regular part (jets)."""
-        return TransversalField(lambda b: _regular_field(b)[-1],
-                                label="affine normal")
+        return AFFINE_NORMAL
 
 
 def _tangent_value_fn(f: Frontal):
@@ -375,8 +371,7 @@ def _tangent_value_fn(f: Frontal):
         if np.any(ok):
             try:
                 b = frame_bundle(f, u1[ok], u2[ok], _field_order(f, 0))
-                phi, _, _ = _phi_jet(b)
-                av, bv = _tangent_coeff_jets(b, phi)
+                av, bv = _tangent_coeff_jets(b, _phi_jet(b))
             except UNUSABLE_SAMPLE:
                 return out
             out[0][ok] = av.value_on(b.shape)
@@ -386,15 +381,15 @@ def _tangent_value_fn(f: Frontal):
 
 
 def _singular_field(f: Frontal, targets):
-    """Affine normal at singular points, with its parts.
+    """Affine normal at singular points.
 
     The tangential coefficients (a, b) are probed limits, phi is
     |K|^(1/4) of the extended curvature, and the frame is evaluated at
-    the points themselves.  Returns (xi (n, 3), phi (n,), ab (n, 2),
-    K (n,), probe results); a failed certificate raises.
+    the points themselves.  Returns (xi (n, 3), probe results); a failed
+    certificate raises.
     """
     results = probe_limits(_tangent_value_fn(f), targets, f.domain,
-                           f.config, m_components=2)
+                           f.config)
     K_vals = gauss_at_singular(f, targets)
     if np.any(np.abs(K_vals) <= f.config.eps_k):
         raise KVanishes("extended curvature vanishes on the singular set")
@@ -404,22 +399,19 @@ def _singular_field(f: Frontal, targets):
     w1_at = bq.w1.values_on((n_sing,))
     w2_at = bq.w2.values_on((n_sing,))
     xis = np.empty((n_sing, 3))
-    phis = np.empty(n_sing)
-    abv = np.empty((n_sing, 2))
     for k, res in enumerate(results):
         ab = res.require("affine-normal tangential part")
-        phis[k] = abs(K_vals[k]) ** 0.25
-        abv[k] = ab
-        xis[k] = n_at[k] * phis[k] + w1_at[k] * ab[0] + w2_at[k] * ab[1]
-    return xis, phis, abv, K_vals, results
+        phi = abs(K_vals[k]) ** 0.25
+        xis[k] = n_at[k] * phi + w1_at[k] * ab[0] + w2_at[k] * ab[1]
+    return xis, results
 
 
-def _tau_volume(bf, bundle, xi, lam):
-    """(max |tau|, max volume-match residual) of the field's induced
-    structure at the regular points of the frame bundle `bundle`, where
-    the field has jets `xi` and det Lambda takes the values `lam`."""
-    s = structure_from_field(bundle.f, bf.as_transversal(), bundle.u1,
-                             bundle.u2, bundle=bundle, xi_jets=xi)
+def _tau_volume(bundle, xi, lam):
+    """(max |tau|, max volume-match residual) of the affine normal's
+    induced structure at the regular points of the frame bundle `bundle`,
+    where the field has jets `xi` and det Lambda takes the values `lam`."""
+    s = structure_from_field(bundle.f, AFFINE_NORMAL, bundle.u1, bundle.u2,
+                             bundle=bundle, xi_jets=xi)
     det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
     vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
     return (float(np.max(np.abs(s.tau))),
@@ -438,44 +430,24 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     u1, u2 = grid if grid is not None else f.grid(shape)
     lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
-
-    phi_g = np.empty(u1.shape)
-    a_g = np.empty(u1.shape)
-    b_g = np.empty(u1.shape)
     xi_g = np.empty(u1.shape + (3,))
-    sign_g = np.zeros(u1.shape)
 
     if np.any(regular):
-        u1r, u2r = u1[regular], u2[regular]
         # tau and the volume match read first derivatives of xi
-        br = frame_bundle(f, u1r, u2r, _field_order(f, 1))
-        phi, sign, av, bv, xi = _regular_field(br)
-        tgt = u1r.shape
-        phi_g[regular] = phi.value_on(tgt)
-        a_g[regular] = av.value_on(tgt)
-        b_g[regular] = bv.value_on(tgt)
-        xi_g[regular] = xi.values_on(tgt)
-        sign_g[regular] = np.broadcast_to(sign, tgt)
+        br = frame_bundle(f, u1[regular], u2[regular], _field_order(f, 1))
+        xi = _regular_field(br)[-1]
+        xi_g[regular] = xi.values_on(br.shape)
 
     probe_report = []
     n_sing = int(np.sum(~regular))
     if n_sing:
         targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-        xis, phis, abv, K_vals, results = _singular_field(f, targets)
+        xi_g[~regular], results = _singular_field(f, targets)
         probe_report = [{"point": [float(t[0]), float(t[1])],
                          "spread": res.spread,
                          "directions": res.n_directions,
                          "tolerance": cfg.tol_limit}
                         for t, res in zip(targets, results)]
-        phi_g[~regular] = phis
-        a_g[~regular] = abv[:, 0]
-        b_g[~regular] = abv[:, 1]
-        xi_g[~regular] = xis
-        sign_g[~regular] = np.sign(K_vals)
-
-    grids = {"u1": u1, "u2": u2, "phi": phi_g, "a": a_g, "b": b_g,
-             "xi": xi_g, "regular": regular, "k_sign": sign_g}
-    bf = BlaschkeField(f, grids, {})
 
     # diagnostics on the regular part: equiaffinity and volume match.
     # Quadrature-backed surfaces carry one jet order less than closed-form
@@ -485,7 +457,7 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     if np.any(regular):
         try:
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
-                bf, br, xi, lam[regular])
+                br, xi, lam[regular])
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -496,11 +468,10 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     diag["improper_sphere"] = dev <= 1e-6
     diag["constancy_deviation"] = dev
     diag["constancy_tolerance"] = 1e-6
-    bf.diagnostics = diag
-    return bf
+    return BlaschkeField(f, u1, u2, xi_g, diag)
 
 
-def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41)):
+def blaschke_verify(bf: BlaschkeField, shape=(41, 41)):
     """Check the two defining conditions on the regular part of a grid.
 
     (i) equiaffinity: max |tau| of the induced structure;
@@ -508,6 +479,7 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41)):
     the induced volume agrees with the volume of the relative form.
     Returns a report dict; SingularPoint when no grid point is regular.
     """
+    f = bf.frontal
     u1, u2 = f.interior_grid(shape, margin=0.005)
     lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > f.config.eps_sing
@@ -516,13 +488,13 @@ def blaschke_verify(f: Frontal, bf: BlaschkeField, shape=(41, 41)):
             "det Lambda vanishes at every verification point; the frontal "
             "violates the hypothesis that the regular set is dense")
     b = frame_bundle(f, u1[regular], u2[regular], _field_order(f, 1))
-    xi = bf.as_transversal().jets(b)
+    xi = AFFINE_NORMAL.jets(b)
     if xi.order < 1:
         raise InsufficientJetOrder(
             f"tau needs order-1 affine-normal jets, but on {f.name} the field "
             f"carries order {xi.order} from order-{b.order} frame jets"
             + ("" if f.gauss else " (no closed-form Gauss curvature)"))
-    max_tau, volume_residual = _tau_volume(bf, b, xi, lam[regular])
+    max_tau, volume_residual = _tau_volume(b, xi, lam[regular])
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,

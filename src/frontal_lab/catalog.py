@@ -64,8 +64,7 @@ class CatalogEntry:
                 self.name, self.x, self.omega, self.domain,
                 lam_srcs=self.lam,
                 gauss_src=self.known.get("K"),
-                blaschke_srcs=self.known.get("xi"),
-                source="catalog", config=config,
+                blaschke_srcs=self.known.get("xi"), config=config,
                 open_domain=self.open_domain)
         validate_entry(f, self)
         return f
@@ -81,13 +80,9 @@ class CatalogEntry:
             out["x"] = list(self.x)
         if self.params:
             out["params"] = {k: str(v) for k, v in self.params.items()}
-        known = {}
-        for key in ("lambda_det", "K", "xi"):
-            if key in self.known:
-                known[key] = self.known[key]
-        if "improper_sphere" in self.known:
-            known["improper_sphere"] = self.known["improper_sphere"]
-        out["known"] = known
+        out["known"] = {key: self.known[key]
+                        for key in ("lambda_det", "K", "xi", "improper_sphere")
+                        if key in self.known}
         return out
 
 
@@ -273,7 +268,7 @@ def gen_rank1_wavefront(h="u1^2 - u2^2", c="1",
         omega=omega_srcs,
         lam=lam_srcs,
         known={"lambda_det": s(expr_mod.simplify(Unary_neg(h_u2u2))),
-               "K": k_src, "h": h, "c": c},
+               "K": k_src},
         params={"h": h, "c": c},
         builder=lambda entry, cfg: _build_generated(entry, cfg, x_fn),
     )
@@ -290,7 +285,7 @@ def _build_generated(entry: CatalogEntry, config: Config, x_fn) -> Frontal:
     return frontal_from_expressions(
         entry.name, functools.partial(x_fn, config), entry.omega,
         entry.domain, lam_srcs=entry.lam, gauss_src=entry.known.get("K"),
-        source="generator", config=config, validate=False)
+        config=config, validate=False)
 
 
 def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
@@ -385,12 +380,12 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         domain=domain,
         omega=None,
         lam=None,
-        known={"lambda_det": s(b_u2), "b": b, "h": h, "l": l, "r": r},
+        known={"lambda_det": s(b_u2)},
         params={"b": b, "h": h, "l": l, "r": r},
         builder=lambda entry, cfg: Frontal(
             entry.name, functools.partial(x_fn, cfg),
             functools.partial(omega_fn, cfg), entry.domain, lam=lam_fn,
-            source="generator", config=cfg),
+            config=cfg),
     )
     return entry
 
@@ -452,7 +447,7 @@ def gen_nonparabolic(a="u1", b="u2",
         domain=domain,
         omega=omega_srcs,
         lam=lam_srcs,
-        known={"lambda_det": lam_det, "a": a, "b": b},
+        known={"lambda_det": lam_det},
         params={"a": a, "b": b},
         builder=lambda entry, cfg: _build_generated(entry, cfg, x_fn),
     )

@@ -206,8 +206,7 @@ def cmd_blaschke(args):
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     bf = blaschke_field(f, shape)
-    verify = blaschke_verify(f, bf, shape=(min(41, shape[0]),
-                                           min(41, shape[1])))
+    verify = blaschke_verify(bf, shape=(min(41, shape[0]), min(41, shape[1])))
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "blaschke",

@@ -43,10 +43,6 @@ class TransversalField:
         self.label = label
 
     @staticmethod
-    def from_callable(fn, label="field"):
-        return TransversalField(lambda b: fn(b.u1, b.u2, b.order), label)
-
-    @staticmethod
     def constant(vec, label=None):
         vec = tuple(float(v) for v in vec)
 
@@ -60,22 +56,22 @@ class TransversalField:
         from . import expr as expr_mod
         fn = expr_mod._jets_fn([expr_mod.parse(s) for s in sources],
                                expr_mod._vec3)
-        return TransversalField.from_callable(
-            fn, label or "expr(" + ", ".join(sources) + ")")
+        return TransversalField(lambda b: fn(b.u1, b.u2, b.order),
+                                label or "expr(" + ", ".join(sources) + ")")
 
     @staticmethod
-    def unit_normal(label="unit normal"):
-        return TransversalField(lambda b: b.n, label)
+    def unit_normal():
+        return TransversalField(lambda b: b.n, "unit normal")
 
     @staticmethod
-    def from_split(phi_fn, a_fn, b_fn, label="split field"):
+    def from_split(phi_fn, a_fn, b_fn):
         """phi, a, b: callables (u1, u2, order) -> Jet; field against the
         frontal's own moving basis and unit normal."""
         def fn(b):
             return (b.n.scale(phi_fn(b.u1, b.u2, b.order))
                     + b.w1.scale(a_fn(b.u1, b.u2, b.order))
                     + b.w2.scale(b_fn(b.u1, b.u2, b.order)))
-        return TransversalField(fn, label)
+        return TransversalField(fn, "split field")
 
     def jets(self, bundle: FrameBundle) -> JetVec3:
         """Field jets at the points of `bundle`."""
@@ -91,7 +87,6 @@ class EquiaffineStructure:
     S: np.ndarray
     tau: np.ndarray      # (..., 2)
     theta: np.ndarray    # induced volume det(w1 w2 xi)
-    phi: np.ndarray      # <xi, n>
 
     def max_tau(self):
         return float(np.max(np.abs(self.tau)))
@@ -101,11 +96,12 @@ def _stack3(vecs, shape):
     return np.stack([v.values_on(shape) for v in vecs], axis=-1)
 
 
-def check_transversal(bundle: FrameBundle, xi: JetVec3, eps_rank):
+def check_transversal(bundle: FrameBundle, xi: JetVec3):
     theta = triple_product_jet(bundle.w1, bundle.w2, xi).value
     scale = (np.asarray(bundle.w1.norm().value) * np.asarray(bundle.w2.norm().value)
              * np.asarray(xi.norm().value))
-    if np.any(np.abs(theta) <= eps_rank * np.maximum(scale, 1e-300)):
+    if np.any(np.abs(theta) <= bundle.config.eps_rank
+              * np.maximum(scale, 1e-300)):
         raise NotTransversal("field lies in a limiting tangent plane "
                              "somewhere on the sample")
 
@@ -117,7 +113,7 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
     b = bundle if bundle is not None else frame_bundle(f, u1, u2)
     shape = b.shape
     xj = xi_jets if xi_jets is not None else xi.jets(b)
-    check_transversal(b, xj, f.config.eps_rank)
+    check_transversal(b, xj)
 
     M = _stack3((b.w1, b.w2, xj), shape)
     rhs = _stack3((b.w1.deriv(0), b.w2.deriv(0), b.w1.deriv(1),
@@ -140,9 +136,7 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
     S = np.stack([-sol[..., :2, 4], -sol[..., :2, 5]], axis=-2)
     tau = np.stack([sol[..., 2, 4], sol[..., 2, 5]], axis=-1)
     theta = triple_product_jet(b.w1, b.w2, xj).value_on(shape)
-    phi = xj.dot(b.n).value_on(shape)
-    return EquiaffineStructure(h=h, D1=D1, D2=D2, S=S, tau=tau,
-                               theta=theta, phi=phi)
+    return EquiaffineStructure(h=h, D1=D1, D2=D2, S=S, tau=tau, theta=theta)
 
 
 def is_equiaffine(structure: EquiaffineStructure, tol=1e-6):
@@ -237,7 +231,6 @@ class ClassicalSymbols:
     gamma1_t: np.ndarray     # connection blocks of the transversal split
     gamma2_t: np.ndarray
     c: np.ndarray            # affine fundamental form, (..., 2, 2) symmetric
-    b_shape: np.ndarray      # shape-operator coefficients against Dx
     split: np.ndarray        # (..., 3): a, b, phi with xi = phi n + a x_u1 + b x_u2
 
 
@@ -270,13 +263,9 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
                       np.stack([a_v * g, b_v * g], axis=-1)], axis=-2)
     gamma1_t = gamma[0] - corr1 / phi[..., None, None]
     gamma2_t = gamma[1] - corr2 / phi[..., None, None]
-
-    # xi_ui = -b_i^1 x_u1 - b_i^2 x_u2 (+ tau xi); coefficients by solve
-    sol = np.linalg.solve(M, _stack3((xj.deriv(0), xj.deriv(1)), shape))
-    b_shape = np.stack([-sol[..., :2, 0], -sol[..., :2, 1]], axis=-2)
     return ClassicalSymbols(gamma1=gamma[0], gamma2=gamma[1],
                             gamma1_t=gamma1_t, gamma2_t=gamma2_t, c=c,
-                            b_shape=b_shape, split=abphi)
+                            split=abphi)
 
 
 def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,

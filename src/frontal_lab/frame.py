@@ -40,10 +40,12 @@ class Frontal:
     (u1, u2, order) -> jets.  `gauss` is the analytically extended Gauss
     curvature when a closed form is known; `blaschke_known` is a printed
     reference field used only for verification, never by construction.
+    `config` holds the settings of every computation on the frontal, and
+    `open_domain` keeps the default grid off the domain's boundary.
     """
 
     def __init__(self, name, x, omega, domain, lam=None, gauss=None,
-                 blaschke_known=None, source="user", config: Config = DEFAULT,
+                 blaschke_known=None, config: Config = DEFAULT,
                  open_domain=False):
         self.name = name
         self._x = x
@@ -52,7 +54,6 @@ class Frontal:
         self._lam = lam
         self.gauss = gauss
         self.blaschke_known = blaschke_known
-        self.source = source
         self.config = config
         self.open_domain = open_domain
 
@@ -61,8 +62,8 @@ class Frontal:
         forcing the numeric routes."""
         return Frontal(self.name + "~numeric", self._x, self._omega,
                        self.domain, lam=self._lam,
-                       gauss=None, blaschke_known=None, source=self.source,
-                       config=self.config, open_domain=self.open_domain)
+                       gauss=None, blaschke_known=None, config=self.config,
+                       open_domain=self.open_domain)
 
     def x(self, u1, u2, order):
         return self._x(u1, u2, order)
@@ -114,8 +115,8 @@ class Frontal:
 
 def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
                              gauss_src=None, blaschke_srcs=None,
-                             source="catalog", config: Config = DEFAULT,
-                             validate=True, open_domain=False):
+                             config: Config = DEFAULT, validate=True,
+                             open_domain=False):
     """Build a Frontal from component expression strings.
 
     omega_srcs is a pair of 3-component lists (the two basis columns);
@@ -147,7 +148,7 @@ def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
                    lam=jets_fn(lam_ast, expr_mod._mat2),
                    gauss=jets_fn(gauss_ast, expr_mod._scalar),
                    blaschke_known=jets_fn(bl_ast, expr_mod._vec3),
-                   source=source, config=config, open_domain=open_domain)
+                   config=config, open_domain=open_domain)
 
 
 def affine_image(f: Frontal, A, b, name=None):
@@ -179,8 +180,7 @@ def affine_image(f: Frontal, A, b, name=None):
     lam_fn = f._lam
     return Frontal(name or f"{f.name}+affine", x_fn, omega_fn, f.domain,
                    lam=lam_fn, gauss=None, blaschke_known=None,
-                   source=f.source, config=f.config,
-                   open_domain=f.open_domain)
+                   config=f.config, open_domain=f.open_domain)
 
 
 # --- core per-point computations ------------------------------------------------

@@ -392,7 +392,7 @@ def _fd_once(f, point, order, h):
     return Jet(order, coeffs)
 
 
-def fd_jet(f, point, order, step=1e-3, richardson=True):
+def fd_jet(f, point, order, step=1e-3):
     """Estimate the jet of a scalar evaluator by central differences.
 
     Independent of the Jet arithmetic on purpose: this is the oracle the
@@ -401,8 +401,6 @@ def fd_jet(f, point, order, step=1e-3, richardson=True):
     The caller judges accuracy; nothing is raised here.
     """
     coarse = _fd_once(f, point, order, step)
-    if not richardson:
-        return coarse
     fine = _fd_once(f, point, order, step / 2.0)
     coeffs = [(4.0 * cf - cc) / 3.0 for cc, cf in zip(coarse.coeffs, fine.coeffs)]
     return Jet(order, coeffs)

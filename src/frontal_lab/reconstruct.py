@@ -33,7 +33,7 @@ per component and partial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class StructureData:
     i_omega: object
     blocks: object
     phi: object
-    meta: dict = field(default_factory=dict)
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -311,8 +310,7 @@ def extract_structure(f: Frontal, xi_field) -> StructureData:
 
     return StructureData(
         domain=(lo1, hi1, lo2, hi2), basepoint=(lo1, lo2),
-        W0=W0, p=p0, lam=lam, i_omega=i_omega, blocks=blocks, phi=phi,
-        meta={"frontal": f.name, "field": getattr(xi_field, "label", "field")})
+        W0=W0, p=p0, lam=lam, i_omega=i_omega, blocks=blocks, phi=phi)
 
 
 # --- compatibility and integrability residuals -----------------------------------------
@@ -452,8 +450,7 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
                 vals[4][ok] = om
             return vals
 
-        results = probe_limits(probe_fn, targets, sd.domain, config,
-                               m_components=5)
+        results = probe_limits(probe_fn, targets, sd.domain, config)
         c_list, om_list = [], []
         for res in results:
             if not res.ok:
@@ -512,7 +509,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     lam_v = _mat_values(lam_j, shape)
     lam_inv = np.linalg.inv(lam_v)
 
-    worst = 0.0
+    resid = []
     for k, dk in enumerate(sd.blocks(u1, u2, 0)[:2]):
         d_v = _mat_values(dk, shape)
         lam_uk = _mat_values(lam_j, shape, k)
@@ -520,8 +517,9 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
         trace = gamma[..., 0, 0] + gamma[..., 1, 1]
         ds = s_j.deriv(k).value_on(shape)
         s_v = s_j.value_on(shape)
-        worst = max(worst, float(np.max(np.abs(ds - trace * s_v))))
-    return worst
+        resid.append(np.max(np.abs(ds - trace * s_v)))
+    # np.max, unlike the builtin, keeps a NaN for the gate to see
+    return float(np.max(resid))
 
 
 # --- integration -------------------------------------------------------------------

@@ -56,6 +56,10 @@ def read_structure_file(path) -> StructureData:
         raise InputError(f"structure file missing {missing}")
     if W0.shape != (3, 3) or p.shape != (3,):
         raise InputError("W0 must be 3x3 and p a 3-vector")
+    for key, values in (("domain", domain), ("basepoint", basepoint),
+                        ("W0", W0), ("p", p)):
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"{key}: values must be finite")
 
     fields = {}
     for name in (*_MATRIX_ENTRIES, "phi"):
@@ -78,7 +82,7 @@ def read_structure_file(path) -> StructureData:
         lam=fields["Lambda"], i_omega=fields["I_Omega"],
         blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
                             fields["S"]),
-        phi=fields["phi"], meta={"path": str(path)})
+        phi=fields["phi"])
 
 
 def _grid_values(name, grid, want):
@@ -154,7 +158,7 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
     return frontal_from_expressions(
         name, x_srcs, (omega_srcs[0], omega_srcs[1]), domain,
         lam_srcs=doc.get("lambda"), gauss_src=doc.get("K"),
-        blaschke_srcs=doc.get("xi"), source="user", config=config,
+        blaschke_srcs=doc.get("xi"), config=config,
         open_domain=bool(doc.get("open_domain", False)))
 
 

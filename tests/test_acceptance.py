@@ -133,7 +133,7 @@ class TestCriterion5:
         for name in ("paraboloid", "ex-5.8", "ex-5.9", "ex-5.10"):
             f = get_entry(name).build()
             bf = blaschke_field(f, shape=(21, 21))
-            rep = blaschke_verify(f, bf, shape=(21, 21))
+            rep = blaschke_verify(bf, shape=(21, 21))
             worst_tau = max(worst_tau, rep["max_tau"])
             worst_vol = max(worst_vol, rep["volume_residual"])
         ok = worst_tau <= 1e-6 and worst_vol <= 1e-6

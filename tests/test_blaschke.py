@@ -12,7 +12,8 @@ from frontal_lab.blaschke import (blaschke_field, blaschke_verify, conormal,
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField, structure_from_field
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
-                                FrontalLabError, KVanishes, NotExtendable)
+                                FrontalLabError, Indeterminate, KVanishes,
+                                NotExtendable)
 from frontal_lab.frame import Frontal, frame_bundle
 from frontal_lab.jets import Jet
 
@@ -41,6 +42,24 @@ class TestProbeMachinery:
         assert res.diverging
         with pytest.raises(FrontalLabError):
             res.require()
+
+    def test_unusable_everywhere_is_starved(self, config):
+        # three components, no usable sample: starved after both denser
+        # retries, with one NaN limit per component read off fn's output
+        calls = []
+
+        def fn(u1, u2):
+            calls.append(np.size(u1))
+            return np.full((3, np.size(u1)), np.nan)
+
+        res = probe_limits(fn, [(0.0, 0.0), (0.5, 0.5)], (-1, 1, -1, 1),
+                           config)
+        assert len(calls) == 3
+        for r in res:
+            assert r.starved and not r.ok and r.n_directions == 0
+            assert r.value.shape == (3,) and np.all(np.isnan(r.value))
+            with pytest.raises(Indeterminate):
+                r.require()
 
 
 class TestGaussExtension:
@@ -120,13 +139,13 @@ def test_closed_form_parity(name):
 class TestBlaschkeVerify:
     def test_rank1_wavefront(self, ex510):
         bf = blaschke_field(ex510, shape=(21, 21))
-        rep = blaschke_verify(ex510, bf, shape=(21, 21))
+        rep = blaschke_verify(bf, shape=(21, 21))
         assert rep["max_tau"] < 1e-6
         assert rep["volume_residual"] < 1e-6
 
     def test_paraboloid(self, paraboloid):
         bf = blaschke_field(paraboloid, shape=(15, 15))
-        rep = blaschke_verify(paraboloid, bf, shape=(15, 15))
+        rep = blaschke_verify(bf, shape=(15, 15))
         assert rep["max_tau"] < 1e-8
         assert rep["volume_residual"] < 1e-8
 

@@ -216,6 +216,38 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "input error: D1:" in err and message in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("domain", [0.0, float("nan"), 0.0, 1.0]),
+        ("basepoint", [0.0, float("inf")]),
+        ("W0", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("p", [0.0, float("inf"), 0.0]),
+    ], ids=["domain-nan", "basepoint-inf", "W0-nan", "p-inf"])
+    def test_non_finite_header_is_input_error(self, key, value, tmp_path,
+                                              capsys):
+        doc = {
+            "schema_version": 1,
+            "domain": [0.0, 1.0, 0.0, 1.0],
+            "basepoint": [0.0, 0.0],
+            "W0": np.eye(3).tolist(),
+            "p": [0.0, 0.0, 0.0],
+            "entries": {
+                "Lambda": {"expr": ["1", "0", "0", "1"]},
+                "I_Omega": {"expr": ["1", "0", "0", "1"]},
+                "h": {"expr": ["0", "0", "0", "0"]},
+                "D1": {"expr": ["0", "0", "0", "0"]},
+                "D2": {"expr": ["0", "0", "0", "0"]},
+                "S": {"expr": ["0", "0", "0", "0"]},
+                "phi": {"expr": ["1"]},
+            },
+        }
+        doc[key] = value
+        path = tmp_path / "non-finite.json"
+        write_report(path, doc)
+        assert run(["reconstruct", "--input", str(path), "--grid", "5x5",
+                    "--step", "0.01"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {key}: values must be finite" in err
+
     def test_missing_file_is_input_error(self):
         assert run(["reconstruct", "--input", "/no/such/file.json",
                     "--grid", "9x9"]) == cli.EXIT_INPUT

@@ -155,6 +155,16 @@ class TestApolarity:
         u1, u2 = regular_points(ex510, 25, seed=6)
         assert apolarity_check(sd, u1, u2) < 1e-6
 
+    def test_nan_block_is_not_hidden(self):
+        # D1 is NaN at alternate points; the clean points alone give 0.0
+        zero = expr_entry(["0"] * 4)
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4)
+        sd.blocks = stack_blocks(
+            _nan_where(lambda u1, u2: np.arange(u1.size) % 2 == 0), zero,
+            expr_entry(["1", "0", "0", "1"]), zero)
+        u1 = np.linspace(-0.8, 0.8, 5)
+        assert np.isnan(apolarity_check(sd, u1, np.zeros(5)))
+
 
 class TestIntegrateFrame:
     def test_zero_symbols_keep_initial_frame(self):

@@ -26,8 +26,9 @@ commands that must fail with a typed error: unknown or unusable
 settings, a Blaschke check beyond the surface's jet orders, the ex-5.10
 reconstruction with the default field, a `--field` that is not three
 numbers, structure export from a file whose Omega does not factor Dx,
-and reconstruction from structure files whose D1 grid is below the
-bicubic 4 x 4 minimum or holds a NaN.
+reconstruction from structure files whose D1 grid is below the
+bicubic 4 x 4 minimum or holds a NaN, and reconstruction from a
+structure file whose initial frame W0 holds a NaN.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ SINGULAR_NO_K = {"name": "ex-5.9-file", "domain": [-1.0, 1.0, -1.0, 1.0],
 # Flat structure data whose D1 is a grid entry the reader must refuse:
 # 3 x 3 samples, below the bicubic minimum, written to OUTDIR/grid3.json
 # ("{grid3}" in argv), and 4 x 4 samples with a NaN, written to
-# OUTDIR/grid-nan.json ("{gridnan}" in argv).
+# OUTDIR/grid-nan.json ("{gridnan}" in argv).  The same data with a clean
+# 4 x 4 D1 grid and a NaN in W0 is written to OUTDIR/w0-nan.json
+# ("{w0nan}" in argv).
 def _flat_structure(d1_grid):
     zero = {"expr": ["0", "0", "0", "0"]}
     return {"schema_version": 1, "domain": [0.0, 1.0, 0.0, 1.0],
@@ -83,6 +86,8 @@ GRID_3X3 = _flat_structure({"nx": 3, "ny": 3, "values": [[0.0] * 9] * 4})
 GRID_NAN = _flat_structure({"nx": 4, "ny": 4,
                             "values": [[float("nan")] + [0.0] * 15]
                             + [[0.0] * 16] * 3})
+W0_NAN = dict(_flat_structure({"nx": 4, "ny": 4, "values": [[0.0] * 16] * 4}),
+              W0=[[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def command_list():
@@ -144,6 +149,7 @@ def command_list():
          "--field=normal", "--grid", "9x9", "--out", "{out}/nf.json"],
         ["reconstruct", "--input", "{grid3}", "--grid", "5x5"],
         ["reconstruct", "--input", "{gridnan}", "--grid", "5x5"],
+        ["reconstruct", "--input", "{w0nan}", "--grid", "5x5"],
     )]
     return cmds
 
@@ -190,7 +196,8 @@ def main(argv=None):
                            ("{nonfrontal}", "nonfrontal.json", NON_FRONTAL),
                            ("{nok}", "ex59-nok.json", SINGULAR_NO_K),
                            ("{grid3}", "grid3.json", GRID_3X3),
-                           ("{gridnan}", "grid-nan.json", GRID_NAN)):
+                           ("{gridnan}", "grid-nan.json", GRID_NAN),
+                           ("{w0nan}", "w0-nan.json", W0_NAN)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
