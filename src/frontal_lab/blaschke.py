@@ -643,26 +643,27 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
     nu = _conormal_jets(b, xj)
 
-    def mx(jet):
-        return float(np.max(np.abs(np.asarray(jet.value, dtype=float))))
+    def mx(*values):
+        # np.max, unlike the builtin max, keeps a NaN
+        return float(np.max([np.max(np.abs(np.asarray(v, dtype=float)))
+                             for v in values]))
 
-    rep = {
-        "pairing_xi": mx(nu.dot(xj) - 1.0),
-        "pairing_w": max(mx(nu.dot(b.w1)), mx(nu.dot(b.w2))),
-    }
     nu_u = [nu.deriv(0), nu.deriv(1)]
-    rep["derivative_xi"] = max(mx(nu_u[0].dot(xj)), mx(nu_u[1].dot(xj)))
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            w = (b.w1, b.w2)[j]
-            got = nu_u[i].dot(w).value_on(shape)
-            worst = max(worst, float(np.max(np.abs(got + s.h[..., j, i]))))
-    rep["derivative_w"] = worst
+    rep = {
+        "pairing_xi": mx((nu.dot(xj) - 1.0).value),
+        "pairing_w": mx(nu.dot(b.w1).value, nu.dot(b.w2).value),
+        "derivative_xi": mx(nu_u[0].dot(xj).value, nu_u[1].dot(xj).value),
+        "derivative_w": mx(*(nu_u[i].dot(w).value_on(shape) + s.h[..., j, i]
+                             for i in range(2)
+                             for j, w in enumerate((b.w1, b.w2)))),
+    }
 
     J = np.stack([nu_u[k].values_on(shape) for k in range(2)], axis=-1)
-    sv = np.linalg.svd(J, compute_uv=False)
-    rep["rank2_everywhere"] = bool(
-        np.all(sv[..., 1] > f.config.eps_rank * np.maximum(1.0, sv[..., 0])))
+    # a point with a NaN is not rank 2; the SVD would fail to converge on it
+    finite = np.all(np.isfinite(J), axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], J, 0.0),
+                       compute_uv=False)
+    rep["rank2_everywhere"] = bool(np.all(
+        finite & (sv[..., 1] > f.config.eps_rank * np.maximum(1.0, sv[..., 0]))))
     rep["tolerance"] = 1e-8
     return rep

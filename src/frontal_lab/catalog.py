@@ -24,7 +24,7 @@ from . import expr as expr_mod
 from .config import DEFAULT, Config
 from .errors import InputError, NotAFrontal
 from .frame import Frontal, frontal_from_expressions
-from .jets import Jet, JetVec3, integrate_jet
+from .jets import INDICES, Jet, JetVec3, _classify_upper, integrate_jet
 
 # Shared polynomial pieces of the cuspidal-cross-cap entry.
 _RHO = "54*u1^4*u2^4 + 9*u1^2*u2^5 + 4*u2^6 + 54*u1^2*u2^2 + 12*u2^3 + 9"
@@ -92,20 +92,22 @@ def validate_entry(f: Frontal, entry: CatalogEntry):
     xj = f.x(u1, u2, 2)
     w1, w2 = f.omega(u1, u2, 1)
     lam = f.lam(u1, u2, 1)
-    resid, scale = 0.0, 1.0
+    # np.max keeps a NaN that the builtin max drops, and the gates fail on it
+    resid, scale = [], [1.0]
     for j in range(2):
         xu = xj.deriv(j)
         rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
-        resid = max(resid, float(np.max(np.abs((xu - rec).value()))))
-        scale = max(scale, float(np.max(np.abs(xu.value()))))
-    if resid > f.config.eps_dec * scale * 10.0:
+        resid.append(np.max(np.abs((xu - rec).value())))
+        scale.append(np.max(np.abs(xu.value())))
+    resid, scale = float(np.max(resid)), float(np.max(scale))
+    if not resid <= f.config.eps_dec * scale * 10.0:
         raise NotAFrontal(
             f"catalog entry {entry.name}: decomposition residual {resid:.2e}")
     if "lambda_det" in entry.known:
         ref = expr_mod.eval_num(expr_mod.parse(entry.known["lambda_det"]),
                                 {"u1": u1, "u2": u2})
         lam_det = (lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]).value
-        if float(np.max(np.abs(lam_det - ref))) > 1e-8 * max(
+        if not float(np.max(np.abs(lam_det - ref))) <= 1e-8 * max(
                 1.0, float(np.max(np.abs(ref)))):
             raise InputError(
                 f"catalog entry {entry.name}: factor determinant does not "
@@ -216,6 +218,33 @@ def _integral(cfg: Config, integrand, upper, var, order):
                          nodes=cfg.quad_nodes, max_nodes=cfg.quad_max_nodes)
 
 
+def _zero_integral(upper, var):
+    """What _integral returns for an integrand that is +0 everywhere, with
+    no quadrature and the same signed zeros: coefficients taken from the
+    quadrature carry the sign of the upper limit, and those a moving
+    endpoint reads off the integrand are +0."""
+    kind, value = _classify_upper(upper, var)
+    signed = np.copysign(0.0, value)
+    plus = np.zeros_like(signed)
+    return Jet(upper.order, [signed if kind == "fixed" or (i, j)[var] == 0
+                             else plus for (i, j) in INDICES[upper.order]])
+
+
+def _identically_zero(ast):
+    """True when a parsed profile simplifies to the constant 0 (+0 or -0)
+    and holds no division, square root, exponential or negative power:
+    evaluating one of those could fail or overflow, as in 0*(1/u2) at
+    u2 = 0, where the integral that the zero skips would have failed."""
+    node = expr_mod.simplify(ast)
+    if not (isinstance(node, expr_mod.Num) and node.value == 0.0):
+        return False
+    return not any((isinstance(n, expr_mod.Bin) and n.op == "/")
+                   or (isinstance(n, expr_mod.Unary)
+                       and n.op in ("sqrt", "exp"))
+                   or (isinstance(n, expr_mod.Pow) and n.exponent < 0)
+                   for n in expr_mod._nodes(ast))
+
+
 def gen_rank1_wavefront(h="u1^2 - u2^2", c="1",
                         domain=(-1.0, 1.0, -1.0, 1.0)) -> CatalogEntry:
     """Rank-1 wave front built from a potential h(u1, u2).
@@ -311,38 +340,49 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     b_u2 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u2"))
     s = expr_mod.to_source
 
+    h_zero = _identically_zero(h_ast)
+    r_zero = _identically_zero(r_ast)
+
     def ell(t):
         return expr_mod.eval_jet(l_ast, {"u1": t})
 
-    def big_g(cfg, env, order):
-        # G(u1, u2) = int_0^{u2} h(u1,t) b_u2(u1,t) dt + int_0^{u1} l(t) dt
+    def arr(t):
+        return expr_mod.eval_jet(r_ast, {"u1": t})
+
+    def big_g(cfg, env, order, ell_int):
+        # G(u1, u2) = int_0^{u2} h(u1,t) b_u2(u1,t) dt + ell_int, where
+        # ell_int = int_0^{u1} l(t) dt is the caller's, integrated once.
+        # With h = 0 the first integral is a jet of signed zeros, added
+        # so that G keeps the signs of its zeros.
+        if h_zero:
+            return _zero_integral(env["u2"], 1) + ell_int
+
         def hb(t):
             local = {"u1": env["u1"], "u2": t}
             return (expr_mod.eval_jet(h_ast, local)
                     * expr_mod.eval_jet(b_u2, local))
 
-        term_a = _integral(cfg, hb, env["u2"], 1, order)
-        term_b = _integral(cfg, ell, env["u1"], 0, order)
-        return term_a + term_b
+        return _integral(cfg, hb, env["u2"], 1, order) + ell_int
 
-    def third_component(cfg, env, order):
+    def third_component(cfg, env, order, ell_int):
         # C = int_0^{u2} G(u1, t2)|_{l-part fixed} b_u2(u1,t2) dt2  (terms 1+2)
         #   + int_0^{u1} (int_0^{t2} l) b_u1(t2, 0) dt2 + int_0^{u1} int_0^{t2} r
+        # r = 0 drops the last inner integral: a jet product has no -0
+        # coefficient, so adding that integral's signed zeros changes no bit
         def outer_u2(t2):
             local = {"u1": env["u1"], "u2": t2}
-            return (big_g(cfg, local, t2.order)
+            return (big_g(cfg, local, t2.order, ell_int)
                     * expr_mod.eval_jet(b_u2, local))
 
         def outer_u1(t2):
-            def arr(t1):
-                return expr_mod.eval_jet(r_ast, {"u1": t1})
-
             inner_l = _integral(cfg, ell, t2, 0, t2.order)
-            inner_r = _integral(cfg, arr, t2, 0, t2.order)
             zero2 = Jet.constant(np.zeros(np.shape(np.asarray(t2.value))),
                                  t2.order)
             local0 = {"u1": t2, "u2": zero2}
-            return inner_l * expr_mod.eval_jet(b_u1, local0) + inner_r
+            term = inner_l * expr_mod.eval_jet(b_u1, local0)
+            if r_zero:
+                return term
+            return term + _integral(cfg, arr, t2, 0, t2.order)
 
         t12 = _integral(cfg, outer_u2, env["u2"], 1, order)
         t34 = _integral(cfg, outer_u1, env["u1"], 0, order)
@@ -350,17 +390,20 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
 
     def x_fn(cfg, u1, u2, order):
         env = expr_mod._jet_env(u1, u2, order)
+        ell_int = _integral(cfg, ell, env["u1"], 0, order)
         return JetVec3(env["u1"], expr_mod.eval_jet(b_ast, env),
-                       third_component(cfg, env, order))
+                       third_component(cfg, env, order, ell_int))
 
     def omega_fn(cfg, u1, u2, order):
         env = expr_mod._jet_env(u1, u2, order)
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        g2 = big_g(cfg, env, order)
+        ell_int = _integral(cfg, ell, env["u1"], 0, order)
+        g2 = big_g(cfg, env, order, ell_int)
         # g1 reads one derivative of C, so order 0 integrates C at order 1
         c_env = env if order else expr_mod._jet_env(u1, u2, 1)
-        c3 = third_component(cfg, c_env, max(order, 1))
+        c_ell = ell_int if order else _integral(cfg, ell, c_env["u1"], 0, 1)
+        c3 = third_component(cfg, c_env, max(order, 1), c_ell)
         g1 = c3.deriv(0) - expr_mod.eval_jet(b_u1, env) * g2
         w1 = JetVec3(one, zero, g1)
         w2 = JetVec3(zero, one, g2)

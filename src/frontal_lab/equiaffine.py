@@ -123,7 +123,7 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
     resid = M @ sol - rhs
     scale = np.maximum(1.0, np.max(np.abs(rhs)))
     worst = float(np.max(np.abs(resid)))
-    if worst > 1e-9 * scale:
+    if not worst <= 1e-9 * scale:
         raise VerificationError(
             f"frame-system solve residual {worst:.2e} exceeds gate")
 
@@ -195,15 +195,14 @@ def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
     xj = xi.jets(b)
     s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
     theta_j = triple_product_jet(b.w1, b.w2, xj)
-    resid = 0.0
     theta = theta_j.value_on(shape)
+    resid = []
     for k in range(2):
         dtheta = theta_j.deriv(k).value_on(shape)
         trek = s.D1 if k == 0 else s.D2
         trace = trek[..., 0, 0] + trek[..., 1, 1]
-        resid = max(resid, float(np.max(np.abs(
-            dtheta - (trace + s.tau[..., k]) * theta))))
-    return resid, s.max_tau()
+        resid.append(np.max(np.abs(dtheta - (trace + s.tau[..., k]) * theta)))
+    return float(np.max(resid)), s.max_tau()
 
 
 # --- classical (regular-part) routes ----------------------------------------------

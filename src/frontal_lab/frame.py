@@ -225,14 +225,14 @@ def factor_lambda(f: Frontal, u1, u2, order):
     lam_t = mat2_mul_jet(inv2_jet(I), B)
     lam = [[lam_t[0][0], lam_t[1][0]], [lam_t[0][1], lam_t[1][1]]]
 
-    scale = 1.0
-    resid = 0.0
+    # np.max keeps a NaN that the builtin max drops, and the gate fails on it
+    resid, scale = [], [1.0]
     for j in range(2):
         rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
-        diff = x_u[j] - rec
-        resid = max(resid, float(np.max(np.abs(diff.value()))))
-        scale = max(scale, float(np.max(np.abs(x_u[j].value()))))
-    if resid > config.eps_dec * scale:
+        resid.append(np.max(np.abs((x_u[j] - rec).value())))
+        scale.append(np.max(np.abs(x_u[j].value())))
+    resid, scale = float(np.max(resid)), float(np.max(scale))
+    if not resid <= config.eps_dec * scale:
         raise NotAFrontal(
             f"decomposition residual {resid:.3e} exceeds gate "
             f"{config.eps_dec * scale:.3e}; Omega is not a tangent moving "

@@ -62,3 +62,20 @@ def random_unimodular(rng, scale=1.0):
             break
     A = A * np.sign(det)
     return A / abs(det) ** (1.0 / 3.0)
+
+
+def with_nan_x(f, lam=None):
+    """Copy of frontal `f` whose x3 has a NaN u2-derivative at the first
+    sample point, with Lambda `lam` (factored from x and Omega when None)."""
+    from frontal_lab.frame import Frontal
+    from frontal_lab.jets import POSITION, Jet, JetVec3
+
+    def x(u1, u2, order):
+        xj = f.x(u1, u2, order)
+        coeffs = [np.array(np.broadcast_to(c, np.shape(u1)), dtype=float)
+                  for c in xj[2].coeffs]
+        coeffs[POSITION[order][(0, 1)]].flat[0] = np.nan
+        return JetVec3(xj[0], xj[1], Jet(order, coeffs))
+
+    return Frontal(f.name + "-nan", x, f.omega, f.domain, lam=lam,
+                   config=f.config)

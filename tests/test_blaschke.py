@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unimodular, regular_points
-from frontal_lab import expr
+from frontal_lab import blaschke, expr
 from frontal_lab.blaschke import (blaschke_field, blaschke_verify, conormal,
                                   conormal_verify, extension_condition,
                                   extension_condition_fields, gauss_extension,
@@ -15,7 +15,7 @@ from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 FrontalLabError, Indeterminate, KVanishes,
                                 NotExtendable)
 from frontal_lab.frame import Frontal, frame_bundle
-from frontal_lab.jets import Jet
+from frontal_lab.jets import POSITION, Jet, JetVec3
 
 
 class TestProbeMachinery:
@@ -299,6 +299,36 @@ class TestConormal:
         assert rep["derivative_xi"] < 1e-9
         assert rep["derivative_w"] < 1e-9
         assert rep["rank2_everywhere"]
+
+    def test_nan_residuals_are_not_hidden(self, paraboloid, monkeypatch):
+        # The structure solve stops a NaN field before these residuals, so
+        # it is held at the clean structure here.  A NaN in w2 at one point
+        # reaches <nu, w2> but not <nu, w1>; a NaN in the field's
+        # u2-derivative reaches nu_u2 but not nu_u1.
+        vertical = TransversalField.constant((0.0, 0.0, 1.0))
+        u1, u2 = regular_points(paraboloid, 5, seed=5)
+        s = structure_from_field(paraboloid, vertical, u1, u2)
+        monkeypatch.setattr(blaschke, "structure_from_field",
+                            lambda *args, **kwargs: s)
+
+        def nan_at_first_point(jet, ij):
+            coeffs = [np.array(np.broadcast_to(c, u1.shape), dtype=float)
+                      for c in jet.coeffs]
+            coeffs[POSITION[jet.order][ij]][0] = np.nan
+            return Jet(jet.order, coeffs)
+
+        b = frame_bundle(paraboloid, u1, u2)
+        b.w2 = JetVec3(nan_at_first_point(b.w2[0], (0, 0)), *b.w2.c[1:])
+        rep = conormal_verify(paraboloid, vertical, u1, u2, bundle=b)
+        assert np.isnan(rep["pairing_w"]) and np.isnan(rep["derivative_w"])
+
+        def field(bb):
+            xj = vertical.jets(bb)
+            return JetVec3(*xj.c[:2], nan_at_first_point(xj[2], (0, 1)))
+
+        rep = conormal_verify(paraboloid, TransversalField(field), u1, u2)
+        assert np.isnan(rep["derivative_xi"]) and np.isnan(rep["derivative_w"])
+        assert not rep["rank2_everywhere"]
 
     def test_plane_conormal_constant_not_immersion(self, plane):
         u1, u2 = regular_points(plane, 10, seed=6)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from frontal_lab import expr
-from frontal_lab.catalog import ENTRIES, GENERATORS, get_entry, list_entries
+from conftest import with_nan_x
+from frontal_lab import catalog, expr
+from frontal_lab.catalog import (ENTRIES, GENERATORS, get_entry, list_entries,
+                                 validate_entry)
 from frontal_lab.config import Config
-from frontal_lab.errors import InputError, QuadratureNonConvergent
+from frontal_lab.errors import (DivisionByZeroValue, DomainError, InputError,
+                                NotAFrontal, QuadratureNonConvergent)
 from frontal_lab.frame import frame_bundle
-from frontal_lab.jets import _mat_values
+from frontal_lab.jets import Jet, _mat_values
 
 
 class TestEntries:
@@ -40,6 +43,13 @@ class TestEntries:
         cfg = Config(quad_nodes=64, quad_max_nodes=64)
         with pytest.raises(QuadratureNonConvergent):
             get_entry(name).build(cfg)
+
+    def test_nan_residual_fails_validation(self, paraboloid):
+        # a NaN in one derivative of x gives a NaN decomposition residual,
+        # which the load-time gate must not read as zero
+        f = with_nan_x(paraboloid, lam=paraboloid.lam)
+        with pytest.raises(NotAFrontal, match="residual nan"):
+            validate_entry(f, ENTRIES["paraboloid"])
 
     def test_factor_determinant_matches_expression(self, ex58):
         u1, u2 = ex58.interior_grid((9, 9), margin=0.02)
@@ -117,6 +127,75 @@ class TestExtendableNcGenerator:
             w2.values_on(u1.shape),
             np.stack([np.zeros_like(u1), np.ones_like(u1), u1], axis=-1),
             atol=1e-9)
+
+    def test_nested_path_closed_form(self):
+        # nonzero h and r run every nested integral: b = u2^2, h = u1*u2,
+        # l = 1, r = u1 give G = 2/3 u1 u2^3 + u1 and
+        # x3 = 4/15 u1 u2^5 + u1 u2^2 + u1^3/6
+        f = get_entry("gen-extendable-nc", {"b": "u2^2", "h": "u1*u2",
+                                            "l": "1", "r": "u1"}).build()
+        u1, u2 = f.grid((7, 7))
+        x3 = f.x(u1, u2, 1)[2]
+        g = f.omega(u1, u2, 1)[1][2]
+        for jet, want in (
+                (x3, (4 / 15 * u1 * u2 ** 5 + u1 * u2 ** 2 + u1 ** 3 / 6,
+                      4 / 15 * u2 ** 5 + u2 ** 2 + u1 ** 2 / 2,
+                      4 / 3 * u1 * u2 ** 4 + 2 * u1 * u2)),
+                (g, (2 / 3 * u1 * u2 ** 3 + u1, 2 / 3 * u2 ** 3 + 1,
+                     2 * u1 * u2 ** 2))):
+            got = (jet.value_on(u1.shape), jet.deriv(0).value_on(u1.shape),
+                   jet.deriv(1).value_on(u1.shape))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("h, r, l", [("0", "0", "1"), ("0*u1", "0", "1"),
+                                         ("0", "-0", "1"), ("0", "0", "-1")])
+    def test_zero_profiles_skip_integrals_bit_for_bit(self, monkeypatch,
+                                                      h, r, l):
+        # an identically zero h or r is never integrated; x (orders 0-3)
+        # and Omega (orders 0-2) keep every bit, the sign of zero included,
+        # of the path that integrates them
+        def jet_bytes():
+            f = get_entry("gen-extendable-nc",
+                          {"h": h, "r": r, "l": l}).build()
+            u1, u2 = f.grid((3, 3))
+            jets = [f.x(u1, u2, k) for k in range(4)]
+            jets += [w for k in range(3) for w in f.omega(u1, u2, k)]
+            return [(np.shape(c), np.asarray(c).tobytes())
+                    for v in jets for comp in v.c for c in comp.coeffs]
+
+        calls = []
+        integral = catalog._integral
+        monkeypatch.setattr(catalog, "_integral",
+                            lambda *args: calls.append(1) or integral(*args))
+        skipped, n_skipped = jet_bytes(), len(calls)
+        monkeypatch.setattr(catalog, "_identically_zero", lambda ast: False)
+        calls.clear()
+        assert jet_bytes() == skipped
+        assert n_skipped < len(calls)
+
+    @pytest.mark.parametrize("h, r, error", [
+        ("0*(1/u2)", "0", DivisionByZeroValue),
+        ("0", "0*sqrt(u1)", DomainError)])
+    def test_zero_profile_that_fails_to_evaluate_still_fails(self, h, r,
+                                                             error):
+        # simplify reads these as 0, but evaluating them fails on the grid
+        # as it did when they were integrated
+        with pytest.raises(error):
+            get_entry("gen-extendable-nc", {"h": h, "r": r}).build()
+
+    @pytest.mark.parametrize("var", (0, 1))
+    @pytest.mark.parametrize("order", range(4))
+    def test_zero_integral_matches_quadrature(self, var, order):
+        # the skipped integral's signed zeros, against the quadrature of
+        # +0 at a moving and at a fixed upper limit, over both signs of 0
+        values = np.array([-1.0, -0.0, 0.0, 0.5])
+        for upper in (Jet.variable(values, var, order),
+                      Jet.constant(values, order)):
+            want = catalog._integral(Config(), lambda t: Jet.constant(
+                0.0, t.order), upper, var, order)
+            got = catalog._zero_integral(upper, var)
+            assert ([(np.shape(c), c.tobytes()) for c in got.coeffs]
+                    == [(np.shape(c), c.tobytes()) for c in want.coeffs])
 
     def test_quintic_profile_with_potential(self):
         # nonzero h exercises the nested quadrature; the decomposition

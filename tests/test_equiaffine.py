@@ -1,17 +1,20 @@
 """Structure solves against the split-field identities and cross routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import regular_points
+from frontal_lab import equiaffine
 from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import (TransversalField, check_tau_formula,
                                     classical_symbols, d_from_gamma,
                                     is_equiaffine, parallel_volume_check,
                                     structure_from_field)
-from frontal_lab.errors import NotTransversal
+from frontal_lab.errors import NotTransversal, VerificationError
 from frontal_lab.frame import frame_bundle
-from frontal_lab.jets import Jet
+from frontal_lab.jets import Jet, JetVec3
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -42,6 +45,20 @@ class TestStructureFromField:
         u1, u2 = regular_points(ex510, 20, seed=2)
         s = structure_from_field(ex510, VERTICAL, u1, u2)
         np.testing.assert_allclose(s.tau, 0.0, atol=1e-13)
+
+    def test_nan_field_fails_the_solve_gate(self, paraboloid):
+        # a vertical field that is NaN at alternate points: the solve
+        # residual is NaN, which the gate must not let through
+        u1, u2 = regular_points(paraboloid, 5, seed=3)
+        third = np.where(np.arange(5) % 2, np.nan, 1.0)
+        field = TransversalField(lambda b: JetVec3(
+            Jet.constant(np.zeros(b.shape), b.order),
+            Jet.constant(np.zeros(b.shape), b.order),
+            Jet.constant(third, b.order)))
+        with pytest.raises(VerificationError, match="residual nan"):
+            structure_from_field(paraboloid, field, u1, u2)
+        with pytest.raises(VerificationError, match="residual nan"):
+            parallel_volume_check(paraboloid, field, u1, u2)
 
     def test_not_transversal(self, plane):
         tangent = TransversalField.constant((1.0, 0.0, 0.0))
@@ -121,6 +138,23 @@ class TestParallelVolume:
         field = TransversalField.from_expressions(["0", "0", "2"])
         resid, _ = parallel_volume_check(plane, field, u1, u2)
         assert resid < 1e-12
+
+    def test_nan_residual_is_not_hidden(self, paraboloid, monkeypatch):
+        # a NaN in D1 at one point makes the u1 residual NaN; the result
+        # must not fall back on the finite u2 residual
+        solve = equiaffine.structure_from_field
+
+        def nan_d1(*args, **kwargs):
+            s = solve(*args, **kwargs)
+            d1 = s.D1.copy()
+            d1.flat[0] = np.nan
+            return dataclasses.replace(s, D1=d1)
+
+        monkeypatch.setattr(equiaffine, "structure_from_field", nan_d1)
+        field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
+        u1, u2 = regular_points(paraboloid, 5, seed=11)
+        resid, _ = parallel_volume_check(paraboloid, field, u1, u2)
+        assert np.isnan(resid)
 
     def test_identity_holds_even_without_equiaffinity(self, paraboloid):
         # the derivative identity is unconditional; tau decides parallelism

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import regular_points
+from conftest import regular_points, with_nan_x
 from frontal_lab import cli, expr
 from frontal_lab.blaschke import (_tangent_value_fn, blaschke_field,
                                   conormal_verify)
@@ -62,6 +62,14 @@ class TestFactorLambda:
             (["1", "0", "0"], ["0", "1", "0"]), (-1, 1, -1, 1))
         with pytest.raises(NotAFrontal):
             factor_lambda(bad, 0.4, 0.3, 2)
+
+    def test_nan_residual_fails_the_gate(self, paraboloid):
+        # a NaN in one derivative of x gives a NaN decomposition residual,
+        # which the gate must not read as zero
+        f = with_nan_x(paraboloid)
+        u1, u2 = np.array([0.3, -0.5]), np.array([0.4, 0.7])
+        with pytest.raises(NotAFrontal, match="residual nan"):
+            factor_lambda(f, u1, u2, 2)
 
 
 class TestUnitNormal:

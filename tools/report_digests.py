@@ -28,7 +28,9 @@ reconstruction with the default field, a `--field` that is not three
 numbers, structure export from a file whose Omega does not factor Dx,
 reconstruction from structure files whose D1 grid is below the
 bicubic 4 x 4 minimum or holds a NaN, and reconstruction from a
-structure file whose initial frame W0 holds a NaN.
+structure file whose initial frame W0 holds a NaN.  Last come surface
+export and `analyze --out` on gen-extendable-nc with nonzero h and r,
+which run every nested integral of that generator.
 """
 
 from __future__ import annotations
@@ -151,6 +153,13 @@ def command_list():
         ["reconstruct", "--input", "{gridnan}", "--grid", "5x5"],
         ["reconstruct", "--input", "{w0nan}", "--grid", "5x5"],
     )]
+    nested = ["--entry", "gen-extendable-nc", "--b=2/5*u2^5 + u2^2",
+              "--h=u1*u2", "--l=1", "--r=u1"]
+    cmds.append(("nc-nested-surface",
+                 ["export", *nested, "--what", "surface", "--grid", "9x9",
+                  "--out", "{out}/s.obj"]))
+    cmds.append(("nc-nested-analyze",
+                 ["analyze", *nested, "--grid", "5x5", "--out", "{out}"]))
     return cmds
 
 
