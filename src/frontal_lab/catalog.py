@@ -511,6 +511,9 @@ def list_entries():
 def get_entry(name, params=None) -> CatalogEntry:
     """Fixed entry by name, or a generator entry with keyword params."""
     if name in ENTRIES:
+        if params:
+            raise InputError(f"{name} is a fixed entry and takes no "
+                             f"parameters, got {sorted(params)}")
         return ENTRIES[name]
     if name in GENERATORS:
         fn, allowed = GENERATORS[name]

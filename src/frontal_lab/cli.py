@@ -30,9 +30,7 @@ from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
 from .frame import (frame_bundle, nonparabolic_test, singular_scan,
                     wavefront_test)
 from .jets import Jet, _mat_values, triple_product_jet
-from .reconstruct import (affine_align, compat_residual, extract_structure,
-                          integrability_residual, integrate_frame,
-                          integrate_position, lattice_nodes)
+from .reconstruct import affine_align, extract_structure, integrate_frame
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,13 +47,6 @@ def _parse_grid(text):
     if min(shape) < 1:
         raise InputError(f"bad grid spec {text!r}; sizes must be at least 1")
     return shape
-
-
-def _parse_domain(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise InputError("domain must be a1,b1,a2,b2")
-    return tuple(parts)
 
 
 def _build_config(args) -> Config:
@@ -77,7 +68,8 @@ def _catalog_entry(args, name):
     params = {key: getattr(args, f"p_{key}") for key in _GENERATOR_PARAMS
               if getattr(args, f"p_{key}") is not None}
     if args.domain:
-        params["domain"] = _parse_domain(args.domain)
+        params["domain"] = structio.read_domain(args.domain.split(","),
+                                                "--domain")
     return catalog_mod.get_entry(name, params or None)
 
 
@@ -255,7 +247,6 @@ def cmd_reconstruct(args):
     if args.step is not None and not args.step > 0:
         raise InputError(f"--step must be > 0, got {args.step}")
     shape = _parse_grid(args.grid)
-    align = None
     if args.input:
         sd = structio.read_structure_file(args.input)
         f = None
@@ -264,19 +255,16 @@ def cmd_reconstruct(args):
         sd = extract_structure(f, _transversal_field(f, args.field))
 
     step = config.rk4_step if args.step is None else args.step
-    u1r, u2r, _ = sd.regular_sample(*lattice_nodes(sd, shape), config)
-    compat = compat_residual(sd, u1r, u2r)
-    sym, row = integrability_residual(sd, u1r, u2r)
-
     ff = integrate_frame(sd, shape, step=step, config=config)
-    x = integrate_position(ff, sd, config=config)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "reconstruct",
         "grid": list(shape),
         "step": step,
-        "compatibility": {"residual": compat, "tolerance": config.tol_compat},
-        "integrability": {"symmetry": sym, "row_identity": row,
+        "compatibility": {"residual": ff.compat,
+                          "tolerance": config.tol_compat},
+        "integrability": {"symmetry": ff.symmetry,
+                          "row_identity": ff.row_identity,
                           "tolerance": config.tol_compat},
         "path_audit": {"frame": ff.discrepancy, "position": ff.x_discrepancy,
                        "tolerance": config.tol_path},
@@ -285,14 +273,15 @@ def cmd_reconstruct(args):
     if f is not None:
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = f.x(U1, U2, 0).values_on(U1.shape)
-        L, a, sup = affine_align(x, x_true)
+        L, a, sup = affine_align(ff.x, x_true)
         report["alignment"] = {"sup_error": sup, "tolerance": 1e-4,
                                "L": L.tolist(), "a": a.tolist()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "reconstruct.json"),
                               report)
-        structio.export_obj(os.path.join(args.out, "reconstructed.obj"), x)
+        structio.export_obj(os.path.join(args.out, "reconstructed.obj"),
+                            ff.x)
     sys.stdout.write(structio.report_json(report) if args.json else
                      f"reconstructed: audit={ff.discrepancy:.3e} "
                      + (f"aligned sup={report['alignment']['sup_error']:.3e}\n"
@@ -456,6 +445,7 @@ def cmd_export(args):
         x = f.x(bf.u1, bf.u2, 0).values_on(bf.u1.shape)
         structio.export_field_csv(args.out, bf.u1, bf.u2, x, bf.xi)
     elif args.what == "structure":
+        structio.check_spline_grid("--grid", *shape)
         sd = extract_structure(f, _transversal_field(f, args.field))
         structio.write_structure_file(args.out, sd, shape=shape)
     else:

@@ -82,10 +82,13 @@ class GridField:
     An open mesh is evaluated with one FITPACK grid call per component
     and partial, any other points with `ev` point by point; both give
     the same bits.  Third partials are beyond the bicubic spline, so
-    jets stop at order SPLINE_ORDER.
+    jets stop at order SPLINE_ORDER.  A bicubic spline needs
+    MIN_SAMPLES samples per axis, so a structure file may hold no
+    smaller grid.
     """
 
     SPLINE_ORDER = 2
+    MIN_SAMPLES = 4
 
     def __init__(self, domain, values):
         # scipy is imported here, its one use, so that commands which
@@ -316,9 +319,14 @@ def extract_structure(f: Frontal, xi_field) -> StructureData:
 # --- compatibility and integrability residuals -----------------------------------------
 
 
-def _flatness(sd: StructureData, u1, u2):
-    """(max Frobenius norm of the flatness defect, D1aug values, D2aug
-    values) from one order-1 evaluation of the augmented blocks."""
+def compat_residual(sd: StructureData, u1, u2):
+    """(max Frobenius norm of the frame-system flatness defect, its scale).
+
+    The defect is D1_u2 - D2_u1 + [D1, D2] over the sampled points, with
+    the augmented 3x3 blocks, from one order-1 evaluation; the scale,
+    max(1, max |D1aug|, max |D2aug|), is what the compatibility gate
+    multiplies its tolerance by.
+    """
     shape = np.shape(np.asarray(u1, dtype=float))
     d1aug, d2aug = sd.aug_jets(u1, u2, 1)
     D1 = _mat_values(d1aug, shape)
@@ -326,17 +334,8 @@ def _flatness(sd: StructureData, u1, u2):
     R = (_mat_values(d1aug, shape, 1) - _mat_values(d2aug, shape, 0)
          + D1 @ D2 - D2 @ D1)
     fro = np.sqrt(np.sum(R * R, axis=(-2, -1)))
-    return float(np.max(fro)), D1, D2
-
-
-def compat_residual(sd: StructureData, u1, u2):
-    """Max Frobenius norm of the frame-system flatness defect.
-
-    D1_u2 - D2_u1 + [D1, D2] over the sampled points, with the augmented
-    3x3 blocks.  Points on the singular set are included in the report;
-    gating on the regular part is the caller's choice.
-    """
-    return _flatness(sd, u1, u2)[0]
+    scale = max(1.0, float(np.max(np.abs(D1))), float(np.max(np.abs(D2))))
+    return float(np.max(fro)), scale
 
 
 def integrability_residual(sd: StructureData, u1, u2):
@@ -530,11 +529,14 @@ class FrameField:
     u1_nodes: np.ndarray
     u2_nodes: np.ndarray
     W: np.ndarray             # (n1, n2, 3, 3)
-    x: np.ndarray             # (n1, n2, 3)
+    x: np.ndarray             # (n1, n2, 3), the position grid
     discrepancy: float        # path-independence audit, frame part
     x_discrepancy: float      # audit on the position part
     min_det: float
-    sd: StructureData = None
+    # residuals on the regular lattice nodes, as gated
+    compat: float
+    symmetry: float
+    row_identity: float
 
 
 # Lanes (points) per coefficient evaluation of a sweep: as many whole
@@ -608,37 +610,34 @@ def _integrate_lattice(sd: StructureData, u1_nodes, u2_nodes, step,
     return Y if other == 0 else np.moveaxis(Y, 0, 1)
 
 
-def lattice_nodes(sd: StructureData, shape=(21, 21)):
-    a1, b1, a2, b2 = sd.domain
-    return (np.linspace(a1, b1, shape[0]), np.linspace(a2, b2, shape[1]))
-
-
 def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
-                    config: Config = DEFAULT, check_compat=True,
-                    audit_gate=True) -> FrameField:
-    """Integrate the frame (and carried position) over a node lattice.
+                    config: Config = DEFAULT) -> FrameField:
+    """Integrate the frame and the carried position over a node lattice.
 
-    Runs the row-major and column-major sweeps and reports their maximum
-    disagreement; raises CompatibilityViolated when the audit exceeds the
-    path gate (suppressed by audit_gate=False for step-refinement
-    probes), FrameDegenerate when det W collapses or flips sign.
+    The compatibility and integrability residuals are evaluated once, on
+    the regular nodes of the lattice, before the sweeps.  The row-major
+    and column-major sweeps then run, and their disagreement is the path
+    audit.  The gates, in order, each failed by a NaN: the compatibility
+    residual (CompatibilityViolated), det W collapsing or flipping sign
+    (FrameDegenerate), the frame audit (CompatibilityViolated), the
+    integrability residuals and the position audit
+    (IntegrabilityViolated).
     """
     step = step or config.rk4_step
-    u1_nodes, u2_nodes = lattice_nodes(sd, shape)
-    if check_compat:
-        u1r, u2r, _ = sd.regular_sample(u1_nodes[::4], u2_nodes[::4], config)
-        resid, d1aug, d2aug = _flatness(sd, u1r, u2r)
-        scale = max(1.0, float(np.max(np.abs(d1aug))),
-                    float(np.max(np.abs(d2aug))))
-        if not resid <= config.tol_compat * scale:
-            raise CompatibilityViolated(
-                f"compatibility residual {resid:.2e} exceeds "
-                f"{config.tol_compat * scale:.2e} before integration")
+    a1, b1, a2, b2 = sd.domain
+    u1_nodes = np.linspace(a1, b1, shape[0])
+    u2_nodes = np.linspace(a2, b2, shape[1])
+    u1r, u2r, lam_det = sd.regular_sample(u1_nodes, u2_nodes, config)
+    compat, scale = compat_residual(sd, u1r, u2r)
+    sym, row = integrability_residual(sd, u1r, u2r)
+    if not compat <= config.tol_compat * scale:
+        raise CompatibilityViolated(
+            f"compatibility residual {compat:.2e} exceeds "
+            f"{config.tol_compat * scale:.2e} before integration")
 
     Y_rows = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=1)
     Y_cols = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=0)
     W = Y_rows[..., :3]
-    x = Y_rows[..., 3]
     disc_w = float(np.max(np.abs(Y_rows[..., :3] - Y_cols[..., :3])))
     disc_x = float(np.max(np.abs(Y_rows[..., 3] - Y_cols[..., 3])))
     det = np.linalg.det(W)
@@ -646,33 +645,18 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     if not (min_det > 1e-12
             and float(np.max(det)) * float(np.min(det)) >= 0.0):
         raise FrameDegenerate("integrated frame lost invertibility")
-    if audit_gate and not disc_w <= config.tol_path:
+    if not disc_w <= config.tol_path:
         raise CompatibilityViolated(
             f"path-independence audit {disc_w:.2e} exceeds {config.tol_path}")
-    return FrameField(u1_nodes, u2_nodes, W, x, disc_w, disc_x, min_det, sd)
-
-
-def integrate_position(frame_field: FrameField, sd: StructureData = None,
-                       config: Config = DEFAULT):
-    """Position grid from an integrated frame, with integrability gates.
-
-    The joint sweep already carried the position block; this validates
-    the position-system integrability residuals and the path audit, and
-    returns the grid.  Raises IntegrabilityViolated on a gate failure.
-    """
-    sd = sd or frame_field.sd
-    u1r, u2r, lam_det = sd.regular_sample(frame_field.u1_nodes[::4],
-                                          frame_field.u2_nodes[::4], config)
-    sym, row = integrability_residual(sd, u1r, u2r)
     gate = 10.0 * config.tol_compat * max(1.0, float(np.max(np.abs(lam_det))))
     if not (sym <= gate and row <= gate):
         raise IntegrabilityViolated(
             f"integrability residuals ({sym:.2e}, {row:.2e}) exceed gate")
-    if not frame_field.x_discrepancy <= config.tol_path:
+    if not disc_x <= config.tol_path:
         raise IntegrabilityViolated(
-            f"position path audit {frame_field.x_discrepancy:.2e} exceeds "
-            f"{config.tol_path}")
-    return frame_field.x
+            f"position path audit {disc_x:.2e} exceeds {config.tol_path}")
+    return FrameField(u1_nodes, u2_nodes, W, Y_rows[..., 3], disc_w, disc_x,
+                      min_det, compat, sym, row)
 
 
 # --- affine alignment ----------------------------------------------------------------

@@ -40,26 +40,70 @@ SCHEMA_VERSION = 1
 _MATRIX_ENTRIES = ("Lambda", "I_Omega", "h", "D1", "D2", "S")
 
 
-def read_structure_file(path) -> StructureData:
+def read_domain(values, what="domain"):
+    """(a1, b1, a2, b2) from four finite numbers with a1 < b1 and
+    a2 < b2; raises InputError naming `what` otherwise."""
+    try:
+        domain = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        domain = ()
+    if len(domain) != 4:
+        raise InputError(f"{what}: expected four numbers a1,b1,a2,b2, got "
+                         f"{values!r}")
+    if not np.all(np.isfinite(domain)):
+        raise InputError(f"{what}: values must be finite")
+    a1, b1, a2, b2 = domain
+    if not (a1 < b1 and a2 < b2):
+        raise InputError(f"{what}: needs a1 < b1 and a2 < b2, got "
+                         f"{list(domain)}")
+    return domain
+
+
+def _read_object(path, kind):
+    """The JSON object a file holds; InputError for any other JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(f"a {kind} file holds a JSON object, not a "
+                         f"{type(doc).__name__}")
+    return doc
+
+
+def _expressions(what, sources, count):
+    """`sources` as a list of `count` expression strings (one string
+    stands for a list of one); raises InputError naming `what`
+    otherwise."""
+    if count == 1 and isinstance(sources, str):
+        sources = [sources]
+    if not (isinstance(sources, list) and len(sources) == count
+            and all(isinstance(s, str) for s in sources)):
+        raise InputError(f"{what}: expected a list of {count} expression "
+                         f"strings, got {sources!r}")
+    return sources
+
+
+def read_structure_file(path) -> StructureData:
+    doc = _read_object(path, "structure")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported structure schema "
                          f"{doc.get('schema_version')!r}")
     try:
-        domain = tuple(float(v) for v in doc["domain"])
-        basepoint = tuple(float(v) for v in doc["basepoint"])
+        domain = read_domain(doc["domain"])
+        basepoint = np.asarray(doc["basepoint"], dtype=float)
         W0 = np.asarray(doc["W0"], dtype=float)
         p = np.asarray(doc["p"], dtype=float)
         entries = doc["entries"]
     except KeyError as missing:
         raise InputError(f"structure file missing {missing}")
+    if basepoint.shape != (2,):
+        raise InputError("basepoint must be two numbers q1, q2")
     if W0.shape != (3, 3) or p.shape != (3,):
         raise InputError("W0 must be 3x3 and p a 3-vector")
-    for key, values in (("domain", domain), ("basepoint", basepoint),
-                        ("W0", W0), ("p", p)):
+    for key, values in (("basepoint", basepoint), ("W0", W0), ("p", p)):
         if not np.all(np.isfinite(values)):
             raise InputError(f"{key}: values must be finite")
+    if not isinstance(entries, dict):
+        raise InputError("entries: expected an object of named entries")
 
     fields = {}
     for name in (*_MATRIX_ENTRIES, "phi"):
@@ -67,28 +111,37 @@ def read_structure_file(path) -> StructureData:
             raise InputError(f"structure file missing entry {name!r}")
         spec = entries[name]
         want = 4 if name in _MATRIX_ENTRIES else 1
+        if not isinstance(spec, dict):
+            raise InputError(f"{name}: entry must be an object with 'expr' "
+                             f"or 'grid', got {spec!r}")
         if "expr" in spec:
-            sources = spec["expr"]
-            if len(sources) != want:
-                raise InputError(f"{name}: expected {want} expressions")
-            fields[name] = expr_entry(sources)
+            fields[name] = expr_entry(_expressions(name, spec["expr"], want))
         elif "grid" in spec:
             fields[name] = GridField(domain, _grid_values(name, spec["grid"],
                                                           want))
         else:
             raise InputError(f"{name}: entry needs 'expr' or 'grid'")
     return StructureData(
-        domain=domain, basepoint=basepoint, W0=W0, p=p,
+        domain=domain, basepoint=tuple(basepoint.tolist()), W0=W0, p=p,
         lam=fields["Lambda"], i_omega=fields["I_Omega"],
         blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
                             fields["S"]),
         phi=fields["phi"])
 
 
+def check_spline_grid(what, nx, ny):
+    """Raise InputError naming `what` unless an nx x ny grid holds the
+    GridField.MIN_SAMPLES samples per axis a bicubic spline needs."""
+    n = GridField.MIN_SAMPLES
+    if nx < n or ny < n:
+        raise InputError(f"{what}: grid of {nx}x{ny} samples is below the "
+                         f"{n}x{n} a bicubic spline needs")
+
+
 def _grid_values(name, grid, want):
     """(want, nx, ny) values of a grid entry, or (nx, ny) when want is 1;
-    raises InputError naming the entry unless the grid holds at least the
-    4 x 4 samples a bicubic spline needs, all finite."""
+    raises InputError naming the entry unless the grid is large enough
+    for a bicubic spline and its values are all finite."""
     try:
         nx, ny = int(grid["nx"]), int(grid["ny"])
         values = np.asarray(grid["values"], dtype=float)
@@ -96,9 +149,7 @@ def _grid_values(name, grid, want):
         raise InputError(f"{name}: grid entry missing {missing}")
     except (TypeError, ValueError) as err:
         raise InputError(f"{name}: unreadable grid entry ({err})")
-    if nx < 4 or ny < 4:
-        raise InputError(f"{name}: grid of {nx}x{ny} samples is below the "
-                         f"4x4 a bicubic spline needs")
+    check_spline_grid(name, nx, ny)
     if values.size != want * nx * ny:
         raise InputError(f"{name}: expected {want}x{nx}x{ny} grid values, "
                          f"got {values.size}")
@@ -143,23 +194,32 @@ def write_structure_file(path, sd: StructureData, shape=(33, 33)):
 
 
 def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_object(path, "frontal")
     try:
         name = doc.get("name", "user-frontal")
-        domain = tuple(float(v) for v in doc["domain"])
-        x_srcs = doc["x"]
+        domain = read_domain(doc["domain"])
+        x_srcs = _expressions("x", doc["x"], 3)
         omega_srcs = doc["omega"]
     except KeyError as missing:
         raise InputError(f"frontal file missing {missing}")
-    if len(x_srcs) != 3 or len(omega_srcs) != 2:
-        raise InputError("frontal file needs 3 x-components and 2 basis "
-                         "columns")
+    if not (isinstance(omega_srcs, list) and len(omega_srcs) == 2):
+        raise InputError("omega: expected 2 basis columns")
+    open_domain = doc.get("open_domain")
+    if not isinstance(open_domain, (bool, type(None))):
+        raise InputError(f"open_domain: expected true or false, got "
+                         f"{open_domain!r}")
+
+    def optional(key, count):
+        srcs = doc.get(key)
+        return None if srcs is None else _expressions(key, srcs, count)
+
+    gauss = optional("K", 1)
     return frontal_from_expressions(
-        name, x_srcs, (omega_srcs[0], omega_srcs[1]), domain,
-        lam_srcs=doc.get("lambda"), gauss_src=doc.get("K"),
-        blaschke_srcs=doc.get("xi"), config=config,
-        open_domain=bool(doc.get("open_domain", False)))
+        name, x_srcs, [_expressions("omega", c, 3) for c in omega_srcs],
+        domain, lam_srcs=optional("lambda", 4),
+        gauss_src=gauss[0] if gauss else None,
+        blaschke_srcs=optional("xi", 3),
+        config=config, open_domain=bool(open_domain))
 
 
 # --- exports -----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_unimodular, regular_points
+from conftest import UNGATED, random_unimodular, regular_points
 from frontal_lab import expr
 from frontal_lab.blaschke import (blaschke_field, blaschke_verify,
                                   conormal_verify, extension_condition,
@@ -33,7 +33,7 @@ from frontal_lab.frame import (Frontal, affine_image, frame_bundle,
 from frontal_lab.jets import INDICES, Jet, fd_jet
 from frontal_lab.reconstruct import (StructureData, affine_align, expr_entry,
                                      extract_structure, integrate_frame,
-                                     integrate_position, stack_blocks)
+                                     stack_blocks)
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -192,7 +192,7 @@ class TestCriterion8:
         bf = blaschke_field(ex59, shape=(21, 21))
         sd59 = extract_structure(ex59, bf)
         ff = integrate_frame(sd59, shape=(13, 13), step=1e-3)
-        x = integrate_position(ff)
+        x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = ex59.x(U1, U2, 0).values_stacked()
         _, _, sup59 = affine_align(x, x_true)
@@ -201,7 +201,7 @@ class TestCriterion8:
 
         sd510 = extract_structure(ex510, VERTICAL)
         ff510 = integrate_frame(sd510, shape=(13, 13), step=1e-3)
-        x510 = integrate_position(ff510)
+        x510 = ff510.x
         U1, U2 = np.meshgrid(ff510.u1_nodes, ff510.u2_nodes, indexing="ij")
         x_true = ex510.x(U1, U2, 0).values_stacked()
         _, _, sup510 = affine_align(x510, x_true)
@@ -213,15 +213,15 @@ class TestCriterion8:
         # unit-normal structure of the wave front (its constant-field
         # audit sits at ~1e-13, below any measurable step dependence)
         coarse = integrate_frame(sd59, shape=(9, 9), step=2e-3,
-                                 audit_gate=False, check_compat=False)
+                                 config=UNGATED)
         fine = integrate_frame(sd59, shape=(9, 9), step=1e-3,
-                               audit_gate=False, check_compat=False)
+                               config=UNGATED)
         ratio59 = coarse.discrepancy / fine.discrepancy
         sdn = extract_structure(ex510, TransversalField.unit_normal())
         coarse_n = integrate_frame(sdn, shape=(9, 9), step=2e-3,
-                                   audit_gate=False, check_compat=False)
+                                   config=UNGATED)
         fine_n = integrate_frame(sdn, shape=(9, 9), step=1e-3,
-                                 audit_gate=False, check_compat=False)
+                                 config=UNGATED)
         ratio510 = coarse_n.discrepancy / fine_n.discrepancy
         elapsed = time.perf_counter() - t0
 

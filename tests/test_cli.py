@@ -1,6 +1,7 @@
 """CLI surface: commands, exports, exit codes, deterministic reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,27 @@ from frontal_lab.structio import (export_field_csv, export_frame_csv,
 
 def run(args):
     return cli.main(args)
+
+
+def flat_structure(**entries):
+    """Structure file of the flat data on [0, 1]^2 (Lambda = I_Omega = I,
+    zero blocks, phi = 1), with `entries` replacing some of them."""
+    zero = {"expr": ["0", "0", "0", "0"]}
+    doc = {"schema_version": 1, "domain": [0.0, 1.0, 0.0, 1.0],
+           "basepoint": [0.0, 0.0], "W0": np.eye(3).tolist(),
+           "p": [0.0, 0.0, 0.0],
+           "entries": {"Lambda": {"expr": ["1", "0", "0", "1"]},
+                       "I_Omega": {"expr": ["1", "0", "0", "1"]},
+                       "h": zero, "D1": zero, "D2": zero, "S": zero,
+                       "phi": {"expr": ["1"]}}}
+    doc["entries"].update(entries)
+    return doc
+
+
+PARABOLOID_FILE = {"name": "paraboloid-file",
+                   "domain": [-1.0, 1.0, -1.0, 1.0],
+                   "x": ["u1", "u2", "(u1^2 + u2^2)/2"],
+                   "omega": [["1", "0", "u1"], ["0", "1", "u2"]]}
 
 
 class TestCatalogCommand:
@@ -248,6 +270,20 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert f"input error: {key}: values must be finite" in err
 
+    def test_defect_between_sampled_rows_fails_compatibility(self, tmp_path,
+                                                            capsys):
+        # D1_u2 = cos(40 pi u1) sin(5 pi u2) is the flatness defect; on the
+        # 21x21 nodes it is sin(5 pi u2), which is 1 on some rows and 0 on
+        # every fourth
+        k1, k2 = 40.0 * math.pi, 5.0 * math.pi
+        path = tmp_path / "hidden.json"
+        write_report(path, flat_structure(D1={"expr": [
+            f"cos({k1!r}*u1)*(-cos({k2!r}*u2)/{k2!r})", "0", "0", "0"]}))
+        assert run(["reconstruct", "--input", str(path), "--grid",
+                    "21x21"]) == cli.EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert "compatibility residual 1.00e+00 exceeds 1.00e-06" in err
+
     def test_missing_file_is_input_error(self):
         assert run(["reconstruct", "--input", "/no/such/file.json",
                     "--grid", "9x9"]) == cli.EXIT_INPUT
@@ -288,6 +324,70 @@ class TestReconstructCommand:
         assert "SingularPoint" in err
         assert "node (0.000141421, 0.000141421)" in err
         assert "|grad det Lambda| = 4.800e-03" in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("analyze", [1, 2], "a frontal file holds a JSON object, not a list"),
+    ("reconstruct", [1, 2],
+     "a structure file holds a JSON object, not a list"),
+    ("reconstruct", flat_structure(Lambda="expr"),
+     "Lambda: entry must be an object with 'expr' or 'grid'"),
+    ("reconstruct", flat_structure(D1={"expr": [0, 0, 0, 0]}),
+     "D1: expected a list of 4 expression strings"),
+    ("analyze", dict(PARABOLOID_FILE, x=[1, "u2", "0"]),
+     "x: expected a list of 3 expression strings"),
+    ("analyze", dict(PARABOLOID_FILE, omega=[["1", "0", "u1"]]),
+     "omega: expected 2 basis columns"),
+    ("analyze", dict(PARABOLOID_FILE, open_domain="false"),
+     "open_domain: expected true or false"),
+    ("analyze", dict(PARABOLOID_FILE, domain=[1.0, -1.0, -1.0, 1.0]),
+     "domain: needs a1 < b1 and a2 < b2"),
+    ("reconstruct", dict(flat_structure(), domain=[0.0, 0.0, 0.0, 1.0]),
+     "domain: needs a1 < b1 and a2 < b2"),
+    ("reconstruct", dict(flat_structure(), basepoint=[0.0, 0.0, 0.0]),
+     "basepoint must be two numbers"),
+    ("reconstruct", dict(flat_structure(), entries=[1]),
+     "entries: expected an object"),
+], ids=["frontal-list", "structure-list", "entry-string", "expr-numbers",
+        "x-number", "one-column", "open-domain-string", "frontal-reversed",
+        "structure-empty", "basepoint-three", "entries-list"])
+def test_malformed_file_is_input_error(command, doc, message, tmp_path,
+                                       capsys):
+    path = tmp_path / "malformed.json"
+    write_report(path, doc)
+    assert run([command, "--input", str(path), "--grid", "5x5"]) \
+        == cli.EXIT_INPUT
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--entry", "paraboloid", "--domain=0,1,0,1",
+      "--grid", "5x5"],
+     "paraboloid is a fixed entry and takes no parameters, got ['domain']"),
+    (["catalog", "paraboloid", "--h=u1"],
+     "paraboloid is a fixed entry and takes no parameters, got ['h']"),
+    (["analyze", "--entry", "gen-nonparabolic", "--domain=1,-1,-1,1",
+      "--grid", "5x5"],
+     "--domain: needs a1 < b1 and a2 < b2, got [1.0, -1.0, -1.0, 1.0]"),
+    (["analyze", "--entry", "gen-nonparabolic", "--domain=0,0,-1,1",
+      "--grid", "5x5"],
+     "--domain: needs a1 < b1 and a2 < b2"),
+    (["check", "--entry", "gen-nonparabolic", "--domain=0,0,0,0"],
+     "--domain: needs a1 < b1 and a2 < b2"),
+    (["analyze", "--entry", "gen-nonparabolic", "--domain=nan,1,-1,1",
+      "--grid", "5x5"],
+     "--domain: values must be finite"),
+    (["analyze", "--entry", "gen-nonparabolic", "--domain=0,1,0",
+      "--grid", "5x5"],
+     "--domain: expected four numbers a1,b1,a2,b2"),
+    (["analyze", "--entry", "gen-nonparabolic", "--domain=0,1,0,x",
+      "--grid", "5x5"],
+     "--domain: expected four numbers a1,b1,a2,b2"),
+], ids=["fixed-domain", "fixed-generator-flag", "reversed", "empty",
+        "point", "nan", "three", "word"])
+def test_bad_domain_is_input_error(argv, message, capsys):
+    assert run(argv) == cli.EXIT_INPUT
+    assert f"input error: {message}" in capsys.readouterr().err
 
 
 class TestGridSpec:
@@ -488,6 +588,27 @@ class TestExport:
         rep = json.loads(capsys.readouterr().out)
         assert rep["path_audit"]["frame"] < 1e-4
 
+    # the writer refuses what the reader would, before extracting
+    @pytest.mark.parametrize("grid", ["2x2", "4x3"])
+    def test_structure_below_spline_minimum_is_input_error(
+            self, grid, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "extract_structure",
+                            lambda *args: pytest.fail("extracted"))
+        out = tmp_path / "s.json"
+        assert run(["export", "--entry", "paraboloid", "--what",
+                    "structure", "--field", "normal", "--grid", grid,
+                    "--out", str(out)]) == cli.EXIT_INPUT
+        assert "below the 4x4 a bicubic spline needs" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_structure_at_spline_minimum_reads_back(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["export", "--entry", "paraboloid", "--what",
+                    "structure", "--field", "normal", "--grid", "4x4",
+                    "--out", str(out)]) == 0
+        assert read_structure_file(out).W0.shape == (3, 3)
+
     def test_constant_field_structure_on_generator(self, tmp_path):
         # the symbols lose the order gen-extendable-nc's Omega lacks,
         # although the constant field itself loses none
@@ -516,8 +637,7 @@ class TestExport:
         # sample the structure to grids, reload through the bicubic
         # route, reconstruct, and compare against the source surface
         from frontal_lab.catalog import get_entry
-        from frontal_lab.reconstruct import (affine_align, integrate_frame,
-                                             integrate_position)
+        from frontal_lab.reconstruct import affine_align, integrate_frame
         import numpy as np
         struct = tmp_path / "grid-structure.json"
         assert run(["export", "--entry", "paraboloid", "--what", "structure",
@@ -525,7 +645,7 @@ class TestExport:
                     "--out", str(struct)]) == 0
         sd = read_structure_file(struct)
         ff = integrate_frame(sd, shape=(9, 9), step=2e-3)
-        x = integrate_position(ff)
+        x = ff.x
         f = get_entry("paraboloid").build()
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = f.x(U1, U2, 0).values_stacked()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import regular_points, with_nan_x
-from frontal_lab import cli, expr
+from frontal_lab import cli, expr, reconstruct
 from frontal_lab.blaschke import (_tangent_value_fn, blaschke_field,
                                   conormal_verify)
 from frontal_lab.equiaffine import TransversalField, check_tau_formula
@@ -371,15 +371,49 @@ class TestBundleCounts:
         assert cli.main(["check", "--entry", "ex-5.10"]) == 0
         assert len(bundle_sizes) == 10
 
-    def test_compat_check_builds_one_bundle(self, bundle_sizes,
-                                            paraboloid):
-        # a 1x1 lattice integrates nothing, so only the compatibility
-        # check on the regular sample builds a bundle: residual and scale
-        # come from one order-1 evaluation
+    def test_compat_check_builds_one_bundle_per_residual(self, bundle_sizes,
+                                                         paraboloid):
+        # a 1x1 lattice integrates nothing, so only the residuals on the
+        # regular sample build bundles: the compatibility residual and
+        # its scale from one order-1 evaluation, the integrability
+        # residuals from one order-0 evaluation
         sd = extract_structure(paraboloid, TransversalField.unit_normal())
         bundle_sizes.clear()
         integrate_frame(sd, (1, 1))
-        assert bundle_sizes == [1]
+        assert bundle_sizes == [1, 1]
+
+    def test_reconstruct_reads_the_lattice_once(self, monkeypatch, capsys):
+        # (points, order) of every bundle, and where the sweeps start and
+        # end: extraction's base point at order 3, then the compatibility
+        # (order-1 symbols) and integrability (order 0) residuals on the
+        # 25 nodes of the one regular sample, then nothing once the
+        # sweeps are done
+        built = []
+        _record_bundles(monkeypatch,
+                        lambda b, u1: built.append((int(np.size(u1)), b.order)))
+        lattice = reconstruct._integrate_lattice
+
+        def marked(*args, **kwargs):
+            built.append("sweep")
+            out = lattice(*args, **kwargs)
+            built.append("done")
+            return out
+
+        sample = reconstruct.StructureData.regular_sample
+        samples = []
+
+        def counted(self, *args):
+            samples.append(args)
+            return sample(self, *args)
+
+        monkeypatch.setattr(reconstruct, "_integrate_lattice", marked)
+        monkeypatch.setattr(reconstruct.StructureData, "regular_sample",
+                            counted)
+        assert cli.main(["reconstruct", "--entry", "paraboloid", "--field",
+                         "normal", "--grid", "5x5"]) == 0
+        assert built[:4] == [(1, 3), (25, 2), (25, 1), "sweep"]
+        assert built.count("sweep") == 2 and built[-1] == "done"
+        assert len(samples) == 1
 
     # the connection blocks come from one callable, so a consumer that
     # reads several of them at one point set builds one bundle per order

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_unimodular, regular_points
+from conftest import UNGATED, random_unimodular, regular_points
 from frontal_lab import reconstruct
 from frontal_lab.blaschke import blaschke_field
 from frontal_lab.equiaffine import TransversalField
@@ -18,7 +18,6 @@ from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
                                      apolarity_check, compat_residual,
                                      expr_entry, extend_D, extract_structure,
                                      integrability_residual, integrate_frame,
-                                     integrate_position, lattice_nodes,
                                      stack_blocks)
 from frontal_lab.structio import read_structure_file, write_structure_file
 
@@ -43,25 +42,27 @@ class TestCompatResidual:
     def test_zero_symbols(self):
         sd = synthetic_sd(["0"] * 4, ["0"] * 4)
         u = np.linspace(-0.9, 0.9, 7)
-        assert compat_residual(sd, u, u) == 0.0
+        assert compat_residual(sd, u, u) == (0.0, 1.0)
 
     def test_u2_dependent_entry_measures_derivative(self):
         # D1 with a u2-dependent corner entry and D2 = 0: the commutator
         # vanishes, so the defect is exactly the u2-derivative (= 3)
         sd = synthetic_sd(["3*u2", "0", "0", "0"], ["0"] * 4)
         u = np.linspace(-0.5, 0.5, 5)
-        assert compat_residual(sd, u, u) == pytest.approx(3.0, abs=1e-12)
+        resid, scale = compat_residual(sd, u, u)
+        assert resid == pytest.approx(3.0, abs=1e-12)
+        assert scale == pytest.approx(1.5, abs=1e-12)
 
     def test_extracted_wavefront_structure(self, ex510):
         sd = extract_structure(ex510, VERTICAL)
         u1, u2 = regular_points(ex510, 30, seed=1)
-        assert compat_residual(sd, u1, u2) < 1e-7
+        assert compat_residual(sd, u1, u2)[0] < 1e-7
 
     def test_extracted_blaschke_structure(self, ex59):
         bf = blaschke_field(ex59, shape=(21, 21))
         sd = extract_structure(ex59, bf)
         u1, u2 = regular_points(ex59, 30, seed=2)
-        assert compat_residual(sd, u1, u2) < 1e-7
+        assert compat_residual(sd, u1, u2)[0] < 1e-7
 
 
 class TestIntegrabilityResidual:
@@ -212,7 +213,7 @@ class TestIntegrateFrame:
         monkeypatch.setattr(StructureData, "aug_values",
                             lambda self, u1, u2: calls.append(u1))
         with pytest.raises(InsufficientJetOrder, match="jet budget") as exc:
-            integrate_frame(sd, shape=(9, 9), check_compat=True)
+            integrate_frame(sd, shape=(9, 9))
         assert "order-1 structure jets need order-4" in str(exc.value)
         assert "loses 3 orders" in str(exc.value)
         assert calls == []
@@ -222,7 +223,7 @@ class TestRoundTrips:
     def test_plane_from_trivial_data(self):
         sd = synthetic_sd(["0"] * 4, ["0"] * 4, p=(1.0, -2.0, 3.0))
         ff = integrate_frame(sd, shape=(7, 7), step=1e-2)
-        x = integrate_position(ff)
+        x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         expected = np.stack([U1 - sd.basepoint[0] + 1.0,
                              U2 - sd.basepoint[1] - 2.0,
@@ -233,7 +234,7 @@ class TestRoundTrips:
         bf = blaschke_field(ex59, shape=(21, 21))
         sd = extract_structure(ex59, bf)
         ff = integrate_frame(sd, shape=(11, 11), step=1e-3)
-        x = integrate_position(ff)
+        x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = ex59.x(U1, U2, 0).values_stacked()
         L, a, sup = affine_align(x, x_true)
@@ -243,7 +244,7 @@ class TestRoundTrips:
     def test_rank1_wavefront_round_trip(self, ex510):
         sd = extract_structure(ex510, VERTICAL)
         ff = integrate_frame(sd, shape=(11, 11), step=1e-3)
-        x = integrate_position(ff)
+        x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = ex510.x(U1, U2, 0).values_stacked()
         L, a, sup = affine_align(x, x_true)
@@ -252,10 +253,8 @@ class TestRoundTrips:
     def test_step_refinement_is_fourth_order(self, ex59):
         bf = blaschke_field(ex59, shape=(21, 21))
         sd = extract_structure(ex59, bf)
-        coarse = integrate_frame(sd, shape=(9, 9), step=4e-3,
-                                 audit_gate=False, check_compat=False)
-        fine = integrate_frame(sd, shape=(9, 9), step=2e-3,
-                               audit_gate=False, check_compat=False)
+        coarse = integrate_frame(sd, shape=(9, 9), step=4e-3, config=UNGATED)
+        fine = integrate_frame(sd, shape=(9, 9), step=2e-3, config=UNGATED)
         assert coarse.discrepancy / fine.discrepancy >= 8.0
 
     def test_frame_determinant_keeps_sign(self, ex59):
@@ -413,6 +412,14 @@ def file_backed_sd(ex510, tmp_path_factory):
     return read_structure_file(path)
 
 
+# the nodes of a 7-point lattice axis of synthetic_sd's domain
+_NODES = np.linspace(-1.0, 1.0, 7)
+
+
+def _between(t):
+    return ~np.isin(t, _NODES)
+
+
 def _nan_where(mask):
     """2x2 entry that is NaN where mask(u1, u2) holds and 0 elsewhere."""
     def entry(u1, u2, order):
@@ -433,7 +440,7 @@ class TestBatchedSweep:
 
         def run():
             return integrate_frame(sd, shape=(9, 9), step=1e-2,
-                                   check_compat=False, audit_gate=False)
+                                   config=UNGATED)
 
         with monkeypatch.context() as patch:
             patch.setattr(reconstruct, "_rk4_sweep", per_segment_sweep)
@@ -466,8 +473,15 @@ class TestBatchedSweep:
         assert len(sizes) == 42
         assert sum(sizes) == 2 * 20 * (193 + 193 * 21)
 
-    # every gate is written so that a NaN fails it; D2 is NaN for u1 > 0,
-    # which the column sweeps read but the row sweeps do not
+    # every gate is written so that a NaN fails it.  The residual gates
+    # read the lattice nodes and the audits the sweeps between them: D2
+    # NaN for u1 > 0 reaches the nodes; D1 NaN between the u1 nodes
+    # reaches the row sweeps, whose frame is the result; D2 NaN between
+    # the u2 nodes at u1 > 0 reaches only the column sweeps, which the
+    # row sweeps are audited against; NaN partials of Lambda reach only
+    # the integrability residuals.  A NaN in the position block spreads
+    # to the frame through the sweep's product (NaN * 0), so the position
+    # audit is reached with finite data in test_position_audit_gate
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_fails_every_gate(self):
         zero = expr_entry(["0"] * 4)
@@ -476,20 +490,48 @@ class TestBatchedSweep:
                                  zero, zero)
         with pytest.raises(CompatibilityViolated, match="residual nan"):
             integrate_frame(sd, (7, 7), step=1e-2)
-        with pytest.raises(CompatibilityViolated, match="audit nan"):
-            integrate_frame(sd, (7, 7), step=1e-2, check_compat=False)
-        ff = integrate_frame(sd, (7, 7), step=1e-2, check_compat=False,
-                             audit_gate=False)
-        clean = synthetic_sd(["0"] * 4, ["0"] * 4)
-        with pytest.raises(IntegrabilityViolated, match="position path"):
-            integrate_position(ff, clean)
-        clean_ff = integrate_frame(clean, (7, 7), step=1e-2)
-        with pytest.raises(IntegrabilityViolated, match="residuals"):
-            integrate_position(clean_ff, sd)
-        sd.blocks = stack_blocks(_nan_where(lambda u1, u2: True), zero, zero,
-                                 zero)
+        sd.blocks = stack_blocks(_nan_where(lambda u1, u2: _between(u1)),
+                                 zero, zero, zero)
         with pytest.raises(FrameDegenerate):
-            integrate_frame(sd, (7, 7), step=1e-2, check_compat=False)
+            integrate_frame(sd, (7, 7), step=1e-2)
+        sd.blocks = stack_blocks(
+            zero, _nan_where(lambda u1, u2: (u1 > 0.0) & _between(u2)),
+            zero, zero)
+        with pytest.raises(CompatibilityViolated, match="audit nan"):
+            integrate_frame(sd, (7, 7), step=1e-2)
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4)
+        identity = sd.lam
+
+        def lam(u1, u2, order):
+            return [[Jet(order, [jet.value] + [np.nan] * (len(jet.coeffs) - 1))
+                     for jet in row] for row in identity(u1, u2, order)]
+
+        sd.lam = lam
+        with pytest.raises(IntegrabilityViolated, match=r"\(0.00e\+00, nan\)"):
+            integrate_frame(sd, (7, 7), step=1e-2)
+
+    def test_integrability_gate(self):
+        # Lambda_22 = u1 with zero blocks: the row identity reads
+        # d/du1 Lambda_22 = 1 against d/du2 Lambda_12 = 0; the frame is
+        # constant, so the gates before pass
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4, lam=["1", "0", "0", "u1"])
+        with pytest.raises(IntegrabilityViolated,
+                           match=r"\(0.00e\+00, 1.00e\+00\)"):
+            integrate_frame(sd, (7, 7), step=1e-2)
+
+    def test_position_audit_gate(self):
+        # Lambda_12 = g(u2) with g' = 1 - cos(6 pi (u2 + 1)), which
+        # vanishes on the u2 nodes: the residuals vanish there to
+        # roundoff, but x_u1 = (1, g, 0) is not integrable between them
+        k = 6.0 * math.pi
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4,
+                          lam=["1", f"u2 - sin({k!r}*(u2 + 1))/{k!r}", "0",
+                               "1"])
+        with pytest.raises(IntegrabilityViolated, match="position path"):
+            integrate_frame(sd, (7, 7), step=1e-2)
+        ff = integrate_frame(sd, (7, 7), step=1e-2, config=UNGATED)
+        assert ff.discrepancy == 0.0
+        assert max(ff.compat, ff.symmetry, ff.row_identity) < 1e-12
 
 
 class TestAffineAlign:

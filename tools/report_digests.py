@@ -28,9 +28,16 @@ reconstruction with the default field, a `--field` that is not three
 numbers, structure export from a file whose Omega does not factor Dx,
 reconstruction from structure files whose D1 grid is below the
 bicubic 4 x 4 minimum or holds a NaN, and reconstruction from a
-structure file whose initial frame W0 holds a NaN.  Last come surface
+structure file whose initial frame W0 holds a NaN.  Then come surface
 export and `analyze --out` on gen-extendable-nc with nonzero h and r,
-which run every nested integral of that generator.
+which run every nested integral of that generator.  Last come
+reconstruction from flat data whose flatness defect vanishes on every
+fourth row of the lattice but not on the others, the 9x9 unit-normal
+structure export of the paraboloid and its reconstruction, and typed
+failures for malformed files (a top-level JSON list, a structure entry
+that is a string, a frontal expression that is a number), for domains
+(parameters given to a fixed entry, reversed, empty and non-finite
+domains) and for a structure export below the bicubic 4 x 4 minimum.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -72,7 +80,7 @@ SINGULAR_NO_K = {"name": "ex-5.9-file", "domain": [-1.0, 1.0, -1.0, 1.0],
 # OUTDIR/grid-nan.json ("{gridnan}" in argv).  The same data with a clean
 # 4 x 4 D1 grid and a NaN in W0 is written to OUTDIR/w0-nan.json
 # ("{w0nan}" in argv).
-def _flat_structure(d1_grid):
+def _flat_structure(d1):
     zero = {"expr": ["0", "0", "0", "0"]}
     return {"schema_version": 1, "domain": [0.0, 1.0, 0.0, 1.0],
             "basepoint": [0.0, 0.0],
@@ -80,16 +88,33 @@ def _flat_structure(d1_grid):
             "p": [0.0, 0.0, 0.0],
             "entries": {"Lambda": {"expr": ["1", "0", "0", "1"]},
                         "I_Omega": {"expr": ["1", "0", "0", "1"]},
-                        "h": zero, "D1": {"grid": d1_grid}, "D2": zero,
+                        "h": zero, "D1": d1, "D2": zero,
                         "S": zero, "phi": {"expr": ["1"]}}}
 
 
-GRID_3X3 = _flat_structure({"nx": 3, "ny": 3, "values": [[0.0] * 9] * 4})
-GRID_NAN = _flat_structure({"nx": 4, "ny": 4,
-                            "values": [[float("nan")] + [0.0] * 15]
-                            + [[0.0] * 16] * 3})
-W0_NAN = dict(_flat_structure({"nx": 4, "ny": 4, "values": [[0.0] * 16] * 4}),
+GRID_3X3 = _flat_structure({"grid": {"nx": 3, "ny": 3,
+                                     "values": [[0.0] * 9] * 4}})
+GRID_NAN = _flat_structure({"grid": {"nx": 4, "ny": 4,
+                                     "values": [[float("nan")] + [0.0] * 15]
+                                     + [[0.0] * 16] * 3}})
+W0_NAN = dict(_flat_structure({"grid": {"nx": 4, "ny": 4,
+                                        "values": [[0.0] * 16] * 4}}),
               W0=[[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+# Flat data with D1_11 = cos(40 pi u1) (-cos(5 pi u2)) / (5 pi): on the
+# nodes of a 21x21 lattice the flatness defect is sin(5 pi u2), which is
+# 1 on some rows and 0 on every fourth.  Written to OUTDIR/hidden.json
+# ("{hidden}" in argv).
+_K1, _K2 = 40.0 * math.pi, 5.0 * math.pi
+HIDDEN_DEFECT = _flat_structure({"expr": [
+    f"cos({_K1!r}*u1)*(-cos({_K2!r}*u2)/{_K2!r})", "0", "0", "0"]})
+# Malformed files: a top-level JSON list, read as a frontal and as a
+# structure file (OUTDIR/list.json, "{list}"), flat data whose Lambda is
+# a string (OUTDIR/entry-string.json, "{entrystr}"), and the paraboloid
+# frontal file with a number for an x component (OUTDIR/x-number.json,
+# "{xnumber}").
+ENTRY_STRING = _flat_structure({"expr": ["0", "0", "0", "0"]})
+ENTRY_STRING["entries"]["Lambda"] = "expr"
+X_NUMBER = dict(NO_LAMBDA_FRONTAL, x=[1, "u2", "(u1^2 + u2^2)/2"])
 
 
 def command_list():
@@ -160,6 +185,32 @@ def command_list():
                   "--out", "{out}/s.obj"]))
     cmds.append(("nc-nested-analyze",
                  ["analyze", *nested, "--grid", "5x5", "--out", "{out}"]))
+    cmds.append(("hidden-defect",
+                 ["reconstruct", "--input", "{hidden}", "--grid", "21x21"]))
+    cmds.append(("para-structure-normal",
+                 ["export", "--entry", "paraboloid", "--what", "structure",
+                  "--field=normal", "--grid", "9x9", "--out", "{out}/s.json"]))
+    cmds.append(("para-structure-normal",
+                 ["reconstruct", "--input", "{out}/s.json", "--out",
+                  "{out}/rf"]))
+    cmds += [("typed-failure", argv) for argv in (
+        ["analyze", "--input", "{list}", "--grid", "5x5"],
+        ["reconstruct", "--input", "{list}", "--grid", "5x5"],
+        ["reconstruct", "--input", "{entrystr}", "--grid", "5x5"],
+        ["analyze", "--input", "{xnumber}", "--grid", "5x5"],
+        ["analyze", "--entry", "paraboloid", "--domain=0,1,0,1",
+         "--grid", "5x5"],
+        ["catalog", "paraboloid", "--h=u1"],
+        ["analyze", "--entry", "gen-nonparabolic", "--domain=1,-1,-1,1",
+         "--grid", "5x5"],
+        ["analyze", "--entry", "gen-nonparabolic", "--domain=0,0,-1,1",
+         "--grid", "5x5"],
+        ["check", "--entry", "gen-nonparabolic", "--domain=0,0,0,0"],
+        ["analyze", "--entry", "gen-nonparabolic", "--domain=nan,1,-1,1",
+         "--grid", "5x5"],
+        ["export", "--entry", "paraboloid", "--what", "structure",
+         "--field=normal", "--grid", "2x2", "--out", "{out}/s22.json"],
+    )]
     return cmds
 
 
@@ -206,7 +257,11 @@ def main(argv=None):
                            ("{nok}", "ex59-nok.json", SINGULAR_NO_K),
                            ("{grid3}", "grid3.json", GRID_3X3),
                            ("{gridnan}", "grid-nan.json", GRID_NAN),
-                           ("{w0nan}", "w0-nan.json", W0_NAN)):
+                           ("{w0nan}", "w0-nan.json", W0_NAN),
+                           ("{hidden}", "hidden.json", HIDDEN_DEFECT),
+                           ("{list}", "list.json", [1, 2]),
+                           ("{entrystr}", "entry-string.json", ENTRY_STRING),
+                           ("{xnumber}", "x-number.json", X_NUMBER)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
