@@ -16,16 +16,17 @@ forms are checked against it, not the other way around.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .equiaffine import TransversalField, structure_from_field
-from .errors import (UNUSABLE_SAMPLE, DegenerateBasis, DivisionByZeroValue,
-                     DomainError, Indeterminate, InsufficientJetOrder,
-                     KVanishes, NotExtendable, NotTransversal,
-                     SingularIIOmega, SingularPoint)
+from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
+                     Indeterminate, InsufficientJetOrder, KVanishes,
+                     NotExtendable, NotTransversal, SingularIIOmega,
+                     SingularPoint)
 from .frame import FrameBundle, Frontal, frame_bundle
 from .jets import MAX_ORDER, Jet, det2_jet, inv2_jet
 from . import expr as expr_mod
@@ -146,6 +147,55 @@ def probe_limits(fn, targets, domain, config: Config = DEFAULT):
     return results
 
 
+def regular_part(fn, lam_det_fn, config: Config = DEFAULT):
+    """The probe function of fn(u1, u2) -> (m, n) values at regular
+    points: fn's values where |lam_det_fn| > eps_sing, nan elsewhere.
+
+    A call that raises an UNUSABLE_SAMPLE error or LinAlgError gives one
+    row of nan (m is unknown then); any other exception is a fault and
+    propagates.
+    """
+    def part(u1, u2):
+        try:
+            ok = np.abs(lam_det_fn(u1, u2)) > config.eps_sing
+            if np.any(ok):
+                vals = fn(u1[ok], u2[ok])
+                out = np.full((len(vals),) + np.shape(u1), np.nan)
+                out[:, ok] = vals
+                return out
+        except UNUSABLE_SAMPLE + (np.linalg.LinAlgError,):
+            pass
+        return np.full((1,) + np.shape(u1), np.nan)
+    return part
+
+
+def extended_values(fn, lam_det_fn, u1, u2, domain, what,
+                    config: Config = DEFAULT):
+    """fn's values at the regular points (u1, u2), its certified limits
+    at the singular ones, where `regular_part(fn)` is probed.
+
+    Returns (values (m,) + shape, the singular points' probe results in
+    order); a failed certificate raises NotExtendable/Indeterminate
+    naming `what`.
+    """
+    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
+    u2 = np.atleast_1d(np.asarray(u2, dtype=float))
+    regular = np.abs(lam_det_fn(u1, u2)) > config.eps_sing
+    parts, results = [], []
+    if np.any(regular):
+        parts.append((regular, fn(u1[regular], u2[regular])))
+    if not np.all(regular):
+        targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
+        results = probe_limits(regular_part(fn, lam_det_fn, config),
+                               targets, domain, config)
+        parts.append((~regular, np.stack([r.require(what) for r in results],
+                                         axis=-1)))
+    values = np.empty((len(parts[0][1]),) + u1.shape)
+    for mask, vals in parts:
+        values[:, mask] = vals
+    return values, results
+
+
 def _lam_det_values(f: Frontal, u1, u2):
     return det2_jet(f.lam(u1, u2, 0)).value_on(np.shape(u1))
 
@@ -162,53 +212,41 @@ def _field_order(f: Frontal, xi_order):
 
 
 def _gauss_ratio_fn(f: Frontal):
-    """Pointwise K_omega/lambda on the regular set, nan elsewhere.
+    """K_omega/det Lambda at regular points.
 
     Samples are evaluated in extended precision where the platform has
     it: the curvature ratio is a 0/0 cancellation near the singular set
     and the probe quality is set by the arithmetic's epsilon there.
     """
     def fn(u1, u2):
-        u1 = np.asarray(u1, dtype=np.longdouble)
-        u2 = np.asarray(u2, dtype=np.longdouble)
-        try:
-            b = frame_bundle(f, u1, u2, f.bundle_order(1))
-        except DegenerateBasis:
-            return np.full((1,) + np.shape(u1), np.nan)
-        lam = b.lam_det.value_on(b.shape).copy()
-        K = b.K_omega.value_on(b.shape)
-        lam[np.abs(lam) <= f.config.eps_sing] = np.nan
-        return (K / lam)[None, :]
+        b = frame_bundle(f, np.asarray(u1, dtype=np.longdouble),
+                         np.asarray(u2, dtype=np.longdouble),
+                         f.bundle_order(1))
+        return (b.K_omega.value_on(b.shape)
+                / b.lam_det.value_on(b.shape))[None, :]
     return fn
 
 
-def gauss_extension(f: Frontal, point):
-    """Extended Gauss curvature at one point.
+def extended_gauss(f: Frontal, u1, u2):
+    """Extended Gauss curvature at the points (u1, u2).
 
-    Regular points evaluate K_omega/det Lambda directly (through the
-    analytic closed form when the frontal carries one); singular points
-    go through the limit probe and raise NotExtendable/Indeterminate when
-    the certificate fails.
+    The analytic closed form when the frontal carries one; otherwise
+    K_omega/det Lambda on the regular set and its probed limit on the
+    singular set, raising NotExtendable/Indeterminate when the
+    certificate fails.
     """
-    u1 = np.asarray([point[0]], dtype=float)
-    u2 = np.asarray([point[1]], dtype=float)
-    lam = float(np.max(_lam_det_values(f, u1, u2)))
-    if abs(lam) > f.config.eps_sing:
-        if f.gauss is not None:
-            return float(np.asarray(f.gauss(u1, u2, 0).value).ravel()[0])
-        b = frame_bundle(f, u1, u2, f.bundle_order(1))
-        return float(np.asarray(b.K_omega.value).ravel()[0]) / lam
-    return float(gauss_at_singular(f, np.asarray([point], dtype=float))[0])
-
-
-def gauss_at_singular(f: Frontal, targets):
-    """Extended curvature at a batch of singular points, one probe pass."""
     if f.gauss is not None:
-        return f.gauss(targets[:, 0], targets[:, 1], 0).value_on(
-            (targets.shape[0],)).copy()
-    results = probe_limits(_gauss_ratio_fn(f), targets, f.domain, f.config)
-    return np.asarray([float(r.require("extended Gauss curvature")[0])
-                       for r in results])
+        return f.gauss(u1, u2, 0).value_on(np.shape(u1))
+    return extended_values(_gauss_ratio_fn(f),
+                           functools.partial(_lam_det_values, f), u1, u2,
+                           f.domain, "extended Gauss curvature",
+                           f.config)[0][0]
+
+
+def gauss_extension(f: Frontal, point):
+    """Extended Gauss curvature at one point (see extended_gauss)."""
+    return float(extended_gauss(f, np.asarray([point[0]], dtype=float),
+                                np.asarray([point[1]], dtype=float))[0])
 
 
 # --- the affine-normal construction ---------------------------------------------------
@@ -329,54 +367,24 @@ class BlaschkeField:
                 f"normal is not evaluated on the singular set")
         return u1, u2
 
-    def xi_value(self, u1, u2):
-        """Field values anywhere: direct on the regular set, probed on
-        the singular set."""
-        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        u2 = np.atleast_1d(np.asarray(u2, dtype=float))
-        shape = u1.shape
-        lam = _lam_det_values(self.frontal, u1, u2)
-        out = np.empty(shape + (3,), dtype=float)
-        regular = np.abs(lam) > self.frontal.config.eps_sing
-        if np.any(regular):
-            b = frame_bundle(self.frontal, u1[regular], u2[regular],
-                             _field_order(self.frontal, 0))
-            out[regular] = AFFINE_NORMAL.jets(b).values_stacked()
-        if np.any(~regular):
-            targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-            out[~regular] = _singular_field(self.frontal, targets)[0]
-        return out.reshape(shape + (3,))
-
     def as_transversal(self):
         """View as a TransversalField over the regular part (jets)."""
         return AFFINE_NORMAL
 
 
 def _tangent_value_fn(f: Frontal):
-    """(a, b) values on the regular set, nan at singular samples.
+    """(a, b) values at regular points.
 
     Evaluated in extended precision: near the singular set these values
     come from a near-singular solve fed by a 0/0 curvature quotient, and
     the limit-probe accuracy is set by the epsilon of this arithmetic.
     """
     def fn(u1, u2):
-        u1 = np.asarray(u1, dtype=np.longdouble)
-        u2 = np.asarray(u2, dtype=np.longdouble)
-        out = np.full((2,) + u1.shape, np.nan)
-        try:
-            lam = _lam_det_values(f, u1, u2)
-        except DegenerateBasis:
-            return out
-        ok = np.abs(lam) > f.config.eps_sing
-        if np.any(ok):
-            try:
-                b = frame_bundle(f, u1[ok], u2[ok], _field_order(f, 0))
-                av, bv = _tangent_coeff_jets(b, _phi_jet(b))
-            except UNUSABLE_SAMPLE:
-                return out
-            out[0][ok] = av.value_on(b.shape)
-            out[1][ok] = bv.value_on(b.shape)
-        return out
+        b = frame_bundle(f, np.asarray(u1, dtype=np.longdouble),
+                         np.asarray(u2, dtype=np.longdouble),
+                         _field_order(f, 0))
+        av, bv = _tangent_coeff_jets(b, _phi_jet(b))
+        return np.stack([av.value_on(b.shape), bv.value_on(b.shape)])
     return fn
 
 
@@ -388,9 +396,11 @@ def _singular_field(f: Frontal, targets):
     the points themselves.  Returns (xi (n, 3), probe results); a failed
     certificate raises.
     """
-    results = probe_limits(_tangent_value_fn(f), targets, f.domain,
-                           f.config)
-    K_vals = gauss_at_singular(f, targets)
+    results = probe_limits(
+        regular_part(_tangent_value_fn(f),
+                     functools.partial(_lam_det_values, f), f.config),
+        targets, f.domain, f.config)
+    K_vals = extended_gauss(f, targets[:, 0], targets[:, 1])
     if np.any(np.abs(K_vals) <= f.config.eps_k):
         raise KVanishes("extended curvature vanishes on the singular set")
     n_sing = targets.shape[0]
@@ -507,8 +517,8 @@ def blaschke_verify(bf: BlaschkeField, shape=(41, 41)):
 # --- extension criteria -------------------------------------------------------------
 
 
-def membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which, config):
-    """Pointwise value of the extension certificate ratio G_k / lambda.
+def membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which):
+    """Extension certificate ratio G_k / det Lambda at regular points.
 
     lam_fn(u1, u2) -> 2x2 jets, i_omega_fn -> 2x2 jets, efg_fn -> three
     jets (E, F, G).  G_1 uses E_u2 - F_u1, G_2 uses F_u2 - G_u1, matching
@@ -533,19 +543,20 @@ def membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which, config):
         skew = (E.deriv(1) - F.deriv(0)) if which == 1 else \
                (F.deriv(1) - G.deriv(0))
         big_g = row_I_row(row1_d, row2) - row_I_row(row1, row2_d) + skew
-        lam_det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-        lam_v = lam_det.value_on(np.shape(u1)).copy()
-        lam_v[np.abs(lam_v) <= config.eps_sing] = np.nan
-        g_v = big_g.value_on(np.shape(u1))
-        return (g_v / lam_v)[None, :]
+        return (big_g.value_on(np.shape(u1))
+                / det2_jet(lam).value_on(np.shape(u1)))[None, :]
     return fn
 
 
 def extension_condition_fields(lam_fn, i_omega_fn, efg_fn, which, point,
                                domain, config: Config = DEFAULT):
     """Probe verdict for the certificate ratio at a singular point."""
-    fn = membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which, config)
-    return probe_limits(fn, [point], domain, config)[0]
+    fn = membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which)
+
+    def lam_det(u1, u2):
+        return det2_jet(lam_fn(u1, u2)).value_on(np.shape(u1))
+    return probe_limits(regular_part(fn, lam_det, config), [point], domain,
+                        config)[0]
 
 
 def extension_condition(f: Frontal, which, point):

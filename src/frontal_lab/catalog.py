@@ -25,6 +25,7 @@ from .config import DEFAULT, Config
 from .errors import InputError, NotAFrontal
 from .frame import Frontal, frontal_from_expressions
 from .jets import INDICES, Jet, JetVec3, _classify_upper, integrate_jet
+from .structio import read_domain
 
 # Shared polynomial pieces of the cuspidal-cross-cap entry.
 _RHO = "54*u1^4*u2^4 + 9*u1^2*u2^5 + 4*u2^6 + 54*u1^2*u2^2 + 12*u2^3 + 9"
@@ -521,5 +522,7 @@ def get_entry(name, params=None) -> CatalogEntry:
         bad = set(params) - set(allowed)
         if bad:
             raise InputError(f"unknown parameters for {name}: {sorted(bad)}")
+        if "domain" in params:
+            params["domain"] = read_domain(params["domain"])
         return fn(**params)
     raise InputError(f"no catalog entry or generator named {name!r}")

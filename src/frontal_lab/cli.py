@@ -107,6 +107,9 @@ def cmd_catalog(args):
     config = _build_config(args)
     if args.name:
         entry = _catalog_entry(args, args.name)
+        if args.save and entry.x is None:
+            raise InputError(f"--save: {entry.name} has no expression text "
+                             f"for x, so no frontal file can describe it")
         entry.build(config)   # load-time validation
         payload = entry.summary()
         if args.save:

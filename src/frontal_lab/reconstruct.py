@@ -38,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .blaschke import (BlaschkeField, membership_certificate_fn,
-                       probe_limits)
+from .blaschke import (BlaschkeField, extended_values,
+                       membership_certificate_fn)
 from .config import DEFAULT, Config
-from .errors import (UNUSABLE_SAMPLE, CompatibilityViolated, ConditionFailed,
-                     DegenerateMetric, FrameDegenerate, InputError,
+from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
+                     FrameDegenerate, Indeterminate, InputError,
                      InsufficientJetOrder, IntegrabilityViolated,
-                     RankDeficient, SingularPoint)
+                     NotExtendable, RankDeficient, SingularPoint)
 from .frame import Frontal, frame_bundle
 from .jets import INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet
 
@@ -373,33 +373,23 @@ def _efg_jets(sd, u1, u2, order):
     return I_cl[0][0], I_cl[0][1], I_cl[1][1]
 
 
-def membership_scalar_fn(sd: StructureData, which, config: Config):
-    """Certificate ratio G_k / det Lambda as a masked value function."""
-    return membership_certificate_fn(
-        lambda u1, u2: sd.lam(u1, u2, 1),
-        lambda u1, u2: sd.i_omega(u1, u2, 1),
-        lambda u1, u2: _efg_jets(sd, u1, u2, 1), which, config)
-
-
 def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
     """Connection block D_which on all sampled points, plus its certificate.
 
-    Regular points evaluate the constructive formula directly; singular
-    points probe the five smooth ingredients (the correction products and
-    the skew scalar).  Raises ConditionFailed when a probe fails, which
-    is exactly the failure of the membership criterion.
+    The five smooth ingredients (the correction products and the skew
+    scalar) are evaluated directly at regular points and probed at
+    singular ones; the constructive formula assembles D from them.
+    Raises ConditionFailed when a probe fails, which is exactly the
+    failure of the membership criterion.
     """
-    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-    u2 = np.atleast_1d(np.asarray(u2, dtype=float))
-    shape = u1.shape
-    lam_det = sd.lam_det_values(u1, u2)
-    regular = np.abs(lam_det) > config.eps_sing
-
-    out = np.empty(shape + (2, 2))
-    omega_out = np.empty(shape)
+    certificate = membership_certificate_fn(
+        lambda u1, u2: sd.lam(u1, u2, 1),
+        lambda u1, u2: sd.i_omega(u1, u2, 1),
+        lambda u1, u2: _efg_jets(sd, u1, u2, 1), which)
+    k = 0 if which == 1 else 1
 
     def ingredients(uu1, uu2):
-        """(C_k entries (4), omega_k) as value arrays on regular points."""
+        """(C_k entries (4), omega_k) stacked, (5, n), at regular points."""
         sshape = np.shape(uu1)
         h_j = sd.blocks(uu1, uu2, 0)[2]
         phi_j = sd.phi(uu1, uu2, 1)
@@ -415,69 +405,27 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
             axis=-2)
         rhs = -np.stack([v(phi_j.deriv(0)), v(phi_j.deriv(1))], axis=-1)
         ab = np.linalg.solve(M, rhs[..., None])[..., 0]
-        h_col = 0 if which == 1 else 1
-        c_entries = np.stack([
-            2.0 * ab[..., 0] * v(h_j[0][h_col]),
-            2.0 * ab[..., 1] * v(h_j[0][h_col]),
-            2.0 * ab[..., 0] * v(h_j[1][h_col]),
-            2.0 * ab[..., 1] * v(h_j[1][h_col])], axis=0)
-        mem = membership_scalar_fn(sd, which, config)
-        omega = mem(uu1, uu2)[0]
-        return c_entries, omega
+        return np.stack([
+            2.0 * ab[..., 0] * v(h_j[0][k]),
+            2.0 * ab[..., 1] * v(h_j[0][k]),
+            2.0 * ab[..., 0] * v(h_j[1][k]),
+            2.0 * ab[..., 1] * v(h_j[1][k]),
+            certificate(uu1, uu2)[0]], axis=0)
 
-    if np.any(regular):
-        c_ent, omega = ingredients(u1[regular], u2[regular])
-        out[regular], omega_out[regular] = _assemble_extension(
-            sd, which, u1[regular], u2[regular], c_ent, omega)
-
-    if np.any(~regular):
-        targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
-
-        def probe_fn(p1, p2):
-            p1 = np.asarray(p1, dtype=float)
-            p2 = np.asarray(p2, dtype=float)
-            vals = np.full((5,) + p1.shape, np.nan)
-            det = sd.lam_det_values(p1, p2)
-            ok = np.abs(det) > config.eps_sing
-            if np.any(ok):
-                try:
-                    c_ent, om = ingredients(p1[ok], p2[ok])
-                except UNUSABLE_SAMPLE + (np.linalg.LinAlgError,):
-                    return vals
-                for k in range(4):
-                    vals[k][ok] = c_ent[k]
-                vals[4][ok] = om
-            return vals
-
-        results = probe_limits(probe_fn, targets, sd.domain, config)
-        c_list, om_list = [], []
-        for res in results:
-            if not res.ok:
-                raise ConditionFailed(
-                    f"extension certificate fails at {res.target}: "
-                    f"spread {res.spread:.2e}, settled={res.settled}")
-            c_list.append(res.value[:4])
-            om_list.append(res.value[4])
-        c_ent = np.stack(c_list, axis=-1)
-        omega = np.asarray(om_list)
-        out[~regular], omega_out[~regular] = _assemble_extension(
-            sd, which, u1[~regular], u2[~regular], c_ent, omega)
-    return out, omega_out
-
-
-def _assemble_extension(sd, which, u1, u2, c_entries, omega):
-    shape = np.shape(u1)
-    k = 0 if which == 1 else 1
+    try:
+        vals, _ = extended_values(ingredients, sd.lam_det_values, u1, u2,
+                                  sd.domain, "extension certificate", config)
+    except (NotExtendable, Indeterminate) as failed:
+        raise ConditionFailed(str(failed)) from failed
+    shape, omega = vals.shape[1:], vals[4]
+    C = np.moveaxis(vals[:4], 0, -1).reshape(shape + (2, 2))
     io_j = sd.i_omega(u1, u2, 1)
     I = _mat_values(io_j, shape)
     I_k = _mat_values(io_j, shape, k)
-    C = np.stack([np.stack([c_entries[0], c_entries[1]], axis=-1),
-                  np.stack([c_entries[2], c_entries[3]], axis=-1)], axis=-2)
     skew = np.zeros(shape + (2, 2))
     skew[..., 0, 1] = -omega
     skew[..., 1, 0] = omega
-    D = 0.5 * (I_k - C @ I + skew) @ np.linalg.inv(I)
-    return D, omega
+    return 0.5 * (I_k - C @ I + skew) @ np.linalg.inv(I), omega
 
 
 # --- apolarity ---------------------------------------------------------------------
@@ -588,11 +536,18 @@ def _rk4_sweep(sd, state, fixed, moving_nodes, axis, step):
 
 def _integrate_lattice(sd: StructureData, u1_nodes, u2_nodes, step,
                        spine_axis):
-    """Spine along `spine_axis` from the basepoint node, then sweeps of
-    the whole family of lanes along the other axis, both directions."""
+    """March from the basepoint to its nearest node (along u1, then u2;
+    no step along an axis where the basepoint is on a node), a spine
+    along `spine_axis` from that node, then sweeps of the whole family of
+    lanes along the other axis, both directions."""
     nodes = (u1_nodes, u2_nodes)
     base = [int(np.argmin(np.abs(t - q))) for t, q in zip(nodes, sd.basepoint)]
     state0 = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
+    for axis, fixed in ((0, sd.basepoint[1]), (1, u1_nodes[base[0]])):
+        start, node = sd.basepoint[axis], nodes[axis][base[axis]]
+        if start != node:
+            state0 = _rk4_sweep(sd, state0, np.array([fixed]),
+                                np.array([start, node]), axis, step)[-1]
 
     def both_ways(state, fixed, axis):
         """States at every node of `axis`, marched up and down from the

@@ -102,6 +102,10 @@ def read_structure_file(path) -> StructureData:
     for key, values in (("basepoint", basepoint), ("W0", W0), ("p", p)):
         if not np.all(np.isfinite(values)):
             raise InputError(f"{key}: values must be finite")
+    a1, b1, a2, b2 = domain
+    if not (a1 <= basepoint[0] <= b1 and a2 <= basepoint[1] <= b2):
+        raise InputError(f"basepoint {basepoint.tolist()} lies outside the "
+                         f"domain {list(domain)}")
     if not isinstance(entries, dict):
         raise InputError("entries: expected an object of named entries")
 

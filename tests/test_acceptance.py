@@ -60,13 +60,13 @@ class TestCriterion2:
         rng = np.random.default_rng(59)
         u1 = rng.uniform(-0.98, 0.98, 100)
         u2 = rng.uniform(-0.98, 0.98, 100)
-        bf = blaschke_field(ex59, shape=(21, 21))
-        got = bf.xi_value(u1, u2)
+        got = blaschke_field(ex59, grid=(u1, u2)).xi
         ref = ex59.blaschke_known(u1, u2, 0).values_stacked()
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))[..., None]
         rel = float(np.max(np.abs(got - ref) / scale))
 
-        sing = bf.xi_value(np.array([-0.7, 0.0, 0.4]), np.zeros(3))
+        sing = blaschke_field(ex59, grid=(np.array([-0.7, 0.0, 0.4]),
+                                          np.zeros(3))).xi
         sing_err = float(np.max(np.abs(sing - np.array([0.0, 0.0, 1.0]))))
         ok = rel <= 1e-6 and sing_err <= 1e-4
         verdict(2, ok, f"quintic-edge field vs closed form: rel {rel:.2e} "
@@ -117,8 +117,7 @@ class TestCriterion4:
         p1 = rng.uniform(-0.95, 0.95, 100)
         p2 = rng.uniform(-3.8, 3.8, 100)
         p2 = np.where(np.abs(p2) < 0.05, p2 + 0.1, p2)
-        bf = blaschke_field(ex58, shape=(15, 15))
-        got = bf.xi_value(p1, p2)
+        got = blaschke_field(ex58, grid=(p1, p2)).xi
         ref = ex58.blaschke_known(p1, p2, 0).values_stacked()
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))[..., None]
         rel = float(np.max(np.abs(got - ref) / scale))

@@ -6,9 +6,11 @@ import pytest
 from conftest import random_unimodular, regular_points
 from frontal_lab import blaschke, expr
 from frontal_lab.blaschke import (blaschke_field, blaschke_verify, conormal,
-                                  conormal_verify, extension_condition,
+                                  conormal_verify, extended_values,
+                                  extension_condition,
                                   extension_condition_fields, gauss_extension,
-                                  probe_limits, rank1_closed_form)
+                                  probe_limits, rank1_closed_form,
+                                  regular_part)
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField, structure_from_field
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
@@ -62,6 +64,55 @@ class TestProbeMachinery:
                 r.require()
 
 
+# A removable singularity: det Lambda = u2 and fn = sin(u2)/u2
+def _u2_det(u1, u2):
+    return u2
+
+
+def _sinc(u1, u2):
+    return (np.sin(u2) / u2)[None, :]
+
+
+class TestRegularOrLimit:
+    def test_regular_bits_and_singular_limit(self, config):
+        u1 = np.array([0.1, -0.3, 0.5, 0.2])
+        u2 = np.array([0.4, 0.0, -0.7, 0.0])
+        values, results = extended_values(_sinc, _u2_det, u1, u2,
+                                          (-1, 1, -1, 1), "sinc", config)
+        reg = u2 != 0.0
+        assert values.shape == (1, 4)
+        assert values[0, reg].tobytes() == _sinc(u1[reg], u2[reg])[0].tobytes()
+        np.testing.assert_allclose(values[0, ~reg], 1.0, atol=1e-6)
+        assert [r.target for r in results] == [(-0.3, 0.0), (0.2, 0.0)]
+
+    def test_failed_certificate_names_what(self, config):
+        def reciprocal(u1, u2):
+            return (1.0 / u2)[None, :]
+
+        with pytest.raises(NotExtendable, match="reciprocal at"):
+            extended_values(reciprocal, _u2_det, [0.3], [0.0],
+                            (-1, 1, -1, 1), "reciprocal", config)
+
+    def test_regular_part_is_nan_on_the_singular_set(self, config):
+        u1 = np.zeros(5)
+        u2 = np.array([0.5, 1e-10, 0.0, -2e-9, -0.25])
+        out = regular_part(_sinc, _u2_det, config)(u1, u2)
+        keep = np.abs(u2) > config.eps_sing
+        assert list(keep) == [True, False, False, True, True]
+        assert np.all(np.isnan(out[0, ~keep]))
+        direct = _sinc(u1[keep], u2[keep])[0]
+        assert out[0, keep].tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("error", [KVanishes, np.linalg.LinAlgError])
+    def test_unusable_call_is_nan_everywhere(self, error, config):
+        def fn(u1, u2):
+            raise error("unusable sample")
+
+        out = regular_part(fn, _u2_det, config)(np.zeros(3),
+                                                np.array([0.5, 0.0, -0.5]))
+        assert out.shape == (1, 3) and np.all(np.isnan(out))
+
+
 class TestGaussExtension:
     def test_quintic_edge_origin_probe(self, ex59):
         # numeric route only; the extension at the singular origin is -1
@@ -90,7 +141,8 @@ class TestBlaschkeField:
 
     def test_quintic_edge_singular_line_value(self, ex59):
         bf = blaschke_field(ex59, shape=(21, 21))
-        v = bf.xi_value(np.array([0.0, 0.4]), np.array([0.0, 0.0]))
+        v = blaschke_field(ex59, grid=(np.array([0.0, 0.4]),
+                                       np.array([0.0, 0.0]))).xi
         np.testing.assert_allclose(v, [[0, 0, 1], [0, 0, 1]], atol=1e-4)
         assert not bf.diagnostics["improper_sphere"]
 
@@ -249,10 +301,10 @@ class TestRank1ClosedForm:
                           {"h": "u1^2 - u2^4", "c": "1/(6*u2^2)",
                            "domain": (-1.0, 1.0, 0.25, 1.0)})
         f = entry.build()
-        bf = blaschke_field(f, shape=(9, 9))
         for (p1, p2) in [(0.3, 0.5), (-0.4, 0.8), (0.6, 0.35)]:
             closed = rank1_closed_form("u1^2 - u2^4", "1/(6*u2^2)", (p1, p2))
-            direct = bf.xi_value(np.array([p1]), np.array([p2]))[0]
+            direct = blaschke_field(f, grid=(np.array([p1]),
+                                             np.array([p2]))).xi[0]
             assert np.max(np.abs(closed - direct)) < 1e-6
 
     def test_vanishing_leading_coefficient(self):

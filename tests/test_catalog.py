@@ -262,3 +262,10 @@ class TestNonparabolicGenerator:
     def test_bad_generator_params_rejected(self):
         with pytest.raises(InputError):
             get_entry("gen-nonparabolic", {"h": "u1"})
+
+    @pytest.mark.parametrize("domain", [(1.0, -1.0, -1.0, 1.0),
+                                        (float("nan"), 1.0, -1.0, 1.0)],
+                             ids=["reversed", "nan"])
+    def test_bad_domain_rejected(self, domain):
+        with pytest.raises(InputError, match="^domain: "):
+            get_entry("gen-nonparabolic", {"domain": domain})

@@ -62,6 +62,14 @@ class TestCatalogCommand:
     def test_unknown_entry_is_input_error(self, capsys):
         assert run(["catalog", "nope"]) == cli.EXIT_INPUT
 
+    def test_save_needs_expression_text(self, tmp_path, capsys):
+        # a generator's x is a quadrature, which a frontal file cannot hold
+        path = tmp_path / "f.json"
+        assert run(["catalog", "gen-nonparabolic", "--save",
+                    str(path)]) == cli.EXIT_INPUT
+        assert not path.exists()
+        assert "has no expression text for x" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("spaced, joined", [
     (["catalog", "gen-rank1-wavefront", "--domain", "-0.8,0.8,-0.8,0.8",
@@ -348,9 +356,12 @@ class TestReconstructCommand:
      "basepoint must be two numbers"),
     ("reconstruct", dict(flat_structure(), entries=[1]),
      "entries: expected an object"),
+    ("reconstruct", dict(flat_structure(), basepoint=[5.0, -3.0]),
+     "basepoint [5.0, -3.0] lies outside the domain [0.0, 1.0, 0.0, 1.0]"),
 ], ids=["frontal-list", "structure-list", "entry-string", "expr-numbers",
         "x-number", "one-column", "open-domain-string", "frontal-reversed",
-        "structure-empty", "basepoint-three", "entries-list"])
+        "structure-empty", "basepoint-three", "entries-list",
+        "basepoint-outside"])
 def test_malformed_file_is_input_error(command, doc, message, tmp_path,
                                        capsys):
     path = tmp_path / "malformed.json"

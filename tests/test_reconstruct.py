@@ -230,6 +230,29 @@ class TestRoundTrips:
                              np.full_like(U1, 3.0)], axis=-1)
         assert np.max(np.abs(x - expected)) < 1e-12
 
+    def test_flat_data_from_an_off_node_basepoint(self):
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4, domain=(0.0, 1.0, 0.0, 1.0))
+        sd.basepoint = (0.52, 0.52)
+        ff = integrate_frame(sd, shape=(21, 21))
+        np.testing.assert_allclose(ff.x[10, 10], [-0.02, -0.02, 0.0],
+                                   atol=1e-12)
+
+    def test_curved_data_from_an_off_node_basepoint(self, ex510):
+        # W0 and p taken at a basepoint between the lattice nodes: the
+        # rebuild reproduces x itself, not x shifted by the gap to a node
+        from frontal_lab.frame import frame_bundle
+        sd = extract_structure(ex510, VERTICAL)
+        q1, q2 = 0.13, -0.31
+        b = frame_bundle(ex510, np.array([q1]), np.array([q2]), 0)
+        sd.basepoint = (q1, q2)
+        sd.W0 = np.stack([b.w1.values_on((1,))[0], b.w2.values_on((1,))[0],
+                          [0.0, 0.0, 1.0]], axis=-1)
+        sd.p = ex510.x(np.array([q1]), np.array([q2]), 0).values_on((1,))[0]
+        ff = integrate_frame(sd, shape=(11, 11), step=1e-3)
+        U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
+        x_true = ex510.x(U1, U2, 0).values_stacked()
+        assert np.max(np.abs(ff.x - x_true)) < 1e-6
+
     def test_quintic_edge_round_trip(self, ex59):
         bf = blaschke_field(ex59, shape=(21, 21))
         sd = extract_structure(ex59, bf)

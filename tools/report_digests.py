@@ -38,6 +38,11 @@ failures for malformed files (a top-level JSON list, a structure entry
 that is a string, a frontal expression that is a number), for domains
 (parameters given to a fixed entry, reversed, empty and non-finite
 domains) and for a structure export below the bicubic 4 x 4 minimum.
+Then reconstruction from flat data whose basepoint lies between the
+lattice nodes (the sweeps start from the basepoint itself) and from flat
+data whose basepoint lies outside the domain (an input error), and
+`catalog --save` on a generator, whose x is no expression text (an
+input error).
 """
 
 from __future__ import annotations
@@ -115,6 +120,13 @@ HIDDEN_DEFECT = _flat_structure({"expr": [
 ENTRY_STRING = _flat_structure({"expr": ["0", "0", "0", "0"]})
 ENTRY_STRING["entries"]["Lambda"] = "expr"
 X_NUMBER = dict(NO_LAMBDA_FRONTAL, x=[1, "u2", "(u1^2 + u2^2)/2"])
+# Flat data with the basepoint between the nodes of a 21x21 lattice
+# (OUTDIR/basepoint-off-node.json, "{offnode}") and outside the domain
+# (OUTDIR/basepoint-outside.json, "{outside}").
+BASEPOINT_OFF_NODE = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
+                          basepoint=[0.52, 0.52])
+BASEPOINT_OUTSIDE = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
+                         basepoint=[5.0, -3.0])
 
 
 def command_list():
@@ -211,6 +223,13 @@ def command_list():
         ["export", "--entry", "paraboloid", "--what", "structure",
          "--field=normal", "--grid", "2x2", "--out", "{out}/s22.json"],
     )]
+    cmds.append(("basepoint-off-node",
+                 ["reconstruct", "--input", "{offnode}", "--grid", "21x21",
+                  "--out", "{out}"]))
+    cmds += [("typed-failure", argv) for argv in (
+        ["reconstruct", "--input", "{outside}", "--grid", "5x5"],
+        ["catalog", "gen-nonparabolic", "--save", "{out}/gen.json"],
+    )]
     return cmds
 
 
@@ -261,7 +280,11 @@ def main(argv=None):
                            ("{hidden}", "hidden.json", HIDDEN_DEFECT),
                            ("{list}", "list.json", [1, 2]),
                            ("{entrystr}", "entry-string.json", ENTRY_STRING),
-                           ("{xnumber}", "x-number.json", X_NUMBER)):
+                           ("{xnumber}", "x-number.json", X_NUMBER),
+                           ("{offnode}", "basepoint-off-node.json",
+                            BASEPOINT_OFF_NODE),
+                           ("{outside}", "basepoint-outside.json",
+                            BASEPOINT_OUTSIDE)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
