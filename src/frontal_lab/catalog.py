@@ -23,7 +23,9 @@ import numpy as np
 from . import expr as expr_mod
 from .config import DEFAULT, Config
 from .errors import InputError, NotAFrontal
-from .frame import Frontal, frontal_from_expressions
+from .expr import Bin, Num, Unary, Var
+from .frame import (Frontal, _decomposition_residual,
+                    frontal_from_expressions)
 from .jets import INDICES, Jet, JetVec3, _classify_upper, integrate_jet
 from .structio import read_domain
 
@@ -93,14 +95,8 @@ def validate_entry(f: Frontal, entry: CatalogEntry):
     xj = f.x(u1, u2, 2)
     w1, w2 = f.omega(u1, u2, 1)
     lam = f.lam(u1, u2, 1)
-    # np.max keeps a NaN that the builtin max drops, and the gates fail on it
-    resid, scale = [], [1.0]
-    for j in range(2):
-        xu = xj.deriv(j)
-        rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
-        resid.append(np.max(np.abs((xu - rec).value())))
-        scale.append(np.max(np.abs(xu.value())))
-    resid, scale = float(np.max(resid)), float(np.max(scale))
+    resid, scale = _decomposition_residual([xj.deriv(0), xj.deriv(1)],
+                                           w1, w2, lam)
     if not resid <= f.config.eps_dec * scale * 10.0:
         raise NotAFrontal(
             f"catalog entry {entry.name}: decomposition residual {resid:.2e}")
@@ -246,6 +242,38 @@ def _identically_zero(ast):
                    for n in expr_mod._nodes(ast))
 
 
+def _partial(ast, var):
+    """d(ast)/d(var) as a simplified AST."""
+    return expr_mod.simplify(expr_mod.differentiate(ast, var))
+
+
+def _at(ast, u1, u2):
+    """Jet of an AST with u1 and u2 bound to the given jets (u2 None for
+    a profile in u1 alone)."""
+    return expr_mod.eval_jet(ast, {"u1": u1, "u2": u2})
+
+
+def _path_x(comps, P, Q):
+    """Callable (cfg, u1, u2, order) -> the JetVec3 of
+    x = (comps[0], comps[1], int_0^{u1} P(t, u2) dt + int_0^{u2} Q(0, t) dt),
+    the parametrization of the path-integral generators (all ASTs)."""
+    def x_fn(cfg, u1, u2, order):
+        env = expr_mod._jet_env(u1, u2, order)
+
+        def along_u1(t):
+            return _at(P, t, env["u2"])
+
+        def along_u2(t):
+            zero = Jet.constant(np.zeros(np.shape(np.asarray(t.value))),
+                                t.order)
+            return _at(Q, zero, t)
+
+        third = (_integral(cfg, along_u1, env["u1"], 0, order)
+                 + _integral(cfg, along_u2, env["u2"], 1, order))
+        return JetVec3(*(expr_mod.eval_jet(c, env) for c in comps), third)
+    return x_fn
+
+
 def gen_rank1_wavefront(h="u1^2 - u2^2", c="1",
                         domain=(-1.0, 1.0, -1.0, 1.0)) -> CatalogEntry:
     """Rank-1 wave front built from a potential h(u1, u2).
@@ -257,65 +285,41 @@ def gen_rank1_wavefront(h="u1^2 - u2^2", c="1",
     Gauss curvature extends as c/(1 + h_u1^2 + u2^2)^2.
     """
     h_ast = expr_mod.parse(h)
-    c_ast = expr_mod.parse(c)
-    diff = lambda a, v: expr_mod.simplify(expr_mod.differentiate(a, v))
-    h_u1 = diff(h_ast, "u1")
-    h_u2 = diff(h_ast, "u2")
-    h_u2u1 = diff(h_u2, "u1")
-    h_u2u2 = diff(h_u2, "u2")
+    expr_mod.parse(c)       # a bad c fails here, not when the entry builds
+    h_u1 = _partial(h_ast, "u1")
+    h_u2 = _partial(h_ast, "u2")
+    h_u2u1 = _partial(h_u2, "u1")
+    h_u2u2 = _partial(h_u2, "u2")
+    u2 = Var("u2")
+    x_fn = _path_x((Var("u1"), Unary("neg", h_u2)),
+                   Bin("-", h_u1, Bin("*", u2, h_u2u1)),
+                   Unary("neg", Bin("*", u2, h_u2u2)))
 
     s = expr_mod.to_source
-
-    def x_fn(cfg, u1, u2, order):
-        env = expr_mod._jet_env(u1, u2, order)
-        comp1 = env["u1"]
-        comp2 = -expr_mod.eval_jet(h_u2, env)
-
-        def moving(t):
-            local = {"u1": t, "u2": env["u2"]}
-            return (expr_mod.eval_jet(h_u1, local)
-                    - env["u2"] * expr_mod.eval_jet(h_u2u1, local))
-
-        def fixed_u1(t):
-            local = {"u1": Jet.constant(np.zeros(np.shape(np.asarray(t.value))),
-                                        order), "u2": t}
-            return t * expr_mod.eval_jet(h_u2u2, local)
-
-        first = _integral(cfg, moving, env["u1"], 0, order)
-        second = _integral(cfg, fixed_u1, env["u2"], 1, order)
-        return JetVec3(comp1, comp2, first - second)
-
-    omega_srcs = (["1", "0", s(h_u1)], ["0", "1", "u2"])
-    lam_srcs = ["1", s(expr_mod.simplify(Unary_neg(h_u2u1))),
-                "0", s(expr_mod.simplify(Unary_neg(h_u2u2)))]
-
-    name = f"gen-rank1-wavefront[h={h};c={c}]"
-    k_src = f"({c})/(1 + ({s(h_u1)})^2 + u2^2)^2"
-    entry = CatalogEntry(
-        name=name,
+    lam_det = s(expr_mod.simplify(Unary("neg", h_u2u2)))
+    return CatalogEntry(
+        name=f"gen-rank1-wavefront[h={h};c={c}]",
         description="rank-1 wave front generated from a potential",
         domain=domain,
-        omega=omega_srcs,
-        lam=lam_srcs,
-        known={"lambda_det": s(expr_mod.simplify(Unary_neg(h_u2u2))),
-               "K": k_src},
+        omega=(["1", "0", s(h_u1)], ["0", "1", "u2"]),
+        lam=["1", s(expr_mod.simplify(Unary("neg", h_u2u1))), "0", lam_det],
+        known={"lambda_det": lam_det,
+               "K": f"({c})/(1 + ({s(h_u1)})^2 + u2^2)^2"},
         params={"h": h, "c": c},
         builder=lambda entry, cfg: _build_generated(entry, cfg, x_fn),
     )
-    return entry
-
-
-def Unary_neg(node):
-    return expr_mod.Unary("neg", node)
 
 
 def _build_generated(entry: CatalogEntry, config: Config, x_fn) -> Frontal:
     """Expression-backed basis, factor and curvature around the integral
-    parametrization x_fn(config, u1, u2, order)."""
-    return frontal_from_expressions(
-        entry.name, functools.partial(x_fn, config), entry.omega,
-        entry.domain, lam_srcs=entry.lam, gauss_src=entry.known.get("K"),
-        config=config, validate=False)
+    parametrization x_fn(config, u1, u2, order); none of them is
+    sign-probed on the domain."""
+    k_src = entry.known.get("K")
+    return Frontal(entry.name, functools.partial(x_fn, config),
+                   expr_mod.jets_fn([*entry.omega[0], *entry.omega[1]]),
+                   entry.domain, lam=expr_mod.jets_fn(entry.lam),
+                   gauss=expr_mod.jets_fn([k_src]) if k_src else None,
+                   config=config)
 
 
 def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
@@ -337,101 +341,80 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
                  if isinstance(n, expr_mod.Var)}
         if "u2" in names or "t" in names:
             raise InputError("profile functions l and r must depend on u1 only")
-    b_u1 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u1"))
-    b_u2 = expr_mod.simplify(expr_mod.differentiate(b_ast, "u2"))
-    s = expr_mod.to_source
+    b_u1 = _partial(b_ast, "u1")
+    b_u2 = _partial(b_ast, "u2")
+    hb = Bin("*", h_ast, b_u2)
 
     h_zero = _identically_zero(h_ast)
     r_zero = _identically_zero(r_ast)
 
     def ell(t):
-        return expr_mod.eval_jet(l_ast, {"u1": t})
+        return _at(l_ast, t, None)
 
     def arr(t):
-        return expr_mod.eval_jet(r_ast, {"u1": t})
+        return _at(r_ast, t, None)
 
-    def big_g(cfg, env, order, ell_int):
+    def big_g(cfg, u1, u2, order, ell_int):
         # G(u1, u2) = int_0^{u2} h(u1,t) b_u2(u1,t) dt + ell_int, where
         # ell_int = int_0^{u1} l(t) dt is the caller's, integrated once.
         # With h = 0 the first integral is a jet of signed zeros, added
         # so that G keeps the signs of its zeros.
         if h_zero:
-            return _zero_integral(env["u2"], 1) + ell_int
+            return _zero_integral(u2, 1) + ell_int
+        return _integral(cfg, lambda t: _at(hb, u1, t), u2, 1, order) + ell_int
 
-        def hb(t):
-            local = {"u1": env["u1"], "u2": t}
-            return (expr_mod.eval_jet(h_ast, local)
-                    * expr_mod.eval_jet(b_u2, local))
-
-        return _integral(cfg, hb, env["u2"], 1, order) + ell_int
-
-    def third_component(cfg, env, order, ell_int):
+    def third_component(cfg, u1, u2, order, ell_int):
         # C = int_0^{u2} G(u1, t2)|_{l-part fixed} b_u2(u1,t2) dt2  (terms 1+2)
         #   + int_0^{u1} (int_0^{t2} l) b_u1(t2, 0) dt2 + int_0^{u1} int_0^{t2} r
         # r = 0 drops the last inner integral: a jet product has no -0
         # coefficient, so adding that integral's signed zeros changes no bit
         def outer_u2(t2):
-            local = {"u1": env["u1"], "u2": t2}
-            return (big_g(cfg, local, t2.order, ell_int)
-                    * expr_mod.eval_jet(b_u2, local))
+            return big_g(cfg, u1, t2, t2.order, ell_int) * _at(b_u2, u1, t2)
 
         def outer_u1(t2):
             inner_l = _integral(cfg, ell, t2, 0, t2.order)
             zero2 = Jet.constant(np.zeros(np.shape(np.asarray(t2.value))),
                                  t2.order)
-            local0 = {"u1": t2, "u2": zero2}
-            term = inner_l * expr_mod.eval_jet(b_u1, local0)
+            term = inner_l * _at(b_u1, t2, zero2)
             if r_zero:
                 return term
             return term + _integral(cfg, arr, t2, 0, t2.order)
 
-        t12 = _integral(cfg, outer_u2, env["u2"], 1, order)
-        t34 = _integral(cfg, outer_u1, env["u1"], 0, order)
+        t12 = _integral(cfg, outer_u2, u2, 1, order)
+        t34 = _integral(cfg, outer_u1, u1, 0, order)
         return t12 + t34
 
     def x_fn(cfg, u1, u2, order):
-        env = expr_mod._jet_env(u1, u2, order)
-        ell_int = _integral(cfg, ell, env["u1"], 0, order)
-        return JetVec3(env["u1"], expr_mod.eval_jet(b_ast, env),
-                       third_component(cfg, env, order, ell_int))
+        v1, v2 = expr_mod._jet_env(u1, u2, order).values()
+        ell_int = _integral(cfg, ell, v1, 0, order)
+        return JetVec3(v1, _at(b_ast, v1, v2),
+                       third_component(cfg, v1, v2, order, ell_int))
 
     def omega_fn(cfg, u1, u2, order):
-        env = expr_mod._jet_env(u1, u2, order)
+        v1, v2 = expr_mod._jet_env(u1, u2, order).values()
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        ell_int = _integral(cfg, ell, env["u1"], 0, order)
-        g2 = big_g(cfg, env, order, ell_int)
+        ell_int = _integral(cfg, ell, v1, 0, order)
+        g2 = big_g(cfg, v1, v2, order, ell_int)
         # g1 reads one derivative of C, so order 0 integrates C at order 1
-        c_env = env if order else expr_mod._jet_env(u1, u2, 1)
-        c_ell = ell_int if order else _integral(cfg, ell, c_env["u1"], 0, 1)
-        c3 = third_component(cfg, c_env, max(order, 1), c_ell)
-        g1 = c3.deriv(0) - expr_mod.eval_jet(b_u1, env) * g2
-        w1 = JetVec3(one, zero, g1)
-        w2 = JetVec3(zero, one, g2)
-        return w1, w2
+        c1, c2 = (v1, v2) if order else expr_mod._jet_env(u1, u2, 1).values()
+        c_ell = ell_int if order else _integral(cfg, ell, c1, 0, 1)
+        c3 = third_component(cfg, c1, c2, max(order, 1), c_ell)
+        g1 = c3.deriv(0) - _at(b_u1, v1, v2) * g2
+        return JetVec3(one, zero, g1), JetVec3(zero, one, g2)
 
-    def lam_fn(u1, u2, order):
-        env = expr_mod._jet_env(u1, u2, order)
-        one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
-        zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        return [[one, expr_mod.eval_jet(b_u1, env)],
-                [zero, expr_mod.eval_jet(b_u2, env)]]
-
-    name = f"gen-extendable-nc[b={b};h={h};l={l};r={r}]"
-    entry = CatalogEntry(
-        name=name,
+    lam_fn = expr_mod.jets_fn([Num(1.0), b_u1, Num(0.0), b_u2])
+    return CatalogEntry(
+        name=f"gen-extendable-nc[b={b};h={h};l={l};r={r}]",
         description="frontal with extendable normal curvature from profiles",
         domain=domain,
-        omega=None,
-        lam=None,
-        known={"lambda_det": s(b_u2)},
+        known={"lambda_det": expr_mod.to_source(b_u2)},
         params={"b": b, "h": h, "l": l, "r": r},
         builder=lambda entry, cfg: Frontal(
             entry.name, functools.partial(x_fn, cfg),
             functools.partial(omega_fn, cfg), entry.domain, lam=lam_fn,
             config=cfg),
     )
-    return entry
 
 
 def gen_nonparabolic(a="u1", b="u2",
@@ -446,11 +429,10 @@ def gen_nonparabolic(a="u1", b="u2",
     """
     a_ast = expr_mod.parse(a)
     b_ast = expr_mod.parse(b)
-    diff = lambda a, v: expr_mod.simplify(expr_mod.differentiate(a, v))
-    a_u1 = diff(a_ast, "u1")
-    a_u2 = diff(a_ast, "u2")
-    b_u1 = diff(b_ast, "u1")
-    b_u2 = diff(b_ast, "u2")
+    a_u1 = _partial(a_ast, "u1")
+    a_u2 = _partial(a_ast, "u2")
+    b_u1 = _partial(b_ast, "u1")
+    b_u2 = _partial(b_ast, "u2")
 
     # closure check on a coarse grid
     g1, g2 = np.meshgrid(np.linspace(domain[0], domain[1], 9),
@@ -461,41 +443,24 @@ def gen_nonparabolic(a="u1", b="u2",
     if gap > 1e-9:
         raise InputError(f"profiles violate a_u2 = b_u1 (gap {gap:.2e})")
 
-    def x_fn(cfg, u1, u2, order):
-        env = expr_mod._jet_env(u1, u2, order)
-
-        def first(t):
-            local = {"u1": t, "u2": env["u2"]}
-            return (t * expr_mod.eval_jet(a_u1, local)
-                    + env["u2"] * expr_mod.eval_jet(b_u1, local))
-
-        def second(t):
-            zero1 = Jet.constant(np.zeros(np.shape(np.asarray(t.value))),
-                                 t.order)
-            return t * expr_mod.eval_jet(b_u2, {"u1": zero1, "u2": t})
-
-        c3 = (_integral(cfg, first, env["u1"], 0, order)
-              + _integral(cfg, second, env["u2"], 1, order))
-        return JetVec3(expr_mod.eval_jet(a_ast, env),
-                       expr_mod.eval_jet(b_ast, env), c3)
+    u1, u2 = Var("u1"), Var("u2")
+    x_fn = _path_x((a_ast, b_ast),
+                   Bin("+", Bin("*", u1, a_u1), Bin("*", u2, b_u1)),
+                   Bin("*", u2, b_u2))
 
     s = expr_mod.to_source
-    omega_srcs = (["1", "0", "u1"], ["0", "1", "u2"])
-    lam_srcs = [s(a_u1), s(b_u1), s(a_u2), s(b_u2)]
     lam_det = s(expr_mod.simplify(expr_mod.parse(
         f"({s(a_u1)})*({s(b_u2)}) - ({s(b_u1)})*({s(a_u2)})")))
-    name = f"gen-nonparabolic[a={a};b={b}]"
-    entry = CatalogEntry(
-        name=name,
+    return CatalogEntry(
+        name=f"gen-nonparabolic[a={a};b={b}]",
         description="non-parabolic frontal normal form from a closed pair",
         domain=domain,
-        omega=omega_srcs,
-        lam=lam_srcs,
+        omega=(["1", "0", "u1"], ["0", "1", "u2"]),
+        lam=[s(a_u1), s(b_u1), s(a_u2), s(b_u2)],
         known={"lambda_det": lam_det},
         params={"a": a, "b": b},
         builder=lambda entry, cfg: _build_generated(entry, cfg, x_fn),
     )
-    return entry
 
 
 GENERATORS = {

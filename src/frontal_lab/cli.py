@@ -74,10 +74,10 @@ def _catalog_entry(args, name):
 
 
 def _transversal_field(f, text):
-    """The --field value: `blaschke` (the affine normal of f), `normal`
-    (the unit normal) or three finite numbers cx,cy,cz (a constant
-    field)."""
-    if text == "blaschke":
+    """The --field value: `blaschke` (the affine normal of f, also when
+    --field is not given), `normal` (the unit normal) or three finite
+    numbers cx,cy,cz (a constant field)."""
+    if text in (None, "blaschke"):
         return blaschke_field(f, (33, 33))
     if text == "normal":
         return TransversalField.unit_normal()
@@ -89,6 +89,13 @@ def _transversal_field(f, text):
         raise InputError(f"bad --field {text!r}; expected blaschke, normal "
                          f"or three finite numbers cx,cy,cz")
     return TransversalField.constant(vec)
+
+
+def _refuse_unread_field(args, reads_field):
+    """A --field given to a command that reads none is an input error."""
+    if args.field is not None and not reads_field:
+        raise InputError("--field applies only to reconstruct --entry and "
+                         "export --what structure")
 
 
 def _load_frontal(args, config):
@@ -246,6 +253,7 @@ def _clean(obj):
 
 
 def cmd_reconstruct(args):
+    _refuse_unread_field(args, not args.input)
     config = _build_config(args)
     if args.step is not None and not args.step > 0:
         raise InputError(f"--step must be > 0, got {args.step}")
@@ -436,6 +444,7 @@ def run_property_suite(f):
 
 
 def cmd_export(args):
+    _refuse_unread_field(args, args.what == "structure")
     config = _build_config(args)
     f, entry = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
@@ -529,7 +538,7 @@ def build_parser():
     sp = sub.add_parser("reconstruct", help="integrate structure data")
     _add_common(sp, grid_default="21x21")
     sp.add_argument("--step", type=float)
-    sp.add_argument("--field", default="blaschke",
+    sp.add_argument("--field",
                     help="blaschke | normal | cx,cy,cz (with --entry)")
     sp.set_defaults(fn=cmd_reconstruct)
 
@@ -541,7 +550,7 @@ def build_parser():
     _add_common(sp, grid_default="41x41")
     sp.add_argument("--what", required=True,
                     choices=("surface", "field", "structure"))
-    sp.add_argument("--field", default="blaschke")
+    sp.add_argument("--field")
     sp.set_defaults(fn=cmd_export)
     return ap
 

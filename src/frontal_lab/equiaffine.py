@@ -30,8 +30,8 @@ from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
 
 
 class TransversalField:
-    """A candidate transversal field, as component expressions, a callable,
-    or the split phi*n + a*w1 + b*w2 against a frontal's own frame.
+    """A candidate transversal field: a constant vector, component
+    expressions, the unit normal, or any callable of a frame bundle.
 
     A field is evaluated against the frame bundle of its points, at the
     bundle's points and jet order, so fields built from the frame read it
@@ -54,24 +54,13 @@ class TransversalField:
     @staticmethod
     def from_expressions(sources, label=None):
         from . import expr as expr_mod
-        fn = expr_mod._jets_fn([expr_mod.parse(s) for s in sources],
-                               expr_mod._vec3)
+        fn = expr_mod.jets_fn(sources)
         return TransversalField(lambda b: fn(b.u1, b.u2, b.order),
                                 label or "expr(" + ", ".join(sources) + ")")
 
     @staticmethod
     def unit_normal():
         return TransversalField(lambda b: b.n, "unit normal")
-
-    @staticmethod
-    def from_split(phi_fn, a_fn, b_fn):
-        """phi, a, b: callables (u1, u2, order) -> Jet; field against the
-        frontal's own moving basis and unit normal."""
-        def fn(b):
-            return (b.n.scale(phi_fn(b.u1, b.u2, b.order))
-                    + b.w1.scale(a_fn(b.u1, b.u2, b.order))
-                    + b.w2.scale(b_fn(b.u1, b.u2, b.order)))
-        return TransversalField(fn, "split field")
 
     def jets(self, bundle: FrameBundle) -> JetVec3:
         """Field jets at the points of `bundle`."""
@@ -154,22 +143,22 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2):
     max |tau - predicted|); both vanish for exact data.
     """
     b = frame_bundle(f, u1, u2)
-    xi = TransversalField.from_split(phi_fn, a_fn, b_fn)
-    s = structure_from_field(f, xi, u1, u2, bundle=b)
+    phi_j, a_j, b_j = (fn(u1, u2, b.order) for fn in (phi_fn, a_fn, b_fn))
+    xi = b.n.scale(phi_j) + b.w1.scale(a_j) + b.w2.scale(b_j)
+    s = structure_from_field(f, None, u1, u2, bundle=b, xi_jets=xi)
 
     shape = b.shape
-    phi = phi_fn(u1, u2, b.order).value_on(shape)
+    phi = phi_j.value_on(shape)
     if np.any(phi == 0.0):
         raise NotTransversal("phi vanishes; split field not transversal")
-    a_val = a_fn(u1, u2, b.order).value_on(shape)
-    b_val = b_fn(u1, u2, b.order).value_on(shape)
+    a_val = a_j.value_on(shape)
+    b_val = b_j.value_on(shape)
 
     # p_ij = <w_i,uj , n>, arranged like the second-form matrix
     p = _mat_values(ii_omega_normal_route(b), shape)
 
     h_resid = float(np.max(np.abs(s.h - p / phi[..., None, None])))
 
-    phi_j = phi_fn(u1, u2, b.order)
     dphi = [phi_j.deriv(k).value_on(shape) for k in range(2)]
     # p(Z, w_i) = a p_1i + b p_2i
     tau_pred = np.stack(

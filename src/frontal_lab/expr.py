@@ -362,22 +362,20 @@ def _jet_env(u1, u2, order):
     return {"u1": Jet.variable(u1, 0, order), "u2": Jet.variable(u2, 1, order)}
 
 
-def _vec3(jets):
-    return JetVec3(*jets)
+# How jets_fn packs the jets of n sources: a jet, a JetVec3, a row-major
+# 2x2 jet matrix, or the two basis columns of a moving basis.
+_PACK = {1: lambda j: j[0], 3: lambda j: JetVec3(*j),
+         4: lambda j: [j[:2], j[2:]],
+         6: lambda j: (JetVec3(*j[:3]), JetVec3(*j[3:]))}
 
 
-def _mat2(jets):
-    """Row-major list of four jets as a 2x2 jet matrix."""
-    return [[jets[0], jets[1]], [jets[2], jets[3]]]
+def jets_fn(sources):
+    """Callable (u1, u2, order) -> jets of 1, 3, 4 or 6 expressions (text
+    or ASTs), all evaluated in one coordinate environment and packed by
+    their count as `_PACK` says."""
+    asts = [parse(s) if isinstance(s, str) else s for s in sources]
+    pack = _PACK[len(asts)]
 
-
-def _scalar(jets):
-    return jets[0]
-
-
-def _jets_fn(asts, pack):
-    """Callable (u1, u2, order) -> pack(jets of the ASTs), all evaluated
-    in one coordinate environment."""
     def fn(u1, u2, order):
         env = _jet_env(u1, u2, order)
         return pack([eval_jet(a, env) for a in asts])

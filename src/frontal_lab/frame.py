@@ -115,40 +115,25 @@ class Frontal:
 
 def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
                              gauss_src=None, blaschke_srcs=None,
-                             config: Config = DEFAULT, validate=True,
-                             open_domain=False):
-    """Build a Frontal from component expression strings.
+                             config: Config = DEFAULT, open_domain=False):
+    """Build a Frontal from component expression strings, each sign-probed
+    on the domain at load time.
 
     omega_srcs is a pair of 3-component lists (the two basis columns);
-    lam_srcs, when given, is a row-major list of 4 strings.  x_srcs may
-    instead be a callable (u1, u2, order) -> JetVec3, for surfaces whose
-    parametrization is not an expression.  With `validate`, every
-    expression is sign-probed on the domain at load time.
+    lam_srcs, when given, is a row-major list of 4 strings.
     """
-    def parse_all(srcs):
-        return [expr_mod.parse(s) for s in srcs] if srcs else []
-
-    x_ast = [] if callable(x_srcs) else parse_all(x_srcs)
-    om_ast = parse_all(omega_srcs[0]) + parse_all(omega_srcs[1])
-    lam_ast = parse_all(lam_srcs)
-    gauss_ast = parse_all([gauss_src] if gauss_src else None)
-    bl_ast = parse_all(blaschke_srcs)
-    if validate:
-        for ast in x_ast + om_ast + lam_ast + gauss_ast + bl_ast:
+    groups = [x_srcs, [*omega_srcs[0], *omega_srcs[1]], lam_srcs,
+              [gauss_src] if gauss_src else None, blaschke_srcs]
+    asts = [[expr_mod.parse(s) for s in srcs] if srcs else None
+            for srcs in groups]
+    for group in filter(None, asts):
+        for ast in group:
             expr_mod.validate_on_domain(ast, domain)
-
-    def jets_fn(asts, pack):
-        return expr_mod._jets_fn(asts, pack) if asts else None
-
-    x_fn = x_srcs if callable(x_srcs) else jets_fn(x_ast, expr_mod._vec3)
-    def columns(jets):
-        return JetVec3(*jets[:3]), JetVec3(*jets[3:])
-
-    return Frontal(name, x_fn, jets_fn(om_ast, columns), domain,
-                   lam=jets_fn(lam_ast, expr_mod._mat2),
-                   gauss=jets_fn(gauss_ast, expr_mod._scalar),
-                   blaschke_known=jets_fn(bl_ast, expr_mod._vec3),
-                   config=config, open_domain=open_domain)
+    x, omega, lam, gauss, known = (expr_mod.jets_fn(a) if a else None
+                                   for a in asts)
+    return Frontal(name, x, omega, domain, lam=lam, gauss=gauss,
+                   blaschke_known=known, config=config,
+                   open_domain=open_domain)
 
 
 def affine_image(f: Frontal, A, b, name=None):
@@ -224,20 +209,25 @@ def factor_lambda(f: Frontal, u1, u2, order):
          [w2.dot(x_u[0]), w2.dot(x_u[1])]]
     lam_t = mat2_mul_jet(inv2_jet(I), B)
     lam = [[lam_t[0][0], lam_t[1][0]], [lam_t[0][1], lam_t[1][1]]]
-
-    # np.max keeps a NaN that the builtin max drops, and the gate fails on it
-    resid, scale = [], [1.0]
-    for j in range(2):
-        rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
-        resid.append(np.max(np.abs((x_u[j] - rec).value())))
-        scale.append(np.max(np.abs(x_u[j].value())))
-    resid, scale = float(np.max(resid)), float(np.max(scale))
+    resid, scale = _decomposition_residual(x_u, w1, w2, lam)
     if not resid <= config.eps_dec * scale:
         raise NotAFrontal(
             f"decomposition residual {resid:.3e} exceeds gate "
             f"{config.eps_dec * scale:.3e}; Omega is not a tangent moving "
             f"basis for x")
     return lam
+
+
+def _decomposition_residual(x_u, w1, w2, lam):
+    """(max |x_uj - (Lambda_j0 w1 + Lambda_j1 w2)|, its scale
+    max(1, |x_uj|)) over both directions and every point.  np.max keeps a
+    NaN that the builtin max drops, so a gate on the residual fails on it."""
+    resid, scale = [], [1.0]
+    for j in range(2):
+        rec = w1.scale(lam[j][0]) + w2.scale(lam[j][1])
+        resid.append(np.max(np.abs((x_u[j] - rec).value())))
+        scale.append(np.max(np.abs(x_u[j].value())))
+    return float(np.max(resid)), float(np.max(scale))
 
 
 class FrameBundle:

@@ -59,8 +59,7 @@ def expr_entry(sources):
     asts = [expr_mod.parse(s) for s in sources]
     if len(asts) not in (1, 4):
         raise InputError("expression field needs 1 or 4 components")
-    return expr_mod._jets_fn(
-        asts, expr_mod._scalar if len(asts) == 1 else expr_mod._mat2)
+    return expr_mod.jets_fn(asts)
 
 
 def _open_mesh(u1, u2):

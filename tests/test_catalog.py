@@ -98,6 +98,73 @@ class TestRank1Generator:
                                                                rel=1e-10)
 
 
+def _partial(ast, var):
+    return expr.simplify(expr.differentiate(ast, var))
+
+
+def _zero_like(t):
+    return Jet.constant(np.zeros(np.shape(np.asarray(t.value))), t.order)
+
+
+def _rank1_x(env, order, h):
+    """gen-rank1-wavefront's x with its two integrands written out."""
+    h_u2 = _partial(expr.parse(h), "u2")
+    h_u1 = _partial(expr.parse(h), "u1")
+    h_u2u1, h_u2u2 = _partial(h_u2, "u1"), _partial(h_u2, "u2")
+
+    def moving(t):
+        local = {"u1": t, "u2": env["u2"]}
+        return (expr.eval_jet(h_u1, local)
+                - env["u2"] * expr.eval_jet(h_u2u1, local))
+
+    def fixed_u1(t):
+        return t * expr.eval_jet(h_u2u2, {"u1": _zero_like(t), "u2": t})
+
+    third = (catalog._integral(Config(), moving, env["u1"], 0, order)
+             - catalog._integral(Config(), fixed_u1, env["u2"], 1, order))
+    return [env["u1"], -expr.eval_jet(h_u2, env), third]
+
+
+def _nonparabolic_x(env, order, a, b):
+    """gen-nonparabolic's x with its two integrands written out."""
+    a_ast, b_ast = expr.parse(a), expr.parse(b)
+    a_u1, b_u1, b_u2 = (_partial(a_ast, "u1"), _partial(b_ast, "u1"),
+                        _partial(b_ast, "u2"))
+
+    def first(t):
+        local = {"u1": t, "u2": env["u2"]}
+        return (t * expr.eval_jet(a_u1, local)
+                + env["u2"] * expr.eval_jet(b_u1, local))
+
+    def second(t):
+        return t * expr.eval_jet(b_u2, {"u1": _zero_like(t), "u2": t})
+
+    third = (catalog._integral(Config(), first, env["u1"], 0, order)
+             + catalog._integral(Config(), second, env["u2"], 1, order))
+    return [expr.eval_jet(a_ast, env), expr.eval_jet(b_ast, env), third]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gen-rank1-wavefront", {"h": "u1^2 - u2^2"}),
+    ("gen-rank1-wavefront", {"h": "sin(u1)*exp(u2) - u2^3"}),
+    ("gen-nonparabolic", {"a": "u1 + u1*u2^2/2", "b": "u2 + u1^2*u2/2"}),
+], ids=["rank1-harmonic", "rank1-transcendental", "nonparabolic"])
+def test_path_integral_x_matches_hand_written_integrands(name, params):
+    # x (orders 0-3) keeps every bit, signs of zeros included, of the
+    # integrands written out by hand; the grid holds u1 = 0 and u2 = 0
+    reference = {"gen-rank1-wavefront": _rank1_x,
+                 "gen-nonparabolic": _nonparabolic_x}[name]
+    f = get_entry(name, params).build()
+    u1, u2 = f.grid((5, 5))
+    for k in range(4):
+        env = {"u1": Jet.variable(u1, 0, k), "u2": Jet.variable(u2, 1, k)}
+        got, want = f.x(u1, u2, k).c, reference(env, k, **params)
+        assert ([(np.shape(c), np.asarray(c).tobytes())
+                 for j in got for c in j.coeffs]
+                == [(np.shape(c), np.asarray(c).tobytes())
+                    for j in want for c in j.coeffs])
+
+
 class TestExtendableNcGenerator:
     def test_simple_profile_closed_form(self):
         # b = u2^2, l = 1, r = 0, h = 0 gives y = (u1, u2^2, u1 u2^2)

@@ -508,6 +508,26 @@ def test_field_is_blaschke_normal_or_three_finite_numbers(command, field,
     assert err.startswith("input error: ") and "--field" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--input", "{tmp}/flat.json", "--grid", "5x5",
+     "--field", "nonsense"],
+    ["export", "--entry", "paraboloid", "--what", "surface", "--grid", "5x5",
+     "--field", "nonsense", "--out", "{tmp}/s.obj"],
+    ["export", "--entry", "paraboloid", "--what", "field", "--grid", "5x5",
+     "--field", "normal", "--out", "{tmp}/f.csv"],
+], ids=["reconstruct-input", "export-surface", "export-field"])
+def test_field_where_nothing_reads_it_is_input_error(command, tmp_path,
+                                                     capsys):
+    # only reconstruct --entry and export --what structure read --field;
+    # elsewhere it is refused before anything is written
+    write_report(tmp_path / "flat.json", flat_structure())
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+    assert run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "--field" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.json"]
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
                                        "ex-5.9", "ex-5.10"])

@@ -8,6 +8,7 @@ from frontal_lab import expr
 from frontal_lab.errors import (DomainError, ExprSyntaxError,
                                 UnknownIdentifier)
 from frontal_lab.expr import Bin, Num, Pow, Unary, Var
+from frontal_lab.jets import Jet, JetVec3
 
 
 class TestParse:
@@ -65,6 +66,59 @@ class TestEval:
     def test_sqrt_domain_error(self):
         with pytest.raises(DomainError):
             expr.eval_point(expr.parse("sqrt(u1)"), (-1.0, 0.0), 1)
+
+
+SIX_SOURCES = ["u1*u2", "sin(u1) + u2", "u2^2/(2 + u1^2)", "1",
+               "exp(u2)", "-u1^3"]
+U1, U2 = np.array([0.3, -0.4, 0.0]), np.array([0.5, 0.0, -0.2])
+
+
+def _bits(jets):
+    return [(np.shape(c), np.asarray(c).tobytes())
+            for j in jets for c in j.coeffs]
+
+
+def _reference(sources, order):
+    env = {"u1": Jet.variable(U1, 0, order), "u2": Jet.variable(U2, 1, order)}
+    return [expr.eval_jet(expr.parse(s), env) for s in sources]
+
+
+class TestJetsFn:
+    def test_one_source_is_a_jet(self):
+        got = expr.jets_fn(SIX_SOURCES[:1])(U1, U2, 2)
+        assert isinstance(got, Jet)
+        assert _bits([got]) == _bits(_reference(SIX_SOURCES[:1], 2))
+
+    def test_three_sources_are_a_vector(self):
+        got = expr.jets_fn(SIX_SOURCES[:3])(U1, U2, 2)
+        assert isinstance(got, JetVec3)
+        assert _bits(got.c) == _bits(_reference(SIX_SOURCES[:3], 2))
+
+    def test_four_sources_are_a_row_major_matrix(self):
+        got = expr.jets_fn(SIX_SOURCES[:4])(U1, U2, 2)
+        assert [len(row) for row in got] == [2, 2]
+        assert (_bits(got[0] + got[1])
+                == _bits(_reference(SIX_SOURCES[:4], 2)))
+
+    def test_six_sources_are_two_basis_columns(self):
+        w1, w2 = expr.jets_fn(SIX_SOURCES)(U1, U2, 2)
+        assert isinstance(w1, JetVec3) and isinstance(w2, JetVec3)
+        assert _bits(w1.c + w2.c) == _bits(_reference(SIX_SOURCES, 2))
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 6])
+    def test_text_and_ast_sources_give_the_same_bits(self, count):
+        def flat(packed):
+            if isinstance(packed, Jet):
+                return [packed]
+            if isinstance(packed, JetVec3):
+                return list(packed.c)
+            return [j for part in packed for j in flat(part)]
+
+        text = SIX_SOURCES[:count]
+        asts = [expr.parse(s) for s in text]
+        for order in range(4):
+            assert (_bits(flat(expr.jets_fn(text)(U1, U2, order)))
+                    == _bits(flat(expr.jets_fn(asts)(U1, U2, order))))
 
 
 SAFE_SOURCES = [

@@ -252,11 +252,12 @@ def scan_reference(lam, u1, u2, eps_sing):
 
 
 def flat_frontal(det):
-    """The plane with factor diag(det, 1), so det Lambda is `det`."""
-    return frontal_from_expressions(
-        f"plane[det={det}]", ["u1", "u2", "0"],
-        (["1", "0", "0"], ["0", "1", "0"]), (-1.0, 1.0, -1.0, 1.0),
-        lam_srcs=[det, "0", "0", "1"], validate=False)
+    """The plane with factor diag(det, 1), so det Lambda is `det`; built
+    without the load-time sign probe, which refuses u1 + abs(u1)."""
+    return Frontal(
+        f"plane[det={det}]", expr.jets_fn(["u1", "u2", "0"]),
+        expr.jets_fn(["1", "0", "0", "0", "1", "0"]), (-1.0, 1.0, -1.0, 1.0),
+        lam=expr.jets_fn([det, "0", "0", "1"]))
 
 
 class TestSingularScanMatchesLoop:

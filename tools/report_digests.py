@@ -42,7 +42,10 @@ Then reconstruction from flat data whose basepoint lies between the
 lattice nodes (the sweeps start from the basepoint itself) and from flat
 data whose basepoint lies outside the domain (an input error), and
 `catalog --save` on a generator, whose x is no expression text (an
-input error).
+input error).  Then `analyze --out`, surface export (with the quartic
+potential of ex-5.10), `blaschke` and `check` on the gen-rank1-wavefront
+generator, and a `--field` given where nothing reads it (an input
+error): to `reconstruct --input` and to `export --what surface|field`.
 """
 
 from __future__ import annotations
@@ -229,6 +232,24 @@ def command_list():
     cmds += [("typed-failure", argv) for argv in (
         ["reconstruct", "--input", "{outside}", "--grid", "5x5"],
         ["catalog", "gen-nonparabolic", "--save", "{out}/gen.json"],
+    )]
+    rank1 = ["--entry", "gen-rank1-wavefront"]
+    cmds += [
+        ("rank1-analyze", ["analyze", *rank1, "--grid", "9x9",
+                           "--out", "{out}"]),
+        ("rank1-surface", ["export", *rank1, "--h=u1^4 - 6*u1^2*u2^2 + u2^4",
+                           "--what", "surface", "--grid", "9x9",
+                           "--out", "{out}/s.obj"]),
+        ("rank1-blaschke", ["blaschke", *rank1, "--grid", "9x9"]),
+        ("rank1-check", ["check", *rank1]),
+    ]
+    cmds += [("typed-failure", argv) for argv in (
+        ["reconstruct", "--input", "{offnode}", "--grid", "5x5",
+         "--field", "nonsense"],
+        ["export", "--entry", "paraboloid", "--what", "surface",
+         "--field", "nonsense", "--grid", "5x5", "--out", "{out}/field.obj"],
+        ["export", "--entry", "paraboloid", "--what", "field",
+         "--field", "normal", "--grid", "5x5", "--out", "{out}/field.csv"],
     )]
     return cmds
 
