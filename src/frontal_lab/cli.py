@@ -98,13 +98,31 @@ def _refuse_unread_field(args, reads_field):
                          "export --what structure")
 
 
+def _input_path(args):
+    """The --input path, or None when the source is --entry NAME.  Exactly
+    one of the two must be given, and the catalog settings (--domain and
+    the generator parameters) apply to --entry only."""
+    if (args.entry is None) == (args.input is None):
+        raise InputError("provide one of --entry NAME and --input FILE")
+    if args.input is None:
+        return None
+    settings = {"domain": args.domain,
+                **{key: getattr(args, f"p_{key}")
+                   for key in _GENERATOR_PARAMS}}
+    unread = [f"--{key}" for key, value in settings.items()
+              if value is not None]
+    if unread:
+        raise InputError(f"{', '.join(unread)} applies only to --entry, "
+                         f"not to --input")
+    return args.input
+
+
 def _load_frontal(args, config):
-    if args.entry:
-        entry = _catalog_entry(args, args.entry)
-        return entry.build(config), entry
-    if args.input:
-        return structio.read_frontal_file(args.input, config), None
-    raise InputError("provide --entry NAME or --input FILE")
+    """The frontal of --entry NAME or of the frontal file --input FILE."""
+    path = _input_path(args)
+    if path is not None:
+        return structio.read_frontal_file(path, config)
+    return _catalog_entry(args, args.entry).build(config)
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -150,7 +168,7 @@ def cmd_catalog(args):
 
 def cmd_analyze(args):
     config = _build_config(args)
-    f, entry = _load_frontal(args, config)
+    f = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
     # every quantity below is read as a value or a first derivative
@@ -205,7 +223,7 @@ def cmd_analyze(args):
 
 def cmd_blaschke(args):
     config = _build_config(args)
-    f, entry = _load_frontal(args, config)
+    f = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     bf = blaschke_field(f, shape)
     verify = blaschke_verify(bf, shape=(min(41, shape[0]), min(41, shape[1])))
@@ -253,16 +271,17 @@ def _clean(obj):
 
 
 def cmd_reconstruct(args):
-    _refuse_unread_field(args, not args.input)
+    path = _input_path(args)
+    _refuse_unread_field(args, path is None)
     config = _build_config(args)
     if args.step is not None and not args.step > 0:
         raise InputError(f"--step must be > 0, got {args.step}")
     shape = _parse_grid(args.grid)
-    if args.input:
-        sd = structio.read_structure_file(args.input)
+    if path is not None:
+        sd = structio.read_structure_file(path)
         f = None
     else:
-        f, entry = _load_frontal(args, config)
+        f = _load_frontal(args, config)
         sd = extract_structure(f, _transversal_field(f, args.field))
 
     step = config.rk4_step if args.step is None else args.step
@@ -302,7 +321,7 @@ def cmd_reconstruct(args):
 
 def cmd_check(args):
     config = _build_config(args)
-    f, entry = _load_frontal(args, config)
+    f = _load_frontal(args, config)
     checks = run_property_suite(f)
     report = {
         "schema_version": structio.SCHEMA_VERSION,
@@ -446,7 +465,7 @@ def run_property_suite(f):
 def cmd_export(args):
     _refuse_unread_field(args, args.what == "structure")
     config = _build_config(args)
-    f, entry = _load_frontal(args, config)
+    f = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     if args.what == "surface":
         u1, u2 = f.grid(shape)

@@ -172,10 +172,13 @@ def affine_image(f: Frontal, A, b, name=None):
 
 
 def check_basis_rank(w1: JetVec3, w2: JetVec3, eps_rank):
-    """Smallest singular value of (w1 w2), scaled by column norms."""
-    E = np.asarray((w1.dot(w1)).value, dtype=float)
-    F = np.asarray((w1.dot(w2)).value, dtype=float)
-    G = np.asarray((w2.dot(w2)).value, dtype=float)
+    """Smallest singular value of (w1 w2), scaled by column norms.  Only
+    values are read, so the dot products are taken of order-0 jets (the
+    value of a jet product is the product of the values)."""
+    w1, w2 = w1.truncate(0), w2.truncate(0)
+    E = np.asarray(w1.dot(w1).value, dtype=float)
+    F = np.asarray(w1.dot(w2).value, dtype=float)
+    G = np.asarray(w2.dot(w2).value, dtype=float)
     tr = E + G
     det = E * G - F * F
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))

@@ -4,10 +4,10 @@ The data of the game is (Lambda, I_Omega, h, D1, D2, S, phi) on a
 rectangle, together with an initial frame W0 = (v1 v2 v3) and position p
 at a base point.  The frame field solves the linear system
 
-    W_u1 = W D1aug^T,   W_u2 = W D2aug^T
+    W_u1 = W A_1^T,   W_u2 = W A_2^T
 
-with the 3x3 blocks that append the h-column and the (negated) shape
-rows to the 2x2 connection symbols, and the position solves
+with the augmented 3x3 blocks A_j that append the h-column and the
+(negated) shape rows to the 2x2 connection symbols, and the position solves
 Dx = Omega Lambda^T with Omega the first two frame columns.  Both are
 integrated jointly by RK4 (the position block is triangular over the
 frame block, so this is frame-then-position in one sweep), first down a
@@ -19,9 +19,11 @@ broadcast of u1 and u2: a 2x2 jet matrix, or a jet for phi.  Entries are
 expression-backed (evaluated exactly through jets), grid-backed (bicubic
 interpolation), or extracted (closures over a frontal and a transversal
 field that solve the frame systems in jet arithmetic at any requested
-point).  The four connection blocks (D1, D2, h, S) come from one
-callable, `StructureData.blocks`, because every consumer reads them
-together at one point set.
+point).  The connection blocks are defined per axis: `StructureData.blocks`
+returns the augmented 3x3 block A_j = [[D_j, h column j], [-S row j, 0]]
+of each axis asked for.  A sweep along u_j reads A_j alone; the
+residuals, the block extension and the export read both axes at one
+point set, with one call.
 
 A sweep knows all of its abscissae before it takes a step, so it samples
 the coefficients of as many whole lattice segments as fit in
@@ -136,11 +138,33 @@ class GridField:
         return [[vals[0], vals[1]], [vals[2], vals[3]]]
 
 
+def _augmented_block(d, h_col, bottom, h00):
+    """A_j = [[D_j, h column j], [-S row j, 0]] as a 3x3 jet matrix, from
+    D_j, h column j and `bottom`, the row -S_j.  The corner is h00 * 0.0
+    with h00 = h[0][0], so a NaN there reaches the block of either axis."""
+    return [[d[0][0], d[0][1], h_col[0]],
+            [d[1][0], d[1][1], h_col[1]],
+            [bottom[0], bottom[1], h00 * 0.0]]
+
+
+def split_blocks(a1, a2):
+    """(D1, D2, h, S) jet matrices read off the augmented blocks of both
+    axes, S in rows S_i^j."""
+    d1, d2 = ([row[:2] for row in a[:2]] for a in (a1, a2))
+    h = [[a1[i][2], a2[i][2]] for i in range(2)]
+    s = [[-c for c in a[2][:2]] for a in (a1, a2)]
+    return d1, d2, h, s
+
+
 def stack_blocks(d1, d2, h, s):
-    """The `blocks` callable of four entries stored one by one."""
-    def blocks(u1, u2, order):
-        return (d1(u1, u2, order), d2(u1, u2, order), h(u1, u2, order),
-                s(u1, u2, order))
+    """The `blocks` callable of four entries stored one by one: h and S
+    are evaluated whole, D only on the axes asked for."""
+    def blocks(u1, u2, order, axes=(0, 1)):
+        h_j, s_j = h(u1, u2, order), s(u1, u2, order)
+        return tuple(_augmented_block((d1, d2)[j](u1, u2, order),
+                                     [h_j[0][j], h_j[1][j]],
+                                     [-s_j[j][0], -s_j[j][1]], h_j[0][0])
+                     for j in axes)
     return blocks
 
 
@@ -148,8 +172,9 @@ def stack_blocks(d1, d2, h, s):
 class StructureData:
     """Everything the frame and position systems consume.
 
-    lam, i_omega and phi are entries; blocks(u1, u2, order) returns the
-    jets of (D1, D2, h, S), S in rows S_i^j.  The proper hypothesis
+    lam, i_omega and phi are entries; blocks(u1, u2, order, axes=(0, 1))
+    returns the augmented block (`_augmented_block`) of each axis in
+    `axes`, as jets of order `order`.  The proper hypothesis
     (regular set dense) and symmetry of I_Omega are the caller's
     responsibility for grid data; extracted and expression data satisfy
     them by construction.
@@ -165,26 +190,15 @@ class StructureData:
 
     # -- evaluation helpers -------------------------------------------------
 
-    def aug_jets(self, u1, u2, order):
-        """3x3 augmented blocks (D1aug, D2aug) as jet matrices."""
-        d1, d2, h, s = self.blocks(u1, u2, order)
-        zero = h[0][0] * 0.0
-        d1aug = [[d1[0][0], d1[0][1], h[0][0]],
-                 [d1[1][0], d1[1][1], h[1][0]],
-                 [-s[0][0], -s[0][1], zero]]
-        d2aug = [[d2[0][0], d2[0][1], h[0][1]],
-                 [d2[1][0], d2[1][1], h[1][1]],
-                 [-s[1][0], -s[1][1], zero]]
-        return d1aug, d2aug
-
-    def aug_values(self, u1, u2):
-        """(..., 3, 3) value arrays of both augmented blocks, plus Lambda,
-        on the broadcast shape of u1 and u2."""
+    def aug_values(self, u1, u2, axis):
+        """What a sweep along u_axis reads, on the broadcast shape of u1
+        and u2: the (..., 3, 3) values of the augmented block A_axis and
+        the (..., 2) values of Lambda's row `axis`."""
         shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
-        d1aug, d2aug = self.aug_jets(u1, u2, 0)
-        lam = self.lam(u1, u2, 0)
-        return (_mat_values(d1aug, shape), _mat_values(d2aug, shape),
-                _mat_values(lam, shape))
+        block, = self.blocks(u1, u2, 0, (axis,))
+        lam_row = self.lam(u1, u2, 0)[axis]
+        return (_mat_values(block, shape),
+                _mat_values([lam_row], shape)[..., 0, :])
 
     def lam_det_values(self, u1, u2):
         shape = np.shape(np.asarray(u1, dtype=float))
@@ -214,14 +228,16 @@ class StructureData:
 
 
 def solver3_jet(c1: JetVec3, c2: JetVec3, c3: JetVec3):
-    """Cramer solver rhs -> y of (c1 c2 c3) y = rhs in jet arithmetic;
-    c1 x c2 and the determinant are formed once for every rhs."""
+    """Cramer solver (rhs, comps) -> the components `comps` of y, where
+    (c1 c2 c3) y = rhs, in jet arithmetic; c1 x c2 and the determinant
+    are formed once for every rhs."""
     c12 = c1.cross(c2)
     det = c12.dot(c3)
+    numerators = (lambda rhs: rhs.cross(c2).dot(c3),
+                  lambda rhs: c1.cross(rhs).dot(c3), c12.dot)
 
-    def solve(rhs: JetVec3):
-        return (rhs.cross(c2).dot(c3) / det, c1.cross(rhs).dot(c3) / det,
-                c12.dot(rhs) / det)
+    def solve(rhs: JetVec3, comps=(0, 1, 2)):
+        return tuple(numerators[k](rhs) / det for k in comps)
     return solve
 
 
@@ -284,16 +300,20 @@ def extract_structure(f: Frontal, xi_field) -> StructureData:
                 f"derivatives takes one more)")
         return frame_and_xi(*_full_points(u1, u2), order + loss)
 
-    def blocks(u1, u2, order):
+    def blocks(u1, u2, order, axes=(0, 1)):
         b, xj = bundle_for(u1, u2, order)
-        solve = solver3_jet(b.w1, b.w2, xj)
-        # coefficients of w_i,uj and xi_ui in the frame (w1, w2, xi)
-        w = [[solve(wi.deriv(j)) for j in range(2)] for wi in (b.w1, b.w2)]
-        d1, d2 = [[[w[i][j][0], w[i][j][1]] for i in range(2)]
-                  for j in range(2)]
-        h = [[w[i][j][2] for j in range(2)] for i in range(2)]
-        s = [[-y for y in solve(xj.deriv(i))[:2]] for i in range(2)]
-        return d1, d2, h, s
+        # The symbols solve for the derivatives of w1, w2 and xi in the
+        # frame (w1, w2, xi).  Jet arithmetic is graded, so solving on
+        # jets truncated to the order read changes no coefficient read.
+        cols = [v.truncate(order + 1) for v in (b.w1, b.w2, xj)]
+        solve = solver3_jet(*(c.truncate(order) for c in cols))
+        # coefficients of w1_uj and w2_uj: rows of D_j, then h column j
+        w = {j: [solve(c.deriv(j)) for c in cols[:2]] for j in axes}
+        h00 = w[0][0][2] if 0 in axes else solve(cols[0].deriv(0), (2,))[0]
+        return tuple(_augmented_block([y[:2] for y in w[j]],
+                                     [y[2] for y in w[j]],
+                                     solve(cols[2].deriv(j), (0, 1)), h00)
+                     for j in axes)
 
     def phi(u1, u2, order):
         b, xj = bundle_for(u1, u2, order)
@@ -321,19 +341,19 @@ def extract_structure(f: Frontal, xi_field) -> StructureData:
 def compat_residual(sd: StructureData, u1, u2):
     """(max Frobenius norm of the frame-system flatness defect, its scale).
 
-    The defect is D1_u2 - D2_u1 + [D1, D2] over the sampled points, with
+    The defect is A1_u2 - A2_u1 + [A1, A2] over the sampled points, with
     the augmented 3x3 blocks, from one order-1 evaluation; the scale,
-    max(1, max |D1aug|, max |D2aug|), is what the compatibility gate
+    max(1, max |A1|, max |A2|), is what the compatibility gate
     multiplies its tolerance by.
     """
     shape = np.shape(np.asarray(u1, dtype=float))
-    d1aug, d2aug = sd.aug_jets(u1, u2, 1)
-    D1 = _mat_values(d1aug, shape)
-    D2 = _mat_values(d2aug, shape)
-    R = (_mat_values(d1aug, shape, 1) - _mat_values(d2aug, shape, 0)
-         + D1 @ D2 - D2 @ D1)
+    a1, a2 = sd.blocks(u1, u2, 1)
+    A1 = _mat_values(a1, shape)
+    A2 = _mat_values(a2, shape)
+    R = (_mat_values(a1, shape, 1) - _mat_values(a2, shape, 0)
+         + A1 @ A2 - A2 @ A1)
     fro = np.sqrt(np.sum(R * R, axis=(-2, -1)))
-    scale = max(1.0, float(np.max(np.abs(D1))), float(np.max(np.abs(D2))))
+    scale = max(1.0, float(np.max(np.abs(A1))), float(np.max(np.abs(A2))))
     return float(np.max(fro)), scale
 
 
@@ -341,7 +361,7 @@ def integrability_residual(sd: StructureData, u1, u2):
     """(symmetry residual, row-identity residual) of the position system."""
     shape = np.shape(np.asarray(u1, dtype=float))
     lam_j = sd.lam(u1, u2, 1)
-    d1_j, d2_j, h_j, _ = sd.blocks(u1, u2, 0)
+    d1_j, d2_j, h_j, _ = split_blocks(*sd.blocks(u1, u2, 0))
 
     lam_h_01 = lam_j[0][0] * h_j[0][1] + lam_j[0][1] * h_j[1][1]
     lam_h_10 = lam_j[1][0] * h_j[0][0] + lam_j[1][1] * h_j[1][0]
@@ -390,7 +410,7 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
     def ingredients(uu1, uu2):
         """(C_k entries (4), omega_k) stacked, (5, n), at regular points."""
         sshape = np.shape(uu1)
-        h_j = sd.blocks(uu1, uu2, 0)[2]
+        h_j = split_blocks(*sd.blocks(uu1, uu2, 0))[2]
         phi_j = sd.phi(uu1, uu2, 1)
 
         def v(jet):
@@ -439,7 +459,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     """
     shape = np.shape(np.asarray(u1, dtype=float))
     lam_j = sd.lam(u1, u2, 1)
-    h_j = sd.blocks(u1, u2, 1)[2]
+    h_j = split_blocks(*sd.blocks(u1, u2, 1))[2]
     c_j = mat2_mul_jet(lam_j, h_j)
     det_c = c_j[0][0] * c_j[1][1] - c_j[0][1] * c_j[1][0]
     det_v = det_c.value_on(shape)
@@ -456,7 +476,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     lam_inv = np.linalg.inv(lam_v)
 
     resid = []
-    for k, dk in enumerate(sd.blocks(u1, u2, 0)[:2]):
+    for k, dk in enumerate(split_blocks(*sd.blocks(u1, u2, 0))[:2]):
         d_v = _mat_values(dk, shape)
         lam_uk = _mat_values(lam_j, shape, k)
         gamma = (lam_uk + lam_v @ d_v) @ lam_inv
@@ -489,8 +509,8 @@ class FrameField:
 # Lanes (points) per coefficient evaluation of a sweep: as many whole
 # segments as fit go in one call.  4,096 keeps a family segment of a
 # 21x21 lattice (4,053 points) in one call and a whole spine in one call
-# instead of 20.  On the roundtrip benchmark (2-core VM) 16,384 lanes ran
-# 1.48-1.53 s against 1.64-1.67 s, but at 108 MB peak RSS against 102 MB.
+# instead of 20; more lanes per call trade fewer calls for a larger peak
+# of the per-call jet arrays.
 SWEEP_LANES = 4096
 
 
@@ -513,12 +533,11 @@ def _rk4_sweep(sd, state, fixed, moving_nodes, axis, step):
     for first in range(0, n - 1, per_call):
         batch = ts[first:first + per_call]
         mesh = (batch.reshape(-1, 1), fixed[None, :])
-        d1aug, d2aug, lam = sd.aug_values(*(mesh if axis == 0 else mesh[::-1]))
-        daug = d1aug if axis == 0 else d2aug
+        daug, lam_row = sd.aug_values(*(mesh if axis == 0 else mesh[::-1]),
+                                      axis)
         A = np.zeros(daug.shape[:-2] + (4, 4))
         A[..., :3, :3] = np.swapaxes(daug, -1, -2)
-        A[..., 0, 3] = lam[..., axis, 0]
-        A[..., 1, 3] = lam[..., axis, 1]
+        A[..., :2, 3] = lam_row
         A = A.reshape(batch.shape + (m, 4, 4))
         for seg, As in enumerate(A, start=first):
             y = out[seg]

@@ -33,7 +33,8 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import InputError
 from .frame import Frontal, frontal_from_expressions
-from .reconstruct import GridField, StructureData, expr_entry, stack_blocks
+from .reconstruct import (GridField, StructureData, expr_entry, split_blocks,
+                          stack_blocks)
 
 SCHEMA_VERSION = 1
 
@@ -168,7 +169,7 @@ def structure_to_grids(sd: StructureData, shape=(33, 33)):
     u1, u2 = np.meshgrid(np.linspace(a1, b1, shape[0]),
                          np.linspace(a2, b2, shape[1]), indexing="ij")
     flat1, flat2 = u1.ravel(), u2.ravel()
-    d1, d2, h, s = sd.blocks(flat1, flat2, 0)
+    d1, d2, h, s = split_blocks(*sd.blocks(flat1, flat2, 0))
     matrices = {"Lambda": sd.lam(flat1, flat2, 0),
                 "I_Omega": sd.i_omega(flat1, flat2, 0),
                 "h": h, "D1": d1, "D2": d2, "S": s}

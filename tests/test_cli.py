@@ -528,6 +528,39 @@ def test_field_where_nothing_reads_it_is_input_error(command, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.json"]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["analyze", "--grid", "5x5"], "one of --entry NAME and --input FILE"),
+    (["reconstruct", "--grid", "5x5"],
+     "one of --entry NAME and --input FILE"),
+    (["analyze", "--entry", "plane", "--input", "{tmp}/missing.json",
+      "--grid", "5x5"], "one of --entry NAME and --input FILE"),
+    (["reconstruct", "--entry", "nonexistent", "--input", "{tmp}/flat.json",
+      "--grid", "5x5"], "one of --entry NAME and --input FILE"),
+    (["analyze", "--input", "{tmp}/para.json", "--grid", "5x5",
+      "--domain=0,1,0,1", "--h=u1"], "--domain, --h applies only to --entry"),
+    (["reconstruct", "--input", "{tmp}/flat.json", "--grid", "5x5",
+      "--c=7"], "--c applies only to --entry"),
+    (["export", "--input", "{tmp}/para.json", "--what", "surface",
+      "--grid", "5x5", "--a=2", "--out", "{tmp}/s.obj"],
+     "--a applies only to --entry"),
+], ids=["analyze-neither", "reconstruct-neither", "analyze-both",
+        "reconstruct-both", "analyze-domain-and-h", "reconstruct-c",
+        "export-a"])
+def test_source_is_one_entry_or_one_plain_file(command, message, tmp_path,
+                                               capsys):
+    # the source is --entry NAME or --input FILE, never both, and the
+    # catalog settings apply to an entry only; a refusal reads and
+    # writes nothing
+    write_report(tmp_path / "flat.json", flat_structure())
+    write_report(tmp_path / "para.json", PARABOLOID_FILE)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in command]
+    assert run(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.json",
+                                                          "para.json"]
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("entry", ["plane", "paraboloid", "ex-5.8",
                                        "ex-5.9", "ex-5.10"])

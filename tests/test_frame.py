@@ -337,7 +337,7 @@ class TestBundleCounts:
         sd = extract_structure(paraboloid, blaschke_field(paraboloid, (9, 9)))
         bundle_sizes.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_sizes == [5]
 
     def test_normal_extraction_builds_one_bundle(self, bundle_sizes,
@@ -345,7 +345,7 @@ class TestBundleCounts:
         sd = extract_structure(paraboloid, TransversalField.unit_normal())
         bundle_sizes.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_sizes == [5]
 
     def test_conormal_verify_builds_one_bundle(self, bundle_sizes,
@@ -448,7 +448,7 @@ class TestBundleCounts:
         sd = extract_structure(f, TransversalField.unit_normal())
         calls.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert calls == [("lam", 0)]
 
     # aug_values reads values only, so the symbols are asked for at order
@@ -457,7 +457,7 @@ class TestBundleCounts:
         sd = extract_structure(paraboloid, TransversalField.unit_normal())
         bundle_orders.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_orders == [1]
 
     # a constant field keeps every order, but gen-extendable-nc's Omega
@@ -468,14 +468,14 @@ class TestBundleCounts:
         sd = extract_structure(f, TransversalField.constant((0, 0, 1)))
         bundle_orders.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_orders == [2]
 
     def test_blaschke_values_build_order_2(self, bundle_orders, ex59):
         sd = extract_structure(ex59, blaschke_field(ex59, (9, 9)))
         bundle_orders.clear()
         u1 = np.linspace(0.1, 0.5, 5)
-        sd.aug_values(u1, 0.3 * u1 + 0.1)
+        sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_orders == [2]
 
     # analyze reads values and first derivatives; gen-extendable-nc's

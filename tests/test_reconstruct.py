@@ -1,5 +1,6 @@
 """Structure data: residuals, constructive extension, integration, alignment."""
 
+import json
 import math
 
 import numpy as np
@@ -9,16 +10,18 @@ from scipy.linalg import expm
 from conftest import UNGATED, random_unimodular, regular_points
 from frontal_lab import reconstruct
 from frontal_lab.blaschke import blaschke_field
+from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
                                 FrameDegenerate, InsufficientJetOrder,
                                 IntegrabilityViolated, RankDeficient)
-from frontal_lab.jets import Jet
+from frontal_lab.frame import frame_bundle
+from frontal_lab.jets import Jet, _mat_values
 from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
                                      apolarity_check, compat_residual,
                                      expr_entry, extend_D, extract_structure,
                                      integrability_residual, integrate_frame,
-                                     stack_blocks)
+                                     solver3_jet, stack_blocks)
 from frontal_lab.structio import read_structure_file, write_structure_file
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
@@ -192,7 +195,6 @@ class TestIntegrateFrame:
         sd = extract_structure(ex510, VERTICAL)
         ff = integrate_frame(sd, shape=(11, 11), step=2e-3)
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
-        from frontal_lab.frame import frame_bundle
         b = frame_bundle(ex510, U1, U2)
         W_true = np.stack([
             b.w1.values_on(U1.shape), b.w2.values_on(U1.shape),
@@ -211,7 +213,7 @@ class TestIntegrateFrame:
         sd = extract_structure(numeric, blaschke_field(numeric, (9, 9)))
         calls = []
         monkeypatch.setattr(StructureData, "aug_values",
-                            lambda self, u1, u2: calls.append(u1))
+                            lambda self, u1, u2, axis: calls.append(u1))
         with pytest.raises(InsufficientJetOrder, match="jet budget") as exc:
             integrate_frame(sd, shape=(9, 9))
         assert "order-1 structure jets need order-4" in str(exc.value)
@@ -240,7 +242,6 @@ class TestRoundTrips:
     def test_curved_data_from_an_off_node_basepoint(self, ex510):
         # W0 and p taken at a basepoint between the lattice nodes: the
         # rebuild reproduces x itself, not x shifted by the gap to a node
-        from frontal_lab.frame import frame_bundle
         sd = extract_structure(ex510, VERTICAL)
         q1, q2 = 0.13, -0.31
         b = frame_bundle(ex510, np.array([q1]), np.array([q2]), 0)
@@ -409,12 +410,11 @@ def per_segment_sweep(sd, state, fixed, moving_nodes, axis, step):
             uu1, uu2 = np.repeat(ts, m), np.tile(fixed, ts.size)
         else:
             uu1, uu2 = np.tile(fixed, ts.size), np.repeat(ts, m)
-        d1aug, d2aug, lam = sd.aug_values(uu1, uu2)
-        daug = d1aug if axis == 0 else d2aug
+        daug, lam_row = sd.aug_values(uu1, uu2, axis)
         A = np.zeros(uu1.shape + (4, 4))
         A[..., :3, :3] = np.swapaxes(daug, -1, -2)
-        A[..., 0, 3] = lam[..., axis, 0]
-        A[..., 1, 3] = lam[..., axis, 1]
+        A[..., 0, 3] = lam_row[..., 0]
+        A[..., 1, 3] = lam_row[..., 1]
         A = A.reshape(ts.size, m, 4, 4)
         y = out[seg]
         for i in range(nsub):
@@ -452,6 +452,135 @@ def _nan_where(mask):
     return entry
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _both_blocks(d1, d2, h, s):
+    """Both augmented blocks from one evaluation of (D1, D2, h, S), each
+    with the corner h[0][0] * 0.0: the blocks as assembled before a sweep
+    asked for one axis."""
+    zero = h[0][0] * 0.0
+    return ([[d1[0][0], d1[0][1], h[0][0]], [d1[1][0], d1[1][1], h[1][0]],
+             [-s[0][0], -s[0][1], zero]],
+            [[d2[0][0], d2[0][1], h[0][1]], [d2[1][0], d2[1][1], h[1][1]],
+             [-s[1][0], -s[1][1], zero]])
+
+
+def _six_solves(b, xj):
+    """(D1, D2, h, S) by six Cramer solves on the full jets of the bundle
+    and the field, every component of each."""
+    solve = solver3_jet(b.w1, b.w2, xj)
+    w = [[solve(wi.deriv(j)) for j in range(2)] for wi in (b.w1, b.w2)]
+    d1, d2 = [[[w[i][j][0], w[i][j][1]] for i in range(2)] for j in range(2)]
+    h = [[w[i][j][2] for j in range(2)] for i in range(2)]
+    s = [[-y for y in solve(xj.deriv(i))[:2]] for i in range(2)]
+    return d1, d2, h, s
+
+
+# an open mesh, like a sweep's, off the singular line u2 = 0 of ex-5.9;
+# at u2 < 0, h[0][0] and h[0][1] differ in sign, so the corner of A_2
+# tells h[0][0] * 0.0 from h[0][1] * 0.0
+_MESH = (np.linspace(-0.6, 0.6, 5)[:, None], np.array([[-0.45, 0.2, 0.45]]))
+
+
+def _assert_axis_values_are_bit_equal(sd, both, lam):
+    shape = np.broadcast_shapes(*(np.shape(u) for u in _MESH))
+    for axis in (0, 1):
+        block, lam_row = sd.aug_values(*_MESH, axis)
+        assert np.array_equal(_bits(block),
+                              _bits(_mat_values(both()[axis], shape)))
+        assert np.array_equal(_bits(lam_row),
+                              _bits(_mat_values(lam, shape)[..., axis, :]))
+
+
+class TestPerAxisBlocks:
+    # a sweep along u_j reads A_j alone, solved on jets truncated to the
+    # order it reads; jet arithmetic is graded, so the values keep every
+    # bit of the blocks assembled from both axes on the full jets
+    @pytest.mark.parametrize("name, field", [
+        ("ex-5.9", "blaschke"), ("ex-5.9", "normal"), ("ex-5.9", "vertical"),
+        ("gen-extendable-nc", "normal"), ("gen-extendable-nc", "vertical")])
+    def test_extracted_values_match_six_full_solves(self, name, field,
+                                                    monkeypatch):
+        f = get_entry(name).build()
+        xi_field = {"blaschke": lambda: blaschke_field(f, (9, 9)),
+                    "normal": TransversalField.unit_normal,
+                    "vertical": lambda: VERTICAL}[field]()
+        xi = (xi_field.as_transversal() if field == "blaschke"
+              else xi_field)
+        sd = extract_structure(f, xi_field)
+        bundles = []
+
+        def recorded(*args):
+            bundles.append(frame_bundle(*args))
+            return bundles[-1]
+
+        monkeypatch.setattr(reconstruct, "frame_bundle", recorded)
+
+        def both():
+            b = bundles[-1]
+            return _both_blocks(*_six_solves(b, xi.jets(b)))
+
+        _assert_axis_values_are_bit_equal(sd, both, sd.lam(*_MESH, 0))
+
+    @pytest.mark.parametrize("kind", ["grid", "expr"])
+    def test_file_values_match_both_blocks(self, kind, ex510, tmp_path):
+        path = tmp_path / "s.json"
+        if kind == "grid":
+            write_structure_file(path, extract_structure(ex510, VERTICAL),
+                                 (9, 9))
+        else:
+            entries = {"Lambda": ["1", "u1", "0", "1 + u2^2"],
+                       "I_Omega": ["1", "0", "0", "1"],
+                       "D1": ["u1*u2", "1/2", "-u2", "0"],
+                       "D2": ["0", "u1^2", "1", "-u1"],
+                       "h": ["1", "u2/3", "u2/3", "-1"],
+                       "S": ["u1", "0", "1/4", "u2"], "phi": ["1"]}
+            path.write_text(json.dumps({
+                "schema_version": 1, "domain": [-1.0, 1.0, -1.0, 1.0],
+                "basepoint": [0.0, 0.0], "W0": np.eye(3).tolist(),
+                "p": [0.0, 0.0, 0.0],
+                "entries": {k: {"expr": v} for k, v in entries.items()}}))
+        sd = read_structure_file(path)
+        doc = json.loads(path.read_text())
+
+        def entry(name):
+            spec = doc["entries"][name]
+            if kind == "expr":
+                return expr_entry(spec["expr"])
+            grid = spec["grid"]
+            return GridField(doc["domain"], np.reshape(
+                grid["values"], (4, grid["nx"], grid["ny"])))
+
+        d1, d2, h, s, lam = (entry(name)(*_MESH, 0)
+                             for name in ("D1", "D2", "h", "S", "Lambda"))
+        _assert_axis_values_are_bit_equal(
+            sd, lambda: _both_blocks(d1, d2, h, s), lam)
+
+    def test_a_sweep_evaluates_only_its_own_connection_symbols(self):
+        calls = []
+
+        def counted(name, entry):
+            def evaluate(u1, u2, order):
+                calls.append(name)
+                return entry(u1, u2, order)
+            return evaluate
+
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4)
+        zero = expr_entry(["0"] * 4)
+        sd.blocks = stack_blocks(
+            counted("D1", expr_entry(["0", "1/2", "0", "0"])),
+            counted("D2", expr_entry(["0", "0", "u1", "0"])), zero, zero)
+        state = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
+        nodes = np.linspace(-1.0, 1.0, 5)
+        for axis, name in ((0, "D1"), (1, "D2")):
+            calls.clear()
+            reconstruct._rk4_sweep(sd, state, np.array([0.3]), nodes, axis,
+                                   1e-2)
+            assert calls and set(calls) == {name}
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
     def test_matches_per_segment_sweep(self, source, ex59, file_backed_sd,
@@ -487,9 +616,9 @@ class TestBatchedSweep:
         sizes = []
         aug_values = StructureData.aug_values
 
-        def counted(self, u1, u2):
+        def counted(self, u1, u2, axis):
             sizes.append(np.broadcast(u1, u2).size)
-            return aug_values(self, u1, u2)
+            return aug_values(self, u1, u2, axis)
 
         monkeypatch.setattr(StructureData, "aug_values", counted)
         integrate_frame(sd, (21, 21), step=1e-3)

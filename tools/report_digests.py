@@ -46,6 +46,11 @@ input error).  Then `analyze --out`, surface export (with the quartic
 potential of ex-5.10), `blaschke` and `check` on the gen-rank1-wavefront
 generator, and a `--field` given where nothing reads it (an input
 error): to `reconstruct --input` and to `export --what surface|field`.
+Then reconstruction with a constant field (ex-5.9, and gen-extendable-nc,
+whose Omega carries one order less) and with the unit normal (the
+gen-rank1-wavefront generator), and the sources the CLI refuses: neither
+--entry nor --input, both, and --domain or a generator parameter with
+--input.
 """
 
 from __future__ import annotations
@@ -250,6 +255,27 @@ def command_list():
          "--field", "nonsense", "--grid", "5x5", "--out", "{out}/field.obj"],
         ["export", "--entry", "paraboloid", "--what", "field",
          "--field", "normal", "--grid", "5x5", "--out", "{out}/field.csv"],
+    )]
+    cmds += [
+        ("ex59-reconstruct-0,0,1",
+         ["reconstruct", "--entry", "ex-5.9", "--field=0,0,1", "--grid",
+          "9x9", "--out", "{out}"]),
+        ("nc-reconstruct-0,0,1",
+         ["reconstruct", "--entry", "gen-extendable-nc", "--field=0,0,1",
+          "--grid", "3x3", "--out", "{out}"]),
+        ("rank1-reconstruct-normal",
+         ["reconstruct", *rank1, "--field", "normal", "--grid", "5x5",
+          "--out", "{out}"]),
+    ]
+    cmds += [("typed-failure", argv) for argv in (
+        ["analyze", "--grid", "5x5"],
+        ["analyze", "--entry", "plane", "--input", "{out}/missing.json",
+         "--grid", "5x5"],
+        ["reconstruct", "--entry", "nonexistent", "--input", "{offnode}",
+         "--grid", "5x5"],
+        ["analyze", "--input", "{nolam}", "--grid", "5x5",
+         "--domain=0,1,0,1", "--h=u1"],
+        ["reconstruct", "--input", "{offnode}", "--grid", "5x5", "--c=7"],
     )]
     return cmds
 
