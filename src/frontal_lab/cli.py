@@ -26,7 +26,8 @@ from .blaschke import blaschke_field, blaschke_verify
 from .config import Config, load_config
 from .equiaffine import TransversalField, structure_from_field
 from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
-                     InputError, UnknownIdentifier, VerificationError)
+                     InputError, RankDeficient, UnknownIdentifier,
+                     VerificationError)
 from .frame import (frame_bundle, nonparabolic_test, singular_scan,
                     wavefront_test)
 from .jets import Jet, _mat_values, triple_product_jet
@@ -303,19 +304,34 @@ def cmd_reconstruct(args):
     if f is not None:
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         x_true = f.x(U1, U2, 0).values_on(U1.shape)
-        L, a, sup = affine_align(ff.x, x_true)
-        report["alignment"] = {"sup_error": sup, "tolerance": 1e-4,
-                               "L": L.tolist(), "a": a.tolist()}
+        try:
+            L, a, sup = affine_align(ff.x, x_true)
+        except RankDeficient as err:
+            # a planar surface rebuilds into a plane: every gate passed,
+            # only the comparison has no unique affine map to report
+            report["alignment"] = {
+                "unique_fit": False,
+                "reason": f"{err}: the reconstructed nodes lie in a plane, "
+                          f"so no unique affine map carries them onto the "
+                          f"original"}
+        else:
+            report["alignment"] = {"sup_error": sup, "tolerance": 1e-4,
+                                   "L": L.tolist(), "a": a.tolist()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "reconstruct.json"),
                               report)
         structio.export_obj(os.path.join(args.out, "reconstructed.obj"),
                             ff.x)
+    alignment = report.get("alignment", {})
+    if "sup_error" in alignment:
+        aligned = f"aligned sup={alignment['sup_error']:.3e}"
+    elif alignment:
+        aligned = f"no unique alignment: {alignment['reason']}"
+    else:
+        aligned = ""
     sys.stdout.write(structio.report_json(report) if args.json else
-                     f"reconstructed: audit={ff.discrepancy:.3e} "
-                     + (f"aligned sup={report['alignment']['sup_error']:.3e}\n"
-                        if "alignment" in report else "\n"))
+                     f"reconstructed: audit={ff.discrepancy:.3e} {aligned}\n")
     return EXIT_OK
 
 

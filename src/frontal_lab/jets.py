@@ -210,12 +210,18 @@ class Jet:
             raise TypeError("jet ** exponent must be an integer; use powf")
         if n < 0:
             return (1.0 / self) ** (-n)
-        result = Jet.constant(np.ones(np.shape(self.value)), self.order)
+        if n < 2:
+            one = Jet.constant(np.ones(np.shape(self.value)), self.order)
+            return one * self if n else one
+        # the first factor, not a constant one, starts the product: the
+        # result is still a genuine product, whose accumulation from 0.0
+        # signs every zero as a product with one first would
+        result = None
         base = self
         k = n
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result

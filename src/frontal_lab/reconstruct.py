@@ -25,11 +25,15 @@ of each axis asked for.  A sweep along u_j reads A_j alone; the
 residuals, the block extension and the export read both axes at one
 point set, with one call.
 
-A sweep knows all of its abscissae before it takes a step, so it samples
-the coefficients of as many whole lattice segments as fit in
-SWEEP_LANES lanes with one call, on the open mesh (substep abscissae) x
-(lanes); grid entries evaluate an open mesh with one spline grid call
-per component and partial.
+The two sweep orders march together: one RK4 loop carries both spines
+(the rows lattice's along u2 and the columns lattice's along u1, up and
+down from the basepoint's node) and a second one both families, each
+lane with its own step, wherever the sweeps share a node count and a
+substep count.  A sweep knows all of its abscissae before it takes a
+step, so each sweep still samples its own coefficients, as many whole
+lattice segments as fit in SWEEP_LANES lanes with one call, on the open
+mesh (substep abscissae) x (lanes); grid entries evaluate an open mesh
+with one spline grid call per component and partial.
 """
 
 from __future__ import annotations
@@ -506,31 +510,23 @@ class FrameField:
     row_identity: float
 
 
-# Lanes (points) per coefficient evaluation of a sweep: as many whole
+# Lanes (points) per coefficient evaluation of one sweep: as many whole
 # segments as fit go in one call.  4,096 keeps a family segment of a
 # 21x21 lattice (4,053 points) in one call and a whole spine in one call
 # instead of 20; more lanes per call trade fewer calls for a larger peak
-# of the per-call jet arrays.
+# of the per-call jet arrays.  Sweeps that march together still sample
+# apart, each with its own calls.
 SWEEP_LANES = 4096
 
 
-def _rk4_sweep(sd, state, fixed, moving_nodes, axis, step):
-    """March `state` (m, 3, 4) along `moving_nodes` starting at its first
-    entry, with the other coordinate fixed per lane; returns states at
-    every node, (n_nodes, m, 3, 4)."""
-    m = state.shape[0]
-    n = moving_nodes.size
-    out = np.empty((n,) + state.shape)
-    out[0] = state
-    if n == 1:
-        return out
-    delta = moving_nodes[1] - moving_nodes[0]
-    nsub = max(1, int(math.ceil(abs(delta) / step)))
-    h = delta / nsub
-    # (n - 1, 2 nsub + 1) abscissae of every segment's substeps, by h/2
-    ts = moving_nodes[:-1, None] + 0.5 * h * np.arange(2 * nsub + 1)
+def _segment_blocks(sd, fixed, ts, axis):
+    """Yield, segment by segment, the (2 nsub + 1, m, 4, 4) RK4 matrices
+    [[A_axis^T, Lambda row^T], [0, 0]] of one sweep along u_axis whose
+    substep abscissae are the rows of `ts`, with the other coordinate
+    `fixed` per lane."""
+    m = fixed.size
     per_call = max(1, SWEEP_LANES // (ts.shape[1] * m))
-    for first in range(0, n - 1, per_call):
+    for first in range(0, len(ts), per_call):
         batch = ts[first:first + per_call]
         mesh = (batch.reshape(-1, 1), fixed[None, :])
         daug, lam_row = sd.aug_values(*(mesh if axis == 0 else mesh[::-1]),
@@ -538,49 +534,52 @@ def _rk4_sweep(sd, state, fixed, moving_nodes, axis, step):
         A = np.zeros(daug.shape[:-2] + (4, 4))
         A[..., :3, :3] = np.swapaxes(daug, -1, -2)
         A[..., :2, 3] = lam_row
-        A = A.reshape(batch.shape + (m, 4, 4))
-        for seg, As in enumerate(A, start=first):
-            y = out[seg]
+        yield from A.reshape(batch.shape + (m, 4, 4))
+
+
+def _march(sd, sweeps, step):
+    """RK4 sweeps, each `(state, fixed, nodes, axis)`: march `state`
+    (m, 3, 4) along `nodes` from its first entry, with the other
+    coordinate fixed per lane.  Returns the states at every node of each
+    sweep, (n_nodes, m, 3, 4), in order.
+
+    Sweeps with the same node count and substep count march their lanes
+    together in one loop; each lane carries its own step, so the
+    operations on a lane are those of a sweep marched alone."""
+    out = [state[None] for state, *_ in sweeps]
+    groups = {}
+    for i, (_, _, nodes, _) in enumerate(sweeps):
+        if nodes.size > 1:
+            nsub = max(1, int(math.ceil(abs(nodes[1] - nodes[0]) / step)))
+            groups.setdefault((nodes.size, nsub), []).append(i)
+    for (n, nsub), members in groups.items():
+        hs, segments = [], []
+        for i in members:
+            state, fixed, nodes, axis = sweeps[i]
+            h = (nodes[1] - nodes[0]) / nsub
+            hs.append(np.full(state.shape[0], h))
+            # (n - 1, 2 nsub + 1) abscissae of every segment's substeps,
+            # by h/2
+            ts = nodes[:-1, None] + 0.5 * h * np.arange(2 * nsub + 1)
+            segments.append(_segment_blocks(sd, fixed, ts, axis))
+        h = np.concatenate(hs)[:, None, None]
+        half, sixth = 0.5 * h, h / 6.0
+        Y = np.empty((n, h.size, 3, 4))
+        y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
+        for seg, blocks in enumerate(zip(*segments), start=1):
+            A = np.concatenate(blocks, axis=1)
             for i in range(nsub):
-                a0, a1, a2 = As[2 * i], As[2 * i + 1], As[2 * i + 2]
+                a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
                 k1 = y @ a0
-                k2 = (y + 0.5 * h * k1) @ a1
-                k3 = (y + 0.5 * h * k2) @ a1
+                k2 = (y + half * k1) @ a1
+                k3 = (y + half * k2) @ a1
                 k4 = (y + h * k3) @ a2
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[seg + 1] = y
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Y[seg] = y
+        lanes = np.cumsum([sweeps[i][0].shape[0] for i in members])
+        for i, part in zip(members, np.split(Y, lanes[:-1], axis=1)):
+            out[i] = part
     return out
-
-
-def _integrate_lattice(sd: StructureData, u1_nodes, u2_nodes, step,
-                       spine_axis):
-    """March from the basepoint to its nearest node (along u1, then u2;
-    no step along an axis where the basepoint is on a node), a spine
-    along `spine_axis` from that node, then sweeps of the whole family of
-    lanes along the other axis, both directions."""
-    nodes = (u1_nodes, u2_nodes)
-    base = [int(np.argmin(np.abs(t - q))) for t, q in zip(nodes, sd.basepoint)]
-    state0 = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
-    for axis, fixed in ((0, sd.basepoint[1]), (1, u1_nodes[base[0]])):
-        start, node = sd.basepoint[axis], nodes[axis][base[axis]]
-        if start != node:
-            state0 = _rk4_sweep(sd, state0, np.array([fixed]),
-                                np.array([start, node]), axis, step)[-1]
-
-    def both_ways(state, fixed, axis):
-        """States at every node of `axis`, marched up and down from the
-        base node: (n_axis, m, 3, 4)."""
-        k, t = base[axis], nodes[axis]
-        out = np.empty((t.size,) + state.shape)
-        out[k:] = _rk4_sweep(sd, state, fixed, t[k:], axis, step)
-        out[k::-1] = _rk4_sweep(sd, state, fixed, t[k::-1], axis, step)
-        return out
-
-    other = 1 - spine_axis
-    spine = both_ways(state0, nodes[other][base[other]:base[other] + 1],
-                      spine_axis)[:, 0]
-    Y = both_ways(spine, nodes[spine_axis], other)
-    return Y if other == 0 else np.moveaxis(Y, 0, 1)
 
 
 def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
@@ -588,13 +587,16 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     """Integrate the frame and the carried position over a node lattice.
 
     The compatibility and integrability residuals are evaluated once, on
-    the regular nodes of the lattice, before the sweeps.  The row-major
-    and column-major sweeps then run, and their disagreement is the path
-    audit.  The gates, in order, each failed by a NaN: the compatibility
-    residual (CompatibilityViolated), det W collapsing or flipping sign
-    (FrameDegenerate), the frame audit (CompatibilityViolated), the
-    integrability residuals and the position audit
-    (IntegrabilityViolated).
+    the regular nodes of the lattice, before the sweeps.  Two lattices
+    are then marched from the basepoint's node: rows (a spine along u2,
+    then the rows along u1) and columns (a spine along u1, then the
+    columns along u2), both spines in one march and both families in
+    another.  The rows lattice is the result, and its disagreement with
+    the columns lattice is the path audit.  The gates, in order, each
+    failed by a NaN: the compatibility residual (CompatibilityViolated),
+    det W collapsing or flipping sign (FrameDegenerate), the frame audit
+    (CompatibilityViolated), the integrability residuals and the
+    position audit (IntegrabilityViolated).
     """
     step = step or config.rk4_step
     a1, b1, a2, b2 = sd.domain
@@ -608,8 +610,39 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
             f"compatibility residual {compat:.2e} exceeds "
             f"{config.tol_compat * scale:.2e} before integration")
 
-    Y_rows = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=1)
-    Y_cols = _integrate_lattice(sd, u1_nodes, u2_nodes, step, spine_axis=0)
+    nodes = (u1_nodes, u2_nodes)
+    base = [int(np.argmin(np.abs(t - q))) for t, q in zip(nodes, sd.basepoint)]
+    state = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
+    # from the basepoint to its nearest node, along u1 and then u2; no
+    # step along an axis where the basepoint is on a node
+    for axis, fixed in ((0, sd.basepoint[1]), (1, u1_nodes[base[0]])):
+        start, node = sd.basepoint[axis], nodes[axis][base[axis]]
+        if start != node:
+            state = _march(sd, [(state, np.array([fixed]),
+                                 np.array([start, node]), axis)], step)[0][-1]
+
+    def both_ways(state, fixed, axis):
+        """The sweeps up and down `axis` from the base node."""
+        k, t = base[axis], nodes[axis]
+        return [(state, fixed, t[k:], axis), (state, fixed, t[k::-1], axis)]
+
+    def joined(up, down, axis):
+        """The states of both sweeps of `axis` at every node of it."""
+        k = base[axis]
+        Y = np.empty((nodes[axis].size,) + up.shape[1:])
+        Y[k:] = up
+        Y[k::-1] = down
+        return Y
+
+    # rows lattice first in each march, then columns
+    spines = _march(sd, both_ways(state, u1_nodes[base[0]:base[0] + 1], 1)
+                    + both_ways(state, u2_nodes[base[1]:base[1] + 1], 0),
+                    step)
+    families = _march(
+        sd, both_ways(joined(*spines[:2], 1)[:, 0], u2_nodes, 0)
+        + both_ways(joined(*spines[2:], 0)[:, 0], u1_nodes, 1), step)
+    Y_rows = joined(*families[:2], 0)
+    Y_cols = np.moveaxis(joined(*families[2:], 1), 0, 1)
     W = Y_rows[..., :3]
     disc_w = float(np.max(np.abs(Y_rows[..., :3] - Y_cols[..., :3])))
     disc_x = float(np.max(np.abs(Y_rows[..., 3] - Y_cols[..., 3])))

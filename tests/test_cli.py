@@ -163,6 +163,21 @@ class TestReconstructCommand:
         assert doc["path_audit"]["frame"] < 1e-4
         assert (out / "reconstructed.obj").exists()
 
+    @pytest.mark.parametrize("field", ["normal", "0,0,1"])
+    def test_plane_reports_no_unique_alignment(self, field, tmp_path,
+                                               capsys):
+        # the plane rebuilds into a plane and passes every gate; only the
+        # comparison with the original has no unique affine map to fit
+        out = tmp_path / "rc"
+        assert run(["reconstruct", "--entry", "plane", "--field", field,
+                    "--grid", "5x5", "--out", str(out)]) == 0
+        assert "no unique alignment: source points are affinely degenerate" \
+            in capsys.readouterr().out
+        doc = json.loads((out / "reconstruct.json").read_text())
+        assert doc["alignment"]["unique_fit"] is False
+        assert "sup_error" not in doc["alignment"]
+        assert doc["path_audit"]["frame"] < 1e-4
+
     def test_structure_file_round_trip(self, tmp_path, capsys):
         # expression-backed structure file for the trivial flat data
         doc = {

@@ -392,11 +392,11 @@ class TestBundleCounts:
         built = []
         _record_bundles(monkeypatch,
                         lambda b, u1: built.append((int(np.size(u1)), b.order)))
-        lattice = reconstruct._integrate_lattice
+        march = reconstruct._march
 
         def marked(*args, **kwargs):
             built.append("sweep")
-            out = lattice(*args, **kwargs)
+            out = march(*args, **kwargs)
             built.append("done")
             return out
 
@@ -407,7 +407,7 @@ class TestBundleCounts:
             samples.append(args)
             return sample(self, *args)
 
-        monkeypatch.setattr(reconstruct, "_integrate_lattice", marked)
+        monkeypatch.setattr(reconstruct, "_march", marked)
         monkeypatch.setattr(reconstruct.StructureData, "regular_sample",
                             counted)
         assert cli.main(["reconstruct", "--entry", "paraboloid", "--field",

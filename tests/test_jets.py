@@ -106,6 +106,58 @@ def jet_strategy(order=3):
         lambda cs: Jet(order, [np.asarray(c) for c in cs]))
 
 
+def power_from_one(jet, n):
+    """Reference integer power: square-and-multiply from a constant-one
+    jet, so the first factor costs a product with one."""
+    result = Jet.constant(np.ones(np.shape(jet.value)), jet.order)
+    base = jet
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _random_jet(rng, order, values, lanes=64):
+    # coefficients drawn from `values` and from uniform noise, so signed
+    # zeros, exact cancellations and generic products all occur
+    return Jet(order, [np.where(rng.random(lanes) < 0.5,
+                                rng.choice(values, lanes),
+                                rng.uniform(-2.0, 2.0, lanes))
+                       for _ in INDICES[order]])
+
+
+class TestIntegerPower:
+    @pytest.mark.parametrize("order", range(4))
+    def test_finite_lanes_match_the_product_from_one(self, order):
+        rng = np.random.default_rng(order)
+        jet = _random_jet(rng, order, [0.0, -0.0, 1.0, -1.0, 0.5])
+        for n in range(13):
+            got, ref = jet ** n, power_from_one(jet, n)
+            for a, b in zip(got.coeffs, ref.coeffs):
+                a, b = np.broadcast_arrays(a, b)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("order", range(1, 4))
+    def test_non_finite_lanes_keep_the_value(self, order):
+        # a derivative coefficient may turn from inf to NaN or back, but
+        # never between finite and not, and the value keeps every bit
+        rng = np.random.default_rng(10 + order)
+        jet = _random_jet(rng, order, [np.inf, -np.inf, np.nan, 0.0, -0.0])
+        for n in range(2, 13):
+            got, ref = jet ** n, power_from_one(jet, n)
+            assert np.array_equal(got.value.view(np.int64),
+                                  ref.value.view(np.int64))
+            for a, b in zip(got.coeffs, ref.coeffs):
+                finite = np.isfinite(b)
+                assert np.array_equal(np.isfinite(a), finite)
+                assert np.array_equal(a[finite].view(np.int64),
+                                      b[finite].view(np.int64))
+
+
 class TestRingAxioms:
     @given(jet_strategy(), jet_strategy(), jet_strategy())
     @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Structure data: residuals, constructive extension, integration, alignment."""
 
+import dataclasses
 import json
 import math
 
@@ -428,6 +429,52 @@ def per_segment_sweep(sd, state, fixed, moving_nodes, axis, step):
     return out
 
 
+def per_lattice_reference(sd, shape, step):
+    """Reference integration: the rows lattice and then the columns
+    lattice, each marched to the basepoint's node, down a spine and then
+    across the family, one per_segment_sweep at a time.  Returns the
+    frame, the position and the two path audits as integrate_frame
+    computes them, which must match them bit for bit."""
+    a1, b1, a2, b2 = sd.domain
+    nodes = (np.linspace(a1, b1, shape[0]), np.linspace(a2, b2, shape[1]))
+    base = [int(np.argmin(np.abs(t - q))) for t, q in zip(nodes, sd.basepoint)]
+
+    def both_ways(state, fixed, axis):
+        k, t = base[axis], nodes[axis]
+        out = np.empty((t.size,) + state.shape)
+        out[k:] = per_segment_sweep(sd, state, fixed, t[k:], axis, step)
+        out[k::-1] = per_segment_sweep(sd, state, fixed, t[k::-1], axis, step)
+        return out
+
+    def lattice(spine_axis):
+        state = np.concatenate([sd.W0, sd.p[:, None]], axis=1)[None, ...]
+        for axis, fixed in ((0, sd.basepoint[1]), (1, nodes[0][base[0]])):
+            start, node = sd.basepoint[axis], nodes[axis][base[axis]]
+            if start != node:
+                state = per_segment_sweep(sd, state, np.array([fixed]),
+                                          np.array([start, node]), axis,
+                                          step)[-1]
+        other = 1 - spine_axis
+        spine = both_ways(state, nodes[other][base[other]:base[other] + 1],
+                          spine_axis)[:, 0]
+        Y = both_ways(spine, nodes[spine_axis], other)
+        return Y if other == 0 else np.moveaxis(Y, 0, 1)
+
+    rows, cols = lattice(1), lattice(0)
+    return (rows[..., :3], rows[..., 3],
+            float(np.max(np.abs(rows[..., :3] - cols[..., :3]))),
+            float(np.max(np.abs(rows[..., 3] - cols[..., 3]))))
+
+
+def assert_matches_reference(ff, ref):
+    W, x, disc_w, disc_x = ref
+    for got, want in ((ff.W, W), (ff.x, x), (ff.discrepancy, disc_w),
+                      (ff.x_discrepancy, disc_x)):
+        got, want = np.asarray(got, dtype=float), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.fixture(scope="module")
 def file_backed_sd(ex510, tmp_path_factory):
     path = tmp_path_factory.mktemp("structure") / "s.json"
@@ -576,36 +623,63 @@ class TestPerAxisBlocks:
         nodes = np.linspace(-1.0, 1.0, 5)
         for axis, name in ((0, "D1"), (1, "D2")):
             calls.clear()
-            reconstruct._rk4_sweep(sd, state, np.array([0.3]), nodes, axis,
-                                   1e-2)
+            reconstruct._march(sd, [(state, np.array([0.3]), nodes, axis)],
+                               1e-2)
             assert calls and set(calls) == {name}
 
 
 class TestBatchedSweep:
+    @pytest.fixture(scope="class")
+    def ex59_sd(self, ex59):
+        return extract_structure(ex59, blaschke_field(ex59, (21, 21)))
+
     @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
-    def test_matches_per_segment_sweep(self, source, ex59, file_backed_sd,
+    def test_matches_per_segment_sweep(self, source, ex59_sd, file_backed_sd,
                                        monkeypatch):
-        if source == "file":
-            sd = file_backed_sd
-        else:
-            sd = extract_structure(ex59, blaschke_field(ex59, (21, 21)))
-
-        def run():
-            return integrate_frame(sd, shape=(9, 9), step=1e-2,
-                                   config=UNGATED)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(reconstruct, "_rk4_sweep", per_segment_sweep)
-            ref = run()
+        sd = file_backed_sd if source == "file" else ex59_sd
+        ref = per_lattice_reference(sd, (9, 9), 1e-2)
         # one segment per call, several, and the module's lane bound
         for lanes in (1, 1000, reconstruct.SWEEP_LANES):
             monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
-            ff = run()
-            assert np.array_equal(ff.W, ref.W)
-            assert np.array_equal(ff.x, ref.x)
-            assert ff.discrepancy == ref.discrepancy
-            assert ff.x_discrepancy == ref.x_discrepancy
-            assert ff.min_det == ref.min_det
+            ff = integrate_frame(sd, shape=(9, 9), step=1e-2,
+                                 config=UNGATED)
+            assert_matches_reference(ff, ref)
+            assert ff.min_det == float(np.min(np.abs(np.linalg.det(ref[0]))))
+
+    # the lanes of both lattices march together where their sweeps have
+    # the same node count and substep count, and apart where they do
+    # not: non-square lattices (on ex-5.9's square domain, a 9-node axis
+    # takes 24 substeps a segment at this step and a 13-node axis 16), a
+    # basepoint between the nodes (a march to its node, then up and down
+    # sweeps of unequal lengths), one at the middle node (up and down
+    # sweeps of equal lengths march together with opposite steps), and a
+    # single row or column
+    @pytest.mark.parametrize("shape, basepoint", [
+        ((9, 13), None), ((13, 9), None), ((15, 11), (0.13, -0.21)),
+        ((9, 9), "middle"), ((1, 9), (0.13, -0.21)), ((9, 1), None)],
+        ids=["9x13", "13x9", "15x11-interior", "9x9-middle", "1x9-interior",
+             "9x1"])
+    @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
+    def test_matches_per_lattice_reference(self, source, shape, basepoint,
+                                           ex59_sd, file_backed_sd):
+        sd = file_backed_sd if source == "file" else ex59_sd
+        if basepoint == "middle":
+            a1, b1, a2, b2 = sd.domain
+            basepoint = (np.linspace(a1, b1, 9)[4], np.linspace(a2, b2, 9)[4])
+        if basepoint is not None:
+            sd = dataclasses.replace(sd, basepoint=basepoint)
+        ff = integrate_frame(sd, shape=shape, step=1e-2, config=UNGATED)
+        assert_matches_reference(ff, per_lattice_reference(sd, shape, 1e-2))
+
+    def test_rectangular_domain_matches_per_lattice_reference(self):
+        # a 7x11 lattice of a 1.6 x 0.8 domain: the u1 and u2 segments
+        # take different substep counts (26 and 8 at this step)
+        f = get_entry("gen-rank1-wavefront",
+                      {"domain": (-0.8, 0.8, -0.4, 0.4)}).build()
+        sd = extract_structure(f, TransversalField.unit_normal())
+        ff = integrate_frame(sd, shape=(7, 11), step=1e-2, config=UNGATED)
+        assert_matches_reference(ff, per_lattice_reference(sd, (7, 11),
+                                                           1e-2))
 
     def test_sweeps_sample_whole_segments(self, monkeypatch):
         # 21x21 lattice, 193 abscissae per segment: each family segment

@@ -50,7 +50,13 @@ Then reconstruction with a constant field (ex-5.9, and gen-extendable-nc,
 whose Omega carries one order less) and with the unit normal (the
 gen-rank1-wavefront generator), and the sources the CLI refuses: neither
 --entry nor --input, both, and --domain or a generator parameter with
---input.
+--input.  Last come reconstructions whose sweeps march apart or together
+in other ways: gen-rank1-wavefront on a rectangular domain (its axes
+take different substep counts), ex-5.9 on a 13x9 lattice, and the
+ex-5.10 structure export with its basepoint moved between the nodes
+(up and down sweeps of unequal lengths) on a 15x11 and a 1x9 lattice;
+and the plane, whose rebuild lies in a plane and has no unique
+alignment with the original.
 """
 
 from __future__ import annotations
@@ -135,6 +141,12 @@ BASEPOINT_OFF_NODE = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
                           basepoint=[0.52, 0.52])
 BASEPOINT_OUTSIDE = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
                          basepoint=[5.0, -3.0])
+# The ex-5.10 structure export (vertical field, 17x17) with its basepoint
+# moved from the corner to an interior point off the lattice nodes,
+# written to OUTDIR/interior-basepoint.json ("{interior}" in argv).
+INTERIOR_EXPORT = ["export", "--entry", "ex-5.10", "--what", "structure",
+                   "--field=0,0,1", "--grid", "17x17"]
+INTERIOR_BASEPOINT = [0.13, -0.21]
 
 
 def command_list():
@@ -277,6 +289,23 @@ def command_list():
          "--domain=0,1,0,1", "--h=u1"],
         ["reconstruct", "--input", "{offnode}", "--grid", "5x5", "--c=7"],
     )]
+    cmds += [
+        ("rank1-rect-reconstruct-normal",
+         ["reconstruct", *rank1, "--field", "normal", "--grid", "7x11",
+          "--domain=-0.8,0.8,-0.4,0.4", "--out", "{out}"]),
+        ("ex59-reconstruct-0,0,1-13x9",
+         ["reconstruct", "--entry", "ex-5.9", "--field=0,0,1", "--grid",
+          "13x9", "--out", "{out}"]),
+        ("interior-basepoint",
+         ["reconstruct", "--input", "{interior}", "--grid", "15x11",
+          "--out", "{out}/15x11"]),
+        ("interior-basepoint",
+         ["reconstruct", "--input", "{interior}", "--grid", "1x9",
+          "--out", "{out}/1x9"]),
+        ("plane-reconstruct-normal",
+         ["reconstruct", "--entry", "plane", "--field", "normal", "--grid",
+          "5x5"]),
+    ]
     return cmds
 
 
@@ -335,6 +364,14 @@ def main(argv=None):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    files["{interior}"] = os.path.join(outdir, "interior-basepoint.json")
+    rc, _, stderr = run(cli, INTERIOR_EXPORT + ["--out", files["{interior}"]])
+    if rc != 0:
+        sys.exit(f"structure export for {{interior}} failed: {rc} {stderr}")
+    with open(files["{interior}"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(files["{interior}"], "w", encoding="utf-8") as fh:
+        json.dump(dict(doc, basepoint=INTERIOR_BASEPOINT), fh)
     for group, template in command_list():
         out = os.path.join(outdir, group)
         os.makedirs(out, exist_ok=True)
