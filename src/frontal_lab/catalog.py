@@ -227,19 +227,26 @@ def _zero_integral(upper, var):
                              else plus for (i, j) in INDICES[upper.order]])
 
 
-def _identically_zero(ast):
-    """True when a parsed profile simplifies to the constant 0 (+0 or -0)
-    and holds no division, square root, exponential or negative power:
-    evaluating one of those could fail or overflow, as in 0*(1/u2) at
-    u2 = 0, where the integral that the zero skips would have failed."""
+def _identically_zero(ast, domain):
+    """True when a parsed profile simplifies to the constant 0 (+0 or -0),
+    holds no division, square root, exponential or negative power, and
+    evaluates to an exact 0 on a 3 x 3 grid over `domain`, corners
+    included.  Evaluating the profile could fail or overflow, as in
+    0*(1/u2) at u2 = 0 or 0*(1e300*u2*1e300) (NaN off u2 = 0), where the
+    integral that the zero skips would have failed."""
     node = expr_mod.simplify(ast)
     if not (isinstance(node, expr_mod.Num) and node.value == 0.0):
         return False
-    return not any((isinstance(n, expr_mod.Bin) and n.op == "/")
-                   or (isinstance(n, expr_mod.Unary)
-                       and n.op in ("sqrt", "exp"))
-                   or (isinstance(n, expr_mod.Pow) and n.exponent < 0)
-                   for n in expr_mod._nodes(ast))
+    if any((isinstance(n, expr_mod.Bin) and n.op == "/")
+           or (isinstance(n, expr_mod.Unary) and n.op in ("sqrt", "exp"))
+           or (isinstance(n, expr_mod.Pow) and n.exponent < 0)
+           for n in expr_mod._nodes(ast)):
+        return False
+    u1, u2 = np.meshgrid(np.linspace(domain[0], domain[1], 3),
+                         np.linspace(domain[2], domain[3], 3), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = expr_mod.eval_num(ast, {"u1": u1, "u2": u2})
+    return bool(np.all(values == 0.0))
 
 
 def _partial(ast, var):
@@ -345,8 +352,8 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     b_u2 = _partial(b_ast, "u2")
     hb = Bin("*", h_ast, b_u2)
 
-    h_zero = _identically_zero(h_ast)
-    r_zero = _identically_zero(r_ast)
+    h_zero = _identically_zero(h_ast, domain)
+    r_zero = _identically_zero(r_ast, domain)
 
     def ell(t):
         return _at(l_ast, t, None)

@@ -15,6 +15,24 @@ point set.
 Binary operations truncate to the smaller operand order; requesting a
 partial beyond the carried order raises InsufficientJetOrder.
 
+A constant jet (`Jet.const`) is one whose derivative coefficients are
+all +-0.  Only `Jet.constant` makes one; truncation, negation, scaling
+by a non-jet and the sum or difference of two constants keep the flag,
+and every other construction (`Jet.variable`, `deriv`, a hand-built
+`Jet(order, coeffs)`) leaves it False, so no jet claims zeros it does
+not have.  A product with a constant factor skips the Leibniz terms of
+that factor's zero derivatives: constant x constant is the product of
+the values, and constant x general scales each coefficient by the
+constant's value.  The general loop starts every accumulator at +0.0,
+which is never -0.0 under round-to-nearest, so adding a +-0 term to it
+changes no bit: on lanes where the other operand is finite the short
+paths give the general loop's bits, signed zeros included.  On a lane
+holding inf or NaN a skipped 0*inf would have been NaN, so a derivative
+coefficient there may be finite where the loop gives NaN; the value
+coefficient keeps every bit.  Division keeps the general loop: its
+accumulator starts at a numerator coefficient, which may be -0.0, and
+dropping a +-0 term there could flip that zero's sign.
+
 Also here: JetVec3 (three jets sharing a base point), a central
 finite-difference oracle `fd_jet` kept deliberately independent of the
 jet arithmetic, and Gauss-Legendre quadrature of jet-valued integrands
@@ -77,11 +95,12 @@ def _farray(x):
 
 
 class Jet:
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "const")
 
-    def __init__(self, order, coeffs):
+    def __init__(self, order, coeffs, const=False):
         self.order = order
         self.coeffs = coeffs  # list of arrays, one per multi-index
+        self.const = const    # every derivative coefficient is +-0
 
     # --- constructors ---------------------------------------------------
 
@@ -90,7 +109,7 @@ class Jet:
         value = _farray(value)
         zero = np.zeros_like(value)
         coeffs = [value] + [zero] * (NCOEFF[order] - 1)
-        return Jet(order, coeffs)
+        return Jet(order, coeffs, True)
 
     @staticmethod
     def variable(value, var, order):
@@ -125,7 +144,7 @@ class Jet:
                 f"cannot raise order {self.order} -> {order}")
         if order == self.order:
             return self
-        return Jet(order, self.coeffs[: NCOEFF[order]])
+        return Jet(order, self.coeffs[: NCOEFF[order]], self.const)
 
     def deriv(self, var):
         """Jet of df/du_var, carried at one order lower."""
@@ -152,16 +171,18 @@ class Jet:
 
     def __add__(self, other):
         a, b = self._match(other)
-        return Jet(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)],
+                   a.const and b.const)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, [-x for x in self.coeffs])
+        return Jet(self.order, [-x for x in self.coeffs], self.const)
 
     def __sub__(self, other):
         a, b = self._match(other)
-        return Jet(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return Jet(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)],
+                   a.const and b.const)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -169,8 +190,19 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             other = _farray(other)
-            return Jet(self.order, [other * x for x in self.coeffs])
+            return Jet(self.order, [other * x for x in self.coeffs],
+                       self.const)
         a, b = self._match(other)
+        # A constant factor's derivative terms are +-0 and add nothing to
+        # an accumulator that starts at +0.0 (see the module docstring).
+        if a.const:
+            a0 = a.coeffs[0]
+            if b.const:
+                return Jet.constant(0.0 + a0 * b.coeffs[0], a.order)
+            return Jet(a.order, [0.0 + a0 * y for y in b.coeffs])
+        if b.const:
+            b0 = b.coeffs[0]
+            return Jet(a.order, [0.0 + x * b0 for x in a.coeffs])
         out = []
         for terms in _PRODUCT[a.order]:
             acc = 0.0

@@ -235,7 +235,8 @@ class TestExtendableNcGenerator:
         monkeypatch.setattr(catalog, "_integral",
                             lambda *args: calls.append(1) or integral(*args))
         skipped, n_skipped = jet_bytes(), len(calls)
-        monkeypatch.setattr(catalog, "_identically_zero", lambda ast: False)
+        monkeypatch.setattr(catalog, "_identically_zero",
+                            lambda ast, domain: False)
         calls.clear()
         assert jet_bytes() == skipped
         assert n_skipped < len(calls)
@@ -249,6 +250,25 @@ class TestExtendableNcGenerator:
         # as it did when they were integrated
         with pytest.raises(error):
             get_entry("gen-extendable-nc", {"h": h, "r": r}).build()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("h, r", [("0*(1e300*u2*1e300)", "0"),
+                                      ("0", "0*(1e300*u1*1e300)")])
+    def test_zero_profile_that_overflows_is_integrated(self, h, r):
+        # simplify reads these as 0, but they are NaN wherever the
+        # variable is nonzero: the profile is integrated, and the NaN
+        # lanes keep its quadrature from converging
+        with pytest.raises(QuadratureNonConvergent):
+            get_entry("gen-extendable-nc", {"h": h, "r": r}).build()
+
+    @pytest.mark.parametrize("source, zero", [
+        ("0", True), ("-0", True), ("0*u1", True), ("0*(1e300*u2)", True),
+        ("0*(1e300*u2*1e300)", False), ("0*(1e300*u1*1e300)", False)])
+    def test_identically_zero_evaluates_the_profile(self, source, zero):
+        # exact zeros on the grid over the domain, corners included
+        domain = (-1.0, 1.0, -0.5, 2.0)
+        assert catalog._identically_zero(expr.parse(source), domain) is zero
 
     @pytest.mark.parametrize("var", (0, 1))
     @pytest.mark.parametrize("order", range(4))

@@ -1,5 +1,6 @@
 """Jet arithmetic against hand values and the finite-difference oracle."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from frontal_lab import expr
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 InsufficientJetOrder, QuadratureNonConvergent)
-from frontal_lab.jets import (INDICES, LANES, Jet, JetVec3, _quad_fixed,
-                              fd_jet, integrate_jet, jets_allclose)
+from frontal_lab.jets import (INDICES, LANES, NCOEFF, _PRODUCT, Jet, JetVec3,
+                              _quad_fixed, fd_jet, integrate_jet,
+                              jets_allclose)
 
 
 def jet_at(source, point, order):
@@ -156,6 +158,156 @@ class TestIntegerPower:
                 assert np.array_equal(np.isfinite(a), finite)
                 assert np.array_equal(a[finite].view(np.int64),
                                       b[finite].view(np.int64))
+
+
+def leibniz_product(a, b):
+    """Reference jet product: the general Leibniz loop, every term summed
+    from +0.0 in table order, with no short path for constant factors."""
+    n = min(a.order, b.order)
+    out = []
+    for terms in _PRODUCT[n]:
+        acc = 0.0
+        for pa, pb, c in terms:
+            term = a.coeffs[pa] * b.coeffs[pb]
+            acc = acc + (term if c == 1.0 else c * term)
+        out.append(acc)
+    return Jet(n, out)
+
+
+@contextlib.contextmanager
+def general_products():
+    """Every jet x jet product inside the block runs leibniz_product,
+    including the products inside **, powf and sin."""
+    mul = Jet.__mul__
+
+    def reference(self, other):
+        if isinstance(other, Jet):
+            return leibniz_product(self, other)
+        return mul(self, other)
+
+    Jet.__mul__ = Jet.__rmul__ = reference
+    try:
+        yield
+    finally:
+        Jet.__mul__ = Jet.__rmul__ = mul
+
+
+# signed zeros, units and halves make exact cancellations and +-0
+# products common; the uniform floats cover generic lanes
+lane_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0]) | coef
+
+OPERAND_KINDS = ("constant", "variable", "general", "constant-sum",
+                 "constant-neg", "constant-scaled", "constant-truncated",
+                 "constant-deriv")
+
+
+@st.composite
+def operands(draw):
+    """A jet of order 0-3 with 0-d or (4,) coefficients, made by one of
+    the constructions that do or do not set the constant flag."""
+    order = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(), (4,)]))
+    kind = draw(st.sampled_from(OPERAND_KINDS))
+
+    def lanes():
+        values = draw(st.lists(lane_value, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        return np.array(values).reshape(shape)
+
+    if kind == "variable":
+        return Jet.variable(lanes(), draw(st.integers(0, 1)), order)
+    if kind == "general":
+        return Jet(order, [lanes() for _ in range(NCOEFF[order])])
+    if kind == "constant-sum":
+        return Jet.constant(lanes(), order) - Jet.constant(lanes(), order)
+    if kind == "constant-neg":
+        return -Jet.constant(lanes(), order)
+    if kind == "constant-scaled":
+        return Jet.constant(lanes(), order) * draw(lane_value)
+    if kind == "constant-truncated":
+        return Jet.constant(lanes(), 3).truncate(order)
+    if kind == "constant-deriv":
+        var = draw(st.integers(0, 1))
+        return Jet.constant(lanes(), max(order, 1)).deriv(var)
+    return Jet.constant(lanes(), order)
+
+
+def assert_same_bits(got, ref):
+    assert got.order == ref.order
+    for a, b in zip(got.coeffs, ref.coeffs):
+        assert np.shape(a) == np.shape(b)
+        assert np.array_equal(np.asarray(a).view(np.int64),
+                              np.asarray(b).view(np.int64))
+
+
+class TestConstantProducts:
+    """A product with a constant factor skips that factor's zero-derivative
+    terms; on finite lanes every coefficient keeps the general loop's bits."""
+
+    @given(operands(), operands(), st.integers(0, 5),
+           st.sampled_from([0.5, -1.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_lanes_match_the_general_loop(self, a, b, n, alpha):
+        def results():
+            return [a * b, b * a, (a * b) ** n,
+                    (a * a + b * b + 0.5).powf(alpha), (a * b).sin()]
+
+        got = results()
+        with general_products():
+            ref = results()
+        for x, y in zip(got, ref):
+            assert_same_bits(x, y)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("order", range(1, 4))
+    def test_non_finite_lanes_keep_the_value(self, order):
+        # a skipped 0*inf would have been NaN: a derivative coefficient
+        # may be finite where the general loop gives NaN, never the other
+        # way round, and the value keeps every bit
+        rng = np.random.default_rng(20 + order)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+        general = _random_jet(rng, order, special)
+        const = Jet.constant(_random_jet(rng, 0, special).value, order)
+        for a, b in ((const, general), (general, const), (const, const)):
+            got, ref = a * b, leibniz_product(a, b)
+            assert np.array_equal(got.value.view(np.int64),
+                                  ref.value.view(np.int64))
+            for x, y in zip(got.coeffs, ref.coeffs):
+                x, y = np.broadcast_arrays(x, y)
+                finite = np.isfinite(y)
+                assert np.all(np.isfinite(x) | ~finite)
+                assert np.array_equal(x[finite].view(np.int64),
+                                      y[finite].view(np.int64))
+
+
+class TestConstantFlag:
+    values = np.array([-1.5, -0.0, 0.0, 2.0])
+
+    def test_constructions_that_set_or_keep_it(self):
+        c = Jet.constant(self.values, 3)
+        d = Jet.constant(np.flip(self.values), 3)
+        for jet in (c, c.truncate(1), -c, c * 2.5, 2.5 * c, c * self.values,
+                    c + d, c - d, c + 1.0, 1.0 - c, c * d):
+            assert jet.const
+
+    def test_quadrature_nodes_are_constant(self):
+        seen = []
+
+        def integrand(t):
+            seen.append(t.const)
+            return t
+
+        _quad_fixed(integrand, 0.0, np.linspace(0.5, 1.0, 3), 2, 8)
+        assert seen and all(seen)
+
+    def test_constructions_that_leave_it_unset(self):
+        c = Jet.constant(self.values, 3)
+        v = Jet.variable(self.values, 0, 3)
+        hand = Jet(3, list(c.coeffs))
+        for jet in (v, c.deriv(0), hand, c + v, v - c, c * v, v * c,
+                    c * hand, c / (c + 5.0), v * 2.0):
+            assert not jet.const
 
 
 class TestRingAxioms:

@@ -56,7 +56,9 @@ take different substep counts), ex-5.9 on a 13x9 lattice, and the
 ex-5.10 structure export with its basepoint moved between the nodes
 (up and down sweeps of unequal lengths) on a 15x11 and a 1x9 lattice;
 and the plane, whose rebuild lies in a plane and has no unique
-alignment with the original.
+alignment with the original.  Last, gen-extendable-nc with an h that
+simplifies to 0 but overflows to NaN off u2 = 0, whose integrals must
+run (and fail) rather than be skipped as zero.
 """
 
 from __future__ import annotations
@@ -306,6 +308,8 @@ def command_list():
          ["reconstruct", "--entry", "plane", "--field", "normal", "--grid",
           "5x5"]),
     ]
+    cmds.append(("typed-failure",
+                 ["catalog", "gen-extendable-nc", "--h=0*(1e300*u2*1e300)"]))
     return cmds
 
 
