@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Config
-from .equiaffine import TransversalField, structure_from_field
+from .equiaffine import (EquiaffineStructure, TransversalField,
+                         structure_from_field)
 from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
                      Indeterminate, InsufficientJetOrder, KVanishes,
                      NotExtendable, NotTransversal, SingularIIOmega,
                      SingularPoint)
 from .frame import FrameBundle, Frontal, frame_bundle
-from .jets import MAX_ORDER, Jet, det2_jet, inv2_jet
+from .jets import Jet, JetVec3, det2_jet, inv2_jet
 from . import expr as expr_mod
 
 
@@ -300,7 +301,7 @@ def _regular_field(b: FrameBundle):
 
 # The affine normal as a transversal field: jets over the regular part.
 AFFINE_NORMAL = TransversalField(lambda b: _regular_field(b)[-1],
-                                 label="affine normal")
+                                 label="affine normal", regular_only=True)
 
 
 # Distance a sweep point within 10 eps_sing of the singular set is moved
@@ -308,68 +309,50 @@ AFFINE_NORMAL = TransversalField(lambda b: _regular_field(b)[-1],
 NUDGE = 1e-7
 
 
-class BlaschkeField:
-    """Affine-normal field of a frontal, with evaluation machinery.
+def nudged_points(f: Frontal, u1, u2):
+    """Move points off the singular set along the gradient of det Lambda.
 
-    Carries the grid (u1, u2) it was built on, the field values xi there
-    and the construction diagnostics, and can evaluate jets at arbitrary
-    regular points (for structure extraction) and values at singular
-    points (via probes).  Near-singular evaluations inside smooth-field
-    sweeps are nudged off the zero set transversally by NUDGE, which
-    perturbs the smooth field by the same order.
+    SingularPoint when a point is left on the singular set: where the
+    gradient (nearly) vanishes the shift cannot clear eps_sing.
     """
-
-    def __init__(self, frontal: Frontal, u1, u2, xi, diagnostics):
-        self.frontal = frontal
-        self.u1 = u1
-        self.u2 = u2
-        self.xi = xi                          # (..., 3)
-        self.diagnostics = diagnostics
-
-    # -- evaluation --------------------------------------------------------
-
-    def components_jet(self, u1, u2, order=MAX_ORDER):
-        """(bundle, phi, a, b) jets at regular points (arrays allowed)."""
-        b = frame_bundle(self.frontal, u1, u2, order=order)
-        phi, av, bv, _ = _regular_field(b)
-        return b, phi, av, bv
-
-    def nudged_points(self, u1, u2):
-        """Move points off the singular set along the gradient of det Lambda.
-
-        SingularPoint when a point is left on the singular set: where the
-        gradient (nearly) vanishes the shift cannot clear eps_sing.
-        """
-        f = self.frontal
-        u1 = np.array(u1, dtype=float, copy=True)
-        u2 = np.array(u2, dtype=float, copy=True)
-        lam_det = det2_jet(f.lam(u1, u2, 1))
-        lam = lam_det.value_on(u1.shape)
-        near = np.abs(lam) <= 10.0 * f.config.eps_sing
-        if not np.any(near):
-            return u1, u2
-        g1 = lam_det.deriv(0).value_on(u1.shape)[near]
-        g2 = lam_det.deriv(1).value_on(u1.shape)[near]
-        norm = np.hypot(g1, g2)
-        p1, p2 = u1[near], u2[near]
-        stuck = norm <= 1e-12
-        if not np.any(stuck):
-            u1[near] = p1 + NUDGE * g1 / norm
-            u2[near] = p2 + NUDGE * g2 / norm
-            stuck = (np.abs(_lam_det_values(f, u1[near], u2[near]))
-                     <= f.config.eps_sing)
-        if np.any(stuck):
-            k = int(np.flatnonzero(stuck)[0])
-            raise SingularPoint(
-                f"node ({p1[k]:.6g}, {p2[k]:.6g}) stays on the singular "
-                f"set after a {NUDGE:g} shift along grad det Lambda: "
-                f"|grad det Lambda| = {norm[k]:.3e} there; the affine "
-                f"normal is not evaluated on the singular set")
+    u1 = np.array(u1, dtype=float, copy=True)
+    u2 = np.array(u2, dtype=float, copy=True)
+    lam_det = det2_jet(f.lam(u1, u2, 1))
+    lam = lam_det.value_on(u1.shape)
+    near = np.abs(lam) <= 10.0 * f.config.eps_sing
+    if not np.any(near):
         return u1, u2
+    g1 = lam_det.deriv(0).value_on(u1.shape)[near]
+    g2 = lam_det.deriv(1).value_on(u1.shape)[near]
+    norm = np.hypot(g1, g2)
+    p1, p2 = u1[near], u2[near]
+    stuck = norm <= 1e-12
+    if not np.any(stuck):
+        u1[near] = p1 + NUDGE * g1 / norm
+        u2[near] = p2 + NUDGE * g2 / norm
+        stuck = (np.abs(_lam_det_values(f, u1[near], u2[near]))
+                 <= f.config.eps_sing)
+    if np.any(stuck):
+        k = int(np.flatnonzero(stuck)[0])
+        raise SingularPoint(
+            f"node ({p1[k]:.6g}, {p2[k]:.6g}) stays on the singular "
+            f"set after a {NUDGE:g} shift along grad det Lambda: "
+            f"|grad det Lambda| = {norm[k]:.3e} there; the affine "
+            f"normal is not evaluated on the singular set")
+    return u1, u2
 
-    def as_transversal(self):
-        """View as a TransversalField over the regular part (jets)."""
-        return AFFINE_NORMAL
+
+@dataclass
+class BlaschkeField:
+    """The affine normal of a frontal sampled on a grid: the grid
+    (u1, u2), the field values xi there and the construction
+    diagnostics.  Its jets are those of the transversal field
+    AFFINE_NORMAL."""
+    frontal: Frontal
+    u1: np.ndarray
+    u2: np.ndarray
+    xi: np.ndarray                # (..., 3)
+    diagnostics: dict
 
 
 def _tangent_value_fn(f: Frontal):
@@ -625,34 +608,27 @@ def rank1_closed_form(h_src, c_src, point):
 # --- conormal field ----------------------------------------------------------------
 
 
-def _conormal_jets(b: FrameBundle, xj):
-    """nu = n / <n, xi> from the frame bundle and the field's jets."""
-    denom = b.n.dot(xj)
+def conormal(bundle: FrameBundle, xi_jets: JetVec3):
+    """nu = n / <n, xi>: the unique covector with <nu, xi> = 1 that kills
+    the limiting tangent planes, at the points of `bundle`, where the
+    field has jets `xi_jets`; one jet order lower than its inputs."""
+    denom = bundle.n.dot(xi_jets)
     if np.any(np.asarray(denom.value) == 0.0):
         raise NotTransversal("<n, xi> vanishes; conormal undefined")
-    return b.n.scale(1.0 / denom)
+    return bundle.n.scale(1.0 / denom)
 
 
-def conormal(f: Frontal, xi: TransversalField, u1, u2):
-    """nu = n / <n, xi>: the unique covector with <nu, xi> = 1 that kills
-    the limiting tangent planes; one jet order lower than its inputs."""
-    b = frame_bundle(f, u1, u2)
-    return _conormal_jets(b, xi.jets(b))
-
-
-def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
-                    bundle: FrameBundle = None):
+def conormal_verify(bundle: FrameBundle, xi_jets: JetVec3,
+                    structure: EquiaffineStructure):
     """Residuals of the defining and derivative identities of the conormal.
 
     Checks <nu, xi> = 1, <nu, w_i> = 0, <nu_ui, xi> = 0 and the pairing
-    <nu_ui, w_j> = -h_ji on the sampled regular points, and reports
-    whether D nu has rank 2 everywhere (true on non-parabolic samples).
+    <nu_ui, w_j> = -h_ji on the points of `bundle`, where the field has
+    jets `xi_jets` and induces `structure`, and reports whether D nu has
+    rank 2 everywhere (true on non-parabolic samples).
     """
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
-    shape = b.shape
-    xj = xi.jets(b)
-    s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
-    nu = _conormal_jets(b, xj)
+    shape = bundle.shape
+    nu = conormal(bundle, xi_jets)
 
     def mx(*values):
         # np.max, unlike the builtin max, keeps a NaN
@@ -661,12 +637,14 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
 
     nu_u = [nu.deriv(0), nu.deriv(1)]
     rep = {
-        "pairing_xi": mx((nu.dot(xj) - 1.0).value),
-        "pairing_w": mx(nu.dot(b.w1).value, nu.dot(b.w2).value),
-        "derivative_xi": mx(nu_u[0].dot(xj).value, nu_u[1].dot(xj).value),
-        "derivative_w": mx(*(nu_u[i].dot(w).value_on(shape) + s.h[..., j, i]
+        "pairing_xi": mx((nu.dot(xi_jets) - 1.0).value),
+        "pairing_w": mx(nu.dot(bundle.w1).value, nu.dot(bundle.w2).value),
+        "derivative_xi": mx(nu_u[0].dot(xi_jets).value,
+                            nu_u[1].dot(xi_jets).value),
+        "derivative_w": mx(*(nu_u[i].dot(w).value_on(shape)
+                             + structure.h[..., j, i]
                              for i in range(2)
-                             for j, w in enumerate((b.w1, b.w2)))),
+                             for j, w in enumerate((bundle.w1, bundle.w2)))),
     }
 
     J = np.stack([nu_u[k].values_on(shape) for k in range(2)], axis=-1)
@@ -675,6 +653,7 @@ def conormal_verify(f: Frontal, xi: TransversalField, u1, u2,
     sv = np.linalg.svd(np.where(finite[..., None, None], J, 0.0),
                        compute_uv=False)
     rep["rank2_everywhere"] = bool(np.all(
-        finite & (sv[..., 1] > f.config.eps_rank * np.maximum(1.0, sv[..., 0]))))
+        finite & (sv[..., 1]
+                  > bundle.config.eps_rank * np.maximum(1.0, sv[..., 0]))))
     rep["tolerance"] = 1e-8
     return rep

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from . import structio
-from .blaschke import blaschke_field, blaschke_verify
+from .blaschke import AFFINE_NORMAL, blaschke_field, blaschke_verify
 from .config import Config, load_config
 from .equiaffine import TransversalField, structure_from_field
 from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
@@ -79,7 +79,10 @@ def _transversal_field(f, text):
     --field is not given), `normal` (the unit normal) or three finite
     numbers cx,cy,cz (a constant field)."""
     if text in (None, "blaschke"):
-        return blaschke_field(f, (33, 33))
+        # the existence gate: the field is built on a 33x33 grid, probes
+        # and all, so a frontal without an affine normal fails here
+        blaschke_field(f, (33, 33))
+        return AFFINE_NORMAL
     if text == "normal":
         return TransversalField.unit_normal()
     try:
@@ -422,12 +425,10 @@ def run_property_suite(f):
             / max(1.0, float(np.max(np.abs(k_ratio)))), 1e-8)
 
     # split-field identities with the unit normal: h = p, tau = 0
-    def const_jet(val):
-        return lambda a, c, order: Jet.constant(
-            np.full(np.shape(np.asarray(a, dtype=float)), val), order)
-
-    h_res, tau_res = check_tau_formula(f, const_jet(1.0), const_jet(0.0),
-                                       const_jet(0.0), u1r, u2r)
+    br = frame_bundle(f, u1r, u2r)
+    one, zero = (Jet.constant(np.full(br.shape, v), br.order)
+                 for v in (1.0, 0.0))
+    h_res, tau_res = check_tau_formula(br, one, zero, zero)
     add("split-field form identity", h_res, 1e-9)
     add("split-field connection identity", tau_res, 1e-9)
 
@@ -438,7 +439,8 @@ def run_property_suite(f):
     if np.any(tv):
         u1t, u2t = u1r[tv], u2r[tv]
         bt = frame_bundle(f, u1t, u2t)
-        s1 = structure_from_field(f, const, u1t, u2t, bundle=bt)
+        xt = const.jets(bt)
+        s1 = structure_from_field(f, const, u1t, u2t, bundle=bt, xi_jets=xt)
         add("constant field equiaffine", np.max(np.abs(s1.tau)), 1e-9)
         s2 = structure_from_field(
             f, TransversalField.constant((0.0, 0.0, 2.0)), u1t, u2t,
@@ -446,16 +448,16 @@ def run_property_suite(f):
         add("relative-form scaling", np.max(np.abs(s2.h - s1.h / 2.0)),
             1e-12 * max(1.0, float(np.max(np.abs(s1.h)))))
 
-        vol_res, _ = parallel_volume_check(f, const, u1t, u2t, bundle=bt)
+        vol_res, _ = parallel_volume_check(bt, xt, s1)
         add("parallel volume identity", vol_res,
             1e-8 * max(1.0, float(np.max(theta[tv]))))
 
-        D1g, D2g = d_from_gamma(f, const, u1t, u2t, bundle=bt)
+        D1g, D2g = d_from_gamma(bt, xt)
         route = max(float(np.max(np.abs(D1g - s1.D1))),
                     float(np.max(np.abs(D2g - s1.D2))))
         add("connection-block route agreement", route, 1e-8)
 
-        rep = conormal_verify(f, const, u1t, u2t, bundle=bt)
+        rep = conormal_verify(bt, xt, s1)
         add("conormal identities",
             max(rep["pairing_xi"], rep["pairing_w"], rep["derivative_xi"],
                 rep["derivative_w"]), 1e-8)
@@ -599,7 +601,7 @@ def main(argv=None):
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (InputError, ExprSyntaxError, UnknownIdentifier, DomainError,
-            OSError, ValueError) as err:
+            OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except FrontalLabError as err:

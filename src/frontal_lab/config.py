@@ -62,9 +62,10 @@ _RANGES = {
 
 def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind in ("int", int):
-        return int(raw)
-    return float(raw)
+    try:
+        return int(raw) if kind in ("int", int) else float(raw)
+    except ValueError as err:
+        raise InputError(str(err)) from None
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
@@ -76,20 +77,24 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _FIELD_TYPES:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _coerce(key, raw)
+            try:
+                lines = fh.readlines()
+            except ValueError as err:     # not UTF-8
+                raise InputError(str(err)) from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InputError(f"{path}:{lineno}: expected key = value")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in _FIELD_TYPES:
+                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _coerce(key, raw)
     if overrides:
         for key, val in overrides.items():
             if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
+                raise InputError(f"unknown config key {key!r}")
             values[key] = _coerce(key, str(val)) if isinstance(val, str) else val
     cfg = Config(**values)
     for key, (ok, allowed) in _RANGES.items():

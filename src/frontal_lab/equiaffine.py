@@ -31,16 +31,19 @@ from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
 
 class TransversalField:
     """A candidate transversal field: a constant vector, component
-    expressions, the unit normal, or any callable of a frame bundle.
+    expressions, the unit normal, the affine normal, or any callable of a
+    frame bundle.
 
     A field is evaluated against the frame bundle of its points, at the
     bundle's points and jet order, so fields built from the frame read it
-    instead of evaluating it again.
+    instead of evaluating it again.  A `regular_only` field (the affine
+    normal) has jets only off the singular set.
     """
 
-    def __init__(self, fn, label="field"):
+    def __init__(self, fn, label="field", regular_only=False):
         self._fn = fn          # bundle -> JetVec3 at bundle.order
         self.label = label
+        self.regular_only = regular_only
 
     @staticmethod
     def constant(vec, label=None):
@@ -134,20 +137,21 @@ def is_equiaffine(structure: EquiaffineStructure, tol=1e-6):
     return worst <= tol, worst
 
 
-def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2):
+def check_tau_formula(bundle: FrameBundle, phi_j: Jet, a_j: Jet, b_j: Jet):
     """Residuals of the split-field identities for h and tau.
 
-    For xi = phi*n + Z with Z = a*w1 + b*w2 and p the normal-component
-    form of the basis derivatives, h must equal p/phi and
+    For xi = phi*n + Z with Z = a*w1 + b*w2 (phi, a and b given as jets
+    at the points and order of `bundle`) and p the normal-component form
+    of the basis derivatives, h must equal p/phi and
     tau_i = (p(Z, w_i) + phi_ui)/phi.  Returns (max |h - p/phi|,
     max |tau - predicted|); both vanish for exact data.
     """
-    b = frame_bundle(f, u1, u2)
-    phi_j, a_j, b_j = (fn(u1, u2, b.order) for fn in (phi_fn, a_fn, b_fn))
-    xi = b.n.scale(phi_j) + b.w1.scale(a_j) + b.w2.scale(b_j)
-    s = structure_from_field(f, None, u1, u2, bundle=b, xi_jets=xi)
+    xi = (bundle.n.scale(phi_j) + bundle.w1.scale(a_j)
+          + bundle.w2.scale(b_j))
+    s = structure_from_field(bundle.f, None, bundle.u1, bundle.u2,
+                             bundle=bundle, xi_jets=xi)
 
-    shape = b.shape
+    shape = bundle.shape
     phi = phi_j.value_on(shape)
     if np.any(phi == 0.0):
         raise NotTransversal("phi vanishes; split field not transversal")
@@ -155,7 +159,7 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2):
     b_val = b_j.value_on(shape)
 
     # p_ij = <w_i,uj , n>, arranged like the second-form matrix
-    p = _mat_values(ii_omega_normal_route(b), shape)
+    p = _mat_values(ii_omega_normal_route(bundle), shape)
 
     h_resid = float(np.max(np.abs(s.h - p / phi[..., None, None])))
 
@@ -168,30 +172,29 @@ def check_tau_formula(f: Frontal, phi_fn, a_fn, b_fn, u1, u2):
     return h_resid, tau_resid
 
 
-def parallel_volume_check(f: Frontal, xi: TransversalField, u1, u2,
-                          bundle: FrameBundle = None):
+def parallel_volume_check(bundle: FrameBundle, xi_jets: JetVec3,
+                          structure: EquiaffineStructure):
     """Residual of the derivative identity for the induced volume.
 
     d/du_k theta(w1, w2) always equals (trace D_k + tau_k) theta; the
     equiaffine content is that the connection-only part (tau = 0) grabs
-    the whole derivative.  Returns (max residual, max |tau|) so callers
-    can see the identity holding while tau decides parallelism.
+    the whole derivative.  Returns (max residual, max |tau|) of the field
+    with jets `xi_jets` and `structure` at the points of `bundle`.
     """
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
-    shape = b.shape
-    if np.any(np.abs(np.asarray(b.lam_det.value)) <= f.config.eps_sing):
+    shape = bundle.shape
+    if np.any(np.abs(np.asarray(bundle.lam_det.value))
+              <= bundle.config.eps_sing):
         raise SingularPoint("volume check sampled on the singular set")
-    xj = xi.jets(b)
-    s = structure_from_field(f, xi, u1, u2, bundle=b, xi_jets=xj)
-    theta_j = triple_product_jet(b.w1, b.w2, xj)
+    theta_j = triple_product_jet(bundle.w1, bundle.w2, xi_jets)
     theta = theta_j.value_on(shape)
     resid = []
     for k in range(2):
         dtheta = theta_j.deriv(k).value_on(shape)
-        trek = s.D1 if k == 0 else s.D2
+        trek = structure.D1 if k == 0 else structure.D2
         trace = trek[..., 0, 0] + trek[..., 1, 1]
-        resid.append(np.max(np.abs(dtheta - (trace + s.tau[..., k]) * theta)))
-    return float(np.max(resid)), s.max_tau()
+        resid.append(np.max(np.abs(
+            dtheta - (trace + structure.tau[..., k]) * theta)))
+    return float(np.max(resid)), structure.max_tau()
 
 
 # --- classical (regular-part) routes ----------------------------------------------
@@ -222,26 +225,25 @@ class ClassicalSymbols:
     split: np.ndarray        # (..., 3): a, b, phi with xi = phi n + a x_u1 + b x_u2
 
 
-def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
-                      bundle: FrameBundle = None) -> ClassicalSymbols:
-    """Regular-part symbols in the basis (x_u1, x_u2, n or xi)."""
-    bnd = bundle if bundle is not None else frame_bundle(f, u1, u2)
-    shape = bnd.shape
-    lam_det = np.asarray(bnd.lam_det.value)
-    if np.any(np.abs(lam_det) <= f.config.eps_sing):
+def classical_symbols(bundle: FrameBundle,
+                      xi_jets: JetVec3) -> ClassicalSymbols:
+    """Regular-part symbols in the basis (x_u1, x_u2, n or xi), at the
+    points of `bundle`, where the field has jets `xi_jets`."""
+    shape = bundle.shape
+    lam_det = np.asarray(bundle.lam_det.value)
+    if np.any(np.abs(lam_det) <= bundle.config.eps_sing):
         raise SingularPoint("classical symbols need the regular part")
 
-    x1, x2 = bnd.x_u
-    gamma = [_mat_values(g, shape) for g in _gamma_jets(bnd.classical_I())]
+    x1, x2 = bundle.x_u
+    gamma = [_mat_values(g, shape) for g in _gamma_jets(bundle.classical_I())]
 
-    xj = xi.jets(bnd)
-    M = _stack3((x1, x2, bnd.n), shape)
-    abphi = np.linalg.solve(M, xj.values_on(shape)[..., None])[..., 0]
+    M = _stack3((x1, x2, bundle.n), shape)
+    abphi = np.linalg.solve(M, xi_jets.values_on(shape)[..., None])[..., 0]
     a_v, b_v, phi = abphi[..., 0], abphi[..., 1], abphi[..., 2]
     if np.any(phi == 0.0):
         raise NotTransversal("<xi, n> vanishes on the sample")
 
-    II_cl = _mat_values(bnd.classical_II(), shape)
+    II_cl = _mat_values(bundle.classical_II(), shape)
     e, fq, g = II_cl[..., 0, 0], II_cl[..., 0, 1], II_cl[..., 1, 1]
 
     c = II_cl / phi[..., None, None]
@@ -256,20 +258,18 @@ def classical_symbols(f: Frontal, xi: TransversalField, u1, u2,
                             split=abphi)
 
 
-def d_from_gamma(f: Frontal, xi: TransversalField, u1, u2,
-                 bundle: FrameBundle = None):
+def d_from_gamma(bundle: FrameBundle, xi_jets: JetVec3):
     """(D1, D2) via the factor-conjugated classical route, regular part only.
 
     D_k = Lambda^{-1} (Gamma~_k Lambda - Lambda_uk); must agree with the
     direct frame solve wherever both are defined.
     """
-    b = bundle if bundle is not None else frame_bundle(f, u1, u2)
-    shape = b.shape
-    sym = classical_symbols(f, xi, u1, u2, bundle=b)
-    lam = _mat_values(b.lam, shape)
+    shape = bundle.shape
+    sym = classical_symbols(bundle, xi_jets)
+    lam = _mat_values(bundle.lam, shape)
     lam_inv = np.linalg.inv(lam)
     out = []
     for k, gt in ((0, sym.gamma1_t), (1, sym.gamma2_t)):
-        lam_uk = _mat_values(b.lam, shape, k)
+        lam_uk = _mat_values(bundle.lam, shape, k)
         out.append(lam_inv @ (gt @ lam - lam_uk))
     return out[0], out[1]

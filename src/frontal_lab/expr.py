@@ -324,9 +324,11 @@ def eval_num(node, env):
             return a - b
         if node.op == "*":
             return a * b
+        # np.divide, not `/`: two Python floats divide without consulting
+        # np.errstate and raise ZeroDivisionError on a zero divisor
         with np.errstate(divide="raise", invalid="raise"):
             try:
-                return a / b
+                return np.divide(a, b)
             except FloatingPointError:
                 raise DomainError("division by zero in plain evaluation")
     if isinstance(node, Pow):

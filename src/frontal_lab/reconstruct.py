@@ -44,9 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .blaschke import (BlaschkeField, extended_values,
-                       membership_certificate_fn)
+from .blaschke import (extended_values, membership_certificate_fn,
+                       nudged_points)
 from .config import DEFAULT, Config
+from .equiaffine import TransversalField
 from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
                      FrameDegenerate, Indeterminate, InputError,
                      InsufficientJetOrder, IntegrabilityViolated,
@@ -252,13 +253,13 @@ def _full_points(u1, u2):
     return tuple(np.array(a, dtype=float) for a in np.broadcast_arrays(u1, u2))
 
 
-def extract_structure(f: Frontal, xi_field) -> StructureData:
+def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
     """Sample-free structure data: every entry evaluates jets on demand.
 
-    xi_field: a TransversalField, or a BlaschkeField (whose evaluation is
+    A `regular_only` field (the affine normal) is evaluated at points
     nudged transversally off the singular set when a sweep lands on it;
     the structure symbols themselves extend smoothly, so a 1e-7 nudge
-    perturbs them by the same order).  The basepoint is the domain's
+    perturbs them by the same order.  The basepoint is the domain's
     lower-left corner, inset by 2 %, shifted by an irrational multiple of
     the domain width so integration lattices avoid exact singular hits.
     Symbols of order k come from a frame bundle of order k + the orders
@@ -272,14 +273,11 @@ def extract_structure(f: Frontal, xi_field) -> StructureData:
     lo1, hi1 = a1 + margin1 + offset, b1 - margin1
     lo2, hi2 = a2 + margin2 + offset, b2 - margin2
 
-    is_blaschke = isinstance(xi_field, BlaschkeField)
-    xi = xi_field.as_transversal() if is_blaschke else xi_field
-
     def frame_and_xi(u1, u2, order):
         """Frame bundle at `order` and field jets at the evaluation points;
-        the Blaschke field evaluates both at the nudged points."""
-        if is_blaschke:
-            u1, u2 = xi_field.nudged_points(u1, u2)
+        a regular-only field evaluates both at the nudged points."""
+        if xi.regular_only:
+            u1, u2 = nudged_points(f, u1, u2)
         b = frame_bundle(f, u1, u2, order)
         return b, xi.jets(b)
 

@@ -46,7 +46,7 @@ def read_domain(values, what="domain"):
     a2 < b2; raises InputError naming `what` otherwise."""
     try:
         domain = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         domain = ()
     if len(domain) != 4:
         raise InputError(f"{what}: expected four numbers a1,b1,a2,b2, got "
@@ -63,7 +63,10 @@ def read_domain(values, what="domain"):
 def _read_object(path, kind):
     """The JSON object a file holds; InputError for any other JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:     # not JSON, or not UTF-8
+            raise InputError(str(err)) from None
     if not isinstance(doc, dict):
         raise InputError(f"a {kind} file holds a JSON object, not a "
                          f"{type(doc).__name__}")
@@ -83,6 +86,32 @@ def _expressions(what, sources, count):
     return sources
 
 
+# The numeric header of a structure file: key -> (shape, what it holds).
+_HEADER = {"basepoint": ((2,), "two numbers q1, q2"),
+           "W0": ((3, 3), "a 3x3 matrix, columns the frame vectors"),
+           "p": ((3,), "three numbers x, y, z")}
+
+
+def _header_values(doc, key):
+    """The float array under the header key `key` of a structure file;
+    raises InputError naming the key when it is missing, not numbers
+    (strings, booleans, null, an integer past float range), of another
+    shape or not finite."""
+    if key not in doc:
+        raise InputError(f"structure file missing {key!r}")
+    shape, what = _HEADER[key]
+    try:
+        values = np.asarray(doc[key])
+        ok = values.dtype.kind in "iuf" and values.shape == shape
+    except ValueError:              # ragged nesting
+        ok = False
+    if not ok:
+        raise InputError(f"{key} must be {what}, got {doc[key]!r}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{key}: values must be finite")
+    return values.astype(float)
+
+
 def read_structure_file(path) -> StructureData:
     doc = _read_object(path, "structure")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -90,19 +119,10 @@ def read_structure_file(path) -> StructureData:
                          f"{doc.get('schema_version')!r}")
     try:
         domain = read_domain(doc["domain"])
-        basepoint = np.asarray(doc["basepoint"], dtype=float)
-        W0 = np.asarray(doc["W0"], dtype=float)
-        p = np.asarray(doc["p"], dtype=float)
         entries = doc["entries"]
     except KeyError as missing:
         raise InputError(f"structure file missing {missing}")
-    if basepoint.shape != (2,):
-        raise InputError("basepoint must be two numbers q1, q2")
-    if W0.shape != (3, 3) or p.shape != (3,):
-        raise InputError("W0 must be 3x3 and p a 3-vector")
-    for key, values in (("basepoint", basepoint), ("W0", W0), ("p", p)):
-        if not np.all(np.isfinite(values)):
-            raise InputError(f"{key}: values must be finite")
+    basepoint, W0, p = (_header_values(doc, key) for key in _HEADER)
     a1, b1, a2, b2 = domain
     if not (a1 <= basepoint[0] <= b1 and a2 <= basepoint[1] <= b2):
         raise InputError(f"basepoint {basepoint.tolist()} lies outside the "
@@ -152,7 +172,7 @@ def _grid_values(name, grid, want):
         values = np.asarray(grid["values"], dtype=float)
     except KeyError as missing:
         raise InputError(f"{name}: grid entry missing {missing}")
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"{name}: unreadable grid entry ({err})")
     check_spline_grid(name, nx, ny)
     if values.size != want * nx * ny:

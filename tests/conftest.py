@@ -58,6 +58,22 @@ def regular_points(f, n, seed=0, margin=0.05, min_lam=1e-2):
     return np.asarray(out1), np.asarray(out2)
 
 
+def field_jets(f, field, u1, u2):
+    """(frame bundle, field jets) at the points (u1, u2)."""
+    from frontal_lab.frame import frame_bundle
+    b = frame_bundle(f, u1, u2)
+    return b, field.jets(b)
+
+
+def with_structure(f, field, u1, u2):
+    """(frame bundle, field jets, induced structure) at the points
+    (u1, u2), each computed once, as the structure checks read them."""
+    from frontal_lab.equiaffine import structure_from_field
+    b, xj = field_jets(f, field, u1, u2)
+    return b, xj, structure_from_field(f, field, u1, u2, bundle=b,
+                                       xi_jets=xj)
+
+
 def random_unimodular(rng, scale=1.0):
     """Random 3x3 with determinant exactly +1 (well away from singular)."""
     while True:

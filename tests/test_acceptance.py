@@ -17,9 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import UNGATED, random_unimodular, regular_points
+from conftest import (UNGATED, field_jets, random_unimodular,
+                      regular_points, with_structure)
 from frontal_lab import expr
-from frontal_lab.blaschke import (blaschke_field, blaschke_verify,
+from frontal_lab.blaschke import (AFFINE_NORMAL, blaschke_field,
+                                  blaschke_verify,
                                   conormal_verify, extension_condition,
                                   extension_condition_fields, gauss_extension,
                                   probe_limits)
@@ -168,11 +170,11 @@ class TestCriterion7:
         cases.append((ex510, VERTICAL, u1, u2, False))
         band = Frontal("ex59-band", ex59._x, ex59._omega, (-1, 1, 0.2, 1.0),
                        lam=ex59._lam, gauss=ex59.gauss, open_domain=True)
-        bf = blaschke_field(band, shape=(11, 11))
+        blaschke_field(band, shape=(11, 11))
         u1, u2 = regular_points(band, 40, seed=9)
-        cases.append((band, bf.as_transversal(), u1, u2, True))
+        cases.append((band, AFFINE_NORMAL, u1, u2, True))
         for f, field, a, b, nonpar in cases:
-            rep = conormal_verify(f, field, a, b)
+            rep = conormal_verify(*with_structure(f, field, a, b))
             worst = max(worst, rep["pairing_xi"], rep["pairing_w"],
                         rep["derivative_xi"], rep["derivative_w"])
             if nonpar:
@@ -188,8 +190,8 @@ class TestCriterion8:
         t0 = time.perf_counter()
         results = {}
 
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd59 = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd59 = extract_structure(ex59, AFFINE_NORMAL)
         ff = integrate_frame(sd59, shape=(13, 13), step=1e-3)
         x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
@@ -289,7 +291,7 @@ class TestCriterion9:
             keep = np.broadcast_to(theta, u1.shape) > 0.1
             u1, u2 = u1[keep], u2[keep]
             s = structure_from_field(f, VERTICAL, u1, u2)
-            D1g, D2g = d_from_gamma(f, VERTICAL, u1, u2)
+            D1g, D2g = d_from_gamma(*field_jets(f, VERTICAL, u1, u2))
             worst = max(worst,
                         float(np.max(np.abs(D1g - s.D1))),
                         float(np.max(np.abs(D2g - s.D2))))
@@ -344,8 +346,8 @@ class TestCriterion11:
         except KVanishes:
             flat_refused = True
 
-        bf = blaschke_field(ex510, shape=(15, 15))
-        xi = bf.as_transversal()
+        blaschke_field(ex510, shape=(15, 15))
+        xi = AFFINE_NORMAL
         doubled = TransversalField(lambda b: xi.jets(b).scale(2.0))
         u1, u2 = regular_points(ex510, 20, seed=11)
         s = structure_from_field(ex510, doubled, u1, u2)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_unimodular, regular_points
-from frontal_lab import blaschke, expr
-from frontal_lab.blaschke import (blaschke_field, blaschke_verify, conormal,
+from conftest import (field_jets, random_unimodular, regular_points,
+                      with_structure)
+from frontal_lab import expr
+from frontal_lab.blaschke import (AFFINE_NORMAL, blaschke_field,
+                                  blaschke_verify, conormal,
                                   conormal_verify, extended_values,
                                   extension_condition,
                                   extension_condition_fields, gauss_extension,
@@ -202,8 +204,8 @@ class TestBlaschkeVerify:
         assert rep["volume_residual"] < 1e-8
 
     def test_scaled_field_fails_volume_match(self, ex510):
-        bf = blaschke_field(ex510, shape=(15, 15))
-        xi = bf.as_transversal()
+        blaschke_field(ex510, shape=(15, 15))
+        xi = AFFINE_NORMAL
         doubled = TransversalField(
             lambda b: xi.jets(b).scale(2.0),
             label="2x affine normal")
@@ -315,11 +317,17 @@ class TestRank1ClosedForm:
         with pytest.raises(DomainError):
             rank1_closed_form("u1^2 + u2^2", "-1", (0.1, 0.1))
 
+    def test_quotient_with_zero_divisor_is_domain_error(self):
+        # h_u1u1 = (u1^3/u1)'' divides by u1 = 0 in plain floats
+        with pytest.raises(DomainError, match="division by zero"):
+            rank1_closed_form("u1^3/u1", "1", (0.0, 0.5))
+
 
 class TestConormal:
     def test_unit_normal_fixed_point(self, paraboloid):
         u1, u2 = regular_points(paraboloid, 10, seed=2)
-        nu = conormal(paraboloid, TransversalField.unit_normal(), u1, u2)
+        nu = conormal(*field_jets(paraboloid, TransversalField.unit_normal(),
+                                  u1, u2))
         b = frame_bundle(paraboloid, u1, u2)
         assert np.max(np.abs(nu.values_stacked()
                              - b.n.values_stacked())) < 1e-12
@@ -328,14 +336,14 @@ class TestConormal:
         u1, u2 = regular_points(paraboloid, 10, seed=3)
         b = frame_bundle(paraboloid, u1, u2)
         doubled = TransversalField(lambda bundle: bundle.n.scale(2.0))
-        nu = conormal(paraboloid, doubled, u1, u2)
+        nu = conormal(b, doubled.jets(b))
         assert np.max(np.abs(nu.values_stacked()
                              - b.n.values_stacked() / 2.0)) < 1e-12
 
     def test_vertical_field_is_normal_over_third_component(self, ex510):
         u1, u2 = regular_points(ex510, 15, seed=4)
         field = TransversalField.constant((0.0, 0.0, 1.0))
-        nu = conormal(ex510, field, u1, u2)
+        nu = conormal(*field_jets(ex510, field, u1, u2))
         b = frame_bundle(ex510, u1, u2)
         n = b.n.values_stacked()
         np.testing.assert_allclose(nu.values_stacked(),
@@ -343,25 +351,22 @@ class TestConormal:
 
     def test_verify_paraboloid(self, paraboloid):
         u1, u2 = regular_points(paraboloid, 25, seed=5)
-        rep = conormal_verify(paraboloid,
-                              TransversalField.constant((0.0, 0.0, 1.0)),
-                              u1, u2)
+        rep = conormal_verify(*with_structure(
+            paraboloid, TransversalField.constant((0.0, 0.0, 1.0)), u1, u2))
         assert rep["pairing_xi"] < 1e-9
         assert rep["pairing_w"] < 1e-9
         assert rep["derivative_xi"] < 1e-9
         assert rep["derivative_w"] < 1e-9
         assert rep["rank2_everywhere"]
 
-    def test_nan_residuals_are_not_hidden(self, paraboloid, monkeypatch):
+    def test_nan_residuals_are_not_hidden(self, paraboloid):
         # The structure solve stops a NaN field before these residuals, so
-        # it is held at the clean structure here.  A NaN in w2 at one point
-        # reaches <nu, w2> but not <nu, w1>; a NaN in the field's
+        # they are handed the clean structure here.  A NaN in w2 at one
+        # point reaches <nu, w2> but not <nu, w1>; a NaN in the field's
         # u2-derivative reaches nu_u2 but not nu_u1.
         vertical = TransversalField.constant((0.0, 0.0, 1.0))
         u1, u2 = regular_points(paraboloid, 5, seed=5)
         s = structure_from_field(paraboloid, vertical, u1, u2)
-        monkeypatch.setattr(blaschke, "structure_from_field",
-                            lambda *args, **kwargs: s)
 
         def nan_at_first_point(jet, ij):
             coeffs = [np.array(np.broadcast_to(c, u1.shape), dtype=float)
@@ -371,31 +376,31 @@ class TestConormal:
 
         b = frame_bundle(paraboloid, u1, u2)
         b.w2 = JetVec3(nan_at_first_point(b.w2[0], (0, 0)), *b.w2.c[1:])
-        rep = conormal_verify(paraboloid, vertical, u1, u2, bundle=b)
+        rep = conormal_verify(b, vertical.jets(b), s)
         assert np.isnan(rep["pairing_w"]) and np.isnan(rep["derivative_w"])
 
         def field(bb):
             xj = vertical.jets(bb)
             return JetVec3(*xj.c[:2], nan_at_first_point(xj[2], (0, 1)))
 
-        rep = conormal_verify(paraboloid, TransversalField(field), u1, u2)
+        rep = conormal_verify(*field_jets(paraboloid, TransversalField(field),
+                                          u1, u2), s)
         assert np.isnan(rep["derivative_xi"]) and np.isnan(rep["derivative_w"])
         assert not rep["rank2_everywhere"]
 
     def test_plane_conormal_constant_not_immersion(self, plane):
         u1, u2 = regular_points(plane, 10, seed=6)
-        rep = conormal_verify(plane,
-                              TransversalField.constant((0.0, 0.0, 1.0)),
-                              u1, u2)
+        rep = conormal_verify(*with_structure(
+            plane, TransversalField.constant((0.0, 0.0, 1.0)), u1, u2))
         assert rep["derivative_w"] < 1e-13
         assert not rep["rank2_everywhere"]
 
     def test_quintic_edge_blaschke_conormal(self, ex59):
         band = Frontal("ex59-band", ex59._x, ex59._omega, (-1, 1, 0.2, 1.0),
                        lam=ex59._lam, gauss=ex59.gauss)
-        bf = blaschke_field(band, shape=(9, 9))
+        blaschke_field(band, shape=(9, 9))
         u1, u2 = regular_points(band, 20, seed=7)
-        rep = conormal_verify(band, bf.as_transversal(), u1, u2)
+        rep = conormal_verify(*with_structure(band, AFFINE_NORMAL, u1, u2))
         assert rep["derivative_xi"] < 1e-7
         assert rep["derivative_w"] < 1e-7
 

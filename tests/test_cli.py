@@ -293,6 +293,48 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert f"input error: {key}: values must be finite" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("basepoint", {"a": 1}), ("basepoint", ["0", "0"]),
+        ("basepoint", [True, False]), ("W0", [[1.0, 0.0, 0.0], [0.0, 1.0]]),
+        ("W0", None), ("p", [0.0, 10 ** 400, 0.0]), ("p", "0,0,0"),
+    ], ids=["basepoint-object", "basepoint-strings", "basepoint-booleans",
+            "W0-ragged", "W0-null", "p-huge-int", "p-string"])
+    def test_header_that_is_not_numbers_is_input_error(self, key, value,
+                                                       tmp_path, capsys):
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(dict(flat_structure(), **{key: value})))
+        assert run(["reconstruct", "--input", str(path), "--grid", "5x5"]) \
+            == cli.EXIT_INPUT
+        assert f"input error: {key} must be " in capsys.readouterr().err
+
+    # a JSON integer past float range, and an infinite grid size, are
+    # read as numbers and refused, not raised as OverflowError
+    @pytest.mark.parametrize("doc, message", [
+        (dict(flat_structure(), domain=[0, 10 ** 400, 0, 1]),
+         "domain: expected four numbers"),
+        (flat_structure(D1={"grid": {"nx": math.inf, "ny": 4,
+                                     "values": [[0.0] * 16] * 4}}),
+         "D1: unreadable grid entry"),
+    ], ids=["domain-huge-int", "grid-infinite-size"])
+    def test_number_past_float_range_is_input_error(self, doc, message,
+                                                    tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run(["reconstruct", "--input", str(path), "--grid", "5x5"]) \
+            == cli.EXIT_INPUT
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["basepoint", "W0", "p"])
+    def test_missing_header_is_input_error(self, key, tmp_path, capsys):
+        doc = flat_structure()
+        del doc[key]
+        path = tmp_path / "header.json"
+        write_report(path, doc)
+        assert run(["reconstruct", "--input", str(path), "--grid", "5x5"]) \
+            == cli.EXIT_INPUT
+        assert f"input error: structure file missing {key!r}" in \
+            capsys.readouterr().err
+
     def test_defect_between_sampled_rows_fails_compatibility(self, tmp_path,
                                                             capsys):
         # D1_u2 = cos(40 pi u1) sin(5 pi u2) is the flatness defect; on the
@@ -414,6 +456,40 @@ def test_malformed_file_is_input_error(command, doc, message, tmp_path,
 def test_bad_domain_is_input_error(argv, message, capsys):
     assert run(argv) == cli.EXIT_INPUT
     assert f"input error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("analyze", b'{"domain": [0, 1, 0, 1], "x": ["u1", "u2", "0"]'),
+    ("reconstruct", b'{"schema_version": 1, "domain": "\xff"}'),
+], ids=["truncated-json", "not-utf-8"])
+def test_unreadable_file_is_input_error(command, text, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    assert run([command, "--input", str(path), "--grid", "5x5"]) \
+        == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_division_by_zero_in_a_frontal_file_is_input_error(tmp_path,
+                                                           capsys):
+    # 1/0 holds no variable, so it is evaluated in plain floats
+    path = tmp_path / "div.json"
+    write_report(path, dict(PARABOLOID_FILE, x=["u1", "u2", "abs(1/0 + u1)"]))
+    assert run(["analyze", "--input", str(path), "--grid", "5x5"]) \
+        == cli.EXIT_INPUT
+    assert "input error: division by zero in plain evaluation" in \
+        capsys.readouterr().err
+
+
+def test_internal_linalg_fault_is_not_an_input_error(monkeypatch):
+    # LinAlgError is a ValueError; a fault inside a command propagates
+    # instead of exiting 2 as if the input were wrong
+    def fail(f):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_property_suite", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        run(["check", "--entry", "paraboloid"])
 
 
 class TestGridSpec:

@@ -5,9 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import regular_points
-from frontal_lab import equiaffine
-from frontal_lab.blaschke import blaschke_field
+from conftest import field_jets, regular_points, with_structure
+from frontal_lab.blaschke import AFFINE_NORMAL, _regular_field, blaschke_field
 from frontal_lab.equiaffine import (TransversalField, check_tau_formula,
                                     classical_symbols, d_from_gamma,
                                     is_equiaffine, parallel_volume_check,
@@ -58,7 +57,7 @@ class TestStructureFromField:
         with pytest.raises(VerificationError, match="residual nan"):
             structure_from_field(paraboloid, field, u1, u2)
         with pytest.raises(VerificationError, match="residual nan"):
-            parallel_volume_check(paraboloid, field, u1, u2)
+            parallel_volume_check(*with_structure(paraboloid, field, u1, u2))
 
     def test_not_transversal(self, plane):
         tangent = TransversalField.constant((1.0, 0.0, 0.0))
@@ -83,91 +82,79 @@ class TestIsEquiaffine:
         assert not verdict and worst > 1e-2
 
     def test_blaschke_output_is_equiaffine(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
+        blaschke_field(ex59, shape=(21, 21))
         u1, u2 = regular_points(ex59, 30, seed=5)
         verdict, worst = is_equiaffine(
-            structure_from_field(ex59, bf.as_transversal(), u1, u2))
+            structure_from_field(ex59, AFFINE_NORMAL, u1, u2))
         assert verdict and worst < 1e-6
 
 
 class TestTauFormula:
     @staticmethod
-    def _const(val):
-        return lambda u1, u2, order: Jet.constant(
-            np.full(np.shape(np.asarray(u1, dtype=float)), val), order)
+    def _const(b, val):
+        return Jet.constant(np.full(b.shape, val), b.order)
 
     def test_unit_normal_split(self, ex59):
         u1, u2 = regular_points(ex59, 15, seed=6)
+        b = frame_bundle(ex59, u1, u2)
         h_res, tau_res = check_tau_formula(
-            ex59, self._const(1.0), self._const(0.0), self._const(0.0),
-            u1, u2)
+            b, self._const(b, 1.0), self._const(b, 0.0), self._const(b, 0.0))
         assert h_res < 1e-11 and tau_res < 1e-11
 
     def test_doubled_normal_halves_form(self, ex59):
         u1, u2 = regular_points(ex59, 15, seed=7)
+        b = frame_bundle(ex59, u1, u2)
         h_res, tau_res = check_tau_formula(
-            ex59, self._const(2.0), self._const(0.0), self._const(0.0),
-            u1, u2)
+            b, self._const(b, 2.0), self._const(b, 0.0), self._const(b, 0.0))
         assert h_res < 1e-11 and tau_res < 1e-11
 
     def test_blaschke_split_residuals(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
+        blaschke_field(ex59, shape=(21, 21))
         u1, u2 = regular_points(ex59, 50, seed=8)
-
-        def phi_fn(a, b, order):
-            return bf.components_jet(a, b, order)[1]
-
-        def a_fn(a, b, order):
-            return bf.components_jet(a, b, order)[2]
-
-        def b_fn(a, b, order):
-            return bf.components_jet(a, b, order)[3]
-
-        h_res, tau_res = check_tau_formula(ex59, phi_fn, a_fn, b_fn, u1, u2)
+        b = frame_bundle(ex59, u1, u2)
+        phi, a, bv, _ = _regular_field(b)
+        h_res, tau_res = check_tau_formula(b, phi, a, bv)
         assert h_res < 1e-8 and tau_res < 1e-8
 
 
 class TestParallelVolume:
     def test_constant_field_parallel(self, ex510):
         u1, u2 = regular_points(ex510, 20, seed=9)
-        resid, max_tau = parallel_volume_check(ex510, VERTICAL, u1, u2)
+        resid, max_tau = parallel_volume_check(
+            *with_structure(ex510, VERTICAL, u1, u2))
         assert resid < 1e-9 and max_tau < 1e-13
 
     def test_doubled_normal_on_plane(self, plane):
         u1, u2 = regular_points(plane, 10, seed=10)
         field = TransversalField.from_expressions(["0", "0", "2"])
-        resid, _ = parallel_volume_check(plane, field, u1, u2)
+        resid, _ = parallel_volume_check(
+            *with_structure(plane, field, u1, u2))
         assert resid < 1e-12
 
-    def test_nan_residual_is_not_hidden(self, paraboloid, monkeypatch):
+    def test_nan_residual_is_not_hidden(self, paraboloid):
         # a NaN in D1 at one point makes the u1 residual NaN; the result
         # must not fall back on the finite u2 residual
-        solve = equiaffine.structure_from_field
-
-        def nan_d1(*args, **kwargs):
-            s = solve(*args, **kwargs)
-            d1 = s.D1.copy()
-            d1.flat[0] = np.nan
-            return dataclasses.replace(s, D1=d1)
-
-        monkeypatch.setattr(equiaffine, "structure_from_field", nan_d1)
         field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
         u1, u2 = regular_points(paraboloid, 5, seed=11)
-        resid, _ = parallel_volume_check(paraboloid, field, u1, u2)
+        b, xj, s = with_structure(paraboloid, field, u1, u2)
+        d1 = s.D1.copy()
+        d1.flat[0] = np.nan
+        resid, _ = parallel_volume_check(b, xj, dataclasses.replace(s, D1=d1))
         assert np.isnan(resid)
 
     def test_identity_holds_even_without_equiaffinity(self, paraboloid):
         # the derivative identity is unconditional; tau decides parallelism
         field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
         u1, u2 = regular_points(paraboloid, 20, seed=11)
-        resid, max_tau = parallel_volume_check(paraboloid, field, u1, u2)
+        resid, max_tau = parallel_volume_check(
+            *with_structure(paraboloid, field, u1, u2))
         assert resid < 1e-10 and max_tau > 1e-2
 
 
 class TestClassicalRoutes:
     def test_plane_symbols_vanish(self, plane):
         u1, u2 = regular_points(plane, 10, seed=12)
-        sym = classical_symbols(plane, VERTICAL, u1, u2)
+        sym = classical_symbols(*field_jets(plane, VERTICAL, u1, u2))
         np.testing.assert_allclose(sym.gamma1, 0.0, atol=1e-13)
         np.testing.assert_allclose(sym.gamma2, 0.0, atol=1e-13)
         np.testing.assert_allclose(sym.c, 0.0, atol=1e-13)
@@ -175,14 +162,14 @@ class TestClassicalRoutes:
     def test_paraboloid_normal_at_origin(self, paraboloid):
         u1 = np.array([0.0])
         u2 = np.array([0.0])
-        sym = classical_symbols(paraboloid, TransversalField.unit_normal(),
-                                u1, u2)
+        sym = classical_symbols(*field_jets(
+            paraboloid, TransversalField.unit_normal(), u1, u2))
         np.testing.assert_allclose(sym.c[0], np.eye(2), atol=1e-12)
 
     def test_affine_form_matches_second_form_scaling(self, ex510):
         u1 = np.array([0.5])
         u2 = np.array([0.1])
-        sym = classical_symbols(ex510, VERTICAL, u1, u2)
+        sym = classical_symbols(*field_jets(ex510, VERTICAL, u1, u2))
         b = frame_bundle(ex510, u1, u2)
         n_u = [b.n.deriv(0), b.n.deriv(1)]
         II = np.stack([np.stack([np.broadcast_to(
@@ -195,24 +182,24 @@ class TestClassicalRoutes:
     def test_d_route_agreement_vertical(self, ex510):
         u1 = np.array([0.5])
         u2 = np.array([0.1])
-        D1g, D2g = d_from_gamma(ex510, VERTICAL, u1, u2)
+        D1g, D2g = d_from_gamma(*field_jets(ex510, VERTICAL, u1, u2))
         s = structure_from_field(ex510, VERTICAL, u1, u2)
         assert np.max(np.abs(D1g - s.D1)) < 1e-8
         assert np.max(np.abs(D2g - s.D2)) < 1e-8
 
     def test_d_route_agreement_blaschke(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
+        blaschke_field(ex59, shape=(21, 21))
         u1 = np.array([0.3])
         u2 = np.array([0.4])
-        field = bf.as_transversal()
-        D1g, D2g = d_from_gamma(ex59, field, u1, u2)
+        field = AFFINE_NORMAL
+        D1g, D2g = d_from_gamma(*field_jets(ex59, field, u1, u2))
         s = structure_from_field(ex59, field, u1, u2)
         assert np.max(np.abs(D1g - s.D1)) < 1e-8
         assert np.max(np.abs(D2g - s.D2)) < 1e-8
 
     def test_plane_d_route(self, plane):
         u1, u2 = regular_points(plane, 5, seed=13)
-        D1g, D2g = d_from_gamma(plane, VERTICAL, u1, u2)
+        D1g, D2g = d_from_gamma(*field_jets(plane, VERTICAL, u1, u2))
         np.testing.assert_allclose(D1g, 0.0, atol=1e-13)
         np.testing.assert_allclose(D2g, 0.0, atol=1e-13)
 

@@ -67,6 +67,15 @@ class TestEval:
         with pytest.raises(DomainError):
             expr.eval_point(expr.parse("sqrt(u1)"), (-1.0, 0.0), 1)
 
+    @pytest.mark.parametrize("source, env", [
+        ("1/0", {}), ("0/0", {}), ("u1/u2", {"u1": 1.0, "u2": 0.0}),
+        ("u1/u2", {"u1": np.array([1.0, 2.0]), "u2": np.array([1.0, 0.0])})])
+    def test_plain_division_by_zero_is_domain_error(self, source, env):
+        # Python floats as well as arrays: the quotient goes through numpy,
+        # so a zero divisor meets the same guard
+        with pytest.raises(DomainError, match="division by zero"):
+            expr.eval_num(expr.parse(source), env)
+
 
 SIX_SOURCES = ["u1*u2", "sin(u1) + u2", "u2^2/(2 + u1^2)", "1",
                "exp(u2)", "-u1^3"]

@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import regular_points, with_nan_x
-from frontal_lab import cli, expr, reconstruct
-from frontal_lab.blaschke import (_tangent_value_fn, blaschke_field,
-                                  conormal_verify)
+from conftest import regular_points, with_nan_x, with_structure
+from frontal_lab import cli, expr, frame, reconstruct
+from frontal_lab.blaschke import (AFFINE_NORMAL, _tangent_value_fn,
+                                  blaschke_field, conormal_verify)
 from frontal_lab.equiaffine import TransversalField, check_tau_formula
 from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
@@ -334,7 +334,8 @@ class TestBundleCounts:
 
     def test_blaschke_extraction_builds_one_bundle(self, bundle_sizes,
                                                    paraboloid):
-        sd = extract_structure(paraboloid, blaschke_field(paraboloid, (9, 9)))
+        blaschke_field(paraboloid, (9, 9))
+        sd = extract_structure(paraboloid, AFFINE_NORMAL)
         bundle_sizes.clear()
         u1 = np.linspace(-0.5, 0.5, 5)
         sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
@@ -348,21 +349,25 @@ class TestBundleCounts:
         sd.aug_values(u1, 0.3 * u1 + 0.1, 0)
         assert bundle_sizes == [5]
 
+    # the checks read the bundle they are handed: one for the field, its
+    # structure and the check together
     def test_conormal_verify_builds_one_bundle(self, bundle_sizes,
                                                paraboloid):
         u1 = np.linspace(-0.5, 0.5, 7)
-        conormal_verify(paraboloid, TransversalField.constant((0, 0, 1)),
-                        u1, 0.3 * u1 + 0.1)
+        conormal_verify(*with_structure(
+            paraboloid, TransversalField.constant((0, 0, 1)), u1,
+            0.3 * u1 + 0.1))
         assert bundle_sizes == [7]
 
     def test_tau_formula_builds_one_bundle(self, bundle_sizes, paraboloid):
-        def const(v):
-            return lambda a, b, order: Jet.constant(np.full(np.shape(a), v),
-                                                    order)
-
         u1 = np.linspace(-0.5, 0.5, 7)
-        check_tau_formula(paraboloid, const(1.0), const(0.0), const(0.0),
-                          u1, 0.3 * u1 + 0.1)
+        # built through the module, whose frame_bundle the fixture counts
+        b = frame.frame_bundle(paraboloid, u1, 0.3 * u1 + 0.1)
+
+        def const(v):
+            return Jet.constant(np.full(b.shape, v), b.order)
+
+        check_tau_formula(b, const(1.0), const(0.0), const(0.0))
         assert bundle_sizes == [7]
 
     def test_check_bundle_count(self, bundle_sizes, capsys):
@@ -472,7 +477,8 @@ class TestBundleCounts:
         assert bundle_orders == [2]
 
     def test_blaschke_values_build_order_2(self, bundle_orders, ex59):
-        sd = extract_structure(ex59, blaschke_field(ex59, (9, 9)))
+        blaschke_field(ex59, (9, 9))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         bundle_orders.clear()
         u1 = np.linspace(0.1, 0.5, 5)
         sd.aug_values(u1, 0.3 * u1 + 0.1, 0)

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from conftest import UNGATED, random_unimodular, regular_points
 from frontal_lab import reconstruct
-from frontal_lab.blaschke import blaschke_field
+from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
@@ -63,8 +63,8 @@ class TestCompatResidual:
         assert compat_residual(sd, u1, u2)[0] < 1e-7
 
     def test_extracted_blaschke_structure(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         u1, u2 = regular_points(ex59, 30, seed=2)
         assert compat_residual(sd, u1, u2)[0] < 1e-7
 
@@ -78,8 +78,8 @@ class TestIntegrabilityResidual:
         assert row == pytest.approx(0.0, abs=1e-14)
 
     def test_quintic_edge_structure(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         u1, u2 = regular_points(ex59, 30, seed=3)
         sym, row = integrability_residual(sd, u1, u2)
         assert sym < 1e-8 and row < 1e-8
@@ -141,8 +141,8 @@ class TestExtendD:
 
 class TestApolarity:
     def test_paraboloid_blaschke(self, paraboloid):
-        bf = blaschke_field(paraboloid, shape=(15, 15))
-        sd = extract_structure(paraboloid, bf)
+        blaschke_field(paraboloid, shape=(15, 15))
+        sd = extract_structure(paraboloid, AFFINE_NORMAL)
         u1, u2 = regular_points(paraboloid, 25, seed=4)
         assert apolarity_check(sd, u1, u2) < 1e-8
 
@@ -211,7 +211,8 @@ class TestIntegrateFrame:
         # without closed-form K the affine normal loses three orders, so
         # the order-1 symbols of the compatibility check need order-4 jets
         numeric = ex59.stripped()
-        sd = extract_structure(numeric, blaschke_field(numeric, (9, 9)))
+        blaschke_field(numeric, (9, 9))
+        sd = extract_structure(numeric, AFFINE_NORMAL)
         calls = []
         monkeypatch.setattr(StructureData, "aug_values",
                             lambda self, u1, u2, axis: calls.append(u1))
@@ -256,8 +257,8 @@ class TestRoundTrips:
         assert np.max(np.abs(ff.x - x_true)) < 1e-6
 
     def test_quintic_edge_round_trip(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         ff = integrate_frame(sd, shape=(11, 11), step=1e-3)
         x = ff.x
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
@@ -276,15 +277,15 @@ class TestRoundTrips:
         assert sup < 1e-4
 
     def test_step_refinement_is_fourth_order(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         coarse = integrate_frame(sd, shape=(9, 9), step=4e-3, config=UNGATED)
         fine = integrate_frame(sd, shape=(9, 9), step=2e-3, config=UNGATED)
         assert coarse.discrepancy / fine.discrepancy >= 8.0
 
     def test_frame_determinant_keeps_sign(self, ex59):
-        bf = blaschke_field(ex59, shape=(21, 21))
-        sd = extract_structure(ex59, bf)
+        blaschke_field(ex59, shape=(21, 21))
+        sd = extract_structure(ex59, AFFINE_NORMAL)
         ff = integrate_frame(sd, shape=(9, 9), step=2e-3)
         U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
         det = np.linalg.det(ff.W)
@@ -551,12 +552,12 @@ class TestPerAxisBlocks:
     def test_extracted_values_match_six_full_solves(self, name, field,
                                                     monkeypatch):
         f = get_entry(name).build()
-        xi_field = {"blaschke": lambda: blaschke_field(f, (9, 9)),
-                    "normal": TransversalField.unit_normal,
-                    "vertical": lambda: VERTICAL}[field]()
-        xi = (xi_field.as_transversal() if field == "blaschke"
-              else xi_field)
-        sd = extract_structure(f, xi_field)
+        if field == "blaschke":
+            blaschke_field(f, (9, 9))
+        xi = {"blaschke": AFFINE_NORMAL,
+              "normal": TransversalField.unit_normal(),
+              "vertical": VERTICAL}[field]
+        sd = extract_structure(f, xi)
         bundles = []
 
         def recorded(*args):
@@ -631,7 +632,8 @@ class TestPerAxisBlocks:
 class TestBatchedSweep:
     @pytest.fixture(scope="class")
     def ex59_sd(self, ex59):
-        return extract_structure(ex59, blaschke_field(ex59, (21, 21)))
+        blaschke_field(ex59, (21, 21))
+        return extract_structure(ex59, AFFINE_NORMAL)
 
     @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
     def test_matches_per_segment_sweep(self, source, ex59_sd, file_backed_sd,

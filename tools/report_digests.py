@@ -56,9 +56,16 @@ take different substep counts), ex-5.9 on a 13x9 lattice, and the
 ex-5.10 structure export with its basepoint moved between the nodes
 (up and down sweeps of unequal lengths) on a 15x11 and a 1x9 lattice;
 and the plane, whose rebuild lies in a plane and has no unique
-alignment with the original.  Last, gen-extendable-nc with an h that
+alignment with the original.  Then gen-extendable-nc with an h that
 simplifies to 0 but overflows to NaN off u2 = 0, whose integrals must
-run (and fail) rather than be skipped as zero.
+run (and fail) rather than be skipped as zero.  Last, three typed
+failures: a structure file whose basepoint is a JSON object, a frontal
+file whose x divides by the constant 0, and gen-extendable-nc with an
+h that simplifies to 0 but overflows to NaN only between the points of
+a 3x3 grid.
+
+A warning is recorded as `Category: message`, without its source
+location, which names the checkout.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXED_ENTRIES = ("plane", "paraboloid", "ex-5.8", "ex-5.9", "ex-5.10")
@@ -149,6 +157,12 @@ BASEPOINT_OUTSIDE = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
 INTERIOR_EXPORT = ["export", "--entry", "ex-5.10", "--what", "structure",
                    "--field=0,0,1", "--grid", "17x17"]
 INTERIOR_BASEPOINT = [0.13, -0.21]
+# Flat data whose basepoint is a JSON object (OUTDIR/basepoint-object.json,
+# "{bpobject}"), and the paraboloid frontal file whose x3 divides by the
+# constant 0 (OUTDIR/x-div-zero.json, "{divzero}"): input errors both.
+BASEPOINT_OBJECT = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
+                        basepoint={"a": 1})
+X_DIV_ZERO = dict(NO_LAMBDA_FRONTAL, x=["u1", "u2", "abs(1/0 + u1)"])
 
 
 def command_list():
@@ -310,6 +324,11 @@ def command_list():
     ]
     cmds.append(("typed-failure",
                  ["catalog", "gen-extendable-nc", "--h=0*(1e300*u2*1e300)"]))
+    cmds += [("typed-failure", argv) for argv in (
+        ["reconstruct", "--input", "{bpobject}", "--grid", "5x5"],
+        ["analyze", "--input", "{divzero}", "--grid", "5x5"],
+        ["catalog", "gen-extendable-nc", "--h=0*((u2^3-u2)^2*1e300*1e300)"],
+    )]
     return cmds
 
 
@@ -326,10 +345,20 @@ def _files(root):
     return out
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """A warning as `Category: message`: its source location names the
+    checkout, so two checkouts of the same code would print it apart."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 def run(cli, argv):
     """(exit code, stdout, stderr) of one in-process CLI call; an escaping
-    exception is reported by its type and message, not its traceback."""
+    exception is reported by its type and message, not its traceback, and
+    a warning by its category and message."""
     out, err = io.StringIO(), io.StringIO()
+    shown = warnings.showwarning
+    warnings.showwarning = _show_warning
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
@@ -337,6 +366,8 @@ def run(cli, argv):
             rc = exc.code
         except Exception as exc:  # noqa: BLE001 - the digest records it
             rc = f"raised {type(exc).__name__}: {exc}"
+        finally:
+            warnings.showwarning = shown
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -364,7 +395,10 @@ def main(argv=None):
                            ("{offnode}", "basepoint-off-node.json",
                             BASEPOINT_OFF_NODE),
                            ("{outside}", "basepoint-outside.json",
-                            BASEPOINT_OUTSIDE)):
+                            BASEPOINT_OUTSIDE),
+                           ("{bpobject}", "basepoint-object.json",
+                            BASEPOINT_OBJECT),
+                           ("{divzero}", "x-div-zero.json", X_DIV_ZERO)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
