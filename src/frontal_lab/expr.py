@@ -306,6 +306,16 @@ def eval_jet(node, env):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _power(base, exponent):
+    """base ** exponent, with IEEE +-inf where a Python float overflows:
+    `**` raises OverflowError there, while arrays and products give inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.power(base, float(exponent)))
+
+
 def eval_num(node, env):
     """Plain recursive evaluator on floats/arrays; the jet-free code path."""
     if isinstance(node, Num):
@@ -335,7 +345,7 @@ def eval_num(node, env):
         base = eval_num(node.base, env)
         if node.exponent < 0 and np.any(np.asarray(base) == 0.0):
             raise DomainError("zero base with negative exponent")
-        return base ** node.exponent
+        return _power(base, node.exponent)
     if isinstance(node, Unary):
         a = eval_num(node.arg, env)
         if node.op == "neg":
@@ -451,7 +461,7 @@ def simplify(node):
         if node.exponent == 1:
             return base
         if isinstance(base, Num):
-            return Num(base.value ** node.exponent)
+            return Num(_power(base.value, node.exponent))
         return Pow(base, node.exponent)
     if isinstance(node, Bin):
         left = simplify(node.left)

@@ -22,11 +22,27 @@ omega: [[3 exprs], [3 exprs]], lambda: [4 exprs] optional, open_domain}.
 
 Reports are JSON with sorted keys and no wall-clock content, so byte
 identity of reruns is part of the contract.
+
+OBJ and CSV exports go through one table writer, `_write_table`: a 2-D
+float array and a row formatter that writes each value as repr of a
+Python float.  A table of at least PARALLEL_VALUES values, on a platform
+with os.fork and k >= 2 usable cores (os.sched_getaffinity), is cut into
+k slices of rows.  The parent forks k - 1 children, one per slice after
+the first; each child formats its slice, sends the bytes with their
+length on a pipe and leaves through os._exit, running no numpy call but
+`tolist` and printing nothing.  The parent formats the first slice,
+then copies the children's bytes into the file in slice order.  A slice
+whose pipe or fork fails, or whose child exits non-zero or sends less
+than it announced, is formatted by the parent itself, so such a fault
+never surfaces as an error; every child is reaped before the writer
+returns or raises.  Either way the file holds the same bytes as the
+one-process path, which smaller tables, one core or no os.fork take.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -41,11 +57,13 @@ SCHEMA_VERSION = 1
 _MATRIX_ENTRIES = ("Lambda", "I_Omega", "h", "D1", "D2", "S")
 
 
-def read_domain(values, what="domain"):
+def read_domain(values, what="domain", number=float):
     """(a1, b1, a2, b2) from four finite numbers with a1 < b1 and
-    a2 < b2; raises InputError naming `what` otherwise."""
+    a2 < b2; raises InputError naming `what` otherwise.  `number` reads
+    one value: float for the fields of the --domain text, _json_number
+    for a file's domain."""
     try:
-        domain = tuple(float(v) for v in values)
+        domain = tuple(number(v) for v in values)
     except (TypeError, ValueError, OverflowError):
         domain = ()
     if len(domain) != 4:
@@ -58,6 +76,14 @@ def read_domain(values, what="domain"):
         raise InputError(f"{what}: needs a1 < b1 and a2 < b2, got "
                          f"{list(domain)}")
     return domain
+
+
+def _json_number(value):
+    """float(value) for a JSON number; TypeError for anything else, the
+    strings and booleans float() would read included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
 
 
 def _read_object(path, kind):
@@ -100,16 +126,16 @@ def _header_values(doc, key):
     if key not in doc:
         raise InputError(f"structure file missing {key!r}")
     shape, what = _HEADER[key]
+    cells = np.asarray(doc[key], dtype=object)
     try:
-        values = np.asarray(doc[key])
-        ok = values.dtype.kind in "iuf" and values.shape == shape
-    except ValueError:              # ragged nesting
-        ok = False
-    if not ok:
+        values = np.array([_json_number(v) for v in cells.flat])
+    except (TypeError, OverflowError):
+        values = None
+    if values is None or cells.shape != shape:
         raise InputError(f"{key} must be {what}, got {doc[key]!r}")
     if not np.all(np.isfinite(values)):
         raise InputError(f"{key}: values must be finite")
-    return values.astype(float)
+    return values.reshape(shape)
 
 
 def read_structure_file(path) -> StructureData:
@@ -118,7 +144,7 @@ def read_structure_file(path) -> StructureData:
         raise InputError(f"unsupported structure schema "
                          f"{doc.get('schema_version')!r}")
     try:
-        domain = read_domain(doc["domain"])
+        domain = read_domain(doc["domain"], number=_json_number)
         entries = doc["entries"]
     except KeyError as missing:
         raise InputError(f"structure file missing {missing}")
@@ -222,7 +248,7 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
     doc = _read_object(path, "frontal")
     try:
         name = doc.get("name", "user-frontal")
-        domain = read_domain(doc["domain"])
+        domain = read_domain(doc["domain"], number=_json_number)
         x_srcs = _expressions("x", doc["x"], 3)
         omega_srcs = doc["omega"]
     except KeyError as missing:
@@ -250,31 +276,131 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
 # --- exports -----------------------------------------------------------------------
 
 
+# Tables of at least this many values are formatted on every usable core.
+PARALLEL_VALUES = 1 << 15
+
+
+def _usable_cores():
+    """The cores this process may run on; 1 where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _write_rows(fh, rows, row):
+    """Write row(r) for each row r of the float array `rows` to `fh`."""
+    fh.writelines(row(r).encode() for r in rows.tolist())
+
+
+def _fork_formatter(rows, row, inherited):
+    """Fork a child that writes len(text) as 8 bytes, then text, to a pipe,
+    where text is the rows of `rows` formatted by `row`; return (pid, read
+    end).  The child first closes `inherited`, the read ends of the
+    children forked before it.  Raises OSError if the pipe or fork fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            text = "".join(map(row, rows.tolist())).encode()
+            with open(w, "wb") as pipe:
+                pipe.write(len(text).to_bytes(8, "little"))
+                pipe.write(text)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid):
+    """Wait for child `pid`; its wait status, or -1 if it was reaped
+    elsewhere."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
+
+
+def _collect(pid, fd):
+    """Read the pipe `fd` to its end, then reap child `pid`; the text the
+    child sent, or None unless it exited 0 after sending all it announced."""
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    except OSError:
+        chunks = []
+    finally:
+        os.close(fd)
+        status = _reap(pid)
+    data = b"".join(chunks)
+    if status != 0 or len(data) < 8 or \
+            int.from_bytes(data[:8], "little") != len(data) - 8:
+        return None
+    return memoryview(data)[8:]
+
+
+def _write_table(path, head, table, row, tail=""):
+    """Write `head`, then row(r) for each row r of the 2-D float array
+    `table` (r as a list of Python floats), then `tail`, to `path`.  The
+    rows are cut into one slice per usable core when the table holds at
+    least PARALLEL_VALUES values; the module docstring gives the rules."""
+    n = len(table)
+    k = 1
+    if hasattr(os, "fork") and table.size >= PARALLEL_VALUES:
+        k = min(_usable_cores(), n)
+    cuts = [n * i // k for i in range(k + 1)]
+    slices = [table[a:b] for a, b in zip(cuts, cuts[1:])]
+    with open(path, "wb") as fh:
+        children = {}       # slice index -> (pid, read end), until reaped
+        try:
+            for i in range(1, k):
+                try:
+                    children[i] = _fork_formatter(
+                        slices[i], row, [fd for _, fd in children.values()])
+                except OSError:
+                    pass        # the parent formats this slice
+            fh.write(head.encode())
+            _write_rows(fh, slices[0], row)
+            for i in range(1, k):
+                text = _collect(*children.pop(i)) if i in children else None
+                if text is None:
+                    _write_rows(fh, slices[i], row)
+                else:
+                    fh.write(text)
+            fh.write(tail.encode())
+        finally:
+            for pid, fd in children.values():
+                os.close(fd)
+                _reap(pid)
+
+
 def export_obj(path, x_grid):
     """Wavefront OBJ: vertices in row-major grid order, quad faces."""
     x = np.asarray(x_grid, dtype=float)
     n1, n2 = x.shape[:2]
-    lines = []
-    for i in range(n1):
-        for j in range(n2):
-            lines.append("v " + " ".join(repr(float(c)) for c in x[i, j]))
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            a = i * n2 + j + 1
-            b = (i + 1) * n2 + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    faces = "".join(f"f {a} {a + n2} {a + n2 + 1} {a + 1}\n"
+                    for a in (i * n2 + j + 1 for i in range(n1 - 1)
+                              for j in range(n2 - 1)))
+    _write_table(path, "", x.reshape(n1 * n2, x.shape[2]),
+                 lambda row: "v " + " ".join(map(repr, row)) + "\n", faces)
 
 
 def _write_csv(path, header, columns):
     """CSV with one row per grid point (row-major) and one column per
     array in `columns`, each value written as repr of a Python float."""
     table = np.stack([np.asarray(c, dtype=float).ravel() for c in columns],
-                     axis=-1).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
+                     axis=-1)
+    _write_table(path, ",".join(header) + "\n", table,
+                 lambda row: ",".join(map(repr, row)) + "\n")
 
 
 def export_field_csv(path, u1, u2, x_grid, xi_grid):

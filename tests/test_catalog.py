@@ -254,7 +254,8 @@ class TestExtendableNcGenerator:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("h, r", [("0*(1e300*u2*1e300)", "0"),
-                                      ("0", "0*(1e300*u1*1e300)")])
+                                      ("0", "0*(1e300*u1*1e300)"),
+                                      ("0*(1e300^2)", "0")])
     def test_zero_profile_that_overflows_is_integrated(self, h, r):
         # simplify reads these as 0, but they are NaN wherever the
         # variable is nonzero: the profile is integrated, and the NaN
@@ -266,7 +267,7 @@ class TestExtendableNcGenerator:
         ("0", True), ("-0", True), ("0*(2+3)", True), ("0*u1", False),
         ("0*(1e300*u2)", False), ("0*(1e300*u2*1e300)", False),
         ("0*(1e300*u1*1e300)", False), ("0*(1e300*1e300)", False),
-        ("0*(1/0)", False)])
+        ("0*(1/0)", False), ("0*(1e300^2)", False)])
     def test_identically_zero_evaluates_the_profile(self, source, zero):
         # a zero holds no variable and evaluates to +0 or -0; a constant
         # that overflows to NaN or divides by zero is not zero

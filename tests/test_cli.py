@@ -297,8 +297,10 @@ class TestReconstructCommand:
         ("basepoint", {"a": 1}), ("basepoint", ["0", "0"]),
         ("basepoint", [True, False]), ("W0", [[1.0, 0.0, 0.0], [0.0, 1.0]]),
         ("W0", None), ("p", [0.0, 10 ** 400, 0.0]), ("p", "0,0,0"),
+        ("basepoint", [0.5, True]),
     ], ids=["basepoint-object", "basepoint-strings", "basepoint-booleans",
-            "W0-ragged", "W0-null", "p-huge-int", "p-string"])
+            "W0-ragged", "W0-null", "p-huge-int", "p-string",
+            "basepoint-number-and-boolean"])
     def test_header_that_is_not_numbers_is_input_error(self, key, value,
                                                        tmp_path, capsys):
         path = tmp_path / "header.json"
@@ -415,10 +417,15 @@ class TestReconstructCommand:
      "entries: expected an object"),
     ("reconstruct", dict(flat_structure(), basepoint=[5.0, -3.0]),
      "basepoint [5.0, -3.0] lies outside the domain [0.0, 1.0, 0.0, 1.0]"),
+    ("analyze", dict(PARABOLOID_FILE, domain=["-1", "1", True, "2"]),
+     "domain: expected four numbers a1,b1,a2,b2"),
+    ("reconstruct", dict(flat_structure(), domain=[0, True, 0.0, 1.0]),
+     "domain: expected four numbers a1,b1,a2,b2"),
 ], ids=["frontal-list", "structure-list", "entry-string", "expr-numbers",
         "x-number", "one-column", "open-domain-string", "frontal-reversed",
         "structure-empty", "basepoint-three", "entries-list",
-        "basepoint-outside"])
+        "basepoint-outside", "frontal-domain-strings",
+        "structure-domain-boolean"])
 def test_malformed_file_is_input_error(command, doc, message, tmp_path,
                                        capsys):
     path = tmp_path / "malformed.json"

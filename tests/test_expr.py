@@ -76,6 +76,17 @@ class TestEval:
         with pytest.raises(DomainError, match="division by zero"):
             expr.eval_num(expr.parse(source), env)
 
+    @pytest.mark.parametrize("source, want", [
+        ("1e300^2", np.inf), ("(-1e300)^3", -np.inf), ("(-1e300)^2", np.inf),
+        ("1.1^7", 1.1 ** 7), ("(-0.3)^5", (-0.3) ** 5), ("1e-300^2", 0.0)])
+    def test_plain_power_overflows_to_inf(self, source, want):
+        # Python floats raise OverflowError where an array (or a product)
+        # gives IEEE +-inf; a power that does not overflow keeps every bit
+        ast = expr.parse(source)
+        got = expr.eval_num(ast, {})
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert expr.simplify(ast) == Num(got)
+
 
 SIX_SOURCES = ["u1*u2", "sin(u1) + u2", "u2^2/(2 + u1^2)", "1",
                "exp(u2)", "-u1^3"]

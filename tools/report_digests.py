@@ -58,11 +58,17 @@ ex-5.10 structure export with its basepoint moved between the nodes
 and the plane, whose rebuild lies in a plane and has no unique
 alignment with the original.  Then gen-extendable-nc with an h that
 simplifies to 0 but overflows to NaN off u2 = 0, whose integrals must
-run (and fail) rather than be skipped as zero.  Last, three typed
+run (and fail) rather than be skipped as zero.  Then three typed
 failures: a structure file whose basepoint is a JSON object, a frontal
 file whose x divides by the constant 0, and gen-extendable-nc with an
 h that simplifies to 0 but overflows to NaN only between the points of
-a 3x3 grid.
+a 3x3 grid.  Then gen-extendable-nc with an h whose constant power
+overflows (an IEEE inf, so a failed quadrature, not an OverflowError),
+and a frontal file whose domain holds strings and a boolean (an input
+error).  Last, the 127x127 field export of ex-5.10: its 16,129 rows of
+8 values are past the size at which the table writer forks, and do not
+divide evenly between cores, so the parallel CSV path has a digest of
+its own besides the benchmark jobs.
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -163,6 +169,9 @@ INTERIOR_BASEPOINT = [0.13, -0.21]
 BASEPOINT_OBJECT = dict(_flat_structure({"expr": ["0", "0", "0", "0"]}),
                         basepoint={"a": 1})
 X_DIV_ZERO = dict(NO_LAMBDA_FRONTAL, x=["u1", "u2", "abs(1/0 + u1)"])
+# The paraboloid frontal file whose domain holds strings and a boolean
+# (OUTDIR/domain-strings.json, "{strdomain}"): an input error.
+DOMAIN_STRINGS = dict(NO_LAMBDA_FRONTAL, domain=["-1", "1", True, "2"])
 
 
 def command_list():
@@ -329,6 +338,13 @@ def command_list():
         ["analyze", "--input", "{divzero}", "--grid", "5x5"],
         ["catalog", "gen-extendable-nc", "--h=0*((u2^3-u2)^2*1e300*1e300)"],
     )]
+    cmds += [("typed-failure", argv) for argv in (
+        ["catalog", "gen-extendable-nc", "--h=0*(1e300^2)"],
+        ["analyze", "--input", "{strdomain}", "--grid", "5x5"],
+    )]
+    cmds.append(("ex510-field-127",
+                 ["export", "--entry", "ex-5.10", "--what", "field", "--grid",
+                  "127x127", "--out", "{out}/f.csv"]))
     return cmds
 
 
@@ -398,7 +414,9 @@ def main(argv=None):
                             BASEPOINT_OUTSIDE),
                            ("{bpobject}", "basepoint-object.json",
                             BASEPOINT_OBJECT),
-                           ("{divzero}", "x-div-zero.json", X_DIV_ZERO)):
+                           ("{divzero}", "x-div-zero.json", X_DIV_ZERO),
+                           ("{strdomain}", "domain-strings.json",
+                            DOMAIN_STRINGS)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
