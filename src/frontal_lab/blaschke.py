@@ -38,7 +38,7 @@ from . import expr as expr_mod
 
 @dataclass
 class ProbeResult:
-    target: tuple
+    target: tuple                # (u1, u2) as Python floats
     ok: bool
     value: np.ndarray            # (m,) component limits (direction average)
     spread: float                # worst relative disagreement across directions
@@ -106,7 +106,7 @@ def _probe_once(fn, targets, domain, config, ndir):
         sel = dir_ok[p]
         n_ok = int(sel.sum())
         if n_ok < 3:
-            results.append(ProbeResult(tuple(targets[p]), False,
+            results.append(ProbeResult(tuple(targets[p].tolist()), False,
                                        np.full(vals.shape[0], np.nan),
                                        np.inf, False, False, n_ok,
                                        starved=True))
@@ -117,8 +117,9 @@ def _probe_once(fn, targets, domain, config, ndir):
         diverging = bool(np.any(growing[:, p, sel])) and not settled
         spread = float(np.max(lim.max(axis=1) - lim.min(axis=1)) / scale)
         ok = settled and spread <= config.tol_limit
-        results.append(ProbeResult(tuple(targets[p]), ok, lim.mean(axis=1),
-                                   spread, settled, diverging, n_ok))
+        results.append(ProbeResult(tuple(targets[p].tolist()), ok,
+                                   lim.mean(axis=1), spread, settled,
+                                   diverging, n_ok))
     return results
 
 

@@ -318,12 +318,6 @@ class Jet:
         return self * s
 
 
-def jets_allclose(a, b, tol=1e-12):
-    a, b = a._match(b)
-    return all(np.all(np.abs(x - y) <= tol * np.maximum(1.0, np.abs(x)))
-               for x, y in zip(a.coeffs, b.coeffs))
-
-
 # --- 3-vectors of jets ------------------------------------------------------
 
 

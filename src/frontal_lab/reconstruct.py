@@ -34,10 +34,28 @@ step, so each sweep still samples its own coefficients, as many whole
 lattice segments as fit in SWEEP_LANES lanes with one call, on the open
 mesh (substep abscissae) x (lanes); grid entries evaluate an open mesh
 with one spline grid call per component and partial.
+
+Every sampling call of a march is fixed by the lattice before its first
+step, so the march lists its calls in the order it reads them and runs
+them through forks.fork_map, the library's one fork discipline.  When
+they sample PARALLEL_POINTS points or more and k >= 2 cores are usable,
+call i runs in worker i mod k: the parent runs its share as it marches,
+and k - 1 forked children run theirs, each at most one call ahead,
+sending the RK4 matrices back as raw float bytes.  Each call keeps the
+mesh it has on one core, because the adaptive quadrature behind some
+entries decides convergence over all lanes of a call.  A call that a
+child fails to deliver (a failed fork or pipe, a child that raises,
+warns, dies or exits non-zero) runs in the parent, so an error or
+warning surfaces there as on one core; every child is reaped before the
+march returns or raises, and killed first if it raises.  The result is
+bit-identical to the one-process path, which smaller marches, one core
+or no os.fork take.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +70,7 @@ from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
                      FrameDegenerate, Indeterminate, InputError,
                      InsufficientJetOrder, IntegrabilityViolated,
                      NotExtendable, RankDeficient, SingularPoint)
+from .forks import fork_map, usable_cores as _usable_cores
 from .frame import Frontal, frame_bundle
 from .jets import INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet
 
@@ -515,24 +534,39 @@ class FrameField:
 # of the per-call jet arrays.  Sweeps that march together still sample
 # apart, each with its own calls.
 SWEEP_LANES = 4096
+# A march whose sweeps sample at least this many points samples on every
+# usable core; below it, a fork costs more than it saves.
+PARALLEL_POINTS = 1 << 15
 
 
-def _segment_blocks(sd, fixed, ts, axis):
-    """Yield, segment by segment, the (2 nsub + 1, m, 4, 4) RK4 matrices
-    [[A_axis^T, Lambda row^T], [0, 0]] of one sweep along u_axis whose
-    substep abscissae are the rows of `ts`, with the other coordinate
-    `fixed` per lane."""
-    m = fixed.size
-    per_call = max(1, SWEEP_LANES // (ts.shape[1] * m))
+def _sweep_calls(fixed, ts, axis):
+    """The aug_values calls of one sweep along u_axis whose substep
+    abscissae are the rows of `ts`, with the other coordinate `fixed`
+    per lane, as (first segment, (u1, u2, axis)): open meshes
+    (abscissae) x (lanes) of as many whole segments as fit in
+    SWEEP_LANES lanes."""
+    per_call = max(1, SWEEP_LANES // (ts.shape[1] * fixed.size))
+    calls = []
     for first in range(0, len(ts), per_call):
-        batch = ts[first:first + per_call]
-        mesh = (batch.reshape(-1, 1), fixed[None, :])
-        daug, lam_row = sd.aug_values(*(mesh if axis == 0 else mesh[::-1]),
-                                      axis)
-        A = np.zeros(daug.shape[:-2] + (4, 4))
-        A[..., :3, :3] = np.swapaxes(daug, -1, -2)
-        A[..., :2, 3] = lam_row
-        yield from A.reshape(batch.shape + (m, 4, 4))
+        mesh = (ts[first:first + per_call].reshape(-1, 1), fixed[None, :])
+        calls.append((first, (*(mesh if axis == 0 else mesh[::-1]), axis)))
+    return calls
+
+
+def _call_shape(call):
+    """The broadcast shape, (abscissae, lanes), of an aug_values call."""
+    u1, u2, _ = call
+    return np.broadcast_shapes(u1.shape, u2.shape)
+
+
+def _rk4_blocks(sd, call):
+    """The (abscissae, lanes, 4, 4) RK4 matrices [[A_axis^T, Lambda
+    row^T], [0, 0]] of one aug_values call."""
+    daug, lam_row = sd.aug_values(*call)
+    A = np.zeros(daug.shape[:-2] + (4, 4))
+    A[..., :3, :3] = np.swapaxes(daug, -1, -2)
+    A[..., :2, 3] = lam_row
+    return A
 
 
 def _march(sd, sweeps, step):
@@ -543,7 +577,10 @@ def _march(sd, sweeps, step):
 
     Sweeps with the same node count and substep count march their lanes
     together in one loop; each lane carries its own step, so the
-    operations on a lane are those of a sweep marched alone."""
+    operations on a lane are those of a sweep marched alone.  A loop's
+    aug_values calls, each sweep's own, are listed in the order it reads
+    them and run through forks.fork_map: on every usable core when they
+    sample PARALLEL_POINTS points or more, in this process otherwise."""
     out = [state[None] for state, *_ in sweeps]
     groups = {}
     for i, (_, _, nodes, _) in enumerate(sweeps):
@@ -551,29 +588,50 @@ def _march(sd, sweeps, step):
             nsub = max(1, int(math.ceil(abs(nodes[1] - nodes[0]) / step)))
             groups.setdefault((nodes.size, nsub), []).append(i)
     for (n, nsub), members in groups.items():
-        hs, segments = [], []
-        for i in members:
+        hs, calls, counts = [], [], []
+        for slot, i in enumerate(members):
             state, fixed, nodes, axis = sweeps[i]
             h = (nodes[1] - nodes[0]) / nsub
             hs.append(np.full(state.shape[0], h))
             # (n - 1, 2 nsub + 1) abscissae of every segment's substeps,
             # by h/2
             ts = nodes[:-1, None] + 0.5 * h * np.arange(2 * nsub + 1)
-            segments.append(_segment_blocks(sd, fixed, ts, axis))
+            own = _sweep_calls(fixed, ts, axis)
+            calls += [(first, slot, call) for first, call in own]
+            counts.append(len(own))
+        # the loop reads segment by segment, each member in turn, so a
+        # member's call is read at the first segment it covers
+        calls = [call for *_, call in sorted(calls, key=lambda c: c[:2])]
+        points = sum(math.prod(_call_shape(call)) for call in calls)
+        workers = _usable_cores() if points >= PARALLEL_POINTS else 1
         h = np.concatenate(hs)[:, None, None]
         half, sixth = 0.5 * h, h / 6.0
         Y = np.empty((n, h.size, 3, 4))
         y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
-        for seg, blocks in enumerate(zip(*segments), start=1):
-            A = np.concatenate(blocks, axis=1)
-            for i in range(nsub):
-                a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
-                k1 = y @ a0
-                k2 = (y + half * k1) @ a1
-                k3 = (y + half * k2) @ a1
-                k4 = (y + h * k3) @ a2
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            Y[seg] = y
+        with contextlib.closing(fork_map(functools.partial(_rk4_blocks, sd),
+                                         calls, workers)) as sampled:
+            blocks = (_rk4_blocks(sd, call) if data is None else
+                      np.frombuffer(data).reshape(_call_shape(call) + (4, 4))
+                      for call, data in zip(calls, sampled))
+
+            def segments(m, count):
+                """A member's segments, from its `count` calls, each next
+                in `blocks` when the member reads past the one before."""
+                for _ in range(count):
+                    yield from next(blocks).reshape(-1, 2 * nsub + 1, m, 4, 4)
+
+            for seg, parts in enumerate(zip(*(
+                    segments(sweeps[i][1].size, count)
+                    for i, count in zip(members, counts))), start=1):
+                A = np.concatenate(parts, axis=1)
+                for i in range(nsub):
+                    a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
+                    k1 = y @ a0
+                    k2 = (y + half * k1) @ a1
+                    k3 = (y + half * k2) @ a1
+                    k4 = (y + h * k3) @ a2
+                    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                Y[seg] = y
         lanes = np.cumsum([sweeps[i][0].shape[0] for i in members])
         for i, part in zip(members, np.split(Y, lanes[:-1], axis=1)):
             out[i] = part

@@ -25,29 +25,30 @@ identity of reruns is part of the contract.
 
 OBJ and CSV exports go through one table writer, `_write_table`: a 2-D
 float array and a row formatter that writes each value as repr of a
-Python float.  A table of at least PARALLEL_VALUES values, on a platform
-with os.fork and k >= 2 usable cores (os.sched_getaffinity), is cut into
-k slices of rows.  The parent forks k - 1 children, one per slice after
-the first; each child formats its slice, sends the bytes with their
-length on a pipe and leaves through os._exit, running no numpy call but
-`tolist` and printing nothing.  The parent formats the first slice,
-then copies the children's bytes into the file in slice order.  A slice
-whose pipe or fork fails, or whose child exits non-zero or sends less
-than it announced, is formatted by the parent itself, so such a fault
-never surfaces as an error; every child is reaped before the writer
-returns or raises.  Either way the file holds the same bytes as the
-one-process path, which smaller tables, one core or no os.fork take.
+Python float.  A table of at least PARALLEL_VALUES values, on k >= 2
+usable cores (os.sched_getaffinity), is cut into k slices of rows and
+formatted through forks.fork_map, the library's one fork discipline:
+the parent formats the first slice while k - 1 forked children format
+one slice each, running no numpy call but `tolist` and printing
+nothing, and the parent copies their bytes into the file in slice
+order.  A slice whose fork or pipe fails, or whose child exits non-zero
+or sends less than it announced, is formatted by the parent itself, so
+such a fault never surfaces as an error; every child is reaped before
+the writer returns or raises, and killed first if it raises.  Either
+way the file holds the same bytes as the one-process path, which
+smaller tables, one core or no os.fork take.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import InputError
+from .forks import fork_map, usable_cores as _usable_cores
 from .frame import Frontal, frontal_from_expressions
 from .reconstruct import (GridField, StructureData, expr_entry, split_blocks,
                           stack_blocks)
@@ -280,72 +281,9 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
 PARALLEL_VALUES = 1 << 15
 
 
-def _usable_cores():
-    """The cores this process may run on; 1 where the platform cannot say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _write_rows(fh, rows, row):
     """Write row(r) for each row r of the float array `rows` to `fh`."""
     fh.writelines(row(r).encode() for r in rows.tolist())
-
-
-def _fork_formatter(rows, row, inherited):
-    """Fork a child that writes len(text) as 8 bytes, then text, to a pipe,
-    where text is the rows of `rows` formatted by `row`; return (pid, read
-    end).  The child first closes `inherited`, the read ends of the
-    children forked before it.  Raises OSError if the pipe or fork fails."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (r, *inherited):
-                os.close(fd)
-            text = "".join(map(row, rows.tolist())).encode()
-            with open(w, "wb") as pipe:
-                pipe.write(len(text).to_bytes(8, "little"))
-                pipe.write(text)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _reap(pid):
-    """Wait for child `pid`; its wait status, or -1 if it was reaped
-    elsewhere."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return -1
-
-
-def _collect(pid, fd):
-    """Read the pipe `fd` to its end, then reap child `pid`; the text the
-    child sent, or None unless it exited 0 after sending all it announced."""
-    chunks = []
-    try:
-        while chunk := os.read(fd, 1 << 20):
-            chunks.append(chunk)
-    except OSError:
-        chunks = []
-    finally:
-        os.close(fd)
-        status = _reap(pid)
-    data = b"".join(chunks)
-    if status != 0 or len(data) < 8 or \
-            int.from_bytes(data[:8], "little") != len(data) - 8:
-        return None
-    return memoryview(data)[8:]
 
 
 def _write_table(path, head, table, row, tail=""):
@@ -354,33 +292,22 @@ def _write_table(path, head, table, row, tail=""):
     rows are cut into one slice per usable core when the table holds at
     least PARALLEL_VALUES values; the module docstring gives the rules."""
     n = len(table)
-    k = 1
-    if hasattr(os, "fork") and table.size >= PARALLEL_VALUES:
-        k = min(_usable_cores(), n)
+    k = min(_usable_cores(), n) if table.size >= PARALLEL_VALUES else 1
     cuts = [n * i // k for i in range(k + 1)]
     slices = [table[a:b] for a, b in zip(cuts, cuts[1:])]
-    with open(path, "wb") as fh:
-        children = {}       # slice index -> (pid, read end), until reaped
-        try:
-            for i in range(1, k):
-                try:
-                    children[i] = _fork_formatter(
-                        slices[i], row, [fd for _, fd in children.values()])
-                except OSError:
-                    pass        # the parent formats this slice
-            fh.write(head.encode())
-            _write_rows(fh, slices[0], row)
-            for i in range(1, k):
-                text = _collect(*children.pop(i)) if i in children else None
-                if text is None:
-                    _write_rows(fh, slices[i], row)
-                else:
-                    fh.write(text)
-            fh.write(tail.encode())
-        finally:
-            for pid, fd in children.values():
-                os.close(fd)
-                _reap(pid)
+
+    def text(rows):
+        return "".join(map(row, rows.tolist())).encode()
+
+    with open(path, "wb") as fh, \
+            contextlib.closing(fork_map(text, slices, k)) as formatted:
+        fh.write(head.encode())
+        for rows, data in zip(slices, formatted):
+            if data is None:
+                _write_rows(fh, rows, row)
+            else:
+                fh.write(data)
+        fh.write(tail.encode())
 
 
 def export_obj(path, x_grid):

@@ -74,6 +74,14 @@ def with_structure(f, field, u1, u2):
                                        xi_jets=xj)
 
 
+def jets_allclose(a, b, tol=1e-12):
+    """Whether every coefficient of the jets a and b agrees to `tol`,
+    relative to max(1, |a's coefficient|)."""
+    a, b = a._match(b)
+    return all(np.all(np.abs(x - y) <= tol * np.maximum(1.0, np.abs(x)))
+               for x, y in zip(a.coeffs, b.coeffs))
+
+
 def random_unimodular(rng, scale=1.0):
     """Random 3x3 with determinant exactly +1 (well away from singular)."""
     while True:

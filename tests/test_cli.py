@@ -36,6 +36,13 @@ PARABOLOID_FILE = {"name": "paraboloid-file",
                    "x": ["u1", "u2", "(u1^2 + u2^2)/2"],
                    "omega": [["1", "0", "u1"], ["0", "1", "u2"]]}
 
+# A frontal file with no extendable Blaschke field.
+CUSP2_FILE = {"name": "cusp2", "domain": [-1, 1, -1, 1],
+              "x": ["u1", "u2^2", "u2^3 + u1^2*u2^2 + u1^2"],
+              "omega": [["1", "0", "2*u1*u2^2 + 2*u1"],
+                        ["0", "2", "3*u2 + 2*u1^2"]],
+              "lambda": ["1", "0", "0", "u2"], "open_domain": False}
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):
@@ -139,6 +146,19 @@ class TestBlaschkeCommand:
     def test_plane_exit_code(self, capsys):
         assert run(["blaschke", "--entry", "plane",
                     "--grid", "9x9"]) == cli.EXIT_PRECONDITION
+
+    def test_not_extendable_names_its_point_as_floats(self, tmp_path,
+                                                     capsys):
+        # the extended Gauss curvature of this cusp has no limit at
+        # (-1, 0), where its directional limits disagree
+        path = tmp_path / "cusp2.json"
+        path.write_text(json.dumps(CUSP2_FILE))
+        assert run(["blaschke", "--input", str(path)]) == \
+            cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "NotExtendable: extended Gauss curvature at (-1.0, 0.0): " \
+            "directional limits disagree" in err
+        assert "np.float64" not in err
 
     def test_quintic_edge_known_answer(self, capsys):
         code = run(["blaschke", "--entry", "ex-5.9", "--grid", "21x21",

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
+                                DomainError,
                                 FrameDegenerate, InsufficientJetOrder,
                                 IntegrabilityViolated, RankDeficient)
 from frontal_lab.frame import frame_bundle
@@ -629,12 +633,13 @@ class TestPerAxisBlocks:
             assert calls and set(calls) == {name}
 
 
-class TestBatchedSweep:
-    @pytest.fixture(scope="class")
-    def ex59_sd(self, ex59):
-        blaschke_field(ex59, (21, 21))
-        return extract_structure(ex59, AFFINE_NORMAL)
+@pytest.fixture(scope="module")
+def ex59_sd(ex59):
+    blaschke_field(ex59, (21, 21))
+    return extract_structure(ex59, AFFINE_NORMAL)
 
+
+class TestBatchedSweep:
     @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
     def test_matches_per_segment_sweep(self, source, ex59_sd, file_backed_sd,
                                        monkeypatch):
@@ -683,12 +688,15 @@ class TestBatchedSweep:
         assert_matches_reference(ff, per_lattice_reference(sd, (7, 11),
                                                            1e-2))
 
+    # 21x21 lattice, 193 abscissae per segment: each family segment (21
+    # lanes, 4,053 points) is one call and each spine (20 segments, 3,860
+    # points) one call, 42 in all where one call per segment made 80; the
+    # points sampled stay the same
+    WHOLE_SEGMENTS_SD = dict(d1=["0"] * 4, d2=["0"] * 4,
+                             domain=(0.0, 1.91, 0.0, 1.91))
+
     def test_sweeps_sample_whole_segments(self, monkeypatch):
-        # 21x21 lattice, 193 abscissae per segment: each family segment
-        # (21 lanes, 4,053 points) is one call and each spine (20
-        # segments, 3,860 points) one call, 42 in all where one call per
-        # segment made 80; the points sampled stay the same
-        sd = synthetic_sd(["0"] * 4, ["0"] * 4, domain=(0.0, 1.91, 0.0, 1.91))
+        sd = synthetic_sd(**self.WHOLE_SEGMENTS_SD)
         sizes = []
         aug_values = StructureData.aug_values
 
@@ -696,10 +704,40 @@ class TestBatchedSweep:
             sizes.append(np.broadcast(u1, u2).size)
             return aug_values(self, u1, u2, axis)
 
+        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 1)
         monkeypatch.setattr(StructureData, "aug_values", counted)
         integrate_frame(sd, (21, 21), step=1e-3)
         assert len(sizes) == 42
         assert sum(sizes) == 2 * 20 * (193 + 193 * 21)
+
+    def test_sweeps_sample_whole_segments_on_two_cores(self, monkeypatch,
+                                                       tmp_path):
+        # the same calls when the families sample in a child as well: each
+        # call appends its process and size to one file, whichever
+        # process makes it
+        sd = synthetic_sd(**self.WHOLE_SEGMENTS_SD)
+        log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_APPEND
+                      | os.O_CREAT)
+        aug_values = StructureData.aug_values
+
+        def counted(self, u1, u2, axis):
+            os.write(log, f"{os.getpid()} {np.broadcast(u1, u2).size}\n"
+                     .encode())
+            return aug_values(self, u1, u2, axis)
+
+        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(StructureData, "aug_values", counted)
+        try:
+            integrate_frame(sd, (21, 21), step=1e-3)
+        finally:
+            os.close(log)
+        calls = [line.split() for line in
+                 (tmp_path / "calls").read_text().splitlines()]
+        assert len({pid for pid, _ in calls}) == 2
+        assert len(calls) == 42
+        assert sum(int(size) for _, size in calls) == 2 * 20 * (193 + 193 * 21)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     # every gate is written so that a NaN fails it.  The residual gates
     # read the lattice nodes and the audits the sweeps between them: D2
@@ -760,6 +798,175 @@ class TestBatchedSweep:
         ff = integrate_frame(sd, (7, 7), step=1e-2, config=UNGATED)
         assert ff.discrepancy == 0.0
         assert max(ff.compat, ff.symmetry, ff.row_identity) < 1e-12
+
+
+def _call_key(u1, u2, axis):
+    """What tells one aug_values call of a march from the others."""
+    return (axis, np.shape(u1), np.shape(u2), float(np.ravel(u1)[0]),
+            float(np.ravel(u2)[0]))
+
+
+class TestForkedSampling:
+    """Marches that sample on two cores give the bits of one core, and a
+    child that fails hands its calls back to the parent."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def interior_sd(self, file_backed_sd):
+        return dataclasses.replace(file_backed_sd, basepoint=(0.13, -0.21))
+
+    @staticmethod
+    def integrate(sd, monkeypatch, cores, shape=(15, 11), lanes=256):
+        """integrate_frame on `cores` cores, every march past the fork
+        threshold, with calls of at most `lanes` lanes: 256 cut the
+        families of a 15x11 lattice into calls of one segment each."""
+        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(reconstruct, "PARALLEL_POINTS", 1)
+        monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
+        return integrate_frame(sd, shape=shape, step=1e-2, config=UNGATED)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for name in ("W", "x", "discrepancy", "x_discrepancy", "min_det",
+                     "compat", "symmetry", "row_identity"):
+            assert np.array_equal(_bits(getattr(got, name)),
+                                  _bits(getattr(want, name))), name
+
+    @staticmethod
+    def patch_aug_values(monkeypatch, before):
+        """Run before(u1, u2, axis) ahead of every aug_values call."""
+        aug_values = StructureData.aug_values
+
+        def patched(self, u1, u2, axis):
+            before(u1, u2, axis)
+            return aug_values(self, u1, u2, axis)
+
+        monkeypatch.setattr(StructureData, "aug_values", patched)
+
+    def call_made_in(self, who, sd, monkeypatch, tmp_path):
+        """The key of an aug_values call made on two cores by a child
+        (its last), or by the parent (its middle one, while a child still
+        samples)."""
+        log = tmp_path / f"{who}-calls"
+        parent = os.getpid()
+
+        def record(u1, u2, axis):
+            if (os.getpid() == parent) == (who == "parent"):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(_call_key(u1, u2, axis)) + "\n")
+
+        with monkeypatch.context() as m:
+            self.patch_aug_values(m, record)
+            self.integrate(sd, m, 2)
+        keys = log.read_text().splitlines()
+        key = json.loads(keys[-1] if who == "child" else keys[len(keys) // 2])
+        return (key[0], tuple(key[1]), tuple(key[2]), *key[3:])
+
+    @pytest.mark.parametrize("shape, basepoint, lanes", [
+        ((21, 21), None, reconstruct.SWEEP_LANES),
+        ((15, 11), (0.13, -0.21), 256)], ids=["21x21", "15x11-interior"])
+    @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
+    def test_two_cores_give_the_one_core_bits(self, source, shape, basepoint,
+                                              lanes, ex59_sd, file_backed_sd,
+                                              monkeypatch):
+        sd = file_backed_sd if source == "file" else ex59_sd
+        if basepoint is not None:
+            sd = dataclasses.replace(sd, basepoint=basepoint)
+        want = self.integrate(sd, monkeypatch, 1, shape, lanes)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.assert_same_bits(self.integrate(sd, monkeypatch, 2, shape, lanes),
+                              want)
+        assert forks
+
+    def test_failed_fork_samples_in_the_parent(self, interior_sd,
+                                               monkeypatch):
+        want = self.integrate(interior_sd, monkeypatch, 1)
+
+        def fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.assert_same_bits(self.integrate(interior_sd, monkeypatch, 2),
+                              want)
+
+    def test_child_dying_mid_stream(self, interior_sd, monkeypatch,
+                                    tmp_path):
+        # a child is killed at its second call, after it sent its first
+        want = self.integrate(interior_sd, monkeypatch, 1)
+        parent, made = os.getpid(), []
+
+        def die(u1, u2, axis):
+            if os.getpid() != parent:
+                made.append(1)
+                if len(made) == 2:
+                    (tmp_path / "died").touch()
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        self.patch_aug_values(monkeypatch, die)
+        self.assert_same_bits(self.integrate(interior_sd, monkeypatch, 2),
+                              want)
+        assert (tmp_path / "died").exists()
+
+    @pytest.mark.parametrize("cores, who", [(1, "child"), (2, "child"),
+                                            (2, "parent")])
+    def test_typed_error_surfaces_from_the_parent_at_its_call(
+            self, cores, who, interior_sd, monkeypatch, tmp_path):
+        target = self.call_made_in(who, interior_sd, monkeypatch, tmp_path)
+        parent, made = os.getpid(), []
+
+        def fail(u1, u2, axis):
+            key = _call_key(u1, u2, axis)
+            if os.getpid() == parent:
+                made.append(key)
+            if key == target:
+                raise DomainError("a fault at one call")
+
+        self.patch_aug_values(monkeypatch, fail)
+        with pytest.raises(DomainError, match="^a fault at one call$"):
+            self.integrate(interior_sd, monkeypatch, cores)
+        assert made[-1] == target
+
+    def test_warning_in_a_child_is_the_parents(self, interior_sd, monkeypatch,
+                                               tmp_path):
+        want = self.integrate(interior_sd, monkeypatch, 1)
+        target = self.call_made_in("child", interior_sd, monkeypatch,
+                                   tmp_path)
+
+        def warn(u1, u2, axis):
+            if _call_key(u1, u2, axis) == target:
+                warnings.warn("a warning at one call", RuntimeWarning)
+
+        self.patch_aug_values(monkeypatch, warn)
+        with pytest.warns(RuntimeWarning, match="a warning at one call"):
+            got = self.integrate(interior_sd, monkeypatch, 2)
+        self.assert_same_bits(got, want)
+
+    def test_small_marches_do_not_fork(self, file_backed_sd, monkeypatch):
+        # a 9x9 lattice at this step samples 7,840 points in all
+        points = []
+
+        def fork():
+            raise AssertionError("forked for a small march")
+
+        self.patch_aug_values(monkeypatch, lambda u1, u2, axis: points.append(
+            np.broadcast(u1, u2).size))
+        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        integrate_frame(file_backed_sd, (9, 9), step=1e-2, config=UNGATED)
+        assert sum(points) < reconstruct.PARALLEL_POINTS
 
 
 class TestAffineAlign:

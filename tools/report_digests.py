@@ -68,7 +68,11 @@ and a frontal file whose domain holds strings and a boolean (an input
 error).  Last, the 127x127 field export of ex-5.10: its 16,129 rows of
 8 values are past the size at which the table writer forks, and do not
 divide evenly between cores, so the parallel CSV path has a digest of
-its own besides the benchmark jobs.
+its own besides the benchmark jobs.  Then `blaschke` on a cusp frontal
+file whose Gauss curvature has no limit at an edge point (a typed failure
+that names the point), and the 9x9 unit-normal reconstruction of
+gen-extendable-nc, whose sweeps sample through nested integrals, in
+forked children where more than one core is usable.
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -172,6 +176,14 @@ X_DIV_ZERO = dict(NO_LAMBDA_FRONTAL, x=["u1", "u2", "abs(1/0 + u1)"])
 # The paraboloid frontal file whose domain holds strings and a boolean
 # (OUTDIR/domain-strings.json, "{strdomain}"): an input error.
 DOMAIN_STRINGS = dict(NO_LAMBDA_FRONTAL, domain=["-1", "1", True, "2"])
+# A cusp whose extended Gauss curvature has directional limits that
+# disagree at (-1, 0), so it has no extendable Blaschke field
+# (OUTDIR/cusp2.json, "{cusp2}").
+CUSP2 = {"name": "cusp2", "domain": [-1, 1, -1, 1],
+         "x": ["u1", "u2^2", "u2^3 + u1^2*u2^2 + u1^2"],
+         "omega": [["1", "0", "2*u1*u2^2 + 2*u1"],
+                   ["0", "2", "3*u2 + 2*u1^2"]],
+         "lambda": ["1", "0", "0", "u2"], "open_domain": False}
 
 
 def command_list():
@@ -345,6 +357,10 @@ def command_list():
     cmds.append(("ex510-field-127",
                  ["export", "--entry", "ex-5.10", "--what", "field", "--grid",
                   "127x127", "--out", "{out}/f.csv"]))
+    cmds.append(("typed-failure", ["blaschke", "--input", "{cusp2}"]))
+    cmds.append(("nc-reconstruct-normal",
+                 ["reconstruct", "--entry", "gen-extendable-nc", "--field",
+                  "normal", "--grid", "9x9", "--out", "{out}"]))
     return cmds
 
 
@@ -416,7 +432,8 @@ def main(argv=None):
                             BASEPOINT_OBJECT),
                            ("{divzero}", "x-div-zero.json", X_DIV_ZERO),
                            ("{strdomain}", "domain-strings.json",
-                            DOMAIN_STRINGS)):
+                            DOMAIN_STRINGS),
+                           ("{cusp2}", "cusp2.json", CUSP2)):
         files[key] = os.path.join(outdir, name)
         with open(files[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
