@@ -5,7 +5,9 @@ text; their known-answer block (factor determinant, extended Gauss
 curvature, affine-normal field, improper-sphere flag) is verified at load
 and used by the golden tests.  Generator entries assemble a surface whose
 third component is an iterated integral, evaluated through integrate_jet,
-and derive the moving basis analytically or from the integral jets.
+and derive the moving basis analytically or from the integral jets.  An
+integral whose integrand reads one coordinate only is integrated once per
+distinct value of that coordinate (_integral_per_value).
 
 Known-answer curvature carries the honest sign of det II / det I; the
 affine-normal closed forms were cross-checked against the defining
@@ -215,6 +217,34 @@ def _integral(cfg: Config, integrand, upper, var, order):
                          nodes=cfg.quad_nodes, max_nodes=cfg.quad_max_nodes)
 
 
+def _integral_per_value(cfg: Config, integrand, upper, var, order):
+    """_integral of an integrand that reads t alone, with `upper` a
+    coordinate jet in u_var: integrated once per distinct value of upper,
+    on a 1-D coordinate jet at upper's order, and scattered back to
+    upper's shape.
+
+    Values are told apart by their float64 bits, so +0.0, -0.0 and NaNs
+    of different payloads stay apart.  converged_quad decides from maxima
+    over lanes, and the set of lane values is the same; fewer lanes only
+    put more nodes into each batched call, which _quad_fixed sums in node
+    order.  So every coefficient keeps its bits, unless an integral nested
+    in the integrand (as in t34) needs more nodes at some outer nodes than
+    at others: it decides its convergence over the outer nodes batched
+    with it, and fewer lanes batch them differently.  A 0-d upper keeps
+    the plain path, since as a 1-D array its powers would leave libm's pow
+    (see _quad_fixed); so does one of another dtype (the extended-precision
+    probes), whose padding bytes are no part of its values."""
+    value = upper.value
+    if value.ndim == 0 or value.dtype != np.float64:
+        return _integral(cfg, integrand, upper, var, order)
+    bits, inverse = np.unique(np.ascontiguousarray(value).view(np.int64),
+                              return_inverse=True)
+    distinct = Jet.variable(bits.view(np.float64), var, upper.order)
+    out = _integral(cfg, integrand, distinct, var, order)
+    return Jet(out.order, [c[inverse].reshape(value.shape)
+                           for c in out.coeffs], out.const)
+
+
 def _zero_integral(upper, var):
     """What _integral returns for an integrand that is +0 everywhere, with
     no quadrature and the same signed zeros: coefficients taken from the
@@ -255,7 +285,8 @@ def _at(ast, u1, u2):
 def _path_x(comps, P, Q):
     """Callable (cfg, u1, u2, order) -> the JetVec3 of
     x = (comps[0], comps[1], int_0^{u1} P(t, u2) dt + int_0^{u2} Q(0, t) dt),
-    the parametrization of the path-integral generators (all ASTs)."""
+    the parametrization of the path-integral generators (all ASTs).  The
+    u2-only integral runs once per distinct u2 value."""
     def x_fn(cfg, u1, u2, order):
         env = expr_mod._jet_env(u1, u2, order)
 
@@ -268,7 +299,7 @@ def _path_x(comps, P, Q):
             return _at(Q, zero, t)
 
         third = (_integral(cfg, along_u1, env["u1"], 0, order)
-                 + _integral(cfg, along_u2, env["u2"], 1, order))
+                 + _integral_per_value(cfg, along_u2, env["u2"], 1, order))
         return JetVec3(*(expr_mod.eval_jet(c, env) for c in comps), third)
     return x_fn
 
@@ -329,7 +360,8 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     profile functions; l and r are single-variable expressions in u1.
     The second basis column is (0, 1, G) with G the u2-derivative cofactor
     of C, and the first column's third entry is recovered from the jets of
-    C, so no closed form of C is ever needed.
+    C, so no closed form of C is ever needed.  int_0^{u1} l and the u1-only
+    terms of C (t34) run once per distinct u1 value.
     """
     b_ast = expr_mod.parse(b)
     h_ast = expr_mod.parse(h)
@@ -380,12 +412,12 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
             return term + _integral(cfg, arr, t2, 0, t2.order)
 
         t12 = _integral(cfg, outer_u2, u2, 1, order)
-        t34 = _integral(cfg, outer_u1, u1, 0, order)
+        t34 = _integral_per_value(cfg, outer_u1, u1, 0, order)
         return t12 + t34
 
     def x_fn(cfg, u1, u2, order):
         v1, v2 = expr_mod._jet_env(u1, u2, order).values()
-        ell_int = _integral(cfg, ell, v1, 0, order)
+        ell_int = _integral_per_value(cfg, ell, v1, 0, order)
         return JetVec3(v1, _at(b_ast, v1, v2),
                        third_component(cfg, v1, v2, order, ell_int))
 
@@ -393,11 +425,11 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         v1, v2 = expr_mod._jet_env(u1, u2, order).values()
         one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
         zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        ell_int = _integral(cfg, ell, v1, 0, order)
+        ell_int = _integral_per_value(cfg, ell, v1, 0, order)
         g2 = big_g(cfg, v1, v2, order, ell_int)
         # g1 reads one derivative of C, so order 0 integrates C at order 1
         c1, c2 = (v1, v2) if order else expr_mod._jet_env(u1, u2, 1).values()
-        c_ell = ell_int if order else _integral(cfg, ell, c1, 0, 1)
+        c_ell = ell_int if order else _integral_per_value(cfg, ell, c1, 0, 1)
         c3 = third_component(cfg, c1, c2, max(order, 1), c_ell)
         g1 = c3.deriv(0) - _at(b_u1, v1, v2) * g2
         return JetVec3(one, zero, g1), JetVec3(zero, one, g2)

@@ -30,9 +30,8 @@ from .jets import (Jet, JetVec3, _mat_values, inv2_jet, mat2_mul_jet,
 
 
 class TransversalField:
-    """A candidate transversal field: a constant vector, component
-    expressions, the unit normal, the affine normal, or any callable of a
-    frame bundle.
+    """A candidate transversal field: a constant vector, the unit normal,
+    the affine normal, or any callable of a frame bundle.
 
     A field is evaluated against the frame bundle of its points, at the
     bundle's points and jet order, so fields built from the frame read it
@@ -53,13 +52,6 @@ class TransversalField:
             return JetVec3(*(Jet.constant(np.full(b.shape, v), b.order)
                              for v in vec))
         return TransversalField(fn, label or f"constant{vec}")
-
-    @staticmethod
-    def from_expressions(sources, label=None):
-        from . import expr as expr_mod
-        fn = expr_mod.jets_fn(sources)
-        return TransversalField(lambda b: fn(b.u1, b.u2, b.order),
-                                label or "expr(" + ", ".join(sources) + ")")
 
     @staticmethod
     def unit_normal():
@@ -129,12 +121,6 @@ def structure_from_field(f: Frontal, xi: TransversalField, u1, u2,
     tau = np.stack([sol[..., 2, 4], sol[..., 2, 5]], axis=-1)
     theta = triple_product_jet(b.w1, b.w2, xj).value_on(shape)
     return EquiaffineStructure(h=h, D1=D1, D2=D2, S=S, tau=tau, theta=theta)
-
-
-def is_equiaffine(structure: EquiaffineStructure, tol=1e-6):
-    """(verdict, max |tau_i|) over the sampled points."""
-    worst = structure.max_tau()
-    return worst <= tol, worst
 
 
 def check_tau_formula(bundle: FrameBundle, phi_j: Jet, a_j: Jet, b_j: Jet):

@@ -8,6 +8,10 @@ from frontal_lab.config import Config
 
 # integrate_frame with every gate open; a NaN still fails them
 UNGATED = Config(tol_compat=math.inf, tol_path=math.inf)
+# an open mesh of 5 x 3 points, as a sweep samples it: u1 on a column and
+# u2 on a row, broadcast against each other
+OPEN_MESH = (np.linspace(-0.6, 0.6, 5)[:, None],
+             np.array([[-0.45, 0.2, 0.45]]))
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +76,22 @@ def with_structure(f, field, u1, u2):
     b, xj = field_jets(f, field, u1, u2)
     return b, xj, structure_from_field(f, field, u1, u2, bundle=b,
                                        xi_jets=xj)
+
+
+def expression_field(sources, label=None):
+    """Transversal field of three component expressions in u1 and u2,
+    evaluated at the points and order of the bundle it is handed."""
+    from frontal_lab.equiaffine import TransversalField
+    from frontal_lab.expr import jets_fn
+    fn = jets_fn(sources)
+    return TransversalField(lambda b: fn(b.u1, b.u2, b.order),
+                            label or "expr(" + ", ".join(sources) + ")")
+
+
+def is_equiaffine(structure, tol=1e-6):
+    """(verdict, max |tau_i|) of a structure over its sampled points."""
+    worst = structure.max_tau()
+    return worst <= tol, worst
 
 
 def jets_allclose(a, b, tol=1e-12):

@@ -1,15 +1,21 @@
 """Catalog entries, load validation, and the representation-formula generators."""
 
+import contextlib
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import with_nan_x
+from conftest import OPEN_MESH, with_nan_x
 from frontal_lab import catalog, expr
 from frontal_lab.catalog import (ENTRIES, GENERATORS, get_entry, list_entries,
                                  validate_entry)
 from frontal_lab.config import Config
-from frontal_lab.errors import (DivisionByZeroValue, DomainError, InputError,
-                                NotAFrontal, QuadratureNonConvergent)
+from frontal_lab.errors import (DivisionByZeroValue, DomainError,
+                                FrontalLabError, InputError, NotAFrontal,
+                                QuadratureNonConvergent)
 from frontal_lab.frame import frame_bundle
 from frontal_lab.jets import Jet, _mat_values
 
@@ -359,3 +365,165 @@ class TestNonparabolicGenerator:
     def test_bad_domain_rejected(self, domain):
         with pytest.raises(InputError, match="^domain: "):
             get_entry("gen-nonparabolic", {"domain": domain})
+
+
+# --- one-variable integrals, once per distinct value ---------------------
+
+# point sets: a meshgrid holding u1 = 0 and u2 = 0, the open mesh of a
+# sweep, scattered points with repeats and both signs of zero, and the
+# same points in extended precision
+_REPEATS = (np.array([0.5, -0.0, 0.0, 0.5, -0.5, -0.0, 0.5]),
+            np.array([0.25, 0.0, -0.0, -0.25, 0.25, 0.0, 0.25]))
+_POINT_SETS = {
+    "grid": np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 3),
+                        indexing="ij"),
+    "open-mesh": OPEN_MESH,
+    "repeats": _REPEATS,
+    "extended": tuple(np.asarray(u, dtype=np.longdouble) for u in _REPEATS),
+}
+
+_PROFILES = {
+    "nc-default": ("gen-extendable-nc", {}),
+    "nc-transcendental": ("gen-extendable-nc", {"l": "exp(u1)",
+                                                "r": "sin(u1)"}),
+    "nc-rational": ("gen-extendable-nc", {"l": "1/(2 + u1)",
+                                          "r": "u1/(1 + u1^2)",
+                                          "b": "2/5*u2^5 + u2^2"}),
+    "nc-transcendental-h": ("gen-extendable-nc", {"l": "exp(u1)",
+                                                  "r": "sin(u1)",
+                                                  "h": "u1*cos(u2)"}),
+    "rank1-transcendental": ("gen-rank1-wavefront", {"h": "exp(u1)*cos(u2)",
+                                                     "c": "1"}),
+    "rank1-rational": ("gen-rank1-wavefront", {"h": "u1^2 - u2^3/(2 + u2)"}),
+    "nonparabolic-transcendental": ("gen-nonparabolic",
+                                    {"a": "exp(u1)*cos(u2)",
+                                     "b": "-exp(u1)*sin(u2)"}),
+    "nonparabolic-polynomial": ("gen-nonparabolic",
+                                {"a": "u1 + u1*u2^2/2",
+                                 "b": "u2 + u1^2*u2/2"}),
+}
+# every profile on every point set, except that the costly nonzero h,
+# which adds G's two-variable integral, runs on one point set
+_CASES = [(p, s) for p in _PROFILES for s in _POINT_SETS
+          if p != "nc-transcendental-h" or s == "repeats"]
+
+
+@functools.lru_cache(maxsize=None)
+def _built(profile):
+    """The generator entry of _PROFILES[profile], built once."""
+    name, params = _PROFILES[profile]
+    return get_entry(name, params).build()
+
+
+@contextlib.contextmanager
+def _plain_integrals():
+    """Every one-variable integral at every lane, through _integral."""
+    with mock.patch.object(catalog, "_integral_per_value",
+                           catalog._integral):
+        yield
+
+
+def _value_bytes(c):
+    """Bytes of the values of c; an extended-precision array is split
+    exactly into two float64 arrays first, since its padding bytes are
+    no part of its values."""
+    c = np.asarray(c)
+    if c.dtype == np.float64:
+        return c.tobytes()
+    hi = c.astype(np.float64)
+    return hi.tobytes() + (c - hi).astype(np.float64).tobytes()
+
+
+def _jet_bytes(f, u1, u2, x_orders=range(4), omega_orders=range(3)):
+    """Shape, dtype, constant flag and value bytes of every coefficient of
+    x and Omega at the given orders."""
+    jets = [f.x(u1, u2, k) for k in x_orders]
+    jets += [w for k in omega_orders for w in f.omega(u1, u2, k)]
+    return [(np.shape(c), np.asarray(c).dtype.str, comp.const,
+             _value_bytes(c))
+            for v in jets for comp in v.c for c in comp.coeffs]
+
+
+@pytest.mark.parametrize("profile, points", _CASES,
+                         ids=[f"{p}-{s}" for p, s in _CASES])
+def test_distinct_value_integrals_keep_every_bit(profile, points):
+    # x (orders 0-3) and Omega (orders 0-2) are byte for byte those of
+    # integrating every one-variable integral at every lane
+    f = _built(profile)
+    u1, u2 = _POINT_SETS[points]
+    got = _jet_bytes(f, u1, u2)
+    with _plain_integrals():
+        assert _jet_bytes(f, u1, u2) == got
+
+
+def test_scalar_upper_keeps_the_plain_path(monkeypatch):
+    # a 0-d upper limit is integrated as given: as a 1-D array its powers
+    # would leave libm's pow
+    uppers = []
+    integral = catalog._integral
+    monkeypatch.setattr(catalog, "_integral",
+                        lambda cfg, integrand, upper, var, order:
+                        uppers.append(upper)
+                        or integral(cfg, integrand, upper, var, order))
+    upper = Jet.variable(-0.0, 0, 2)
+    catalog._integral_per_value(Config(), lambda t: t * t, upper, 0, 2)
+    assert uppers == [upper]
+
+
+@pytest.mark.parametrize("profile, var", [
+    ("nc-transcendental", 0), ("rank1-transcendental", 1),
+    ("nonparabolic-polynomial", 1)])
+def test_one_variable_integrand_sees_each_value_once(monkeypatch, profile,
+                                                     var):
+    # 7 points hold 4 distinct u1 and 3 distinct u2 values, -0.0 and 0.0
+    # apart: every call of a one-variable integrand carries that many
+    # lanes per node, with or without a leading node axis
+    u1 = np.array([0.5, -0.0, 0.0, 0.5, -0.5, -0.0, 0.5])
+    u2 = np.array([0.25, 0.25, -0.0, 0.0, 0.25, 0.0, 0.25])
+    f = _built(profile)
+    shapes = []
+    per_value = catalog._integral_per_value
+
+    def watched(cfg, integrand, upper, var, order):
+        def spy(t):
+            shapes.append((var, np.shape(t.value)))
+            return integrand(t)
+        return per_value(cfg, spy, upper, var, order)
+
+    monkeypatch.setattr(catalog, "_integral_per_value", watched)
+    f.x(u1, u2, 3)
+    f.omega(u1, u2, 2)
+    assert {v for v, _ in shapes} == {var}
+    assert all(len(shape) in (1, 2) and shape[-1] == (4, 3)[var]
+               for _, shape in shapes)
+
+
+_ATOMS = ("u1", "-0", "2.5", "exp(u1)", "sin(u1)", "cos(3*u1)",
+          "1/(u1 + 1.5)", "sqrt(u1 + 2)", "sqrt(u1)", "u1^3", "1/u1",
+          "abs(u1)")
+_PROFILE = st.sampled_from(_ATOMS) | st.builds(
+    lambda a, op, b: f"({a}){op}({b})", st.sampled_from(_ATOMS),
+    st.sampled_from("+-*/"), st.sampled_from(_ATOMS))
+_COORDS = st.lists(st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)),
+                   min_size=1, max_size=5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(l=_PROFILE, r=_PROFILE, u1=_COORDS, u2=_COORDS)
+def test_random_profiles_keep_every_bit_or_error(l, r, u1, u2):
+    # on a mesh of at most 5 x 5 points with repeats and signed zeros,
+    # both paths give the same bytes or the same typed error
+    entry = get_entry("gen-extendable-nc", {"l": l, "r": r})
+    f = entry.builder(entry, Config(quad_nodes=8))
+    mesh = np.meshgrid(np.array(u1), np.array(u2), indexing="ij")
+
+    def outcome():
+        try:
+            return _jet_bytes(f, *mesh, x_orders=(3,), omega_orders=(2,))
+        except FrontalLabError as exc:
+            return type(exc), str(exc)
+
+    got = outcome()
+    with _plain_integrals():
+        assert outcome() == got

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import field_jets, regular_points, with_structure
+from conftest import (expression_field, field_jets, is_equiaffine,
+                      regular_points, with_structure)
 from frontal_lab.blaschke import AFFINE_NORMAL, _regular_field, blaschke_field
 from frontal_lab.equiaffine import (TransversalField, check_tau_formula,
                                     classical_symbols, d_from_gamma,
-                                    is_equiaffine, parallel_volume_check,
+                                    parallel_volume_check,
                                     structure_from_field)
 from frontal_lab.errors import NotTransversal, VerificationError
 from frontal_lab.frame import frame_bundle
@@ -75,7 +76,7 @@ class TestIsEquiaffine:
 
     def test_scaled_vertical_not_equiaffine(self, paraboloid):
         # xi = (1 + u1^2) e3 rescales along u1, so tau_1 != 0
-        field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
+        field = expression_field(["0", "0", "1 + u1^2"])
         u1, u2 = regular_points(paraboloid, 20, seed=4)
         verdict, worst = is_equiaffine(
             structure_from_field(paraboloid, field, u1, u2))
@@ -126,7 +127,7 @@ class TestParallelVolume:
 
     def test_doubled_normal_on_plane(self, plane):
         u1, u2 = regular_points(plane, 10, seed=10)
-        field = TransversalField.from_expressions(["0", "0", "2"])
+        field = expression_field(["0", "0", "2"])
         resid, _ = parallel_volume_check(
             *with_structure(plane, field, u1, u2))
         assert resid < 1e-12
@@ -134,7 +135,7 @@ class TestParallelVolume:
     def test_nan_residual_is_not_hidden(self, paraboloid):
         # a NaN in D1 at one point makes the u1 residual NaN; the result
         # must not fall back on the finite u2 residual
-        field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
+        field = expression_field(["0", "0", "1 + u1^2"])
         u1, u2 = regular_points(paraboloid, 5, seed=11)
         b, xj, s = with_structure(paraboloid, field, u1, u2)
         d1 = s.D1.copy()
@@ -144,7 +145,7 @@ class TestParallelVolume:
 
     def test_identity_holds_even_without_equiaffinity(self, paraboloid):
         # the derivative identity is unconditional; tau decides parallelism
-        field = TransversalField.from_expressions(["0", "0", "1 + u1^2"])
+        field = expression_field(["0", "0", "1 + u1^2"])
         u1, u2 = regular_points(paraboloid, 20, seed=11)
         resid, max_tau = parallel_volume_check(
             *with_structure(paraboloid, field, u1, u2))
@@ -221,8 +222,7 @@ class TestStructureProperties:
         from frontal_lab.frame import frame_bundle
         K_omega = frame_bundle(ex510, u1, u2).K_omega.value_on(u1.shape)
         strong = np.abs(K_omega) > 1e-4
-        field = TransversalField.from_expressions(
-            ["1/10", "u1/7", "1 + u2^2/3"])
+        field = expression_field(["1/10", "u1/7", "1 + u2^2/3"])
         s = structure_from_field(ex510, field, u1[strong], u2[strong])
         det_h = (s.h[..., 0, 0] * s.h[..., 1, 1]
                  - s.h[..., 0, 1] * s.h[..., 1, 0])

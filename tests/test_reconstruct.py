@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import UNGATED, random_unimodular, regular_points
+from conftest import OPEN_MESH, UNGATED, random_unimodular, regular_points
 from frontal_lab import reconstruct
 from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
 from frontal_lab.catalog import get_entry
@@ -533,7 +533,7 @@ def _six_solves(b, xj):
 # an open mesh, like a sweep's, off the singular line u2 = 0 of ex-5.9;
 # at u2 < 0, h[0][0] and h[0][1] differ in sign, so the corner of A_2
 # tells h[0][0] * 0.0 from h[0][1] * 0.0
-_MESH = (np.linspace(-0.6, 0.6, 5)[:, None], np.array([[-0.45, 0.2, 0.45]]))
+_MESH = OPEN_MESH
 
 
 def _assert_axis_values_are_bit_equal(sd, both, lam):

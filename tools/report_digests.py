@@ -72,7 +72,11 @@ its own besides the benchmark jobs.  Then `blaschke` on a cusp frontal
 file whose Gauss curvature has no limit at an edge point (a typed failure
 that names the point), and the 9x9 unit-normal reconstruction of
 gen-extendable-nc, whose sweeps sample through nested integrals, in
-forked children where more than one core is usable.
+forked children where more than one core is usable.  Last, the integrals
+that read one coordinate only, which run once per distinct value of it,
+with transcendental profiles: `analyze --out` on gen-extendable-nc with
+l = exp(u1) and r = sin(u1), and the 9x9 unit-normal reconstruction of
+gen-rank1-wavefront with the potential h = exp(u1)*cos(u2).
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -361,6 +365,14 @@ def command_list():
     cmds.append(("nc-reconstruct-normal",
                  ["reconstruct", "--entry", "gen-extendable-nc", "--field",
                   "normal", "--grid", "9x9", "--out", "{out}"]))
+    cmds += [
+        ("nc-transcendental-analyze",
+         ["analyze", "--entry", "gen-extendable-nc", "--l=exp(u1)",
+          "--r=sin(u1)", "--grid", "9x9", "--out", "{out}"]),
+        ("rank1-transcendental-reconstruct-normal",
+         ["reconstruct", *rank1, "--h=exp(u1)*cos(u2)", "--field", "normal",
+          "--grid", "9x9", "--out", "{out}"]),
+    ]
     return cmds
 
 
