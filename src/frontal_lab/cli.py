@@ -252,9 +252,9 @@ def cmd_blaschke(args):
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "blaschke.json"), report)
         x = f.x(bf.u1, bf.u2, 0).values_on(bf.u1.shape)
-        structio.export_obj(os.path.join(args.out, "surface.obj"), x)
-        structio.export_field_csv(os.path.join(args.out, "field.csv"),
-                                  bf.u1, bf.u2, x, bf.xi)
+        structio.export_field_csv(
+            os.path.join(args.out, "field.csv"), bf.u1, bf.u2, x, bf.xi,
+            obj_path=os.path.join(args.out, "surface.obj"))
     sys.stdout.write(structio.report_json(report) if args.json else
                      f"{f.name}: max|tau|={report['diagnostics'].get('max_tau')}"
                      f" volume={report['diagnostics'].get('volume_residual')}"

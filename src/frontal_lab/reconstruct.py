@@ -604,10 +604,13 @@ def _march(sd, sweeps, step):
         calls = [call for *_, call in sorted(calls, key=lambda c: c[:2])]
         points = sum(math.prod(_call_shape(call)) for call in calls)
         workers = _usable_cores() if points >= PARALLEL_POINTS else 1
-        h = np.concatenate(hs)[:, None, None]
-        half, sixth = 0.5 * h, h / 6.0
-        Y = np.empty((n, h.size, 3, 4))
+        Y = np.empty((n, sum(h.size for h in hs), 3, 4))
         y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
+        # each lane's step, its half and its sixth, over the state shape
+        h = np.ascontiguousarray(np.broadcast_to(
+            np.concatenate(hs)[:, None, None], y.shape))
+        half, sixth = 0.5 * h, h / 6.0
+        k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
         with contextlib.closing(fork_map(functools.partial(_rk4_blocks, sd),
                                          calls, workers)) as sampled:
             blocks = (_rk4_blocks(sd, call) if data is None else
@@ -626,11 +629,18 @@ def _march(sd, sweeps, step):
                 A = np.concatenate(parts, axis=1)
                 for i in range(nsub):
                     a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
-                    k1 = y @ a0
-                    k2 = (y + half * k1) @ a1
-                    k3 = (y + half * k2) @ a1
-                    k4 = (y + h * k3) @ a2
-                    y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    # k2 = (y + half k1) a1 and so on, into the stage
+                    # buffers; y += sixth (((k1 + 2 k2) + 2 k3) + k4)
+                    np.matmul(y, a0, out=k1)
+                    for k, c, a, kn in ((k1, half, a1, k2),
+                                        (k2, half, a1, k3),
+                                        (k3, h, a2, k4)):
+                        np.add(y, np.multiply(c, k, out=stage), out=stage)
+                        np.matmul(stage, a, out=kn)
+                    np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
+                    np.add(stage, np.multiply(2.0, k3, out=term), out=stage)
+                    np.add(stage, k4, out=stage)
+                    np.add(y, np.multiply(sixth, stage, out=stage), out=y)
                 Y[seg] = y
         lanes = np.cumsum([sweeps[i][0].shape[0] for i in members])
         for i, part in zip(members, np.split(Y, lanes[:-1], axis=1)):

@@ -23,26 +23,39 @@ omega: [[3 exprs], [3 exprs]], lambda: [4 exprs] optional, open_domain}.
 Reports are JSON with sorted keys and no wall-clock content, so byte
 identity of reruns is part of the contract.
 
-OBJ and CSV exports go through one table writer, `_write_table`: a 2-D
-float array and a row formatter that writes each value as repr of a
-Python float.  A table of at least PARALLEL_VALUES values, on k >= 2
-usable cores (os.sched_getaffinity), is cut into k slices of rows and
-formatted through forks.fork_map, the library's one fork discipline:
-the parent formats the first slice while k - 1 forked children format
-one slice each, running no numpy call but `tolist` and printing
-nothing, and the parent copies their bytes into the file in slice
-order.  A slice whose fork or pipe fails, or whose child exits non-zero
-or sends less than it announced, is formatted by the parent itself, so
-such a fault never surfaces as an error; every child is reaped before
-the writer returns or raises, and killed first if it raises.  Either
-way the file holds the same bytes as the one-process path, which
-smaller tables, one core or no os.fork take.
+OBJ and CSV exports go through one writer, `_write_tables`, which
+writes each value as repr of a Python float, formatted column by column
+over the grid in blocks of BLOCK_ROWS rows, so no whole column of
+strings is held.  A column whose float64 bits (0.0 and -0.0 apart) do
+not change along one grid axis, such as u1 and u2 of every CSV or the
+lam_det of ex-5.8, is formatted once per value of the other axis and
+its strings repeated; every other column is formatted once, block by
+block, and each row is the separator joined over its column strings.
+`blaschke --out` writes surface.obj and field.csv in one pass
+(`export_field_csv` with `obj_path`), formatting x once for both.
+
+When the columns format at least PARALLEL_VALUES values in all (the
+values actually formatted, not the cells), on k >= 2 usable cores
+(os.sched_getaffinity), the blocks run through forks.fork_map, the
+library's one fork discipline: the parent formats its share of the
+blocks while k - 1 forked children format theirs, running no numpy call
+but slicing and `tolist` and printing nothing, and the parent writes
+every block's bytes to the files in block order.  A block whose fork or
+pipe fails, or whose child exits non-zero or sends less than it
+announced, is formatted by the parent itself, so such a fault never
+surfaces as an error; every child is reaped before the writer returns
+or raises, and killed first if it raises.  Either way the files hold
+the same bytes as the one-process path, which smaller exports, one core
+or no os.fork take.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
+from itertools import accumulate, chain, cycle, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,72 +290,153 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
 # --- exports -----------------------------------------------------------------------
 
 
-# Tables of at least this many values are formatted on every usable core.
+# Exports that format at least this many values do so on every usable core.
 PARALLEL_VALUES = 1 << 15
+# Rows per block: the writer holds the strings of this many rows at a time.
+BLOCK_ROWS = 1 << 12
 
 
-def _write_rows(fh, rows, row):
-    """Write row(r) for each row r of the float array `rows` to `fh`."""
-    fh.writelines(row(r).encode() for r in rows.tolist())
+class _Table(NamedTuple):
+    """One export file: `head`, then per grid point `lead` and the values
+    of the shared columns `picks` joined by `sep`, a newline, then
+    `tail`."""
+    path: object
+    head: str
+    lead: str
+    sep: str
+    picks: tuple
+    tail: str
 
 
-def _write_table(path, head, table, row, tail=""):
-    """Write `head`, then row(r) for each row r of the 2-D float array
-    `table` (r as a list of Python floats), then `tail`, to `path`.  The
-    rows are cut into one slice per usable core when the table holds at
-    least PARALLEL_VALUES values; the module docstring gives the rules."""
-    n = len(table)
-    k = min(_usable_cores(), n) if table.size >= PARALLEL_VALUES else 1
-    cuts = [n * i // k for i in range(k + 1)]
-    slices = [table[a:b] for a, b in zip(cuts, cuts[1:])]
+def _format(values):
+    """The repr of each value of the 1-D float array `values`: the one
+    place where an export turns floats into text."""
+    return list(map(repr, values.tolist()))
 
-    def text(rows):
-        return "".join(map(row, rows.tolist())).encode()
 
-    with open(path, "wb") as fh, \
-            contextlib.closing(fork_map(text, slices, k)) as formatted:
-        fh.write(head.encode())
-        for rows, data in zip(slices, formatted):
-            if data is None:
-                _write_rows(fh, rows, row)
-            else:
-                fh.write(data)
-        fh.write(tail.encode())
+def _column(values, shape):
+    """(count, strings) for one column of an n1 x n2 grid in row-major
+    order: strings(a, b) lists the text of flat rows a .. b - 1, and
+    `count` values are formatted in all.  A column whose float64 bits
+    (0.0 and -0.0 apart) do not change along one grid axis is formatted
+    here, once per value of the other axis, and its strings repeated;
+    any other column is formatted block by block."""
+    n1, n2 = shape
+    col = np.asarray(values, dtype=float).reshape(n1, n2)
+    bits = col.view(np.int64)
+    per_row = n2 > 1 and bool(np.all(bits == bits[:, :1]))   # u1 only
+    per_col = n1 > 1 and bool(np.all(bits == bits[:1]))      # u2 only
+    if per_row and (n1 <= n2 or not per_col):
+        rows = _format(col[:, 0])
+        return n1, lambda a, b: list(islice(
+            chain.from_iterable(map(repeat, islice(rows, a // n2, None),
+                                    repeat(n2))), a % n2, a % n2 + b - a))
+    if per_col:
+        cols = _format(col[0])
+        return n2, lambda a, b: list(
+            islice(cycle(cols), a % n2, a % n2 + b - a))
+    flat = col.ravel()
+    return flat.size, lambda a, b: _format(flat[a:b])
+
+
+def _write_tables(shape, columns, tables):
+    """Write each `_Table` of `tables` from `columns`, the arrays of one
+    grid of `shape` (n1, n2), each value written as repr of a Python
+    float.  The rows are formatted column by column in blocks of
+    BLOCK_ROWS, each column once for every table; the blocks run on
+    every usable core when the columns format at least PARALLEL_VALUES
+    values.  The module docstring gives the rules."""
+    n = math.prod(shape)
+    cols = [_column(c, shape) for c in columns]
+    formatted = sum(count for count, _ in cols)
+    blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    workers = _usable_cores() if formatted >= PARALLEL_VALUES else 1
+
+    def texts(block):
+        """Each table's bytes for the rows of `block`."""
+        strings = [text(*block) for _, text in cols]
+
+        def rows(t):
+            lines = map(t.sep.join, zip(*(strings[c] for c in t.picks)))
+            return (t.lead + ("\n" + t.lead).join(lines) + "\n").encode()
+
+        return [rows(t) for t in tables]
+
+    def packed(block):
+        """texts(block) as one bytes: each text's 8-byte length, then
+        the texts."""
+        parts = texts(block)
+        return b"".join([len(p).to_bytes(8, "little") for p in parts]
+                        + parts)
+
+    def unpacked(data):
+        """The texts of one packed(block)."""
+        view, m = memoryview(data), 8 * len(tables)
+        ends = list(accumulate((int.from_bytes(view[i:i + 8], "little")
+                                for i in range(0, m, 8)), initial=m))
+        return [view[a:b] for a, b in zip(ends, ends[1:])]
+
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(t.path, "wb")) for t in tables]
+        results = stack.enter_context(contextlib.closing(
+            fork_map(packed, blocks, workers)))
+        for fh, t in zip(files, tables):
+            fh.write(t.head.encode())
+        for block, data in zip(blocks, results):
+            parts = texts(block) if data is None else unpacked(data)
+            for fh, part in zip(files, parts):
+                fh.write(part)
+        for fh, t in zip(files, tables):
+            fh.write(t.tail.encode())
+
+
+def _obj_table(path, shape, picks):
+    """Wavefront OBJ of the grid columns `picks`: vertices in row-major
+    grid order, quad faces."""
+    n1, n2 = shape
+    faces = "".join(f"f {a} {a + n2} {a + n2 + 1} {a + 1}\n"
+                    for a in (i * n2 + j + 1 for i in range(n1 - 1)
+                              for j in range(n2 - 1)))
+    return _Table(path, "", "v ", " ", tuple(picks), faces)
+
+
+def _csv_table(path, header):
+    """CSV of every column, one row per grid point, under `header`."""
+    return _Table(path, ",".join(header) + "\n", "", ",",
+                  tuple(range(len(header))), "")
+
+
+def _components(grid, shape):
+    """The last-axis components of `grid`, each over the grid `shape`."""
+    values = np.asarray(grid, dtype=float)
+    return list(np.moveaxis(values.reshape(*shape, values.shape[-1]), -1, 0))
 
 
 def export_obj(path, x_grid):
     """Wavefront OBJ: vertices in row-major grid order, quad faces."""
-    x = np.asarray(x_grid, dtype=float)
-    n1, n2 = x.shape[:2]
-    faces = "".join(f"f {a} {a + n2} {a + n2 + 1} {a + 1}\n"
-                    for a in (i * n2 + j + 1 for i in range(n1 - 1)
-                              for j in range(n2 - 1)))
-    _write_table(path, "", x.reshape(n1 * n2, x.shape[2]),
-                 lambda row: "v " + " ".join(map(repr, row)) + "\n", faces)
+    shape = np.shape(x_grid)[:2]
+    x = _components(x_grid, shape)
+    _write_tables(shape, x, [_obj_table(path, shape, range(len(x)))])
 
 
-def _write_csv(path, header, columns):
-    """CSV with one row per grid point (row-major) and one column per
-    array in `columns`, each value written as repr of a Python float."""
-    table = np.stack([np.asarray(c, dtype=float).ravel() for c in columns],
-                     axis=-1)
-    _write_table(path, ",".join(header) + "\n", table,
-                 lambda row: ",".join(map(repr, row)) + "\n")
-
-
-def export_field_csv(path, u1, u2, x_grid, xi_grid):
-    """CSV columns u1,u2,x,y,z,xi1,xi2,xi3 in row-major grid order."""
-    n = np.size(u1)
-    x = np.asarray(x_grid, dtype=float).reshape(n, 3)
-    xi = np.asarray(xi_grid, dtype=float).reshape(n, 3)
-    _write_csv(path, ["u1", "u2", "x", "y", "z", "xi1", "xi2", "xi3"],
-               [u1, u2, *x.T, *xi.T])
+def export_field_csv(path, u1, u2, x_grid, xi_grid, obj_path=None):
+    """CSV columns u1,u2,x,y,z,xi1,xi2,xi3 in row-major grid order.  With
+    `obj_path`, the surface x is written there too, as export_obj writes
+    it, from the same formatted values."""
+    shape = np.shape(u1)
+    tables = [_csv_table(path, ["u1", "u2", "x", "y", "z", "xi1", "xi2",
+                                "xi3"])]
+    if obj_path is not None:
+        tables.append(_obj_table(obj_path, shape, range(2, 5)))
+    _write_tables(shape, [u1, u2, *_components(x_grid, shape),
+                          *_components(xi_grid, shape)], tables)
 
 
 def export_frame_csv(path, u1, u2, data):
     """Frame-data table; data maps column name -> grid of values."""
     cols = sorted(data)
-    _write_csv(path, ["u1", "u2", *cols], [u1, u2, *(data[c] for c in cols)])
+    _write_tables(np.shape(u1), [u1, u2, *(data[c] for c in cols)],
+                  [_csv_table(path, ["u1", "u2", *cols])])
 
 
 def write_report(path, payload):

@@ -1,17 +1,21 @@
-"""The table writer behind the OBJ and CSV exports: forked slices write
-the same bytes as one process, and no child outlives a write."""
+"""The column-wise writer behind the OBJ and CSV exports: every export
+holds the bytes of an independent row-by-row reference, on one core or
+several, and no child outlives a write."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from frontal_lab import structio
-from frontal_lab.structio import export_field_csv, export_obj
+from frontal_lab import catalog, cli, structio
+from frontal_lab.blaschke import blaschke_field
+from frontal_lab.structio import export_field_csv, export_frame_csv, export_obj
 
 # Values whose repr is easy to get wrong: signed zero, infinities, NaN,
 # the smallest subnormal and the switches to exponent notation.
 SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5, 0.1]
+FIELD_HEADER = ["u1", "u2", "x", "y", "z", "xi1", "xi2", "xi3"]
 
 
 @pytest.fixture(autouse=True)
@@ -21,83 +25,197 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def cores(monkeypatch, k):
-    """Make every table large enough to split, on k usable cores."""
+def cores(monkeypatch, k, block=2):
+    """Make every export large enough to split into blocks of `block`
+    rows, on k usable cores."""
     monkeypatch.setattr(structio, "PARALLEL_VALUES", 1)
+    monkeypatch.setattr(structio, "BLOCK_ROWS", block)
     monkeypatch.setattr(structio, "_usable_cores", lambda: k)
 
 
+def csv_reference(header, columns):
+    """The CSV of `columns`, written row by row."""
+    table = np.stack([np.asarray(c, dtype=float).ravel() for c in columns],
+                     axis=-1)
+    return (",".join(header) + "\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in table.tolist())).encode()
+
+
+def obj_reference(x):
+    """The OBJ of the n1 x n2 x 3 grid `x`: `v` lines, then `f` lines."""
+    n1, n2 = x.shape[:2]
+    vertices = "".join("v " + " ".join(map(repr, r)) + "\n"
+                       for r in x.reshape(-1, 3).tolist())
+    faces = "".join(f"f {a} {a + n2} {a + n2 + 1} {a + 1}\n"
+                    for i in range(n1 - 1) for j in range(n2 - 1)
+                    for a in [i * n2 + j + 1])
+    return (vertices + faces).encode()
+
+
 def field_grids(n1, n2):
-    """u1, u2, x, xi grids of n1 x n2 nodes, cycling through SPECIAL."""
-    u1, u2 = np.meshgrid(np.linspace(-1, 1, n1), np.linspace(0, 1, n2),
+    """u1, u2, x, xi grids of n1 x n2 nodes.  u1 and u2 cycle through
+    SPECIAL along their axes, x[..., 0] does along u1 only, x[..., 1] is
+    0.0 but for one -0.0, and xi[..., 2] is constant along each u1 row
+    but for one -0.0 in the first row, which is 0.0; the other
+    components cycle through SPECIAL point by point."""
+    u1, u2 = np.meshgrid(np.resize(SPECIAL, n1), np.resize(SPECIAL[3:], n2),
                          indexing="ij")
     values = np.resize(np.array(SPECIAL), 6 * n1 * n2)
-    return u1, u2, values[::2].reshape(n1, n2, 3), \
-        values[1::2].reshape(n1, n2, 3)
+    x = values[::2].reshape(n1, n2, 3)
+    xi = values[1::2].reshape(n1, n2, 3)
+    x[..., 0] = u1
+    x[..., 1] = 0.0
+    x[n1 // 2, n2 // 2, 1] = -0.0
+    xi[..., 2] = np.resize([0.0, 1.5], n1)[:, None]
+    xi[0, -1, 2] = -0.0
+    return u1, u2, x, xi
 
 
-def serial_bytes(write, path):
-    write(path)
-    return path.read_bytes()
+def field_reference(u1, u2, x, xi):
+    return csv_reference(FIELD_HEADER, [u1, u2, *np.moveaxis(x, -1, 0),
+                                        *np.moveaxis(xi, -1, 0)])
 
 
-@pytest.mark.parametrize("n1, n2, k", [(7, 1, 3), (5, 2, 2), (2, 1, 3)],
-                         ids=["7-rows-3-cores", "10-rows-2-cores",
-                              "2-rows-3-cores"])
-def test_parallel_csv_is_the_serial_csv(n1, n2, k, monkeypatch, tmp_path):
+# id -> (n1, n2, cores, rows per block); one grid axis is trivially
+# constant on 1xN and Nx1 grids, and both are on 1x1
+CASES = {"7-rows-3-cores": (7, 1, 3, 2), "10-rows-2-cores": (5, 2, 2, 2),
+         "2-rows-3-cores": (2, 1, 3, 1), "1x1-1-core": (1, 1, 1, 2),
+         "1x1-3-cores": (1, 1, 3, 1), "1x6-2-cores": (1, 6, 2, 2),
+         "1x6-3-cores": (1, 6, 3, 4), "6x1-3-cores": (6, 1, 3, 2),
+         "20-rows-1-core": (4, 5, 1, 2), "20-rows-3-cores": (4, 5, 3, 3)}
+
+
+@pytest.mark.parametrize("n1, n2, k, block", CASES.values(), ids=CASES)
+def test_parallel_csv_is_the_serial_csv(n1, n2, k, block, monkeypatch,
+                                        tmp_path):
     grids = field_grids(n1, n2)
-    want = serial_bytes(lambda p: export_field_csv(p, *grids),
-                        tmp_path / "serial.csv")
+    cores(monkeypatch, k, block)
+    export_field_csv(tmp_path / "f.csv", *grids, obj_path=tmp_path / "s.obj")
+    export_field_csv(tmp_path / "alone.csv", *grids)
+    want = field_reference(*grids)
+    assert (tmp_path / "f.csv").read_bytes() == want
+    assert (tmp_path / "alone.csv").read_bytes() == want
+    assert (tmp_path / "s.obj").read_bytes() == obj_reference(grids[2])
+
+
+def test_reference_holds_every_special_text():
+    want = field_reference(*field_grids(7, 3))
     for text in (b"-0.0", b"-inf", b"nan", b"5e-324", b"1e+16", b"1e-05"):
         assert text in want
-    cores(monkeypatch, k)
-    export_field_csv(tmp_path / "parallel.csv", *grids)
-    assert (tmp_path / "parallel.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_parallel_obj_is_the_serial_obj(k, monkeypatch, tmp_path):
     x = field_grids(4, 3)[2]
-    want = serial_bytes(lambda p: export_obj(p, x), tmp_path / "serial.obj")
+    want = obj_reference(x)
     assert want.count(b"\nf ") == 3 * 2
     cores(monkeypatch, k)
-    export_obj(tmp_path / "parallel.obj", x)
-    assert (tmp_path / "parallel.obj").read_bytes() == want
+    export_obj(tmp_path / "s.obj", x)
+    assert (tmp_path / "s.obj").read_bytes() == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_frame_csv_is_the_reference(k, monkeypatch, tmp_path):
+    u1, u2, x, xi = field_grids(5, 4)
+    data = {"b": x[..., 0], "a": xi[..., 2], "c": x[..., 2],
+            "d": np.resize(SPECIAL, (5, 4)), "e": np.full((5, 4), np.nan)}
+    cores(monkeypatch, k, block=3)
+    export_frame_csv(tmp_path / "frame.csv", u1, u2, data)
+    assert (tmp_path / "frame.csv").read_bytes() == csv_reference(
+        ["u1", "u2", "a", "b", "c", "d", "e"],
+        [u1, u2, *(data[c] for c in "abcde")])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blaschke_pair_is_the_reference(k, monkeypatch, tmp_path):
+    shape = (9, 7)
+    cores(monkeypatch, k, block=10)
+    assert cli.main(["blaschke", "--entry", "ex-5.10", "--grid", "9x7",
+                     "--out", str(tmp_path)]) == 0
+    f = catalog.get_entry("ex-5.10", {}).build()
+    bf = blaschke_field(f, shape)
+    x = f.x(bf.u1, bf.u2, 0).values_on(shape)
+    assert (tmp_path / "surface.obj").read_bytes() == obj_reference(x)
+    assert (tmp_path / "field.csv").read_bytes() == field_reference(
+        bf.u1, bf.u2, x, bf.xi)
+
+
+def recorded(monkeypatch):
+    """Record the values of every call of the column formatter."""
+    calls, real = [], structio._format
+
+    def record(values):
+        calls.append(values.tolist())
+        return real(values)
+
+    monkeypatch.setattr(structio, "_format", record)
+    return calls
+
+
+def test_blaschke_formats_x_once_and_axes_per_value(monkeypatch, tmp_path):
+    # ex-5.10 has x = u1; one core and one block, so each call after the
+    # axis columns formats one column of both files
+    calls = recorded(monkeypatch)
+    assert cli.main(["blaschke", "--entry", "ex-5.10", "--grid", "9x7",
+                     "--out", str(tmp_path)]) == 0
+    u1, u2 = np.linspace(-1, 1, 9).tolist(), np.linspace(-1, 1, 7).tolist()
+    assert calls[:3] == [u1, u2, u1]
+    # y, z, xi1, xi2, xi3 point by point, once for both files
+    assert [len(c) for c in calls[3:]] == [63] * 5
 
 
 def test_small_tables_do_not_fork(monkeypatch, tmp_path):
-    # the 33x33 OBJ of the quadrature workload stays below the threshold
+    # the 33x33 OBJ of the quadrature workload stays below the threshold,
+    # and so does a larger grid whose columns are each constant along
+    # one axis: the threshold counts the values formatted
     def fork():
-        raise AssertionError("forked for a small table")
+        raise AssertionError("forked for a small export")
 
     monkeypatch.setattr(structio, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
-    export_obj(tmp_path / "s.obj", np.zeros((33, 33, 3)))
+    x = np.random.default_rng(2).normal(size=(33, 33, 3))
+    export_obj(tmp_path / "s.obj", x)
     assert 33 * 33 * 3 < structio.PARALLEL_VALUES
+    assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
+    u1, u2 = np.meshgrid(np.arange(200.0), np.arange(150.0), indexing="ij")
+    flat = np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
+    export_obj(tmp_path / "flat.obj", flat)
+    assert flat.size >= structio.PARALLEL_VALUES
+    assert (tmp_path / "flat.obj").read_bytes() == obj_reference(flat)
 
 
-def _csv_row(r):
-    return ",".join(map(repr, r)) + "\n"
+def test_large_exports_fork(monkeypatch, tmp_path):
+    real_fork, calls = os.fork, []
 
+    def fork():
+        calls.append(1)
+        return real_fork()
 
-TABLE = np.resize(np.array(SPECIAL), (7, 3))
+    monkeypatch.setattr(structio, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    x = np.random.default_rng(3).normal(size=(128, 128, 3))
+    export_obj(tmp_path / "s.obj", x)
+    assert x.size >= structio.PARALLEL_VALUES
+    assert len(calls) == 1
+    assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
 
 
 def test_failed_child_slice_is_formatted_by_the_parent(monkeypatch,
                                                        tmp_path):
-    parent = os.getpid()
+    parent, real = os.getpid(), structio._format
 
-    def row(r):
+    def fault(values):
         if os.getpid() != parent:
             raise RuntimeError("a fault in the child")
-        return _csv_row(r)
+        return real(values)
 
-    want = serial_bytes(lambda p: structio._write_table(
-        p, "h\n", TABLE, _csv_row, "t\n"), tmp_path / "serial.csv")
+    grids = field_grids(7, 1)
     cores(monkeypatch, 3)
-    structio._write_table(tmp_path / "parallel.csv", "h\n", TABLE, row,
-                          "t\n")
-    assert (tmp_path / "parallel.csv").read_bytes() == want
+    monkeypatch.setattr(structio, "_format", fault)
+    export_field_csv(tmp_path / "f.csv", *grids,
+                     obj_path=tmp_path / "s.obj")
+    assert (tmp_path / "f.csv").read_bytes() == field_reference(*grids)
+    assert (tmp_path / "s.obj").read_bytes() == obj_reference(grids[2])
 
 
 @pytest.mark.parametrize("fails", ["first", "every"])
@@ -111,11 +229,34 @@ def test_failed_fork_slice_is_formatted_by_the_parent(fails, monkeypatch,
             raise OSError("fork refused")
         return real_fork()
 
-    want = serial_bytes(lambda p: structio._write_table(
-        p, "h\n", TABLE, _csv_row, "t\n"), tmp_path / "serial.csv")
+    grids = field_grids(7, 1)
     cores(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", fork)
-    structio._write_table(tmp_path / "parallel.csv", "h\n", TABLE, _csv_row,
-                          "t\n")
+    export_field_csv(tmp_path / "f.csv", *grids)
     assert len(calls) == 2
-    assert (tmp_path / "parallel.csv").read_bytes() == want
+    assert (tmp_path / "f.csv").read_bytes() == field_reference(*grids)
+
+
+# tracemalloc peak of the row-wise writer (a whole-table float copy, then
+# one row list and one text per row) on the table below, serial, numpy
+# 2.4 and CPython 3.11: 25.2 MB.  The column writer holds one block of
+# strings at a time and peaks near 7.1 MB; the bound is the row-wise
+# writer's peak, which whole columns of strings would exceed.
+ROW_WRITER_PEAK = 25.2e6
+
+
+def test_frame_csv_peak_memory(monkeypatch, tmp_path):
+    n = 201
+    u1, u2 = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, n),
+                         indexing="ij")
+    rng = np.random.default_rng(0)
+    data = {f"c{k:02d}": rng.normal(size=(n, n)) for k in range(11)}
+    data["lam_det"] = u2 ** 3
+    monkeypatch.setattr(structio, "_usable_cores", lambda: 1)
+    tracemalloc.start()
+    try:
+        export_frame_csv(tmp_path / "frame.csv", u1, u2, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ROW_WRITER_PEAK

@@ -76,7 +76,10 @@ forked children where more than one core is usable.  Last, the integrals
 that read one coordinate only, which run once per distinct value of it,
 with transcendental profiles: `analyze --out` on gen-extendable-nc with
 l = exp(u1) and r = sin(u1), and the 9x9 unit-normal reconstruction of
-gen-rank1-wavefront with the potential h = exp(u1)*cos(u2).
+gen-rank1-wavefront with the potential h = exp(u1)*cos(u2).  Then
+exports over degenerate grids, where every column is constant along one
+grid axis: `analyze --out` on a 1x5 grid of ex-5.8, `blaschke --out` on
+a 1x7 grid of ex-5.10 and the 2x2 field export of the paraboloid.
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -372,6 +375,16 @@ def command_list():
         ("rank1-transcendental-reconstruct-normal",
          ["reconstruct", *rank1, "--h=exp(u1)*cos(u2)", "--field", "normal",
           "--grid", "9x9", "--out", "{out}"]),
+    ]
+    cmds += [
+        ("ex58-analyze-1x5",
+         ["analyze", "--entry", "ex-5.8", "--grid", "1x5", "--out", "{out}"]),
+        ("ex510-blaschke-1x7",
+         ["blaschke", "--entry", "ex-5.10", "--grid", "1x7",
+          "--out", "{out}"]),
+        ("para-field-2x2",
+         ["export", "--entry", "paraboloid", "--what", "field", "--grid",
+          "2x2", "--out", "{out}/f.csv"]),
     ]
     return cmds
 
