@@ -28,7 +28,7 @@ from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
                      Indeterminate, InsufficientJetOrder, KVanishes,
                      NotExtendable, NotTransversal, SingularIIOmega,
                      SingularPoint)
-from .frame import FrameBundle, Frontal, frame_bundle
+from .frame import FrameBundle, Frontal, _gram, frame_bundle
 from .jets import Jet, JetVec3, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -552,8 +552,7 @@ def extension_condition(f: Frontal, which, point):
     """
     # the certificate reads first derivatives of Lambda, I_Omega and E, F, G
     def i_omega_fn(u1, u2):
-        w1, w2 = f.omega(u1, u2, 1)
-        return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+        return _gram(*f.omega(u1, u2, 1))
 
     def efg_fn(u1, u2):
         xj = f.x(u1, u2, 2)

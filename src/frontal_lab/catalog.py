@@ -28,7 +28,8 @@ from .errors import DomainError, InputError, NotAFrontal
 from .expr import Bin, Num, Unary, Var
 from .frame import (Frontal, _decomposition_residual,
                     frontal_from_expressions)
-from .jets import INDICES, Jet, JetVec3, _classify_upper, integrate_jet
+from .jets import (INDICES, Jet, JetVec3, _classify_upper, det2_jet,
+                   integrate_jet)
 from .structio import read_domain
 
 # Shared polynomial pieces of the cuspidal-cross-cap entry.
@@ -105,7 +106,7 @@ def validate_entry(f: Frontal, entry: CatalogEntry):
     if "lambda_det" in entry.known:
         ref = expr_mod.eval_num(expr_mod.parse(entry.known["lambda_det"]),
                                 {"u1": u1, "u2": u2})
-        lam_det = (lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]).value
+        lam_det = det2_jet(lam).value
         if not float(np.max(np.abs(lam_det - ref))) <= 1e-8 * max(
                 1.0, float(np.max(np.abs(ref)))):
             raise InputError(

@@ -37,9 +37,6 @@ class Config:
     quad_nodes: int = 32
     quad_max_nodes: int = 512
 
-    def replace(self, **kw) -> "Config":
-        return dataclasses.replace(self, **kw)
-
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 

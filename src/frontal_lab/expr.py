@@ -383,7 +383,7 @@ _PACK = {1: lambda j: j[0], 3: lambda j: JetVec3(*j),
 
 def jets_fn(sources):
     """Callable (u1, u2, order) -> jets of 1, 3, 4 or 6 expressions (text
-    or ASTs), all evaluated in one coordinate environment and packed by
+    or ASTs), all evaluated in one coordinate environment and grouped by
     their count as `_PACK` says."""
     asts = [parse(s) if isinstance(s, str) else s for s in sources]
     pack = _PACK[len(asts)]

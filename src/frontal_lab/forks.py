@@ -2,12 +2,19 @@
 
 The library's one fork discipline, behind the table writer of the OBJ
 and CSV exports (`structio`) and the sampling of the RK4 lattice
-(`reconstruct`).  Job i belongs to worker i mod k, where worker 0 is
-the calling process and workers 1 .. k-1 are children forked on first
-use.  A child runs its jobs in order and sends each result over its own
-pipe as raw bytes, an 8-byte length and then the bytes, so a child is at
-most one result ahead of the caller; nothing is pickled.  The caller
-runs its own jobs itself, as it reaches them.
+(`reconstruct`).  The caller states how much work its jobs hold, in its
+own unit (values formatted, points sampled); from PARALLEL_WORK units
+on, with k >= 2 usable cores (os.sched_getaffinity) and os.fork, job i
+belongs to worker i mod k, where worker 0 is the calling process and
+workers 1 .. k-1 are children forked on first use.  Less work, one core
+or no os.fork runs every job in the calling process.
+
+A job's result is a sequence of bytes-like parts.  A child runs its
+jobs in order and sends each result over its own pipe as raw bytes: the
+part count, then each part's 8-byte length and bytes, so a child is at
+most one result ahead of the caller; nothing is pickled.  fork_map runs
+the caller's own jobs itself, as it reaches them, and yields every
+job's result in job order, whoever computed it.
 
 The rules, which every caller inherits:
 - a fork or pipe that fails, a child that stops before sending a whole
@@ -32,6 +39,10 @@ import os
 import signal
 import warnings
 
+# Jobs that hold at least this much work, in the caller's unit, run on
+# every usable core; below it, a fork costs more than it saves.
+PARALLEL_WORK = 1 << 15
+
 
 def usable_cores():
     """The cores this process may run on; 1 where the platform cannot say."""
@@ -41,11 +52,12 @@ def usable_cores():
 
 
 def _fork_worker(fn, jobs, inherited):
-    """Fork a child that sends fn(job), for each of `jobs` in order, as an
-    8-byte length and then the bytes, over a pipe; return (pid, read end).
-    The child first closes `inherited`, the read ends of the children
-    forked before it, and stops at the first job that raises or warns.
-    Raises OSError if the pipe or fork fails."""
+    """Fork a child that sends fn(job), for each of `jobs` in order, as
+    the part count and then each part's 8-byte length and bytes, over a
+    pipe; return (pid, read end).  The child first closes `inherited`,
+    the read ends of the children forked before it, and stops at the
+    first job that raises or warns.  Raises OSError if the pipe or fork
+    fails."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -61,11 +73,13 @@ def _fork_worker(fn, jobs, inherited):
             with open(w, "wb") as pipe:
                 for job in jobs:
                     with warnings.catch_warnings(record=True) as warned:
-                        data = memoryview(fn(job)).cast("B")
+                        parts = [memoryview(p).cast("B") for p in fn(job)]
                     if warned:
                         break
-                    pipe.write(data.nbytes.to_bytes(8, "little"))
-                    pipe.write(data)
+                    pipe.write(len(parts).to_bytes(8, "little"))
+                    for part in parts:
+                        pipe.write(part.nbytes.to_bytes(8, "little"))
+                        pipe.write(part)
                     pipe.flush()
                 else:
                     status = 0
@@ -85,12 +99,26 @@ def _read_exactly(reader, n):
     return data if got == n else None
 
 
-def _receive(reader):
-    """The next result a child sent on `reader`, or None if it is cut
-    short."""
+def _count(reader):
+    """The 8-byte count next on `reader`, or None if it is cut short."""
     head = _read_exactly(reader, 8)
-    return None if head is None else \
-        _read_exactly(reader, int.from_bytes(head, "little"))
+    return None if head is None else int.from_bytes(head, "little")
+
+
+def _receive(reader):
+    """The parts of the next result a child sent on `reader`, or None if
+    it is cut short."""
+    count = _count(reader)
+    if count is None:
+        return None
+    parts = []
+    for _ in range(count):
+        n = _count(reader)
+        part = None if n is None else _read_exactly(reader, n)
+        if part is None:
+            return None
+        parts.append(part)
+    return parts
 
 
 def _end(pid, reader, kill):
@@ -107,18 +135,19 @@ def _end(pid, reader, kill):
         return -1
 
 
-def fork_map(fn, jobs, workers):
-    """Yield, for each job of the sequence `jobs` in order, the bytes
-    fn(job) a child computed, or None where the caller runs the job
-    itself: its own share, and every job a child did not deliver.
+def fork_map(fn, jobs, work):
+    """Yield fn(job), a sequence of bytes-like parts, for each job of the
+    sequence `jobs` in order: parts a child sent, or fn(job) run here for
+    the caller's own share and every job a child did not deliver.
 
-    fn(job) returns a C-contiguous bytes-like object, such as a bytes or
-    a float array.  `workers` counts the caller; with fewer than two, or
-    without os.fork, nothing forks and every item is None.  Close the
-    generator (contextlib.closing) so that an early exit reaps at once;
-    the module docstring gives the rules."""
+    Each part is C-contiguous, such as a bytes or a float array.  `work`
+    is how much the jobs hold in all; they fork from PARALLEL_WORK on.
+    Close the generator (contextlib.closing) so that an early exit reaps
+    at once; the module docstring gives the rules."""
     n = len(jobs)
-    k = min(workers, n) if hasattr(os, "fork") else 1
+    k = 1
+    if work >= PARALLEL_WORK and hasattr(os, "fork"):
+        k = min(usable_cores(), n)
     children = {}       # worker -> (pid, reader), until reaped
     try:
         for w in range(1, k):
@@ -129,19 +158,18 @@ def fork_map(fn, jobs, workers):
             except OSError:
                 continue        # the caller runs this worker's jobs
             children[w] = pid, open(fd, "rb")
-        for i in range(n):
+        for i, job in enumerate(jobs):
             w = i % k
-            if w not in children:
-                yield None
-                continue
-            pid, reader = children[w]
-            data = _receive(reader)
-            if data is None or i + k >= n:
-                # cut short, or the child's last job: it is done
-                del children[w]
-                if _end(pid, reader, kill=data is None) != 0:
-                    data = None
-            yield data
+            parts = None
+            if w in children:
+                pid, reader = children[w]
+                parts = _receive(reader)
+                if parts is None or i + k >= n:
+                    # cut short, or the child's last job: it is done
+                    del children[w]
+                    if _end(pid, reader, kill=parts is None) != 0:
+                        parts = None
+            yield fn(job) if parts is None else parts
     finally:
         for pid, reader in children.values():
             _end(pid, reader, kill=True)

@@ -188,6 +188,11 @@ def check_basis_rank(w1: JetVec3, w2: JetVec3, eps_rank):
         raise DegenerateBasis("moving-basis columns numerically dependent")
 
 
+def _gram(w1: JetVec3, w2: JetVec3):
+    """The Gram matrix <w_i, w_j> of the moving basis, as 2x2 jets."""
+    return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+
+
 def unit_normal(w1: JetVec3, w2: JetVec3, eps_rank=1e-9) -> JetVec3:
     """n = (w1 x w2)/|w1 x w2| with a rank guard."""
     check_basis_rank(w1, w2, eps_rank)
@@ -203,11 +208,11 @@ def factor_lambda(f: Frontal, u1, u2, order):
     when the basis fails to factor the differential.
     """
     config = f.config
-    xj = f.x(u1, u2, order + 1) if order + 1 <= 3 else f.x(u1, u2, order)
+    xj = f.x(u1, u2, order + 1 if order + 1 <= MAX_ORDER else order)
     w1, w2 = f.omega(u1, u2, order)
     check_basis_rank(w1, w2, config.eps_rank)
     x_u = [xj.deriv(0), xj.deriv(1)]
-    I = [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+    I = _gram(w1, w2)
     B = [[w1.dot(x_u[0]), w1.dot(x_u[1])],
          [w2.dot(x_u[0]), w2.dot(x_u[1])]]
     lam_t = mat2_mul_jet(inv2_jet(I), B)
@@ -271,8 +276,7 @@ class FrameBundle:
     @cached_property
     def I(self):
         """[[E, F], [F, G]] = <w_i, w_j>."""
-        w1, w2 = self.w1, self.w2
-        return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+        return _gram(self.w1, self.w2)
 
     @cached_property
     def II(self):

@@ -301,15 +301,6 @@ class Jet:
             fac *= (alpha - k)
         return self._taylor(derivs)
 
-    def log(self):
-        v = self.value
-        if np.any(v <= 0.0):
-            raise DomainError("log of a non-positive value")
-        derivs = [np.log(v)]
-        for k in range(1, self.order + 1):
-            derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) * v ** (-k))
-        return self._taylor(derivs)
-
     def absolute(self):
         """|self| where the value is sign-definite pointwise; 0 is rejected."""
         s = np.sign(self.value)

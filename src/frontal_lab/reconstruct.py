@@ -37,25 +37,17 @@ with one spline grid call per component and partial.
 
 Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them and runs
-them through forks.fork_map, the library's one fork discipline.  When
-they sample PARALLEL_POINTS points or more and k >= 2 cores are usable,
-call i runs in worker i mod k: the parent runs its share as it marches,
-and k - 1 forked children run theirs, each at most one call ahead,
-sending the RK4 matrices back as raw float bytes.  Each call keeps the
-mesh it has on one core, because the adaptive quadrature behind some
-entries decides convergence over all lanes of a call.  A call that a
-child fails to deliver (a failed fork or pipe, a child that raises,
-warns, dies or exits non-zero) runs in the parent, so an error or
-warning surfaces there as on one core; every child is reaped before the
-march returns or raises, and killed first if it raises.  The result is
-bit-identical to the one-process path, which smaller marches, one core
-or no os.fork take.
+them through forks.fork_map, whose rules decide where each call runs;
+its unit of work is a point sampled.  A call sends back its RK4
+matrices as raw float bytes, and keeps the mesh it has on one core,
+because the adaptive quadrature behind some entries decides
+convergence over all lanes of a call; so the march is bit-identical
+wherever a call ran.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,9 +62,10 @@ from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
                      FrameDegenerate, Indeterminate, InputError,
                      InsufficientJetOrder, IntegrabilityViolated,
                      NotExtendable, RankDeficient, SingularPoint)
-from .forks import fork_map, usable_cores as _usable_cores
-from .frame import Frontal, frame_bundle
-from .jets import INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet
+from .forks import fork_map
+from .frame import Frontal, _gram, frame_bundle
+from .jets import (INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, det2_jet,
+                   mat2_mul_jet)
 
 
 # --- structure entries -------------------------------------------------------------
@@ -226,9 +219,7 @@ class StructureData:
 
     def lam_det_values(self, u1, u2):
         shape = np.shape(np.asarray(u1, dtype=float))
-        lam = self.lam(u1, u2, 0)
-        det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-        return det.value_on(shape)
+        return det2_jet(self.lam(u1, u2, 0)).value_on(shape)
 
     def regular_sample(self, u1_nodes, u2_nodes, config: Config):
         """Regular points (u1, u2) of the node lattice, and det Lambda on
@@ -344,8 +335,7 @@ def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
         return f.lam(*_full_points(u1, u2), order)
 
     def i_omega(u1, u2, order):
-        w1, w2 = f.omega(*_full_points(u1, u2), order)
-        return [[w1.dot(w1), w1.dot(w2)], [w2.dot(w1), w2.dot(w2)]]
+        return _gram(*f.omega(*_full_points(u1, u2), order))
 
     W0 = np.stack([b0.w1.values_on((1,))[0], b0.w2.values_on((1,))[0],
                    xj0.values_on((1,))[0]], axis=-1)
@@ -534,9 +524,6 @@ class FrameField:
 # of the per-call jet arrays.  Sweeps that march together still sample
 # apart, each with its own calls.
 SWEEP_LANES = 4096
-# A march whose sweeps sample at least this many points samples on every
-# usable core; below it, a fork costs more than it saves.
-PARALLEL_POINTS = 1 << 15
 
 
 def _sweep_calls(fixed, ts, axis):
@@ -579,8 +566,8 @@ def _march(sd, sweeps, step):
     together in one loop; each lane carries its own step, so the
     operations on a lane are those of a sweep marched alone.  A loop's
     aug_values calls, each sweep's own, are listed in the order it reads
-    them and run through forks.fork_map: on every usable core when they
-    sample PARALLEL_POINTS points or more, in this process otherwise."""
+    them and run through forks.fork_map, with the points they sample as
+    its work."""
     out = [state[None] for state, *_ in sweeps]
     groups = {}
     for i, (_, _, nodes, _) in enumerate(sweeps):
@@ -603,7 +590,6 @@ def _march(sd, sweeps, step):
         # member's call is read at the first segment it covers
         calls = [call for *_, call in sorted(calls, key=lambda c: c[:2])]
         points = sum(math.prod(_call_shape(call)) for call in calls)
-        workers = _usable_cores() if points >= PARALLEL_POINTS else 1
         Y = np.empty((n, sum(h.size for h in hs), 3, 4))
         y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
         # each lane's step, its half and its sixth, over the state shape
@@ -611,11 +597,10 @@ def _march(sd, sweeps, step):
             np.concatenate(hs)[:, None, None], y.shape))
         half, sixth = 0.5 * h, h / 6.0
         k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
-        with contextlib.closing(fork_map(functools.partial(_rk4_blocks, sd),
-                                         calls, workers)) as sampled:
-            blocks = (_rk4_blocks(sd, call) if data is None else
-                      np.frombuffer(data).reshape(_call_shape(call) + (4, 4))
-                      for call, data in zip(calls, sampled))
+        with contextlib.closing(fork_map(lambda call: [_rk4_blocks(sd, call)],
+                                         calls, points)) as sampled:
+            blocks = (np.frombuffer(A).reshape(_call_shape(call) + (4, 4))
+                      for call, (A,) in zip(calls, sampled))
 
             def segments(m, count):
                 """A member's segments, from its `count` calls, each next

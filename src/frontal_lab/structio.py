@@ -34,19 +34,12 @@ block, and each row is the separator joined over its column strings.
 `blaschke --out` writes surface.obj and field.csv in one pass
 (`export_field_csv` with `obj_path`), formatting x once for both.
 
-When the columns format at least PARALLEL_VALUES values in all (the
-values actually formatted, not the cells), on k >= 2 usable cores
-(os.sched_getaffinity), the blocks run through forks.fork_map, the
-library's one fork discipline: the parent formats its share of the
-blocks while k - 1 forked children format theirs, running no numpy call
-but slicing and `tolist` and printing nothing, and the parent writes
-every block's bytes to the files in block order.  A block whose fork or
-pipe fails, or whose child exits non-zero or sends less than it
-announced, is formatted by the parent itself, so such a fault never
-surfaces as an error; every child is reaped before the writer returns
-or raises, and killed first if it raises.  Either way the files hold
-the same bytes as the one-process path, which smaller exports, one core
-or no os.fork take.
+The blocks run through forks.fork_map, whose rules decide where each
+block is formatted; its unit of work is a value formatted (not a cell,
+so an axis-constant column counts once per value of the other axis).
+A forked child runs no numpy call but slicing and `tolist` and prints
+nothing, and the parent writes every block's texts to the files in
+block order, so the files hold the same bytes wherever a block ran.
 """
 
 from __future__ import annotations
@@ -54,14 +47,14 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import InputError
-from .forks import fork_map, usable_cores as _usable_cores
+from .forks import fork_map
 from .frame import Frontal, frontal_from_expressions
 from .reconstruct import (GridField, StructureData, expr_entry, split_blocks,
                           stack_blocks)
@@ -290,8 +283,6 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
 # --- exports -----------------------------------------------------------------------
 
 
-# Exports that format at least this many values do so on every usable core.
-PARALLEL_VALUES = 1 << 15
 # Rows per block: the writer holds the strings of this many rows at a time.
 BLOCK_ROWS = 1 << 12
 
@@ -343,14 +334,11 @@ def _write_tables(shape, columns, tables):
     """Write each `_Table` of `tables` from `columns`, the arrays of one
     grid of `shape` (n1, n2), each value written as repr of a Python
     float.  The rows are formatted column by column in blocks of
-    BLOCK_ROWS, each column once for every table; the blocks run on
-    every usable core when the columns format at least PARALLEL_VALUES
-    values.  The module docstring gives the rules."""
+    BLOCK_ROWS, each column once for every table, through
+    forks.fork_map with the values formatted as its work."""
     n = math.prod(shape)
     cols = [_column(c, shape) for c in columns]
-    formatted = sum(count for count, _ in cols)
     blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
-    workers = _usable_cores() if formatted >= PARALLEL_VALUES else 1
 
     def texts(block):
         """Each table's bytes for the rows of `block`."""
@@ -362,28 +350,13 @@ def _write_tables(shape, columns, tables):
 
         return [rows(t) for t in tables]
 
-    def packed(block):
-        """texts(block) as one bytes: each text's 8-byte length, then
-        the texts."""
-        parts = texts(block)
-        return b"".join([len(p).to_bytes(8, "little") for p in parts]
-                        + parts)
-
-    def unpacked(data):
-        """The texts of one packed(block)."""
-        view, m = memoryview(data), 8 * len(tables)
-        ends = list(accumulate((int.from_bytes(view[i:i + 8], "little")
-                                for i in range(0, m, 8)), initial=m))
-        return [view[a:b] for a, b in zip(ends, ends[1:])]
-
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(t.path, "wb")) for t in tables]
-        results = stack.enter_context(contextlib.closing(
-            fork_map(packed, blocks, workers)))
+        results = stack.enter_context(contextlib.closing(fork_map(
+            texts, blocks, sum(count for count, _ in cols))))
         for fh, t in zip(files, tables):
             fh.write(t.head.encode())
-        for block, data in zip(blocks, results):
-            parts = texts(block) if data is None else unpacked(data)
+        for parts in results:
             for fh, part in zip(files, parts):
                 fh.write(part)
         for fh, t in zip(files, tables):

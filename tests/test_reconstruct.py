@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import OPEN_MESH, UNGATED, random_unimodular, regular_points
-from frontal_lab import reconstruct
+from frontal_lab import forks, reconstruct
 from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
@@ -704,7 +704,7 @@ class TestBatchedSweep:
             sizes.append(np.broadcast(u1, u2).size)
             return aug_values(self, u1, u2, axis)
 
-        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
         monkeypatch.setattr(StructureData, "aug_values", counted)
         integrate_frame(sd, (21, 21), step=1e-3)
         assert len(sizes) == 42
@@ -725,7 +725,7 @@ class TestBatchedSweep:
                      .encode())
             return aug_values(self, u1, u2, axis)
 
-        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forks, "usable_cores", lambda: 2)
         monkeypatch.setattr(StructureData, "aug_values", counted)
         try:
             integrate_frame(sd, (21, 21), step=1e-3)
@@ -825,8 +825,8 @@ class TestForkedSampling:
         """integrate_frame on `cores` cores, every march past the fork
         threshold, with calls of at most `lanes` lanes: 256 cut the
         families of a 15x11 lattice into calls of one segment each."""
-        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(reconstruct, "PARALLEL_POINTS", 1)
+        monkeypatch.setattr(forks, "usable_cores", lambda: cores)
+        monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
         monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
         return integrate_frame(sd, shape=shape, step=1e-2, config=UNGATED)
 
@@ -963,10 +963,10 @@ class TestForkedSampling:
 
         self.patch_aug_values(monkeypatch, lambda u1, u2, axis: points.append(
             np.broadcast(u1, u2).size))
-        monkeypatch.setattr(reconstruct, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forks, "usable_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", fork)
         integrate_frame(file_backed_sd, (9, 9), step=1e-2, config=UNGATED)
-        assert sum(points) < reconstruct.PARALLEL_POINTS
+        assert sum(points) < forks.PARALLEL_WORK
 
 
 class TestAffineAlign:

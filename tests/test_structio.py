@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frontal_lab import catalog, cli, structio
+from frontal_lab import catalog, cli, forks, structio
 from frontal_lab.blaschke import blaschke_field
 from frontal_lab.structio import export_field_csv, export_frame_csv, export_obj
 
@@ -28,9 +28,9 @@ def no_child_left():
 def cores(monkeypatch, k, block=2):
     """Make every export large enough to split into blocks of `block`
     rows, on k usable cores."""
-    monkeypatch.setattr(structio, "PARALLEL_VALUES", 1)
+    monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
     monkeypatch.setattr(structio, "BLOCK_ROWS", block)
-    monkeypatch.setattr(structio, "_usable_cores", lambda: k)
+    monkeypatch.setattr(forks, "usable_cores", lambda: k)
 
 
 def csv_reference(header, columns):
@@ -171,16 +171,16 @@ def test_small_tables_do_not_fork(monkeypatch, tmp_path):
     def fork():
         raise AssertionError("forked for a small export")
 
-    monkeypatch.setattr(structio, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(forks, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     x = np.random.default_rng(2).normal(size=(33, 33, 3))
     export_obj(tmp_path / "s.obj", x)
-    assert 33 * 33 * 3 < structio.PARALLEL_VALUES
+    assert 33 * 33 * 3 < forks.PARALLEL_WORK
     assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
     u1, u2 = np.meshgrid(np.arange(200.0), np.arange(150.0), indexing="ij")
     flat = np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
     export_obj(tmp_path / "flat.obj", flat)
-    assert flat.size >= structio.PARALLEL_VALUES
+    assert flat.size >= forks.PARALLEL_WORK
     assert (tmp_path / "flat.obj").read_bytes() == obj_reference(flat)
 
 
@@ -191,11 +191,11 @@ def test_large_exports_fork(monkeypatch, tmp_path):
         calls.append(1)
         return real_fork()
 
-    monkeypatch.setattr(structio, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(forks, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     x = np.random.default_rng(3).normal(size=(128, 128, 3))
     export_obj(tmp_path / "s.obj", x)
-    assert x.size >= structio.PARALLEL_VALUES
+    assert x.size >= forks.PARALLEL_WORK
     assert len(calls) == 1
     assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
 
@@ -252,7 +252,7 @@ def test_frame_csv_peak_memory(monkeypatch, tmp_path):
     rng = np.random.default_rng(0)
     data = {f"c{k:02d}": rng.normal(size=(n, n)) for k in range(11)}
     data["lam_det"] = u2 ** 3
-    monkeypatch.setattr(structio, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(forks, "usable_cores", lambda: 1)
     tracemalloc.start()
     try:
         export_frame_csv(tmp_path / "frame.csv", u1, u2, data)
