@@ -38,7 +38,9 @@ with one spline grid call per component and partial.
 Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them and runs
 them through forks.fork_map, whose rules decide where each call runs;
-its unit of work is a point sampled.  A call sends back its RK4
+its unit of work is a point sampled.  Forked children claim the calls
+as they get free, and the marching process samples a call only while
+the one it reads next is not yet back.  A call sends back its RK4
 matrices as raw float bytes, and keeps the mesh it has on one core,
 because the adaptive quadrature behind some entries decides
 convergence over all lanes of a call; so the march is bit-identical
@@ -647,9 +649,15 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     failed by a NaN: the compatibility residual (CompatibilityViolated),
     det W collapsing or flipping sign (FrameDegenerate), the frame audit
     (CompatibilityViolated), the integrability residuals and the
-    position audit (IntegrabilityViolated).
+    position audit (IntegrabilityViolated).  A step whose half does not
+    move the largest lattice coordinate is refused first (InputError).
     """
     step = step or config.rk4_step
+    reach = max(abs(float(v)) for v in sd.domain)
+    if not step / 2 > np.finfo(float).eps * reach:
+        raise InputError(
+            f"RK4 step {step!r} is too small: half a step does not move a "
+            f"lattice coordinate of magnitude {reach!r}")
     a1, b1, a2, b2 = sd.domain
     u1_nodes = np.linspace(a1, b1, shape[0])
     u2_nodes = np.linspace(a2, b2, shape[1])

@@ -37,9 +37,11 @@ block, and each row is the separator joined over its column strings.
 The blocks run through forks.fork_map, whose rules decide where each
 block is formatted; its unit of work is a value formatted (not a cell,
 so an axis-constant column counts once per value of the other axis).
-A forked child runs no numpy call but slicing and `tolist` and prints
-nothing, and the parent writes every block's texts to the files in
-block order, so the files hold the same bytes wherever a block ran.
+Forked children claim blocks as they get free, and the parent formats a
+block only while the one it writes next is not yet back.  A forked
+child runs no numpy call but slicing and `tolist` and prints nothing,
+and the parent writes every block's texts to the files in block order,
+so the files hold the same bytes wherever a block ran.
 """
 
 from __future__ import annotations

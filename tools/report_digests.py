@@ -80,6 +80,8 @@ gen-rank1-wavefront with the potential h = exp(u1)*cos(u2).  Then
 exports over degenerate grids, where every column is constant along one
 grid axis: `analyze --out` on a 1x5 grid of ex-5.8, `blaschke --out` on
 a 1x7 grid of ex-5.10 and the 2x2 field export of the paraboloid.
+Last, an RK4 step too small to move a lattice coordinate (an input
+error), given as `--step` and as `--set rk4_step`.
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -386,6 +388,9 @@ def command_list():
          ["export", "--entry", "paraboloid", "--what", "field", "--grid",
           "2x2", "--out", "{out}/f.csv"]),
     ]
+    cmds += [("typed-failure", ["reconstruct", "--entry", "paraboloid",
+                                "--grid", "3x3", *step])
+             for step in (["--step", "1e-300"], ["--set", "rk4_step=1e-300"])]
     return cmds
 
 
