@@ -93,9 +93,13 @@ class CatalogEntry:
 
 
 def validate_entry(f: Frontal, entry: CatalogEntry):
-    """Load-time checks: basis rank, decomposition residual, known answers."""
+    """Load-time checks on a 9x9 grid (inset on an open domain): the
+    decomposition residual of x_u against Omega Lambda^T, and the factor
+    determinant against its known answer where the entry has one.  Both
+    read values only, so x (whose order-1 jet carries x_u), Omega and
+    Lambda are asked for order 1."""
     u1, u2 = f.interior_grid((9, 9), margin=0.02 if entry.open_domain else 0.0)
-    xj = f.x(u1, u2, 2)
+    xj = f.x(u1, u2, 1)
     w1, w2 = f.omega(u1, u2, 1)
     lam = f.lam(u1, u2, 1)
     resid, scale = _decomposition_residual([xj.deriv(0), xj.deriv(1)],
@@ -246,6 +250,25 @@ def _integral_per_value(cfg: Config, integrand, upper, var, order):
                            for c in out.coeffs], out.const)
 
 
+def _last_point_set(fn):
+    """fn(u1, u2, order), remembering its last result: a call with the
+    same order and coordinate arrays of the same dtype, shape and bytes
+    returns that result again.  Nothing looser matches.  A nested
+    integral decides its convergence over the whole batch of points it
+    is handed (see _integral_per_value), so another point set may give
+    other bits.  And converged_quad reads every coefficient, so a
+    lower-order result is never cut from a higher-order one."""
+    last = []
+
+    def memo(u1, u2, order):
+        key = (order, *((a.dtype.str, a.shape, a.tobytes())
+                        for a in map(np.asarray, (u1, u2))))
+        if not last or last[0] != key:
+            last[:] = key, fn(u1, u2, order)
+        return last[1]
+    return memo
+
+
 def _zero_integral(upper, var):
     """What _integral returns for an integrand that is +0 everywhere, with
     no quadrature and the same signed zeros: coefficients taken from the
@@ -362,7 +385,10 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     The second basis column is (0, 1, G) with G the u2-derivative cofactor
     of C, and the first column's third entry is recovered from the jets of
     C, so no closed form of C is ever needed.  int_0^{u1} l and the u1-only
-    terms of C (t34) run once per distinct u1 value.
+    terms of C (t34) run once per distinct u1 value.  x and Omega of one
+    built frontal share C: each build keeps the last C it evaluated, with
+    its coordinate jets and int_0^{u1} l, and hands it to either of them
+    asked for the same order at the same points (_last_point_set).
     """
     b_ast = expr_mod.parse(b)
     h_ast = expr_mod.parse(h)
@@ -416,24 +442,38 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         t34 = _integral_per_value(cfg, outer_u1, u1, 0, order)
         return t12 + t34
 
-    def x_fn(cfg, u1, u2, order):
+    def c_jets(cfg, u1, u2, order):
+        # the coordinate jets at `order`, int_0^{u1} l and C on them
         v1, v2 = expr_mod._jet_env(u1, u2, order).values()
         ell_int = _integral_per_value(cfg, ell, v1, 0, order)
-        return JetVec3(v1, _at(b_ast, v1, v2),
-                       third_component(cfg, v1, v2, order, ell_int))
+        return v1, v2, ell_int, third_component(cfg, v1, v2, order, ell_int)
 
-    def omega_fn(cfg, u1, u2, order):
-        v1, v2 = expr_mod._jet_env(u1, u2, order).values()
-        one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))), order)
-        zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))), order)
-        ell_int = _integral_per_value(cfg, ell, v1, 0, order)
-        g2 = big_g(cfg, v1, v2, order, ell_int)
-        # g1 reads one derivative of C, so order 0 integrates C at order 1
-        c1, c2 = (v1, v2) if order else expr_mod._jet_env(u1, u2, 1).values()
-        c_ell = ell_int if order else _integral_per_value(cfg, ell, c1, 0, 1)
-        c3 = third_component(cfg, c1, c2, max(order, 1), c_ell)
-        g1 = c3.deriv(0) - _at(b_u1, v1, v2) * g2
-        return JetVec3(one, zero, g1), JetVec3(zero, one, g2)
+    def build(entry, cfg):
+        # x and Omega of one build share C per order and point set
+        shared = _last_point_set(functools.partial(c_jets, cfg))
+
+        def x_fn(u1, u2, order):
+            v1, v2, _, c3 = shared(u1, u2, order)
+            return JetVec3(v1, _at(b_ast, v1, v2), c3)
+
+        def omega_fn(u1, u2, order):
+            one = Jet.constant(np.ones(np.shape(np.asarray(u1, dtype=float))),
+                               order)
+            zero = Jet.constant(np.zeros(np.shape(np.asarray(u1, dtype=float))),
+                                order)
+            if order:
+                v1, v2, ell_int, c3 = shared(u1, u2, order)
+            else:
+                # g1 reads one derivative of C, so order 0 takes C at order 1
+                v1, v2 = expr_mod._jet_env(u1, u2, 0).values()
+                ell_int = _integral_per_value(cfg, ell, v1, 0, 0)
+                c3 = shared(u1, u2, 1)[3]
+            g2 = big_g(cfg, v1, v2, order, ell_int)
+            g1 = c3.deriv(0) - _at(b_u1, v1, v2) * g2
+            return JetVec3(one, zero, g1), JetVec3(zero, one, g2)
+
+        return Frontal(entry.name, x_fn, omega_fn, entry.domain, lam=lam_fn,
+                       config=cfg)
 
     lam_fn = expr_mod.jets_fn([Num(1.0), b_u1, Num(0.0), b_u2])
     return CatalogEntry(
@@ -442,10 +482,7 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
         domain=domain,
         known={"lambda_det": expr_mod.to_source(b_u2)},
         params={"b": b, "h": h, "l": l, "r": r},
-        builder=lambda entry, cfg: Frontal(
-            entry.name, functools.partial(x_fn, cfg),
-            functools.partial(omega_fn, cfg), entry.domain, lam=lam_fn,
-            config=cfg),
+        builder=build,
     )
 
 

@@ -526,6 +526,14 @@ class FrameField:
 # of the per-call jet arrays.  Sweeps that march together still sample
 # apart, each with its own calls.
 SWEEP_LANES = 4096
+# Most RK4 substeps a march takes between two of its nodes.  A segment's
+# 2 nsub + 1 abscissae are sampled in one call, at about 1 KB of jets per
+# lane and abscissa, and the loop runs nsub Python-level steps per
+# segment, so nsub sets a march's peak memory and time.  2^14 admits the
+# default step (1e-3) on a two-node axis of every catalog domain (at most
+# 8 wide, so 8,000 substeps) and keeps a one-lane segment near 33,000
+# points; a step that needs more is refused before any array is sized.
+MAX_SUBSTEPS = 1 << 14
 
 
 def _sweep_calls(fixed, ts, axis):
@@ -574,7 +582,13 @@ def _march(sd, sweeps, step):
     groups = {}
     for i, (_, _, nodes, _) in enumerate(sweeps):
         if nodes.size > 1:
-            nsub = max(1, int(math.ceil(abs(nodes[1] - nodes[0]) / step)))
+            span = abs(float(nodes[1] - nodes[0]))
+            if not span / step <= MAX_SUBSTEPS:
+                raise InputError(
+                    f"RK4 step {step!r} needs more than {MAX_SUBSTEPS} "
+                    f"substeps between march nodes {span!r} apart; take a "
+                    f"larger step or more lattice nodes")
+            nsub = max(1, int(math.ceil(span / step)))
             groups.setdefault((nodes.size, nsub), []).append(i)
     for (n, nsub), members in groups.items():
         hs, calls, counts = [], [], []
@@ -650,7 +664,9 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     det W collapsing or flipping sign (FrameDegenerate), the frame audit
     (CompatibilityViolated), the integrability residuals and the
     position audit (IntegrabilityViolated).  A step whose half does not
-    move the largest lattice coordinate is refused first (InputError).
+    move the largest lattice coordinate is refused first (InputError), and
+    so is one that needs more than MAX_SUBSTEPS substeps between two nodes
+    of a march, before that march sizes any array.
     """
     step = step or config.rk4_step
     reach = max(abs(float(v)) for v in sd.domain)

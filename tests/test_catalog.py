@@ -527,3 +527,128 @@ def test_random_profiles_keep_every_bit_or_error(l, r, u1, u2):
     got = outcome()
     with _plain_integrals():
         assert outcome() == got
+
+
+# --- x and Omega of gen-extendable-nc share C ----------------------------
+
+_NESTED = {"b": "2/5*u2^5 + u2^2", "h": "u1*u2", "l": "1", "r": "u1"}
+# a 3x3 mesh holding both signs of zero, and the same points in extended
+# precision
+_SHARED_POINTS = {
+    "float64": np.meshgrid(np.array([-0.5, -0.0, 0.75]),
+                           np.array([0.0, -0.25, 0.5]), indexing="ij"),
+}
+_SHARED_POINTS["longdouble"] = tuple(np.asarray(u, dtype=np.longdouble)
+                                     for u in _SHARED_POINTS["float64"])
+
+
+def _fresh(config=None):
+    """The nested gen-extendable-nc frontal, built without validation, so
+    nothing has been evaluated on it."""
+    entry = get_entry("gen-extendable-nc", _NESTED)
+    return entry.builder(entry, config or Config())
+
+
+def _asked(f, what, u1, u2, order):
+    """Value bytes of every coefficient of x or Omega at `order`."""
+    jets = [f.x(u1, u2, order)] if what == "x" else list(f.omega(u1, u2, order))
+    return [(np.shape(c), np.asarray(c).dtype.str, _value_bytes(c))
+            for v in jets for comp in v.c for c in comp.coeffs]
+
+
+@pytest.mark.parametrize("points", sorted(_SHARED_POINTS))
+@pytest.mark.parametrize("first", ["x", "omega"])
+def test_x_and_omega_asked_together_equal_fresh_builds(points, first):
+    # at every order, x and Omega asked one after the other of one build
+    # (either first) hold every bit, signs of zeros included, of a fresh
+    # build asked for one of them alone
+    u1, u2 = _SHARED_POINTS[points]
+    second = "omega" if first == "x" else "x"
+    f = _fresh()
+    for order in range(3):
+        together = [_asked(f, what, u1, u2, order) for what in (first, second)]
+        alone = [_asked(_fresh(), what, u1, u2, order)
+                 for what in (first, second)]
+        assert together == alone
+
+
+def _top_level_integrals(monkeypatch):
+    """Names of the integrands catalog._integral is handed outside any
+    other integral, appended to the returned list as they run."""
+    names, depth = [], [0]
+    integral = catalog._integral
+
+    def watched(cfg, integrand, upper, var, order):
+        if not depth[0]:
+            names.append(integrand.__name__)
+        depth[0] += 1
+        try:
+            return integral(cfg, integrand, upper, var, order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(catalog, "_integral", watched)
+    return names
+
+
+def test_one_build_integrates_c_once(monkeypatch):
+    # C's two top-level integrals, t12 over u2 and t34 over u1, run once
+    # for x and Omega of the load-time validation together
+    names = _top_level_integrals(monkeypatch)
+    get_entry("gen-extendable-nc", _NESTED).build()
+    assert names.count("outer_u2") == 1
+    assert names.count("outer_u1") == 1
+
+
+def test_lower_order_is_integrated_apart(monkeypatch):
+    # Omega at order 0 takes C at order 1, which x at order 1 reuses;
+    # x at order 0 integrates C again at order 0
+    f = _fresh()
+    u1, u2 = _SHARED_POINTS["float64"]
+    names = _top_level_integrals(monkeypatch)
+    f.omega(u1, u2, 0)
+    f.x(u1, u2, 1)
+    assert names.count("outer_u2") == 1
+    f.x(u1, u2, 0)
+    assert names.count("outer_u2") == 2
+
+
+def test_each_build_keeps_its_own_c():
+    # one entry built under two Configs: each build, asked in turn at the
+    # same points, gives the bits of its own fresh build, and the two
+    # Configs give different bits, so a C shared between builds would show
+    entry = get_entry("gen-extendable-nc", _NESTED)
+    configs = (Config(), Config(quad_nodes=8))
+    u1, u2 = _SHARED_POINTS["float64"]
+    builds = [entry.build(cfg) for cfg in configs]
+    got = {}
+    for what in ("omega", "x"):
+        for k, f in enumerate(builds):
+            got[what, k] = _asked(f, what, u1, u2, 1)
+    for (what, k), jets in got.items():
+        assert jets == _asked(_fresh(configs[k]), what, u1, u2, 1)
+    assert got["x", 0] != got["x", 1]
+
+
+def test_validation_asks_x_for_order_1():
+    # validation reads the values of x_u, Omega and Lambda only
+    f = get_entry("gen-extendable-nc", _NESTED).build()
+    orders = {"x": [], "omega": [], "lam": []}
+    for name in orders:
+        fn = getattr(f, name)
+        setattr(f, name, lambda u1, u2, order, fn=fn, name=name:
+                orders[name].append(order) or fn(u1, u2, order))
+    validate_entry(f, get_entry("gen-extendable-nc", _NESTED))
+    assert orders == {"x": [1], "omega": [1], "lam": [1]}
+
+
+def test_points_that_differ_in_one_bit_are_integrated_apart():
+    # the same mesh with +0.0 for -0.0: x asked at it after Omega at the
+    # mesh is that of a fresh build, and differs from x at the mesh
+    u1, u2 = _SHARED_POINTS["float64"]
+    flipped = (np.where(u1 == 0.0, 0.0, u1), u2)
+    f = _fresh()
+    f.omega(u1, u2, 1)
+    got = _asked(f, "x", *flipped, 1)
+    assert got == _asked(_fresh(), "x", *flipped, 1)
+    assert got != _asked(_fresh(), "x", u1, u2, 1)

@@ -588,10 +588,15 @@ _RECONSTRUCT_PARA = ["reconstruct", "--entry", "paraboloid", "--field",
       "--step", "1e-300"], "RK4 step 1e-300 is too small"),
     (["reconstruct", "--entry", "paraboloid", "--grid", "3x3",
       "--set", "rk4_step=1e-300"], "RK4 step 1e-300 is too small"),
+    # such a step moves the coordinates but needs about 1e15 substeps
+    # between two nodes, arrays no machine holds
+    (["reconstruct", "--entry", "paraboloid", "--grid", "3x3",
+      "--step", "1e-15"], "RK4 step 1e-15 needs more than 16384 substeps"),
 ], ids=["rk4_step=0", "rk4_step<0", "step<0", "step=0", "probe_levels=2",
         "quad_nodes=0", "quad_max_nodes=quad_nodes", "probe_directions=0",
         "probe_r0=0", "probe_ratio=1", "probe_ratio=0", "eps_sing<0",
-        "tol_path<0", "step-below-resolution", "rk4_step-below-resolution"])
+        "tol_path<0", "step-below-resolution", "rk4_step-below-resolution",
+        "step-beyond-substep-bound"])
 def test_out_of_range_settings_are_input_errors(argv, message, capsys):
     assert run(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err

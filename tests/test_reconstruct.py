@@ -18,8 +18,9 @@ from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
                                 DomainError,
-                                FrameDegenerate, InsufficientJetOrder,
-                                IntegrabilityViolated, RankDeficient)
+                                FrameDegenerate, InputError,
+                                InsufficientJetOrder, IntegrabilityViolated,
+                                RankDeficient)
 from frontal_lab.frame import frame_bundle
 from frontal_lab.jets import Jet, _mat_values
 from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
@@ -224,6 +225,28 @@ class TestIntegrateFrame:
             integrate_frame(sd, shape=(9, 9))
         assert "order-1 structure jets need order-4" in str(exc.value)
         assert "loses 3 orders" in str(exc.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("step, refused", [(0.025, False),
+                                               (0.0249, True)])
+    def test_substep_bound_refused_before_sampling(self, monkeypatch, step,
+                                                   refused):
+        # the 5x5 lattice of [0, 1]^2 has nodes 0.25 apart: 0.025 takes
+        # exactly MAX_SUBSTEPS = 10 substeps a segment, 0.0249 one more,
+        # and that march is refused before it samples or sizes anything
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4, domain=(0.0, 1.0, 0.0, 1.0))
+        calls = []
+        aug_values = StructureData.aug_values
+        monkeypatch.setattr(reconstruct, "MAX_SUBSTEPS", 10)
+        monkeypatch.setattr(StructureData, "aug_values",
+                            lambda self, *call: calls.append(call)
+                            or aug_values(self, *call))
+        if not refused:
+            integrate_frame(sd, shape=(5, 5), step=step)
+            assert calls
+            return
+        with pytest.raises(InputError, match="more than 10 substeps"):
+            integrate_frame(sd, shape=(5, 5), step=step)
         assert calls == []
 
 

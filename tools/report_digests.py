@@ -6,11 +6,14 @@ Imports frontal_lab from SRC (the `src/` directory of a checkout), runs
 each command of the list in-process through `cli.main`, and prints one
 line per command: the sha256 of its exit code, stdout, stderr and every
 file it wrote, then the exit code and the command.  OUTDIR must be empty
-or absent; each command writes under OUTDIR/<group>, so a report that
-prints a path prints the same path on every checkout.
+or absent; each command writes under OUTDIR/<group>, and OUTDIR is
+replaced with `{out}` in the exit code, stdout and stderr before they
+are hashed, so a report that prints a path gives the same line whatever
+OUTDIR is.
 
-Run it on two checkouts with the same OUTDIR (emptied in between) and
-diff the two outputs: equal lines mean byte-identical reports and files.
+tools/digests.txt holds the lines of this checkout.  Diff the output
+against it, or against the output on another checkout: equal lines mean
+byte-identical reports and files.
 
 The list: the seed-0 jobs of the three benchmark workloads (read from
 bench/workloads.py next to this file), `check` on every fixed catalog
@@ -81,7 +84,9 @@ exports over degenerate grids, where every column is constant along one
 grid axis: `analyze --out` on a 1x5 grid of ex-5.8, `blaschke --out` on
 a 1x7 grid of ex-5.10 and the 2x2 field export of the paraboloid.
 Last, an RK4 step too small to move a lattice coordinate (an input
-error), given as `--step` and as `--set rk4_step`.
+error), given as `--step` and as `--set rk4_step`, and a step that moves
+the coordinates but needs more substeps between two nodes than a march
+may take (an input error, before any array is sized).
 
 A warning is recorded as `Category: message`, without its source
 location, which names the checkout.
@@ -390,7 +395,8 @@ def command_list():
     ]
     cmds += [("typed-failure", ["reconstruct", "--entry", "paraboloid",
                                 "--grid", "3x3", *step])
-             for step in (["--step", "1e-300"], ["--set", "rk4_step=1e-300"])]
+             for step in (["--step", "1e-300"], ["--set", "rk4_step=1e-300"],
+                          ["--step", "1e-15"])]
     return cmds
 
 
@@ -482,7 +488,9 @@ def main(argv=None):
         argv = [a.replace("{out}", out) for a in template]
         for key, path in files.items():
             argv = [a.replace(key, path) for a in argv]
-        rc, stdout, stderr = run(cli, argv)
+        rc, stdout, stderr = (v.replace(outdir, "{out}")
+                              if isinstance(v, str) else v
+                              for v in run(cli, argv))
         after = _files(outdir)
         h = hashlib.sha256(repr(rc).encode())
         for text in (stdout, stderr):
