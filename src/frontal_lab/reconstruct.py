@@ -16,12 +16,13 @@ path-independence audit, which turns compatibility into a measurable.
 
 Every structure entry is a callable (u1, u2, order) -> jets on the
 broadcast of u1 and u2: a 2x2 jet matrix, or a jet for phi.  Entries are
-expression-backed (evaluated exactly through jets), grid-backed (bicubic
-interpolation), or extracted (closures over a frontal and a transversal
-field that solve the frame systems in jet arithmetic at any requested
-point).  The connection blocks are defined per axis: `StructureData.blocks`
-returns the augmented 3x3 block A_j = [[D_j, h column j], [-S row j, 0]]
-of each axis asked for.  A sweep along u_j reads A_j alone; the
+expression-backed (evaluated exactly through jets), grid-backed (the
+not-a-knot bicubic spline of `GridField`, in numpy), or extracted
+(closures over a frontal and a transversal field that solve the frame
+systems in jet arithmetic at any requested point).  The connection
+blocks are defined per axis: `StructureData.blocks` returns the
+augmented 3x3 block A_j = [[D_j, h column j], [-S row j, 0]] of each
+axis asked for.  A sweep along u_j reads A_j alone; the
 residuals, the block extension and the export read both axes at one
 point set, with one call.
 
@@ -32,8 +33,8 @@ lane with its own step, wherever the sweeps share a node count and a
 substep count.  A sweep knows all of its abscissae before it takes a
 step, so each sweep still samples its own coefficients, as many whole
 lattice segments as fit in SWEEP_LANES lanes with one call, on the open
-mesh (substep abscissae) x (lanes); grid entries evaluate an open mesh
-with one spline grid call per component and partial.
+mesh (substep abscissae) x (lanes); a grid entry contracts its u2 axis
+once per distinct u2 value of the call, then its u1 axis point by point.
 
 Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them and runs
@@ -83,27 +84,70 @@ def expr_entry(sources):
     return expr_mod.jets_fn(asts)
 
 
-def _open_mesh(u1, u2):
-    """(x, y, transposed) when u1, u2 form an open mesh, (n, 1) x (1, m)
-    or (1, m) x (n, 1); x runs along u1 and y along u2, and `transposed`
-    says the broadcast shape is (y.size, x.size).  None otherwise."""
-    if u1.ndim != 2 or u2.ndim != 2:
-        return None
-    if u1.shape[1] == 1 and u2.shape[0] == 1:
-        return u1[:, 0], u2[0], False
-    if u1.shape[0] == 1 and u2.shape[1] == 1:
-        return u1[0], u2[:, 0], True
-    return None
+def _not_a_knot(n):
+    """(n + 2, n) matrix taking samples at the n nodes of a uniform grid
+    to the coefficients of their not-a-knot cubic spline (the
+    interpolant of FITPACK's s=0 knots) in the uniform cubic B-spline
+    basis: coefficient k weighs the B-spline centred on node k - 1.
+    Rows: the value at each node, then a zero jump of the third
+    derivative at the second and the second-to-last node."""
+    a = np.zeros((n + 2, n + 2))
+    for k in range(n):
+        a[k, k:k + 3] = (1.0, 4.0, 1.0)
+    a[n, :5] = a[n + 1, -5:] = (1.0, -4.0, 6.0, -4.0, 1.0)
+    return np.linalg.solve(a, np.eye(n + 2, n) * 6.0)
+
+
+def _bspline_weights(t, lo, hi, n, order):
+    """(first coefficient, weights) of coordinates t on the uniform grid
+    of n nodes on [lo, hi]: weights[p][a] is the p-th derivative of the
+    B-spline of coefficient first + a at t.  Coordinates outside the grid
+    are clamped to its edge, as FITPACK's fpbisp does.  Elementwise, so
+    a coordinate gets the same bits in any batch."""
+    inv_h = (n - 1) / (hi - lo)
+    u = (np.clip(t, lo, hi) - lo) * inv_h
+    first = np.fmin(np.floor(u), n - 2)     # fmin sends NaN to a cell
+    s = u - first
+    r = 1.0 - s
+    weights = [[r * r * r / 6.0, ((3.0 * s - 6.0) * s * s + 4.0) / 6.0,
+                ((3.0 * r - 6.0) * r * r + 4.0) / 6.0, s * s * s / 6.0]]
+    if order >= 1:
+        weights.append([-0.5 * r * r * inv_h,
+                        0.5 * s * (3.0 * s - 4.0) * inv_h,
+                        -0.5 * r * (3.0 * r - 4.0) * inv_h,
+                        0.5 * s * s * inv_h])
+    if order >= 2:
+        inv_h2 = inv_h * inv_h
+        weights.append([r * inv_h2, (3.0 * s - 2.0) * inv_h2,
+                        (3.0 * r - 2.0) * inv_h2, s * inv_h2])
+    return first.astype(np.intp), weights
+
+
+def _contract(pick, weights):
+    """For each list w in `weights`, the sum of pick(a) * w[a] over the
+    four B-splines a, always as ((t0 w0 + t1 w1) + t2 w2) + t3 w3, so a
+    point does the same arithmetic in any batch.  pick(a) builds a
+    fresh array, and one is held at a time."""
+    t = pick(0)
+    out = [t * w[0] for w in weights]
+    for a in (1, 2, 3):
+        t = pick(a)
+        for acc, w in zip(out, weights):
+            acc += t * w[a]
+    return out
 
 
 class GridField:
     """Entry sampled on a rectangular grid, interpolated bicubically.
 
-    An open mesh is evaluated with one FITPACK grid call per component
-    and partial, any other points with `ev` point by point; both give
-    the same bits.  Third partials are beyond the bicubic spline, so
-    jets stop at order SPLINE_ORDER.  A bicubic spline needs
-    MIN_SAMPLES samples per axis, so a structure file may hold no
+    The spline is the not-a-knot interpolant along each axis (FITPACK's
+    s=0 knots), held as uniform cubic B-spline coefficients.  A call
+    contracts the u2 axis first, once per distinct u2 value (one per
+    lane on a sweep's mesh), then the u1 axis point by point; every
+    point does the same arithmetic in any batch, so a mesh and its
+    points give the same bits.  Third partials are beyond the bicubic
+    spline, so jets stop at order SPLINE_ORDER.  The not-a-knot spline
+    needs MIN_SAMPLES samples per axis, so a structure file may hold no
     smaller grid.
     """
 
@@ -111,20 +155,16 @@ class GridField:
     MIN_SAMPLES = 4
 
     def __init__(self, domain, values):
-        # scipy is imported here, its one use, so that commands which
-        # never read a grid entry do not load it
-        from scipy.interpolate import RectBivariateSpline
-
         # values: (nx, ny) or (4, nx, ny) row-major component grids
         a1, b1, a2, b2 = domain
         values = np.asarray(values, dtype=float)
         self.matrix = values.ndim == 3
         comps = values if self.matrix else values[None, ...]
         nx, ny = comps.shape[1:]
-        xs = np.linspace(a1, b1, nx)
-        ys = np.linspace(a2, b2, ny)
-        self.splines = [RectBivariateSpline(xs, ys, c, kx=3, ky=3)
-                        for c in comps]
+        self.axes = ((a1, b1, nx), (a2, b2, ny))
+        # (components, ny + 2, nx + 2): a u2 contraction takes whole rows
+        self.coeffs = np.ascontiguousarray(np.swapaxes(
+            _not_a_knot(nx) @ comps @ _not_a_knot(ny).T, 1, 2))
 
     def __call__(self, u1, u2, order):
         if order > self.SPLINE_ORDER:
@@ -134,24 +174,30 @@ class GridField:
                 f"{self.SPLINE_ORDER}")
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
-        mesh = _open_mesh(u1, u2)
-        if mesh is None:
-            def partial(sp, i, j):
-                return np.asarray(sp.ev(u1, u2, dx=i, dy=j))
-        else:
-            # FITPACK's grid routines want ascending axes; down sweeps
-            # descend and segment ends can repeat, so sort stably and
-            # scatter back
-            x, y, transposed = mesh
-            ix = np.argsort(x, kind="stable")
-            iy = np.argsort(y, kind="stable")
-
-            def partial(sp, i, j):
-                out = np.empty((x.size, y.size))
-                out[np.ix_(ix, iy)] = sp(x[ix], y[iy], dx=i, dy=j, grid=True)
-                return out.T if transposed else out
-        vals = [Jet(order, [partial(sp, i, j) for (i, j) in INDICES[order]])
-                for sp in self.splines]
+        # distinct u2 values by their bits, so -0.0 keeps its own
+        bits, lane = np.unique(np.ascontiguousarray(u2).view(np.int64),
+                               return_inverse=True)
+        first2, w2 = _bspline_weights(bits.view(float), *self.axes[1], order)
+        first1, w1 = _bspline_weights(u1, *self.axes[0], order)
+        # only the u1 coefficients some point reads: a spine's lane reads 4
+        k0 = first1.min(initial=self.axes[0][2] - 2)
+        coeffs = np.ascontiguousarray(
+            self.coeffs[..., k0:first1.max(initial=k0) + 4])
+        ncomp, _, width = coeffs.shape
+        # u2 first, per distinct u2 value and u2 partial: (components,
+        # distinct u2 values x u1 coefficients)
+        rows = _contract(lambda b: np.take(coeffs, first2 + b, axis=1),
+                         [[w[:, None] for w in wj] for wj in w2])
+        # then u1, each point in its own u2 value's row
+        at = lane.reshape(u2.shape) * width + (first1 - k0)
+        partials = {}
+        for j, row in enumerate(rows):
+            row = row.reshape(ncomp, -1)
+            cols = _contract(lambda a: np.take(row, at + a, axis=1),
+                             w1[:order + 1 - j])
+            partials.update(((i, j), col) for i, col in enumerate(cols))
+        vals = [Jet(order, [partials[ij][c] for ij in INDICES[order]])
+                for c in range(ncomp)]
         if not self.matrix:
             return vals[0]
         return [[vals[0], vals[1]], [vals[2], vals[3]]]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,8 +249,9 @@ class TestReconstructCommand:
         assert run(["reconstruct", "--input", str(path), "--grid", "9x9",
                     "--step", "0.01"]) == cli.EXIT_VERIFICATION
 
-    # a D1 grid the reader must refuse, naming the entry, before FITPACK
-    # sees it: below the bicubic minimum of 4x4, incomplete, or not finite
+    # a D1 grid the reader must refuse, naming the entry, before the
+    # spline fit sees it: below the bicubic minimum of 4x4, incomplete,
+    # or not finite
     @pytest.mark.parametrize("grid, message", [
         ({"nx": 3, "ny": 3, "values": [[0.0] * 9] * 4}, "3x3 samples"),
         ({"nx": 1, "ny": 5, "values": [[0.0] * 5] * 4}, "1x5 samples"),
@@ -801,6 +805,21 @@ class TestExport:
                     "--out", str(out)]) == 0
         assert read_structure_file(out).W0.shape == (3, 3)
 
+    def test_structure_without_blaschke_field_writes_nothing(self, tmp_path,
+                                                             capsys):
+        # the existence gate of the Blaschke field behind a structure
+        # export: the extended Gauss curvature of this cusp has no limit
+        # at (-1, 0)
+        path = tmp_path / "cusp2.json"
+        path.write_text(json.dumps(CUSP2_FILE))
+        out = tmp_path / "s.json"
+        assert run(["export", "--input", str(path), "--what", "structure",
+                    "--grid", "9x9", "--out", str(out)]) == \
+            cli.EXIT_PRECONDITION
+        assert "NotExtendable: extended Gauss curvature at (-1.0, 0.0)" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_field_structure_on_generator(self, tmp_path):
         # the symbols lose the order gen-extendable-nc's Omega lacks,
         # although the constant field itself loses none
@@ -808,6 +827,40 @@ class TestExport:
                     "structure", "--field=0,0,1", "--grid", "5x5",
                     "--out", str(tmp_path / "s.json")]) == 0
         assert read_structure_file(tmp_path / "s.json").W0.shape == (3, 3)
+
+    def test_structure_round_trip_runs_without_scipy(self, tmp_path):
+        """The runtime needs numpy alone: a fresh interpreter that
+        refuses to import scipy writes a grid-backed structure file and
+        reconstructs from it."""
+        script = """if True:
+            import json, sys
+
+            class RefuseScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"{name} is refused")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            from frontal_lab import cli
+            codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+            print(json.dumps([codes, sorted(
+                m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+            """
+        struct = str(tmp_path / "s.json")
+        argvs = [["export", "--entry", "ex-5.10", "--what", "structure",
+                  "--field=0,0,1", "--grid", "9x9", "--out", struct],
+                 ["reconstruct", "--input", struct, "--grid", "9x9",
+                  "--out", str(tmp_path / "rf")]]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0], done.stderr
+        assert loaded == []
+        assert (tmp_path / "rf" / "reconstruct.json").exists()
 
     def test_deterministic_structure_file(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import expm
 
 from conftest import OPEN_MESH, UNGATED, random_unimodular, regular_points
@@ -22,7 +23,7 @@ from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
                                 InsufficientJetOrder, IntegrabilityViolated,
                                 RankDeficient)
 from frontal_lab.frame import frame_bundle
-from frontal_lab.jets import Jet, _mat_values
+from frontal_lab.jets import INDICES, Jet, _mat_values
 from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
                                      apolarity_check, compat_residual,
                                      expr_entry, extend_D, extract_structure,
@@ -419,6 +420,93 @@ class TestOpenMesh:
         with pytest.raises(InsufficientJetOrder,
                            match="order-3 .* limit of order 2"):
             entry(u, u, 3)
+
+
+# --- the grid interpolant ----------------------------------------------------------
+
+# an off-centre domain, and grids from the spline's 4x4 minimum to 65x65
+SPLINE_DOMAIN = (-1.0, 1.5, -0.5, 2.0)
+SPLINE_GRIDS = [(4, 4), (4, 9), (11, 5), (33, 21), (40, 65), (65, 65)]
+
+
+def _fitpack(values):
+    """scipy's interpolating bicubic (FITPACK, s=0) of samples on the
+    uniform grid over SPLINE_DOMAIN: the oracle of GridField."""
+    a1, b1, a2, b2 = SPLINE_DOMAIN
+    nx, ny = values.shape
+    return RectBivariateSpline(np.linspace(a1, b1, nx),
+                               np.linspace(a2, b2, ny), values, kx=3, ky=3)
+
+
+def _bicubic(c, u1, u2, i, j):
+    """d^i/du1^i d^j/du2^j of sum_ab c[a, b] u1^a u2^b."""
+    return sum(c[a, b] * math.perm(a, i) * u1 ** (a - i)
+               * math.perm(b, j) * u2 ** (b - j)
+               for a in range(i, 4) for b in range(j, 4))
+
+
+class TestGridField:
+    @pytest.mark.parametrize("points", ["mesh", "scattered"])
+    @pytest.mark.parametrize("shape", SPLINE_GRIDS,
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_fitpack(self, shape, points):
+        rng = np.random.default_rng(100 * shape[0] + shape[1])
+        values = rng.normal(size=shape)
+        a1, b1, a2, b2 = SPLINE_DOMAIN
+        if points == "mesh":
+            # a descending axis, as the down sweeps have
+            u1 = np.linspace(a1, b1, 37)[:, None]
+            u2 = np.linspace(b2, a2, 29)[None, :]
+        else:
+            u1 = rng.uniform(a1, b1, 500)
+            u2 = rng.uniform(a2, b2, 500)
+        jet = GridField(SPLINE_DOMAIN, values)(u1, u2, 2)
+        oracle = _fitpack(values)
+        for (i, j), got in zip(INDICES[2], jet.coeffs):
+            want = oracle.ev(*np.broadcast_arrays(u1, u2), dx=i, dy=j)
+            assert np.max(np.abs(got - want)) <= \
+                1e-12 * np.max(np.abs(want)), (i, j)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 9)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_reproduces_bicubic_polynomials(self, shape):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(4, 4))
+        a1, b1, a2, b2 = SPLINE_DOMAIN
+        g1, g2 = np.meshgrid(np.linspace(a1, b1, shape[0]),
+                             np.linspace(a2, b2, shape[1]), indexing="ij")
+        u1 = np.concatenate([rng.uniform(a1, b1, 200), [a1, b1, a1, b1]])
+        u2 = np.concatenate([rng.uniform(a2, b2, 200), [a2, b2, b2, a2]])
+        jet = GridField(SPLINE_DOMAIN, _bicubic(c, g1, g2, 0, 0))(u1, u2, 2)
+        for (i, j), got in zip(INDICES[2], jet.coeffs):
+            want = _bicubic(c, u1, u2, i, j)
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * np.max(np.abs(want)), (i, j)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_edges_clamp_as_fitpack(self, order):
+        """A point on the edge and one an ulp beyond read the same bits,
+        the spline at the edge; so does one far outside."""
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(7, 6))
+        entry = GridField(SPLINE_DOMAIN, values)
+        a1, b1, a2, b2 = SPLINE_DOMAIN
+        lo1, hi1 = np.nextafter(a1, -np.inf), np.nextafter(b1, np.inf)
+        lo2, hi2 = np.nextafter(a2, -np.inf), np.nextafter(b2, np.inf)
+        edge = entry(np.array([a1, b1, 0.3, 0.3, a1, b1]),
+                     np.array([0.7, 1.1, a2, b2, a2, b2]), order).coeffs
+        beyond = (np.array([lo1, hi1, 0.3, 0.3, lo1, hi1]),
+                  np.array([0.7, 1.1, lo2, hi2, lo2, hi2]))
+        far = (np.array([-5.0, 5.0, 0.3, 0.3, -5.0, 5.0]),
+               np.array([0.7, 1.1, -5.0, 5.0, -5.0, 5.0]))
+        oracle = _fitpack(values)
+        for u1, u2 in (beyond, far):
+            got = entry(u1, u2, order).coeffs
+            for (i, j), g, e in zip(INDICES[order], got, edge):
+                assert np.array_equal(g, e)
+                want = oracle.ev(u1, u2, dx=i, dy=j)
+                assert np.max(np.abs(g - want)) <= \
+                    1e-12 * np.max(np.abs(want))
 
 
 def per_segment_sweep(sd, state, fixed, moving_nodes, axis, step):
