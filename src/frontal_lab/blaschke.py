@@ -28,7 +28,8 @@ from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
                      Indeterminate, InsufficientJetOrder, KVanishes,
                      NotExtendable, NotTransversal, SingularIIOmega,
                      SingularPoint)
-from .frame import FrameBundle, Frontal, _gram, frame_bundle
+from .frame import (FrameBundle, Frontal, _gram, evaluate_grid,
+                    frame_bundle)
 from .jets import Jet, JetVec3, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -400,15 +401,23 @@ def _singular_field(f: Frontal, targets):
     return xis, results
 
 
-def _tau_volume(bundle, xi, lam):
-    """(max |tau|, max volume-match residual) of the affine normal's
-    induced structure at the regular points of the frame bundle `bundle`,
-    where the field has jets `xi` and det Lambda takes the values `lam`."""
+def _tau_volume_parts(bundle, xi):
+    """(..., 3) per point of the frame bundle `bundle`, where the affine
+    normal has jets `xi`: max |tau_i| of its induced structure, theta^2
+    and |det h|, what `_tau_volume` reduces."""
     s = structure_from_field(bundle.f, AFFINE_NORMAL, bundle.u1, bundle.u2,
                              bundle=bundle, xi_jets=xi)
     det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
-    vol_ratio = np.sqrt(s.theta ** 2 * np.abs(lam) / np.abs(det_h))
-    return (float(np.max(np.abs(s.tau))),
+    return np.stack([np.max(np.abs(s.tau), axis=-1), s.theta ** 2,
+                     np.abs(det_h)], axis=-1)
+
+
+def _tau_volume(parts, lam):
+    """(max |tau|, max volume-match residual) of the affine normal's
+    induced structure from its `_tau_volume_parts`, at points where
+    det Lambda takes the values `lam`."""
+    vol_ratio = np.sqrt(parts[..., 1] * np.abs(lam) / parts[..., 2])
+    return (float(np.max(parts[..., 0])),
             float(np.max(np.abs(vol_ratio - 1.0))))
 
 
@@ -419,18 +428,34 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     NotExtendable/Indeterminate when a singular-point limit certificate
     fails (the field then does not exist in the sense of the existence
     characterization), SingularIIOmega on inconsistent regular data.
+
+    The regular part goes through frame.evaluate_grid.  Its diagnostics
+    (max |tau|, the volume match) are judged after the singular part, so
+    an error they raise in a block is held until then, and the whole
+    regular set, as one bundle, decides it.
     """
     cfg = f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
     lam = _lam_det_values(f, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
     xi_g = np.empty(u1.shape + (3,))
+    # tau and the volume match read first derivatives of xi
+    order = _field_order(f, 1)
+    held = []               # (block shape, error) of the diagnostics
+
+    def read(b):
+        xi = _regular_field(b)[-1]
+        try:
+            parts = _tau_volume_parts(b, xi)
+        except Exception as err:
+            held.append((b.shape, err))
+            parts = np.full(b.shape + (3,), np.nan)
+        return {"xi": xi.values_on(b.shape), "parts": parts}
 
     if np.any(regular):
-        # tau and the volume match read first derivatives of xi
-        br = frame_bundle(f, u1[regular], u2[regular], _field_order(f, 1))
-        xi = _regular_field(br)[-1]
-        xi_g[regular] = xi.values_on(br.shape)
+        ur1, ur2 = u1[regular], u2[regular]
+        values = evaluate_grid(f, ur1, ur2, order, read)
+        xi_g[regular] = values["xi"]
 
     probe_report = []
     n_sing = int(np.sum(~regular))
@@ -450,8 +475,15 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     diag = {"n_singular": n_sing, "probes": probe_report}
     if np.any(regular):
         try:
+            if held:
+                shape_held, err = held[-1]
+                if shape_held == ur1.shape:     # the last bundle was whole
+                    raise err
+                br = frame_bundle(f, ur1, ur2, order)
+                values["parts"] = _tau_volume_parts(
+                    br, _regular_field(br)[-1])
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
-                br, xi, lam[regular])
+                values["parts"], lam[regular])
         except InsufficientJetOrder:
             diag["max_tau"] = None
             diag["volume_residual"] = None
@@ -488,7 +520,8 @@ def blaschke_verify(bf: BlaschkeField, shape=(41, 41)):
             f"tau needs order-1 affine-normal jets, but on {f.name} the field "
             f"carries order {xi.order} from order-{b.order} frame jets"
             + ("" if f.gauss else " (no closed-form Gauss curvature)"))
-    max_tau, volume_residual = _tau_volume(b, xi, lam[regular])
+    max_tau, volume_residual = _tau_volume(_tau_volume_parts(b, xi),
+                                           lam[regular])
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,

@@ -28,8 +28,8 @@ from .equiaffine import TransversalField, structure_from_field
 from .errors import (DomainError, ExprSyntaxError, FrontalLabError,
                      InputError, RankDeficient, UnknownIdentifier,
                      VerificationError)
-from .frame import (frame_bundle, nonparabolic_test, singular_scan,
-                    wavefront_test)
+from .frame import (evaluate_grid, frame_bundle, nonparabolic_test,
+                    singular_scan, wavefront_mask, wavefront_test)
 from .jets import Jet, _mat_values, triple_product_jet
 from .reconstruct import affine_align, extract_structure, integrate_frame
 
@@ -175,12 +175,25 @@ def cmd_analyze(args):
     f = _load_frontal(args, config)
     shape = _parse_grid(args.grid)
     u1, u2 = f.grid(shape)
+
+    def read(b):
+        """The values the report (and with --out the frame table) reads,
+        in the order the checks behind them raise."""
+        values = {"lam_det": b.lam_det.value_on(b.shape),
+                  "immersive": wavefront_mask(b),
+                  "K_omega": b.K_omega.value_on(b.shape)}
+        if args.out:
+            values.update(I=_mat_values(b.I, b.shape),
+                          II=_mat_values(b.II, b.shape),
+                          n=b.n.values_on(b.shape))
+        return values
+
     # every quantity below is read as a value or a first derivative
-    b = frame_bundle(f, u1, u2, f.bundle_order(1))
-    scan = singular_scan(b)
-    wf, witnesses = wavefront_test(b)
-    nonpar = nonparabolic_test(b)
-    K_omega = b.K_omega.value_on(shape)
+    v = evaluate_grid(f, u1, u2, f.bundle_order(1), read)
+    scan = singular_scan(u1, u2, v["lam_det"], config.eps_sing)
+    wf, witnesses = wavefront_test(u1, u2, v["immersive"])
+    nonpar = nonparabolic_test(v["K_omega"], config.eps_k)
+    K_omega = v["K_omega"]
     report = {
         "schema_version": structio.SCHEMA_VERSION,
         "command": "analyze",
@@ -205,9 +218,7 @@ def cmd_analyze(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         structio.write_report(os.path.join(args.out, "analyze.json"), report)
-        I = _mat_values(b.I, shape)
-        II = _mat_values(b.II, shape)
-        n = b.n.values_on(shape)
+        I, II, n = v["I"], v["II"], v["n"]
         cols = {
             "lam_det": scan.lam_det, "K_omega": K_omega,
             "E_omega": I[..., 0, 0], "F_omega": I[..., 0, 1],

@@ -10,6 +10,12 @@ Everything is evaluated through jets so each derived quantity carries
 its own derivatives; u1/u2 arguments may be floats or same-shaped numpy
 arrays, in which case all per-point work is vectorized elementwise.
 
+A grid command reads a few values per point off jets it never keeps, so
+`evaluate_grid` evaluates the frame bundle of a grid in blocks of at
+most SWEEP_LANES points and keeps only those values.  The grid tests
+take them: `singular_scan` det Lambda, `wavefront_test` the per-point
+verdicts of `wavefront_mask`, `nonparabolic_test` K_omega.
+
 Matrix conventions (all row/column choices follow from the two
 decompositions and are exercised by the cross-checks in the tests):
 
@@ -32,6 +38,15 @@ from .errors import DegenerateBasis, NotAFrontal
 from .jets import MAX_ORDER, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
 
+# The lane budget: the most points one frame bundle of `evaluate_grid`,
+# or one coefficient call of an RK4 march (reconstruct), evaluates at a
+# time.  With its forms read, a bundle holds about 0.4 KB of jets per
+# point at jet order 1 and 1.3 KB at order 3, so a block stays within a
+# few MB; fewer lanes trade more Python-level jet calls for a lower
+# peak.  4,096 keeps a family segment of a 21x21 march lattice (4,053
+# points) in one call.
+SWEEP_LANES = 4096
+
 
 class Frontal:
     """A parametrized frontal with its tangent moving basis.
@@ -42,7 +57,15 @@ class Frontal:
     reference field used only for verification, never by construction.
     `config` holds the settings of every computation on the frontal, and
     `open_domain` keeps the default grid off the domain's boundary.
+
+    `pointwise` is set by `frontal_from_expressions` (and kept by the
+    copies below): there x, Omega and Lambda evaluate each point on its
+    own, so `evaluate_grid` may split a grid.  A generator's nested
+    quadrature decides convergence over its whole batch, so any other
+    frontal is evaluated as given.
     """
+
+    pointwise = False
 
     def __init__(self, name, x, omega, domain, lam=None, gauss=None,
                  blaschke_known=None, config: Config = DEFAULT,
@@ -60,10 +83,12 @@ class Frontal:
     def stripped(self):
         """Copy without the closed-form curvature and reference field,
         forcing the numeric routes."""
-        return Frontal(self.name + "~numeric", self._x, self._omega,
-                       self.domain, lam=self._lam,
-                       gauss=None, blaschke_known=None, config=self.config,
-                       open_domain=self.open_domain)
+        g = Frontal(self.name + "~numeric", self._x, self._omega,
+                    self.domain, lam=self._lam,
+                    gauss=None, blaschke_known=None, config=self.config,
+                    open_domain=self.open_domain)
+        g.pointwise = self.pointwise
+        return g
 
     def x(self, u1, u2, order):
         return self._x(u1, u2, order)
@@ -131,9 +156,10 @@ def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
             expr_mod.validate_on_domain(ast, domain)
     x, omega, lam, gauss, known = (expr_mod.jets_fn(a) if a else None
                                    for a in asts)
-    return Frontal(name, x, omega, domain, lam=lam, gauss=gauss,
-                   blaschke_known=known, config=config,
-                   open_domain=open_domain)
+    f = Frontal(name, x, omega, domain, lam=lam, gauss=gauss,
+                blaschke_known=known, config=config, open_domain=open_domain)
+    f.pointwise = True
+    return f
 
 
 def affine_image(f: Frontal, A, b, name=None):
@@ -162,10 +188,11 @@ def affine_image(f: Frontal, A, b, name=None):
         w1, w2 = f.omega(u1, u2, order)
         return map_vec(w1), map_vec(w2)
 
-    lam_fn = f._lam
-    return Frontal(name or f"{f.name}+affine", x_fn, omega_fn, f.domain,
-                   lam=lam_fn, gauss=None, blaschke_known=None,
-                   config=f.config, open_domain=f.open_domain)
+    image = Frontal(name or f"{f.name}+affine", x_fn, omega_fn, f.domain,
+                    lam=f._lam, gauss=None, blaschke_known=None,
+                    config=f.config, open_domain=f.open_domain)
+    image.pointwise = f.pointwise
+    return image
 
 
 # --- core per-point computations ------------------------------------------------
@@ -310,6 +337,44 @@ def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER) -> FrameBundle:
     return FrameBundle(f, u1, u2, order)
 
 
+def evaluate_grid(f: Frontal, u1, u2, order, read):
+    """read(bundle) over the same-shaped points (u1, u2), block by block.
+
+    `read` takes the frame bundle (of jet order `order`) of some of the
+    points and returns a dict of per-point value arrays, the bundle's
+    shape leading.  A pointwise frontal is evaluated in contiguous
+    row-major blocks of at most SWEEP_LANES points: each block's values
+    go into arrays allocated over all the points, and its jets are
+    dropped before the next block is built.  Any other frontal, or
+    points that fit one block, make one bundle of the points as given.
+    Returns the dict with each array over u1's shape.
+
+    A block gives the bits the whole set gives at its points, but a gate
+    reduces over its batch: an any() guard raises in the first batch
+    holding a bad point, a max-type gate scales with the batch's largest
+    value.  So when a block raises, the points are evaluated again as one
+    bundle, and what that raises or returns stands.
+    """
+    u1, u2 = np.asarray(u1), np.asarray(u2)
+    n = u1.size
+    if not f.pointwise or n <= SWEEP_LANES:
+        return read(frame_bundle(f, u1, u2, order))
+    flat1, flat2 = u1.reshape(-1), u2.reshape(-1)
+    out = {}
+    try:
+        for a in range(0, n, SWEEP_LANES):
+            block = slice(a, a + SWEEP_LANES)
+            values = read(frame_bundle(f, flat1[block], flat2[block], order))
+            for key, vals in values.items():
+                if key not in out:
+                    out[key] = np.empty((n,) + vals.shape[1:], vals.dtype)
+                out[key][block] = vals
+    except Exception:
+        return read(frame_bundle(f, u1, u2, order))
+    return {key: vals.reshape(u1.shape + vals.shape[1:])
+            for key, vals in out.items()}
+
+
 def ii_omega_normal_route(bundle: FrameBundle):
     """II recomputed as <w_i,uj , n> (independent of the -Omega^T Dn route)."""
     w_u = [[bundle.w1.deriv(0), bundle.w1.deriv(1)],
@@ -332,9 +397,9 @@ class SingularScan:
         return not self.cells
 
 
-def singular_scan(bundle: FrameBundle) -> SingularScan:
-    """Conservative cell cover of the zero set of det Lambda on the grid
-    (u1, u2) the bundle was evaluated on.
+def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
+    """Conservative cell cover of the zero set of det Lambda, given by its
+    values `lam_det` on the grid (u1, u2).
 
     A cell enters the cover when det Lambda changes sign across its
     corners or some corner is below eps_sing in magnitude; cells are
@@ -342,32 +407,28 @@ def singular_scan(bundle: FrameBundle) -> SingularScan:
     set is dense at grid resolution (no cell has all four corners
     singular).
     """
-    u1, u2 = bundle.u1, bundle.u2
-    lam = bundle.lam_det.value_on(bundle.shape)
-    small = np.abs(lam) <= bundle.config.eps_sing
+    small = np.abs(lam_det) <= eps_sing
 
     def corners(a):          # (4, nx - 1, ny - 1), one slice per corner
         return np.stack([a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]])
 
-    small4, sgn4 = corners(small), corners(np.sign(lam))
+    small4, sgn4 = corners(small), corners(np.sign(lam_det))
     hit = small4.any(axis=0) | (sgn4.max(axis=0) != sgn4.min(axis=0))
     cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
     pts = [(float(u1[i, j]), float(u2[i, j]))
            for i, j in zip(*np.nonzero(small))]
     return SingularScan(cells=cells,
                         regular_dense=not np.any(small4.all(axis=0)),
-                        lam_det=lam, singular_points=pts)
+                        lam_det=lam_det, singular_points=pts)
 
 
-def wavefront_test(bundle: FrameBundle):
-    """True iff (x, n) is an immersion at every point the bundle was
-    evaluated on.
+def wavefront_mask(bundle: FrameBundle):
+    """Per point of the bundle, whether (x, n) is an immersion there.
 
     Checks the second singular value of the stacked 6x2 Jacobian
     [Dx; Dn] against eps_rank (scaled by the largest singular value).
-    Returns (verdict, witness points where the rank drops).
     """
-    u1, u2, shape = bundle.u1, bundle.u2, bundle.shape
+    shape = bundle.shape
     n_u = [bundle.n.deriv(0), bundle.n.deriv(1)]
     cols = []
     for k in range(2):
@@ -375,14 +436,19 @@ def wavefront_test(bundle: FrameBundle):
                                     n_u[k].values_on(shape)], axis=-1))
     J = np.stack(cols, axis=-1)          # (..., 6, 2)
     s = np.linalg.svd(J, compute_uv=False)
-    ok = s[..., 1] > bundle.config.eps_rank * np.maximum(1.0, s[..., 0])
+    return s[..., 1] > bundle.config.eps_rank * np.maximum(1.0, s[..., 0])
+
+
+def wavefront_test(u1, u2, immersive):
+    """True iff (x, n) is an immersion at every point (u1, u2), given the
+    per-point verdicts `immersive` of `wavefront_mask`.  Returns
+    (verdict, witness points where the rank drops)."""
     witnesses = [(float(u1[idx]), float(u2[idx]))
-                 for idx in zip(*np.nonzero(~ok))]
-    return bool(np.all(ok)), witnesses
+                 for idx in zip(*np.nonzero(~immersive))]
+    return bool(np.all(immersive)), witnesses
 
 
-def nonparabolic_test(bundle: FrameBundle):
-    """True iff |K_omega| stays above eps_k at every point the bundle was
-    evaluated on."""
-    K = bundle.K_omega.value_on(bundle.shape)
-    return bool(np.all(np.abs(K) > bundle.config.eps_k))
+def nonparabolic_test(K_omega, eps_k):
+    """True iff |K_omega| stays above eps_k at every point of the values
+    `K_omega`."""
+    return bool(np.all(np.abs(K_omega) > eps_k))

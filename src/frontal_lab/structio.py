@@ -25,12 +25,15 @@ identity of reruns is part of the contract.
 
 OBJ and CSV exports go through one writer, `_write_tables`, which
 writes each value as repr of a Python float, formatted column by column
-over the grid in blocks of BLOCK_ROWS rows, so no whole column of
-strings is held.  A column whose float64 bits (0.0 and -0.0 apart) do
-not change along one grid axis, such as u1 and u2 of every CSV or the
-lam_det of ex-5.8, is formatted once per value of the other axis and
-its strings repeated; every other column is formatted once, block by
-block, and each row is the separator joined over its column strings.
+over the grid in blocks of rows that hold at most BLOCK_VALUES values
+(rows times columns), so no whole column of strings is held, and a wide
+table holds no more strings at a time than a narrow one.  A column
+whose float64 bits (0.0 and -0.0 apart) do not change along one grid
+axis, such as u1 and u2 of every CSV or the lam_det of ex-5.8, is
+formatted once per value of the other axis and its strings repeated;
+every other column is formatted once, block by block, from the block's
+values alone (a strided view such as an entry of I is never copied
+whole), and each row is the separator joined over its column strings.
 `blaschke --out` writes surface.obj and field.csv in one pass
 (`export_field_csv` with `obj_path`), formatting x once for both.
 
@@ -186,7 +189,7 @@ def read_structure_file(path) -> StructureData:
         lam=fields["Lambda"], i_omega=fields["I_Omega"],
         blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
                             fields["S"]),
-        phi=fields["phi"])
+        phi=fields["phi"], pointwise=True)
 
 
 def check_spline_grid(what, nx, ny):
@@ -285,8 +288,10 @@ def read_frontal_file(path, config: Config = DEFAULT) -> Frontal:
 # --- exports -----------------------------------------------------------------------
 
 
-# Rows per block: the writer holds the strings of this many rows at a time.
-BLOCK_ROWS = 1 << 12
+# Values per block: the writer holds the strings of at most this many
+# values (a block's rows times the table's columns) at a time, so a wide
+# table takes fewer rows a block than a narrow one.
+BLOCK_VALUES = 1 << 14
 
 
 class _Table(NamedTuple):
@@ -313,7 +318,8 @@ def _column(values, shape):
     `count` values are formatted in all.  A column whose float64 bits
     (0.0 and -0.0 apart) do not change along one grid axis is formatted
     here, once per value of the other axis, and its strings repeated;
-    any other column is formatted block by block."""
+    any other column is formatted block by block, from the block's
+    values alone."""
     n1, n2 = shape
     col = np.asarray(values, dtype=float).reshape(n1, n2)
     bits = col.view(np.int64)
@@ -328,19 +334,19 @@ def _column(values, shape):
         cols = _format(col[0])
         return n2, lambda a, b: list(
             islice(cycle(cols), a % n2, a % n2 + b - a))
-    flat = col.ravel()
-    return flat.size, lambda a, b: _format(flat[a:b])
+    return col.size, lambda a, b: _format(col.flat[a:b])
 
 
 def _write_tables(shape, columns, tables):
     """Write each `_Table` of `tables` from `columns`, the arrays of one
     grid of `shape` (n1, n2), each value written as repr of a Python
-    float.  The rows are formatted column by column in blocks of
-    BLOCK_ROWS, each column once for every table, through
+    float.  The rows are formatted column by column in blocks of at most
+    BLOCK_VALUES values, each column once for every table, through
     forks.fork_map with the values formatted as its work."""
     n = math.prod(shape)
     cols = [_column(c, shape) for c in columns]
-    blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    rows = max(1, BLOCK_VALUES // len(cols))
+    blocks = [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
     def texts(block):
         """Each table's bytes for the rows of `block`."""

@@ -1,0 +1,252 @@
+"""Grid evaluation in lane blocks, and RK4 sampling calls within the lane
+budget: the same bytes and the same errors whatever the budget, memory
+that grows with the values a command keeps, and generator surfaces
+evaluated whole."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from frontal_lab import cli, forks, frame
+from frontal_lab.catalog import get_entry
+from frontal_lab.equiaffine import TransversalField
+from frontal_lab.frame import evaluate_grid, frame_bundle
+from frontal_lab.reconstruct import (StructureData, extract_structure,
+                                     integrate_frame)
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+WHOLE = 10 ** 9          # a lane budget no grid here reaches
+
+
+def run(argv, out_dir, capsys):
+    """(exit code, stdout, stderr, {file name: bytes}) of one command,
+    `{out}` in argv standing for `out_dir`."""
+    out_dir.mkdir()
+    rc = cli.main([a.replace("{out}", str(out_dir)) for a in argv])
+    out, err = (text.replace(str(out_dir), "{out}")
+                for text in capsys.readouterr())
+    return (rc, out, err,
+            {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+
+
+def frontal_file(path, x, omega, domain=(-1.0, 1.0, -1.0, 1.0), lam=None,
+                 open_domain=False):
+    doc = {"name": "user", "domain": list(domain), "x": x, "omega": omega,
+           "open_domain": open_domain}
+    if lam is not None:
+        doc["lambda"] = lam
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def ex59_without_lambda(tmp_path):
+    """ex-5.9 as a frontal file without `lambda`: Lambda is factored."""
+    e = get_entry("ex-5.9")
+    return frontal_file(tmp_path / "ex59-nolam.json", e.x,
+                        [list(c) for c in e.omega], e.domain,
+                        open_domain=e.open_domain)
+
+
+def same_under_budgets(argv, tmp_path, capsys, monkeypatch, row):
+    """Run argv with lane budgets of one grid row and of the whole grid;
+    assert the two runs agree byte for byte and return the first."""
+    runs = []
+    for lanes in (row, WHOLE):
+        monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
+        runs.append(run(argv, tmp_path / f"out-{lanes}", capsys))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "blaschke"])
+@pytest.mark.parametrize("source", ["ex-5.8", "ex-5.9", "ex-5.10",
+                                    "ex-5.9 file without lambda"])
+def test_blocked_reports_and_exports_keep_their_bytes(
+        command, source, tmp_path, capsys, monkeypatch):
+    where = (["--input", ex59_without_lambda(tmp_path)] if " " in source
+             else ["--entry", source])
+    rc, out, _, files = same_under_budgets(
+        [command, *where, "--grid", "15x13", "--out", "{out}", "--json"],
+        tmp_path, capsys, monkeypatch, row=13)
+    assert rc == 0 and json.loads(out)["command"] == command
+    assert len(files) == (2 if command == "analyze" else 3)
+
+
+def test_blocked_field_export_keeps_its_bytes(tmp_path, capsys,
+                                              monkeypatch):
+    rc, *_ = same_under_budgets(
+        ["export", "--entry", "ex-5.9", "--what", "field", "--grid", "15x13",
+         "--out", "{out}/field.csv"], tmp_path, capsys, monkeypatch, row=13)
+    assert rc == 0
+
+
+# each fails in some blocks and not in others; the error is the whole
+# grid's, exit code and message
+@pytest.mark.parametrize("command, spec, message", [
+    # x_u1 = (1, 0, 3 u1^2) against Omega = (e1, e2): the residual grows
+    # from 0 on the first row to 3 on the last, so the first failing
+    # block's worst residual is not the grid's
+    ("analyze", (["u1", "u2", "u1^3"], [["1", "0", "0"], ["0", "1", "0"]],
+                 (0.0, 1.0, 0.0, 1.0), None),
+     "NotAFrontal: decomposition residual 3.000e+00 exceeds gate"),
+    # K = 12 u1 / (...)^2 vanishes on the row u1 = 0 alone
+    ("blaschke", (["u1", "u2", "u1^3 + u2^2"],
+                  [["1", "0", "3*u1^2"], ["0", "1", "2*u2"]],
+                  (-1.0, 1.0, -1.0, 1.0), ["1", "0", "0", "1"]),
+     "KVanishes: extended Gauss curvature vanishes on the sample"),
+    # the basis columns are dependent on the row u1 = 0 alone
+    ("analyze", (["u1", "u2", "0"], [["1", "0", "0"], ["u1", "u1", "0"]],
+                 (-1.0, 1.0, -1.0, 1.0), ["1", "0", "0", "1"]),
+     "DegenerateBasis: moving-basis columns numerically dependent"),
+], ids=["not-a-frontal", "k-vanishes", "degenerate-basis"])
+def test_blocked_errors_are_the_whole_grids(command, spec, message, tmp_path,
+                                            capsys, monkeypatch):
+    x, omega, domain, lam = spec
+    path = frontal_file(tmp_path / "f.json", x, omega, domain, lam)
+    rc, out, err, _ = same_under_budgets(
+        [command, "--input", path, "--grid", "15x13"], tmp_path, capsys,
+        monkeypatch, row=13)
+    assert rc == cli.EXIT_PRECONDITION and not out
+    assert err.startswith(f"precondition failed: {message}")
+
+
+def bundle_sizes(monkeypatch):
+    """The point counts of the frame bundles frame builds from here on."""
+    sizes, real = [], frame.frame_bundle
+
+    def counted(f, u1, u2, *args):
+        sizes.append(int(np.size(u1)))
+        return real(f, u1, u2, *args)
+
+    monkeypatch.setattr(frame, "frame_bundle", counted)
+    return sizes
+
+
+def test_pointwise_grid_goes_in_contiguous_blocks(monkeypatch):
+    f = get_entry("ex-5.10").build()
+    u1, u2 = f.grid((70, 71))
+    read = lambda b: {"K": b.K_omega.value_on(b.shape),   # noqa: E731
+                      "n": b.n.values_on(b.shape)}
+    whole = read(frame_bundle(f, u1, u2))
+    sizes = bundle_sizes(monkeypatch)
+    got = evaluate_grid(f, u1, u2, frame.MAX_ORDER, read)
+    assert sizes == [4096, 70 * 71 - 4096]
+    for key, vals in whole.items():
+        assert got[key].shape == vals.shape
+        assert np.array_equal(got[key].view(np.int64), vals.view(np.int64))
+
+
+def test_a_raising_block_hands_the_grid_to_one_bundle(monkeypatch):
+    f = get_entry("plane").build()
+    u1, u2 = f.grid((9, 9))
+    monkeypatch.setattr(frame, "SWEEP_LANES", 20)
+    sizes = bundle_sizes(monkeypatch)
+
+    def read(b):
+        if len(sizes) == 2:
+            raise ValueError("a fault in the second block")
+        return {"u1": np.asarray(b.u1)}
+
+    assert np.array_equal(evaluate_grid(f, u1, u2, 1, read)["u1"], u1)
+    assert sizes == [20, 20, 81]
+
+
+def test_generator_is_evaluated_as_one_block(monkeypatch, capsys):
+    sizes = bundle_sizes(monkeypatch)
+    assert cli.main(["analyze", "--entry", "gen-nonparabolic", "--grid",
+                     "101x101"]) == 0
+    assert "wavefront=True" in capsys.readouterr().out
+    assert sizes == [101 * 101]
+
+
+class TestSweepCalls:
+    """reconstruct --entry paraboloid --field=0,0,1 --grid 3x41: a row
+    segment holds 1,921 abscissae x 41 lanes at the default step."""
+
+    @pytest.fixture(scope="class")
+    def sd(self, paraboloid):
+        return extract_structure(paraboloid,
+                                 TransversalField.constant((0, 0, 1)))
+
+    def test_calls_fit_the_budget_and_keep_the_bits(self, sd, monkeypatch):
+        assert sd.pointwise
+        points, real = [], StructureData.aug_values
+
+        def counted(self, u1, u2, axis):
+            points.append(np.broadcast(u1, u2).size)
+            return real(self, u1, u2, axis)
+
+        monkeypatch.setattr(StructureData, "aug_values", counted)
+        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
+        cut = integrate_frame(sd, (3, 41))
+        assert points and max(points) <= frame.SWEEP_LANES
+        points.clear()
+        whole = integrate_frame(dataclasses.replace(sd, pointwise=False),
+                                (3, 41))
+        assert max(points) == 1921 * 41
+        for name in ("W", "x", "discrepancy", "x_discrepancy", "min_det",
+                     "compat", "symmetry", "row_identity"):
+            assert (np.asarray(getattr(cut, name)).tobytes()
+                    == np.asarray(getattr(whole, name)).tobytes()), name
+
+    def test_a_raising_piece_hands_back_its_segment(self, sd, monkeypatch):
+        # a fault on the last row lane that names the size of its call:
+        # the cut pieces holding that lane raise, so their uncut segment
+        # is sampled, and its message stands
+        last = np.linspace(*sd.domain[2:], 41)[-1]
+        real = StructureData.aug_values
+
+        def sized(self, u1, u2, axis):
+            size = np.broadcast(u1, u2).size
+            if axis == 0 and last in np.asarray(u2):
+                raise ValueError(f"a fault in a call of {size} points")
+            return real(self, u1, u2, axis)
+
+        monkeypatch.setattr(StructureData, "aug_values", sized)
+        with pytest.raises(ValueError, match="^a fault in a call of 78761 "):
+            integrate_frame(sd, (3, 41))
+
+
+# Peak resident memory of this process in kB.  ru_maxrss keeps the
+# resident size of the process that forked it before exec (Linux), so
+# VmHWM, the peak of this process image alone, is read where it exists.
+PEAK_KB = """
+import resource
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
+def peak_rss_mb(argv):
+    """Peak resident memory, in MB, of a fresh interpreter that runs one
+    command in-process; the command must succeed."""
+    code = ("import sys; from frontal_lab import cli; "
+            "rc = cli.main(sys.argv[1:])\n" + PEAK_KB
+            + "print(peak); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout.split()[-1]) / 1024.0
+
+
+# A whole 601x601 frame bundle peaked at 212 MB (numpy 2.4, CPython 3.11);
+# lane blocks keep the analysis near 63 MB.
+def test_analyze_601_grid_in_bounded_memory():
+    assert peak_rss_mb(["analyze", "--entry", "ex-5.8", "--grid",
+                        "601x601"]) <= 130.0
+
+
+# Whole row segments (82,041 points a call) peaked at 71 MB in the
+# marching process; calls within the budget keep it near 45 MB.
+def test_long_segment_march_in_bounded_memory():
+    assert peak_rss_mb(["reconstruct", "--entry", "paraboloid",
+                        "--field=0,0,1", "--grid", "3x41"]) <= 60.0

@@ -14,7 +14,8 @@ from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
                                frame_bundle, frontal_from_expressions,
                                ii_omega_normal_route, nonparabolic_test,
-                               singular_scan, unit_normal, wavefront_test)
+                               singular_scan, unit_normal, wavefront_mask,
+                               wavefront_test)
 from frontal_lab.catalog import get_entry
 from frontal_lab.reconstruct import (apolarity_check, extract_structure,
                                      integrability_residual, integrate_frame)
@@ -26,9 +27,16 @@ def lam_values(lam, shape=()):
 
 
 def sweep(test, f, shape):
-    """Run a grid sweep on the frame bundle of f's default grid."""
-    grid = f.grid(shape)
-    return test(frame_bundle(f, *grid))
+    """Run a grid test on the values it reads off the frame bundle of f's
+    default grid."""
+    u1, u2 = f.grid(shape)
+    b = frame_bundle(f, u1, u2)
+    cfg = f.config
+    if test is singular_scan:
+        return test(u1, u2, b.lam_det.value_on(u1.shape), cfg.eps_sing)
+    if test is wavefront_test:
+        return test(u1, u2, wavefront_mask(b))
+    return test(b.K_omega.value_on(u1.shape), cfg.eps_k)
 
 
 class TestFactorLambda:
@@ -279,7 +287,8 @@ class TestSingularScanMatchesLoop:
     def test_same_cover_as_loop(self, det, shape, exercised, config):
         f = flat_frontal(det)
         grid = f.grid(shape)
-        scan = singular_scan(frame_bundle(f, *grid))
+        lam = frame_bundle(f, *grid).lam_det.value_on(grid[0].shape)
+        scan = singular_scan(*grid, lam, config.eps_sing)
         assert exercised(scan.lam_det)
         cells, dense, pts = scan_reference(scan.lam_det, *grid,
                                            config.eps_sing)

@@ -13,7 +13,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import expm
 
 from conftest import OPEN_MESH, UNGATED, random_unimodular, regular_points
-from frontal_lab import forks, reconstruct
+from frontal_lab import forks, frame, reconstruct
 from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
@@ -756,9 +756,11 @@ class TestBatchedSweep:
                                        monkeypatch):
         sd = file_backed_sd if source == "file" else ex59_sd
         ref = per_lattice_reference(sd, (9, 9), 1e-2)
-        # one segment per call, several, and the module's lane bound
-        for lanes in (1, 1000, reconstruct.SWEEP_LANES):
-            monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
+        # a family segment of this lattice holds 49 abscissae x 9 lanes:
+        # calls of 20 of one lane's abscissae, of two lanes, of several
+        # segments, and the module's lane budget
+        for lanes in (20, 120, 1000, frame.SWEEP_LANES):
+            monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
             ff = integrate_frame(sd, shape=(9, 9), step=1e-2,
                                  config=UNGATED)
             assert_matches_reference(ff, ref)
@@ -932,13 +934,14 @@ class TestForkedSampling:
         return dataclasses.replace(file_backed_sd, basepoint=(0.13, -0.21))
 
     @staticmethod
-    def integrate(sd, monkeypatch, cores, shape=(15, 11), lanes=256):
+    def integrate(sd, monkeypatch, cores, shape=(15, 11), lanes=615):
         """integrate_frame on `cores` cores, every march past the fork
-        threshold, with calls of at most `lanes` lanes: 256 cut the
-        families of a 15x11 lattice into calls of one segment each."""
+        threshold, with calls of at most `lanes` points: 615 cut the
+        families of a 15x11 lattice into calls of one segment each (29 x
+        11 and 41 x 15 points), 256 cut those segments into pieces."""
         monkeypatch.setattr(forks, "usable_cores", lambda: cores)
         monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
-        monkeypatch.setattr(reconstruct, "SWEEP_LANES", lanes)
+        monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
         return integrate_frame(sd, shape=shape, step=1e-2, config=UNGATED)
 
     @staticmethod
@@ -979,8 +982,9 @@ class TestForkedSampling:
         return (key[0], tuple(key[1]), tuple(key[2]), *key[3:])
 
     @pytest.mark.parametrize("shape, basepoint, lanes", [
-        ((21, 21), None, reconstruct.SWEEP_LANES),
-        ((15, 11), (0.13, -0.21), 256)], ids=["21x21", "15x11-interior"])
+        ((21, 21), None, frame.SWEEP_LANES),
+        ((15, 11), (0.13, -0.21), 615), ((15, 11), (0.13, -0.21), 256)],
+        ids=["21x21", "15x11-interior", "15x11-pieces"])
     @pytest.mark.parametrize("source", ["ex-5.9-blaschke", "file"])
     def test_two_cores_give_the_one_core_bits(self, source, shape, basepoint,
                                               lanes, ex59_sd, file_backed_sd,

@@ -27,9 +27,10 @@ def no_child_left():
 
 def cores(monkeypatch, k, block=2):
     """Make every export large enough to split into blocks of `block`
-    rows, on k usable cores."""
+    rows of the 8-column field CSV (8 * block values), on k usable
+    cores."""
     monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
-    monkeypatch.setattr(structio, "BLOCK_ROWS", block)
+    monkeypatch.setattr(structio, "BLOCK_VALUES", 8 * block)
     monkeypatch.setattr(forks, "usable_cores", lambda: k)
 
 
@@ -240,8 +241,9 @@ def test_failed_fork_slice_is_formatted_by_the_parent(fails, monkeypatch,
 # tracemalloc peak of the row-wise writer (a whole-table float copy, then
 # one row list and one text per row) on the table below, serial, numpy
 # 2.4 and CPython 3.11: 25.2 MB.  The column writer holds one block of
-# strings at a time and peaks near 7.1 MB; the bound is the row-wise
-# writer's peak, which whole columns of strings would exceed.
+# strings at a time and peaks near 2.1 MB (7.1 MB with blocks of 4,096
+# rows); the bound is the row-wise writer's peak, which whole columns of
+# strings would exceed.
 ROW_WRITER_PEAK = 25.2e6
 
 
