@@ -10,11 +10,13 @@ Everything is evaluated through jets so each derived quantity carries
 its own derivatives; u1/u2 arguments may be floats or same-shaped numpy
 arrays, in which case all per-point work is vectorized elementwise.
 
-A grid command reads a few values per point off jets it never keeps, so
-`evaluate_grid` evaluates the frame bundle of a grid in blocks of at
-most SWEEP_LANES points and keeps only those values.  The grid tests
-take them: `singular_scan` det Lambda, `wavefront_test` the per-point
-verdicts of `wavefront_mask`, `nonparabolic_test` K_omega.
+A grid command reads a few values per point off jets it never keeps.
+`in_lane_blocks` is the one rule that evaluates a set of points in
+blocks of at most SWEEP_LANES points, keeping only such values: the
+frame bundle of a grid (`evaluate_grid`) and the sampling calls of an
+RK4 march (reconstruct) go through it.  The grid tests take the values:
+`singular_scan` det Lambda, `wavefront_test` the per-point verdicts of
+`wavefront_mask`, `nonparabolic_test` K_omega.
 
 Matrix conventions (all row/column choices follow from the two
 decompositions and are exercised by the cross-checks in the tests):
@@ -28,6 +30,7 @@ decompositions and are exercised by the cross-checks in the tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,13 +41,13 @@ from .errors import DegenerateBasis, NotAFrontal
 from .jets import MAX_ORDER, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
 
-# The lane budget: the most points one frame bundle of `evaluate_grid`,
-# or one coefficient call of an RK4 march (reconstruct), evaluates at a
-# time.  With its forms read, a bundle holds about 0.4 KB of jets per
-# point at jet order 1 and 1.3 KB at order 3, so a block stays within a
-# few MB; fewer lanes trade more Python-level jet calls for a lower
-# peak.  4,096 keeps a family segment of a 21x21 march lattice (4,053
-# points) in one call.
+# The lane budget: the most points one block of `in_lane_blocks`
+# evaluates at a time, a frame bundle of `evaluate_grid` or a sampling
+# call of an RK4 march (reconstruct).  With its forms read, a bundle
+# holds about 0.4 KB of jets per point at jet order 1 and 1.3 KB at
+# order 3, so a block stays within a few MB; fewer lanes trade more
+# Python-level jet calls for a lower peak.  4,096 keeps a family segment
+# of a 21x21 march lattice (4,053 points) in one call.
 SWEEP_LANES = 4096
 
 
@@ -337,42 +340,51 @@ def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER) -> FrameBundle:
     return FrameBundle(f, u1, u2, order)
 
 
-def evaluate_grid(f: Frontal, u1, u2, order, read):
-    """read(bundle) over the same-shaped points (u1, u2), block by block.
+def in_lane_blocks(evaluate, u1, u2, pointwise):
+    """evaluate(u1, u2) over the broadcast of u1 and u2, block by block.
 
-    `read` takes the frame bundle (of jet order `order`) of some of the
-    points and returns a dict of per-point value arrays, the bundle's
-    shape leading.  A pointwise frontal is evaluated in contiguous
-    row-major blocks of at most SWEEP_LANES points: each block's values
-    go into arrays allocated over all the points, and its jets are
-    dropped before the next block is built.  Any other frontal, or
-    points that fit one block, make one bundle of the points as given.
-    Returns the dict with each array over u1's shape.
+    `evaluate` returns a dict of per-point value arrays, the broadcast
+    shape of its arguments leading.  `pointwise` data are evaluated in
+    contiguous row-major blocks of at most SWEEP_LANES points of the
+    broadcast: each block's values go into arrays allocated over all the
+    points, and what evaluate built for a block is dropped before the
+    next one.  Other data, or points that fit one block, are evaluated
+    once, as given.  Returns the dict with each array over the broadcast
+    shape.
 
     A block gives the bits the whole set gives at its points, but a gate
     reduces over its batch: an any() guard raises in the first batch
     holding a bad point, a max-type gate scales with the batch's largest
-    value.  So when a block raises, the points are evaluated again as one
-    bundle, and what that raises or returns stands.
+    value.  So when a block raises, u1 and u2 are evaluated again as one
+    call, and what that raises or returns stands.
     """
-    u1, u2 = np.asarray(u1), np.asarray(u2)
-    n = u1.size
-    if not f.pointwise or n <= SWEEP_LANES:
-        return read(frame_bundle(f, u1, u2, order))
-    flat1, flat2 = u1.reshape(-1), u2.reshape(-1)
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
+    n = math.prod(shape)
+    if not pointwise or n <= SWEEP_LANES:
+        return evaluate(u1, u2)
+    flat1, flat2 = (np.broadcast_to(u, shape).flat for u in (u1, u2))
     out = {}
     try:
         for a in range(0, n, SWEEP_LANES):
             block = slice(a, a + SWEEP_LANES)
-            values = read(frame_bundle(f, flat1[block], flat2[block], order))
-            for key, vals in values.items():
+            for key, vals in evaluate(flat1[block], flat2[block]).items():
                 if key not in out:
                     out[key] = np.empty((n,) + vals.shape[1:], vals.dtype)
                 out[key][block] = vals
     except Exception:
-        return read(frame_bundle(f, u1, u2, order))
-    return {key: vals.reshape(u1.shape + vals.shape[1:])
+        return evaluate(u1, u2)
+    return {key: vals.reshape(shape + vals.shape[1:])
             for key, vals in out.items()}
+
+
+def evaluate_grid(f: Frontal, u1, u2, order, read):
+    """read(bundle) over the same-shaped points (u1, u2), in lane blocks
+    (`in_lane_blocks`) where f is pointwise: `read` takes the frame
+    bundle, of jet order `order`, of some of the points and returns a
+    dict of per-point value arrays, the bundle's shape leading."""
+    return in_lane_blocks(
+        lambda v1, v2: read(frame_bundle(f, v1, v2, order)), u1, u2,
+        f.pointwise)
 
 
 def ii_omega_normal_route(bundle: FrameBundle):
@@ -401,24 +413,28 @@ def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
     """Conservative cell cover of the zero set of det Lambda, given by its
     values `lam_det` on the grid (u1, u2).
 
-    A cell enters the cover when det Lambda changes sign across its
-    corners or some corner is below eps_sing in magnitude; cells are
-    listed in row-major order.  The scan also reports whether the regular
-    set is dense at grid resolution (no cell has all four corners
-    singular).
+    A cell enters the cover when some corner is below eps_sing in
+    magnitude, or when det Lambda does not keep one strict sign at all
+    four corners (a NaN corner keeps none); cells are listed in row-major
+    order.  The scan also reports whether the regular set is dense at
+    grid resolution (no cell has all four corners singular).  The corners
+    are reduced pairwise as boolean grids, one cell smaller each way.
     """
     small = np.abs(lam_det) <= eps_sing
 
-    def corners(a):          # (4, nx - 1, ny - 1), one slice per corner
-        return np.stack([a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]])
+    def corners(reduce, a):
+        return reduce(reduce(a[:-1, :-1], a[1:, :-1]),
+                      reduce(a[:-1, 1:], a[1:, 1:]))
 
-    small4, sgn4 = corners(small), corners(np.sign(lam_det))
-    hit = small4.any(axis=0) | (sgn4.max(axis=0) != sgn4.min(axis=0))
+    keeps_sign = (corners(np.logical_and, lam_det > 0)
+                  | corners(np.logical_and, lam_det < 0))
+    hit = corners(np.logical_or, small) | ~keeps_sign
     cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
     pts = [(float(u1[i, j]), float(u2[i, j]))
            for i, j in zip(*np.nonzero(small))]
     return SingularScan(cells=cells,
-                        regular_dense=not np.any(small4.all(axis=0)),
+                        regular_dense=not np.any(corners(np.logical_and,
+                                                         small)),
                         lam_det=lam_det, singular_points=pts)
 
 

@@ -32,12 +32,12 @@ down from the basepoint's node) and a second one both families, each
 lane with its own step, wherever the sweeps share a node count and a
 substep count.  A sweep knows all of its abscissae before it takes a
 step, so each sweep still samples its own coefficients, as many whole
-lattice segments as fit in frame.SWEEP_LANES points with one call, on
-the open mesh (substep abscissae) x (lanes); a grid entry contracts its
-u2 axis once per distinct u2 value of the call, then its u1 axis point
-by point.  A segment that holds more points than that is cut into
-pieces of lanes (and of abscissae, when one lane holds more) within the
-budget, for pointwise data only: see `StructureData.pointwise`.
+lattice segments as fit in frame.SWEEP_LANES points with one call (at
+least one), on the open mesh (substep abscissae) x (lanes); a grid
+entry contracts its u2 axis once per distinct u2 value of the call,
+then its u1 axis point by point.  A call of pointwise data (see
+`StructureData.pointwise`) is evaluated by frame.in_lane_blocks, so no
+evaluation holds more points than the budget.
 
 Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them and runs
@@ -250,7 +250,9 @@ class StructureData:
 
     `pointwise` data give a point the same bits in any batch (a file's
     expression and grid entries, and data extracted from a pointwise
-    frontal), so a march may cut a segment between sampling calls.
+    frontal), so a march evaluates each sampling call in lane blocks
+    (frame.in_lane_blocks); other data are evaluated a whole call at a
+    time.
     """
     domain: tuple
     basepoint: tuple
@@ -577,47 +579,26 @@ class FrameField:
 
 # Most RK4 substeps a march takes between two of its nodes.  A segment's
 # 2 nsub + 1 abscissae are held as RK4 matrices (128 B per lane and
-# abscissa), and sampled in one call unless the data are pointwise, at
-# about 1 KB of jets per point; the loop runs nsub Python-level steps per
-# segment, so nsub sets a march's peak memory and time.  2^14 admits the
-# default step (1e-3) on a two-node axis of every catalog domain (at most
-# 8 wide, so 8,000 substeps) and keeps a one-lane segment near 33,000
-# points; a step that needs more is refused before any array is sized.
+# abscissa), and sampled as one call, in lane blocks for pointwise data
+# (about 1 KB of jets per point of a block, and of the whole call
+# otherwise); the loop runs nsub Python-level steps per segment, so nsub
+# sets a march's peak memory and time.  2^14 admits the default step
+# (1e-3) on a two-node axis of every catalog domain (at most 8 wide, so
+# 8,000 substeps) and keeps a one-lane segment near 33,000 points; a
+# step that needs more is refused before any array is sized.
 MAX_SUBSTEPS = 1 << 14
 
 
-def _sweep_calls(fixed, ts, axis, pointwise):
+def _sweep_calls(fixed, ts, axis):
     """The aug_values calls of one sweep along u_axis whose substep
     abscissae are the rows of `ts`, with the other coordinate `fixed`
-    per lane, on open meshes (abscissae) x (lanes), each within the lane
-    budget frame.SWEEP_LANES where it can be.
-
-    Returns (first segment, pieces) per group of calls: a group is as
-    many whole segments as fit in the budget, in one call, or, for
-    `pointwise` data, one segment larger than the budget, cut into
-    pieces of lanes (and of abscissae, when one lane holds more).  Each
-    piece is (call, where, whole): `where` indexes the segment's
-    (abscissae, lanes) values the call gives, and `whole` is the call
-    of the segment it was cut from (None for an uncut call)."""
-    budget = frame_mod.SWEEP_LANES
-    nab, lanes = ts.shape[1], fixed.size
-
-    def call(t, c):
-        mesh = (t.reshape(-1, 1), c[None, :])
-        return (*(mesh if axis == 0 else mesh[::-1]), axis)
-
-    if nab * lanes > budget and pointwise:
-        width = max(1, budget // nab)
-        depth = min(nab, budget // width)
-        cuts = [(slice(a, a + depth), slice(c, c + width))
-                for c in range(0, lanes, width)
-                for a in range(0, nab, depth)]
-        return [(first, [(call(t[ab], fixed[ln]), (ab, ln), call(t, fixed))
-                         for ab, ln in cuts])
-                for first, t in enumerate(ts)]
-    per_call = max(1, budget // (nab * lanes))
-    return [(first, [(call(ts[first:first + per_call], fixed), None, None)])
-            for first in range(0, len(ts), per_call)]
+    per lane: (first segment, call) per call, each call as many whole
+    segments as fit in the lane budget frame.SWEEP_LANES (at least one),
+    on the open mesh (abscissae) x (lanes)."""
+    per_call = max(1, frame_mod.SWEEP_LANES // (ts.shape[1] * fixed.size))
+    for first in range(0, len(ts), per_call):
+        mesh = (ts[first:first + per_call].reshape(-1, 1), fixed[None, :])
+        yield first, (*(mesh if axis == 0 else mesh[::-1]), axis)
 
 
 def _call_shape(call):
@@ -628,26 +609,17 @@ def _call_shape(call):
 
 def _rk4_blocks(sd, call):
     """The (abscissae, lanes, 4, 4) RK4 matrices [[A_axis^T, Lambda
-    row^T], [0, 0]] of one aug_values call."""
-    daug, lam_row = sd.aug_values(*call)
-    A = np.zeros(daug.shape[:-2] + (4, 4))
-    A[..., :3, :3] = np.swapaxes(daug, -1, -2)
-    A[..., :2, 3] = lam_row
-    return A
+    row^T], [0, 0]] of one aug_values call, sampled in lane blocks
+    (frame.in_lane_blocks) for pointwise data."""
+    u1, u2, axis = call
 
-
-def _sample(sd, piece):
-    """The RK4 matrices of one piece of `_sweep_calls`.  A cut piece
-    that raises is sampled again as its whole segment, the call it was
-    cut from, whose error, or values at the piece, stand: a gate that
-    reduces over its call decides as on the uncut segment."""
-    call, where, whole = piece
-    try:
-        return _rk4_blocks(sd, call)
-    except Exception:
-        if whole is None:
-            raise
-        return np.ascontiguousarray(_rk4_blocks(sd, whole)[where])
+    def rk4(u1, u2):
+        daug, lam_row = sd.aug_values(u1, u2, axis)
+        A = np.zeros(daug.shape[:-2] + (4, 4))
+        A[..., :3, :3] = np.swapaxes(daug, -1, -2)
+        A[..., :2, 3] = lam_row
+        return {"A": A}
+    return frame_mod.in_lane_blocks(rk4, u1, u2, sd.pointwise)["A"]
 
 
 def _march(sd, sweeps, step):
@@ -675,7 +647,7 @@ def _march(sd, sweeps, step):
             nsub = max(1, int(math.ceil(span / step)))
             groups.setdefault((nodes.size, nsub), []).append(i)
     for (n, nsub), members in groups.items():
-        hs, entries, owns = [], [], []
+        hs, entries, counts = [], [], []
         for slot, i in enumerate(members):
             state, fixed, nodes, axis = sweeps[i]
             h = (nodes[1] - nodes[0]) / nsub
@@ -683,14 +655,14 @@ def _march(sd, sweeps, step):
             # (n - 1, 2 nsub + 1) abscissae of every segment's substeps,
             # by h/2
             ts = nodes[:-1, None] + 0.5 * h * np.arange(2 * nsub + 1)
-            own = _sweep_calls(fixed, ts, axis, sd.pointwise)
-            entries += [(first, slot, group) for first, group in own]
-            owns.append([group for _, group in own])
+            own = [(first, slot, call)
+                   for first, call in _sweep_calls(fixed, ts, axis)]
+            entries += own
+            counts.append(len(own))
         # the loop reads segment by segment, each member in turn, so a
-        # member's group of calls is read at the first segment it covers
-        pieces = [piece for *_, group in sorted(entries, key=lambda e: e[:2])
-                  for piece in group]
-        points = sum(math.prod(_call_shape(call)) for call, *_ in pieces)
+        # member's call is read at the first segment it covers
+        calls = [call for *_, call in sorted(entries, key=lambda e: e[:2])]
+        points = sum(math.prod(_call_shape(call)) for call in calls)
         Y = np.empty((n, sum(h.size for h in hs), 3, 4))
         y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
         # each lane's step, its half and its sixth, over the state shape
@@ -698,33 +670,29 @@ def _march(sd, sweeps, step):
             np.concatenate(hs)[:, None, None], y.shape))
         half, sixth = 0.5 * h, h / 6.0
         k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
-        with contextlib.closing(fork_map(lambda piece: [_sample(sd, piece)],
-                                         pieces, points)) as sampled:
+        with contextlib.closing(fork_map(lambda call: [_rk4_blocks(sd, call)],
+                                         calls, points)) as sampled:
             blocks = (np.frombuffer(rk4).reshape(_call_shape(call) + (4, 4))
-                      for (call, *_), (rk4,) in zip(pieces, sampled))
+                      for call, (rk4,) in zip(calls, sampled))
 
-            def segments(m, own):
-                """A member's segments, from its groups of calls `own`, each
-                as the (where, values) pieces of its (2 nsub + 1, m)
-                points, taken from `blocks` as the member reads them."""
-                for group in own:
-                    if group[0][1] is None:
-                        for part in next(blocks).reshape(-1, 2 * nsub + 1, m,
-                                                         4, 4):
-                            yield [(np.s_[:], part)]
-                    else:
-                        yield ((where, next(blocks)) for _, where, _ in group)
+            def segments(m, count):
+                """A member's segments, the (2 nsub + 1, m, 4, 4) values of
+                its `count` calls, taken from `blocks` as it reads them."""
+                for _ in range(count):
+                    yield from next(blocks).reshape(-1, 2 * nsub + 1, m, 4, 4)
 
             # one segment of every member side by side, filled member by
-            # member and piece by piece, the order `blocks` runs in
+            # member, the order `blocks` runs in; a lone member's segments
+            # are read where its calls left them
             lanes = np.cumsum([0] + [sweeps[i][1].size for i in members])
-            A = np.empty((2 * nsub + 1, lanes[-1], 4, 4))
-            reads = [segments(sweeps[i][1].size, own)
-                     for i, own in zip(members, owns)]
+            side = (np.empty((2 * nsub + 1, lanes[-1], 4, 4))
+                    if len(members) > 1 else None)
+            reads = [segments(sweeps[i][1].size, count)
+                     for i, count in zip(members, counts)]
             for seg in range(1, n):
-                for lo, hi, member in zip(lanes[:-1], lanes[1:], reads):
-                    for where, part in next(member):
-                        A[:, lo:hi][where] = part
+                parts = [next(member) for member in reads]
+                A = (parts[0] if side is None
+                     else np.concatenate(parts, axis=1, out=side))
                 for i in range(nsub):
                     a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
                     # k2 = (y + half k1) a1 and so on, into the stage

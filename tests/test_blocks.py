@@ -15,7 +15,7 @@ import pytest
 from frontal_lab import cli, forks, frame
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
-from frontal_lab.frame import evaluate_grid, frame_bundle
+from frontal_lab.frame import evaluate_grid, frame_bundle, in_lane_blocks
 from frontal_lab.reconstruct import (StructureData, extract_structure,
                                      integrate_frame)
 
@@ -164,14 +164,85 @@ def test_generator_is_evaluated_as_one_block(monkeypatch, capsys):
     assert sizes == [101 * 101]
 
 
+@pytest.fixture(scope="module")
+def sd(paraboloid):
+    """The paraboloid's structure data with the field (0, 0, 1)."""
+    return extract_structure(paraboloid, TransversalField.constant((0, 0, 1)))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+class TestInLaneBlocks:
+    """frame.in_lane_blocks on the open mesh of an RK4 sampling call,
+    (abscissae, 1) x (1, lanes): 7 abscissae x 5 lanes of the
+    paraboloid's structure data, 35 points."""
+
+    @staticmethod
+    def mesh(sd):
+        a1, b1, a2, b2 = sd.domain
+        return (np.linspace(a1, b1, 7).reshape(-1, 1),
+                np.linspace(a2, b2, 5)[None, :])
+
+    @staticmethod
+    def evaluate(sd, calls, fail=None):
+        """aug_values along u1 as an evaluator that records its arguments
+        in `calls` and raises at call number `fail`."""
+        def evaluate(u1, u2):
+            calls.append((u1, u2))
+            if len(calls) == fail:
+                raise ValueError("a fault in one block")
+            daug, lam_row = sd.aug_values(u1, u2, 0)
+            return {"A": daug, "lam": lam_row}
+        return evaluate
+
+    # 3 cuts one abscissa's row across its lanes, 5 takes one row a
+    # block, 8 a row and part of the next; below 35, every lane's
+    # abscissae spread over several blocks
+    @pytest.mark.parametrize("lanes", [3, 5, 8, 34])
+    def test_blocks_give_the_bits_of_one_call(self, sd, lanes, monkeypatch):
+        u1, u2 = self.mesh(sd)
+        whole = self.evaluate(sd, [])(u1, u2)
+        monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
+        calls = []
+        got = in_lane_blocks(self.evaluate(sd, calls), u1, u2, True)
+        blocks, rest = divmod(35, lanes)
+        assert ([np.size(v1) for v1, _ in calls]
+                == [lanes] * blocks + [rest] * (rest > 0))
+        assert all(np.shape(v1) == np.shape(v2) for v1, v2 in calls)
+        assert got.keys() == whole.keys()
+        for key, vals in whole.items():
+            assert vals.shape[:2] == (7, 5)
+            assert same_bits(got[key], vals), key
+
+    def test_a_raising_block_hands_the_call_to_one_evaluation(
+            self, sd, monkeypatch):
+        u1, u2 = self.mesh(sd)
+        whole = self.evaluate(sd, [])(u1, u2)
+        monkeypatch.setattr(frame, "SWEEP_LANES", 8)
+        calls = []
+        got = in_lane_blocks(self.evaluate(sd, calls, fail=2), u1, u2, True)
+        assert [np.size(v1) for v1, _ in calls[:2]] == [8, 8]
+        assert len(calls) == 3
+        assert calls[2][0] is u1 and calls[2][1] is u2
+        for key, vals in whole.items():
+            assert same_bits(got[key], vals), key
+
+    def test_other_data_are_evaluated_once_as_given(self, sd, monkeypatch):
+        u1, u2 = self.mesh(sd)
+        monkeypatch.setattr(frame, "SWEEP_LANES", 8)
+        calls = []
+        got = in_lane_blocks(self.evaluate(sd, calls), u1, u2, False)
+        assert len(calls) == 1
+        assert calls[0][0] is u1 and calls[0][1] is u2
+        assert got["A"].shape == (7, 5, 3, 3)
+
+
 class TestSweepCalls:
     """reconstruct --entry paraboloid --field=0,0,1 --grid 3x41: a row
     segment holds 1,921 abscissae x 41 lanes at the default step."""
-
-    @pytest.fixture(scope="class")
-    def sd(self, paraboloid):
-        return extract_structure(paraboloid,
-                                 TransversalField.constant((0, 0, 1)))
 
     def test_calls_fit_the_budget_and_keep_the_bits(self, sd, monkeypatch):
         assert sd.pointwise
@@ -196,8 +267,8 @@ class TestSweepCalls:
 
     def test_a_raising_piece_hands_back_its_segment(self, sd, monkeypatch):
         # a fault on the last row lane that names the size of its call:
-        # the cut pieces holding that lane raise, so their uncut segment
-        # is sampled, and its message stands
+        # the lane blocks holding that lane raise, so their whole call,
+        # one segment, is sampled again, and its message stands
         last = np.linspace(*sd.domain[2:], 41)[-1]
         real = StructureData.aug_values
 
@@ -245,8 +316,9 @@ def test_analyze_601_grid_in_bounded_memory():
                         "601x601"]) <= 130.0
 
 
-# Whole row segments (82,041 points a call) peaked at 71 MB in the
-# marching process; calls within the budget keep it near 45 MB.
+# Whole row segments (78,761 points a call) peaked at 71 MB in the
+# marching process; lane blocks of 4,096 points, with one member's
+# segments read where its calls left them, keep it near 51 MB.
 def test_long_segment_march_in_bounded_memory():
     assert peak_rss_mb(["reconstruct", "--entry", "paraboloid",
                         "--field=0,0,1", "--grid", "3x41"]) <= 60.0

@@ -299,6 +299,31 @@ class TestSingularScanMatchesLoop:
         if det == "u1 + abs(u1)":
             assert not dense
 
+    # hand-built det Lambda values: a NaN corner keeps no sign, -0.0 is
+    # an exact zero, and at eps_sing = 0 only exact zeros are small
+    @pytest.mark.parametrize("lam, eps_sing", [
+        ([[1.0, 2.0, 3.0, 1.0], [1.0, np.nan, 2.0, 1.0],
+          [2.0, 1.0, 1.0, 1.0]], 1e-9),
+        ([[np.nan, -1.0, -2.0], [-1.0, -1.0, -3.0], [-2.0, -1.0, np.nan]],
+         1e-9),
+        ([[np.nan, np.nan], [np.nan, np.nan]], 1e-9),
+        ([[1.0, 1.0, 1.0], [-0.0, -0.0, 1.0], [1.0, 1.0, 2.0]], 1e-9),
+        ([[-0.0, 0.0], [0.0, -0.0]], 0.0),
+        ([[1e-300, 1e-12, 2.0], [-0.0, 1e-300, 1.0], [1.0, 1.0, 1.0]], 0.0),
+        ([[-1e-300, 1e-300, np.nan], [-0.0, -1.0, 0.0], [1.0, -1.0, 1e-9]],
+         0.0),
+    ], ids=["nan-inside", "nan-corners", "all-nan", "minus-zero-row",
+            "zeros-at-eps-0", "sub-eps-at-eps-0", "mixed-at-eps-0"])
+    def test_same_cover_on_given_values(self, lam, eps_sing):
+        lam = np.array(lam)
+        grid = np.meshgrid(np.arange(lam.shape[0]) / 4.0,
+                           np.arange(lam.shape[1]) / 8.0, indexing="ij")
+        scan = singular_scan(*grid, lam, eps_sing)
+        cells, dense, pts = scan_reference(lam, *grid, eps_sing)
+        assert scan.cells == cells
+        assert scan.regular_dense == dense
+        assert scan.singular_points == pts
+
 
 def _record_bundles(monkeypatch, record):
     """Call record(bundle, u1) for each frame bundle built while a test

@@ -757,8 +757,9 @@ class TestBatchedSweep:
         sd = file_backed_sd if source == "file" else ex59_sd
         ref = per_lattice_reference(sd, (9, 9), 1e-2)
         # a family segment of this lattice holds 49 abscissae x 9 lanes:
-        # calls of 20 of one lane's abscissae, of two lanes, of several
-        # segments, and the module's lane budget
+        # lane blocks of 20 and 120 of its points, which end inside a
+        # row of lanes, calls of several segments, and the module's lane
+        # budget
         for lanes in (20, 120, 1000, frame.SWEEP_LANES):
             monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
             ff = integrate_frame(sd, shape=(9, 9), step=1e-2,
@@ -936,9 +937,10 @@ class TestForkedSampling:
     @staticmethod
     def integrate(sd, monkeypatch, cores, shape=(15, 11), lanes=615):
         """integrate_frame on `cores` cores, every march past the fork
-        threshold, with calls of at most `lanes` points: 615 cut the
-        families of a 15x11 lattice into calls of one segment each (29 x
-        11 and 41 x 15 points), 256 cut those segments into pieces."""
+        threshold, with evaluations of at most `lanes` points: 615 cut
+        the families of a 15x11 lattice into calls of one segment each
+        (29 x 11 and 41 x 15 points), 256 evaluate those calls in lane
+        blocks."""
         monkeypatch.setattr(forks, "usable_cores", lambda: cores)
         monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
         monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
