@@ -201,11 +201,11 @@ def cmd_analyze(args):
         "grid": list(shape),
         "domain": list(f.domain),
         "wavefront": {"verdict": bool(wf), "tolerance": config.eps_rank,
-                      "witnesses": witnesses[:20]},
+                      "witnesses": witnesses[:20].tolist()},
         "nonparabolic": {"verdict": bool(nonpar),
                          "tolerance": config.eps_k},
         "singular": {
-            "cells": [[int(i), int(j)] for i, j in scan.cells[:2000]],
+            "cells": scan.cells[:2000].tolist(),
             "n_cells": len(scan.cells),
             "regular_dense": bool(scan.regular_dense),
             "tolerance": config.eps_sing,

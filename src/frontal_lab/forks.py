@@ -1,10 +1,9 @@
 """fork_map: run a list of jobs on several cores with os.fork.
 
-The library's one fork discipline, behind the table writer of the OBJ
-and CSV exports (`structio`) and the sampling of the RK4 lattice
-(`reconstruct`).  The caller states how much work its jobs hold, in its
-own unit (values formatted, points sampled); from PARALLEL_WORK units
-on, with k >= 2 usable cores (os.sched_getaffinity) and os.fork, the
+The library's one fork discipline, behind the sampling of the RK4
+lattice (`reconstruct`).  The caller states how much work its jobs
+hold, in its own unit (points sampled); from PARALLEL_WORK units on,
+with k >= 2 usable cores (os.sched_getaffinity) and os.fork, the
 calling process and k - 1 children forked for the map share the jobs.
 Less work, one core or no os.fork runs every job in the calling process.
 

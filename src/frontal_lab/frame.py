@@ -31,7 +31,7 @@ decompositions and are exercised by the cross-checks in the tests):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -399,14 +399,14 @@ def ii_omega_normal_route(bundle: FrameBundle):
 
 @dataclass
 class SingularScan:
-    cells: list                      # (i, j) lower-left grid indices
+    cells: np.ndarray                # (n, 2) lower-left grid indices (i, j)
     regular_dense: bool
     lam_det: np.ndarray
-    singular_points: list = field(default_factory=list)  # exact grid hits
+    singular_points: np.ndarray      # (m, 2) (u1, u2) of the exact grid hits
 
     @property
     def empty(self):
-        return not self.cells
+        return len(self.cells) == 0
 
 
 def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
@@ -418,7 +418,9 @@ def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
     four corners (a NaN corner keeps none); cells are listed in row-major
     order.  The scan also reports whether the regular set is dense at
     grid resolution (no cell has all four corners singular).  The corners
-    are reduced pairwise as boolean grids, one cell smaller each way.
+    are reduced pairwise as boolean grids, one cell smaller each way, and
+    the cells and exact hits are kept as arrays, whose prefixes a report
+    lists.
     """
     small = np.abs(lam_det) <= eps_sing
 
@@ -429,13 +431,12 @@ def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
     keeps_sign = (corners(np.logical_and, lam_det > 0)
                   | corners(np.logical_and, lam_det < 0))
     hit = corners(np.logical_or, small) | ~keeps_sign
-    cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
-    pts = [(float(u1[i, j]), float(u2[i, j]))
-           for i, j in zip(*np.nonzero(small))]
-    return SingularScan(cells=cells,
+    return SingularScan(cells=np.argwhere(hit),
                         regular_dense=not np.any(corners(np.logical_and,
                                                          small)),
-                        lam_det=lam_det, singular_points=pts)
+                        lam_det=lam_det,
+                        singular_points=np.column_stack((u1[small],
+                                                         u2[small])))
 
 
 def wavefront_mask(bundle: FrameBundle):
@@ -458,10 +459,10 @@ def wavefront_mask(bundle: FrameBundle):
 def wavefront_test(u1, u2, immersive):
     """True iff (x, n) is an immersion at every point (u1, u2), given the
     per-point verdicts `immersive` of `wavefront_mask`.  Returns
-    (verdict, witness points where the rank drops)."""
-    witnesses = [(float(u1[idx]), float(u2[idx]))
-                 for idx in zip(*np.nonzero(~immersive))]
-    return bool(np.all(immersive)), witnesses
+    (verdict, witnesses), the (n, 2) array of the points (u1, u2) where
+    the rank drops, in row-major order."""
+    drops = ~immersive
+    return bool(np.all(immersive)), np.column_stack((u1[drops], u2[drops]))
 
 
 def nonparabolic_test(K_omega, eps_k):

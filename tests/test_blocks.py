@@ -322,3 +322,18 @@ def test_analyze_601_grid_in_bounded_memory():
 def test_long_segment_march_in_bounded_memory():
     assert peak_rss_mb(["reconstruct", "--entry", "paraboloid",
                         "--field=0,0,1", "--grid", "3x41"]) <= 60.0
+
+
+# A frontal file whose x and Lambda vanish everywhere makes every point a
+# wave-front witness, every cell singular and every node an exact zero.
+# Python lists of all of them peaked at 183 MB at 601x601 (numpy 2.4,
+# CPython 3.11), against 47 MB for the plane; arrays of them, and lists
+# only of the prefixes the report keeps, peak near 68 MB.
+def test_vanishing_frontal_analysis_in_bounded_memory(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "name": "zero", "domain": [-1, 1, -1, 1], "x": ["0", "0", "0"],
+        "omega": [["1", "0", "0"], ["0", "1", "0"]],
+        "lambda": ["0", "0", "0", "0"]}))
+    assert peak_rss_mb(["analyze", "--input", str(path), "--grid",
+                        "601x601"]) <= 100.0

@@ -227,7 +227,7 @@ class TestClassification:
 
         squashed = Frontal("squashed", x_fn, omega_fn, (-1, 1, -1, 1))
         ok, witnesses = sweep(wavefront_test, squashed, (5, 5))
-        assert not ok and witnesses
+        assert not ok and len(witnesses)
 
     def test_nonparabolic(self, plane, ex59, ex510):
         assert not sweep(nonparabolic_test, plane, (9, 9))
@@ -292,10 +292,9 @@ class TestSingularScanMatchesLoop:
         assert exercised(scan.lam_det)
         cells, dense, pts = scan_reference(scan.lam_det, *grid,
                                            config.eps_sing)
-        assert scan.cells == cells
-        assert all(type(i) is int and type(j) is int for i, j in scan.cells)
+        assert list(map(tuple, scan.cells.tolist())) == cells
         assert scan.regular_dense == dense
-        assert scan.singular_points == pts
+        assert list(map(tuple, scan.singular_points.tolist())) == pts
         if det == "u1 + abs(u1)":
             assert not dense
 
@@ -320,9 +319,9 @@ class TestSingularScanMatchesLoop:
                            np.arange(lam.shape[1]) / 8.0, indexing="ij")
         scan = singular_scan(*grid, lam, eps_sing)
         cells, dense, pts = scan_reference(lam, *grid, eps_sing)
-        assert scan.cells == cells
+        assert list(map(tuple, scan.cells.tolist())) == cells
         assert scan.regular_dense == dense
-        assert scan.singular_points == pts
+        assert list(map(tuple, scan.singular_points.tolist())) == pts
 
 
 def _record_bundles(monkeypatch, record):

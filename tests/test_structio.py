@@ -1,12 +1,14 @@
-"""The column-wise writer behind the OBJ and CSV exports: every export
-holds the bytes of an independent row-by-row reference, on one core or
-several, and no child outlives a write."""
+"""The writer behind the OBJ and CSV exports: its float text is repr's,
+value for value, every export holds the bytes of an independent
+row-by-row reference whatever its blocks and cores, and the writer runs
+in the calling process."""
 
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frontal_lab import catalog, cli, forks, structio
 from frontal_lab.blaschke import blaschke_field
@@ -26,9 +28,9 @@ def no_child_left():
 
 
 def cores(monkeypatch, k, block=2):
-    """Make every export large enough to split into blocks of `block`
-    rows of the 8-column field CSV (8 * block values), on k usable
-    cores."""
+    """Split every export into blocks of `block` rows of the 8-column
+    field CSV (8 * block values), on k usable cores, with forks.fork_map
+    forking from the first unit of work."""
     monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
     monkeypatch.setattr(structio, "BLOCK_VALUES", 8 * block)
     monkeypatch.setattr(forks, "usable_cores", lambda: k)
@@ -154,96 +156,120 @@ def recorded(monkeypatch):
 
 
 def test_blaschke_formats_x_once_and_axes_per_value(monkeypatch, tmp_path):
-    # ex-5.10 has x = u1; one core and one block, so each call after the
-    # axis columns formats one column of both files
+    # ex-5.10 has x = u1; one call formats the axis columns, and one
+    # block's call every other column of both files
     calls = recorded(monkeypatch)
     assert cli.main(["blaschke", "--entry", "ex-5.10", "--grid", "9x7",
                      "--out", str(tmp_path)]) == 0
     u1, u2 = np.linspace(-1, 1, 9).tolist(), np.linspace(-1, 1, 7).tolist()
-    assert calls[:3] == [u1, u2, u1]
-    # y, z, xi1, xi2, xi3 point by point, once for both files
-    assert [len(c) for c in calls[3:]] == [63] * 5
+    assert calls[0] == u1 + u2 + u1
+    # then y, z, xi1, xi2, xi3 point by point, once for both files
+    assert [len(c) for c in calls[1:]] == [5 * 63]
 
 
-def test_small_tables_do_not_fork(monkeypatch, tmp_path):
-    # the 33x33 OBJ of the quadrature workload stays below the threshold,
-    # and so does a larger grid whose columns are each constant along
-    # one axis: the threshold counts the values formatted
+# id -> export, each with and without axis-constant columns: the 33x33
+# OBJ of the quadrature workload, a 200x150 grid whose columns are each
+# constant along one axis, and a 128x128 OBJ, above forks.PARALLEL_WORK
+EXPORTS = {"small": (33, 33, False), "axis-constant": (200, 150, True),
+           "large": (128, 128, False)}
+
+
+@pytest.mark.parametrize("n1, n2, flat", EXPORTS.values(), ids=EXPORTS)
+def test_exports_write_in_the_calling_process(n1, n2, flat, monkeypatch,
+                                              tmp_path):
     def fork():
-        raise AssertionError("forked for a small export")
+        raise AssertionError("forked for an export")
 
     monkeypatch.setattr(forks, "usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
-    x = np.random.default_rng(2).normal(size=(33, 33, 3))
+    if flat:
+        u1, u2 = np.meshgrid(np.arange(float(n1)), np.arange(float(n2)),
+                             indexing="ij")
+        x = np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
+    else:
+        x = np.random.default_rng(n1).normal(size=(n1, n2, 3))
     export_obj(tmp_path / "s.obj", x)
-    assert 33 * 33 * 3 < forks.PARALLEL_WORK
-    assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
-    u1, u2 = np.meshgrid(np.arange(200.0), np.arange(150.0), indexing="ij")
-    flat = np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
-    export_obj(tmp_path / "flat.obj", flat)
-    assert flat.size >= forks.PARALLEL_WORK
-    assert (tmp_path / "flat.obj").read_bytes() == obj_reference(flat)
-
-
-def test_large_exports_fork(monkeypatch, tmp_path):
-    real_fork, calls = os.fork, []
-
-    def fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(forks, "usable_cores", lambda: 2)
-    monkeypatch.setattr(os, "fork", fork)
-    x = np.random.default_rng(3).normal(size=(128, 128, 3))
-    export_obj(tmp_path / "s.obj", x)
-    assert x.size >= forks.PARALLEL_WORK
-    assert len(calls) == 1
     assert (tmp_path / "s.obj").read_bytes() == obj_reference(x)
 
 
-def test_failed_child_slice_is_formatted_by_the_parent(monkeypatch,
-                                                       tmp_path):
-    parent, real = os.getpid(), structio._format
+def test_a_formatting_fault_raises_from_the_writer(monkeypatch, tmp_path):
+    calls, real = [], structio._format
 
     def fault(values):
-        if os.getpid() != parent:
-            raise RuntimeError("a fault in the child")
+        calls.append(len(values))
+        if len(calls) == 2:
+            raise RuntimeError("a fault in the second call")
         return real(values)
 
     grids = field_grids(7, 1)
     cores(monkeypatch, 3)
     monkeypatch.setattr(structio, "_format", fault)
-    export_field_csv(tmp_path / "f.csv", *grids,
-                     obj_path=tmp_path / "s.obj")
-    assert (tmp_path / "f.csv").read_bytes() == field_reference(*grids)
-    assert (tmp_path / "s.obj").read_bytes() == obj_reference(grids[2])
-
-
-@pytest.mark.parametrize("fails", ["first", "every"])
-def test_failed_fork_slice_is_formatted_by_the_parent(fails, monkeypatch,
-                                                      tmp_path):
-    real_fork, calls = os.fork, []
-
-    def fork():
-        calls.append(1)
-        if fails == "every" or len(calls) == 1:
-            raise OSError("fork refused")
-        return real_fork()
-
-    grids = field_grids(7, 1)
-    cores(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", fork)
-    export_field_csv(tmp_path / "f.csv", *grids)
+    with pytest.raises(RuntimeError, match="a fault in the second call"):
+        export_field_csv(tmp_path / "f.csv", *grids,
+                         obj_path=tmp_path / "s.obj")
     assert len(calls) == 2
-    assert (tmp_path / "f.csv").read_bytes() == field_reference(*grids)
+
+
+def texts(values):
+    """The strings _format writes for `values`, NUL bytes dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in structio._format(np.asarray(values, dtype=float))]
+
+
+def bit_patterns(*bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# The edge list: signed zeros and infinities, NaNs with the sign bit and
+# with payloads, the smallest and largest subnormals, the smallest
+# normal, 2^53 and its neighbours, the switches to exponent notation,
+# 1e22 (the last power of ten a float holds exactly) and the largest
+# float; every power of two and its neighbours, where the spacing below
+# is half the spacing above, come on top.
+EDGES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.225073858507201e-308,
+     2.2250738585072014e-308, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+     1e-4, 1e-5, 9999999999999998.0, 1e16, 1e22, 1.7976931348623157e308],
+    bit_patterns(0xFFF8000000000000, 0x7FF0000000000001,
+                 0xFFF0000000000123, 0x7FF8DEADBEEF0000,
+                 0x0000000000000001, 0x000FFFFFFFFFFFFF),
+    -np.ldexp(1.0, np.arange(-1074, 1024)),
+    np.nextafter(np.ldexp(1.0, np.arange(-1074, 1024)), np.inf),
+    np.nextafter(np.ldexp(1.0, np.arange(-1073, 1024)), 0.0)])
+
+
+def test_format_is_repr_on_the_edges():
+    assert texts(EDGES) == list(map(repr, EDGES.tolist()))
+
+
+def test_format_is_repr_on_random_bit_patterns():
+    # every float64 has the same chance: NaNs and infinities 1 in 2048,
+    # subnormals 1 in 2048, the exponent notation nearly always
+    values = np.random.default_rng(30).integers(
+        0, 1 << 64, size=200_000, dtype=np.uint64).view(np.float64)
+    assert texts(values) == list(map(repr, values.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                min_size=1, max_size=64))
+def test_format_is_repr_on_any_floats(values):
+    assert texts(values) == list(map(repr, values))
+
+
+def test_integers_are_str():
+    values = [0, 1, 9, 10, 99, 100, 12345, 10 ** 12 - 1, 10 ** 12]
+    assert [row.tobytes().replace(b"\0", b"").decode()
+            for row in structio._integers(np.array(values))] == list(
+                map(str, values))
 
 
 # tracemalloc peak of the row-wise writer (a whole-table float copy, then
 # one row list and one text per row) on the table below, serial, numpy
-# 2.4 and CPython 3.11: 25.2 MB.  The column writer holds one block of
-# strings at a time and peaks near 2.1 MB (7.1 MB with blocks of 4,096
-# rows); the bound is the row-wise writer's peak, which whole columns of
-# strings would exceed.
+# 2.4 and CPython 3.11: 25.2 MB.  The block writer holds one block of
+# text matrices and integer temporaries at a time and peaks near 3.6 MB;
+# the bound is the row-wise writer's peak, which whole columns of text
+# would exceed.
 ROW_WRITER_PEAK = 25.2e6
 
 
