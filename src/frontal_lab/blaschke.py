@@ -29,7 +29,7 @@ from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
                      NotExtendable, NotTransversal, SingularIIOmega,
                      SingularPoint)
 from .frame import (FrameBundle, Frontal, _gram, evaluate_grid,
-                    frame_bundle)
+                    frame_bundle, rank2_mask)
 from .jets import Jet, JetVec3, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -681,12 +681,10 @@ def conormal_verify(bundle: FrameBundle, xi_jets: JetVec3,
     }
 
     J = np.stack([nu_u[k].values_on(shape) for k in range(2)], axis=-1)
-    # a point with a NaN is not rank 2; the SVD would fail to converge on it
+    # a point with a NaN or inf is not rank 2; it is zeroed first, since
+    # rank2_mask hands such a point to the SVD, which fails on a NaN
     finite = np.all(np.isfinite(J), axis=(-2, -1))
-    sv = np.linalg.svd(np.where(finite[..., None, None], J, 0.0),
-                       compute_uv=False)
-    rep["rank2_everywhere"] = bool(np.all(
-        finite & (sv[..., 1]
-                  > bundle.config.eps_rank * np.maximum(1.0, sv[..., 0]))))
+    rep["rank2_everywhere"] = bool(np.all(finite & rank2_mask(
+        np.where(finite[..., None, None], J, 0.0), bundle.config.eps_rank)))
     rep["tolerance"] = 1e-8
     return rep

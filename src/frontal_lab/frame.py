@@ -18,6 +18,13 @@ RK4 march (reconstruct) go through it.  The grid tests take the values:
 `singular_scan` det Lambda, `wavefront_test` the per-point verdicts of
 `wavefront_mask`, `nonparabolic_test` K_omega.
 
+A rank-2 test of a stack of m x 2 matrices (the wave-front verdict, the
+conormal's rank) goes through `rank2_mask`: its verdict is the SVD's,
+s1 > eps_rank * max(1, s0), but the singular values come from a closed
+form, and LAPACK computes them only for the matrices whose s1 lies
+within 1e-12 s0 of the threshold, whose s0 is under 1e-140, or that
+hold a NaN or inf.
+
 Matrix conventions (all row/column choices follow from the two
 decompositions and are exercised by the cross-checks in the tests):
 
@@ -439,11 +446,47 @@ def singular_scan(u1, u2, lam_det, eps_sing) -> SingularScan:
                                                          u2[small])))
 
 
-def wavefront_mask(bundle: FrameBundle):
-    """Per point of the bundle, whether (x, n) is an immersion there.
+def rank2_mask(J, eps_rank):
+    """Per matrix of the (..., m, 2) stack J, whether its second singular
+    value s1 exceeds eps_rank * max(1, s0): the verdict np.linalg.svd's
+    singular values give, without a LAPACK call per matrix.
 
-    Checks the second singular value of the stacked 6x2 Jacobian
-    [Dx; Dn] against eps_rank (scaled by the largest singular value).
+    One Gram-Schmidt step factors the columns (a, c) as Q R with
+    R = [[f, g], [0, h]], f = |a|, g = a.c / f, h = |c - (g / f) a|, and
+    R's singular values follow in closed form (LAPACK's dlas2):
+    s0 = (hypot(f + h, g) + hypot(f - h, g)) / 2 and s1 = f h / s0.  This
+    does not square the condition number as J^T J would, and s1 is off
+    the SVD's by a few ulps of s0.  So np.linalg.svd, which takes each
+    matrix on its own, decides only where the closed form cannot: s1
+    within 1e-12 s0 of the threshold, s0 under 1e-140 (where squares of
+    entries may be subnormal), or a NaN or inf in J or from an overflow
+    (each comparison below is False on a NaN).  A NaN lane raises the
+    SVD's LinAlgError, as one SVD of the whole stack would.
+    """
+    lanes = J.reshape(-1, *J.shape[-2:])
+    a, c = lanes[..., 0], lanes[..., 1]
+    with np.errstate(all="ignore"):
+        f = np.sqrt(np.einsum("ij,ij->i", a, a))
+        g = np.einsum("ij,ij->i", a, c) / f
+        r = c - (g / f)[:, None] * a
+        h = np.sqrt(np.einsum("ij,ij->i", r, r))
+        s0 = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
+        s1 = f * h / s0
+        thr = eps_rank * np.maximum(1.0, s0)
+        out = s1 > thr
+        near = ~((np.abs(s1 - thr) > 1e-12 * s0) & (s0 > 1e-140))
+    if near.any():
+        s = np.linalg.svd(lanes[near], compute_uv=False)
+        out[near] = s[:, 1] > eps_rank * np.maximum(1.0, s[:, 0])
+    return out.reshape(J.shape[:-2])
+
+
+def wavefront_mask(bundle: FrameBundle):
+    """Per point of the bundle, whether (x, n) is an immersion there:
+    whether the stacked 6x2 Jacobian [Dx; Dn] has its second singular
+    value above eps_rank (scaled by the largest singular value).  The
+    test is `rank2_mask`'s closed form, with LAPACK only within
+    1e-12 s0 of the threshold, so each verdict is the SVD's.
     """
     shape = bundle.shape
     n_u = [bundle.n.deriv(0), bundle.n.deriv(1)]
@@ -451,9 +494,7 @@ def wavefront_mask(bundle: FrameBundle):
     for k in range(2):
         cols.append(np.concatenate([bundle.x_u[k].values_on(shape),
                                     n_u[k].values_on(shape)], axis=-1))
-    J = np.stack(cols, axis=-1)          # (..., 6, 2)
-    s = np.linalg.svd(J, compute_uv=False)
-    return s[..., 1] > bundle.config.eps_rank * np.maximum(1.0, s[..., 0])
+    return rank2_mask(np.stack(cols, axis=-1), bundle.config.eps_rank)
 
 
 def wavefront_test(u1, u2, immersive):

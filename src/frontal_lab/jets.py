@@ -33,10 +33,9 @@ coefficient keeps every bit.  Division keeps the general loop: its
 accumulator starts at a numerator coefficient, which may be -0.0, and
 dropping a +-0 term there could flip that zero's sign.
 
-Also here: JetVec3 (three jets sharing a base point), a central
-finite-difference oracle `fd_jet` kept deliberately independent of the
-jet arithmetic, and Gauss-Legendre quadrature of jet-valued integrands
-with a moving endpoint (`integrate_jet`).
+Also here: JetVec3 (three jets sharing a base point) and
+Gauss-Legendre quadrature of jet-valued integrands with a moving
+endpoint (`integrate_jet`).
 """
 
 from __future__ import annotations
@@ -383,50 +382,6 @@ def _broadcast_jets(jets):
         else:
             out.append(Jet(j.order, [np.broadcast_to(c, shape) for c in j.coeffs]))
     return out
-
-
-# --- finite-difference oracle -----------------------------------------------
-
-# Central stencils, all with O(h^2) truncation error.
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def _fd_once(f, point, order, h):
-    p1, p2 = point
-    cache = {}
-
-    def sample(a, b):
-        if (a, b) not in cache:
-            cache[(a, b)] = float(f(p1 + a * h, p2 + b * h))
-        return cache[(a, b)]
-
-    coeffs = []
-    for (i, j) in INDICES[order]:
-        acc = 0.0
-        for oa, ca in _STENCILS[i]:
-            for ob, cb in _STENCILS[j]:
-                acc += ca * cb * sample(oa, ob)
-        coeffs.append(np.asarray(acc / h ** (i + j)))
-    return Jet(order, coeffs)
-
-
-def fd_jet(f, point, order, step=1e-3):
-    """Estimate the jet of a scalar evaluator by central differences.
-
-    Independent of the Jet arithmetic on purpose: this is the oracle the
-    analytic path is checked against.  Plain stencils are O(step^2); one
-    Richardson level (step vs. step/2) pushes smooth cases to O(step^4).
-    The caller judges accuracy; nothing is raised here.
-    """
-    coarse = _fd_once(f, point, order, step)
-    fine = _fd_once(f, point, order, step / 2.0)
-    coeffs = [(4.0 * cf - cc) / 3.0 for cc, cf in zip(coarse.coeffs, fine.coeffs)]
-    return Jet(order, coeffs)
 
 
 # --- quadrature of jet-valued integrands --------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from frontal_lab.catalog import get_entry
 from frontal_lab.config import Config
+from frontal_lab.jets import INDICES, Jet
 
 # integrate_frame with every gate open; a NaN still fails them
 UNGATED = Config(tol_compat=math.inf, tol_path=math.inf)
@@ -128,3 +129,47 @@ def with_nan_x(f, lam=None):
 
     return Frontal(f.name + "-nan", x, f.omega, f.domain, lam=lam,
                    config=f.config)
+
+
+# --- finite-difference oracle -----------------------------------------------
+
+# Central stencils, all with O(h^2) truncation error.
+_STENCILS = {
+    0: ((0, 1.0),),
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
+
+
+def _fd_once(f, point, order, h):
+    p1, p2 = point
+    cache = {}
+
+    def sample(a, b):
+        if (a, b) not in cache:
+            cache[(a, b)] = float(f(p1 + a * h, p2 + b * h))
+        return cache[(a, b)]
+
+    coeffs = []
+    for (i, j) in INDICES[order]:
+        acc = 0.0
+        for oa, ca in _STENCILS[i]:
+            for ob, cb in _STENCILS[j]:
+                acc += ca * cb * sample(oa, ob)
+        coeffs.append(np.asarray(acc / h ** (i + j)))
+    return Jet(order, coeffs)
+
+
+def fd_jet(f, point, order, step=1e-3):
+    """Estimate the jet of a scalar evaluator by central differences.
+
+    Independent of the Jet arithmetic on purpose: this is the oracle the
+    analytic path is checked against.  Plain stencils are O(step^2); one
+    Richardson level (step vs. step/2) pushes smooth cases to O(step^4).
+    The caller judges accuracy; nothing is raised here.
+    """
+    coarse = _fd_once(f, point, order, step)
+    fine = _fd_once(f, point, order, step / 2.0)
+    coeffs = [(4.0 * cf - cc) / 3.0 for cc, cf in zip(coarse.coeffs, fine.coeffs)]
+    return Jet(order, coeffs)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (UNGATED, field_jets, random_unimodular,
+from conftest import (UNGATED, fd_jet, field_jets, random_unimodular,
                       regular_points, with_structure)
 from frontal_lab import expr
 from frontal_lab.blaschke import (AFFINE_NORMAL, blaschke_field,
@@ -32,7 +32,7 @@ from frontal_lab.errors import (CompatibilityViolated, KVanishes,
                                 NotExtendable)
 from frontal_lab.frame import (Frontal, affine_image, frame_bundle,
                                singular_scan)
-from frontal_lab.jets import INDICES, Jet, fd_jet
+from frontal_lab.jets import INDICES, Jet
 from frontal_lab.reconstruct import (StructureData, affine_align, expr_entry,
                                      extract_structure, integrate_frame,
                                      stack_blocks)

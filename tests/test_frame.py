@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import regular_points, with_nan_x, with_structure
-from frontal_lab import cli, expr, frame, reconstruct
+from frontal_lab import blaschke, cli, expr, frame, reconstruct
 from frontal_lab.blaschke import (AFFINE_NORMAL, _tangent_value_fn,
                                   blaschke_field, conormal_verify)
 from frontal_lab.equiaffine import TransversalField, check_tau_formula
@@ -14,8 +14,8 @@ from frontal_lab.errors import NotAFrontal
 from frontal_lab.frame import (Frontal, affine_image, factor_lambda,
                                frame_bundle, frontal_from_expressions,
                                ii_omega_normal_route, nonparabolic_test,
-                               singular_scan, unit_normal, wavefront_mask,
-                               wavefront_test)
+                               rank2_mask, singular_scan, unit_normal,
+                               wavefront_mask, wavefront_test)
 from frontal_lab.catalog import get_entry
 from frontal_lab.reconstruct import (apolarity_check, extract_structure,
                                      integrability_residual, integrate_frame)
@@ -322,6 +322,150 @@ class TestSingularScanMatchesLoop:
         assert list(map(tuple, scan.cells.tolist())) == cells
         assert scan.regular_dense == dense
         assert list(map(tuple, scan.singular_points.tolist())) == pts
+
+
+# the SVD the rank verdicts are checked against, kept from before any
+# test counts np.linalg.svd's calls
+SVD = np.linalg.svd
+EPS_RANKS = [0.0, 1e-9, 1e-3, 1e300]
+
+
+def svd_verdicts(J, eps_rank):
+    """The rank-2 verdicts of one SVD over the whole stack J."""
+    s = SVD(J, compute_uv=False)
+    with np.errstate(over="ignore"):
+        return s[..., 1] > eps_rank * np.maximum(1.0, s[..., 0])
+
+
+@pytest.fixture
+def svd_lanes(monkeypatch):
+    """Matrix counts of the np.linalg.svd calls made while a test runs."""
+    lanes = []
+
+    def counted(a, *args, **kwargs):
+        lanes.append(int(np.prod(np.shape(a)[:-2])))
+        return SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return lanes
+
+
+def random_stack(rng, n, m):
+    """n random m x 2 matrices over 1e-100..1e100, with column scales a
+    factor up to 1e8 apart and a quarter of them nearly rank 1 (the
+    second column a multiple of the first plus a part 1e-17..1e-5 of it)."""
+    J = rng.standard_normal((n, m, 2))
+    near = rng.random(n) < 0.25
+    k = int(near.sum())
+    J[near, :, 1] = (J[near, :, 0] * rng.standard_normal((k, 1))
+                     + 10.0 ** rng.uniform(-17, -5, (k, 1))
+                     * rng.standard_normal((k, m)))
+    J[..., 1] *= 10.0 ** rng.uniform(-8, 8, (n, 1))
+    return J * 10.0 ** rng.uniform(-100, 100, (n, 1, 1))
+
+
+def with_singular_values(rng, s0, s1, m):
+    """m x 2 matrices U diag(s0, s1) V^T, U with orthonormal columns and V
+    a rotation, one per entry of the arrays s0 and s1."""
+    n = len(s0)
+    U = np.linalg.qr(rng.standard_normal((n, m, 2)))[0]
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+    V = np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                  np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    return U * np.stack([s0, s1], -1)[:, None, :] @ np.swapaxes(V, -1, -2)
+
+
+class TestRankMaskMatchesSvd:
+    @pytest.mark.parametrize("m", [6, 3])
+    @pytest.mark.parametrize("eps_rank", EPS_RANKS)
+    def test_random_stacks(self, m, eps_rank):
+        J = random_stack(np.random.default_rng(m), 20000, m)
+        want = svd_verdicts(J, eps_rank)
+        if 0.0 < eps_rank < 1.0:
+            assert want.any() and not want.all()
+        assert np.array_equal(rank2_mask(J, eps_rank), want)
+        # leading dimensions are kept
+        J = J.reshape(40, 500, m, 2)
+        assert np.array_equal(rank2_mask(J, eps_rank),
+                              want.reshape(40, 500))
+
+    @pytest.mark.parametrize("m", [6, 3])
+    @pytest.mark.parametrize("eps_rank", [1e-9, 1e-3])
+    @pytest.mark.parametrize("s0", [0.25, 1.0, 3e4])
+    def test_at_the_threshold_lapack_decides(self, m, eps_rank, s0,
+                                             svd_lanes):
+        thr = eps_rank * max(1.0, s0)
+        s1 = thr + thr * np.finfo(float).eps * np.arange(-4.0, 5.0)
+        J = with_singular_values(np.random.default_rng(7), np.full(9, s0),
+                                 s1, m)
+        assert np.array_equal(rank2_mask(J, eps_rank),
+                              svd_verdicts(J, eps_rank))
+        assert svd_lanes == [9]
+
+    @pytest.mark.parametrize("m", [6, 3])
+    @pytest.mark.parametrize("s0", [1e-150, 1e-158])
+    def test_tiny_matrices_lapack_decides(self, m, s0, svd_lanes):
+        # squares of the entries are subnormal, too coarse for the closed
+        # form to place s1 against a threshold a part 1e-6 away
+        eps_rank = 1e-2 * s0
+        s1 = eps_rank * (1.0 + 1e-6 * np.arange(-200.0, 201.0))
+        J = with_singular_values(np.random.default_rng(11),
+                                 np.full(len(s1), s0), s1, m)
+        want = svd_verdicts(J, eps_rank)
+        assert want.any() and not want.all()
+        assert np.array_equal(rank2_mask(J, eps_rank), want)
+        assert svd_lanes == [len(s1)]
+
+    @pytest.mark.parametrize("m", [6, 3])
+    @pytest.mark.parametrize("eps_rank", EPS_RANKS)
+    def test_rank_1_and_zero(self, m, eps_rank):
+        a = np.random.default_rng(3).standard_normal((4, m))
+        zero = np.zeros_like(a)
+        J = np.concatenate([np.stack(cols, -1) for cols in
+                            [(a, 3.0 * a), (a, -0.5 * a), (1e-80 * a, a),
+                             (a, zero), (zero, a), (zero, zero)]])
+        want = svd_verdicts(J, eps_rank)
+        assert np.array_equal(rank2_mask(J, eps_rank), want)
+        assert not want[12:].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lane_in_wavefront_mask(self, ex58, bad):
+        """A NaN lane makes the SVD raise, as one SVD of the whole stack
+        would; an inf lane reads not immersive."""
+        u1, u2 = ex58.grid((5, 5))
+        b = frame_bundle(ex58, u1, u2, 1)
+        want = wavefront_mask(b)
+        assert want[2, 3]
+        x_u2 = b.x_u[1]
+        coeffs = [np.array(np.broadcast_to(c, b.shape), dtype=float)
+                  for c in x_u2[2].coeffs]
+        coeffs[0][2, 3] = bad
+        b.x_u = [b.x_u[0], JetVec3(*x_u2.c[:2], Jet(x_u2.order, coeffs))]
+        if np.isnan(bad):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^SVD did not converge$"):
+                wavefront_mask(b)
+        else:
+            want[2, 3] = False
+            assert np.array_equal(wavefront_mask(b), want)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--entry", "ex-5.8", "--grid", "201x201"],
+        ["analyze", "--entry", "gen-nonparabolic", "--grid", "101x101"],
+        ["check", "--entry", "ex-5.8"],
+    ])
+    def test_benchmark_grids_need_no_lapack(self, argv, svd_lanes,
+                                            monkeypatch, capsys):
+        tested = []
+
+        def counted(J, eps_rank):
+            tested.append(int(np.prod(np.shape(J)[:-2])))
+            return rank2_mask(J, eps_rank)
+
+        for mod in (frame, blaschke):
+            monkeypatch.setattr(mod, "rank2_mask", counted)
+        assert cli.main(argv) == 0
+        assert sum(tested) > 0 and svd_lanes == []
 
 
 def _record_bundles(monkeypatch, record):

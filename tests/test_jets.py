@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jets_allclose
+from conftest import fd_jet, jets_allclose
 from frontal_lab import expr
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 InsufficientJetOrder, QuadratureNonConvergent)
 from frontal_lab.jets import (INDICES, LANES, NCOEFF, _PRODUCT, Jet, JetVec3,
-                              _quad_fixed, fd_jet, integrate_jet)
+                              _quad_fixed, integrate_jet)
 
 
 def jet_at(source, point, order):
