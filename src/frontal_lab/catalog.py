@@ -229,16 +229,14 @@ def _integral_per_value(cfg: Config, integrand, upper, var, order):
     upper's shape.
 
     Values are told apart by their float64 bits, so +0.0, -0.0 and NaNs
-    of different payloads stay apart.  converged_quad decides from maxima
-    over lanes, and the set of lane values is the same; fewer lanes only
-    put more nodes into each batched call, which _quad_fixed sums in node
-    order.  So every coefficient keeps its bits, unless an integral nested
-    in the integrand (as in t34) needs more nodes at some outer nodes than
-    at others: it decides its convergence over the outer nodes batched
-    with it, and fewer lanes batch them differently.  A 0-d upper keeps
-    the plain path, since as a 1-D array its powers would leave libm's pow
-    (see _quad_fixed); so does one of another dtype (the extended-precision
-    probes), whose padding bytes are no part of its values."""
+    of different payloads stay apart.  converged_quad decides each lane
+    on its own, an integral nested in the integrand (as in t34) too, and
+    fewer lanes only put more nodes into each batched call, which
+    _quad_fixed sums in node order; so every coefficient keeps its bits.
+    A 0-d upper keeps the plain path, since as a 1-D array its powers
+    would leave libm's pow (see _quad_fixed); so does one of another
+    dtype (the extended-precision probes), whose padding bytes are no
+    part of its values."""
     value = upper.value
     if value.ndim == 0 or value.dtype != np.float64:
         return _integral(cfg, integrand, upper, var, order)
@@ -253,11 +251,9 @@ def _integral_per_value(cfg: Config, integrand, upper, var, order):
 def _last_point_set(fn):
     """fn(u1, u2, order), remembering its last result: a call with the
     same order and coordinate arrays of the same dtype, shape and bytes
-    returns that result again.  Nothing looser matches.  A nested
-    integral decides its convergence over the whole batch of points it
-    is handed (see _integral_per_value), so another point set may give
-    other bits.  And converged_quad reads every coefficient, so a
-    lower-order result is never cut from a higher-order one."""
+    returns that result again.  Nothing looser matches: converged_quad
+    reads every coefficient of a lane, so a lower-order result is never
+    cut from a higher-order one."""
     last = []
 
     def memo(u1, u2, order):
@@ -385,8 +381,9 @@ def gen_extendable_nc(b="u2^2", h="0", l="1", r="0",
     The second basis column is (0, 1, G) with G the u2-derivative cofactor
     of C, and the first column's third entry is recovered from the jets of
     C, so no closed form of C is ever needed.  int_0^{u1} l and the u1-only
-    terms of C (t34) run once per distinct u1 value.  x and Omega of one
-    built frontal share C: each build keeps the last C it evaluated, with
+    terms of C (t34) run once per distinct u1 value.  A point gets C's
+    bits alone or in any batch, so a grid goes in lane blocks; x and Omega
+    of one block share C: each build keeps the last C it evaluated, with
     its coordinate jets and int_0^{u1} l, and hands it to either of them
     asked for the same order at the same points (_last_point_set).
     """

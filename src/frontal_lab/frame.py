@@ -68,14 +68,10 @@ class Frontal:
     `config` holds the settings of every computation on the frontal, and
     `open_domain` keeps the default grid off the domain's boundary.
 
-    `pointwise` is set by `frontal_from_expressions` (and kept by the
-    copies below): there x, Omega and Lambda evaluate each point on its
-    own, so `evaluate_grid` may split a grid.  A generator's nested
-    quadrature decides convergence over its whole batch, so any other
-    frontal is evaluated as given.
+    x, Omega and Lambda evaluate each point on its own (a generator's
+    quadrature decides convergence lane by lane), so a point gets the
+    same bits in any batch and `evaluate_grid` may split a grid.
     """
-
-    pointwise = False
 
     def __init__(self, name, x, omega, domain, lam=None, gauss=None,
                  blaschke_known=None, config: Config = DEFAULT,
@@ -93,12 +89,10 @@ class Frontal:
     def stripped(self):
         """Copy without the closed-form curvature and reference field,
         forcing the numeric routes."""
-        g = Frontal(self.name + "~numeric", self._x, self._omega,
-                    self.domain, lam=self._lam,
-                    gauss=None, blaschke_known=None, config=self.config,
-                    open_domain=self.open_domain)
-        g.pointwise = self.pointwise
-        return g
+        return Frontal(self.name + "~numeric", self._x, self._omega,
+                       self.domain, lam=self._lam,
+                       gauss=None, blaschke_known=None, config=self.config,
+                       open_domain=self.open_domain)
 
     def x(self, u1, u2, order):
         return self._x(u1, u2, order)
@@ -166,10 +160,9 @@ def frontal_from_expressions(name, x_srcs, omega_srcs, domain, lam_srcs=None,
             expr_mod.validate_on_domain(ast, domain)
     x, omega, lam, gauss, known = (expr_mod.jets_fn(a) if a else None
                                    for a in asts)
-    f = Frontal(name, x, omega, domain, lam=lam, gauss=gauss,
-                blaschke_known=known, config=config, open_domain=open_domain)
-    f.pointwise = True
-    return f
+    return Frontal(name, x, omega, domain, lam=lam, gauss=gauss,
+                   blaschke_known=known, config=config,
+                   open_domain=open_domain)
 
 
 def affine_image(f: Frontal, A, b, name=None):
@@ -198,11 +191,9 @@ def affine_image(f: Frontal, A, b, name=None):
         w1, w2 = f.omega(u1, u2, order)
         return map_vec(w1), map_vec(w2)
 
-    image = Frontal(name or f"{f.name}+affine", x_fn, omega_fn, f.domain,
-                    lam=f._lam, gauss=None, blaschke_known=None,
-                    config=f.config, open_domain=f.open_domain)
-    image.pointwise = f.pointwise
-    return image
+    return Frontal(name or f"{f.name}+affine", x_fn, omega_fn, f.domain,
+                   lam=f._lam, gauss=None, blaschke_known=None,
+                   config=f.config, open_domain=f.open_domain)
 
 
 # --- core per-point computations ------------------------------------------------
@@ -347,17 +338,16 @@ def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER) -> FrameBundle:
     return FrameBundle(f, u1, u2, order)
 
 
-def in_lane_blocks(evaluate, u1, u2, pointwise):
+def in_lane_blocks(evaluate, u1, u2):
     """evaluate(u1, u2) over the broadcast of u1 and u2, block by block.
 
     `evaluate` returns a dict of per-point value arrays, the broadcast
-    shape of its arguments leading.  `pointwise` data are evaluated in
+    shape of its arguments leading.  The points are evaluated in
     contiguous row-major blocks of at most SWEEP_LANES points of the
     broadcast: each block's values go into arrays allocated over all the
     points, and what evaluate built for a block is dropped before the
-    next one.  Other data, or points that fit one block, are evaluated
-    once, as given.  Returns the dict with each array over the broadcast
-    shape.
+    next one.  Points that fit one block are evaluated once, as given.
+    Returns the dict with each array over the broadcast shape.
 
     A block gives the bits the whole set gives at its points, but a gate
     reduces over its batch: an any() guard raises in the first batch
@@ -367,7 +357,7 @@ def in_lane_blocks(evaluate, u1, u2, pointwise):
     """
     shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     n = math.prod(shape)
-    if not pointwise or n <= SWEEP_LANES:
+    if n <= SWEEP_LANES:
         return evaluate(u1, u2)
     flat1, flat2 = (np.broadcast_to(u, shape).flat for u in (u1, u2))
     out = {}
@@ -386,12 +376,11 @@ def in_lane_blocks(evaluate, u1, u2, pointwise):
 
 def evaluate_grid(f: Frontal, u1, u2, order, read):
     """read(bundle) over the same-shaped points (u1, u2), in lane blocks
-    (`in_lane_blocks`) where f is pointwise: `read` takes the frame
-    bundle, of jet order `order`, of some of the points and returns a
-    dict of per-point value arrays, the bundle's shape leading."""
+    (`in_lane_blocks`): `read` takes the frame bundle, of jet order
+    `order`, of some of the points and returns a dict of per-point value
+    arrays, the bundle's shape leading."""
     return in_lane_blocks(
-        lambda v1, v2: read(frame_bundle(f, v1, v2, order)), u1, u2,
-        f.pointwise)
+        lambda v1, v2: read(frame_bundle(f, v1, v2, order)), u1, u2)
 
 
 def ii_omega_normal_route(bundle: FrameBundle):

@@ -40,6 +40,7 @@ endpoint (`integrate_jet`).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -478,8 +479,13 @@ def integrate_jet(integrand, lower, upper, var=None, order=3,
     integrand must not depend on the endpoint variable except through t;
     a leaked dependence is detected and rejected.
 
-    Raises QuadratureNonConvergent when doubling nodes past `max_nodes`
-    still moves some coefficient by more than `tol` (relative).
+    Convergence is decided lane by lane: each point of the output shape
+    keeps the first doubling of nodes that moved each of its
+    coefficients by at most `tol` times its own scale, max(1, its
+    largest |coefficient|).  So a point gets the same bits in any batch,
+    and a batch whose lanes all converge at one doubling gets that
+    doubling's jet.  Raises QuadratureNonConvergent when doubling nodes
+    past `max_nodes` still moves some lane by more than that.
     """
     if isinstance(upper, Jet):
         kind, upper_value = _classify_upper(upper, var)
@@ -489,14 +495,25 @@ def integrate_jet(integrand, lower, upper, var=None, order=3,
     def converged_quad():
         n = nodes
         prev = _quad_fixed(integrand, lower, upper_value, order, n)
+        kept = None     # coefficients holding every lane converged so far
         while n < max_nodes:
             n *= 2
             cur = _quad_fixed(integrand, lower, upper_value, order, n)
-            scale = max(1.0, max(float(np.max(np.abs(c))) for c in cur.coeffs))
-            delta = max(float(np.max(np.abs(a - b)))
-                        for a, b in zip(cur.coeffs, prev.coeffs))
-            if delta <= tol * scale:
-                return cur
+            scale = functools.reduce(np.maximum, map(np.abs, cur.coeffs), 1.0)
+            delta = functools.reduce(np.maximum, (
+                np.abs(a - b) for a, b in zip(cur.coeffs, prev.coeffs)))
+            ok = delta <= tol * scale
+            if kept is None:
+                if np.all(ok):
+                    return cur
+                if np.any(ok):
+                    kept, done = cur.coeffs, ok
+            else:
+                kept = [np.where(ok & ~done, c, k)
+                        for c, k in zip(cur.coeffs, kept)]
+                done = done | ok
+                if np.all(done):
+                    return Jet(cur.order, kept, cur.const)
             prev = cur
         raise QuadratureNonConvergent(
             f"quadrature still moving after {max_nodes} nodes")

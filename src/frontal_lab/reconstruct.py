@@ -35,9 +35,9 @@ step, so each sweep still samples its own coefficients, as many whole
 lattice segments as fit in frame.SWEEP_LANES points with one call (at
 least one), on the open mesh (substep abscissae) x (lanes); a grid
 entry contracts its u2 axis once per distinct u2 value of the call,
-then its u1 axis point by point.  A call of pointwise data (see
-`StructureData.pointwise`) is evaluated by frame.in_lane_blocks, so no
-evaluation holds more points than the budget.
+then its u1 axis point by point.  A call is evaluated by
+frame.in_lane_blocks, so no evaluation holds more points than the
+budget.
 
 Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them and runs
@@ -45,10 +45,10 @@ them through forks.fork_map, whose rules decide where each call runs;
 its unit of work is a point sampled.  Forked children claim the calls
 as they get free, and the marching process samples a call only while
 the one it reads next is not yet back.  A call sends back its RK4
-matrices as raw float bytes, and keeps the mesh it has on one core,
-because the adaptive quadrature behind some entries decides
-convergence over all lanes of a call; so the march is bit-identical
-wherever a call ran.
+matrices as raw float bytes, and every entry gives a point the same
+bits in any batch (the adaptive quadrature behind some of them decides
+convergence lane by lane), so the march is bit-identical wherever a
+call ran.
 """
 
 from __future__ import annotations
@@ -248,11 +248,8 @@ class StructureData:
     responsibility for grid data; extracted and expression data satisfy
     them by construction.
 
-    `pointwise` data give a point the same bits in any batch (a file's
-    expression and grid entries, and data extracted from a pointwise
-    frontal), so a march evaluates each sampling call in lane blocks
-    (frame.in_lane_blocks); other data are evaluated a whole call at a
-    time.
+    Every entry gives a point the same bits in any batch, so a march
+    evaluates each sampling call in lane blocks (frame.in_lane_blocks).
     """
     domain: tuple
     basepoint: tuple
@@ -262,7 +259,6 @@ class StructureData:
     i_omega: object
     blocks: object
     phi: object
-    pointwise: bool = False
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -402,8 +398,7 @@ def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
 
     return StructureData(
         domain=(lo1, hi1, lo2, hi2), basepoint=(lo1, lo2),
-        W0=W0, p=p0, lam=lam, i_omega=i_omega, blocks=blocks, phi=phi,
-        pointwise=f.pointwise)
+        W0=W0, p=p0, lam=lam, i_omega=i_omega, blocks=blocks, phi=phi)
 
 
 # --- compatibility and integrability residuals -----------------------------------------
@@ -579,13 +574,12 @@ class FrameField:
 
 # Most RK4 substeps a march takes between two of its nodes.  A segment's
 # 2 nsub + 1 abscissae are held as RK4 matrices (128 B per lane and
-# abscissa), and sampled as one call, in lane blocks for pointwise data
-# (about 1 KB of jets per point of a block, and of the whole call
-# otherwise); the loop runs nsub Python-level steps per segment, so nsub
-# sets a march's peak memory and time.  2^14 admits the default step
-# (1e-3) on a two-node axis of every catalog domain (at most 8 wide, so
-# 8,000 substeps) and keeps a one-lane segment near 33,000 points; a
-# step that needs more is refused before any array is sized.
+# abscissa), and sampled as one call, in lane blocks (about 1 KB of jets
+# per point of a block); the loop runs nsub Python-level steps per
+# segment, so nsub sets a march's peak memory and time.  2^14 admits the
+# default step (1e-3) on a two-node axis of every catalog domain (at most
+# 8 wide, so 8,000 substeps) and keeps a one-lane segment near 33,000
+# points; a step that needs more is refused before any array is sized.
 MAX_SUBSTEPS = 1 << 14
 
 
@@ -610,7 +604,7 @@ def _call_shape(call):
 def _rk4_blocks(sd, call):
     """The (abscissae, lanes, 4, 4) RK4 matrices [[A_axis^T, Lambda
     row^T], [0, 0]] of one aug_values call, sampled in lane blocks
-    (frame.in_lane_blocks) for pointwise data."""
+    (frame.in_lane_blocks)."""
     u1, u2, axis = call
 
     def rk4(u1, u2):
@@ -619,7 +613,7 @@ def _rk4_blocks(sd, call):
         A[..., :3, :3] = np.swapaxes(daug, -1, -2)
         A[..., :2, 3] = lam_row
         return {"A": A}
-    return frame_mod.in_lane_blocks(rk4, u1, u2, sd.pointwise)["A"]
+    return frame_mod.in_lane_blocks(rk4, u1, u2)["A"]
 
 
 def _march(sd, sweeps, step):

@@ -185,7 +185,7 @@ def read_structure_file(path) -> StructureData:
         lam=fields["Lambda"], i_omega=fields["I_Omega"],
         blocks=stack_blocks(fields["D1"], fields["D2"], fields["h"],
                             fields["S"]),
-        phi=fields["phi"], pointwise=True)
+        phi=fields["phi"])
 
 
 def check_spline_grid(what, nx, ny):

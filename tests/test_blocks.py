@@ -1,9 +1,8 @@
 """Grid evaluation in lane blocks, and RK4 sampling calls within the lane
 budget: the same bytes and the same errors whatever the budget, memory
-that grows with the values a command keeps, and generator surfaces
-evaluated whole."""
+that grows with the values a command keeps, and generator points that
+get the same bits alone as in a grid, so their grids go in blocks too."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -156,12 +155,43 @@ def test_a_raising_block_hands_the_grid_to_one_bundle(monkeypatch):
     assert sizes == [20, 20, 81]
 
 
-def test_generator_is_evaluated_as_one_block(monkeypatch, capsys):
+def test_generator_grid_goes_in_lane_blocks(monkeypatch, capsys):
     sizes = bundle_sizes(monkeypatch)
     assert cli.main(["analyze", "--entry", "gen-nonparabolic", "--grid",
                      "101x101"]) == 0
     assert "wavefront=True" in capsys.readouterr().out
-    assert sizes == [101 * 101]
+    assert sizes == [4096, 4096, 101 * 101 - 2 * 4096]
+    assert max(sizes) <= frame.SWEEP_LANES
+
+
+# Nested quadrature whose inner integrals need more nodes at some outer
+# nodes than at others: a rule that decided convergence over a whole
+# batch moved x at order 1 by up to 1.2e-12 between a point alone and
+# the same point in this grid.
+NESTED_NC = {"h": "1/(u2^2+0.01)", "l": "1/(u1+1.02)", "r": "1/(u1^2+0.001)"}
+
+
+def generator_values(f, u1, u2):
+    """Every coefficient of x and of Omega at order 1, (..., 27)."""
+    x = f.x(u1, u2, 1)
+    w1, w2 = f.omega(u1, u2, 1)
+    return np.stack([np.broadcast_to(c, np.shape(u1))
+                     for v in (x, w1, w2) for jet in v.c
+                     for c in jet.coeffs], axis=-1)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gen-rank1-wavefront", None), ("gen-nonparabolic", None),
+    ("gen-extendable-nc", None), ("gen-extendable-nc", NESTED_NC)],
+    ids=["rank1", "nonparabolic", "extendable-nc", "extendable-nc-nested"])
+def test_generator_point_alone_keeps_its_grid_bits(name, params):
+    f = get_entry(name, params).build()
+    u1, u2 = f.grid((21, 21))
+    grid = generator_values(f, u1, u2)
+    for i in range(0, 21, 2):
+        for j in range(0, 21, 2):
+            alone = generator_values(f, u1[i:i + 1, j], u2[i:i + 1, j])
+            assert same_bits(alone[0], grid[i, j]), (i, j)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +237,7 @@ class TestInLaneBlocks:
         whole = self.evaluate(sd, [])(u1, u2)
         monkeypatch.setattr(frame, "SWEEP_LANES", lanes)
         calls = []
-        got = in_lane_blocks(self.evaluate(sd, calls), u1, u2, True)
+        got = in_lane_blocks(self.evaluate(sd, calls), u1, u2)
         blocks, rest = divmod(35, lanes)
         assert ([np.size(v1) for v1, _ in calls]
                 == [lanes] * blocks + [rest] * (rest > 0))
@@ -223,21 +253,12 @@ class TestInLaneBlocks:
         whole = self.evaluate(sd, [])(u1, u2)
         monkeypatch.setattr(frame, "SWEEP_LANES", 8)
         calls = []
-        got = in_lane_blocks(self.evaluate(sd, calls, fail=2), u1, u2, True)
+        got = in_lane_blocks(self.evaluate(sd, calls, fail=2), u1, u2)
         assert [np.size(v1) for v1, _ in calls[:2]] == [8, 8]
         assert len(calls) == 3
         assert calls[2][0] is u1 and calls[2][1] is u2
         for key, vals in whole.items():
             assert same_bits(got[key], vals), key
-
-    def test_other_data_are_evaluated_once_as_given(self, sd, monkeypatch):
-        u1, u2 = self.mesh(sd)
-        monkeypatch.setattr(frame, "SWEEP_LANES", 8)
-        calls = []
-        got = in_lane_blocks(self.evaluate(sd, calls), u1, u2, False)
-        assert len(calls) == 1
-        assert calls[0][0] is u1 and calls[0][1] is u2
-        assert got["A"].shape == (7, 5, 3, 3)
 
 
 class TestSweepCalls:
@@ -245,7 +266,6 @@ class TestSweepCalls:
     segment holds 1,921 abscissae x 41 lanes at the default step."""
 
     def test_calls_fit_the_budget_and_keep_the_bits(self, sd, monkeypatch):
-        assert sd.pointwise
         points, real = [], StructureData.aug_values
 
         def counted(self, u1, u2, axis):
@@ -257,8 +277,9 @@ class TestSweepCalls:
         cut = integrate_frame(sd, (3, 41))
         assert points and max(points) <= frame.SWEEP_LANES
         points.clear()
-        whole = integrate_frame(dataclasses.replace(sd, pointwise=False),
-                                (3, 41))
+        # a budget of one row segment samples each segment in one piece
+        monkeypatch.setattr(frame, "SWEEP_LANES", 1921 * 41)
+        whole = integrate_frame(sd, (3, 41))
         assert max(points) == 1921 * 41
         for name in ("W", "x", "discrepancy", "x_discrepancy", "min_det",
                      "compat", "symmetry", "row_identity"):
@@ -314,6 +335,13 @@ def peak_rss_mb(argv):
 def test_analyze_601_grid_in_bounded_memory():
     assert peak_rss_mb(["analyze", "--entry", "ex-5.8", "--grid",
                         "601x601"]) <= 130.0
+
+
+# A generator grid held as one frame bundle peaked at 218 MB at 601x601
+# (numpy 2.4, CPython 3.11); in lane blocks it peaks near 48 MB.
+def test_generator_601_grid_in_bounded_memory():
+    assert peak_rss_mb(["analyze", "--entry", "gen-nonparabolic", "--grid",
+                        "601x601"]) <= 100.0
 
 
 # Whole row segments (78,761 points a call) peaked at 71 MB in the

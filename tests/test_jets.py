@@ -514,3 +514,50 @@ class TestBatchedQuadrature:
         batch = max(1, LANES // upper.size)
         assert len(nodes_per_call) == sum(1 + math.ceil((n - 1) / batch)
                                           for n in (32, 64))
+
+
+def peak(widths):
+    """1 / ((t - 0.3)^2 + w) with w a u2 jet of order 1, one lane per
+    width: w = 1 converges when 16 nodes double to 32, w = 0.01 when 64
+    double to 128, w = 0.001 only past 128."""
+    w = Jet.variable(np.asarray(widths, dtype=float), 1, 1)
+
+    def integrand(t):
+        d = t - 0.3
+        return 1.0 / (d * d + w)
+    return integrand
+
+
+class TestPerLaneConvergence:
+    """integrate_jet decides convergence lane by lane."""
+
+    @staticmethod
+    def integral(widths, max_nodes=512):
+        return integrate_jet(peak(widths), 0.0, 1.0, order=1, nodes=16,
+                             max_nodes=max_nodes)
+
+    def test_early_lane_keeps_its_bits_alone(self):
+        mixed = self.integral([1.0, 0.01])
+        for lane, (width, nodes) in enumerate([(1.0, 32), (0.01, 128)]):
+            alone = self.integral([width])
+            rule = _quad_fixed(peak([width]), 0.0, 1.0, 1, nodes)
+            for got, a, r in zip(mixed.coeffs, alone.coeffs, rule.coeffs):
+                assert got[lane].tobytes() == a[0].tobytes() == r[0].tobytes()
+
+    def test_lanes_of_one_doubling_give_that_rule(self):
+        got = self.integral([0.01, 0.02])
+        assert_bitwise_equal(got, _quad_fixed(peak([0.01, 0.02]), 0.0, 1.0,
+                                              1, 128))
+
+    @pytest.mark.parametrize("widths", [[0.001], [1.0, 0.001], [0.001, 1.0]])
+    def test_a_lane_still_moving_raises(self, widths):
+        with pytest.raises(QuadratureNonConvergent,
+                           match="still moving after 128 nodes"):
+            self.integral(widths, max_nodes=128)
+
+    @pytest.mark.parametrize("factors", [[np.nan], [1.0, np.nan]])
+    def test_a_nan_lane_raises(self, factors):
+        u2 = Jet.variable(np.asarray(factors), 1, 1)
+        with pytest.raises(QuadratureNonConvergent,
+                           match="still moving after 512 nodes"):
+            integrate_jet(lambda t: t * u2, 0.0, 1.0, order=1)
