@@ -432,7 +432,8 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     The regular part goes through frame.evaluate_grid.  Its diagnostics
     (max |tau|, the volume match) are judged after the singular part, so
     an error they raise in a block is held until then, and the whole
-    regular set, as one bundle, decides it.
+    regular set, as one bundle, decides it, unless every such error is
+    InsufficientJetOrder, which then stands.
     """
     cfg = f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
@@ -477,7 +478,11 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
         try:
             if held:
                 shape_held, err = held[-1]
-                if shape_held == ur1.shape:     # the last bundle was whole
+                # the last bundle was whole, or every block lacked jet
+                # order, which the whole set lacks too: the only check
+                # before it, transversality, is pointwise
+                if shape_held == ur1.shape or all(
+                        isinstance(e, InsufficientJetOrder) for _, e in held):
                     raise err
                 br = frame_bundle(f, ur1, ur2, order)
                 values["parts"] = _tau_volume_parts(

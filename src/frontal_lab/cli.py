@@ -247,7 +247,7 @@ def cmd_blaschke(args):
         "command": "blaschke",
         "entry": f.name,
         "grid": list(shape),
-        "diagnostics": _clean(bf.diagnostics),
+        "diagnostics": bf.diagnostics,
         "verify": verify,
         "improper_sphere": {
             "verdict": bool(bf.diagnostics["improper_sphere"]),
@@ -271,18 +271,6 @@ def cmd_blaschke(args):
                      f" volume={report['diagnostics'].get('volume_residual')}"
                      f" improper={report['improper_sphere']['verdict']}\n")
     return EXIT_OK
-
-
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def cmd_reconstruct(args):

@@ -11,11 +11,12 @@ The jobs are dealt on demand, from one token pipe: before forking, the
 caller writes each job index into it, in order, as a TOKEN-byte token,
 and every worker, the caller included, claims its next job by reading
 one token.  A list with more tokens than the pipe holds is topped up as
-the caller claims.  A child sends each job it ran over a pipe of its
-own as raw bytes, tagged with the job's index: the index, the part
-count and each part's 8-byte length, then the parts; nothing is
-pickled.  Every pipe is widened to PIPE_BYTES where the platform allows
-(fcntl.F_SETPIPE_SZ), so a child runs well ahead of the caller.
+the caller claims.  A job returns one C-contiguous bytes-like result,
+and a child sends each one over a pipe of its own as raw bytes: the
+job's index and the result's length, 8 bytes each, then the result;
+nothing is pickled.  Every pipe is widened to PIPE_BYTES where the
+platform allows (fcntl.F_SETPIPE_SZ), so a child runs well ahead of the
+caller.
 
 fork_map yields every job's result in job order, whoever computed it.
 When the result it needs next is missing, the caller first takes
@@ -55,7 +56,7 @@ PARALLEL_WORK = 1 << 15
 # of a map is widened to.
 TOKEN = 4
 PIPE_BYTES = 1 << 20
-# The part count that marks a job a child hands back.
+# The length that marks a job a child hands back.
 HANDED_BACK = (1 << 64) - 1
 
 
@@ -99,15 +100,15 @@ def _run(fn, job):
     """fn(job), or None if it raises or warns."""
     with warnings.catch_warnings(record=True) as warned:
         try:
-            parts = fn(job)
+            result = fn(job)
         except Exception:
             return None
-    return None if warned else parts
+    return None if warned else result
 
 
 def _fork_worker(fn, jobs, tokens, inherited):
     """Fork a child that claims jobs from the token pipe `tokens` until
-    none is left and sends, for each, its index and the parts of
+    none is left and sends, for each, its index, length and bytes of
     fn(job) over a pipe of its own, or its index and HANDED_BACK if it
     raises or warns; return (pid, unbuffered read end).  The child
     first closes `inherited`, the descriptors of the map it does not
@@ -126,16 +127,13 @@ def _fork_worker(fn, jobs, tokens, inherited):
                 os.close(fd)
             with open(w, "wb") as pipe:
                 while (i := _claim(tokens)) is not None:
-                    parts = _run(fn, jobs[i])
-                    if parts is None:
+                    result = _run(fn, jobs[i])
+                    if result is None:
                         pipe.write(struct.pack("<2Q", i, HANDED_BACK))
                     else:
-                        parts = [memoryview(p).cast("B") for p in parts]
-                        pipe.write(struct.pack(
-                            f"<{2 + len(parts)}Q", i, len(parts),
-                            *(part.nbytes for part in parts)))
-                        for part in parts:
-                            pipe.write(part)
+                        result = memoryview(result).cast("B")
+                        pipe.write(struct.pack("<2Q", i, result.nbytes))
+                        pipe.write(result)
                     pipe.flush()
         finally:
             os._exit(0)
@@ -161,25 +159,17 @@ def _read_exactly(reader, n):
 
 
 def _receive(reader):
-    """(index, parts) of the next job a child sent on `reader`, parts
+    """(index, result) of the next job a child sent on `reader`, result
     None for a job it handed back; None if the pipe ends or is cut
     short."""
     head = _read_exactly(reader, 16)
     if head is None:
         return None
-    index, count = struct.unpack("<2Q", head)
-    if count == HANDED_BACK:
+    index, size = struct.unpack("<2Q", head)
+    if size == HANDED_BACK:
         return index, None
-    sizes = _read_exactly(reader, 8 * count)
-    if sizes is None:
-        return None
-    parts = []
-    for size in struct.unpack(f"<{count}Q", sizes):
-        part = _read_exactly(reader, size)
-        if part is None:
-            return None
-        parts.append(part)
-    return index, parts
+    result = _read_exactly(reader, size)
+    return None if result is None else (index, result)
 
 
 def _end(pid, reader):
@@ -193,13 +183,13 @@ def _end(pid, reader):
 
 
 def fork_map(fn, jobs, work):
-    """Yield fn(job), a sequence of bytes-like parts, for each job of the
-    sequence `jobs` in order: parts a child sent, or fn(job) run here.
+    """Yield fn(job), a C-contiguous bytes-like result such as a bytes
+    or a float array, for each job of the sequence `jobs` in order: the
+    bytes a child sent, or fn(job) run here.
 
-    Each part is C-contiguous, such as a bytes or a float array.  `work`
-    is how much the jobs hold in all; they fork from PARALLEL_WORK on.
-    Close the generator (contextlib.closing) so that an early exit reaps
-    at once; the module docstring gives the rules."""
+    `work` is how much the jobs hold in all; they fork from
+    PARALLEL_WORK on.  Close the generator (contextlib.closing) so that
+    an early exit reaps at once; the module docstring gives the rules."""
     n = len(jobs)
     k = 1
     if work >= PARALLEL_WORK and hasattr(os, "fork"):
@@ -216,7 +206,7 @@ def fork_map(fn, jobs, work):
                                  for i in range(n)))
     chunk = select.PIPE_BUF // TOKEN * TOKEN    # written whole, or not
     children = {}       # read end's descriptor -> (pid, read end)
-    done = {}           # job index -> parts, or None: run at its turn
+    done = {}           # job index -> result, or None: run at its turn
     poller = select.poll()
 
     def top_up():
@@ -273,8 +263,8 @@ def fork_map(fn, jobs, work):
                     done[i] = None                  # run at its turn
                 else:
                     collect(None)                   # no token is left
-            parts = done.pop(i)
-            yield fn(job) if parts is None else parts
+            result = done.pop(i)
+            yield fn(job) if result is None else result
     finally:
         for pid, reader in children.values():
             _end(pid, reader)

@@ -31,24 +31,25 @@ The two sweep orders march together: one RK4 loop carries both spines
 down from the basepoint's node) and a second one both families, each
 lane with its own step, wherever the sweeps share a node count and a
 substep count.  A sweep knows all of its abscissae before it takes a
-step, so each sweep still samples its own coefficients, as many whole
-lattice segments as fit in frame.SWEEP_LANES points with one call (at
-least one), on the open mesh (substep abscissae) x (lanes); a grid
+step, so a loop reads its segments in batches, as many whole lattice
+segments as fit in frame.SWEEP_LANES points on its widest sweep (at
+least one), and each sweep samples its own coefficients of a batch
+with one call, on the open mesh (substep abscissae) x (lanes); a grid
 entry contracts its u2 axis once per distinct u2 value of the call,
 then its u1 axis point by point.  A call is evaluated by
 frame.in_lane_blocks, so no evaluation holds more points than the
 budget.
 
 Every sampling call of a march is fixed by the lattice before its first
-step, so the march lists its calls in the order it reads them and runs
-them through forks.fork_map, whose rules decide where each call runs;
-its unit of work is a point sampled.  Forked children claim the calls
-as they get free, and the marching process samples a call only while
-the one it reads next is not yet back.  A call sends back its RK4
-matrices as raw float bytes, and every entry gives a point the same
-bits in any batch (the adaptive quadrature behind some of them decides
-convergence lane by lane), so the march is bit-identical wherever a
-call ran.
+step, so the march lists its calls in the order it reads them, batch by
+batch and sweep by sweep, and runs them through forks.fork_map, whose
+rules decide where each call runs; its unit of work is a point sampled.
+Forked children claim the calls as they get free, and the marching
+process samples a call only while the one it reads next is not yet
+back.  A call's one result is its RK4 matrices, sent back from a child
+as raw float bytes, and every entry gives a point the same bits in any
+batch (the adaptive quadrature behind some of them decides convergence
+lane by lane), so the march is bit-identical wherever a call ran.
 """
 
 from __future__ import annotations
@@ -583,24 +584,6 @@ class FrameField:
 MAX_SUBSTEPS = 1 << 14
 
 
-def _sweep_calls(fixed, ts, axis):
-    """The aug_values calls of one sweep along u_axis whose substep
-    abscissae are the rows of `ts`, with the other coordinate `fixed`
-    per lane: (first segment, call) per call, each call as many whole
-    segments as fit in the lane budget frame.SWEEP_LANES (at least one),
-    on the open mesh (abscissae) x (lanes)."""
-    per_call = max(1, frame_mod.SWEEP_LANES // (ts.shape[1] * fixed.size))
-    for first in range(0, len(ts), per_call):
-        mesh = (ts[first:first + per_call].reshape(-1, 1), fixed[None, :])
-        yield first, (*(mesh if axis == 0 else mesh[::-1]), axis)
-
-
-def _call_shape(call):
-    """The broadcast shape, (abscissae, lanes), of an aug_values call."""
-    u1, u2, _ = call
-    return np.broadcast_shapes(u1.shape, u2.shape)
-
-
 def _rk4_blocks(sd, call):
     """The (abscissae, lanes, 4, 4) RK4 matrices [[A_axis^T, Lambda
     row^T], [0, 0]] of one aug_values call, sampled in lane blocks
@@ -624,10 +607,13 @@ def _march(sd, sweeps, step):
 
     Sweeps with the same node count and substep count march their lanes
     together in one loop; each lane carries its own step, so the
-    operations on a lane are those of a sweep marched alone.  A loop's
-    aug_values calls, each sweep's own, are listed in the order it reads
-    them and run through forks.fork_map, with the points they sample as
-    its work."""
+    operations on a lane are those of a sweep marched alone.  The loop
+    reads its segments in batches of as many whole segments as fit in
+    frame.SWEEP_LANES points on its widest sweep (at least one), and
+    each sweep samples a batch with one aug_values call on the open mesh
+    (substep abscissae) x (lanes).  The calls, batch by batch and sweep
+    by sweep, the order the loop reads them, run through forks.fork_map,
+    with the points they sample as its work."""
     out = [state[None] for state, *_ in sweeps]
     groups = {}
     for i, (_, _, nodes, _) in enumerate(sweeps):
@@ -641,52 +627,45 @@ def _march(sd, sweeps, step):
             nsub = max(1, int(math.ceil(span / step)))
             groups.setdefault((nodes.size, nsub), []).append(i)
     for (n, nsub), members in groups.items():
-        hs, entries, counts = [], [], []
-        for slot, i in enumerate(members):
+        width = 2 * nsub + 1
+        sizes = [sweeps[i][1].size for i in members]
+        lanes = sum(sizes)
+        per = max(1, frame_mod.SWEEP_LANES // (width * max(sizes)))
+        hs, meshes = [], []
+        for i in members:
             state, fixed, nodes, axis = sweeps[i]
             h = (nodes[1] - nodes[0]) / nsub
             hs.append(np.full(state.shape[0], h))
             # (n - 1, 2 nsub + 1) abscissae of every segment's substeps,
             # by h/2
-            ts = nodes[:-1, None] + 0.5 * h * np.arange(2 * nsub + 1)
-            own = [(first, slot, call)
-                   for first, call in _sweep_calls(fixed, ts, axis)]
-            entries += own
-            counts.append(len(own))
-        # the loop reads segment by segment, each member in turn, so a
-        # member's call is read at the first segment it covers
-        calls = [call for *_, call in sorted(entries, key=lambda e: e[:2])]
-        points = sum(math.prod(_call_shape(call)) for call in calls)
-        Y = np.empty((n, sum(h.size for h in hs), 3, 4))
+            ts = nodes[:-1, None] + 0.5 * h * np.arange(width)
+            meshes.append((ts, fixed[None, :], axis))
+        calls = []
+        for first in range(0, n - 1, per):
+            for ts, fixed, axis in meshes:
+                mesh = (ts[first:first + per].reshape(-1, 1), fixed)
+                calls.append((*(mesh if axis == 0 else mesh[::-1]), axis))
+        Y = np.empty((n, lanes, 3, 4))
         y = Y[0] = np.concatenate([sweeps[i][0] for i in members])
         # each lane's step, its half and its sixth, over the state shape
         h = np.ascontiguousarray(np.broadcast_to(
             np.concatenate(hs)[:, None, None], y.shape))
         half, sixth = 0.5 * h, h / 6.0
         k1, k2, k3, k4, stage, term = (np.empty_like(y) for _ in range(6))
-        with contextlib.closing(fork_map(lambda call: [_rk4_blocks(sd, call)],
-                                         calls, points)) as sampled:
-            blocks = (np.frombuffer(rk4).reshape(_call_shape(call) + (4, 4))
-                      for call, (rk4,) in zip(calls, sampled))
-
-            def segments(m, count):
-                """A member's segments, the (2 nsub + 1, m, 4, 4) values of
-                its `count` calls, taken from `blocks` as it reads them."""
-                for _ in range(count):
-                    yield from next(blocks).reshape(-1, 2 * nsub + 1, m, 4, 4)
-
-            # one segment of every member side by side, filled member by
-            # member, the order `blocks` runs in; a lone member's segments
-            # are read where its calls left them
-            lanes = np.cumsum([0] + [sweeps[i][1].size for i in members])
-            side = (np.empty((2 * nsub + 1, lanes[-1], 4, 4))
-                    if len(members) > 1 else None)
-            reads = [segments(sweeps[i][1].size, count)
-                     for i, count in zip(members, counts)]
+        # a batch of every member side by side; a lone member's batch is
+        # read where its call left it
+        side = (np.empty((per, width, lanes, 4, 4))
+                if len(members) > 1 else None)
+        sampled = fork_map(lambda call: _rk4_blocks(sd, call), calls,
+                           (n - 1) * width * lanes)
+        with contextlib.closing(sampled):
             for seg in range(1, n):
-                parts = [next(member) for member in reads]
-                A = (parts[0] if side is None
-                     else np.concatenate(parts, axis=1, out=side))
+                if (seg - 1) % per == 0:
+                    parts = [np.frombuffer(next(sampled)).reshape(
+                        -1, width, m, 4, 4) for m in sizes]
+                    batch = (parts[0] if side is None else np.concatenate(
+                        parts, axis=2, out=side[:len(parts[0])]))
+                A = batch[(seg - 1) % per]
                 for i in range(nsub):
                     a0, a1, a2 = A[2 * i], A[2 * i + 1], A[2 * i + 2]
                     # k2 = (y + half k1) a1 and so on, into the stage
@@ -702,7 +681,8 @@ def _march(sd, sweeps, step):
                     np.add(stage, k4, out=stage)
                     np.add(y, np.multiply(sixth, stage, out=stage), out=y)
                 Y[seg] = y
-        for i, part in zip(members, np.split(Y, lanes[1:-1], axis=1)):
+        for i, part in zip(members, np.split(Y, np.cumsum(sizes)[:-1],
+                                             axis=1)):
             out[i] = part
     return out
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from frontal_lab import cli, forks, frame
+from frontal_lab import blaschke, cli, forks, frame
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.frame import evaluate_grid, frame_bundle, in_lane_blocks
@@ -114,15 +114,17 @@ def test_blocked_errors_are_the_whole_grids(command, spec, message, tmp_path,
     assert err.startswith(f"precondition failed: {message}")
 
 
-def bundle_sizes(monkeypatch):
-    """The point counts of the frame bundles frame builds from here on."""
+def bundle_sizes(monkeypatch, *also):
+    """The point counts of the frame bundles frame, and the modules
+    `also` that import frame_bundle, build from here on."""
     sizes, real = [], frame.frame_bundle
 
     def counted(f, u1, u2, *args):
         sizes.append(int(np.size(u1)))
         return real(f, u1, u2, *args)
 
-    monkeypatch.setattr(frame, "frame_bundle", counted)
+    for module in (frame, *also):
+        monkeypatch.setattr(module, "frame_bundle", counted)
     return sizes
 
 
@@ -161,6 +163,18 @@ def test_generator_grid_goes_in_lane_blocks(monkeypatch, capsys):
                      "101x101"]) == 0
     assert "wavefront=True" in capsys.readouterr().out
     assert sizes == [4096, 4096, 101 * 101 - 2 * 4096]
+    assert max(sizes) <= frame.SWEEP_LANES
+
+
+def test_shallow_field_diagnostics_build_no_whole_bundle(monkeypatch):
+    # gen-extendable-nc's affine normal carries order 0, so every block's
+    # tau raises InsufficientJetOrder; rebuilding the 6,480 regular points
+    # as one bundle would only raise it again
+    sizes = bundle_sizes(monkeypatch, blaschke)
+    bf = blaschke.blaschke_field(get_entry("gen-extendable-nc").build(),
+                                 (81, 81))
+    assert bf.diagnostics["note"].startswith("field jets too shallow")
+    assert bf.diagnostics["max_tau"] is None
     assert max(sizes) <= frame.SWEEP_LANES
 
 

@@ -1,4 +1,4 @@
-"""The contract of forks.fork_map: every job's parts in job order, from a
+"""The contract of forks.fork_map: every job's result in job order, from a
 child or from the caller, forking only from PARALLEL_WORK on, each job
 claimed once from the token pipe, every fault of a job or a child
 handed back to the caller at its turn, and no child left behind."""
@@ -43,13 +43,9 @@ def no_hang():
     signal.signal(signal.SIGALRM, previous)
 
 
-def parts(job):
-    """Three parts of different kinds, the second always empty."""
-    return [f"job {job}".encode(), b"", np.arange(job, dtype=float) / 3.0]
-
-
-def as_bytes(result):
-    return [bytes(p) for p in result]
+def floats(job):
+    """A float array of `job` values, empty for job 0."""
+    return np.arange(job, dtype=float) / 3.0
 
 
 def logged(fn, path):
@@ -108,14 +104,14 @@ def run(fn, cores, monkeypatch, jobs=JOBS):
     monkeypatch.setattr(os, "fork", fork)
     with contextlib.closing(fork_map(fn, jobs,
                                      forks.PARALLEL_WORK)) as results:
-        got = [as_bytes(result) for result in results]
+        got = [bytes(result) for result in results]
     return got, len(forked)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_parts_arrive_in_job_order(cores, monkeypatch):
-    got, forked = run(parts, cores, monkeypatch)
-    assert got == [as_bytes(parts(job)) for job in JOBS]
+    got, forked = run(floats, cores, monkeypatch)
+    assert got == [bytes(floats(job)) for job in JOBS]
     assert forked == cores - 1
 
 
@@ -123,8 +119,8 @@ def test_parts_arrive_in_job_order(cores, monkeypatch):
 def test_each_job_runs_once(cores, monkeypatch, tmp_path):
     jobs = list(range(200))
     log = tmp_path / "runs"
-    got, forked = run(logged(parts, log), cores, monkeypatch, jobs)
-    assert got == [as_bytes(parts(job)) for job in jobs]
+    got, forked = run(logged(floats, log), cores, monkeypatch, jobs)
+    assert got == [bytes(floats(job)) for job in jobs]
     assert sorted(job for _, job in runs(log)) == jobs
     assert len({pid for pid, _ in runs(log)}) <= 1 + forked
 
@@ -135,8 +131,8 @@ def test_work_below_the_threshold_never_forks(monkeypatch):
 
     monkeypatch.setattr(forks, "usable_cores", lambda: 3)
     monkeypatch.setattr(os, "fork", fork)
-    got = list(fork_map(parts, JOBS, forks.PARALLEL_WORK - 1))
-    assert [as_bytes(r) for r in got] == [as_bytes(parts(j)) for j in JOBS]
+    got = list(fork_map(floats, JOBS, forks.PARALLEL_WORK - 1))
+    assert [bytes(r) for r in got] == [bytes(floats(j)) for j in JOBS]
 
 
 def test_more_tokens_than_a_default_pipe_holds(monkeypatch, no_hang):
@@ -144,21 +140,22 @@ def test_more_tokens_than_a_default_pipe_holds(monkeypatch, no_hang):
     jobs = list(range(20_000))
     assert len(jobs) * forks.TOKEN > 1 << 16
     monkeypatch.setattr(forks, "_widen", lambda fd: None)
-    got, forked = run(lambda job: [job.to_bytes(4, "little")], 3,
+    got, forked = run(lambda job: job.to_bytes(4, "little"), 3,
                       monkeypatch, jobs)
-    assert got == [[job.to_bytes(4, "little")] for job in jobs]
+    assert got == [job.to_bytes(4, "little") for job in jobs]
     assert forked == 2
 
 
-def test_child_dying_between_two_parts_hands_the_job_back(monkeypatch,
-                                                          tmp_path, no_hang):
-    # a child sends job 3's index, lengths and first part, then is
-    # killed as it writes the second; the caller runs job 3 itself
-    last = b"the last part of job 3"
+def test_child_dying_inside_a_result_hands_the_job_back(monkeypatch,
+                                                        tmp_path, no_hang):
+    # a child sends job 3's index and length and half of its result,
+    # then is killed; the caller runs job 3 itself
+    whole = floats(3).tobytes()
 
     class DyingPipe(io.BufferedWriter):
         def write(self, data):
-            if bytes(data) == last:
+            if bytes(data) == whole:
+                super().write(whole[:len(whole) // 2])
                 self.flush()
                 (tmp_path / "died").touch()
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -169,16 +166,12 @@ def test_child_dying_between_two_parts_hands_the_job_back(monkeypatch,
             return DyingPipe(io.FileIO(fd, "w"))
         return builtins.open(fd, mode, **kwargs)
 
-    def two_parts(job):
-        return [f"job {job}".encode(),
-                f"the last part of job {job}".encode()]
-
     log = tmp_path / "runs"
     monkeypatch.setattr(forks, "open", opened, raising=False)
-    fn = held(logged(two_parts, log), 3, tmp_path / "began", monkeypatch)
+    fn = held(logged(floats, log), 3, tmp_path / "began", monkeypatch)
     got, _ = run(fn, 2, monkeypatch)
     assert (tmp_path / "died").exists()
-    assert got == [as_bytes(two_parts(job)) for job in JOBS]
+    assert got == [bytes(floats(job)) for job in JOBS]
     assert [pid for pid, job in runs(log) if job == 3][-1] == os.getpid()
 
 
@@ -193,7 +186,7 @@ def fault_at_its_turn(fault, where, monkeypatch, tmp_path):
             raise ValueError(f"a fault at job {job}")
         if job == target:
             warnings.warn(f"a warning at job {job}", RuntimeWarning)
-        return parts(job)
+        return floats(job)
 
     log = tmp_path / "runs"
     if where == "child":
@@ -211,17 +204,17 @@ def fault_at_its_turn(fault, where, monkeypatch, tmp_path):
         with raised, contextlib.closing(fork_map(
                 fn, JOBS, forks.PARALLEL_WORK)) as results:
             for result in results:
-                got.append(as_bytes(result))
+                got.append(bytes(result))
                 issued.append(len(caught))
     # the faulty job ran where it was meant to, then again in the caller,
     # last, at its turn
     caller = [pid == os.getpid() for pid, job in runs(log) if job == target]
     assert caller == ([False, True] if where == "child" else [True, True])
     if fault == "raises":
-        assert got == [as_bytes(parts(job)) for job in JOBS[:target]]
+        assert got == [bytes(floats(job)) for job in JOBS[:target]]
         assert not caught
     else:
-        assert got == [as_bytes(parts(job)) for job in JOBS]
+        assert got == [bytes(floats(job)) for job in JOBS]
         assert [str(w.message) for w in caught] == [
             f"a warning at job {target}"]
         assert issued == [0] * target + [1] * (len(JOBS) - target)
@@ -245,6 +238,6 @@ def test_a_fault_run_ahead_surfaces_at_its_turn(fault, monkeypatch, tmp_path,
 
 def test_early_close_reaps_every_child(monkeypatch):
     monkeypatch.setattr(forks, "usable_cores", lambda: 3)
-    with contextlib.closing(fork_map(parts, JOBS,
+    with contextlib.closing(fork_map(floats, JOBS,
                                      forks.PARALLEL_WORK)) as results:
-        assert as_bytes(next(results)) == as_bytes(parts(0))
+        assert bytes(next(results)) == bytes(floats(0))

@@ -853,6 +853,37 @@ class TestBatchedSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_group_reads_batches_of_its_widest_sweep(self, monkeypatch):
+        # two sweeps along u1 over 9 nodes, up with 3 lanes and down with
+        # 5, so one group: 8 segments of 17 abscissae (8 substeps of
+        # 1/32), and a budget of two segments of the 5-lane sweep (170
+        # points), which would hold three of the 3-lane sweep
+        sd = synthetic_sd(["u2", "u1*u2", "1/2", "-u1"], ["0"] * 4,
+                          h=["u1", "0", "0", "1 + u2"])
+        nodes = np.linspace(-1.0, 1.0, 9)
+        base = np.concatenate([np.eye(3), np.zeros((3, 1))], axis=1)
+        sweeps = [(base * (1.0 + 0.1 * np.arange(m))[:, None, None],
+                   np.linspace(-0.9, 0.8, m), t, 0)
+                  for m, t in ((3, nodes), (5, nodes[::-1]))]
+        calls, aug_values = [], StructureData.aug_values
+
+        def logged(self, u1, u2, axis):
+            calls.append((np.size(u2), float(np.ravel(u1)[0]), np.size(u1)))
+            return aug_values(self, u1, u2, axis)
+
+        monkeypatch.setattr(StructureData, "aug_values", logged)
+        monkeypatch.setattr(frame, "SWEEP_LANES", 2 * 17 * 5)
+        together = reconstruct._march(sd, sweeps, 1.0 / 32.0)
+        # batch by batch, then sweep by sweep, each batch the same two
+        # segments of both sweeps, each call within the budget
+        assert calls == [(m, t[first], 2 * 17) for first in (0, 2, 4, 6)
+                         for m, t in ((3, nodes), (5, nodes[::-1]))]
+        assert max(m * n for m, _, n in calls) <= frame.SWEEP_LANES
+        for sweep, got in zip(sweeps, together):
+            alone, = reconstruct._march(sd, [sweep], 1.0 / 32.0)
+            assert got.shape == (9, sweep[1].size, 3, 4)
+            assert got.tobytes() == alone.tobytes()
+
     # every gate is written so that a NaN fails it.  The residual gates
     # read the lattice nodes and the audits the sweeps between them: D2
     # NaN for u1 > 0 reaches the nodes; D1 NaN between the u1 nodes

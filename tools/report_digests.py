@@ -69,9 +69,9 @@ a 3x3 grid.  Then gen-extendable-nc with an h whose constant power
 overflows (an IEEE inf, so a failed quadrature, not an OverflowError),
 and a frontal file whose domain holds strings and a boolean (an input
 error).  Last, the 127x127 field export of ex-5.10: its 16,129 rows of
-8 values are past the size at which the table writer forks, and do not
-divide evenly between cores, so the parallel CSV path has a digest of
-its own besides the benchmark jobs.  Then `blaschke` on a cusp frontal
+8 values fill seven blocks of the table writer (2,048 rows each) and
+part of an eighth, so the blocked CSV path has a digest of its own
+besides the benchmark jobs.  Then `blaschke` on a cusp frontal
 file whose Gauss curvature has no limit at an edge point (a typed failure
 that names the point), and the 9x9 unit-normal reconstruction of
 gen-extendable-nc, whose sweeps sample through nested integrals, in
