@@ -314,18 +314,20 @@ NUDGE = 1e-7
 def nudged_points(f: Frontal, u1, u2):
     """Move points off the singular set along the gradient of det Lambda.
 
+    det Lambda is read on the broadcast of u1 and u2; when no point lies
+    within 10 eps_sing of the singular set, u1 and u2 come back as they
+    came, and otherwise as fresh arrays of the broadcast's points.
     SingularPoint when a point is left on the singular set: where the
     gradient (nearly) vanishes the shift cannot clear eps_sing.
     """
-    u1 = np.array(u1, dtype=float, copy=True)
-    u2 = np.array(u2, dtype=float, copy=True)
     lam_det = det2_jet(f.lam(u1, u2, 1))
-    lam = lam_det.value_on(u1.shape)
-    near = np.abs(lam) <= 10.0 * f.config.eps_sing
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
+    near = np.abs(lam_det.value_on(shape)) <= 10.0 * f.config.eps_sing
     if not np.any(near):
         return u1, u2
-    g1 = lam_det.deriv(0).value_on(u1.shape)[near]
-    g2 = lam_det.deriv(1).value_on(u1.shape)[near]
+    u1, u2 = (np.array(a, dtype=float) for a in np.broadcast_arrays(u1, u2))
+    g1 = lam_det.deriv(0).value_on(shape)[near]
+    g2 = lam_det.deriv(1).value_on(shape)[near]
     norm = np.hypot(g1, g2)
     p1, p2 = u1[near], u2[near]
     stuck = norm <= 1e-12

@@ -304,8 +304,8 @@ def cmd_reconstruct(args):
         "min_abs_det_frame": ff.min_det,
     }
     if f is not None:
-        U1, U2 = np.meshgrid(ff.u1_nodes, ff.u2_nodes, indexing="ij")
-        x_true = f.x(U1, U2, 0).values_on(U1.shape)
+        x_true = f.x(ff.u1_nodes[:, None], ff.u2_nodes[None, :],
+                     0).values_on(ff.x.shape[:-1])
         try:
             L, a, sup = affine_align(ff.x, x_true)
         except RankDeficient as err:

@@ -269,6 +269,8 @@ def _decomposition_residual(x_u, w1, w2, lam):
 class FrameBundle:
     """Jets of the first-layer quantities of a frontal at a (possibly
     array) point set, with the points, jet order and config they belong to.
+    The points are the broadcast of u1 and u2, which may be an open mesh
+    of a (k, 1) and a (1, m) axis; `shape` is the broadcast shape.
 
     The moving basis and the unit normal (with its rank guard) are
     evaluated at construction; every form built on them is evaluated on
@@ -281,7 +283,7 @@ class FrameBundle:
         self.u2 = u2
         self.order = order
         self.config = f.config
-        self.shape = np.shape(u1)
+        self.shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
         self.w1, self.w2 = f.omega(u1, u2, order)
         self.n = unit_normal(self.w1, self.w2, self.config.eps_rank)
 

@@ -19,7 +19,8 @@ broadcast of u1 and u2: a 2x2 jet matrix, or a jet for phi.  Entries are
 expression-backed (evaluated exactly through jets), grid-backed (the
 not-a-knot bicubic spline of `GridField`, in numpy), or extracted
 (closures over a frontal and a transversal field that solve the frame
-systems in jet arithmetic at any requested point).  The connection
+systems in jet arithmetic at any requested point, handing u1 and u2 to
+the frontal unmaterialised).  The connection
 blocks are defined per axis: `StructureData.blocks` returns the
 augmented 3x3 block A_j = [[D_j, h column j], [-S row j, 0]] of each
 axis asked for.  A sweep along u_j reads A_j alone; the
@@ -36,7 +37,9 @@ segments as fit in frame.SWEEP_LANES points on its widest sweep (at
 least one), and each sweep samples its own coefficients of a batch
 with one call, on the open mesh (substep abscissae) x (lanes); a grid
 entry contracts its u2 axis once per distinct u2 value of the call,
-then its u1 axis point by point.  A call is evaluated by
+then its u1 axis point by point, and an extracted entry evaluates the
+frontal on the mesh's two axes, each subexpression of one coordinate
+along that axis alone.  A call is evaluated by
 frame.in_lane_blocks, so no evaluation holds more points than the
 budget.
 
@@ -312,25 +315,28 @@ def solver3_jet(c1: JetVec3, c2: JetVec3, c3: JetVec3):
     return solve
 
 
-def _full_points(u1, u2):
-    """Contiguous float arrays of the broadcast of u1 and u2.  The frame
-    routes index points (the Blaschke nudge), and stride-0 views could
-    send numpy's transcendental loops down another path."""
-    return tuple(np.array(a, dtype=float) for a in np.broadcast_arrays(u1, u2))
+def _axes(u1, u2):
+    """u1 and u2 as the caller hands them, each a C-contiguous float
+    array: the frontal is evaluated on their broadcast, never on its
+    materialised points, and a stride-0 view could send numpy's
+    transcendental loops down another path."""
+    return tuple(np.asarray(a, dtype=float, order="C") for a in (u1, u2))
 
 
 def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
     """Sample-free structure data: every entry evaluates jets on demand.
 
-    A `regular_only` field (the affine normal) is evaluated at points
-    nudged transversally off the singular set when a sweep lands on it;
-    the structure symbols themselves extend smoothly, so a 1e-7 nudge
-    perturbs them by the same order.  The basepoint is the domain's
-    lower-left corner, inset by 2 %, shifted by an irrational multiple of
-    the domain width so integration lattices avoid exact singular hits.
-    Symbols of order k come from a frame bundle of order k + the orders
-    they lose; beyond jets.MAX_ORDER the request raises
-    InsufficientJetOrder.
+    An entry evaluates the frontal on u1 and u2 as the caller broadcasts
+    them (`_axes`), so an open mesh is never materialised.  A
+    `regular_only` field (the affine normal) is evaluated at points
+    nudged transversally off the singular set when a sweep lands on it
+    (only such a call materialises its points); the structure symbols
+    themselves extend smoothly, so a 1e-7 nudge perturbs them by the
+    same order.  The basepoint is the domain's lower-left corner, inset
+    by 2 %, shifted by an irrational multiple of the domain width so
+    integration lattices avoid exact singular hits.  Symbols of order k
+    come from a frame bundle of order k + the orders they lose; beyond
+    jets.MAX_ORDER the request raises InsufficientJetOrder.
     """
     a1, b1, a2, b2 = f.domain
     offset = (b1 - a1) * 1e-4 * math.sqrt(2.0)
@@ -366,7 +372,7 @@ def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
                 f"{loss} orders (the moving basis and the field carry "
                 f"order {carried} of {b0.order}, and the solve for their "
                 f"derivatives takes one more)")
-        return frame_and_xi(*_full_points(u1, u2), order + loss)
+        return frame_and_xi(*_axes(u1, u2), order + loss)
 
     def blocks(u1, u2, order, axes=(0, 1)):
         b, xj = bundle_for(u1, u2, order)
@@ -388,10 +394,10 @@ def extract_structure(f: Frontal, xi: TransversalField) -> StructureData:
         return xj.dot(b.n)
 
     def lam(u1, u2, order):
-        return f.lam(*_full_points(u1, u2), order)
+        return f.lam(*_axes(u1, u2), order)
 
     def i_omega(u1, u2, order):
-        return _gram(*f.omega(*_full_points(u1, u2), order))
+        return _gram(*f.omega(*_axes(u1, u2), order))
 
     W0 = np.stack([b0.w1.values_on((1,))[0], b0.w2.values_on((1,))[0],
                    xj0.values_on((1,))[0]], axis=-1)

@@ -218,19 +218,17 @@ def _grid_values(name, grid, want):
 
 
 def structure_to_grids(sd: StructureData, shape=(33, 33)):
-    """Sample every entry of a StructureData to plain grids."""
+    """Sample every entry of a StructureData to plain grids, each entry
+    evaluated once on the open mesh of the grid's two axes."""
     a1, b1, a2, b2 = sd.domain
-    u1, u2 = np.meshgrid(np.linspace(a1, b1, shape[0]),
-                         np.linspace(a2, b2, shape[1]), indexing="ij")
-    flat1, flat2 = u1.ravel(), u2.ravel()
-    d1, d2, h, s = split_blocks(*sd.blocks(flat1, flat2, 0))
-    matrices = {"Lambda": sd.lam(flat1, flat2, 0),
-                "I_Omega": sd.i_omega(flat1, flat2, 0),
+    u1 = np.linspace(a1, b1, shape[0])[:, None]
+    u2 = np.linspace(a2, b2, shape[1])[None, :]
+    d1, d2, h, s = split_blocks(*sd.blocks(u1, u2, 0))
+    matrices = {"Lambda": sd.lam(u1, u2, 0), "I_Omega": sd.i_omega(u1, u2, 0),
                 "h": h, "D1": d1, "D2": d2, "S": s}
-    out = {name: np.stack([c.value_on(flat1.shape).reshape(shape)
-                           for row in m for c in row])
+    out = {name: np.stack([c.value_on(shape) for row in m for c in row])
            for name, m in matrices.items()}
-    out["phi"] = sd.phi(flat1, flat2, 0).value_on(flat1.shape).reshape(shape)
+    out["phi"] = sd.phi(u1, u2, 0).value_on(shape)
     return out
 
 

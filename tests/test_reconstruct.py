@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 from conftest import OPEN_MESH, UNGATED, random_unimodular, regular_points
 from frontal_lab import forks, frame, reconstruct
-from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field
+from frontal_lab.blaschke import AFFINE_NORMAL, blaschke_field, nudged_points
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
 from frontal_lab.errors import (CompatibilityViolated, ConditionFailed,
@@ -29,7 +29,8 @@ from frontal_lab.reconstruct import (GridField, StructureData, affine_align,
                                      expr_entry, extend_D, extract_structure,
                                      integrability_residual, integrate_frame,
                                      solver3_jet, stack_blocks)
-from frontal_lab.structio import read_structure_file, write_structure_file
+from frontal_lab.structio import (read_frontal_file, read_structure_file,
+                                  write_structure_file)
 
 VERTICAL = TransversalField.constant((0.0, 0.0, 1.0))
 
@@ -361,20 +362,34 @@ def _full(u1, u2):
     return tuple(np.array(a) for a in np.broadcast_arrays(u1, u2))
 
 
-def _coeff_arrays(jets, shape):
-    """Every coefficient of a jet or 2x2 jet matrix, broadcast to shape."""
-    rows = jets if isinstance(jets, list) else [[jets]]
-    return [np.broadcast_to(c, shape) for row in rows for jet in row
-            for c in jet.coeffs]
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
-def _assert_equal_on_mesh(entry, mesh, order):
+def _value_bits(out, shape):
+    """The bits of every value array in what an entry returns: each
+    coefficient of a jet, alone or in nested lists and tuples, broadcast
+    to shape, and each plain value array as it is."""
+    if isinstance(out, (list, tuple)):
+        return [b for part in out for b in _value_bits(part, shape)]
+    if isinstance(out, Jet):
+        return [_bits(np.broadcast_to(c, shape)) for c in out.coeffs]
+    return [_bits(out)]
+
+
+def _assert_bit_equal_on_mesh(call, mesh):
+    """call(u1, u2) on an open mesh gives each point the bits the same
+    call gives on the mesh's points materialised."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in mesh))
-    got = _coeff_arrays(entry(*mesh, order), shape)
-    want = _coeff_arrays(entry(*_full(*mesh), order), shape)
+    got = _value_bits(call(*mesh), shape)
+    want = _value_bits(call(*_full(*mesh)), shape)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _assert_equal_on_mesh(entry, mesh, order):
+    _assert_bit_equal_on_mesh(lambda u1, u2: entry(u1, u2, order), mesh)
 
 
 ABSCISSAE = {
@@ -390,6 +405,84 @@ def _mesh(ts, lanes, transposed):
     along u2 when transposed."""
     mesh = (ts[:, None], lanes[None, :])
     return mesh[::-1] if transposed else mesh
+
+
+# extracted structure data evaluate the frontal on the open mesh a call
+# hands them: id -> (source, field, mesh size (abscissae, lanes)).  The
+# frontal file applies sin, exp and sqrt each to one coordinate, so
+# they run on one axis of a mesh and on every point of its broadcast.
+EXTRACTED = {
+    "ex-5.9-blaschke": ("ex-5.9", "blaschke", (7, 4)),
+    "ex-5.9-normal": ("ex-5.9", "normal", (7, 4)),
+    "ex-5.10-vertical": ("ex-5.10", "vertical", (7, 4)),
+    "paraboloid-normal": ("paraboloid", "normal", (7, 4)),
+    "gen-rank1-wavefront-normal": ("gen-rank1-wavefront", "normal", (5, 3)),
+    "gen-nonparabolic-normal": ("gen-nonparabolic", "normal", (5, 3)),
+    "gen-extendable-nc-normal": ("gen-extendable-nc", "normal", (3, 2)),
+    "file-normal": ("file", "normal", (7, 4)),
+}
+TRANSCENDENTAL_FRONTAL = {
+    "name": "one-coordinate-transcendentals",
+    "domain": [-1.0, 1.0, -1.0, 1.0],
+    "x": ["u1", "u2", "sin(u1) + exp(u2) + sqrt(2 + u1)"],
+    "omega": [["1", "0", "cos(u1) + 1/(2*sqrt(2 + u1))"],
+              ["0", "1", "exp(u2)"]],
+}
+FIELDS = {"blaschke": AFFINE_NORMAL, "normal": TransversalField.unit_normal(),
+          "vertical": VERTICAL}
+
+
+@pytest.fixture(scope="module")
+def extracted(tmp_path_factory):
+    """id -> (structure data extracted from the source, mesh size)."""
+    built = {}
+
+    def get(key):
+        if key not in built:
+            source, field, size = EXTRACTED[key]
+            if source == "file":
+                path = tmp_path_factory.mktemp("frontal") / "f.json"
+                path.write_text(json.dumps(TRANSCENDENTAL_FRONTAL))
+                f = read_frontal_file(path)
+            else:
+                f = get_entry(source).build()
+            built[key] = extract_structure(f, FIELDS[field]), size
+        return built[key]
+    return get
+
+
+def _domain_mesh(sd, size, transposed):
+    """An open mesh inside sd.domain: size[0] abscissae, from edge to
+    edge, along u1 (along u2 when transposed) by size[1] lanes."""
+    lo1, hi1, lo2, hi2 = sd.domain
+    ts = np.linspace(0.0, 1.0, size[0])
+    lanes = (np.arange(size[1]) + 0.37) / size[1]
+    if transposed:
+        return ((lo1 + (hi1 - lo1) * lanes)[None, :],
+                (lo2 + (hi2 - lo2) * ts)[:, None])
+    return ((lo1 + (hi1 - lo1) * ts)[:, None],
+            (lo2 + (hi2 - lo2) * lanes)[None, :])
+
+
+def _moved(nudged, points):
+    """True when the points nudged_points returned are not all the
+    points of the broadcast it was handed."""
+    return not all(np.array_equal(v, np.broadcast_to(u, np.shape(v)))
+                   for v, u in zip(nudged, points))
+
+
+def _assert_extracted_bit_equal_on_mesh(sd, mesh):
+    """What a march reads along each axis, the blocks at orders 0 and 1,
+    and phi, Lambda and I_Omega at order 1, on the open mesh and on its
+    points materialised."""
+    for axis in (0, 1):
+        _assert_bit_equal_on_mesh(
+            lambda u1, u2: sd.aug_values(u1, u2, axis), mesh)
+    for order in (0, 1):
+        _assert_bit_equal_on_mesh(
+            lambda u1, u2: sd.blocks(u1, u2, order), mesh)
+    for entry in (sd.phi, sd.lam, sd.i_omega):
+        _assert_equal_on_mesh(entry, mesh, 1)
 
 
 class TestOpenMesh:
@@ -413,6 +506,75 @@ class TestOpenMesh:
         lanes = np.array([-0.7, 0.1, 0.6])
         for ts in ABSCISSAE.values():
             _assert_equal_on_mesh(entry, _mesh(ts, lanes, transposed), order)
+
+    @pytest.mark.parametrize("transposed", [False, True],
+                             ids=["along-u1", "along-u2"])
+    @pytest.mark.parametrize("key", EXTRACTED)
+    def test_extracted_entries_match_pointwise(self, key, transposed,
+                                               extracted):
+        sd, size = extracted(key)
+        _assert_extracted_bit_equal_on_mesh(
+            sd, _domain_mesh(sd, size, transposed))
+
+    def test_a_lane_on_the_singular_line_is_nudged_as_pointwise(
+            self, ex59, monkeypatch):
+        # the affine normal of ex-5.9 is evaluated off its singular line
+        # u2 = 0: a call with a lane on the line materialises its points
+        # and nudges them, as the call on the points does
+        sd = extract_structure(ex59, AFFINE_NORMAL)
+        lo1, hi1 = sd.domain[:2]
+        mesh = (np.linspace(lo1, hi1, 7)[:, None],
+                np.array([[-0.55, 0.0, 0.4]]))
+        moved = []
+
+        def nudged(f, u1, u2):
+            out = nudged_points(f, u1, u2)
+            moved.append(_moved(out, (u1, u2)))
+            return out
+
+        monkeypatch.setattr(reconstruct, "nudged_points", nudged)
+        _assert_extracted_bit_equal_on_mesh(sd, mesh)
+        assert moved and all(moved)
+        block, _ = sd.aug_values(*mesh, 1)
+        assert np.all(np.isfinite(block))
+
+    def test_a_march_hands_the_frontal_its_open_meshes(self, ex59,
+                                                       monkeypatch):
+        # every sampling call of a march that nudges no point evaluates
+        # Omega on the call's compact axes, (k, 1) with (1, m) or the
+        # reverse, never on the k * m points of their broadcast
+        calls, moved, sampling = [], [], [False]
+        omega, aug_values = ex59.omega, StructureData.aug_values
+
+        def sampled(self, u1, u2, axis):
+            moved.clear()
+            sampling[0] = True
+            try:
+                return aug_values(self, u1, u2, axis)
+            finally:
+                sampling[0] = False
+
+        def nudged(f, u1, u2):
+            out = nudged_points(f, u1, u2)
+            moved.append(_moved(out, (u1, u2)))
+            return out
+
+        def recorded(u1, u2, order):
+            if sampling[0] and not any(moved):
+                calls.append((np.shape(u1), np.shape(u2)))
+            return omega(u1, u2, order)
+
+        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
+        monkeypatch.setattr(StructureData, "aug_values", sampled)
+        monkeypatch.setattr(reconstruct, "nudged_points", nudged)
+        monkeypatch.setattr(ex59, "omega", recorded)
+        integrate_frame(extract_structure(ex59, AFFINE_NORMAL), (9, 9),
+                        step=1e-2, config=UNGATED)
+        assert calls
+        for s1, s2 in calls:
+            assert len(s1) == len(s2) == 2
+            assert (s1[1], s2[0]) == (1, 1) or (s1[0], s2[1]) == (1, 1), \
+                (s1, s2)
 
     def test_grid_entry_order_3_names_the_spline_limit(self):
         entry = GridField((-1.0, 1.0, -1.0, 1.0), np.zeros((5, 5)))
@@ -615,10 +777,6 @@ def _nan_where(mask):
     return entry
 
 
-def _bits(values):
-    return np.ascontiguousarray(values, dtype=float).view(np.int64)
-
-
 def _both_blocks(d1, d2, h, s):
     """Both augmented blocks from one evaluation of (D1, D2, h, S), each
     with the corner h[0][0] * 0.0: the blocks as assembled before a sweep
@@ -669,9 +827,7 @@ class TestPerAxisBlocks:
         f = get_entry(name).build()
         if field == "blaschke":
             blaschke_field(f, (9, 9))
-        xi = {"blaschke": AFFINE_NORMAL,
-              "normal": TransversalField.unit_normal(),
-              "vertical": VERTICAL}[field]
+        xi = FIELDS[field]
         sd = extract_structure(f, xi)
         bundles = []
 

@@ -1,7 +1,7 @@
 """The writer behind the OBJ and CSV exports: its float text is repr's,
 value for value, every export holds the bytes of an independent
-row-by-row reference whatever its blocks and cores, and the writer runs
-in the calling process."""
+row-by-row reference whatever its blocks, and the writer runs in the
+calling process."""
 
 import os
 import tracemalloc
@@ -27,13 +27,11 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def cores(monkeypatch, k, block=2):
+def blocks(monkeypatch, block=2):
     """Split every export into blocks of `block` rows of the 8-column
-    field CSV (8 * block values), on k usable cores, with forks.fork_map
-    forking from the first unit of work."""
-    monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
+    field CSV (8 * block values), which the writer formats one after the
+    other."""
     monkeypatch.setattr(structio, "BLOCK_VALUES", 8 * block)
-    monkeypatch.setattr(forks, "usable_cores", lambda: k)
 
 
 def csv_reference(header, columns):
@@ -79,20 +77,17 @@ def field_reference(u1, u2, x, xi):
                                         *np.moveaxis(xi, -1, 0)])
 
 
-# id -> (n1, n2, cores, rows per block); one grid axis is trivially
-# constant on 1xN and Nx1 grids, and both are on 1x1
-CASES = {"7-rows-3-cores": (7, 1, 3, 2), "10-rows-2-cores": (5, 2, 2, 2),
-         "2-rows-3-cores": (2, 1, 3, 1), "1x1-1-core": (1, 1, 1, 2),
-         "1x1-3-cores": (1, 1, 3, 1), "1x6-2-cores": (1, 6, 2, 2),
-         "1x6-3-cores": (1, 6, 3, 4), "6x1-3-cores": (6, 1, 3, 2),
-         "20-rows-1-core": (4, 5, 1, 2), "20-rows-3-cores": (4, 5, 3, 3)}
+# (n1, n2, rows per block); one grid axis is trivially constant on 1xN
+# and Nx1 grids, and both are on 1x1
+CASES = [(7, 1, 2), (5, 2, 2), (2, 1, 1), (1, 1, 2), (1, 1, 1), (1, 6, 2),
+         (1, 6, 4), (6, 1, 2), (4, 5, 2), (4, 5, 3)]
 
 
-@pytest.mark.parametrize("n1, n2, k, block", CASES.values(), ids=CASES)
-def test_parallel_csv_is_the_serial_csv(n1, n2, k, block, monkeypatch,
-                                        tmp_path):
+@pytest.mark.parametrize("n1, n2, block", CASES,
+                         ids=[f"{n1}x{n2}-blocks-of-{b}" for n1, n2, b in CASES])
+def test_field_csv_is_the_reference(n1, n2, block, monkeypatch, tmp_path):
     grids = field_grids(n1, n2)
-    cores(monkeypatch, k, block)
+    blocks(monkeypatch, block)
     export_field_csv(tmp_path / "f.csv", *grids, obj_path=tmp_path / "s.obj")
     export_field_csv(tmp_path / "alone.csv", *grids)
     want = field_reference(*grids)
@@ -107,32 +102,32 @@ def test_reference_holds_every_special_text():
         assert text in want
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_parallel_obj_is_the_serial_obj(k, monkeypatch, tmp_path):
+@pytest.mark.parametrize("block", [2, 3])
+def test_parallel_obj_is_the_serial_obj(block, monkeypatch, tmp_path):
     x = field_grids(4, 3)[2]
     want = obj_reference(x)
     assert want.count(b"\nf ") == 3 * 2
-    cores(monkeypatch, k)
+    blocks(monkeypatch, block)
     export_obj(tmp_path / "s.obj", x)
     assert (tmp_path / "s.obj").read_bytes() == want
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_frame_csv_is_the_reference(k, monkeypatch, tmp_path):
+@pytest.mark.parametrize("block", [1, 2])
+def test_frame_csv_is_the_reference(block, monkeypatch, tmp_path):
     u1, u2, x, xi = field_grids(5, 4)
     data = {"b": x[..., 0], "a": xi[..., 2], "c": x[..., 2],
             "d": np.resize(SPECIAL, (5, 4)), "e": np.full((5, 4), np.nan)}
-    cores(monkeypatch, k, block=3)
+    blocks(monkeypatch, block)
     export_frame_csv(tmp_path / "frame.csv", u1, u2, data)
     assert (tmp_path / "frame.csv").read_bytes() == csv_reference(
         ["u1", "u2", "a", "b", "c", "d", "e"],
         [u1, u2, *(data[c] for c in "abcde")])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_blaschke_pair_is_the_reference(k, monkeypatch, tmp_path):
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_blaschke_pair_is_the_reference(block, monkeypatch, tmp_path):
     shape = (9, 7)
-    cores(monkeypatch, k, block=10)
+    blocks(monkeypatch, block)
     assert cli.main(["blaschke", "--entry", "ex-5.10", "--grid", "9x7",
                      "--out", str(tmp_path)]) == 0
     f = catalog.get_entry("ex-5.10", {}).build()
@@ -202,7 +197,7 @@ def test_a_formatting_fault_raises_from_the_writer(monkeypatch, tmp_path):
         return real(values)
 
     grids = field_grids(7, 1)
-    cores(monkeypatch, 3)
+    blocks(monkeypatch)
     monkeypatch.setattr(structio, "_format", fault)
     with pytest.raises(RuntimeError, match="a fault in the second call"):
         export_field_csv(tmp_path / "f.csv", *grids,
