@@ -29,7 +29,7 @@ from .errors import (UNUSABLE_SAMPLE, DivisionByZeroValue, DomainError,
                      NotExtendable, NotTransversal, SingularIIOmega,
                      SingularPoint)
 from .frame import (FrameBundle, Frontal, _gram, evaluate_grid,
-                    frame_bundle, rank2_mask)
+                    frame_bundle, lam_det_values, rank2_mask)
 from .jets import Jet, JetVec3, det2_jet, inv2_jet
 from . import expr as expr_mod
 
@@ -199,10 +199,6 @@ def extended_values(fn, lam_det_fn, u1, u2, domain, what,
     return values, results
 
 
-def _lam_det_values(f: Frontal, u1, u2):
-    return det2_jet(f.lam(u1, u2, 0)).value_on(np.shape(u1))
-
-
 def _field_order(f: Frontal, xi_order):
     """Frame-bundle order at which the affine normal carries `xi_order`
     orders.  Its tangential part solves the second form (built on n_u)
@@ -239,9 +235,10 @@ def extended_gauss(f: Frontal, u1, u2):
     certificate fails.
     """
     if f.gauss is not None:
-        return f.gauss(u1, u2, 0).value_on(np.shape(u1))
+        return f.gauss(u1, u2, 0).value_on(
+            np.broadcast_shapes(np.shape(u1), np.shape(u2)))
     return extended_values(_gauss_ratio_fn(f),
-                           functools.partial(_lam_det_values, f), u1, u2,
+                           functools.partial(lam_det_values, f.lam), u1, u2,
                            f.domain, "extended Gauss curvature",
                            f.config)[0][0]
 
@@ -334,7 +331,7 @@ def nudged_points(f: Frontal, u1, u2):
     if not np.any(stuck):
         u1[near] = p1 + NUDGE * g1 / norm
         u2[near] = p2 + NUDGE * g2 / norm
-        stuck = (np.abs(_lam_det_values(f, u1[near], u2[near]))
+        stuck = (np.abs(lam_det_values(f.lam, u1[near], u2[near]))
                  <= f.config.eps_sing)
     if np.any(stuck):
         k = int(np.flatnonzero(stuck)[0])
@@ -378,45 +375,52 @@ def _tangent_value_fn(f: Frontal):
 def _singular_field(f: Frontal, targets):
     """Affine normal at singular points.
 
-    The tangential coefficients (a, b) are probed limits, phi is
-    |K|^(1/4) of the extended curvature, and the frame is evaluated at
-    the points themselves.  Returns (xi (n, 3), probe results); a failed
-    certificate raises.
+    phi is |K|^(1/4) of the extended curvature, the tangential
+    coefficients (a, b) are the limits `extended_values` certifies, and
+    the frame is evaluated at the points themselves, in that order: K's
+    certificate and its KVanishes gate are judged before those of (a, b).
+    Returns (xi (n, 3), the probe results of (a, b)); a failed
+    certificate raises NotExtendable/Indeterminate naming its quantity.
     """
-    results = probe_limits(
-        regular_part(_tangent_value_fn(f),
-                     functools.partial(_lam_det_values, f), f.config),
-        targets, f.domain, f.config)
-    K_vals = extended_gauss(f, targets[:, 0], targets[:, 1])
+    u1, u2 = targets[:, 0], targets[:, 1]
+    K_vals = extended_gauss(f, u1, u2)
     if np.any(np.abs(K_vals) <= f.config.eps_k):
         raise KVanishes("extended curvature vanishes on the singular set")
+    ab, results = extended_values(
+        _tangent_value_fn(f), functools.partial(lam_det_values, f.lam), u1,
+        u2, f.domain, "affine-normal tangential part", f.config)
     n_sing = targets.shape[0]
-    bq = frame_bundle(f, targets[:, 0], targets[:, 1], f.bundle_order(0))
+    bq = frame_bundle(f, u1, u2, f.bundle_order(0))
     n_at = bq.n.values_on((n_sing,))
     w1_at = bq.w1.values_on((n_sing,))
     w2_at = bq.w2.values_on((n_sing,))
     xis = np.empty((n_sing, 3))
-    for k, res in enumerate(results):
-        ab = res.require("affine-normal tangential part")
+    for k in range(n_sing):
         phi = abs(K_vals[k]) ** 0.25
-        xis[k] = n_at[k] * phi + w1_at[k] * ab[0] + w2_at[k] * ab[1]
+        xis[k] = n_at[k] * phi + w1_at[k] * ab[0, k] + w2_at[k] * ab[1, k]
     return xis, results
 
 
-def _tau_volume_parts(bundle, xi):
-    """(..., 3) per point of the frame bundle `bundle`, where the affine
-    normal has jets `xi`: max |tau_i| of its induced structure, theta^2
+def _read_regular(b: FrameBundle):
+    """The affine normal at the points of the frame bundle `b`: its
+    values "xi" and, only when its jets carry a first order, "parts",
+    (..., 3) per point: max |tau_i| of its induced structure, theta^2
     and |det h|, what `_tau_volume` reduces."""
-    s = structure_from_field(bundle.f, AFFINE_NORMAL, bundle.u1, bundle.u2,
-                             bundle=bundle, xi_jets=xi)
-    det_h = s.h[..., 0, 0] * s.h[..., 1, 1] - s.h[..., 0, 1] * s.h[..., 1, 0]
-    return np.stack([np.max(np.abs(s.tau), axis=-1), s.theta ** 2,
-                     np.abs(det_h)], axis=-1)
+    xi = _regular_field(b)[-1]
+    out = {"xi": xi.values_on(b.shape)}
+    if xi.order >= 1:
+        s = structure_from_field(b.f, AFFINE_NORMAL, b.u1, b.u2, bundle=b,
+                                 xi_jets=xi)
+        det_h = (s.h[..., 0, 0] * s.h[..., 1, 1]
+                 - s.h[..., 0, 1] * s.h[..., 1, 0])
+        out["parts"] = np.stack([np.max(np.abs(s.tau), axis=-1),
+                                 s.theta ** 2, np.abs(det_h)], axis=-1)
+    return out
 
 
 def _tau_volume(parts, lam):
     """(max |tau|, max volume-match residual) of the affine normal's
-    induced structure from its `_tau_volume_parts`, at points where
+    induced structure from its parts (`_read_regular`), at points where
     det Lambda takes the values `lam`."""
     vol_ratio = np.sqrt(parts[..., 1] * np.abs(lam) / parts[..., 2])
     return (float(np.max(parts[..., 0])),
@@ -431,33 +435,23 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
     fails (the field then does not exist in the sense of the existence
     characterization), SingularIIOmega on inconsistent regular data.
 
-    The regular part goes through frame.evaluate_grid.  Its diagnostics
-    (max |tau|, the volume match) are judged after the singular part, so
-    an error they raise in a block is held until then, and the whole
-    regular set, as one bundle, decides it, unless every such error is
-    InsufficientJetOrder, which then stands.
+    The regular part, its values and diagnostics (max |tau|, the volume
+    match) alike, is read by `_read_regular` through frame.evaluate_grid,
+    whose rule decides its errors, before the singular part
+    (`_singular_field`) is built.  Quadrature-backed surfaces carry one
+    jet order less than closed-form ones; where the field's jets cannot
+    support the derivative diagnostics, they are None and the values
+    (and their probe certificates) stand alone.
     """
     cfg = f.config
     u1, u2 = grid if grid is not None else f.grid(shape)
-    lam = _lam_det_values(f, u1, u2)
+    lam = lam_det_values(f.lam, u1, u2)
     regular = np.abs(lam) > cfg.eps_sing
     xi_g = np.empty(u1.shape + (3,))
-    # tau and the volume match read first derivatives of xi
-    order = _field_order(f, 1)
-    held = []               # (block shape, error) of the diagnostics
-
-    def read(b):
-        xi = _regular_field(b)[-1]
-        try:
-            parts = _tau_volume_parts(b, xi)
-        except Exception as err:
-            held.append((b.shape, err))
-            parts = np.full(b.shape + (3,), np.nan)
-        return {"xi": xi.values_on(b.shape), "parts": parts}
-
     if np.any(regular):
-        ur1, ur2 = u1[regular], u2[regular]
-        values = evaluate_grid(f, ur1, ur2, order, read)
+        # tau and the volume match read first derivatives of xi
+        values = evaluate_grid(f, u1[regular], u2[regular],
+                               _field_order(f, 1), _read_regular)
         xi_g[regular] = values["xi"]
 
     probe_report = []
@@ -471,27 +465,12 @@ def blaschke_field(f: Frontal, shape=(101, 101), grid=None) -> BlaschkeField:
                          "tolerance": cfg.tol_limit}
                         for t, res in zip(targets, results)]
 
-    # diagnostics on the regular part: equiaffinity and volume match.
-    # Quadrature-backed surfaces carry one jet order less than closed-form
-    # ones; when the field's jets cannot support the derivative checks the
-    # values (and their probe certificates) stand alone.
     diag = {"n_singular": n_sing, "probes": probe_report}
     if np.any(regular):
-        try:
-            if held:
-                shape_held, err = held[-1]
-                # the last bundle was whole, or every block lacked jet
-                # order, which the whole set lacks too: the only check
-                # before it, transversality, is pointwise
-                if shape_held == ur1.shape or all(
-                        isinstance(e, InsufficientJetOrder) for _, e in held):
-                    raise err
-                br = frame_bundle(f, ur1, ur2, order)
-                values["parts"] = _tau_volume_parts(
-                    br, _regular_field(br)[-1])
+        if "parts" in values:
             diag["max_tau"], diag["volume_residual"] = _tau_volume(
                 values["parts"], lam[regular])
-        except InsufficientJetOrder:
+        else:
             diag["max_tau"] = None
             diag["volume_residual"] = None
             diag["note"] = ("field jets too shallow for derivative "
@@ -510,25 +489,27 @@ def blaschke_verify(bf: BlaschkeField, shape=(41, 41)):
     (i) equiaffinity: max |tau| of the induced structure;
     (ii) volume match: theta(w1,w2)^2 |lambda| must equal |det h|, i.e.
     the induced volume agrees with the volume of the relative form.
-    Returns a report dict; SingularPoint when no grid point is regular.
+    The regular points are read by `_read_regular` through
+    frame.evaluate_grid.  Returns a report dict; SingularPoint when no
+    grid point is regular, InsufficientJetOrder when the field's jets
+    carry no first order.
     """
     f = bf.frontal
     u1, u2 = f.interior_grid(shape, margin=0.005)
-    lam = _lam_det_values(f, u1, u2)
+    lam = lam_det_values(f.lam, u1, u2)
     regular = np.abs(lam) > f.config.eps_sing
     if not np.any(regular):
         raise SingularPoint(
             "det Lambda vanishes at every verification point; the frontal "
             "violates the hypothesis that the regular set is dense")
-    b = frame_bundle(f, u1[regular], u2[regular], _field_order(f, 1))
-    xi = AFFINE_NORMAL.jets(b)
-    if xi.order < 1:
+    order = _field_order(f, 1)
+    values = evaluate_grid(f, u1[regular], u2[regular], order, _read_regular)
+    if "parts" not in values:
         raise InsufficientJetOrder(
             f"tau needs order-1 affine-normal jets, but on {f.name} the field "
-            f"carries order {xi.order} from order-{b.order} frame jets"
+            f"carries order 0 from order-{order} frame jets"
             + ("" if f.gauss else " (no closed-form Gauss curvature)"))
-    max_tau, volume_residual = _tau_volume(_tau_volume_parts(b, xi),
-                                           lam[regular])
+    max_tau, volume_residual = _tau_volume(values["parts"], lam[regular])
     return {
         "max_tau": max_tau,
         "tau_tolerance": 1e-6,
@@ -567,8 +548,9 @@ def membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which):
         skew = (E.deriv(1) - F.deriv(0)) if which == 1 else \
                (F.deriv(1) - G.deriv(0))
         big_g = row_I_row(row1_d, row2) - row_I_row(row1, row2_d) + skew
-        return (big_g.value_on(np.shape(u1))
-                / det2_jet(lam).value_on(np.shape(u1)))[None, :]
+        shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
+        return (big_g.value_on(shape)
+                / det2_jet(lam).value_on(shape))[None, :]
     return fn
 
 

@@ -340,6 +340,14 @@ def frame_bundle(f: Frontal, u1, u2, order=MAX_ORDER) -> FrameBundle:
     return FrameBundle(f, u1, u2, order)
 
 
+def lam_det_values(lam, u1, u2):
+    """det Lambda on the broadcast of u1 and u2, Lambda given by the
+    callable `lam` (u1, u2, order) -> 2x2 jets: a frontal's or a
+    structure entry."""
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
+    return det2_jet(lam(u1, u2, 0)).value_on(shape)
+
+
 def in_lane_blocks(evaluate, u1, u2):
     """evaluate(u1, u2) over the broadcast of u1 and u2, block by block.
 

@@ -58,6 +58,7 @@ lane by lane), so the march is bit-identical wherever a call ran.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,9 +75,8 @@ from .errors import (CompatibilityViolated, ConditionFailed, DegenerateMetric,
                      NotExtendable, RankDeficient, SingularPoint)
 from . import frame as frame_mod
 from .forks import fork_map
-from .frame import Frontal, _gram, frame_bundle
-from .jets import (INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, det2_jet,
-                   mat2_mul_jet)
+from .frame import Frontal, _gram, frame_bundle, lam_det_values
+from .jets import INDICES, MAX_ORDER, Jet, JetVec3, _mat_values, mat2_mul_jet
 
 
 # --- structure entries -------------------------------------------------------------
@@ -254,6 +254,8 @@ class StructureData:
 
     Every entry gives a point the same bits in any batch, so a march
     evaluates each sampling call in lane blocks (frame.in_lane_blocks).
+    Entries, and what is read off them (det Lambda by
+    frame.lam_det_values, the residuals), take the broadcast of u1 and u2.
     """
     domain: tuple
     basepoint: tuple
@@ -276,10 +278,6 @@ class StructureData:
         return (_mat_values(block, shape),
                 _mat_values([lam_row], shape)[..., 0, :])
 
-    def lam_det_values(self, u1, u2):
-        shape = np.shape(np.asarray(u1, dtype=float))
-        return det2_jet(self.lam(u1, u2, 0)).value_on(shape)
-
     def regular_sample(self, u1_nodes, u2_nodes, config: Config):
         """Regular points (u1, u2) of the node lattice, and det Lambda on
         the whole lattice, flattened.
@@ -289,7 +287,7 @@ class StructureData:
         """
         g1, g2 = np.meshgrid(u1_nodes, u2_nodes, indexing="ij")
         g1, g2 = g1.ravel(), g2.ravel()
-        lam_det = self.lam_det_values(g1, g2)
+        lam_det = lam_det_values(self.lam, g1, g2)
         reg = np.abs(lam_det) > config.eps_sing
         if not np.any(reg):
             raise SingularPoint(
@@ -419,7 +417,7 @@ def compat_residual(sd: StructureData, u1, u2):
     max(1, max |A1|, max |A2|), is what the compatibility gate
     multiplies its tolerance by.
     """
-    shape = np.shape(np.asarray(u1, dtype=float))
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     a1, a2 = sd.blocks(u1, u2, 1)
     A1 = _mat_values(a1, shape)
     A2 = _mat_values(a2, shape)
@@ -432,7 +430,7 @@ def compat_residual(sd: StructureData, u1, u2):
 
 def integrability_residual(sd: StructureData, u1, u2):
     """(symmetry residual, row-identity residual) of the position system."""
-    shape = np.shape(np.asarray(u1, dtype=float))
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     lam_j = sd.lam(u1, u2, 1)
     d1_j, d2_j, h_j, _ = split_blocks(*sd.blocks(u1, u2, 0))
 
@@ -505,8 +503,10 @@ def extend_D(sd: StructureData, which, u1, u2, config: Config = DEFAULT):
             certificate(uu1, uu2)[0]], axis=0)
 
     try:
-        vals, _ = extended_values(ingredients, sd.lam_det_values, u1, u2,
-                                  sd.domain, "extension certificate", config)
+        vals, _ = extended_values(ingredients,
+                                  functools.partial(lam_det_values, sd.lam),
+                                  u1, u2, sd.domain, "extension certificate",
+                                  config)
     except (NotExtendable, Indeterminate) as failed:
         raise ConditionFailed(str(failed)) from failed
     shape, omega = vals.shape[1:], vals[4]
@@ -530,7 +530,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     c = Lambda h and Gamma~_k = (Lambda_uk + Lambda D_k) Lambda^{-1},
     sampled on regular points only.
     """
-    shape = np.shape(np.asarray(u1, dtype=float))
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     lam_j = sd.lam(u1, u2, 1)
     h_j = split_blocks(*sd.blocks(u1, u2, 1))[2]
     c_j = mat2_mul_jet(lam_j, h_j)
@@ -542,7 +542,7 @@ def apolarity_check(sd: StructureData, u1, u2, config: Config = DEFAULT):
     sign = np.sign(det_v)
     s_j = (det_c * sign).powf(0.5)
 
-    lam_det = sd.lam_det_values(u1, u2)
+    lam_det = lam_det_values(sd.lam, u1, u2)
     if np.any(np.abs(lam_det) <= config.eps_sing):
         raise DegenerateMetric("apolarity sampled on the singular set")
     lam_v = _mat_values(lam_j, shape)
@@ -712,7 +712,7 @@ def integrate_frame(sd: StructureData, shape=(21, 21), step=None,
     so is one that needs more than MAX_SUBSTEPS substeps between two nodes
     of a march, before that march sizes any array.
     """
-    step = step or config.rk4_step
+    step = config.rk4_step if step is None else step
     reach = max(abs(float(v)) for v in sd.domain)
     if not step / 2 > np.finfo(float).eps * reach:
         raise InputError(

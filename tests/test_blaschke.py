@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (field_jets, random_unimodular, regular_points,
                       with_structure)
-from frontal_lab import expr
+from frontal_lab import blaschke, expr
 from frontal_lab.blaschke import (AFFINE_NORMAL, blaschke_field,
                                   blaschke_verify, conormal,
                                   conormal_verify, extended_values,
@@ -173,6 +173,28 @@ class TestBlaschkeField:
         grid = g.interior_grid((9, 9), margin=0.04)
         bf = blaschke_field(g, grid=grid)
         assert np.max(np.abs(bf.xi - A[:, 2])) < 1e-6
+
+
+def _split_limit(rows):
+    """A probe-function factory (f -> fn) whose `rows` components tend to
+    +1 from above the line u2 = 0 and to -1 from below it."""
+    return lambda f: lambda u1, u2: np.stack([np.sign(u2)] * rows)
+
+
+class TestSingularFieldCertificates:
+    # ex-5.9's singular set is the line u2 = 0, five points of a 5x5 grid
+    def test_tangential_failure_is_named(self, ex59, monkeypatch):
+        monkeypatch.setattr(blaschke, "_tangent_value_fn", _split_limit(2))
+        with pytest.raises((NotExtendable, Indeterminate),
+                           match="affine-normal tangential part at"):
+            blaschke_field(ex59, shape=(5, 5))
+
+    def test_curvature_failure_comes_first(self, ex59, monkeypatch):
+        monkeypatch.setattr(blaschke, "_tangent_value_fn", _split_limit(2))
+        monkeypatch.setattr(blaschke, "_gauss_ratio_fn", _split_limit(1))
+        with pytest.raises((NotExtendable, Indeterminate),
+                           match="extended Gauss curvature at"):
+            blaschke_field(ex59.stripped(), shape=(5, 5))
 
 
 @pytest.mark.parametrize("name", ["ex-5.8", "ex-5.9", "ex-5.10"])

@@ -178,6 +178,23 @@ def test_shallow_field_diagnostics_build_no_whole_bundle(monkeypatch):
     assert max(sizes) <= frame.SWEEP_LANES
 
 
+def test_blaschke_verify_goes_in_lane_blocks(monkeypatch):
+    # ex-5.10's 70x70 verification grid has 4,760 regular points: no
+    # bundle holds more than SWEEP_LANES of them, and the report has the
+    # bits of one bundle over them all
+    bf = blaschke.blaschke_field(get_entry("ex-5.10").build(), (5, 5))
+    sizes = bundle_sizes(monkeypatch, blaschke)
+    blocked = blaschke.blaschke_verify(bf, (70, 70))
+    assert blocked["points_checked"] == 4760
+    assert max(sizes) <= frame.SWEEP_LANES
+    monkeypatch.setattr(frame, "SWEEP_LANES", 4760)
+    sizes.clear()
+    whole = blaschke.blaschke_verify(bf, (70, 70))
+    assert sizes == [4760]
+    for key in ("max_tau", "volume_residual"):
+        assert same_bits(np.asarray(blocked[key]), np.asarray(whole[key]))
+
+
 # Nested quadrature whose inner integrals need more nodes at some outer
 # nodes than at others: a rule that decided convergence over a whole
 # batch moved x at order 1 by up to 1.2e-12 between a point alone and

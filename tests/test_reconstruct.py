@@ -229,6 +229,12 @@ class TestIntegrateFrame:
         assert "loses 3 orders" in str(exc.value)
         assert calls == []
 
+    def test_a_zero_step_is_refused_not_defaulted(self):
+        # 0.0 is a step given, not the default rk4_step
+        sd = synthetic_sd(["0"] * 4, ["0"] * 4)
+        with pytest.raises(InputError, match="RK4 step 0.0 is too small"):
+            integrate_frame(sd, shape=(5, 5), step=0.0)
+
     @pytest.mark.parametrize("step, refused", [(0.025, False),
                                                (0.0249, True)])
     def test_substep_bound_refused_before_sampling(self, monkeypatch, step,
@@ -515,6 +521,15 @@ class TestOpenMesh:
         sd, size = extracted(key)
         _assert_extracted_bit_equal_on_mesh(
             sd, _domain_mesh(sd, size, transposed))
+
+    def test_residuals_match_pointwise(self, extracted):
+        # the gates' residuals read their points on the broadcast shape
+        sd, _ = extracted("ex-5.10-vertical")
+        mesh = _domain_mesh(sd, (4, 3), False)
+        assert [np.shape(a) for a in mesh] == [(4, 1), (1, 3)]
+        for residual in (compat_residual, integrability_residual):
+            _assert_bit_equal_on_mesh(
+                lambda u1, u2: residual(sd, u1, u2), mesh)
 
     def test_a_lane_on_the_singular_line_is_nudged_as_pointwise(
             self, ex59, monkeypatch):
