@@ -152,48 +152,53 @@ def probe_limits(fn, targets, domain, config: Config = DEFAULT):
 
 def regular_part(fn, lam_det_fn, config: Config = DEFAULT):
     """The probe function of fn(u1, u2) -> (m, n) values at regular
-    points: fn's values where |lam_det_fn| > eps_sing, nan elsewhere.
+    points: fn's values where |lam_det_fn| > eps_sing, nan elsewhere,
+    over the broadcast of u1 and u2.
 
     A call that raises an UNUSABLE_SAMPLE error or LinAlgError gives one
     row of nan (m is unknown then); any other exception is a fault and
     propagates.
     """
     def part(u1, u2):
+        shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
         try:
             ok = np.abs(lam_det_fn(u1, u2)) > config.eps_sing
             if np.any(ok):
-                vals = fn(u1[ok], u2[ok])
-                out = np.full((len(vals),) + np.shape(u1), np.nan)
+                v1, v2 = np.broadcast_arrays(u1, u2)
+                vals = fn(v1[ok], v2[ok])
+                out = np.full((len(vals),) + shape, np.nan)
                 out[:, ok] = vals
                 return out
         except UNUSABLE_SAMPLE + (np.linalg.LinAlgError,):
             pass
-        return np.full((1,) + np.shape(u1), np.nan)
+        return np.full((1,) + shape, np.nan)
     return part
 
 
 def extended_values(fn, lam_det_fn, u1, u2, domain, what,
                     config: Config = DEFAULT):
-    """fn's values at the regular points (u1, u2), its certified limits
-    at the singular ones, where `regular_part(fn)` is probed.
+    """fn's values at the regular points of the broadcast of u1 and u2,
+    its certified limits at the singular ones, where `regular_part(fn)`
+    is probed.
 
-    Returns (values (m,) + shape, the singular points' probe results in
-    order); a failed certificate raises NotExtendable/Indeterminate
-    naming `what`.
+    Returns (values (m,) + the broadcast shape, the singular points'
+    probe results in row-major order); a failed certificate raises
+    NotExtendable/Indeterminate naming `what`.
     """
     u1 = np.atleast_1d(np.asarray(u1, dtype=float))
     u2 = np.atleast_1d(np.asarray(u2, dtype=float))
     regular = np.abs(lam_det_fn(u1, u2)) > config.eps_sing
+    v1, v2 = np.broadcast_arrays(u1, u2)
     parts, results = [], []
     if np.any(regular):
-        parts.append((regular, fn(u1[regular], u2[regular])))
+        parts.append((regular, fn(v1[regular], v2[regular])))
     if not np.all(regular):
-        targets = np.stack([u1[~regular], u2[~regular]], axis=-1)
+        targets = np.stack([v1[~regular], v2[~regular]], axis=-1)
         results = probe_limits(regular_part(fn, lam_det_fn, config),
                                targets, domain, config)
         parts.append((~regular, np.stack([r.require(what) for r in results],
                                          axis=-1)))
-    values = np.empty((len(parts[0][1]),) + u1.shape)
+    values = np.empty((len(parts[0][1]),) + v1.shape)
     for mask, vals in parts:
         values[:, mask] = vals
     return values, results
@@ -560,7 +565,8 @@ def extension_condition_fields(lam_fn, i_omega_fn, efg_fn, which, point,
     fn = membership_certificate_fn(lam_fn, i_omega_fn, efg_fn, which)
 
     def lam_det(u1, u2):
-        return det2_jet(lam_fn(u1, u2)).value_on(np.shape(u1))
+        return det2_jet(lam_fn(u1, u2)).value_on(
+            np.broadcast_shapes(np.shape(u1), np.shape(u2)))
     return probe_limits(regular_part(fn, lam_det, config), [point], domain,
                         config)[0]
 

@@ -1,22 +1,27 @@
 """fork_map: run a list of jobs on several cores with os.fork.
 
-The library's one fork discipline, behind the sampling of the RK4
-lattice (`reconstruct`).  The caller states how much work its jobs
-hold, in its own unit (points sampled); from PARALLEL_WORK units on,
-with k >= 2 usable cores (os.sched_getaffinity) and os.fork, the
-calling process and k - 1 children forked for the map share the jobs.
-Less work, one core or no os.fork runs every job in the calling process.
+The library's one fork discipline, behind the lane blocks of
+frame.in_lane_blocks (every grid a command evaluates) and the sampling
+calls of an RK4 march (`reconstruct`).  The caller states how much work
+its jobs hold, in its own unit (points evaluated); from PARALLEL_WORK
+units on, with k >= 2 usable cores (os.sched_getaffinity) and os.fork,
+the calling process and k - 1 children forked for the map share the
+jobs.  Less work, one core or no os.fork runs every job in the calling
+process, and so does a map called inside a job of another map, in the
+caller or in a child: maps never nest their forks.
 
 The jobs are dealt on demand, from one token pipe: before forking, the
-caller writes each job index into it, in order, as a TOKEN-byte token,
-and every worker, the caller included, claims its next job by reading
-one token.  A list with more tokens than the pipe holds is topped up as
-the caller claims.  A job returns one C-contiguous bytes-like result,
-and a child sends each one over a pipe of its own as raw bytes: the
-job's index and the result's length, 8 bytes each, then the result;
-nothing is pickled.  Every pipe is widened to PIPE_BYTES where the
-platform allows (fcntl.F_SETPIPE_SZ), so a child runs well ahead of the
-caller.
+caller writes each job index but the first into it, in order, as a
+TOKEN-byte token, and every worker, the caller included, claims its
+next job by reading one token.  Job 0 is never dealt: the caller runs
+it while the children start on jobs 1, 2 and so on, as it would wait
+for its result anyway.  A list with more tokens than the pipe holds is
+topped up as the caller claims.  A job returns one C-contiguous
+bytes-like result, and a child sends each one over a pipe of its own as
+raw bytes: the job's index and the result's length, 8 bytes each, then
+the result; nothing is pickled.  Every pipe is widened to PIPE_BYTES
+where the platform allows (fcntl.F_SETPIPE_SZ), so a child runs well
+ahead of the caller.
 
 fork_map yields every job's result in job order, whoever computed it.
 When the result it needs next is missing, the caller first takes
@@ -50,14 +55,20 @@ import struct
 import warnings
 
 # Jobs that hold at least this much work, in the caller's unit, run on
-# every usable core; below it, a fork costs more than it saves.
-PARALLEL_WORK = 1 << 15
+# every usable core; below it, a fork costs more than it saves.  In
+# points, 8,192 is two full lane blocks (frame.SWEEP_LANES); a fork_map of
+# two trivial jobs costs about 2 ms in a 51 MB process.  The spines of a
+# 21x21 RK4 march on [-1, 1]^2 (7,720 points) stay below it.
+PARALLEL_WORK = 1 << 13
 # The bytes of one job index on the token pipe, and the size every pipe
 # of a map is widened to.
 TOKEN = 4
 PIPE_BYTES = 1 << 20
 # The length that marks a job a child hands back.
 HANDED_BACK = (1 << 64) - 1
+# Whether this process is running a job of a map; a map called then runs
+# its jobs in this process.
+_in_job = False
 
 
 def usable_cores():
@@ -96,11 +107,21 @@ def _claim(tokens, top_up=lambda: False):
         return int.from_bytes(token, "little") if token else None
 
 
+def _call(fn, job):
+    """fn(job) as a job of a map: a fork_map it calls forks nothing."""
+    global _in_job
+    outer, _in_job = _in_job, True
+    try:
+        return fn(job)
+    finally:
+        _in_job = outer
+
+
 def _run(fn, job):
     """fn(job), or None if it raises or warns."""
     with warnings.catch_warnings(record=True) as warned:
         try:
-            result = fn(job)
+            result = _call(fn, job)
         except Exception:
             return None
     return None if warned else result
@@ -192,7 +213,7 @@ def fork_map(fn, jobs, work):
     an early exit reaps at once; the module docstring gives the rules."""
     n = len(jobs)
     k = 1
-    if work >= PARALLEL_WORK and hasattr(os, "fork"):
+    if work >= PARALLEL_WORK and hasattr(os, "fork") and not _in_job:
         k = min(usable_cores(), n)
     if k > 1:
         try:
@@ -200,13 +221,14 @@ def fork_map(fn, jobs, work):
         except OSError:
             k = 1
     if k < 2:
-        yield from map(fn, jobs)
+        for job in jobs:
+            yield _call(fn, job)
         return
     unsent = memoryview(b"".join(i.to_bytes(TOKEN, "little")
-                                 for i in range(n)))
+                                 for i in range(1, n)))
     chunk = select.PIPE_BUF // TOKEN * TOKEN    # written whole, or not
     children = {}       # read end's descriptor -> (pid, read end)
-    done = {}           # job index -> result, or None: run at its turn
+    done = {0: None}    # job index -> result, or None: run at its turn
     poller = select.poll()
 
     def top_up():
@@ -264,7 +286,7 @@ def fork_map(fn, jobs, work):
                 else:
                     collect(None)                   # no token is left
             result = done.pop(i)
-            yield fn(job) if result is None else result
+            yield _call(fn, job) if result is None else result
     finally:
         for pid, reader in children.values():
             _end(pid, reader)

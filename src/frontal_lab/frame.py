@@ -14,9 +14,11 @@ A grid command reads a few values per point off jets it never keeps.
 `in_lane_blocks` is the one rule that evaluates a set of points in
 blocks of at most SWEEP_LANES points, keeping only such values: the
 frame bundle of a grid (`evaluate_grid`) and the sampling calls of an
-RK4 march (reconstruct) go through it.  The grid tests take the values:
-`singular_scan` det Lambda, `wavefront_test` the per-point verdicts of
-`wavefront_mask`, `nonparabolic_test` K_omega.
+RK4 march (reconstruct) go through it.  It hands its blocks to
+forks.fork_map, so from forks.PARALLEL_WORK points on they run on every
+usable core, with the bits, values and errors of one process.  The grid
+tests take the values: `singular_scan` det Lambda, `wavefront_test` the
+per-point verdicts of `wavefront_mask`, `nonparabolic_test` K_omega.
 
 A rank-2 test of a stack of m x 2 matrices (the wave-front verdict, the
 conormal's rank) goes through `rank2_mask`: its verdict is the SVD's,
@@ -37,6 +39,7 @@ decompositions and are exercised by the cross-checks in the tests):
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +48,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import DegenerateBasis, NotAFrontal
+from .forks import fork_map
 from .jets import MAX_ORDER, JetVec3, det2_jet, inv2_jet, mat2_mul_jet
 from . import expr as expr_mod
 
@@ -354,30 +358,53 @@ def in_lane_blocks(evaluate, u1, u2):
     `evaluate` returns a dict of per-point value arrays, the broadcast
     shape of its arguments leading.  The points are evaluated in
     contiguous row-major blocks of at most SWEEP_LANES points of the
-    broadcast: each block's values go into arrays allocated over all the
-    points, and what evaluate built for a block is dropped before the
-    next one.  Points that fit one block are evaluated once, as given.
-    Returns the dict with each array over the broadcast shape.
+    broadcast, one forks.fork_map job each, with the points as its work:
+    from forks.PARALLEL_WORK points on, the blocks run on every usable
+    core, block 0 always in the calling process.  A block's values travel
+    as one buffer, its arrays' bytes in the layout of block 0 (its keys
+    in order, their dtypes and trailing shapes), and go into arrays
+    allocated over all the points; what evaluate built for a block is
+    dropped before the next one.  Points that fit one block are evaluated
+    once, as given.  Returns the dict with each array over the broadcast
+    shape.
 
     A block gives the bits the whole set gives at its points, but a gate
     reduces over its batch: an any() guard raises in the first batch
     holding a bad point, a max-type gate scales with the batch's largest
-    value.  So when a block raises, u1 and u2 are evaluated again as one
-    call, and what that raises or returns stands.
+    value.  So when a block raises, wherever it ran (fork_map raises it
+    again in this process, at its turn), or its buffer does not fit
+    block 0's layout, u1 and u2 are evaluated again as one call, and what
+    that raises or returns stands.
     """
     shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     n = math.prod(shape)
     if n <= SWEEP_LANES:
         return evaluate(u1, u2)
     flat1, flat2 = (np.broadcast_to(u, shape).flat for u in (u1, u2))
-    out = {}
+    blocks = [slice(a, min(a + SWEEP_LANES, n))
+              for a in range(0, n, SWEEP_LANES)]
+    out = {}        # over all the points, laid out as block 0's values
+
+    def packed(block):
+        values = evaluate(flat1[block], flat2[block])
+        if block.start == 0:
+            out.update((key, np.empty((n,) + vals.shape[1:], vals.dtype))
+                       for key, vals in values.items())
+        return b"".join(np.ascontiguousarray(vals)
+                        for vals in values.values())
+
     try:
-        for a in range(0, n, SWEEP_LANES):
-            block = slice(a, a + SWEEP_LANES)
-            for key, vals in evaluate(flat1[block], flat2[block]).items():
-                if key not in out:
-                    out[key] = np.empty((n,) + vals.shape[1:], vals.dtype)
-                out[key][block] = vals
+        with contextlib.closing(fork_map(packed, blocks, n)) as results:
+            for block, buf in zip(blocks, results):
+                parts = [vals[block] for vals in out.values()]
+                if len(buf) != sum(part.nbytes for part in parts):
+                    raise ValueError("a block's values do not fit the "
+                                     "layout of block 0")
+                at = 0
+                for part in parts:
+                    part[...] = np.frombuffer(
+                        buf, part.dtype, part.size, at).reshape(part.shape)
+                    at += part.nbytes
     except Exception:
         return evaluate(u1, u2)
     return {key: vals.reshape(shape + vals.shape[1:])

@@ -47,9 +47,12 @@ Every sampling call of a march is fixed by the lattice before its first
 step, so the march lists its calls in the order it reads them, batch by
 batch and sweep by sweep, and runs them through forks.fork_map, whose
 rules decide where each call runs; its unit of work is a point sampled.
-Forked children claim the calls as they get free, and the marching
-process samples a call only while the one it reads next is not yet
-back.  A call's one result is its RK4 matrices, sent back from a child
+The marching process samples the first call while the forked children
+start on the next ones; they claim the calls as they get free, and the
+marching process samples another call only while the one it reads next
+is not yet back.  A call is a job of the march's map, so its lane blocks
+run where the call runs: a march forks once, never per call.  A call's
+one result is its RK4 matrices, sent back from a child
 as raw float bytes, and every entry gives a point the same bits in any
 batch (the adaptive quadrature behind some of them decides convergence
 lane by lane), so the march is bit-identical wherever a call ran.

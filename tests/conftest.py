@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from frontal_lab import forks
 from frontal_lab.catalog import get_entry
 from frontal_lab.config import Config
 from frontal_lab.jets import INDICES, Jet
@@ -13,6 +15,23 @@ UNGATED = Config(tol_compat=math.inf, tol_path=math.inf)
 # u2 on a row, broadcast against each other
 OPEN_MESH = (np.linspace(-0.6, 0.6, 5)[:, None],
              np.array([[-0.45, 0.2, 0.45]]))
+
+
+@pytest.fixture
+def one_core(monkeypatch):
+    """Run every forks.fork_map of the test in this process, so that a
+    recorder patched into the library sees every lane block and every
+    RK4 sampling call: from forks.PARALLEL_WORK points on, a map would
+    run some of them in children, where the recorder's list is a copy."""
+    monkeypatch.setattr(forks, "usable_cores", lambda: 1)
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +62,19 @@ def ex59():
 @pytest.fixture(scope="session")
 def ex510():
     return get_entry("ex-5.10").build()
+
+
+def fork_log(monkeypatch, path):
+    """Append the process of every os.fork call to the file `path`,
+    whichever process makes it."""
+    real_fork = os.fork
+
+    def fork():
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
 
 
 def regular_points(f, n, seed=0, margin=0.05, min_lam=1e-2):

@@ -1,5 +1,7 @@
 """Affine-normal construction, limit probes, conormals, invariances."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from conftest import (field_jets, random_unimodular, regular_points,
 from frontal_lab import blaschke, expr
 from frontal_lab.blaschke import (AFFINE_NORMAL, blaschke_field,
                                   blaschke_verify, conormal,
-                                  conormal_verify, extended_values,
-                                  extension_condition,
+                                  conormal_verify, extended_gauss,
+                                  extended_values, extension_condition,
                                   extension_condition_fields, gauss_extension,
                                   probe_limits, rank1_closed_form,
                                   regular_part)
@@ -18,7 +20,7 @@ from frontal_lab.equiaffine import TransversalField, structure_from_field
 from frontal_lab.errors import (DivisionByZeroValue, DomainError,
                                 FrontalLabError, Indeterminate, KVanishes,
                                 NotExtendable)
-from frontal_lab.frame import Frontal, frame_bundle
+from frontal_lab.frame import Frontal, frame_bundle, lam_det_values
 from frontal_lab.jets import POSITION, Jet, JetVec3
 
 
@@ -133,6 +135,37 @@ class TestGaussExtension:
     def test_plane_rejects(self, plane):
         with pytest.raises(KVanishes):
             blaschke_field(plane, shape=(9, 9))
+
+
+class TestOpenMesh:
+    """An open mesh (4, 1) x (1, 3) across ex-5.10's singular lines
+    u2 = +-u1 gives the bits of its materialised points in the numeric
+    routes: four of its twelve points are probed."""
+
+    U1 = np.array([[-0.5], [-0.2], [0.3], [0.5]])
+    U2 = np.array([[-0.5, 0.2, 0.3]])
+
+    def points(self, f):
+        p1, p2 = (np.array(p) for p in np.broadcast_arrays(self.U1, self.U2))
+        assert np.sum(lam_det_values(f.lam, p1, p2) == 0.0) == 4
+        return p1, p2
+
+    def test_extended_gauss(self, ex510):
+        f = ex510.stripped()
+        want = extended_gauss(f, *self.points(f))
+        got = extended_gauss(f, self.U1, self.U2)
+        assert got.shape == want.shape == (4, 3)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_regular_part(self, ex510):
+        f = ex510.stripped()
+        part = regular_part(blaschke._gauss_ratio_fn(f),
+                            functools.partial(lam_det_values, f.lam))
+        want = part(*self.points(f))
+        got = part(self.U1, self.U2)
+        assert got.shape == want.shape == (1, 4, 3)
+        assert np.isnan(got).sum() == 4
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBlaschkeField:

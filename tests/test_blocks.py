@@ -7,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from conftest import fork_log
 from frontal_lab import blaschke, cli, forks, frame
 from frontal_lab.catalog import get_entry
 from frontal_lab.equiaffine import TransversalField
@@ -157,7 +159,8 @@ def test_a_raising_block_hands_the_grid_to_one_bundle(monkeypatch):
     assert sizes == [20, 20, 81]
 
 
-def test_generator_grid_goes_in_lane_blocks(monkeypatch, capsys):
+def test_generator_grid_goes_in_lane_blocks(monkeypatch, capsys,
+                                           one_core):
     sizes = bundle_sizes(monkeypatch)
     assert cli.main(["analyze", "--entry", "gen-nonparabolic", "--grid",
                      "101x101"]) == 0
@@ -292,11 +295,145 @@ class TestInLaneBlocks:
             assert same_bits(got[key], vals), key
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="blocks fork with os.fork")
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedBlocks:
+    """in_lane_blocks on two cores, forking from one point on: the bits,
+    errors and whole-call retries of one process, one fork a call."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch, tmp_path):
+        """Fork every multi-block call on two cores; the processes that
+        forked, one line a fork, go to the file it returns."""
+        monkeypatch.setattr(forks, "PARALLEL_WORK", 1)
+        monkeypatch.setattr(forks, "usable_cores", lambda: 2)
+        log = tmp_path / "forks"
+        fork_log(monkeypatch, log)
+        return log
+
+    @staticmethod
+    def same_values(got, want):
+        assert got.keys() == want.keys()
+        for key, vals in want.items():
+            assert got[key].dtype == vals.dtype, key
+            assert got[key].shape == vals.shape, key
+            assert got[key].tobytes() == vals.tobytes(), key
+
+    @staticmethod
+    def child_first(evaluate, flag):
+        """evaluate, with block 0 held in the calling process, on more
+        than one core, until a child has begun a block: block 1, its
+        first claim, so a child runs it however fast the blocks are."""
+        parent = os.getpid()
+
+        def held(v1, v2):
+            if os.getpid() != parent:
+                flag.touch()
+            elif forks.usable_cores() > 1 and np.size(v1) == frame.SWEEP_LANES:
+                deadline = time.monotonic() + 30.0
+                while not flag.exists():
+                    assert time.monotonic() < deadline, "no child began"
+                    time.sleep(1e-3)
+            return evaluate(v1, v2)
+
+        return held
+
+    def test_generator_grid_keeps_its_bits(self, forked, monkeypatch):
+        # three blocks of gen-nonparabolic's 101x101 grid, a bool array
+        # between float arrays of two shapes in each block's buffer
+        f = get_entry("gen-nonparabolic").build()
+        u1, u2 = f.grid((101, 101))
+
+        def read(b):
+            return {"lam_det": b.lam_det.value_on(b.shape),
+                    "immersive": frame.wavefront_mask(b),
+                    "n": b.n.values_on(b.shape)}
+
+        got = evaluate_grid(f, u1, u2, f.bundle_order(1), read)
+        assert forked.read_text().split() == [str(os.getpid())]
+        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
+        self.same_values(got, evaluate_grid(f, u1, u2, f.bundle_order(1),
+                                            read))
+
+    def test_blaschke_regular_part_keeps_its_bits(self, forked, monkeypatch):
+        f = get_entry("ex-5.10").build().stripped()
+        u1, u2 = f.grid((101, 101))
+        regular = np.abs(frame.lam_det_values(f.lam, u1, u2)) > 1e-10
+        points = u1[regular], u2[regular]
+        order = blaschke._field_order(f, 1)
+        got = evaluate_grid(f, *points, order, blaschke._read_regular)
+        assert got.keys() == {"xi", "parts"}
+        assert forked.read_text().split() == [str(os.getpid())]
+        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
+        self.same_values(got, evaluate_grid(f, *points, order,
+                                            blaschke._read_regular))
+
+    # block 1 is a child's first job; the whole call raises the fault, or
+    # returns the values the blocks could not
+    @pytest.mark.parametrize("whole", ["raises", "returns"])
+    def test_a_child_fault_hands_the_call_to_one_evaluation(
+            self, whole, forked, monkeypatch, tmp_path):
+        lanes = frame.SWEEP_LANES
+        u1, u2 = np.arange(3 * lanes, dtype=float), 0.5
+        log = tmp_path / "calls"
+
+        def evaluate(v1, v2):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {v1[0]:.0f} {np.size(v1)}\n")
+            if lanes + 7 in v1 and (whole == "raises" or v1.size < u1.size):
+                raise ValueError(f"a fault in {np.size(v1)} points")
+            return {"u": np.asarray(v1 + v2)}
+
+        outcome, held = [], self.child_first(evaluate, tmp_path / "began")
+        for cores in (1, 2):
+            monkeypatch.setattr(forks, "usable_cores", lambda: cores)
+            log.write_text("")
+            try:
+                outcome.append(in_lane_blocks(held, u1, u2)["u"].tobytes())
+            except ValueError as error:
+                outcome.append(str(error))
+            calls = [(int(pid) == os.getpid(), int(first), int(size))
+                     for pid, first, size in map(str.split,
+                                                 log.read_text().splitlines())]
+            # the faulty block ran in a child, then in the caller at its
+            # turn; last, the caller evaluated the whole call
+            assert calls[-1] == (True, 0, u1.size)
+            assert [here for here, first, size in calls
+                    if (first, size) == (lanes, lanes)] == (
+                        [True] if cores == 1 else [False, True])
+        assert outcome[0] == outcome[1]
+        if whole == "raises":
+            assert outcome[0] == f"a fault in {u1.size} points"
+        else:
+            assert outcome[0] == (u1 + u2).tobytes()
+
+    def test_a_buffer_off_block_0s_layout_hands_the_call_back(
+            self, forked, tmp_path):
+        # the child's blocks carry one more value a point than block 0's
+        u1, u2 = np.arange(3 * frame.SWEEP_LANES, dtype=float), 0.5
+        parent, sizes = os.getpid(), []
+
+        def evaluate(v1, v2):
+            sizes.append(np.size(v1))
+            values = {"u": np.asarray(v1 + v2)}
+            if os.getpid() != parent:
+                values["v"] = np.asarray(v1)
+            return values
+
+        began = tmp_path / "began"
+        got = in_lane_blocks(self.child_first(evaluate, began), u1, u2)
+        assert began.exists()
+        assert got.keys() == {"u"}
+        assert same_bits(got["u"], u1 + u2)
+        assert sizes[-1] == u1.size
+
+
 class TestSweepCalls:
     """reconstruct --entry paraboloid --field=0,0,1 --grid 3x41: a row
     segment holds 1,921 abscissae x 41 lanes at the default step."""
 
-    def test_calls_fit_the_budget_and_keep_the_bits(self, sd, monkeypatch):
+    def test_calls_fit_the_budget_and_keep_the_bits(self, sd, monkeypatch,
+                                                    one_core):
         points, real = [], StructureData.aug_values
 
         def counted(self, u1, u2, axis):
@@ -304,7 +441,6 @@ class TestSweepCalls:
             return real(self, u1, u2, axis)
 
         monkeypatch.setattr(StructureData, "aug_values", counted)
-        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
         cut = integrate_frame(sd, (3, 41))
         assert points and max(points) <= frame.SWEEP_LANES
         points.clear()
@@ -335,9 +471,11 @@ class TestSweepCalls:
             integrate_frame(sd, (3, 41))
 
 
-# Peak resident memory of this process in kB.  ru_maxrss keeps the
-# resident size of the process that forked it before exec (Linux), so
-# VmHWM, the peak of this process image alone, is read where it exists.
+# Peak resident memory in kB of this process and of the children its
+# forks.fork_map forked, whichever is larger, so that a block evaluated in
+# a child cannot hide its memory.  ru_maxrss keeps the resident size of
+# the process that forked it before exec (Linux), so VmHWM, the peak of
+# this process image alone, is read where it exists.
 PEAK_KB = """
 import resource
 try:
@@ -346,6 +484,7 @@ try:
                     if line.startswith("VmHWM:"))
 except (OSError, StopIteration):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 

@@ -14,20 +14,15 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import fork_log
 from frontal_lab import forks
 from frontal_lab.forks import fork_map
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="fork_map forks only with os.fork")
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="fork_map forks only with os.fork"),
+              pytest.mark.usefixtures("no_child_left")]
 
 JOBS = list(range(7))
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -234,6 +229,36 @@ def test_child_warning_is_issued_once_by_the_caller(monkeypatch, tmp_path,
 def test_a_fault_run_ahead_surfaces_at_its_turn(fault, monkeypatch, tmp_path,
                                                no_hang):
     fault_at_its_turn(fault, "ahead", monkeypatch, tmp_path)
+
+
+def test_job_0_runs_in_the_caller(monkeypatch, tmp_path):
+    log = tmp_path / "runs"
+    got, forked = run(logged(floats, log), 3, monkeypatch)
+    assert got == [bytes(floats(job)) for job in JOBS] and forked == 2
+    assert (os.getpid(), 0) in runs(log)
+
+
+def test_a_map_inside_a_job_forks_nothing(monkeypatch, tmp_path):
+    # every job, in a child or in the caller, maps three jobs of its own
+    # with work enough to fork; only the outer map forks, from the caller
+    log = tmp_path / "forks"
+
+    def nested(job):
+        with contextlib.closing(fork_map(floats, [job, job + 1, job + 2],
+                                         forks.PARALLEL_WORK)) as inner:
+            return b"".join(bytes(part) for part in inner)
+
+    monkeypatch.setattr(forks, "usable_cores", lambda: 3)
+    fork_log(monkeypatch, log)
+    with contextlib.closing(fork_map(nested, JOBS,
+                                     forks.PARALLEL_WORK)) as results:
+        got = [bytes(result) for result in results]
+    assert got == [b"".join(bytes(floats(j)) for j in (job, job + 1, job + 2))
+                   for job in JOBS]
+    assert log.read_text().split() == [str(os.getpid())] * 2
+    # a map after the outer one forks again
+    assert len(list(fork_map(floats, JOBS, forks.PARALLEL_WORK))) == len(JOBS)
+    assert log.read_text().split() == [str(os.getpid())] * 4
 
 
 def test_early_close_reaps_every_child(monkeypatch):

@@ -455,7 +455,7 @@ class TestRankMaskMatchesSvd:
         ["check", "--entry", "ex-5.8"],
     ])
     def test_benchmark_grids_need_no_lapack(self, argv, svd_lanes,
-                                            monkeypatch, capsys):
+                                            monkeypatch, capsys, one_core):
         tested = []
 
         def counted(J, eps_rank):

@@ -554,7 +554,7 @@ class TestOpenMesh:
         assert np.all(np.isfinite(block))
 
     def test_a_march_hands_the_frontal_its_open_meshes(self, ex59,
-                                                       monkeypatch):
+                                                       monkeypatch, one_core):
         # every sampling call of a march that nudges no point evaluates
         # Omega on the call's compact axes, (k, 1) with (1, m) or the
         # reverse, never on the k * m points of their broadcast
@@ -579,7 +579,6 @@ class TestOpenMesh:
                 calls.append((np.shape(u1), np.shape(u2)))
             return omega(u1, u2, order)
 
-        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
         monkeypatch.setattr(StructureData, "aug_values", sampled)
         monkeypatch.setattr(reconstruct, "nudged_points", nudged)
         monkeypatch.setattr(ex59, "omega", recorded)
@@ -980,7 +979,7 @@ class TestBatchedSweep:
     WHOLE_SEGMENTS_SD = dict(d1=["0"] * 4, d2=["0"] * 4,
                              domain=(0.0, 1.91, 0.0, 1.91))
 
-    def test_sweeps_sample_whole_segments(self, monkeypatch):
+    def test_sweeps_sample_whole_segments(self, monkeypatch, one_core):
         sd = synthetic_sd(**self.WHOLE_SEGMENTS_SD)
         sizes = []
         aug_values = StructureData.aug_values
@@ -989,7 +988,6 @@ class TestBatchedSweep:
             sizes.append(np.broadcast(u1, u2).size)
             return aug_values(self, u1, u2, axis)
 
-        monkeypatch.setattr(forks, "usable_cores", lambda: 1)
         monkeypatch.setattr(StructureData, "aug_values", counted)
         integrate_frame(sd, (21, 21), step=1e-3)
         assert len(sizes) == 42
@@ -1122,15 +1120,10 @@ def _call_key(u1, u2, axis):
             float(np.ravel(u2)[0]))
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestForkedSampling:
     """Marches that sample on two cores give the bits of one core, and a
     child that fails hands its calls back to the parent."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.fixture
     def interior_sd(self, file_backed_sd):

@@ -20,11 +20,7 @@ SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5, 0.1]
 FIELD_HEADER = ["u1", "u2", "x", "y", "z", "xi1", "xi2", "xi3"]
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def blocks(monkeypatch, block=2):
@@ -268,14 +264,13 @@ def test_integers_are_str():
 ROW_WRITER_PEAK = 25.2e6
 
 
-def test_frame_csv_peak_memory(monkeypatch, tmp_path):
+def test_frame_csv_peak_memory(tmp_path, one_core):
     n = 201
     u1, u2 = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, n),
                          indexing="ij")
     rng = np.random.default_rng(0)
     data = {f"c{k:02d}": rng.normal(size=(n, n)) for k in range(11)}
     data["lam_det"] = u2 ** 3
-    monkeypatch.setattr(forks, "usable_cores", lambda: 1)
     tracemalloc.start()
     try:
         export_frame_csv(tmp_path / "frame.csv", u1, u2, data)
